@@ -6,6 +6,11 @@ complex kind, module fingerprint, degree), so a change in any basis
 convention invalidates the affected artifacts automatically.  Writes are
 atomic (write to a temp file, then rename), giving single-writer /
 multi-reader safety.
+
+A rank record is one line, the value and the SHA-256 digest of (matrix
+fingerprint, value).  A record that does not parse or whose digest does not
+match reads as a miss, so a truncated or edited file is recomputed rather
+than believed.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from .exact_linalg import QVector, SparseMatrix
 def descriptor_key(*parts: object) -> str:
     text = "\x1f".join(str(p) for p in parts)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _rank_digest(matrix_fingerprint: str, value: int) -> str:
+    return descriptor_key("rank", matrix_fingerprint, value)
 
 
 class DiffCache:
@@ -72,13 +81,23 @@ class DiffCache:
     # -- ranks -------------------------------------------------------------
 
     def get_rank(self, matrix_fingerprint: str) -> int | None:
+        """The recorded rank, or None when the record is missing, does not
+        parse or does not carry the digest of (fingerprint, value)."""
         target = self.path / "rank" / f"{matrix_fingerprint}.txt"
-        if not target.exists():
+        try:
+            text, digest = target.read_text(encoding="ascii").split()
+            value = int(text)
+        except (FileNotFoundError, UnicodeDecodeError, ValueError):
             return None
-        return int(target.read_text().strip())
+        if digest != _rank_digest(matrix_fingerprint, value):
+            return None
+        return value
 
     def put_rank(self, matrix_fingerprint: str, value: int) -> None:
-        self._write_atomic(self.path / "rank" / f"{matrix_fingerprint}.txt", f"{value}\n")
+        self._write_atomic(
+            self.path / "rank" / f"{matrix_fingerprint}.txt",
+            f"{value} {_rank_digest(matrix_fingerprint, value)}\n",
+        )
 
     # -- management ----------------------------------------------------------
 

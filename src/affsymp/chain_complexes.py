@@ -16,6 +16,16 @@ Degree caps are explicit; d o d = 0 is verified for every adjacent pair at
 build time.  A finished complex is immutable and shareable across threads;
 ranks of differentials are memoized per complex and optionally persisted in
 a ``DiffCache``.
+
+The two kernel complexes (``KernelComplex``) hold the ambient differentials
+d_m and the projections pi_m rather than kernel bases.  Their ranks come
+from stacked matrices, as rank([d_m; pi_m]) minus rank pi_m (the rank of d_m
+restricted to ker pi_m), and their dimensions are cols(pi_m) minus
+rank pi_m.  The build-time checks are ambient d o d = 0 and the chain-map
+identity pi_(m-1) d_m = e_m pi_m with e the exterior differential, which
+together make the restriction a complex.  Kernel bases and restricted
+differentials are built only when ``basis`` or ``d`` asks for them
+(cycles, membership tests).
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .exact_linalg import (
     kernel_basis,
     multiply,
     rank,
+    stack_rows,
 )
 from .lie_structures import LieAlgebra, LieModule, adjoint_module
 from .words import (
@@ -223,39 +234,39 @@ class ChainComplex:
 
     def rank_d(self, k: int) -> int:
         """rank d_k, memoized; rank d_0 is 0 by convention."""
-        if k == 0:
-            return 0
-        self.check_degree(k)
-        got = self._ranks.get(k)
-        if got is None:
-            got = self._ranked(self.diffs[k])
-            self._ranks[k] = got
-        return got
+        return self._memoized(self._ranks, k, lambda: self._ranked(self.diffs[k]))
 
     def rank_d_transposed(self, k: int) -> int:
         """rank of the transposed differential, eliminated independently;
         equals rank_d over a field and serves as its cross-check."""
+        return self._memoized(
+            self._ranks_transposed, k, lambda: self._ranked(self.diffs[k].transpose())
+        )
+
+    def _memoized(self, memo: dict[int, int], k: int, compute) -> int:
         if k == 0:
             return 0
         self.check_degree(k)
-        got = self._ranks_transposed.get(k)
+        got = memo.get(k)
         if got is None:
-            got = self._ranked(self.diffs[k].transpose())
-            self._ranks_transposed[k] = got
+            got = memo[k] = compute()
         return got
 
     def _ranked(self, matrix: SparseMatrix) -> int:
+        """rank(matrix), through the disk cache when there is one.  A cached
+        value that cannot be a rank of this shape counts as a miss and is
+        recomputed and rewritten."""
         if not matrix.entries:
             return 0
-        if self.cache is not None:
-            fp = matrix.fingerprint()
-            hit = self.cache.get_rank(fp)
-            if hit is not None:
-                return hit
-            value = rank(matrix)
-            self.cache.put_rank(fp, value)
-            return value
-        return rank(matrix)
+        if self.cache is None:
+            return rank(matrix)
+        fp = matrix.fingerprint()
+        hit = self.cache.get_rank(fp)
+        if hit is not None and 0 <= hit <= min(matrix.rows, matrix.cols):
+            return hit
+        value = rank(matrix)
+        self.cache.put_rank(fp, value)
+        return value
 
     def __repr__(self) -> str:
         return f"ChainComplex({self.name}, kind={self.kind}, cap={self.cap})"
@@ -605,25 +616,131 @@ def _restrict_to_kernels(
     return restricted
 
 
-def _kernel_chain_complex(
-    kind: str,
-    name: str,
-    cap: int,
-    kernel_at,
-    ambient_d_at,
-    ambient_basis_at,
-    cache: DiffCache | None,
-) -> ChainComplex:
-    bases: dict[int, KernelBasis] = {}
-    for m in range(cap + 1):
-        bases[m] = KernelBasis(kernel_at(m), ambient_basis_at(m))
-    dims = [bases[m].dim for m in range(cap + 1)]
-    diffs = {}
-    for m in range(1, cap + 1):
-        diffs[m] = _restrict_to_kernels(
-            ambient_d_at(m), bases[m], bases[m - 1], f"{name} degree {m}"
+class KernelComplex(ChainComplex):
+    """Degree m is ker pi_m inside an ambient space, with differential the
+    ambient d_m restricted to it.
+
+    ``ambient_d[m]`` (1 <= m <= cap) and ``projections[m]`` (0 <= m <= cap)
+    must satisfy pi_(m-1) d_m = e_m pi_m for ``targets[m]`` = e_m; that
+    identity, checked at build time with ambient d o d = 0, is what makes the
+    restriction a complex.  Ranks and dimensions come from stacked matrices
+    and projection ranks alone.  ``basis`` and ``d`` build the explicit
+    kernel basis (cached under ``kernel_key`` + degree) and the restricted
+    matrix on first request.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        name: str,
+        cap: int,
+        ambient_d: dict[int, SparseMatrix],
+        projections: dict[int, SparseMatrix],
+        targets: dict[int, SparseMatrix],
+        ambient_basis_at,
+        kernel_key: tuple,
+        cache: DiffCache | None = None,
+    ):
+        self.kind = kind
+        self.name = name
+        self.cap = cap
+        self.cache = cache
+        self.ambient_d = dict(ambient_d)
+        self.projections = dict(projections)
+        self.targets = dict(targets)
+        self.ambient_basis_at = ambient_basis_at
+        self.kernel_key = kernel_key
+        self.diffs: dict[int, SparseMatrix] = {}
+        self.bases: dict[int, KernelBasis] = {}
+        self._ranks: dict[int, int] = {}
+        self._ranks_transposed: dict[int, int] = {}
+        self._projection_ranks: dict[tuple[int, bool], int] = {}
+        for m in range(1, cap + 1):
+            d = self.ambient_d[m]
+            if d.cols != self.projections[m].cols or d.rows != self.projections[m - 1].cols:
+                raise ConsistencyError(f"ambient differential d_{m} has the wrong shape")
+        self.verify_dd_zero()
+        self.dims = [
+            self.projections[m].cols - self._projection_rank(m, False)
+            for m in range(cap + 1)
+        ]
+
+    def verify_dd_zero(self) -> None:
+        """Ambient d o d = 0 on every pair used, and the exact chain-map
+        identity pi_(m-1) d_m = e_m pi_m at every degree."""
+        for m in range(2, self.cap + 1):
+            if multiply(self.ambient_d[m - 1], self.ambient_d[m]).nnz:
+                raise ConsistencyError(f"{self.name}: ambient d_{m - 1} o d_{m} != 0")
+        for m in range(1, self.cap + 1):
+            lhs = multiply(self.projections[m - 1], self.ambient_d[m])
+            if lhs != multiply(self.targets[m], self.projections[m]):
+                raise ConsistencyError(
+                    f"{self.name}: projection is not a chain map at degree {m}"
+                )
+
+    def rank_d(self, k: int) -> int:
+        """rank([d_k; pi_k]) - rank pi_k, the rank of the restriction."""
+        return self._memoized(self._ranks, k, lambda: self._restricted_rank(k, False))
+
+    def rank_d_transposed(self, k: int) -> int:
+        """rank([d_k; pi_k]^T) - rank pi_k^T, eliminated independently."""
+        return self._memoized(
+            self._ranks_transposed, k, lambda: self._restricted_rank(k, True)
         )
-    return ChainComplex(kind, name, dims, diffs, bases, cap, cache)
+
+    def _restricted_rank(self, k: int, transposed: bool) -> int:
+        stacked = stack_rows([self.ambient_d[k], self.projections[k]])
+        if transposed:
+            stacked = stacked.transpose()
+        return self._ranked(stacked) - self._projection_rank(k, transposed)
+
+    def _projection_rank(self, k: int, transposed: bool) -> int:
+        got = self._projection_ranks.get((k, transposed))
+        if got is None:
+            pi = self.projections[k]
+            got = self._ranked(pi.transpose() if transposed else pi)
+            self._projection_ranks[(k, transposed)] = got
+        return got
+
+    def basis(self, k: int) -> KernelBasis:
+        self.check_degree(k)
+        got = self.bases.get(k)
+        if got is None:
+            got = KernelBasis(self._kernel_vectors(k), self.ambient_basis_at(k))
+            if got.dim != self.dims[k]:
+                raise ConsistencyError(
+                    f"{self.name}: kernel basis at degree {k} has {got.dim} vectors, "
+                    f"rank bookkeeping gives {self.dims[k]}"
+                )
+            self.bases[k] = got
+        return got
+
+    def d(self, k: int) -> SparseMatrix:
+        self.check_degree(k)
+        if k == 0:
+            raise DegreeRangeError("d_0 does not exist")
+        got = self.diffs.get(k)
+        if got is None:
+            got = _restrict_to_kernels(
+                self.ambient_d[k], self.basis(k), self.basis(k - 1), f"{self.name} degree {k}"
+            )
+            self.diffs[k] = got
+        return got
+
+    def _kernel_vectors(self, k: int) -> list[QVector]:
+        pi = self.projections[k]
+        if self.cache is None:
+            return kernel_basis(pi)
+        key = descriptor_key(*self.kernel_key, k)
+        hit = self.cache.get_vectors(key, pi.cols)
+        if hit is not None:
+            return hit
+        vecs = kernel_basis(pi)
+        self.cache.put_vectors(key, pi.cols, vecs)
+        return vecs
+
+    def __repr__(self) -> str:
+        return f"KernelComplex({self.name}, kind={self.kind}, cap={self.cap})"
 
 
 def rel_complex(
@@ -632,38 +749,28 @@ def rel_complex(
     cache: DiffCache | None = None,
     entry_cap: int | None = None,
     name: str | None = None,
-) -> ChainComplex:
+) -> KernelComplex:
     """Relative complex: degree m is the kernel of the antisymmetrization at
     tensor degree m + 2, differential the restricted tensor differential."""
     if cap < 0:
         raise DomainError("cap must be >= 0")
     fp = algebra.fingerprint()
-    name = name or f"rel[{fp[:8]}]"
-
-    def kernel_at(m: int) -> list[QVector]:
-        length = tensor_dim(algebra.dim, m + 2)
-        if cache is not None:
-            key = descriptor_key("rel-kernel", fp, m)
-            hit = cache.get_vectors(key, length)
-            if hit is not None:
-                return hit
-        proj = wedge_projection(algebra, m + 2, entry_cap)
-        vecs = kernel_basis(proj)
-        if cache is not None:
-            cache.put_vectors(descriptor_key("rel-kernel", fp, m), length, vecs)
-        return vecs
-
-    def ambient_d_at(m: int) -> SparseMatrix:
-        return _cached_matrix(
-            cache,
-            "diff",
-            ("leibniz", fp, m + 2),
-            lambda: leibniz_d(algebra, m + 2, entry_cap),
-        )
-
-    return _kernel_chain_complex(
-        "rel", name, cap, kernel_at, ambient_d_at,
-        lambda m: TensorBasis(algebra, m + 2), cache,
+    return KernelComplex(
+        "rel",
+        name or f"rel[{fp[:8]}]",
+        cap,
+        ambient_d={
+            m: _cached_matrix(
+                cache, "diff", ("leibniz", fp, m + 2),
+                lambda m=m: leibniz_d(algebra, m + 2, entry_cap),
+            )
+            for m in range(1, cap + 1)
+        },
+        projections={m: wedge_projection(algebra, m + 2, entry_cap) for m in range(cap + 1)},
+        targets={m: ce_d(algebra, m + 2, entry_cap) for m in range(1, cap + 1)},
+        ambient_basis_at=lambda m: TensorBasis(algebra, m + 2),
+        kernel_key=("rel-kernel", fp),
+        cache=cache,
     )
 
 
@@ -673,41 +780,33 @@ def cr_complex(
     cache: DiffCache | None = None,
     entry_cap: int | None = None,
     name: str | None = None,
-) -> ChainComplex:
+) -> KernelComplex:
     """Mixed-kernel complex: degree m is the kernel of
     g (x) Lambda^(m+1) -> Lambda^(m+2), differential the restricted adjoint
     coefficient differential."""
     if cap < 0:
         raise DomainError("cap must be >= 0")
     fp = algebra.fingerprint()
-    name = name or f"cr[{fp[:8]}]"
     adj = adjoint_module(algebra, validate=False)
     mfp = adj.fingerprint()
-
-    def kernel_at(m: int) -> list[QVector]:
-        length = algebra.dim * wedge_dim(algebra.dim, m + 1)
-        if cache is not None:
-            key = descriptor_key("cr-kernel", fp, m)
-            hit = cache.get_vectors(key, length)
-            if hit is not None:
-                return hit
-        proj = partial_wedge_projection(algebra, m + 1, entry_cap)
-        vecs = kernel_basis(proj)
-        if cache is not None:
-            cache.put_vectors(descriptor_key("cr-kernel", fp, m), length, vecs)
-        return vecs
-
-    def ambient_d_at(m: int) -> SparseMatrix:
-        return _cached_matrix(
-            cache,
-            "diff",
-            ("coeff", fp, mfp, m + 1),
-            lambda: coeff_d(adj, m + 1, entry_cap),
-        )
-
-    return _kernel_chain_complex(
-        "cr", name, cap, kernel_at, ambient_d_at,
-        lambda m: ModuleWedgeBasis(adj, m + 1), cache,
+    return KernelComplex(
+        "cr",
+        name or f"cr[{fp[:8]}]",
+        cap,
+        ambient_d={
+            m: _cached_matrix(
+                cache, "diff", ("coeff", fp, mfp, m + 1),
+                lambda m=m: coeff_d(adj, m + 1, entry_cap),
+            )
+            for m in range(1, cap + 1)
+        },
+        projections={
+            m: partial_wedge_projection(algebra, m + 1, entry_cap) for m in range(cap + 1)
+        },
+        targets={m: ce_d(algebra, m + 2, entry_cap) for m in range(1, cap + 1)},
+        ambient_basis_at=lambda m: ModuleWedgeBasis(adj, m + 1),
+        kernel_key=("cr-kernel", fp),
+        cache=cache,
     )
 
 

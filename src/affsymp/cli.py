@@ -111,7 +111,11 @@ def _resolve_cap(args) -> int | None:
     if getattr(args, "memory_cap", None) is not None:
         return args.memory_cap
     env = os.environ.get("AFFSYMP_MEMORY_CAP")
-    return int(env) if env else None
+    if not env:
+        return None
+    if not env.isdecimal() or int(env) == 0:
+        raise DomainError(f"AFFSYMP_MEMORY_CAP must be a positive integer, not {env!r}")
+    return int(env)
 
 
 def _algebra_for(family: str, n: int):

@@ -52,8 +52,28 @@ def test_complex_reuses_cached_rank(tmp_path):
     cache = DiffCache(tmp_path)
     first = ce_complex(sp, 3, cache=cache)
     assert first.rank_d(2) == 3
-    # poison the cached rank; a fresh complex must read it back verbatim,
-    # proving the lookup path is active
-    cache.put_rank(first.d(2).fingerprint(), 99)
+    # poison the cached rank with a wrong but possible value; a fresh complex
+    # must read it back verbatim, proving the lookup path is active
+    fp = first.d(2).fingerprint()
+    cache.put_rank(fp, 2)
     second = ce_complex(sp, 3, cache=cache)
-    assert second.rank_d(2) == 99
+    assert second.rank_d(2) == 2
+    # a value no 3x3 matrix can have is a miss: recomputed and rewritten
+    cache.put_rank(fp, 99)
+    third = ce_complex(sp, 3, cache=cache)
+    assert third.rank_d(2) == 3
+    assert cache.get_rank(fp) == 3
+
+
+def test_malformed_rank_records_miss(tmp_path):
+    cache = DiffCache(tmp_path)
+    fp = SparseMatrix.identity(3).fingerprint()
+    cache.put_rank(fp, 3)
+    target = tmp_path / "rank" / f"{fp}.txt"
+    good = target.read_text()
+    assert good.split()[0] == "3"
+    for text in ("", "3\n", "0\n", good.replace("3 ", "2 ", 1), good + "1\n", "x y\n"):
+        target.write_text(text)
+        assert cache.get_rank(fp) is None, repr(text)
+    target.write_bytes(b"\xff\xfe 3\n")
+    assert cache.get_rank(fp) is None

@@ -160,6 +160,51 @@ class TestKernelComplexes:
             coords = QVector.from_dict(len(basis0.vectors), dict(complex_.d(1).column(j)))
             assert codomain.apply(coords) == image
 
+    def test_stacked_ranks_match_explicit_restriction(self, g1, sp1, monkeypatch):
+        import affsymp.chain_complexes as chain_complexes
+        import affsymp.exact_linalg as exact_linalg
+        import affsymp.homology as homology
+        from affsymp.exact_linalg import rank
+
+        def forbidden(matrix):
+            raise AssertionError("kernel_basis called on the rank-only path")
+
+        cases = [(rel_complex, g1[0]), (cr_complex, g1[0]), (cr_complex, sp1)]
+        with monkeypatch.context() as patched:
+            for module in (chain_complexes, exact_linalg, homology):
+                patched.setattr(module, "kernel_basis", forbidden)
+            built = [builder(algebra, 3) for builder, algebra in cases]
+            for complex_ in built:
+                for k in range(4):
+                    assert homology.betti(complex_, k) == homology.cobetti(complex_, k)
+        for complex_ in built:
+            for k in range(1, 4):
+                explicit = rank(complex_.d(k))
+                assert complex_.rank_d(k) == explicit
+                assert complex_.rank_d_transposed(k) == explicit
+
+    # rows (0, 2) of g (x) g and m0 (x) e2 of g (x) Lambda^1, which the
+    # degree-0 projections do not kill
+    @pytest.mark.parametrize(
+        "builder, row", [(rel_complex, tensor_index((0, 2), 5)), (cr_complex, 2)]
+    )
+    def test_chain_map_check_catches_tampered_differential(self, g1, builder, row):
+        from affsymp.chain_complexes import KernelComplex
+        from affsymp.errors import ConsistencyError
+
+        good = builder(g1[0], 1)
+        # at cap 1 there is no d o d pair, so only the chain-map check can fire
+        assert good.projections[0].column(row)
+        d1 = good.ambient_d[1]
+        tampered = dict(d1.entries)
+        tampered[(row, 0)] = tampered.get((row, 0), Rational(0)) + 1
+        ambient = {1: SparseMatrix(d1.rows, d1.cols, tampered)}
+        with pytest.raises(ConsistencyError, match="chain map"):
+            KernelComplex(
+                good.kind, "tampered", 1, ambient, good.projections, good.targets,
+                good.ambient_basis_at, good.kernel_key,
+            )
+
 
 class TestResourceGuard:
     def test_tensor_power_blowup_aborts(self, g2):

@@ -100,6 +100,17 @@ class TestHomologyCommand:
         )
         assert code == 3
 
+    def test_bad_memory_cap_env_exit_two(self, capsys, monkeypatch):
+        for value in ("abc", "0", "-5"):
+            monkeypatch.setenv("AFFSYMP_MEMORY_CAP", value)
+            code, _, err = run_cli(
+                capsys,
+                ["homology", "--family", "sp", "--n", "1", "--theory", "lie",
+                 "--max-degree", "1"],
+            )
+            assert code == 2
+            assert "AFFSYMP_MEMORY_CAP" in err
+
     def test_coeff_module_spec(self, capsys, cache_dir):
         code, out, _ = run_cli(
             capsys,
@@ -212,6 +223,25 @@ class TestCacheLifecycle:
         monkeypatch.delenv("AFFSYMP_CACHE_DIR", raising=False)
         code, _, err = run_cli(capsys, ["cache", "info"])
         assert code == 2
+
+    def test_corrupt_rank_records_are_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = [
+            "homology", "--family", "g", "--n", "1", "--theory", "cr",
+            "--max-degree", "2", "--format", "json", "--cache-dir", str(cache),
+        ]
+        code, cold, _ = run_cli(capsys, argv)
+        assert code == 0
+        records = sorted((cache / "rank").glob("*.txt"))
+        assert records
+        for text in ("", "0\n"):
+            for record in records:
+                record.write_text(text)
+            code, again, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert again == cold
+            # every miss was rewritten as a valid record
+            assert all(record.read_text() not in ("", "0\n") for record in records)
 
     def test_env_variable_used(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"

@@ -7,10 +7,13 @@ convention invalidates the affected artifacts automatically.  Writes are
 atomic (write to a temp file, then rename), giving single-writer /
 multi-reader safety.
 
-A rank record is one line, the value and the SHA-256 digest of (matrix
-fingerprint, value).  A record that does not parse or whose digest does not
-match reads as a miss, so a truncated or edited file is recomputed rather
-than believed.
+A matrix record (``diff/`` and ``kernel/``, ``.mtx``) is a header line
+``affsymp-matrix <format version> <SHA-256 of the payload>`` followed by
+the payload, the matrix's canonical ``to_text``.  A rank record is one line,
+the value and the SHA-256 digest of (matrix fingerprint, value).  A record
+that cannot be read, does not parse or whose version or digest does not
+match reads as a miss, so a truncated or edited file is recomputed and
+rewritten rather than believed.
 """
 
 from __future__ import annotations
@@ -22,10 +25,16 @@ from pathlib import Path
 
 from .exact_linalg import QVector, SparseMatrix
 
+MATRIX_TAG = "affsymp-matrix"
+MATRIX_FORMAT = 1
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def descriptor_key(*parts: object) -> str:
-    text = "\x1f".join(str(p) for p in parts)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256("\x1f".join(str(p) for p in parts))
 
 
 def _rank_digest(matrix_fingerprint: str, value: int) -> str:
@@ -56,13 +65,24 @@ class DiffCache:
     # -- matrices ---------------------------------------------------------
 
     def get_matrix(self, kind: str, key: str) -> SparseMatrix | None:
+        """The recorded matrix, or None when the record is missing,
+        unreadable, of another format version, fails its payload digest or
+        does not parse."""
         target = self.path / kind / f"{key}.mtx"
-        if not target.exists():
+        try:
+            header, _, payload = target.read_text(encoding="ascii").partition("\n")
+            if header.split() != [MATRIX_TAG, str(MATRIX_FORMAT), _sha256(payload)]:
+                return None
+            return SparseMatrix.from_text(payload)
+        except (OSError, ValueError):  # ShapeError is a ValueError
             return None
-        return SparseMatrix.from_text(target.read_text())
 
     def put_matrix(self, kind: str, key: str, matrix: SparseMatrix) -> None:
-        self._write_atomic(self.path / kind / f"{key}.mtx", matrix.to_text())
+        # the matrix fingerprint is the SHA-256 of its to_text, the payload
+        self._write_atomic(
+            self.path / kind / f"{key}.mtx",
+            f"{MATRIX_TAG} {MATRIX_FORMAT} {matrix.fingerprint()}\n{matrix.to_text()}",
+        )
 
     def get_vectors(self, key: str, length: int) -> list[QVector] | None:
         m = self.get_matrix("kernel", key)

@@ -190,6 +190,7 @@ class ChainComplex:
         cap: int,
         cache: DiffCache | None = None,
         validate: bool = True,
+        entry_cap: int | None = None,
     ):
         self.kind = kind
         self.name = name
@@ -198,6 +199,7 @@ class ChainComplex:
         self.bases = dict(bases)
         self.cap = cap
         self.cache = cache
+        self.entry_cap = entry_cap
         self._ranks: dict[int, int] = {}
         self._ranks_transposed: dict[int, int] = {}
         for k in range(1, cap + 1):
@@ -255,16 +257,17 @@ class ChainComplex:
     def _ranked(self, matrix: SparseMatrix) -> int:
         """rank(matrix), through the disk cache when there is one.  A cached
         value that cannot be a rank of this shape counts as a miss and is
-        recomputed and rewritten."""
+        recomputed and rewritten.  Elimination fill-in is held to the
+        complex's ``entry_cap``."""
         if not matrix.entries:
             return 0
         if self.cache is None:
-            return rank(matrix)
+            return rank(matrix, self.entry_cap)
         fp = matrix.fingerprint()
         hit = self.cache.get_rank(fp)
         if hit is not None and 0 <= hit <= min(matrix.rows, matrix.cols):
             return hit
-        value = rank(matrix)
+        value = rank(matrix, self.entry_cap)
         self.cache.put_rank(fp, value)
         return value
 
@@ -539,7 +542,7 @@ def ce_complex(
         )
         for k in range(1, cap + 1)
     }
-    return ChainComplex("lie", name, dims, diffs, bases, cap, cache)
+    return ChainComplex("lie", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap)
 
 
 def coeff_complex(
@@ -566,7 +569,7 @@ def coeff_complex(
         )
         for k in range(1, cap + 1)
     }
-    return ChainComplex("coeff", name, dims, diffs, bases, cap, cache)
+    return ChainComplex("coeff", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap)
 
 
 def leibniz_complex(
@@ -589,7 +592,9 @@ def leibniz_complex(
         )
         for k in range(1, cap + 1)
     }
-    return ChainComplex("leibniz", name, dims, diffs, bases, cap, cache)
+    return ChainComplex(
+        "leibniz", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap
+    )
 
 
 def _restrict_to_kernels(
@@ -640,11 +645,13 @@ class KernelComplex(ChainComplex):
         ambient_basis_at,
         kernel_key: tuple,
         cache: DiffCache | None = None,
+        entry_cap: int | None = None,
     ):
         self.kind = kind
         self.name = name
         self.cap = cap
         self.cache = cache
+        self.entry_cap = entry_cap
         self.ambient_d = dict(ambient_d)
         self.projections = dict(projections)
         self.targets = dict(targets)
@@ -771,6 +778,7 @@ def rel_complex(
         ambient_basis_at=lambda m: TensorBasis(algebra, m + 2),
         kernel_key=("rel-kernel", fp),
         cache=cache,
+        entry_cap=entry_cap,
     )
 
 
@@ -807,6 +815,7 @@ def cr_complex(
         ambient_basis_at=lambda m: ModuleWedgeBasis(adj, m + 1),
         kernel_key=("cr-kernel", fp),
         cache=cache,
+        entry_cap=entry_cap,
     )
 
 

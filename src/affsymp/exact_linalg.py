@@ -4,9 +4,20 @@ Everything downstream (differentials, invariant subspaces, Betti numbers)
 reduces to the four operations in this module: ``rank``, ``kernel_basis``,
 ``multiply`` and ``stack_rows``, all computed in exact rational arithmetic.
 
-Scalars are ``gmpy2.mpq`` (``fractions.Fraction`` when gmpy2 is missing);
-both keep values reduced with positive denominator, so equality is exact and
-serialization is canonical.
+Scalars at the API are ``fractions.Fraction``, kept reduced with positive
+denominator, so equality is exact and serialization is canonical.  Inside,
+``rank`` and ``multiply`` compute on Python ``int``s: a matrix is split as
+an integer matrix and diagonal denominators (rows scaled by the lcm of their
+denominators for ``rank`` and for the left factor of a product, columns for
+the right factor), so rationals appear only where values enter and leave.
+``rank`` eliminates fraction-free (Bareiss 1968; Dumas, Saunders and
+Villard 2001 for the sparse integer case), removing a row's content gcd
+after a scaled update.
+
+Every matrix is held to a nonzero-entry budget (``check_entry_budget``):
+inputs, stacks and products when they are formed, and the live entries of
+an elimination once per pivot step, so fill-in aborts with
+``ResourceLimitError`` instead of growing memory.
 
 All public objects are immutable values: operations are pure functions and
 safe to call concurrently on distinct inputs.  Elimination is sequential and
@@ -19,33 +30,31 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction as Rational
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ResourceLimitError, ShapeError
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rational
-
 QZERO = Rational(0)
 QONE = Rational(1)
 
-# Nonzero-entry budget: any matrix (input, stacked, or product) above this
-# aborts instead of thrashing.  Tensor-power dimensions grow as dim**k.
+# Nonzero-entry budget: any matrix (input, stacked, or product), and the live
+# entries of an elimination, above this abort instead of thrashing.
+# Tensor-power dimensions grow as dim**k.
 DEFAULT_ENTRY_CAP = 10_000_000
 
 
 def rational_from_string(text: str) -> Rational:
     """Parse "p" or "p/q" in base 10."""
     num, _, den = text.partition("/")
-    return Rational(int(num), int(den)) if den else Rational(int(num))
+    return Rational(int(num), int(den)) if den and den != "1" else Rational(int(num))
 
 
 def rational_to_string(value) -> str:
     """Canonical "p/q" form, denominator always written."""
     q = Rational(value)
-    return f"{int(q.numerator)}/{int(q.denominator)}"
+    return f"{q.numerator}/{q.denominator}"
 
 
 def check_entry_budget(count: int, cap: int | None = None) -> None:
@@ -162,15 +171,25 @@ class SparseMatrix:
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ShapeError(f"entry ({r},{c}) out of range for {rows}x{cols}")
-            q = Rational(v)
-            if q != 0:
+            q = v if type(v) is Rational else Rational(v)
+            if q:
                 clean[(r, c)] = q
+        self._set(rows, cols, clean)
+
+    def _set(self, rows: int, cols: int, clean: dict[tuple[int, int], Rational]) -> None:
         check_entry_budget(len(clean))
         self.rows = rows
         self.cols = cols
         self.entries = clean
         self._col_index: dict[int, list[tuple[int, Rational]]] | None = None
         self._fingerprint: str | None = None
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, clean: dict[tuple[int, int], Rational]) -> "SparseMatrix":
+        """Wrap entries already known to be in range, nonzero and Rational."""
+        m = cls.__new__(cls)
+        m._set(rows, cols, clean)
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -234,7 +253,7 @@ class SparseMatrix:
         return out
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
+        return SparseMatrix._of(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
@@ -275,9 +294,11 @@ class SparseMatrix:
     def to_text(self) -> str:
         """Header "rows cols nnz", then one line "row col num/den" per entry
         in canonical order, base 10."""
-        lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        for r, c, v in self.iter_entries():
-            lines.append(f"{r} {c} {rational_to_string(v)}")
+        ents = self.entries
+        lines = [f"{self.rows} {self.cols} {len(ents)}"]
+        for key in sorted(ents):
+            v = ents[key]
+            lines.append(f"{key[0]} {key[1]} {v.numerator}/{v.denominator}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -314,8 +335,36 @@ def _sorted_row_dicts(m: SparseMatrix) -> dict[int, dict[int, Rational]]:
     return rows
 
 
-def _rank_of_rows(rows: dict[int, dict[int, Rational]]) -> int:
-    """Fraction-based Gaussian elimination with sparsity-driven pivoting.
+def _integer_lines(
+    m: SparseMatrix, by: int, scale: int
+) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """m with each row (scale=0) or column (scale=1) multiplied by the lcm
+    of its denominators, so every entry is an int, grouped by row (by=0) or
+    column (by=1) as {line: {index along the line: value}}.  Also returns
+    the lcms that are not 1.  Scaling a row or column by a nonzero constant
+    keeps the support and the rank."""
+    along = 1 - by
+    lines: dict[int, dict[int, int]] = {}
+    dens: dict[int, int] = {}
+    for key, v in m.entries.items():
+        if v.denominator != 1:
+            dens[key[scale]] = lcm(dens.get(key[scale], 1), v.denominator)
+        line = lines.get(key[by])
+        if line is None:
+            lines[key[by]] = {key[along]: v.numerator}
+        else:
+            line[key[along]] = v.numerator
+    if dens:  # rebuild with the scaled values
+        lines = {}
+        for key, v in m.entries.items():
+            value = v.numerator * (dens.get(key[scale], 1) // v.denominator)
+            lines.setdefault(key[by], {})[key[along]] = value
+    return lines, dens
+
+
+def _rank_of_rows(rows: dict[int, dict[int, int]], cap: int | None = None) -> int:
+    """Fraction-free integer Gaussian elimination with sparsity-driven
+    pivoting; consumes ``rows``.
 
     Pivot choice is Markowitz-style: the column with fewest active entries is
     eliminated first (ties to the lowest column index), using the row with the
@@ -323,27 +372,41 @@ def _rank_of_rows(rows: dict[int, dict[int, Rational]]) -> int:
     entry retire a row with no arithmetic at all, which removes most of the
     work on differential matrices.  The rule is deterministic, so the result
     never depends on entry insertion order.
+
+    A target row with entry a under the pivot p becomes
+    (p/g) row - (a/g) pivot_row with g = gcd(a, p), which keeps it integral
+    and its support exactly that of the rational update; when p/g is not 1
+    the row is divided by the gcd of its entries.  The live entry count is
+    checked against ``cap`` once per pivot step.
     """
-    rows = {r: dict(d) for r, d in rows.items() if d}
     col_rows: dict[int, set[int]] = {}
+    live = 0
     for r, d in rows.items():
+        live += len(d)
         for c in d:
-            col_rows.setdefault(c, set()).add(r)
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
+            s = col_rows.get(c)
+            if s is None:
+                col_rows[c] = {r}
+            else:
+                s.add(r)
+    # heap keys count * width + c order columns by (count, c)
+    width = max(col_rows, default=0) + 1
+    heap = [len(rs) * width + c for c, rs in col_rows.items()]
     heapq.heapify(heap)
+    push = heapq.heappush
     rank = 0
     while heap:
-        count, c = heapq.heappop(heap)
-        live = col_rows.get(c)
-        if not live:
+        count, c = divmod(heapq.heappop(heap), width)
+        pivot_col = col_rows.get(c)
+        if not pivot_col:
             col_rows.pop(c, None)
             continue
-        if len(live) != count:
-            heapq.heappush(heap, (len(live), c))  # stale entry, reinsert
+        if len(pivot_col) != count:
+            push(heap, len(pivot_col) * width + c)  # stale entry, reinsert
             continue
-        pivot_row = min(live, key=lambda r: (len(rows[r]), r))
+        pivot_row = min(pivot_col, key=lambda r: (len(rows[r]), r))
         prow = rows.pop(pivot_row)
-        pval = prow[c]
+        live -= len(prow)
         rank += 1
         for cc in prow:
             s = col_rows.get(cc)
@@ -351,24 +414,31 @@ def _rank_of_rows(rows: dict[int, dict[int, Rational]]) -> int:
                 s.discard(pivot_row)
                 if not s:
                     del col_rows[cc]
-        targets = [r for r in sorted(live) if r != pivot_row and r in rows]
+        p = prow.pop(c)
+        pivot_items = list(prow.items())
+        targets = [r for r in sorted(pivot_col) if r != pivot_row and r in rows]
         col_rows.pop(c, None)
         for r in targets:
             row = rows[r]
             a = row.pop(c, None)
             if a is None:
                 continue
-            f = a / pval
-            for cc, pv in prow.items():
-                if cc == c:
-                    continue
+            live -= len(row) + 1
+            g = gcd(a, p)
+            scale, f = p // g, a // g
+            if scale < 0:
+                scale, f = -scale, -f
+            if scale != 1:
+                row = rows[r] = {cc: v * scale for cc, v in row.items()}
+            for cc, pv in pivot_items:
                 cur = row.get(cc)
                 if cur is None:
-                    nv = -f * pv
-                    row[cc] = nv
-                    s = col_rows.setdefault(cc, set())
+                    row[cc] = -f * pv
+                    s = col_rows.get(cc)
+                    if s is None:
+                        s = col_rows[cc] = set()
                     s.add(r)
-                    heapq.heappush(heap, (len(s), cc))
+                    push(heap, len(s) * width + cc)
                 else:
                     nv = cur - f * pv
                     if nv:
@@ -378,9 +448,17 @@ def _rank_of_rows(rows: dict[int, dict[int, Rational]]) -> int:
                         s = col_rows.get(cc)
                         if s is not None:
                             s.discard(r)
-                            heapq.heappush(heap, (len(s), cc))
+                            push(heap, len(s) * width + cc)
             if not row:
                 del rows[r]
+                continue
+            if scale != 1:
+                content = gcd(*row.values())
+                if content != 1:
+                    for cc in row:
+                        row[cc] //= content
+            live += len(row)
+        check_entry_budget(live, cap)
     return rank
 
 
@@ -464,11 +542,13 @@ def _rref_rows(
 # ---------------------------------------------------------------------------
 
 
-def rank(m: SparseMatrix) -> int:
-    """Rank over the rationals (deterministic for a given matrix)."""
+def rank(m: SparseMatrix, entry_cap: int | None = None) -> int:
+    """Rank over the rationals (deterministic for a given matrix).  Raises
+    ``ResourceLimitError`` when the live entries of the elimination exceed
+    ``entry_cap`` (default ``DEFAULT_ENTRY_CAP``)."""
     if not m.entries:
         return 0
-    return _rank_of_rows(_sorted_row_dicts(m))
+    return _rank_of_rows(_integer_lines(m, 0, 0)[0], entry_cap)
 
 
 def kernel_basis(m: SparseMatrix) -> list[QVector]:
@@ -501,26 +581,26 @@ def kernel_basis(m: SparseMatrix) -> list[QVector]:
 
 
 def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Exact product a @ b."""
+    """Exact product a @ b.  With a = D_a^-1 A and b = B D_b^-1 for integral
+    A and B, entry (r, j) is (A B)[r, j] / (d_r d_j); A B is formed in ints
+    and divided only where a denominator is not 1."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    a_cols, row_dens = _integer_lines(a, 1, 0)
+    b_cols, col_dens = _integer_lines(b, 1, 1)
     ents: dict[tuple[int, int], Rational] = {}
-    for j in range(b.cols):
-        bcol = b.column(j)
-        if not bcol:
-            continue
-        acc: dict[int, Rational] = {}
-        for k, bv in bcol:
-            for r, av in a.column(k):
-                nv = acc.get(r, QZERO) + av * bv
-                if nv:
-                    acc[r] = nv
-                else:
-                    del acc[r]
+    for j in sorted(b_cols):
+        acc: dict[int, int] = {}
+        for k, bv in b_cols[j].items():
+            for r, av in a_cols.get(k, {}).items():
+                acc[r] = acc.get(r, 0) + av * bv
+        d_j = col_dens.get(j, 1)
         for r, v in acc.items():
-            ents[(r, j)] = v
+            if v:
+                den = row_dens.get(r, 1) * d_j
+                ents[(r, j)] = Rational(v) if den == 1 else Rational(v, den)
         check_entry_budget(len(ents))
-    return SparseMatrix(a.rows, b.cols, ents)
+    return SparseMatrix._of(a.rows, b.cols, ents)
 
 
 def stack_rows(ms: list[SparseMatrix]) -> SparseMatrix:
@@ -540,7 +620,7 @@ def stack_rows(ms: list[SparseMatrix]) -> SparseMatrix:
         for (r, c), v in m.entries.items():
             ents[(r + offset, c)] = v
         offset += m.rows
-    return SparseMatrix(offset, cols, ents)
+    return SparseMatrix._of(offset, cols, ents)
 
 
 def is_in_column_span(m: SparseMatrix, vec: QVector) -> bool:

@@ -1,3 +1,5 @@
+import hashlib
+
 from affsymp.cache import DiffCache, descriptor_key
 from affsymp.exact_linalg import QVector, Rational, SparseMatrix
 
@@ -77,3 +79,45 @@ def test_malformed_rank_records_miss(tmp_path):
         assert cache.get_rank(fp) is None, repr(text)
     target.write_bytes(b"\xff\xfe 3\n")
     assert cache.get_rank(fp) is None
+
+
+def test_malformed_matrix_records_miss(tmp_path):
+    cache = DiffCache(tmp_path)
+    m = SparseMatrix.from_dense([[1, Rational(2, 3)], [0, -1]])
+    cache.put_matrix("diff", "k", m)
+    target = tmp_path / "diff" / "k.mtx"
+    good = target.read_text()
+    header, payload = good.split("\n", 1)
+    assert header.split() == ["affsymp-matrix", "1", m.fingerprint()]
+    assert payload == m.to_text()
+    edited = payload.replace("-1/1", "-2/1")
+    for text in (
+        "",
+        "garbage\n",
+        payload,                                   # a record without its header
+        header.replace(" 1 ", " 2 ", 1) + "\n" + payload,   # another format version
+        header + "\n" + edited,                    # payload edited, digest kept
+        header + "\n",                             # payload truncated
+        good + "1 1 5/1\n",                        # extra entry line
+    ):
+        target.write_text(text)
+        assert cache.get_matrix("diff", "k") is None, repr(text)
+    # a digest that matches a payload which does not parse is still a miss
+    bad = "2 2 1\n0 9 1/1\n"
+    target.write_text(f"affsymp-matrix 1 {hashlib.sha256(bad.encode()).hexdigest()}\n{bad}")
+    assert cache.get_matrix("diff", "k") is None
+    target.write_bytes(b"\xff\xfe garbage")
+    assert cache.get_matrix("diff", "k") is None
+    target.write_text(good)
+    assert cache.get_matrix("diff", "k") == m
+
+
+def test_malformed_vector_records_miss(tmp_path):
+    cache = DiffCache(tmp_path)
+    vecs = [QVector.from_dense([1, 0, -2])]
+    key = descriptor_key("kernel", "k", 0)
+    cache.put_vectors(key, 3, vecs)
+    target = tmp_path / "kernel" / f"{key}.mtx"
+    for text in ("", "garbage\n", target.read_text().replace("-2/1", "-3/1")):
+        target.write_text(text)
+        assert cache.get_vectors(key, 3) is None, repr(text)

@@ -215,6 +215,14 @@ class TestResourceGuard:
         with pytest.raises(ResourceLimitError):
             leibniz_complex(g1[0], 4, entry_cap=100)
 
+    def test_builders_keep_entry_cap_for_rank(self, g1):
+        from affsymp.theorems import VerificationContext
+
+        for builder in (ce_complex, leibniz_complex, rel_complex, cr_complex):
+            assert builder(g1[0], 2, entry_cap=10**5).entry_cap == 10**5
+        assert coeff_complex(g1[0], trivial_module(g1[0]), 2, entry_cap=99).entry_cap == 99
+        assert VerificationContext(entry_cap=10**5).rel("g", 1, 1).entry_cap == 10**5
+
 
 class TestBadCaps:
     def test_negative_caps_rejected(self, sp1):

@@ -243,6 +243,35 @@ class TestCacheLifecycle:
             # every miss was rewritten as a valid record
             assert all(record.read_text() not in ("", "0\n") for record in records)
 
+    def test_corrupt_matrix_records_are_rebuilt(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = [
+            "homology", "--family", "g", "--n", "1", "--theory", "rel",
+            "--max-degree", "2", "--emit-cycles", "--format", "json",
+            "--cache-dir", str(cache),
+        ]
+        code, cold, _ = run_cli(capsys, argv)
+        assert code == 0
+        records = sorted((cache / "diff").glob("*.mtx")) + sorted((cache / "kernel").glob("*.mtx"))
+        assert len(records) > len(list((cache / "diff").glob("*.mtx"))) > 0
+        good = {record: record.read_text() for record in records}
+
+        def edited(text):
+            # one more entry line, a wrong value at (0, 0); the digest is kept
+            header, payload = text.split("\n", 1)
+            rows, cols, nnz = payload.split("\n", 1)[0].split()
+            body = payload.split("\n", 1)[1]
+            return f"{header}\n{rows} {cols} {int(nnz) + 1}\n{body}0 0 7/5\n"
+
+        for corrupt in (lambda text: "", lambda text: "garbage\n", edited):
+            for record in records:
+                record.write_text(corrupt(good[record]))
+            code, again, err = run_cli(capsys, argv)
+            assert (code, err) == (0, "")
+            assert again == cold
+            # every miss was rebuilt and rewritten as the original record
+            assert {record: record.read_text() for record in records} == good
+
     def test_env_variable_used(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
         monkeypatch.setenv("AFFSYMP_CACHE_DIR", str(cache))

@@ -19,6 +19,8 @@ from affsymp.exact_linalg import (
 )
 
 from dense_oracle import dense_rank, to_dense
+from fraction_oracle import fraction_product, fraction_rank, matrix_text
+from fraction_oracle import rational_to_string as fraction_rational_to_string
 
 
 # sp1 bracket table, expanded by hand from the field basis
@@ -193,6 +195,100 @@ class TestRandomizedProperties:
     @given(sparse_matrices(max_rows=5, max_cols=4), sparse_matrices(max_rows=4, max_cols=5))
     def test_transpose_rank(self, a, b):
         assert rank(a) == rank(a.transpose())
+
+
+@st.composite
+def oracle_matrices(draw, rows=None, max_rows=7, max_cols=7):
+    """Sparse matrices with non-integral entries, zero and duplicate (scaled)
+    rows, and shapes that may be empty."""
+    nrows = draw(st.integers(0, max_rows)) if rows is None else rows
+    ncols = draw(st.integers(0, max_cols))
+    value = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    dense_rows: list[dict] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["sparse", "zero", "duplicate"]))
+        if kind == "zero" or ncols == 0:
+            dense_rows.append({})
+        elif kind == "duplicate" and dense_rows:
+            source = draw(st.sampled_from(dense_rows))
+            scale = draw(value.filter(bool))
+            dense_rows.append({c: v * scale for c, v in source.items()})
+        else:
+            support = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+            dense_rows.append({c: draw(value) for c in sorted(support)})
+    return SparseMatrix(
+        nrows, ncols, {(r, c): v for r, row in enumerate(dense_rows) for c, v in row.items()}
+    )
+
+
+@st.composite
+def oracle_products(draw):
+    a = draw(oracle_matrices())
+    return a, draw(oracle_matrices(rows=a.cols))
+
+
+def circulant(n, offsets):
+    """n x n, row i holding j + 1 at column i + offsets[j] mod n: every row
+    and column has len(offsets) entries, and eliminating it fills in."""
+    return SparseMatrix(
+        n, n, {(i, (i + off) % n): j + 1 for i in range(n) for j, off in enumerate(offsets)}
+    )
+
+
+class TestIntegerCore:
+    """The integer rank and product against the Fraction loops they
+    replaced (``fraction_oracle``) and the dense textbook eliminator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_matrices())
+    def test_rank_matches_fraction_and_dense_oracles(self, m):
+        for mat in (m, m.transpose()):
+            assert rank(mat) == fraction_rank(mat) == dense_rank(to_dense(mat))
+        assert rank(m) == rank(m.transpose())
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_products())
+    def test_multiply_matches_fraction_product(self, pair):
+        a, b = pair
+        product = multiply(a, b)
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.entries == fraction_product(a, b)
+        assert all(type(v) is Fraction for v in product.entries.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_matrices())
+    def test_to_text_matches_rational_to_string_format(self, m):
+        assert m.to_text() == matrix_text(m)
+        assert m.fingerprint() == SparseMatrix.from_text(matrix_text(m)).fingerprint()
+        for v in m.entries.values():
+            assert rational_to_string(v) == fraction_rational_to_string(v)
+
+    def test_pinned_leibniz_ranks(self, g1, g2):
+        from affsymp.chain_complexes import leibniz_d
+
+        for algebra, k, expected in ((g1[0], 5, 519), (g1[0], 6, 2606), (g2[0], 4, 2563)):
+            d = leibniz_d(algebra, k)
+            assert rank(d) == expected
+            assert rank(d.transpose()) == expected
+
+    def test_fill_in_over_entry_cap_aborts(self):
+        m = circulant(30, (0, 1, 4, 13, 20))
+        assert m.nnz == 150
+        assert rank(m) == dense_rank(to_dense(m)) == 30
+        # the input fits the cap, the elimination's live entries do not
+        with pytest.raises(ResourceLimitError):
+            rank(m, entry_cap=m.nnz)
+        assert rank(m, entry_cap=4 * m.nnz) == 30
+
+    def test_complex_passes_entry_cap_to_rank(self):
+        from affsymp.chain_complexes import ChainComplex
+
+        m = circulant(30, (0, 1, 4, 13, 20))
+        complex_ = ChainComplex("test", "circulant", [30, 30], {1: m}, {}, 1, entry_cap=m.nnz)
+        with pytest.raises(ResourceLimitError):
+            complex_.rank_d(1)
+        loose = ChainComplex("test", "circulant", [30, 30], {1: m}, {}, 1, entry_cap=4 * m.nnz)
+        assert loose.rank_d(1) == 30
 
 
 class TestSolver:

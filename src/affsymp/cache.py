@@ -11,9 +11,9 @@ A matrix record (``diff/`` and ``kernel/``, ``.mtx``) is a header line
 ``affsymp-matrix <format version> <SHA-256 of the payload>`` followed by
 the payload, the matrix's canonical ``to_text``.  A rank record is one line,
 the value and the SHA-256 digest of (matrix fingerprint, value).  A record
-that cannot be read, does not parse or whose version or digest does not
-match reads as a miss, so a truncated or edited file is recomputed and
-rewritten rather than believed.
+that cannot be read, does not parse, or differs by a single byte from the
+record its payload and digest would be written as reads as a miss, so a
+truncated or edited file is recomputed and rewritten rather than believed.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ def descriptor_key(*parts: object) -> str:
     return _sha256("\x1f".join(str(p) for p in parts))
 
 
-def _rank_digest(matrix_fingerprint: str, value: int) -> str:
-    return descriptor_key("rank", matrix_fingerprint, value)
+def _rank_record(matrix_fingerprint: str, value: int) -> str:
+    return f"{value} {descriptor_key('rank', matrix_fingerprint, value)}\n"
 
 
 class DiffCache:
@@ -71,17 +71,18 @@ class DiffCache:
         target = self.path / kind / f"{key}.mtx"
         try:
             header, _, payload = target.read_text(encoding="ascii").partition("\n")
-            if header.split() != [MATRIX_TAG, str(MATRIX_FORMAT), _sha256(payload)]:
+            if header != f"{MATRIX_TAG} {MATRIX_FORMAT} {_sha256(payload)}":
                 return None
             return SparseMatrix.from_text(payload)
         except (OSError, ValueError):  # ShapeError is a ValueError
             return None
 
     def put_matrix(self, kind: str, key: str, matrix: SparseMatrix) -> None:
-        # the matrix fingerprint is the SHA-256 of its to_text, the payload
+        # the matrix fingerprint is the SHA-256 of its to_text, the payload;
+        # one serialisation gives both, and the matrix keeps the digest
+        payload, digest = matrix.text_and_fingerprint()
         self._write_atomic(
-            self.path / kind / f"{key}.mtx",
-            f"{MATRIX_TAG} {MATRIX_FORMAT} {matrix.fingerprint()}\n{matrix.to_text()}",
+            self.path / kind / f"{key}.mtx", f"{MATRIX_TAG} {MATRIX_FORMAT} {digest}\n{payload}"
         )
 
     def get_vectors(self, key: str, length: int) -> list[QVector] | None:
@@ -105,18 +106,18 @@ class DiffCache:
         parse or does not carry the digest of (fingerprint, value)."""
         target = self.path / "rank" / f"{matrix_fingerprint}.txt"
         try:
-            text, digest = target.read_text(encoding="ascii").split()
-            value = int(text)
-        except (FileNotFoundError, UnicodeDecodeError, ValueError):
+            text = target.read_text(encoding="ascii")
+            value = int(text.partition(" ")[0])
+        except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
             return None
-        if digest != _rank_digest(matrix_fingerprint, value):
+        if text != _rank_record(matrix_fingerprint, value):
             return None
         return value
 
     def put_rank(self, matrix_fingerprint: str, value: int) -> None:
         self._write_atomic(
             self.path / "rank" / f"{matrix_fingerprint}.txt",
-            f"{value} {_rank_digest(matrix_fingerprint, value)}\n",
+            _rank_record(matrix_fingerprint, value),
         )
 
     # -- management ----------------------------------------------------------

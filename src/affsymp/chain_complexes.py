@@ -12,31 +12,53 @@
   Lambda^(k+1), degree shifted by 1, with the restricted coefficient
   differential.
 
-Degree caps are explicit; d o d = 0 is verified for every adjacent pair at
-build time.  A finished complex is immutable and shareable across threads;
-ranks of differentials are memoized per complex and optionally persisted in
-a ``DiffCache``.
+Ranks come from the Cartan weight-0 block.  The basis elements h whose
+adjoint action (and module action) is diagonal grade every complex by the
+total weight of a word (``lie_structures.cartan_weights``), and every
+differential and projection preserves it.  By Cartan's formula
+theta_h = d iota_h + iota_h d every block of nonzero weight is acyclic in
+characteristic 0 (Hochschild-Serre 1953 for the Lie and coefficient
+complexes, Loday-Pirashvili 1993 for the Leibniz complex, and the kernel
+complexes by the long exact sequence of their surjective projections), so
+
+    rank d_k = rank(d_k on weight 0) + sum_{j<k} (-1)^(k-1-j) (dim C_j - dim C_j^0).
+
+``ce_d``, ``leibniz_d``, ``coeff_d`` and the projection functions assemble
+the rows and columns of a given ``WordSet``; the full matrix is the one over
+all words.  They raise ``ConsistencyError`` when an image word leaves the
+set, so a bracket that breaks the grading is caught, not absorbed.  An
+algebra without a grading (``I_n``), or a complex built from explicit
+matrices, has a single block: the whole complex.
+
+Degree caps are explicit.  d o d = 0 is verified at build time on every
+adjacent pair of weight-0 blocks, and on every adjacent pair of full
+differentials once both are built; full differentials are assembled only
+when ``d`` asks for one (cycles, membership tests) and are then kept.  A
+finished complex is shareable across threads; ranks are memoized per
+complex and optionally persisted in a ``DiffCache``, as are the matrices.
 
 The two kernel complexes (``KernelComplex``) hold the ambient differentials
 d_m and the projections pi_m rather than kernel bases.  Their ranks come
-from stacked matrices, as rank([d_m; pi_m]) minus rank pi_m (the rank of d_m
-restricted to ker pi_m), and their dimensions are cols(pi_m) minus
-rank pi_m.  The build-time checks are ambient d o d = 0 and the chain-map
-identity pi_(m-1) d_m = e_m pi_m with e the exterior differential, which
-together make the restriction a complex.  Kernel bases and restricted
-differentials are built only when ``basis`` or ``d`` asks for them
-(cycles, membership tests).
+from stacked blocks, as rank([d_m; pi_m]) minus rank pi_m (the rank of d_m
+restricted to ker pi_m) on weight 0 plus the off-block sum above, and their
+dimensions are cols(pi_m) minus rank pi_m.  The build-time checks are
+ambient d o d = 0 and the chain-map identity pi_(m-1) d_m = e_m pi_m with e
+the exterior differential, which together make the restriction a complex;
+both run on the blocks at build time and on the full matrices once built.
+Kernel bases and restricted differentials are built only when ``basis`` or
+``d`` asks for them (cycles, membership tests).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
 from .cache import DiffCache, descriptor_key
 from .errors import ConsistencyError, DegreeRangeError, DomainError
 from .exact_linalg import (
+    QONE,
     QVector,
     QZERO,
     Rational,
@@ -47,16 +69,16 @@ from .exact_linalg import (
     rank,
     stack_rows,
 )
-from .lie_structures import LieAlgebra, LieModule, adjoint_module
+from .lie_structures import LieAlgebra, LieModule, adjoint_module, cartan_weights
 from .words import (
+    WordSet,
+    sort_with_sign,
     tensor_dim,
     tensor_index,
     tensor_word_at,
-    tensor_words,
     wedge_dim,
     wedge_index,
     wedge_word_at,
-    wedge_words,
 )
 
 
@@ -177,15 +199,71 @@ class Chain:
         return self.vector.is_zero
 
 
+class _Graded:
+    """Matrices by degree: the Cartan weight-0 block and the full matrix,
+    each made once, on first use, by ``make(k, weight0)``.  An ungraded
+    family (explicit matrices, an algebra without a grading) has one matrix
+    per degree, which is both."""
+
+    def __init__(self, make, graded: bool):
+        self._make = make
+        self.graded = graded
+        self._made: dict[tuple[int, bool], SparseMatrix] = {}
+
+    @classmethod
+    def of(cls, matrices) -> "_Graded":
+        """A family as it is, or explicit matrices by degree as one."""
+        if isinstance(matrices, cls):
+            return matrices
+        given = dict(matrices)
+        return cls(lambda k, weight0: given[k], graded=False)
+
+    def block(self, k: int) -> SparseMatrix:
+        return self._get(k, self.graded)
+
+    def full(self, k: int) -> SparseMatrix:
+        return self._get(k, False)
+
+    def built(self, k: int) -> bool:
+        """Whether the full matrix of degree k has been made."""
+        return (k, False) in self._made
+
+    def _get(self, k: int, weight0: bool) -> SparseMatrix:
+        got = self._made.get((k, weight0))
+        if got is None:
+            got = self._made[(k, weight0)] = self._make(k, weight0)
+        return got
+
+
+def _check_zero_product(first: SparseMatrix, second: SparseMatrix, what: str) -> None:
+    if multiply(first, second).nnz:
+        raise ConsistencyError(what)
+
+
+def _check_full_neighbours(family: _Graded, k: int, cap: int, what: str) -> None:
+    """d_(j-1) o d_j = 0 for the pairs around degree k whose full matrices
+    are both built."""
+    for j in (k, k + 1):
+        if 2 <= j <= cap and family.built(j - 1) and family.built(j):
+            _check_zero_product(
+                family.full(j - 1), family.full(j), f"{what} d_{j - 1} o d_{j} != 0"
+            )
+
+
 class ChainComplex:
-    """Graded dimensions plus differentials d_k : C_k -> C_(k-1), 1 <= k <= cap."""
+    """Graded dimensions plus differentials d_k : C_k -> C_(k-1), 1 <= k <= cap.
+
+    ``diffs`` is either a dict of explicit matrices by degree or the
+    ``_Graded`` family of a builder.  ``dims`` and ``bases`` describe the
+    full complex; ``block_dims`` the weight-0 block that ranks run on.
+    """
 
     def __init__(
         self,
         kind: str,
         name: str,
         dims: list[int],
-        diffs: dict[int, SparseMatrix],
+        diffs,
         bases: dict[int, object],
         cap: int,
         cache: DiffCache | None = None,
@@ -195,24 +273,31 @@ class ChainComplex:
         self.kind = kind
         self.name = name
         self.dims = list(dims)
-        self.diffs = dict(diffs)
         self.bases = dict(bases)
         self.cap = cap
         self.cache = cache
         self.entry_cap = entry_cap
+        self._diffs = _Graded.of(diffs)
         self._ranks: dict[int, int] = {}
         self._ranks_transposed: dict[int, int] = {}
-        for k in range(1, cap + 1):
-            d = self.diffs[k]
-            if d.cols != self.dims[k] or d.rows != self.dims[k - 1]:
+        blocks = [self._diffs.block(k) for k in range(1, cap + 1)]
+        if self._diffs.graded and blocks:
+            self.block_dims = [blocks[0].rows] + [d.cols for d in blocks]
+        else:  # the block is the whole complex, or at cap 0 nothing is ranked
+            self.block_dims = self.dims
+        for k, d in enumerate(blocks, start=1):
+            if d.cols != self.block_dims[k] or d.rows != self.block_dims[k - 1]:
                 raise ConsistencyError(f"differential d_{k} has the wrong shape")
         if validate:
             self.verify_dd_zero()
 
     def verify_dd_zero(self) -> None:
+        """d o d = 0 on every adjacent pair of weight-0 blocks."""
         for k in range(2, self.cap + 1):
-            if multiply(self.diffs[k - 1], self.diffs[k]).nnz:
-                raise ConsistencyError(f"{self.name}: d_{k - 1} o d_{k} != 0")
+            _check_zero_product(
+                self._diffs.block(k - 1), self._diffs.block(k),
+                f"{self.name}: d_{k - 1} o d_{k} != 0",
+            )
 
     def check_degree(self, k: int) -> None:
         if not 0 <= k <= self.cap:
@@ -225,24 +310,53 @@ class ChainComplex:
         return self.dims[k]
 
     def d(self, k: int) -> SparseMatrix:
+        """The full differential d_k, assembled on first request; d o d = 0
+        is then checked against each full neighbour already built."""
         self.check_degree(k)
         if k == 0:
             raise DegreeRangeError("d_0 does not exist")
-        return self.diffs[k]
+        fresh = not self._diffs.built(k)
+        got = self._diffs.full(k)
+        if fresh:
+            if got.cols != self.dims[k] or got.rows != self.dims[k - 1]:
+                raise ConsistencyError(f"differential d_{k} has the wrong shape")
+            _check_full_neighbours(self._diffs, k, self.cap, f"{self.name}:")
+        return got
+
+    @property
+    def diffs(self) -> dict[int, SparseMatrix]:
+        """Every full differential, assembling those not built yet."""
+        return {k: self.d(k) for k in range(1, self.cap + 1)}
 
     def basis(self, k: int):
         self.check_degree(k)
         return self.bases[k]
 
+    def block(self, k: int) -> SparseMatrix:
+        """The matrix ``rank_d(k)`` eliminates: d_k on the weight-0 words."""
+        self.check_degree(k)
+        return self._diffs.block(k)
+
     def rank_d(self, k: int) -> int:
         """rank d_k, memoized; rank d_0 is 0 by convention."""
-        return self._memoized(self._ranks, k, lambda: self._ranked(self.diffs[k]))
+        return self._memoized(
+            self._ranks, k, lambda: self._ranked(self.block(k)) + self._off_block_rank(k)
+        )
 
     def rank_d_transposed(self, k: int) -> int:
-        """rank of the transposed differential, eliminated independently;
-        equals rank_d over a field and serves as its cross-check."""
+        """rank of the transposed differential, its block eliminated
+        independently; equals rank_d over a field and serves as its
+        cross-check."""
         return self._memoized(
-            self._ranks_transposed, k, lambda: self._ranked(self.diffs[k].transpose())
+            self._ranks_transposed, k,
+            lambda: self._ranked(self.block(k).transpose()) + self._off_block_rank(k),
+        )
+
+    def _off_block_rank(self, k: int) -> int:
+        """rank of d_k outside the weight-0 block.  That part of the complex
+        is acyclic, so its ranks telescope down to degree 0."""
+        return sum(
+            (-1) ** (k - 1 - j) * (self.dims[j] - self.block_dims[j]) for j in range(k)
         )
 
     def _memoized(self, memo: dict[int, int], k: int, compute) -> int:
@@ -280,11 +394,19 @@ class ChainComplex:
 # ---------------------------------------------------------------------------
 
 
+def _whole(value: Rational):
+    """An integral rational as an int, which sums faster; others as they are."""
+    return int(value) if value.denominator == 1 else value
+
+
 def _bracket_table(algebra: LieAlgebra) -> tuple[dict, int]:
+    """Both orders of every nonzero bracket, as sorted (target, coefficient)
+    pairs; the assembly loops sum in ints where the constants allow and
+    ``SparseMatrix`` turns the sums into rationals."""
     table = {}
     longest = 1
     for (i, j), coeffs in algebra.brackets.items():
-        items = tuple(sorted(coeffs.items()))
+        items = tuple(sorted((k, _whole(v)) for k, v in coeffs.items()))
         table[(i, j)] = items
         table[(j, i)] = tuple((k, -v) for k, v in items)
         longest = max(longest, len(items))
@@ -308,16 +430,31 @@ def _guard(estimate: int, cap: int | None) -> None:
     check_entry_budget(estimate, cap)
 
 
-def ce_d(algebra: LieAlgebra, k: int, entry_cap: int | None = None) -> SparseMatrix:
-    """Exterior-power differential d_k : Lambda^k -> Lambda^(k-1)."""
+def _leaves(word, k: int) -> ConsistencyError:
+    return ConsistencyError(
+        f"the image {word} of a degree-{k} word leaves the assembled word set"
+    )
+
+
+# The up-front estimates count the full matrix whatever word set is
+# assembled, so the envelope of a complex (and every exit 3 it gives) does
+# not depend on its grading; the weight-0 block is never larger.
+
+
+def ce_d(
+    algebra: LieAlgebra, k: int, entry_cap: int | None = None, words: WordSet | None = None
+) -> SparseMatrix:
+    """Exterior-power differential d_k : Lambda^k -> Lambda^(k-1) on the
+    wedge words of ``words`` (all words by default)."""
     dim = algebra.dim
     table, longest = _bracket_table(algebra)
-    ncols = wedge_dim(dim, k)
-    nrows = wedge_dim(dim, k - 1)
     if k >= 2:
-        _guard(ncols * comb(k, 2) * longest, entry_cap)
-    entries: dict[tuple[int, int], Rational] = {}
-    for ci, w in enumerate(wedge_words(dim, k)):
+        _guard(wedge_dim(dim, k) * comb(k, 2) * longest, entry_cap)
+    words = WordSet.all(dim) if words is None else words
+    cols = words.wedge(k)
+    row_of = words.position("wedge", k - 1)
+    entries: dict[tuple[int, int], Rational | int] = {}
+    for ci, w in enumerate(cols):
         for t in range(1, k):
             sign_t = -1 if (t + 1) % 2 else 1      # (-1)^j with j = t+1 one-based
             for s in range(t):
@@ -329,27 +466,34 @@ def ce_d(algebra: LieAlgebra, k: int, entry_cap: int | None = None) -> SparseMat
                     placed, psign = _insert_sorted(rest, m, s)
                     if placed is None:
                         continue
-                    key = (wedge_index(tuple(placed), dim), ci)
-                    nv = entries.get(key, QZERO) + sign_t * psign * c
+                    row = row_of.get(tuple(placed))
+                    if row is None:
+                        raise _leaves(tuple(placed), k)
+                    key = (row, ci)
+                    nv = entries.get(key, 0) + sign_t * psign * c
                     if nv:
                         entries[key] = nv
                     else:
                         del entries[key]
     _guard(len(entries), entry_cap)
-    return SparseMatrix(nrows, ncols, entries)
+    return SparseMatrix(len(row_of), len(cols), entries)
 
 
-def leibniz_d(algebra: LieAlgebra, k: int, entry_cap: int | None = None) -> SparseMatrix:
-    """Tensor-power differential: bracket lands in slot i, slot j dropped,
-    sign (-1)^j, no reordering."""
+def leibniz_d(
+    algebra: LieAlgebra, k: int, entry_cap: int | None = None, words: WordSet | None = None
+) -> SparseMatrix:
+    """Tensor-power differential on the tensor words of ``words`` (all words
+    by default): bracket lands in slot i, slot j dropped, sign (-1)^j, no
+    reordering."""
     dim = algebra.dim
     table, longest = _bracket_table(algebra)
-    ncols = tensor_dim(dim, k)
-    nrows = tensor_dim(dim, k - 1)
     if k >= 2:
-        _guard(ncols * comb(k, 2) * longest, entry_cap)
-    entries: dict[tuple[int, int], Rational] = {}
-    for ci, w in enumerate(tensor_words(dim, k)):
+        _guard(tensor_dim(dim, k) * comb(k, 2) * longest, entry_cap)
+    words = WordSet.all(dim) if words is None else words
+    cols = words.tensor(k)
+    row_of = words.position("tensor", k - 1)
+    entries: dict[tuple[int, int], Rational | int] = {}
+    for ci, w in enumerate(cols):
         for t in range(1, k):
             sign_t = -1 if (t + 1) % 2 else 1
             for s in range(t):
@@ -361,18 +505,24 @@ def leibniz_d(algebra: LieAlgebra, k: int, entry_cap: int | None = None) -> Spar
                 suffix = w[t + 1 :]
                 for m, c in items:
                     nw = prefix + (m,) + middle + suffix
-                    key = (tensor_index(nw, dim), ci)
-                    nv = entries.get(key, QZERO) + sign_t * c
+                    row = row_of.get(nw)
+                    if row is None:
+                        raise _leaves(nw, k)
+                    key = (row, ci)
+                    nv = entries.get(key, 0) + sign_t * c
                     if nv:
                         entries[key] = nv
                     else:
                         del entries[key]
     _guard(len(entries), entry_cap)
-    return SparseMatrix(nrows, ncols, entries)
+    return SparseMatrix(len(row_of), len(cols), entries)
 
 
-def coeff_d(module: LieModule, k: int, entry_cap: int | None = None) -> SparseMatrix:
-    """Coefficient differential M (x) Lambda^k -> M (x) Lambda^(k-1).
+def coeff_d(
+    module: LieModule, k: int, entry_cap: int | None = None, words: WordSet | None = None
+) -> SparseMatrix:
+    """Coefficient differential M (x) Lambda^k -> M (x) Lambda^(k-1) on the
+    module-wedge words of ``words`` (all words by default).
 
     Action terms carry (-1)^i with the wedge letters indexed from 2, so slot
     s (0-based) contributes (-1)^s [m, g_s] (x) (word minus slot s); bracket
@@ -381,51 +531,54 @@ def coeff_d(module: LieModule, k: int, entry_cap: int | None = None) -> SparseMa
     algebra = module.algebra
     dim = algebra.dim
     table, longest = _bracket_table(algebra)
-    ncols_w = wedge_dim(dim, k)
-    nrows_w = wedge_dim(dim, k - 1)
     action_longest = max((1,) + tuple(a.nnz // max(a.cols, 1) + 1 for a in module.actions))
-    _guard(module.dim * ncols_w * (k * action_longest + comb(k, 2) * longest), entry_cap)
-    entries: dict[tuple[int, int], Rational] = {}
-    for ci_w, w in enumerate(wedge_words(dim, k)):
-        # wedge-only terms: shared across module indices
-        shared: list[tuple[int, Rational]] = []
-        for t in range(1, k):
-            sign_t = -1 if t % 2 else 1            # (-1)^(t+2)
-            for s in range(t):
-                items = table.get((w[s], w[t]))
-                if not items:
-                    continue
-                rest = list(w[:s] + w[s + 1 : t] + w[t + 1 :])
-                for m, c in items:
-                    placed, psign = _insert_sorted(rest, m, s)
-                    if placed is None:
+    _guard(
+        module.dim * wedge_dim(dim, k) * (k * action_longest + comb(k, 2) * longest),
+        entry_cap,
+    )
+    words = WordSet.all(dim, module.dim) if words is None else words
+    cols = words.module_wedge(k)
+    row_of = words.position("module_wedge", k - 1)
+    # wedge-only terms of a word, shared across module indices
+    shared_of: dict[tuple[int, ...], list[tuple[tuple[int, ...], Rational | int]]] = {}
+    entries: dict[tuple[int, int], Rational | int] = {}
+
+    def add(word, col: int, value) -> None:
+        row = row_of.get(word)
+        if row is None:
+            raise _leaves(word, k)
+        key = (row, col)
+        nv = entries.get(key, 0) + value
+        if nv:
+            entries[key] = nv
+        else:
+            del entries[key]
+
+    for col, (mi, w) in enumerate(cols):
+        shared = shared_of.get(w)
+        if shared is None:
+            shared = shared_of[w] = []
+            for t in range(1, k):
+                sign_t = -1 if t % 2 else 1            # (-1)^(t+2)
+                for s in range(t):
+                    items = table.get((w[s], w[t]))
+                    if not items:
                         continue
-                    shared.append(
-                        (wedge_index(tuple(placed), dim), sign_t * psign * c)
-                    )
-        drops = [
-            (s, w[s], wedge_index(w[:s] + w[s + 1 :], dim)) for s in range(k)
-        ]
-        for mi in range(module.dim):
-            col = mi * ncols_w + ci_w
-            for s, a, rest_idx in drops:
-                sign_s = -1 if s % 2 else 1        # (-1)^(s+2)
-                for m2, v in module.actions[a].column(mi):
-                    key = (m2 * nrows_w + rest_idx, col)
-                    nv = entries.get(key, QZERO) + sign_s * v
-                    if nv:
-                        entries[key] = nv
-                    else:
-                        del entries[key]
-            for widx, c in shared:
-                key = (mi * nrows_w + widx, col)
-                nv = entries.get(key, QZERO) + c
-                if nv:
-                    entries[key] = nv
-                else:
-                    del entries[key]
+                    rest = list(w[:s] + w[s + 1 : t] + w[t + 1 :])
+                    for m, c in items:
+                        placed, psign = _insert_sorted(rest, m, s)
+                        if placed is None:
+                            continue
+                        shared.append((tuple(placed), sign_t * psign * c))
+        for s in range(k):
+            sign_s = -1 if s % 2 else 1                # (-1)^(s+2)
+            rest = w[:s] + w[s + 1 :]
+            for m2, v in module.actions[w[s]].column(mi):
+                add((m2, rest), col, sign_s * _whole(v))
+        for placed, c in shared:
+            add((mi, placed), col, c)
     _guard(len(entries), entry_cap)
-    return SparseMatrix(module.dim * nrows_w, module.dim * ncols_w, entries)
+    return SparseMatrix(len(row_of), len(cols), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -433,76 +586,77 @@ def coeff_d(module: LieModule, k: int, entry_cap: int | None = None) -> SparseMa
 # ---------------------------------------------------------------------------
 
 
-def wedge_projection(algebra: LieAlgebra, k: int, entry_cap: int | None = None) -> SparseMatrix:
-    """Antisymmetrization g^((x)k) -> g^(^k): a word with a repeated letter
-    maps to 0, otherwise to its sorted word with the permutation sign."""
+_UNIT = {1: QONE, -1: -QONE}
+
+
+def wedge_projection(
+    algebra: LieAlgebra, k: int, entry_cap: int | None = None, words: WordSet | None = None
+) -> SparseMatrix:
+    """Antisymmetrization g^((x)k) -> g^(^k) on the tensor and wedge words of
+    ``words`` (all words by default): a word with a repeated letter maps to
+    0, otherwise to its sorted word with the permutation sign."""
     dim = algebra.dim
-    ncols = tensor_dim(dim, k)
-    _guard(ncols, entry_cap)
+    _guard(tensor_dim(dim, k), entry_cap)
+    words = WordSet.all(dim) if words is None else words
+    cols = words.tensor(k)
+    row_of = words.position("wedge", k)
     entries: dict[tuple[int, int], Rational] = {}
-    for ci, w in enumerate(tensor_words(dim, k)):
-        sign = 1
-        ordered: list[int] = []
-        ok = True
-        for a in w:
-            p = bisect_left(ordered, a)
-            if p < len(ordered) and ordered[p] == a:
-                ok = False
-                break
-            if (len(ordered) - p) % 2:
-                sign = -sign
-            insort(ordered, a)
-        if not ok:
+    for ci, w in enumerate(cols):
+        ordered, sign = sort_with_sign(w)
+        if ordered is None:
             continue
-        entries[(wedge_index(tuple(ordered), dim), ci)] = Rational(sign)
-    return SparseMatrix(wedge_dim(dim, k), ncols, entries)
+        row = row_of.get(ordered)
+        if row is None:
+            raise _leaves(ordered, k)
+        entries[(row, ci)] = _UNIT[sign]
+    return SparseMatrix(len(row_of), len(cols), entries)
 
 
 def partial_wedge_projection(
-    algebra: LieAlgebra, k: int, entry_cap: int | None = None
+    algebra: LieAlgebra, k: int, entry_cap: int | None = None, words: WordSet | None = None
 ) -> SparseMatrix:
     """Wedge the leading factor in: g (x) Lambda^k -> Lambda^(k+1),
-    e (x) w -> e ^ w, no scalar."""
+    e (x) w -> e ^ w, no scalar.  Columns are the module-wedge words of
+    ``words`` over the adjoint module (all words by default)."""
     dim = algebra.dim
-    nw = wedge_dim(dim, k)
-    _guard(dim * nw, entry_cap)
+    _guard(dim * wedge_dim(dim, k), entry_cap)
+    words = WordSet.all(dim, dim) if words is None else words
+    cols = words.module_wedge(k)
+    row_of = words.position("wedge", k + 1)
     entries: dict[tuple[int, int], Rational] = {}
-    for wi, w in enumerate(wedge_words(dim, k)):
-        lw = list(w)
-        for e in range(dim):
-            placed, sign = _insert_sorted(lw, e)
-            if placed is None:
-                continue
-            entries[(wedge_index(tuple(placed), dim), e * nw + wi)] = Rational(sign)
-    return SparseMatrix(wedge_dim(dim, k + 1), dim * nw, entries)
-
-
-def mixed_projection(algebra: LieAlgebra, k: int, entry_cap: int | None = None) -> SparseMatrix:
-    """First factor kept, tail antisymmetrized: g^((x)(k+1)) -> g (x) Lambda^k.
-    Composing with the partial wedge projection recovers the full one."""
-    dim = algebra.dim
-    ncols = tensor_dim(dim, k + 1)
-    _guard(ncols, entry_cap)
-    nw = wedge_dim(dim, k)
-    entries: dict[tuple[int, int], Rational] = {}
-    for ci, w in enumerate(tensor_words(dim, k + 1)):
-        head, tail = w[0], w[1:]
-        sign = 1
-        ordered: list[int] = []
-        ok = True
-        for a in tail:
-            p = bisect_left(ordered, a)
-            if p < len(ordered) and ordered[p] == a:
-                ok = False
-                break
-            if (len(ordered) - p) % 2:
-                sign = -sign
-            insort(ordered, a)
-        if not ok:
+    for ci, (e, w) in enumerate(cols):
+        placed, sign = _insert_sorted(list(w), e)
+        if placed is None:
             continue
-        row = head * nw + wedge_index(tuple(ordered), dim)
-        entries[(row, ci)] = Rational(sign)
-    return SparseMatrix(dim * nw, ncols, entries)
+        row = row_of.get(tuple(placed))
+        if row is None:
+            raise _leaves(tuple(placed), k)
+        entries[(row, ci)] = _UNIT[sign]
+    return SparseMatrix(len(row_of), len(cols), entries)
+
+
+def mixed_projection(
+    algebra: LieAlgebra, k: int, entry_cap: int | None = None, words: WordSet | None = None
+) -> SparseMatrix:
+    """First factor kept, tail antisymmetrized: g^((x)(k+1)) -> g (x) Lambda^k,
+    rows the module-wedge words of ``words`` over the adjoint module (all
+    words by default).  Composing with the partial wedge projection recovers
+    the full one."""
+    dim = algebra.dim
+    _guard(tensor_dim(dim, k + 1), entry_cap)
+    words = WordSet.all(dim, dim) if words is None else words
+    cols = words.tensor(k + 1)
+    row_of = words.position("module_wedge", k)
+    entries: dict[tuple[int, int], Rational] = {}
+    for ci, w in enumerate(cols):
+        ordered, sign = sort_with_sign(w[1:])
+        if ordered is None:
+            continue
+        row = row_of.get((w[0], ordered))
+        if row is None:
+            raise _leaves((w[0], ordered), k + 1)
+        entries[(row, ci)] = _UNIT[sign]
+    return SparseMatrix(len(row_of), len(cols), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +676,34 @@ def _cached_matrix(cache, kind, key_parts, builder):
     return built
 
 
+def _word_sets(algebra: LieAlgebra, module: LieModule | None = None) -> tuple[WordSet, WordSet]:
+    """(weight-0 words, all words) of the algebra, and of the module when
+    given; without a grading both are all words."""
+    letters, module_letters = cartan_weights(algebra, module)
+    everything = WordSet.all(algebra.dim, module.dim if module is not None else 0)
+    block = WordSet(letters, module_letters)
+    return (block if block.graded else everything), everything
+
+
+def _family(cache, key, assemble, words: tuple[WordSet, WordSet], shift: int = 0) -> _Graded:
+    """The matrices ``assemble(k + shift, word set)`` over the weight-0 words
+    and over all words.  With a key they go through the disk cache, the full
+    matrix under key + (degree,) and the block under key + (degree,
+    "weight-0", the letter weights), so a change of grading is a miss."""
+    block_words, all_words = words
+    grading = ("weight-0", block_words.letter_weights, block_words.module_weights)
+
+    def make(k: int, weight0: bool) -> SparseMatrix:
+        degree = k + shift
+        chosen = block_words if weight0 else all_words
+        if key is None:
+            return assemble(degree, chosen)
+        parts = key + ((degree,) + grading if weight0 else (degree,))
+        return _cached_matrix(cache, "diff", parts, lambda: assemble(degree, chosen))
+
+    return _Graded(make, graded=block_words.graded)
+
+
 def ce_complex(
     algebra: LieAlgebra,
     cap: int,
@@ -536,12 +718,10 @@ def ce_complex(
     name = name or f"lie[{fp[:8]}]"
     dims = [wedge_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: WedgeBasis(algebra, k) for k in range(cap + 1)}
-    diffs = {
-        k: _cached_matrix(
-            cache, "diff", ("lie", fp, k), lambda k=k: ce_d(algebra, k, entry_cap)
-        )
-        for k in range(1, cap + 1)
-    }
+    diffs = _family(
+        cache, ("lie", fp), lambda k, words: ce_d(algebra, k, entry_cap, words),
+        _word_sets(algebra),
+    )
     return ChainComplex("lie", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap)
 
 
@@ -563,12 +743,10 @@ def coeff_complex(
     name = name or f"coeff[{fp[:8]},{mfp[:8]}]"
     dims = [module.dim * wedge_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: ModuleWedgeBasis(module, k) for k in range(cap + 1)}
-    diffs = {
-        k: _cached_matrix(
-            cache, "diff", ("coeff", fp, mfp, k), lambda k=k: coeff_d(module, k, entry_cap)
-        )
-        for k in range(1, cap + 1)
-    }
+    diffs = _family(
+        cache, ("coeff", fp, mfp), lambda k, words: coeff_d(module, k, entry_cap, words),
+        _word_sets(algebra, module),
+    )
     return ChainComplex("coeff", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap)
 
 
@@ -586,12 +764,10 @@ def leibniz_complex(
     name = name or f"leibniz[{fp[:8]}]"
     dims = [tensor_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: TensorBasis(algebra, k) for k in range(cap + 1)}
-    diffs = {
-        k: _cached_matrix(
-            cache, "diff", ("leibniz", fp, k), lambda k=k: leibniz_d(algebra, k, entry_cap)
-        )
-        for k in range(1, cap + 1)
-    }
+    diffs = _family(
+        cache, ("leibniz", fp), lambda k, words: leibniz_d(algebra, k, entry_cap, words),
+        _word_sets(algebra),
+    )
     return ChainComplex(
         "leibniz", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap
     )
@@ -625,13 +801,15 @@ class KernelComplex(ChainComplex):
     """Degree m is ker pi_m inside an ambient space, with differential the
     ambient d_m restricted to it.
 
-    ``ambient_d[m]`` (1 <= m <= cap) and ``projections[m]`` (0 <= m <= cap)
-    must satisfy pi_(m-1) d_m = e_m pi_m for ``targets[m]`` = e_m; that
-    identity, checked at build time with ambient d o d = 0, is what makes the
-    restriction a complex.  Ranks and dimensions come from stacked matrices
-    and projection ranks alone.  ``basis`` and ``d`` build the explicit
-    kernel basis (cached under ``kernel_key`` + degree) and the restricted
-    matrix on first request.
+    ``ambient_d`` (1 <= m <= cap), ``projections`` (0 <= m <= cap) and
+    ``targets`` (1 <= m <= cap) are explicit matrices by degree or the
+    ``_Graded`` families of a builder, and must satisfy
+    pi_(m-1) d_m = e_m pi_m for e_m the target; that identity, checked with
+    ambient d o d = 0, is what makes the restriction a complex.  Ranks come
+    from stacked weight-0 blocks and projection ranks alone; ``dims`` from
+    the full projections.  ``basis`` and ``d`` build the explicit kernel
+    basis (cached under ``kernel_key`` + degree) and the restricted matrix
+    on first request.
     """
 
     def __init__(
@@ -639,9 +817,9 @@ class KernelComplex(ChainComplex):
         kind: str,
         name: str,
         cap: int,
-        ambient_d: dict[int, SparseMatrix],
-        projections: dict[int, SparseMatrix],
-        targets: dict[int, SparseMatrix],
+        ambient_d,
+        projections,
+        targets,
         ambient_basis_at,
         kernel_key: tuple,
         cache: DiffCache | None = None,
@@ -652,61 +830,107 @@ class KernelComplex(ChainComplex):
         self.cap = cap
         self.cache = cache
         self.entry_cap = entry_cap
-        self.ambient_d = dict(ambient_d)
-        self.projections = dict(projections)
-        self.targets = dict(targets)
+        self._ambient = _Graded.of(ambient_d)
+        self._projection = _Graded.of(projections)
+        self._target = _Graded.of(targets)
         self.ambient_basis_at = ambient_basis_at
         self.kernel_key = kernel_key
-        self.diffs: dict[int, SparseMatrix] = {}
+        self._restricted: dict[int, SparseMatrix] = {}
         self.bases: dict[int, KernelBasis] = {}
         self._ranks: dict[int, int] = {}
         self._ranks_transposed: dict[int, int] = {}
-        self._projection_ranks: dict[tuple[int, bool], int] = {}
+        self._projection_ranks: dict[tuple[int, bool, bool], int] = {}
         for m in range(1, cap + 1):
-            d = self.ambient_d[m]
-            if d.cols != self.projections[m].cols or d.rows != self.projections[m - 1].cols:
-                raise ConsistencyError(f"ambient differential d_{m} has the wrong shape")
+            self._check_shape(m, self._ambient.block, self._projection.block)
         self.verify_dd_zero()
+        self.block_dims = [
+            self._projection.block(m).cols - self._projection_rank(m, False, True)
+            for m in range(cap + 1)
+        ]
         self.dims = [
-            self.projections[m].cols - self._projection_rank(m, False)
+            self._projection.full(m).cols - self._projection_rank(m, False, False)
             for m in range(cap + 1)
         ]
 
+    def _check_shape(self, m: int, ambient, projection) -> None:
+        d = ambient(m)
+        if d.cols != projection(m).cols or d.rows != projection(m - 1).cols:
+            raise ConsistencyError(f"ambient differential d_{m} has the wrong shape")
+
     def verify_dd_zero(self) -> None:
         """Ambient d o d = 0 on every pair used, and the exact chain-map
-        identity pi_(m-1) d_m = e_m pi_m at every degree."""
+        identity pi_(m-1) d_m = e_m pi_m at every degree, on weight-0
+        blocks."""
         for m in range(2, self.cap + 1):
-            if multiply(self.ambient_d[m - 1], self.ambient_d[m]).nnz:
-                raise ConsistencyError(f"{self.name}: ambient d_{m - 1} o d_{m} != 0")
+            _check_zero_product(
+                self._ambient.block(m - 1), self._ambient.block(m),
+                f"{self.name}: ambient d_{m - 1} o d_{m} != 0",
+            )
         for m in range(1, self.cap + 1):
-            lhs = multiply(self.projections[m - 1], self.ambient_d[m])
-            if lhs != multiply(self.targets[m], self.projections[m]):
-                raise ConsistencyError(
-                    f"{self.name}: projection is not a chain map at degree {m}"
-                )
+            self._check_chain_map(m, self._ambient.block, self._projection.block, self._target.block)
+
+    def _check_chain_map(self, m: int, ambient, projection, target) -> None:
+        lhs = multiply(projection(m - 1), ambient(m))
+        if lhs != multiply(target(m), projection(m)):
+            raise ConsistencyError(f"{self.name}: projection is not a chain map at degree {m}")
+
+    def _ambient_full(self, m: int) -> SparseMatrix:
+        """The full ambient d_m, assembled on first request and then checked
+        like the blocks against the full matrices already built."""
+        fresh = not self._ambient.built(m)
+        got = self._ambient.full(m)
+        if fresh:
+            self._check_shape(m, self._ambient.full, self._projection.full)
+            _check_full_neighbours(self._ambient, m, self.cap, f"{self.name}: ambient")
+            self._check_chain_map(m, self._ambient.full, self._projection.full, self._target.full)
+        return got
+
+    @property
+    def ambient_d(self) -> dict[int, SparseMatrix]:
+        return {m: self._ambient_full(m) for m in range(1, self.cap + 1)}
+
+    @property
+    def projections(self) -> dict[int, SparseMatrix]:
+        return {m: self._projection.full(m) for m in range(self.cap + 1)}
+
+    @property
+    def targets(self) -> dict[int, SparseMatrix]:
+        return {m: self._target.full(m) for m in range(1, self.cap + 1)}
 
     def rank_d(self, k: int) -> int:
-        """rank([d_k; pi_k]) - rank pi_k, the rank of the restriction."""
+        """rank([d_k; pi_k]) - rank pi_k on weight 0, the rank of the
+        restriction there, plus the off-block part."""
         return self._memoized(self._ranks, k, lambda: self._restricted_rank(k, False))
 
     def rank_d_transposed(self, k: int) -> int:
-        """rank([d_k; pi_k]^T) - rank pi_k^T, eliminated independently."""
+        """The same from rank([d_k; pi_k]^T) - rank pi_k^T, eliminated
+        independently."""
         return self._memoized(
             self._ranks_transposed, k, lambda: self._restricted_rank(k, True)
         )
 
+    def block(self, k: int) -> SparseMatrix:
+        """The matrix ``rank_d(k)`` eliminates: [d_k; pi_k] on weight 0."""
+        self.check_degree(k)
+        return stack_rows([self._ambient.block(k), self._projection.block(k)])
+
     def _restricted_rank(self, k: int, transposed: bool) -> int:
-        stacked = stack_rows([self.ambient_d[k], self.projections[k]])
+        stacked = self.block(k)
         if transposed:
             stacked = stacked.transpose()
-        return self._ranked(stacked) - self._projection_rank(k, transposed)
+        return (
+            self._ranked(stacked)
+            - self._projection_rank(k, transposed, True)
+            + self._off_block_rank(k)
+        )
 
-    def _projection_rank(self, k: int, transposed: bool) -> int:
-        got = self._projection_ranks.get((k, transposed))
+    def _projection_rank(self, k: int, transposed: bool, block: bool) -> int:
+        key = (k, transposed, block and self._projection.graded)
+        got = self._projection_ranks.get(key)
         if got is None:
-            pi = self.projections[k]
+            pi = self._projection.block(k) if key[2] else self._projection.full(k)
             got = self._ranked(pi.transpose() if transposed else pi)
-            self._projection_ranks[(k, transposed)] = got
+            self._projection_ranks[key] = got
         return got
 
     def basis(self, k: int) -> KernelBasis:
@@ -726,16 +950,17 @@ class KernelComplex(ChainComplex):
         self.check_degree(k)
         if k == 0:
             raise DegreeRangeError("d_0 does not exist")
-        got = self.diffs.get(k)
+        got = self._restricted.get(k)
         if got is None:
             got = _restrict_to_kernels(
-                self.ambient_d[k], self.basis(k), self.basis(k - 1), f"{self.name} degree {k}"
+                self._ambient_full(k), self.basis(k), self.basis(k - 1),
+                f"{self.name} degree {k}",
             )
-            self.diffs[k] = got
+            self._restricted[k] = got
         return got
 
     def _kernel_vectors(self, k: int) -> list[QVector]:
-        pi = self.projections[k]
+        pi = self._projection.full(k)
         if self.cache is None:
             return kernel_basis(pi)
         key = descriptor_key(*self.kernel_key, k)
@@ -762,19 +987,22 @@ def rel_complex(
     if cap < 0:
         raise DomainError("cap must be >= 0")
     fp = algebra.fingerprint()
+    words = _word_sets(algebra)
     return KernelComplex(
         "rel",
         name or f"rel[{fp[:8]}]",
         cap,
-        ambient_d={
-            m: _cached_matrix(
-                cache, "diff", ("leibniz", fp, m + 2),
-                lambda m=m: leibniz_d(algebra, m + 2, entry_cap),
-            )
-            for m in range(1, cap + 1)
-        },
-        projections={m: wedge_projection(algebra, m + 2, entry_cap) for m in range(cap + 1)},
-        targets={m: ce_d(algebra, m + 2, entry_cap) for m in range(1, cap + 1)},
+        ambient_d=_family(
+            cache, ("leibniz", fp), lambda k, ws: leibniz_d(algebra, k, entry_cap, ws),
+            words, shift=2,
+        ),
+        projections=_family(
+            None, None, lambda k, ws: wedge_projection(algebra, k, entry_cap, ws),
+            words, shift=2,
+        ),
+        targets=_family(
+            None, None, lambda k, ws: ce_d(algebra, k, entry_cap, ws), words, shift=2
+        ),
         ambient_basis_at=lambda m: TensorBasis(algebra, m + 2),
         kernel_key=("rel-kernel", fp),
         cache=cache,
@@ -797,21 +1025,22 @@ def cr_complex(
     fp = algebra.fingerprint()
     adj = adjoint_module(algebra, validate=False)
     mfp = adj.fingerprint()
+    words = _word_sets(algebra, adj)
     return KernelComplex(
         "cr",
         name or f"cr[{fp[:8]}]",
         cap,
-        ambient_d={
-            m: _cached_matrix(
-                cache, "diff", ("coeff", fp, mfp, m + 1),
-                lambda m=m: coeff_d(adj, m + 1, entry_cap),
-            )
-            for m in range(1, cap + 1)
-        },
-        projections={
-            m: partial_wedge_projection(algebra, m + 1, entry_cap) for m in range(cap + 1)
-        },
-        targets={m: ce_d(algebra, m + 2, entry_cap) for m in range(1, cap + 1)},
+        ambient_d=_family(
+            cache, ("coeff", fp, mfp), lambda k, ws: coeff_d(adj, k, entry_cap, ws),
+            words, shift=1,
+        ),
+        projections=_family(
+            None, None, lambda k, ws: partial_wedge_projection(algebra, k, entry_cap, ws),
+            words, shift=1,
+        ),
+        targets=_family(
+            None, None, lambda k, ws: ce_d(algebra, k, entry_cap, ws), words, shift=2
+        ),
         ambient_basis_at=lambda m: ModuleWedgeBasis(adj, m + 1),
         kernel_key=("cr-kernel", fp),
         cache=cache,
@@ -829,8 +1058,6 @@ def wedge_chain(
 ) -> Chain:
     """Chain in the exterior basis from {word: coefficient}; words may be
     unsorted and pick up the permutation sign."""
-    from .words import sort_with_sign
-
     acc: dict[int, Rational] = {}
     for word, coeff in terms.items():
         if len(word) != degree:

@@ -108,8 +108,11 @@ def _resolve_cache(args) -> DiffCache | None:
 
 
 def _resolve_cap(args) -> int | None:
-    if getattr(args, "memory_cap", None) is not None:
-        return args.memory_cap
+    flag = getattr(args, "memory_cap", None)
+    if flag is not None:
+        if flag <= 0:
+            raise DomainError(f"--memory-cap must be a positive integer, not {flag}")
+        return flag
     env = os.environ.get("AFFSYMP_MEMORY_CAP")
     if not env:
         return None

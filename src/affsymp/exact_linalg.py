@@ -318,9 +318,16 @@ class SparseMatrix:
     def fingerprint(self) -> str:
         """Content hash of the canonical serialization."""
         if self._fingerprint is None:
-            digest = hashlib.sha256(self.to_text().encode()).hexdigest()
-            self._fingerprint = digest
+            self.text_and_fingerprint()
         return self._fingerprint
+
+    def text_and_fingerprint(self) -> tuple[str, str]:
+        """``to_text`` and its SHA-256 from one serialization; the digest is
+        kept as the fingerprint."""
+        text = self.to_text()
+        if self._fingerprint is None:
+            self._fingerprint = hashlib.sha256(text.encode()).hexdigest()
+        return text, self._fingerprint
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,41 @@ def validate_lie(algebra: LieAlgebra) -> ValidationReport:
     return algebra.validate()
 
 
+def cartan_weights(
+    algebra: LieAlgebra, module: LieModule | None = None
+) -> tuple[list[tuple], list[tuple]]:
+    """Weight vectors of the algebra letters and of the module letters.
+
+    A basis element h grades when ad(h), and the module action of h when a
+    module is given, is diagonal in the basis; a letter's weight is the
+    vector of its diagonal entries under those h.  Coordinates that vanish
+    on every letter are dropped, so an algebra without such h (or an abelian
+    one, where every weight is 0) gives vectors of length 0.  For the
+    symplectic and affine algebras the grading elements are the
+    H_i = y_i d/dy^i - x_i d/dx^i.  Brackets and module actions add weights
+    (Jacobi identity, module law), so every differential built from them
+    preserves the total weight of a word.
+    """
+    dim = algebra.dim
+    grading = [
+        i for i in range(dim)
+        if all(set(algebra.bracket_coeffs(j, i)) <= {j} for j in range(dim))
+        and (module is None or all(r == c for r, c in module.actions[i].entries))
+    ]
+    rows = [[algebra.bracket_coeffs(j, i).get(j, 0) for i in grading] for j in range(dim)]
+    if module is not None:
+        rows += [
+            [module.actions[i].entries.get((m, m), 0) for i in grading]
+            for m in range(module.dim)
+        ]
+    kept = [c for c in range(len(grading)) if any(row[c] for row in rows)]
+    vectors = [
+        tuple(int(row[c]) if Rational(row[c]).denominator == 1 else row[c] for c in kept)
+        for row in rows
+    ]
+    return vectors[:dim], vectors[dim:]
+
+
 def adjoint_module(algebra: LieAlgebra, validate: bool = True) -> LieModule:
     """The algebra acting on itself: column j of A_i holds [e_j, e_i]."""
     actions = []

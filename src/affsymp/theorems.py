@@ -614,6 +614,8 @@ def claim_params(claim_id: str, n: int, cap: int | None = None) -> dict:
             f"claim {claim_id} is configured for n <= {CLAIM_MAX_N[claim_id]} "
             f"(tensor powers grow too fast beyond that)"
         )
+    if cap is not None and cap < 0:
+        raise DomainError(f"cap must be >= 0, not {cap}")
     defaults = CLAIM_DEFAULT_CAPS[claim_id]
     params = dict(defaults[n])
     if cap is not None:

@@ -3,13 +3,20 @@
 Wedge words are strictly increasing index tuples in lexicographic order;
 tensor words are arbitrary tuples in lexicographic order.  Ranking and
 unranking are exact integer computations so bases never need materializing.
+
+``WordSet`` enumerates the words of total weight zero when every letter
+carries a weight vector: a depth-first search that extends a prefix only
+when the remaining letters can still bring the total to zero, so it never
+visits, let alone filters, the full list.  With weight vectors of length 0
+every word qualifies, and ``WordSet.all`` is the full basis.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb
-from typing import Iterator
+from operator import add, sub
+from typing import Iterator, Sequence
 
 
 def wedge_dim(dim: int, k: int) -> int:
@@ -112,3 +119,145 @@ def merge_with_sign(
     out.extend(left[i:])
     out.extend(right[j:])
     return tuple(out), sign
+
+
+Weight = tuple
+
+
+def _plus(a: Weight, b: Weight) -> Weight:
+    return tuple(map(add, a, b))
+
+
+def _minus(a: Weight, b: Weight) -> Weight:
+    return tuple(map(sub, a, b))
+
+
+class WordSet:
+    """The words of total weight zero over weighted letters, by degree.
+
+    ``letter_weights[i]`` is the weight vector of algebra letter i and
+    ``module_weights[m]`` that of module letter m, all of one length.
+    ``tensor(k)`` and ``wedge(k)`` are words of k algebra letters,
+    ``module_wedge(k)`` pairs (m, wedge word) whose weights sum to zero, all
+    in lexicographic order (module letter major), so over ``WordSet.all``
+    their positions are the usual tensor, wedge and module-wedge indices.
+    Lists and position maps are memoized.
+    """
+
+    def __init__(
+        self, letter_weights: Sequence[Weight], module_weights: Sequence[Weight] = ()
+    ):
+        self.letter_weights = [tuple(w) for w in letter_weights]
+        self.module_weights = [tuple(w) for w in module_weights]
+        widths = {len(w) for w in self.letter_weights + self.module_weights}
+        if len(widths) > 1:
+            raise ValueError("weight vectors of different lengths")
+        self.width = widths.pop() if widths else 0
+        self._zero = (0,) * self.width
+        self._lists: dict[tuple[str, int], list] = {}
+        self._positions: dict[tuple[str, int], dict] = {}
+        self._reach: dict[tuple[bool, int], dict] = {}
+
+    @classmethod
+    def all(cls, dim: int, module_dim: int = 0) -> "WordSet":
+        """Every word: all letters have the empty weight vector."""
+        return cls([()] * dim, [()] * module_dim)
+
+    @property
+    def graded(self) -> bool:
+        """False when every word has weight zero, so this is every word."""
+        return self.width > 0
+
+    def tensor(self, k: int) -> list[tuple[int, ...]]:
+        return self._memo("tensor", k, lambda: self._search(k, False, self._zero))
+
+    def wedge(self, k: int) -> list[tuple[int, ...]]:
+        return self._memo("wedge", k, lambda: self._search(k, True, self._zero))
+
+    def module_wedge(self, k: int) -> list[tuple[int, tuple[int, ...]]]:
+        def build():
+            out = []
+            for m, weight in enumerate(self.module_weights):
+                need = _minus(self._zero, weight)
+                out.extend((m, w) for w in self._search(k, True, need))
+            return out
+
+        return self._memo("module_wedge", k, build)
+
+    def position(self, kind: str, k: int) -> dict:
+        """Word -> index in ``getattr(self, kind)(k)``."""
+        got = self._positions.get((kind, k))
+        if got is None:
+            words = getattr(self, kind)(k)
+            got = self._positions[(kind, k)] = {w: i for i, w in enumerate(words)}
+        return got
+
+    def _memo(self, kind: str, k: int, build) -> list:
+        got = self._lists.get((kind, k))
+        if got is None:
+            got = self._lists[(kind, k)] = build()
+        return got
+
+    def _sums(self, k: int, strict: bool) -> dict:
+        """Weights reachable by j letters, for j <= k: keyed (i, j) with
+        distinct letters of index >= i when ``strict``, keyed (0, j) with
+        any letters otherwise."""
+        table = self._reach.get((strict, k))
+        if table is not None:
+            return table
+        weights = self.letter_weights
+        n = len(weights)
+        table = {}
+        if strict:
+            for j in range(k + 1):
+                table[(n, j)] = {self._zero} if j == 0 else set()
+            for i in range(n - 1, -1, -1):
+                table[(i, 0)] = {self._zero}
+                for j in range(1, k + 1):
+                    table[(i, j)] = table[(i + 1, j)] | {
+                        _plus(weights[i], s) for s in table[(i + 1, j - 1)]
+                    }
+        else:
+            distinct = set(weights)
+            table[(0, 0)] = {self._zero}
+            for j in range(1, k + 1):
+                table[(0, j)] = {_plus(w, s) for w in distinct for s in table[(0, j - 1)]}
+        self._reach[(strict, k)] = table
+        return table
+
+    def _search(self, k: int, strict: bool, total: Weight) -> list[tuple[int, ...]]:
+        """Words of k letters (strictly increasing when ``strict``) whose
+        weights sum to ``total``, lexicographic.  The letters that can extend
+        a prefix depend only on (first allowed letter, weight still needed,
+        letters left), so they are listed once per such state."""
+        reach = self._sums(k, strict)
+        weights = self.letter_weights
+        n = len(weights)
+        out: list[tuple[int, ...]] = []
+        if total not in reach[(0, k)]:
+            return out
+        steps: dict[tuple, list[tuple[int, Weight]]] = {}
+
+        def options(start: int, need: Weight, left: int) -> list[tuple[int, Weight]]:
+            key = (start, need, left)
+            got = steps.get(key)
+            if got is None:
+                got = steps[key] = []
+                for a in range(start, n):
+                    rest = _minus(need, weights[a])
+                    if rest in reach[(a + 1 if strict else 0, left - 1)]:
+                        got.append((a, rest))
+            return got
+
+        def extend(prefix: tuple[int, ...], start: int, need: Weight, left: int) -> None:
+            if left == 1:
+                out.extend(prefix + (a,) for a, _ in options(start, need, 1))
+                return
+            for a, rest in options(start, need, left):
+                extend(prefix + (a,), a + 1 if strict else 0, rest, left - 1)
+
+        if k == 0:
+            out.append(())
+        else:
+            extend((), 0, total, k)
+        return out

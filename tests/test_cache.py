@@ -1,4 +1,9 @@
+import contextlib
 import hashlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from affsymp.cache import DiffCache, descriptor_key
 from affsymp.exact_linalg import QVector, Rational, SparseMatrix
@@ -54,17 +59,21 @@ def test_complex_reuses_cached_rank(tmp_path):
     cache = DiffCache(tmp_path)
     first = ce_complex(sp, 3, cache=cache)
     assert first.rank_d(2) == 3
-    # poison the cached rank with a wrong but possible value; a fresh complex
-    # must read it back verbatim, proving the lookup path is active
-    fp = first.d(2).fingerprint()
-    cache.put_rank(fp, 2)
+    # rank_d(2) is the rank of the 1x1 weight-0 block, 1, plus 2 off the
+    # block.  Poison the block's cached rank with a wrong but possible value;
+    # a fresh complex must read it back verbatim, proving the lookup path is
+    # active
+    block = first.block(2)
+    assert (block.rows, block.cols) == (1, 1)
+    fp = block.fingerprint()
+    cache.put_rank(fp, 0)
     second = ce_complex(sp, 3, cache=cache)
     assert second.rank_d(2) == 2
-    # a value no 3x3 matrix can have is a miss: recomputed and rewritten
+    # a value no 1x1 matrix can have is a miss: recomputed and rewritten
     cache.put_rank(fp, 99)
     third = ce_complex(sp, 3, cache=cache)
     assert third.rank_d(2) == 3
-    assert cache.get_rank(fp) == 3
+    assert cache.get_rank(fp) == 1
 
 
 def test_malformed_rank_records_miss(tmp_path):
@@ -121,3 +130,68 @@ def test_malformed_vector_records_miss(tmp_path):
     for text in ("", "garbage\n", target.read_text().replace("-2/1", "-3/1")):
         target.write_text(text)
         assert cache.get_vectors(key, 3) is None, repr(text)
+
+
+# the relative complex with cycles writes all three record kinds
+_HOMOLOGY = [
+    "homology", "--family", "g", "--n", "1", "--theory", "rel", "--max-degree", "1",
+    "--emit-cycles", "--format", "json", "--cache-dir",
+]
+
+
+def _homology(cache_dir):
+    from affsymp.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_HOMOLOGY + [str(cache_dir)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _records(path):
+    return {
+        str(f.relative_to(path)): f.read_bytes() for f in sorted(path.rglob("*")) if f.is_file()
+    }
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    path = tmp_path_factory.mktemp("filled")
+    code, out, err = _homology(path)
+    assert (code, err) == (0, "")
+    records = _records(path)
+    assert {name.split("/")[0] for name in records} == {"diff", "kernel", "rank"}
+    return out, records
+
+
+@st.composite
+def _corruptions(draw, records):
+    """One to three records, each truncated or with one byte flipped."""
+    names = draw(st.lists(st.sampled_from(sorted(records)), min_size=1, max_size=3, unique=True))
+    out = {}
+    for name in names:
+        data = records[name]
+        at = draw(st.integers(0, len(data) - 1))
+        if draw(st.booleans()):
+            out[name] = data[:at]
+        else:
+            mask = draw(st.integers(1, 255))
+            out[name] = data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_corrupted_records_never_change_answers(filled_cache, tmp_path_factory, data):
+    cold, records = filled_cache
+    corrupt = data.draw(_corruptions(records))
+    path = tmp_path_factory.mktemp("corrupt")
+    for name, content in records.items():
+        target = path / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(corrupt.get(name, content))
+    code, out, err = _homology(path)
+    # same Betti numbers, ranks and cycles, same exit code, no message
+    assert (code, out, err) == (0, cold, "")
+    # every corrupted record was a miss and was rewritten as the original
+    assert _records(path) == records

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from affsymp.cli import main
+from affsymp.theorems import CLAIM_IDS
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/affsymp/schemas/report.schema.json").read_text()
@@ -100,6 +101,16 @@ class TestHomologyCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_bad_memory_cap_flag_exit_two(self, capsys, value):
+        code, out, err = run_cli(
+            capsys,
+            ["homology", "--family", "sp", "--n", "1", "--theory", "lie",
+             "--max-degree", "1", "--memory-cap", value],
+        )
+        assert (code, out) == (2, "")
+        assert "--memory-cap must be a positive integer" in err
+
     def test_bad_memory_cap_env_exit_two(self, capsys, monkeypatch):
         for value in ("abc", "0", "-5"):
             monkeypatch.setenv("AFFSYMP_MEMORY_CAP", value)
@@ -177,6 +188,12 @@ class TestVerifyCommand:
         payload = validate_payload(out)
         assert payload["report"] == "verification-suite"
         assert len(payload["reports"]) == 8
+
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_negative_cap_exit_two(self, capsys, claim):
+        code, out, err = run_cli(capsys, ["verify", claim, "--n", "1", "--cap", "-1"])
+        assert (code, out) == (2, "")
+        assert "cap must be >= 0" in err
 
     def test_unknown_claim_exit_two(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "lemma-9.9", "--n", "1"])

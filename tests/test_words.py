@@ -1,6 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
 from affsymp.words import (
+    WordSet,
     merge_with_sign,
     sort_with_sign,
     tensor_dim,
@@ -77,3 +78,51 @@ class TestSigns:
             )
             assert sorted_word == tuple(sorted(word))
             assert sign == (-1) ** inversions
+
+
+def _total(weights, word, width):
+    return tuple(sum(weights[a][c] for a in word) for c in range(width))
+
+
+class TestWordSet:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), max_size=3),
+        st.integers(0, 4),
+    )
+    def test_matches_filtered_enumeration(self, letters, modules, k):
+        words = WordSet(letters, modules)
+        zero = (0, 0)
+        dim = len(letters)
+        assert words.tensor(k) == [
+            w for w in tensor_words(dim, k) if _total(letters, w, 2) == zero
+        ]
+        assert words.wedge(k) == [
+            w for w in wedge_words(dim, k) if _total(letters, w, 2) == zero
+        ]
+        assert words.module_wedge(k) == [
+            (m, w)
+            for m in range(len(modules))
+            for w in wedge_words(dim, k)
+            if tuple(a + b for a, b in zip(modules[m], _total(letters, w, 2))) == zero
+        ]
+        for kind in ("tensor", "wedge", "module_wedge"):
+            listed = getattr(words, kind)(k)
+            assert words.position(kind, k) == {w: i for i, w in enumerate(listed)}
+
+    def test_all_words_is_the_full_basis(self):
+        words = WordSet.all(4, 2)
+        assert not words.graded
+        for k in range(4):
+            assert words.tensor(k) == list(tensor_words(4, k))
+            assert words.wedge(k) == list(wedge_words(4, k))
+            assert words.module_wedge(k) == [(m, w) for m in range(2) for w in wedge_words(4, k)]
+            for i, w in enumerate(words.wedge(k)):
+                assert wedge_index(w, 4) == i
+
+    def test_unreachable_total_is_empty(self):
+        words = WordSet([(1,), (2,)])
+        assert words.graded
+        assert words.tensor(3) == []
+        assert words.wedge(0) == [()]

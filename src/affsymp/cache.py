@@ -1,11 +1,17 @@
-"""Content-addressed disk cache for differential matrices, kernel bases and
-matrix ranks.
+"""Content-addressed disk cache for the weight blocks of differentials and
+for matrix ranks.
 
 Keys are SHA-256 digests of structural descriptors (algebra fingerprint,
-complex kind, module fingerprint, degree), so a change in any basis
-convention invalidates the affected artifacts automatically.  Writes are
-atomic (write to a temp file, then rename), giving single-writer /
-multi-reader safety.
+complex kind, module fingerprint, degree, total weight and letter
+weights) and of ``BASIS_CONVENTION``, the version of the word order and
+indexing the blocks are written in; a change of that convention bumps the
+version, so every record written before it misses instead of being
+believed.  Writes are atomic (write to a temp file, then rename), giving
+single-writer / multi-reader safety.
+
+The complexes write ``diff/`` and ``rank/`` records only.  ``kernel/`` holds
+the vector records of ``put_vectors``, which nothing in the package writes
+any more.
 
 A matrix record (``diff/`` and ``kernel/``, ``.mtx``) is a header line
 ``affsymp-matrix <format version> <SHA-256 of the payload>`` followed by
@@ -27,6 +33,8 @@ from .exact_linalg import QVector, SparseMatrix
 
 MATRIX_TAG = "affsymp-matrix"
 MATRIX_FORMAT = 1
+# bump on any change of word order, indexing or block layout
+BASIS_CONVENTION = 1
 
 
 def _sha256(text: str) -> str:
@@ -34,7 +42,7 @@ def _sha256(text: str) -> str:
 
 
 def descriptor_key(*parts: object) -> str:
-    return _sha256("\x1f".join(str(p) for p in parts))
+    return _sha256("\x1f".join(str(p) for p in (f"basis-v{BASIS_CONVENTION}",) + parts))
 
 
 def _rank_record(matrix_fingerprint: str, value: int) -> str:

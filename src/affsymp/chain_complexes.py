@@ -12,41 +12,47 @@
   Lambda^(k+1), degree shifted by 1, with the restricted coefficient
   differential.
 
-Ranks come from the Cartan weight-0 block.  The basis elements h whose
-adjoint action (and module action) is diagonal grade every complex by the
-total weight of a word (``lie_structures.cartan_weights``), and every
-differential and projection preserves it.  By Cartan's formula
-theta_h = d iota_h + iota_h d every block of nonzero weight is acyclic in
-characteristic 0 (Hochschild-Serre 1953 for the Lie and coefficient
-complexes, Loday-Pirashvili 1993 for the Leibniz complex, and the kernel
-complexes by the long exact sequence of their surjective projections), so
+Every production path works on Cartan weight blocks; no full matrix is
+assembled.  The basis elements h whose adjoint action (and module action)
+is diagonal grade every complex by the total weight of a word
+(``lie_structures.cartan_weights``), and every differential and projection
+preserves it, so each weight block is a subcomplex and a direct summand.
+By Cartan's formula theta_h = d iota_h + iota_h d every block of nonzero
+weight is acyclic in characteristic 0 (Hochschild-Serre 1953 for the Lie
+and coefficient complexes, Loday-Pirashvili 1993 for the Leibniz complex,
+and the kernel complexes by the long exact sequence of their surjective
+projections).  Hence ranks come from the weight-0 block,
 
-    rank d_k = rank(d_k on weight 0) + sum_{j<k} (-1)^(k-1-j) (dim C_j - dim C_j^0).
+    rank d_k = rank(d_k on weight 0) + sum_{j<k} (-1)^(k-1-j) (dim C_j - dim C_j^0),
+
+full dimensions come in closed form, and the membership tests of
+``homology`` split a chain into its weight components and use only the
+blocks it touches (``ChainComplex.components``).
 
 ``ce_d``, ``leibniz_d``, ``coeff_d`` and the projection functions assemble
-the rows and columns of a given ``WordSet``; the full matrix is the one over
-all words.  They raise ``ConsistencyError`` when an image word leaves the
-set, so a bracket that breaks the grading is caught, not absorbed.  An
-algebra without a grading (``I_n``), or a complex built from explicit
-matrices, has a single block: the whole complex.
+the rows and columns of a given ``WordSet``, one total weight; the full
+matrix, over all words, is built only by tests, as an oracle.  They raise
+``ConsistencyError`` when an image word leaves the set, so a bracket that
+breaks the grading is caught, not absorbed.  An algebra without a grading
+(``I_n``), or a complex built from explicit matrices, has a single block:
+the whole complex.
 
 Degree caps are explicit.  d o d = 0 is verified at build time on every
-adjacent pair of weight-0 blocks, and on every adjacent pair of full
-differentials once both are built; full differentials are assembled only
-when ``d`` asks for one (cycles, membership tests) and are then kept.  A
-finished complex is shareable across threads; ranks are memoized per
-complex and optionally persisted in a ``DiffCache``, as are the matrices.
+adjacent pair of weight-0 blocks.  A finished complex is shareable across
+threads; blocks and ranks are memoized per complex and optionally
+persisted in a ``DiffCache``.
 
-The two kernel complexes (``KernelComplex``) hold the ambient differentials
-d_m and the projections pi_m rather than kernel bases.  Their ranks come
-from stacked blocks, as rank([d_m; pi_m]) minus rank pi_m (the rank of d_m
-restricted to ker pi_m) on weight 0 plus the off-block sum above, and their
-dimensions are cols(pi_m) minus rank pi_m.  The build-time checks are
-ambient d o d = 0 and the chain-map identity pi_(m-1) d_m = e_m pi_m with e
-the exterior differential, which together make the restriction a complex;
-both run on the blocks at build time and on the full matrices once built.
-Kernel bases and restricted differentials are built only when ``basis`` or
-``d`` asks for them (cycles, membership tests).
+The two kernel complexes (``KernelComplex``) hold the ambient
+differentials d_m and the projections pi_m, never kernel bases.  Their
+ranks come from stacked blocks, as rank([d_m; pi_m]) minus rank pi_m (the
+rank of d_m restricted to ker pi_m) on weight 0 plus the off-block sum
+above.  Every pi_m is onto, so dim ker pi_m = dim C_m - dim target_m in
+closed form; the elimination of each weight-0 projection checks that it is
+onto.  The build-time checks are ambient d o d = 0 and the chain-map
+identity pi_(m-1) d_m = e_m pi_m with e the exterior differential, which
+together make the restriction a complex.  Their chains are vectors of the
+ambient space: the cycles are ker [d_m; pi_m], and a cycle v is a boundary
+iff (v, 0) lies in the column span of [d_(m+1); pi_(m+1)].
 """
 
 from __future__ import annotations
@@ -64,13 +70,13 @@ from .exact_linalg import (
     Rational,
     SparseMatrix,
     check_entry_budget,
-    kernel_basis,
     multiply,
     rank,
     stack_rows,
 )
 from .lie_structures import LieAlgebra, LieModule, adjoint_module, cartan_weights
 from .words import (
+    Weight,
     WordSet,
     sort_with_sign,
     tensor_dim,
@@ -146,8 +152,9 @@ class ModuleWedgeBasis:
     def __len__(self) -> int:
         return self.dim
 
-    def index(self, m: int, word: tuple[int, ...]) -> int:
-        return m * self.wedge + wedge_index(word, self.algebra.dim)
+    def index(self, word: tuple[int, tuple[int, ...]]) -> int:
+        m, letters = word
+        return m * self.wedge + wedge_index(letters, self.algebra.dim)
 
     def word_at(self, index: int) -> tuple[int, tuple[int, ...]]:
         m, w = divmod(index, self.wedge)
@@ -157,23 +164,6 @@ class ModuleWedgeBasis:
         m, word = self.word_at(index)
         tail = " ^ ".join(f"({self.algebra.labels[i]})" for i in word) or "1"
         return f"m{m} (x) {tail}"
-
-
-class KernelBasis:
-    """Explicit kernel-subspace vectors in ambient coordinates."""
-
-    def __init__(self, vectors: list[QVector], ambient):
-        self.vectors = vectors
-        self.ambient = ambient
-        self.dim = len(vectors)
-        # reduced-echelon pivots: first entry of each vector
-        self.pivots = [v.entries[0][0] for v in vectors]
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def label(self, index: int) -> str:
-        return f"ker{index}"
 
 
 @dataclass(frozen=True)
@@ -200,15 +190,19 @@ class Chain:
 
 
 class _Graded:
-    """Matrices by degree: the Cartan weight-0 block and the full matrix,
-    each made once, on first use, by ``make(k, weight0)``.  An ungraded
-    family (explicit matrices, an algebra without a grading) has one matrix
-    per degree, which is both."""
+    """Matrices by degree and total weight, each made once, on first use, by
+    ``make(k, weight)``.  Degree k of the family has the words of ``kind``
+    and length k + ``shift`` in ``words`` as its columns.  An ungraded
+    family (explicit matrices, an algebra without a grading) has no
+    ``words`` and one matrix per degree, of weight ()."""
 
-    def __init__(self, make, graded: bool):
+    def __init__(self, make, words: WordSet | None = None, kind: str = "", shift: int = 0):
         self._make = make
-        self.graded = graded
-        self._made: dict[tuple[int, bool], SparseMatrix] = {}
+        self.words = words if words is not None and words.graded else None
+        self.kind = kind
+        self.shift = shift
+        self.zero = self.words.zero if self.words is not None else ()
+        self._made: dict[tuple[int, Weight], SparseMatrix] = {}
 
     @classmethod
     def of(cls, matrices) -> "_Graded":
@@ -216,38 +210,51 @@ class _Graded:
         if isinstance(matrices, cls):
             return matrices
         given = dict(matrices)
-        return cls(lambda k, weight0: given[k], graded=False)
+        return cls(lambda k, weight: given[k])
 
-    def block(self, k: int) -> SparseMatrix:
-        return self._get(k, self.graded)
+    @property
+    def graded(self) -> bool:
+        return self.words is not None
 
-    def full(self, k: int) -> SparseMatrix:
-        return self._get(k, False)
-
-    def built(self, k: int) -> bool:
-        """Whether the full matrix of degree k has been made."""
-        return (k, False) in self._made
-
-    def _get(self, k: int, weight0: bool) -> SparseMatrix:
-        got = self._made.get((k, weight0))
+    def block(self, k: int, weight: Weight | None = None) -> SparseMatrix:
+        """The degree-k matrix on the words of total ``weight`` (default 0)."""
+        key = (k, self.zero if weight is None else weight)
+        got = self._made.get(key)
         if got is None:
-            got = self._made[(k, weight0)] = self._make(k, weight0)
+            got = self._made[key] = self._make(*key)
         return got
+
+    def split(self, k: int, vector: QVector, basis) -> dict[Weight, QVector]:
+        """The nonzero weight components of a degree-k vector in ``basis``
+        coordinates, each in the positions of the words of its weight."""
+        if self.words is None:
+            return {} if vector.is_zero else {self.zero: vector}
+        terms: dict[Weight, dict] = {}
+        for i, v in vector.entries:
+            word = basis.word_at(i)
+            terms.setdefault(self.words.weight(self.kind, word), {})[word] = v
+        out = {}
+        for weight, by_word in terms.items():
+            position = self.words.at(weight).position(self.kind, k + self.shift)
+            out[weight] = QVector.from_dict(
+                len(position), {position[w]: v for w, v in by_word.items()}
+            )
+        return out
+
+    def lift(self, k: int, weight: Weight, vector: QVector, basis) -> QVector:
+        """Inverse of ``split`` on one component: ``basis`` coordinates of a
+        vector given in the positions of the words of ``weight``."""
+        if self.words is None:
+            return vector
+        words = getattr(self.words.at(weight), self.kind)(k + self.shift)
+        return QVector.from_dict(
+            len(basis), {basis.index(words[i]): v for i, v in vector.entries}
+        )
 
 
 def _check_zero_product(first: SparseMatrix, second: SparseMatrix, what: str) -> None:
     if multiply(first, second).nnz:
         raise ConsistencyError(what)
-
-
-def _check_full_neighbours(family: _Graded, k: int, cap: int, what: str) -> None:
-    """d_(j-1) o d_j = 0 for the pairs around degree k whose full matrices
-    are both built."""
-    for j in (k, k + 1):
-        if 2 <= j <= cap and family.built(j - 1) and family.built(j):
-            _check_zero_product(
-                family.full(j - 1), family.full(j), f"{what} d_{j - 1} o d_{j} != 0"
-            )
 
 
 class ChainComplex:
@@ -256,6 +263,8 @@ class ChainComplex:
     ``diffs`` is either a dict of explicit matrices by degree or the
     ``_Graded`` family of a builder.  ``dims`` and ``bases`` describe the
     full complex; ``block_dims`` the weight-0 block that ranks run on.
+    Chains are vectors in ``basis(k)``; ``components`` splits one by
+    weight for the membership tests of ``homology``.
     """
 
     def __init__(
@@ -309,33 +318,37 @@ class ChainComplex:
         self.check_degree(k)
         return self.dims[k]
 
-    def d(self, k: int) -> SparseMatrix:
-        """The full differential d_k, assembled on first request; d o d = 0
-        is then checked against each full neighbour already built."""
-        self.check_degree(k)
-        if k == 0:
-            raise DegreeRangeError("d_0 does not exist")
-        fresh = not self._diffs.built(k)
-        got = self._diffs.full(k)
-        if fresh:
-            if got.cols != self.dims[k] or got.rows != self.dims[k - 1]:
-                raise ConsistencyError(f"differential d_{k} has the wrong shape")
-            _check_full_neighbours(self._diffs, k, self.cap, f"{self.name}:")
-        return got
-
-    @property
-    def diffs(self) -> dict[int, SparseMatrix]:
-        """Every full differential, assembling those not built yet."""
-        return {k: self.d(k) for k in range(1, self.cap + 1)}
-
     def basis(self, k: int):
         self.check_degree(k)
         return self.bases[k]
 
-    def block(self, k: int) -> SparseMatrix:
-        """The matrix ``rank_d(k)`` eliminates: d_k on the weight-0 words."""
+    @property
+    def zero_weight(self) -> Weight:
+        """The total weight of the block that carries the homology."""
+        return self._diffs.zero
+
+    def block(self, k: int, weight: Weight | None = None) -> SparseMatrix:
+        """d_k on the words of total ``weight``; at the default, weight 0,
+        the matrix ``rank_d(k)`` eliminates."""
         self.check_degree(k)
-        return self._diffs.block(k)
+        if k == 0:
+            raise DegreeRangeError("d_0 does not exist")
+        return self._diffs.block(k, weight)
+
+    def cycle_block(self, k: int, weight: Weight) -> SparseMatrix | None:
+        """The matrix whose kernel is the degree-k cycles of total
+        ``weight``, or None when every chain of degree k is a cycle."""
+        return None if k == 0 else self.block(k, weight)
+
+    def components(self, chain: Chain) -> dict[Weight, QVector]:
+        """The nonzero weight components of a chain, each in the positions
+        of the words of its weight, which are those of ``block``."""
+        return self._diffs.split(chain.degree, chain.vector, self.basis(chain.degree))
+
+    def from_block(self, k: int, weight: Weight, vector: QVector) -> QVector:
+        """Full ``basis(k)`` coordinates of a vector given in the positions
+        of the degree-k words of ``weight``."""
+        return self._diffs.lift(k, weight, vector, self.basis(k))
 
     def rank_d(self, k: int) -> int:
         """rank d_k, memoized; rank d_0 is 0 by convention."""
@@ -676,32 +689,28 @@ def _cached_matrix(cache, kind, key_parts, builder):
     return built
 
 
-def _word_sets(algebra: LieAlgebra, module: LieModule | None = None) -> tuple[WordSet, WordSet]:
-    """(weight-0 words, all words) of the algebra, and of the module when
-    given; without a grading both are all words."""
-    letters, module_letters = cartan_weights(algebra, module)
-    everything = WordSet.all(algebra.dim, module.dim if module is not None else 0)
-    block = WordSet(letters, module_letters)
-    return (block if block.graded else everything), everything
+def _word_set(algebra: LieAlgebra, module: LieModule | None = None) -> WordSet:
+    """The words of the algebra, and of the module when given, graded by
+    their Cartan weights; without a grading, every word at weight ()."""
+    return WordSet(*cartan_weights(algebra, module))
 
 
-def _family(cache, key, assemble, words: tuple[WordSet, WordSet], shift: int = 0) -> _Graded:
-    """The matrices ``assemble(k + shift, word set)`` over the weight-0 words
-    and over all words.  With a key they go through the disk cache, the full
-    matrix under key + (degree,) and the block under key + (degree,
-    "weight-0", the letter weights), so a change of grading is a miss."""
-    block_words, all_words = words
-    grading = ("weight-0", block_words.letter_weights, block_words.module_weights)
+def _family(cache, key, assemble, words: WordSet, kind: str, shift: int = 0) -> _Graded:
+    """The blocks ``assemble(k + shift, words of one total weight)``, whose
+    columns are the words of ``kind``.  With a key they go through the disk
+    cache under key + (degree, "weight", the total, the letter weights), so
+    a change of grading is a miss."""
+    grading = (words.letter_weights, words.module_weights)
 
-    def make(k: int, weight0: bool) -> SparseMatrix:
+    def make(k: int, weight: Weight) -> SparseMatrix:
         degree = k + shift
-        chosen = block_words if weight0 else all_words
+        chosen = words.at(weight)
         if key is None:
             return assemble(degree, chosen)
-        parts = key + ((degree,) + grading if weight0 else (degree,))
+        parts = key + (degree, "weight", weight) + grading
         return _cached_matrix(cache, "diff", parts, lambda: assemble(degree, chosen))
 
-    return _Graded(make, graded=block_words.graded)
+    return _Graded(make, words, kind, shift)
 
 
 def ce_complex(
@@ -720,7 +729,7 @@ def ce_complex(
     bases = {k: WedgeBasis(algebra, k) for k in range(cap + 1)}
     diffs = _family(
         cache, ("lie", fp), lambda k, words: ce_d(algebra, k, entry_cap, words),
-        _word_sets(algebra),
+        _word_set(algebra), "wedge",
     )
     return ChainComplex("lie", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap)
 
@@ -745,7 +754,7 @@ def coeff_complex(
     bases = {k: ModuleWedgeBasis(module, k) for k in range(cap + 1)}
     diffs = _family(
         cache, ("coeff", fp, mfp), lambda k, words: coeff_d(module, k, entry_cap, words),
-        _word_sets(algebra, module),
+        _word_set(algebra, module), "module_wedge",
     )
     return ChainComplex("coeff", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap)
 
@@ -766,35 +775,11 @@ def leibniz_complex(
     bases = {k: TensorBasis(algebra, k) for k in range(cap + 1)}
     diffs = _family(
         cache, ("leibniz", fp), lambda k, words: leibniz_d(algebra, k, entry_cap, words),
-        _word_sets(algebra),
+        _word_set(algebra), "tensor",
     )
     return ChainComplex(
         "leibniz", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap
     )
-
-
-def _restrict_to_kernels(
-    full: SparseMatrix,
-    domain: KernelBasis,
-    codomain: KernelBasis,
-    what: str,
-) -> SparseMatrix:
-    """Express full @ domain-vectors in the codomain kernel basis; the
-    reduced-echelon pivots make coordinates direct reads.  Verifies the image
-    really lies in the codomain span."""
-    dom_matrix = SparseMatrix.from_columns(full.cols, domain.vectors)
-    image = multiply(full, dom_matrix)
-    pivot_row = {p: j for j, p in enumerate(codomain.pivots)}
-    entries: dict[tuple[int, int], Rational] = {}
-    for (r, c), v in image.entries.items():
-        j = pivot_row.get(r)
-        if j is not None:
-            entries[(j, c)] = v
-    restricted = SparseMatrix(codomain.dim, dom_matrix.cols, entries)
-    cod_matrix = SparseMatrix.from_columns(full.rows, codomain.vectors)
-    if multiply(cod_matrix, restricted) != image:
-        raise ConsistencyError(f"{what}: differential leaves the kernel subspace")
-    return restricted
 
 
 class KernelComplex(ChainComplex):
@@ -805,57 +790,54 @@ class KernelComplex(ChainComplex):
     ``targets`` (1 <= m <= cap) are explicit matrices by degree or the
     ``_Graded`` families of a builder, and must satisfy
     pi_(m-1) d_m = e_m pi_m for e_m the target; that identity, checked with
-    ambient d o d = 0, is what makes the restriction a complex.  Ranks come
-    from stacked weight-0 blocks and projection ranks alone; ``dims`` from
-    the full projections.  ``basis`` and ``d`` build the explicit kernel
-    basis (cached under ``kernel_key`` + degree) and the restricted matrix
-    on first request.
+    ambient d o d = 0, is what makes the restriction a complex.  ``dims``
+    are the kernel dimensions dim C_m - dim target_m, which holds because
+    every pi_m is onto; the weight-0 projections are eliminated and checked
+    to be onto.  Ranks come from stacked weight-0 blocks and projection
+    ranks alone.  ``bases`` are the ambient bases: a chain is an ambient
+    vector, a cycle lies in ker [d_m; pi_m] (ker pi_0 at degree 0).
     """
 
     def __init__(
         self,
         kind: str,
         name: str,
-        cap: int,
+        dims: list[int],
         ambient_d,
         projections,
         targets,
-        ambient_basis_at,
-        kernel_key: tuple,
+        bases: dict[int, object],
+        cap: int,
         cache: DiffCache | None = None,
         entry_cap: int | None = None,
     ):
         self.kind = kind
         self.name = name
+        self.dims = list(dims)
+        self.bases = dict(bases)
         self.cap = cap
         self.cache = cache
         self.entry_cap = entry_cap
-        self._ambient = _Graded.of(ambient_d)
+        self._diffs = _Graded.of(ambient_d)
         self._projection = _Graded.of(projections)
         self._target = _Graded.of(targets)
-        self.ambient_basis_at = ambient_basis_at
-        self.kernel_key = kernel_key
-        self._restricted: dict[int, SparseMatrix] = {}
-        self.bases: dict[int, KernelBasis] = {}
+        self._stacked: dict[tuple[int, Weight], SparseMatrix] = {}
         self._ranks: dict[int, int] = {}
         self._ranks_transposed: dict[int, int] = {}
-        self._projection_ranks: dict[tuple[int, bool, bool], int] = {}
+        self._projection_ranks: dict[tuple[int, bool], int] = {}
         for m in range(1, cap + 1):
-            self._check_shape(m, self._ambient.block, self._projection.block)
+            d, pi = self._diffs.block(m), self._projection
+            if d.cols != pi.block(m).cols or d.rows != pi.block(m - 1).cols:
+                raise ConsistencyError(f"ambient differential d_{m} has the wrong shape")
         self.verify_dd_zero()
-        self.block_dims = [
-            self._projection.block(m).cols - self._projection_rank(m, False, True)
-            for m in range(cap + 1)
-        ]
-        self.dims = [
-            self._projection.full(m).cols - self._projection_rank(m, False, False)
-            for m in range(cap + 1)
-        ]
-
-    def _check_shape(self, m: int, ambient, projection) -> None:
-        d = ambient(m)
-        if d.cols != projection(m).cols or d.rows != projection(m - 1).cols:
-            raise ConsistencyError(f"ambient differential d_{m} has the wrong shape")
+        self.block_dims = []
+        for m in range(cap + 1):
+            pi = self._projection.block(m)
+            if self._projection_rank(m, False) != pi.rows:
+                raise ConsistencyError(f"{name}: projection at degree {m} is not onto")
+            self.block_dims.append(pi.cols - pi.rows)
+        if not self._projection.graded and self.block_dims != self.dims:
+            raise ConsistencyError(f"{name}: dims {self.dims} are not those of the kernels")
 
     def verify_dd_zero(self) -> None:
         """Ambient d o d = 0 on every pair used, and the exact chain-map
@@ -863,39 +845,15 @@ class KernelComplex(ChainComplex):
         blocks."""
         for m in range(2, self.cap + 1):
             _check_zero_product(
-                self._ambient.block(m - 1), self._ambient.block(m),
+                self._diffs.block(m - 1), self._diffs.block(m),
                 f"{self.name}: ambient d_{m - 1} o d_{m} != 0",
             )
         for m in range(1, self.cap + 1):
-            self._check_chain_map(m, self._ambient.block, self._projection.block, self._target.block)
-
-    def _check_chain_map(self, m: int, ambient, projection, target) -> None:
-        lhs = multiply(projection(m - 1), ambient(m))
-        if lhs != multiply(target(m), projection(m)):
-            raise ConsistencyError(f"{self.name}: projection is not a chain map at degree {m}")
-
-    def _ambient_full(self, m: int) -> SparseMatrix:
-        """The full ambient d_m, assembled on first request and then checked
-        like the blocks against the full matrices already built."""
-        fresh = not self._ambient.built(m)
-        got = self._ambient.full(m)
-        if fresh:
-            self._check_shape(m, self._ambient.full, self._projection.full)
-            _check_full_neighbours(self._ambient, m, self.cap, f"{self.name}: ambient")
-            self._check_chain_map(m, self._ambient.full, self._projection.full, self._target.full)
-        return got
-
-    @property
-    def ambient_d(self) -> dict[int, SparseMatrix]:
-        return {m: self._ambient_full(m) for m in range(1, self.cap + 1)}
-
-    @property
-    def projections(self) -> dict[int, SparseMatrix]:
-        return {m: self._projection.full(m) for m in range(self.cap + 1)}
-
-    @property
-    def targets(self) -> dict[int, SparseMatrix]:
-        return {m: self._target.full(m) for m in range(1, self.cap + 1)}
+            lhs = multiply(self._projection.block(m - 1), self._diffs.block(m))
+            if lhs != multiply(self._target.block(m), self._projection.block(m)):
+                raise ConsistencyError(
+                    f"{self.name}: projection is not a chain map at degree {m}"
+                )
 
     def rank_d(self, k: int) -> int:
         """rank([d_k; pi_k]) - rank pi_k on weight 0, the rank of the
@@ -909,10 +867,23 @@ class KernelComplex(ChainComplex):
             self._ranks_transposed, k, lambda: self._restricted_rank(k, True)
         )
 
-    def block(self, k: int) -> SparseMatrix:
-        """The matrix ``rank_d(k)`` eliminates: [d_k; pi_k] on weight 0."""
+    def block(self, k: int, weight: Weight | None = None) -> SparseMatrix:
+        """[d_k; pi_k] on the words of total ``weight``; at the default,
+        weight 0, the matrix ``rank_d(k)`` eliminates.  A degree-(k-1)
+        cycle v is a boundary iff (v, 0) lies in its column span."""
         self.check_degree(k)
-        return stack_rows([self._ambient.block(k), self._projection.block(k)])
+        if k == 0:
+            raise DegreeRangeError("d_0 does not exist")
+        key = (k, self.zero_weight if weight is None else weight)
+        got = self._stacked.get(key)
+        if got is None:
+            got = self._stacked[key] = stack_rows(
+                [self._diffs.block(k, weight), self._projection.block(k, weight)]
+            )
+        return got
+
+    def cycle_block(self, k: int, weight: Weight) -> SparseMatrix:
+        return self._projection.block(0, weight) if k == 0 else self.block(k, weight)
 
     def _restricted_rank(self, k: int, transposed: bool) -> int:
         stacked = self.block(k)
@@ -920,56 +891,18 @@ class KernelComplex(ChainComplex):
             stacked = stacked.transpose()
         return (
             self._ranked(stacked)
-            - self._projection_rank(k, transposed, True)
+            - self._projection_rank(k, transposed)
             + self._off_block_rank(k)
         )
 
-    def _projection_rank(self, k: int, transposed: bool, block: bool) -> int:
-        key = (k, transposed, block and self._projection.graded)
-        got = self._projection_ranks.get(key)
+    def _projection_rank(self, k: int, transposed: bool) -> int:
+        """rank of the weight-0 pi_k, or of its transpose, eliminated once."""
+        got = self._projection_ranks.get((k, transposed))
         if got is None:
-            pi = self._projection.block(k) if key[2] else self._projection.full(k)
+            pi = self._projection.block(k)
             got = self._ranked(pi.transpose() if transposed else pi)
-            self._projection_ranks[key] = got
+            self._projection_ranks[(k, transposed)] = got
         return got
-
-    def basis(self, k: int) -> KernelBasis:
-        self.check_degree(k)
-        got = self.bases.get(k)
-        if got is None:
-            got = KernelBasis(self._kernel_vectors(k), self.ambient_basis_at(k))
-            if got.dim != self.dims[k]:
-                raise ConsistencyError(
-                    f"{self.name}: kernel basis at degree {k} has {got.dim} vectors, "
-                    f"rank bookkeeping gives {self.dims[k]}"
-                )
-            self.bases[k] = got
-        return got
-
-    def d(self, k: int) -> SparseMatrix:
-        self.check_degree(k)
-        if k == 0:
-            raise DegreeRangeError("d_0 does not exist")
-        got = self._restricted.get(k)
-        if got is None:
-            got = _restrict_to_kernels(
-                self._ambient_full(k), self.basis(k), self.basis(k - 1),
-                f"{self.name} degree {k}",
-            )
-            self._restricted[k] = got
-        return got
-
-    def _kernel_vectors(self, k: int) -> list[QVector]:
-        pi = self._projection.full(k)
-        if self.cache is None:
-            return kernel_basis(pi)
-        key = descriptor_key(*self.kernel_key, k)
-        hit = self.cache.get_vectors(key, pi.cols)
-        if hit is not None:
-            return hit
-        vecs = kernel_basis(pi)
-        self.cache.put_vectors(key, pi.cols, vecs)
-        return vecs
 
     def __repr__(self) -> str:
         return f"KernelComplex({self.name}, kind={self.kind}, cap={self.cap})"
@@ -987,24 +920,25 @@ def rel_complex(
     if cap < 0:
         raise DomainError("cap must be >= 0")
     fp = algebra.fingerprint()
-    words = _word_sets(algebra)
+    dim = algebra.dim
+    words = _word_set(algebra)
     return KernelComplex(
         "rel",
         name or f"rel[{fp[:8]}]",
-        cap,
+        [tensor_dim(dim, m + 2) - wedge_dim(dim, m + 2) for m in range(cap + 1)],
         ambient_d=_family(
             cache, ("leibniz", fp), lambda k, ws: leibniz_d(algebra, k, entry_cap, ws),
-            words, shift=2,
+            words, "tensor", shift=2,
         ),
         projections=_family(
             None, None, lambda k, ws: wedge_projection(algebra, k, entry_cap, ws),
-            words, shift=2,
+            words, "tensor", shift=2,
         ),
         targets=_family(
-            None, None, lambda k, ws: ce_d(algebra, k, entry_cap, ws), words, shift=2
+            None, None, lambda k, ws: ce_d(algebra, k, entry_cap, ws), words, "wedge", shift=2
         ),
-        ambient_basis_at=lambda m: TensorBasis(algebra, m + 2),
-        kernel_key=("rel-kernel", fp),
+        bases={m: TensorBasis(algebra, m + 2) for m in range(cap + 1)},
+        cap=cap,
         cache=cache,
         entry_cap=entry_cap,
     )
@@ -1023,26 +957,27 @@ def cr_complex(
     if cap < 0:
         raise DomainError("cap must be >= 0")
     fp = algebra.fingerprint()
+    dim = algebra.dim
     adj = adjoint_module(algebra, validate=False)
     mfp = adj.fingerprint()
-    words = _word_sets(algebra, adj)
+    words = _word_set(algebra, adj)
     return KernelComplex(
         "cr",
         name or f"cr[{fp[:8]}]",
-        cap,
+        [dim * wedge_dim(dim, m + 1) - wedge_dim(dim, m + 2) for m in range(cap + 1)],
         ambient_d=_family(
             cache, ("coeff", fp, mfp), lambda k, ws: coeff_d(adj, k, entry_cap, ws),
-            words, shift=1,
+            words, "module_wedge", shift=1,
         ),
         projections=_family(
             None, None, lambda k, ws: partial_wedge_projection(algebra, k, entry_cap, ws),
-            words, shift=1,
+            words, "module_wedge", shift=1,
         ),
         targets=_family(
-            None, None, lambda k, ws: ce_d(algebra, k, entry_cap, ws), words, shift=2
+            None, None, lambda k, ws: ce_d(algebra, k, entry_cap, ws), words, "wedge", shift=2
         ),
-        ambient_basis_at=lambda m: ModuleWedgeBasis(adj, m + 1),
-        kernel_key=("cr-kernel", fp),
+        bases={m: ModuleWedgeBasis(adj, m + 1) for m in range(cap + 1)},
+        cap=cap,
         cache=cache,
         entry_cap=entry_cap,
     )

@@ -4,6 +4,15 @@ chain complex; cohomology dimensions via independently eliminated transposes.
 Over a field, b_k = dim C_k - rank d_k - rank d_(k+1).  At the cap degree
 d_(cap+1) is not available, so the reported value is only an upper bound and
 is flagged as inexact.
+
+Everything here runs on Cartan weight blocks, never on a full matrix.  Each
+block is a direct summand of the complex and every block of nonzero weight
+is acyclic (see ``chain_complexes``), so a chain is a cycle iff each of its
+weight components is, its weight-0 component is a boundary iff it is one in
+the weight-0 block, and a component of nonzero weight is a boundary iff it
+is a cycle.  Representatives are weight-0 cycles, mapped back to full
+indices through their words; both orders are lexicographic.  Chains of the
+kernel complexes are vectors of the ambient space.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from dataclasses import dataclass, field
 from .chain_complexes import Chain, ChainComplex
 from .errors import DegreeRangeError, DomainError, ShapeError
 from .exact_linalg import (
+    LinearSolver,
     QVector,
     QZERO,
     Rational,
@@ -49,57 +59,86 @@ def cobetti(complex_: ChainComplex, k: int) -> int:
     return kernel_dim - complex_.rank_d_transposed(k + 1)
 
 
-def is_cycle(complex_: ChainComplex, chain: Chain) -> bool:
-    """True iff d(chain) = 0; every degree-0 or degree-1 chain is a cycle."""
+def _components(complex_: ChainComplex, chain: Chain) -> dict:
     complex_.check_degree(chain.degree)
-    if chain.vector.length != complex_.dim(chain.degree):
+    if chain.vector.length != len(complex_.basis(chain.degree)):
         raise ShapeError("chain length does not match the degree dimension")
-    if chain.degree == 0:
-        return True
-    return complex_.d(chain.degree).apply(chain.vector).is_zero
+    return complex_.components(chain)
+
+
+def _block_cycle(complex_: ChainComplex, k: int, weight, part: QVector) -> bool:
+    cycles = complex_.cycle_block(k, weight)
+    return cycles is None or cycles.apply(part).is_zero
+
+
+def _padded(part: QVector | None, length: int) -> QVector:
+    """A block vector as (part, 0): the rows below it are those of the
+    projection stacked under a kernel complex's differential."""
+    return QVector.from_dict(length, part.to_dict() if part is not None else {})
+
+
+def is_cycle(complex_: ChainComplex, chain: Chain) -> bool:
+    """True iff every weight component of the chain is a cycle in its
+    block: d(chain) = 0, and for a kernel complex also pi(chain) = 0.  Every
+    degree-0 chain of the other complexes is a cycle."""
+    k = chain.degree
+    return all(
+        _block_cycle(complex_, k, weight, part)
+        for weight, part in _components(complex_, chain).items()
+    )
 
 
 def is_boundary(complex_: ChainComplex, chain: Chain) -> bool:
-    """True iff the chain lies in the image of d_(degree+1), decided by an
-    exact rank comparison of the bordered matrix."""
-    if chain.degree + 1 > complex_.cap:
-        raise DegreeRangeError(
-            f"boundary test at degree {chain.degree} needs d_{chain.degree + 1}"
-        )
-    if chain.vector.length != complex_.dim(chain.degree):
-        raise ShapeError("chain length does not match the degree dimension")
-    return is_in_column_span(complex_.d(chain.degree + 1), chain.vector)
+    """True iff the chain lies in the image of d_(degree+1).  The weight-0
+    component is tested by an exact rank comparison of the bordered weight-0
+    block; a component of nonzero weight lies in an acyclic block, so it is
+    a boundary iff it is a cycle."""
+    k = chain.degree
+    if k + 1 > complex_.cap:
+        raise DegreeRangeError(f"boundary test at degree {k} needs d_{k + 1}")
+    zero = complex_.zero_weight
+    for weight, part in _components(complex_, chain).items():
+        if weight == zero:
+            bounding = complex_.block(k + 1)
+            bounded = is_in_column_span(bounding, _padded(part, bounding.rows))
+        else:
+            bounded = _block_cycle(complex_, k, weight, part)
+        if not bounded:
+            return False
+    return True
 
 
 def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
     """b_k cycles, pairwise independent modulo boundaries, each normalized so
-    its first nonzero coordinate is +1.  Deterministic: kernel vectors are
-    taken in canonical order and kept greedily when they enlarge the span of
-    the boundary columns."""
+    its first nonzero coordinate is +1.  The homology lies in the weight-0
+    block, so they are found there, deterministically: kernel vectors of
+    the block taken in canonical order and kept greedily when they enlarge
+    the span of its boundary columns.  At the cap there is no d_(k+1) to
+    tell cycles from boundaries, so that degree raises."""
     complex_.check_degree(k)
+    if k == complex_.cap:
+        raise DegreeRangeError(
+            f"representatives at degree {k} need d_{k + 1}, beyond the cap of {complex_.name}"
+        )
     target = betti(complex_, k)
     if target == 0:
         return []
-    if k == 0:
-        cycles = [QVector.unit(complex_.dim(0), i) for i in range(complex_.dim(0))]
+    zero = complex_.zero_weight
+    bounding = complex_.block(k + 1)
+    cycle_block = complex_.cycle_block(k, zero)
+    if cycle_block is None:
+        cycles = [QVector.unit(bounding.rows, i) for i in range(bounding.rows)]
     else:
-        cycles = kernel_basis(complex_.d(k))
-    boundary_rows: list[dict[int, Rational]] = []
-    if k < complex_.cap:
-        d_next = complex_.d(k + 1)
-        boundary_rows = [
-            dict(col)
-            for col in _columns_of(d_next)
-            if col
-        ]
+        cycles = kernel_basis(cycle_block)
     reducer: dict[int, dict[int, Rational]] = {}
-    for row in boundary_rows:
-        _reduce_into(reducer, row)
+    for col in _columns_of(bounding):
+        if col:
+            _reduce_into(reducer, col)
     reps: list[Chain] = []
     for vec in cycles:
         residue = _reduce_into(reducer, vec.to_dict())
         if residue:
-            reps.append(Chain(k, vec.normalized()))
+            reps.append(Chain(k, complex_.from_block(k, zero, vec).normalized()))
             if len(reps) == target:
                 break
     if len(reps) != target:
@@ -143,17 +182,28 @@ def class_coordinates(
     complex_: ChainComplex, chain: Chain, reps: list[Chain]
 ) -> list[Rational] | None:
     """Coordinates of the chain's homology class against representative
-    cycles, or None when the chain is not in their span modulo boundaries."""
+    cycles, or None when the chain is not in their span modulo boundaries.
+    Components of nonzero weight are boundaries when they are cycles, so
+    only the weight-0 components of the chain and of the representatives
+    enter the solve; a representative that is not a cycle raises."""
     k = chain.degree
     if k + 1 > complex_.cap:
         raise DegreeRangeError("class reduction needs the next differential")
-    d_next = complex_.d(k + 1)
-    columns = [QVector.from_dict(complex_.dim(k), c) for c in _columns_of(d_next) if c]
-    basis = columns + [r.vector for r in reps]
-    stacked = SparseMatrix.from_columns(complex_.dim(k), basis)
-    from .exact_linalg import LinearSolver
-
-    solution = LinearSolver(stacked).solve(chain.vector)
+    zero = complex_.zero_weight
+    parts = _components(complex_, chain)
+    if any(rep.degree != k or not is_cycle(complex_, rep) for rep in reps):
+        raise DomainError(f"representatives must be cycles of degree {k}")
+    if any(
+        weight != zero and not _block_cycle(complex_, k, weight, part)
+        for weight, part in parts.items()
+    ):
+        return None
+    bounding = complex_.block(k + 1)
+    rows = bounding.rows
+    columns = [QVector.from_dict(rows, c) for c in _columns_of(bounding) if c]
+    basis = columns + [_padded(complex_.components(r).get(zero), rows) for r in reps]
+    stacked = SparseMatrix.from_columns(rows, basis)
+    solution = LinearSolver(stacked).solve(_padded(parts.get(zero), rows))
     if solution is None:
         return None
     coords = [QZERO] * len(reps)

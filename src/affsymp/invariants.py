@@ -249,10 +249,14 @@ class InvariantTable:
 
 def standard_modules(
     n: int,
+    sp: LieAlgebra | None = None,
+    g: tuple[LieAlgebra, SubalgebraDecomposition] | None = None,
 ) -> tuple[LieAlgebra, LieModule, LieModule, LieModule, SubalgebraDecomposition]:
-    """(sp, constants-as-sp-module, sp-adjoint, affine-as-sp-module, split)."""
-    sp = build_sp(n)
-    g, split = build_g(n)
+    """(sp, constants-as-sp-module, sp-adjoint, affine-as-sp-module, split),
+    over the given ``sp = build_sp(n)`` and ``g = build_g(n)`` or fresh
+    ones."""
+    sp = build_sp(n) if sp is None else sp
+    g, split = build_g(n) if g is None else g
     g_over_sp = restriction_module(adjoint_module(g, validate=False), split.quotient_indices)
     ideal_over_sp = submodule(g_over_sp, split.ideal_indices)
     sp_adjoint = adjoint_module(sp)
@@ -271,15 +275,16 @@ def predicted_ideal_tensor_invariant_dim(n: int, k: int) -> int:
     return 1 if k % 2 == 1 and (k + 1) // 2 <= n else 0
 
 
-def invariant_dimension_report(n: int, k_max: int) -> InvariantTable:
+def invariant_dimension_report(n: int, k_max: int, modules=None) -> InvariantTable:
     """For each k <= k_max, computed vs predicted dimensions of the three
     invariant spaces over sp, plus the module split consistency
-    dim (affine (x) L)^sp = dim (constants (x) L)^sp + dim (sp (x) L)^sp."""
+    dim (affine (x) L)^sp = dim (constants (x) L)^sp + dim (sp (x) L)^sp.
+    ``modules`` is ``standard_modules(n)``, built here when not given."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
-    sp, ideal_mod, sp_adjoint, g_mod, _ = standard_modules(n)
+    sp, ideal_mod, sp_adjoint, g_mod, _ = standard_modules(n) if modules is None else modules
     table = InvariantTable(n=n, k_max=k_max)
     for k in range(k_max + 1):
         lam = exterior_power_module(ideal_mod, k, validate=False)

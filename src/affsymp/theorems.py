@@ -40,6 +40,7 @@ from .homology import (
     is_cycle,
 )
 from .invariants import (
+    InvariantTable,
     invariant_dimension_report,
     omega_tilde,
     standard_modules,
@@ -163,7 +164,8 @@ class VerificationReport:
 
 
 class VerificationContext:
-    """Memoizes algebras and complexes across claims; one disk cache."""
+    """Memoizes algebras, modules, invariant tables and complexes across
+    claims; one disk cache."""
 
     def __init__(self, cache: DiffCache | None = None, entry_cap: int | None = None):
         self.cache = cache
@@ -291,7 +293,14 @@ class VerificationContext:
     def _standard(self, n: int):
         key = ("standard", n)
         if key not in self._complexes:
-            self._complexes[key] = standard_modules(n)
+            self._complexes[key] = standard_modules(n, self.sp(n), self.g(n))
+        return self._complexes[key]
+
+    def invariant_table(self, n: int, k_max: int) -> InvariantTable:
+        """``invariant_dimension_report(n, k_max)`` over the shared modules."""
+        key = ("invariants", n, k_max)
+        if key not in self._complexes:
+            self._complexes[key] = invariant_dimension_report(n, k_max, self._standard(n))
         return self._complexes[key]
 
 
@@ -421,7 +430,7 @@ def verify_coefficient_split(
         k_cap = 2 * n
     report = VerificationReport("e2-page", {"n": n, "m_cap": m_cap, "k_cap": k_cap})
     sp_h = predict_sp_homology(n)
-    table = invariant_dimension_report(n, k_cap)
+    table = ctx.invariant_table(n, k_cap)
     for k in range(k_cap + 1):
         inv_dim = table.rows[k].wedge_computed
         complex_ = ctx.coeff_wedge_ideal(n, k, m_cap + 1)
@@ -442,7 +451,7 @@ def verify_invariant_tables(
     if k_max is None:
         k_max = 2 * n
     report = VerificationReport("appendix", {"n": n, "k_max": k_max})
-    table = invariant_dimension_report(n, k_max)
+    table = ctx.invariant_table(n, k_max)
     for row in table.rows:
         report.add("wedge", row.k, row.wedge_predicted, row.wedge_computed)
         report.add("wedge-spanned-by-power", row.k, 1, int(row.wedge_spanned_by_power))

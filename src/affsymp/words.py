@@ -4,11 +4,12 @@ Wedge words are strictly increasing index tuples in lexicographic order;
 tensor words are arbitrary tuples in lexicographic order.  Ranking and
 unranking are exact integer computations so bases never need materializing.
 
-``WordSet`` enumerates the words of total weight zero when every letter
-carries a weight vector: a depth-first search that extends a prefix only
-when the remaining letters can still bring the total to zero, so it never
-visits, let alone filters, the full list.  With weight vectors of length 0
-every word qualifies, and ``WordSet.all`` is the full basis.
+``WordSet`` enumerates the words of one total weight (zero unless another
+is asked for) when every letter carries a weight vector: a depth-first
+search that extends a prefix only when the remaining letters can still
+bring the sum to that total, so it never visits, let alone filters, the
+full list.  With weight vectors of length 0 every word qualifies, and
+``WordSet.all`` is the full basis.
 """
 
 from __future__ import annotations
@@ -133,19 +134,24 @@ def _minus(a: Weight, b: Weight) -> Weight:
 
 
 class WordSet:
-    """The words of total weight zero over weighted letters, by degree.
+    """The words of total weight ``total`` (default zero) over weighted
+    letters, by degree.
 
     ``letter_weights[i]`` is the weight vector of algebra letter i and
     ``module_weights[m]`` that of module letter m, all of one length.
     ``tensor(k)`` and ``wedge(k)`` are words of k algebra letters,
-    ``module_wedge(k)`` pairs (m, wedge word) whose weights sum to zero, all
-    in lexicographic order (module letter major), so over ``WordSet.all``
-    their positions are the usual tensor, wedge and module-wedge indices.
+    ``module_wedge(k)`` pairs (m, wedge word), whose weights sum to
+    ``total``, all in lexicographic order (module letter major), so over
+    ``WordSet.all`` their positions are the usual tensor, wedge and
+    module-wedge indices.  ``at`` gives the same letters at another total.
     Lists and position maps are memoized.
     """
 
     def __init__(
-        self, letter_weights: Sequence[Weight], module_weights: Sequence[Weight] = ()
+        self,
+        letter_weights: Sequence[Weight],
+        module_weights: Sequence[Weight] = (),
+        total: Weight | None = None,
     ):
         self.letter_weights = [tuple(w) for w in letter_weights]
         self.module_weights = [tuple(w) for w in module_weights]
@@ -153,10 +159,14 @@ class WordSet:
         if len(widths) > 1:
             raise ValueError("weight vectors of different lengths")
         self.width = widths.pop() if widths else 0
-        self._zero = (0,) * self.width
+        self.zero = (0,) * self.width
+        self.total = self.zero if total is None else tuple(total)
+        if len(self.total) != self.width:
+            raise ValueError("total weight of the wrong length")
         self._lists: dict[tuple[str, int], list] = {}
         self._positions: dict[tuple[str, int], dict] = {}
         self._reach: dict[tuple[bool, int], dict] = {}
+        self._totals: dict[Weight, WordSet] = {self.total: self}
 
     @classmethod
     def all(cls, dim: int, module_dim: int = 0) -> "WordSet":
@@ -168,17 +178,39 @@ class WordSet:
         """False when every word has weight zero, so this is every word."""
         return self.width > 0
 
+    def at(self, total: Weight) -> "WordSet":
+        """The same letters at total weight ``total``, memoized; the sets of
+        one family share their reachability tables."""
+        got = self._totals.get(total)
+        if got is None:
+            got = WordSet(self.letter_weights, self.module_weights, total)
+            got._reach = self._reach
+            got._totals = self._totals
+            self._totals[got.total] = got
+        return got
+
+    def weight(self, kind: str, word) -> Weight:
+        """The total weight of a word of ``kind`` ("tensor", "wedge" or
+        "module_wedge")."""
+        total = self.zero
+        if kind == "module_wedge":
+            m, word = word
+            total = self.module_weights[m]
+        for a in word:
+            total = _plus(total, self.letter_weights[a])
+        return total
+
     def tensor(self, k: int) -> list[tuple[int, ...]]:
-        return self._memo("tensor", k, lambda: self._search(k, False, self._zero))
+        return self._memo("tensor", k, lambda: self._search(k, False, self.total))
 
     def wedge(self, k: int) -> list[tuple[int, ...]]:
-        return self._memo("wedge", k, lambda: self._search(k, True, self._zero))
+        return self._memo("wedge", k, lambda: self._search(k, True, self.total))
 
     def module_wedge(self, k: int) -> list[tuple[int, tuple[int, ...]]]:
         def build():
             out = []
             for m, weight in enumerate(self.module_weights):
-                need = _minus(self._zero, weight)
+                need = _minus(self.total, weight)
                 out.extend((m, w) for w in self._search(k, True, need))
             return out
 
@@ -210,16 +242,16 @@ class WordSet:
         table = {}
         if strict:
             for j in range(k + 1):
-                table[(n, j)] = {self._zero} if j == 0 else set()
+                table[(n, j)] = {self.zero} if j == 0 else set()
             for i in range(n - 1, -1, -1):
-                table[(i, 0)] = {self._zero}
+                table[(i, 0)] = {self.zero}
                 for j in range(1, k + 1):
                     table[(i, j)] = table[(i + 1, j)] | {
                         _plus(weights[i], s) for s in table[(i + 1, j - 1)]
                     }
         else:
             distinct = set(weights)
-            table[(0, 0)] = {self._zero}
+            table[(0, 0)] = {self.zero}
             for j in range(1, k + 1):
                 table[(0, j)] = {_plus(w, s) for w in distinct for s in table[(0, j - 1)]}
         self._reach[(strict, k)] = table

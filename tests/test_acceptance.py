@@ -29,6 +29,7 @@ from affsymp.lie_structures import adjoint_module, build_g, build_I, build_sp
 from affsymp.theorems import predict_sp_homology
 
 from dense_oracle import dense_rank, to_dense
+from full_oracle import full_d, full_diffs
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -105,7 +106,7 @@ def test_criterion_04_affine_adjoint_coefficients(ctx):
     complex_ = ctx.adjoint("g", 1, 5)
     got = betti_list(complex_, 4)
     expected = [0, 1, 0, 0, 1]
-    ranks = [0] + [dense_rank(to_dense(complex_.d(k))) for k in range(1, 6)]
+    ranks = [0] + [dense_rank(to_dense(full_d(complex_, k))) for k in range(1, 6)]
     dense = [complex_.dim(k) - ranks[k] - ranks[k + 1] for k in range(5)]
     ok = got == expected and dense == expected
     report(
@@ -204,20 +205,21 @@ def test_criterion_11_property_suites(ctx, g1):
     # d o d = 0 on every complex built here (constructors verify; re-check two)
     lie = ctx.ce("g", 1, 6)
     leib = ctx.leibniz("g", 1, 6)
+    lie_d, leib_d = full_diffs(lie), full_diffs(leib)
     checks["dd-zero"] = all(
-        multiply(lie.d(k - 1), lie.d(k)).nnz == 0 for k in range(2, 7)
-    ) and all(multiply(leib.d(k - 1), leib.d(k)).nnz == 0 for k in range(2, 7))
+        multiply(lie_d[k - 1], lie_d[k]).nnz == 0 for k in range(2, 7)
+    ) and all(multiply(leib_d[k - 1], leib_d[k]).nnz == 0 for k in range(2, 7))
 
     # projection chain maps through degree 4
     adjoint = ctx.adjoint("g", 1, 5)
     cm = True
     for k in range(2, 5):
-        cm = cm and multiply(wedge_projection(algebra, k - 1), leib.d(k)) == multiply(
-            lie.d(k), wedge_projection(algebra, k)
+        cm = cm and multiply(wedge_projection(algebra, k - 1), leib_d[k]) == multiply(
+            lie_d[k], wedge_projection(algebra, k)
         )
     for k in range(1, 4):
-        cm = cm and multiply(lie.d(k + 1), partial_wedge_projection(algebra, k)) == multiply(
-            partial_wedge_projection(algebra, k - 1), adjoint.d(k)
+        cm = cm and multiply(lie_d[k + 1], partial_wedge_projection(algebra, k)) == multiply(
+            partial_wedge_projection(algebra, k - 1), full_d(adjoint, k)
         )
     for k in range(1, 4):
         cm = cm and multiply(

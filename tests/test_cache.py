@@ -40,6 +40,34 @@ def test_descriptor_key_sensitivity():
     assert descriptor_key("a", 1) == descriptor_key("a", 1)
 
 
+def test_basis_convention_bump_misses(tmp_path, monkeypatch):
+    import affsymp.cache as cache_module
+    from affsymp.chain_complexes import ce_complex
+    from affsymp.lie_structures import build_sp
+
+    sp = build_sp(1)
+    cache = DiffCache(tmp_path)
+    ce_complex(sp, 3, cache=cache)
+    written = cache.stats()["diff"]["files"]
+    assert written > 0
+    lookups = []
+    get_matrix = DiffCache.get_matrix
+
+    def counted(self, kind, key):
+        got = get_matrix(self, kind, key)
+        lookups.append(got is not None)
+        return got
+
+    monkeypatch.setattr(DiffCache, "get_matrix", counted)
+    ce_complex(sp, 3, cache=cache)
+    assert lookups and all(lookups)
+    monkeypatch.setattr(cache_module, "BASIS_CONVENTION", cache_module.BASIS_CONVENTION + 1)
+    lookups.clear()
+    ce_complex(sp, 3, cache=cache)
+    assert lookups and not any(lookups)
+    assert cache.stats()["diff"]["files"] == 2 * written
+
+
 def test_stats_and_clear(tmp_path):
     cache = DiffCache(tmp_path)
     cache.put_rank("abc", 5)
@@ -132,7 +160,7 @@ def test_malformed_vector_records_miss(tmp_path):
         assert cache.get_vectors(key, 3) is None, repr(text)
 
 
-# the relative complex with cycles writes all three record kinds
+# the relative complex with cycles writes both record kinds the complexes write
 _HOMOLOGY = [
     "homology", "--family", "g", "--n", "1", "--theory", "rel", "--max-degree", "1",
     "--emit-cycles", "--format", "json", "--cache-dir",
@@ -160,7 +188,7 @@ def filled_cache(tmp_path_factory):
     code, out, err = _homology(path)
     assert (code, err) == (0, "")
     records = _records(path)
-    assert {name.split("/")[0] for name in records} == {"diff", "kernel", "rank"}
+    assert {name.split("/")[0] for name in records} == {"diff", "rank"}
     return out, records
 
 

@@ -135,3 +135,31 @@ class TestParams:
         assert payload["passed"] is True
         assert "wall_time_seconds" not in payload
         assert "wall_time_seconds" in report.to_json_dict(include_timing=True)
+
+
+class TestSharedBuilds:
+    def test_run_all_builds_each_algebra_once(self, monkeypatch):
+        import affsymp.invariants as invariants
+        import affsymp.lie_structures as lie_structures
+        import affsymp.theorems as theorems
+        from affsymp.theorems import VerificationContext
+
+        calls = {"build_g": 0, "build_sp": 0}
+
+        def counted(name):
+            original = getattr(lie_structures, name)
+
+            def build(n):
+                calls[name] += 1
+                return original(n)
+
+            return build
+
+        for name in calls:
+            wrapper = counted(name)
+            for module in (lie_structures, invariants, theorems):
+                monkeypatch.setattr(module, name, wrapper)
+        reports = run_all(VerificationContext(), 2)
+        assert all(r.passed for r in reports)
+        # build_g checks its quotient against a build_sp of its own
+        assert calls == {"build_g": 1, "build_sp": 2}

@@ -159,6 +159,7 @@ def _module_for(spec: str, family: str, n: int, algebra):
 
 
 def _cmd_algebra_info(args) -> int:
+    _resolve_cap(args)  # checked as elsewhere; the algebras build under the default cap
     algebra, split = _algebra_for(args.family, args.n)
     payload = {
         "report": "algebra",
@@ -226,7 +227,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    table = invariant_dimension_report(args.n, args.k_max)
+    entry_cap = _resolve_cap(args)
+    table = invariant_dimension_report(args.n, args.k_max, entry_cap=entry_cap)
     if args.format == "json":
         print(table.to_json())
     elif args.format == "csv":
@@ -241,6 +243,8 @@ def _cmd_verify(args) -> int:
     entry_cap = _resolve_cap(args)
     ctx = VerificationContext(cache=cache, entry_cap=entry_cap)
     if args.claim == "all":
+        if args.cap is not None:
+            raise DomainError("--cap applies to a single claim, not to 'all'")
         reports = run_all(ctx, args.n)
         if not reports:
             raise DomainError(f"no claims configured for n={args.n}")

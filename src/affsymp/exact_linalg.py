@@ -1,18 +1,22 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (differentials, invariant subspaces, Betti numbers)
-reduces to the four operations in this module: ``rank``, ``kernel_basis``,
-``multiply`` and ``stack_rows``, all computed in exact rational arithmetic.
+Everything downstream (differentials, invariant subspaces, Betti numbers,
+representative cycles) reduces to ``rank``, ``kernel_basis``,
+``independent_columns``, ``LinearSolver``, ``multiply`` and ``stack_rows``,
+all computed in exact rational arithmetic.
 
 Scalars at the API are ``fractions.Fraction``, kept reduced with positive
 denominator, so equality is exact and serialization is canonical.  Inside,
-``rank`` and ``multiply`` compute on Python ``int``s: a matrix is split as
-an integer matrix and diagonal denominators (rows scaled by the lcm of their
-denominators for ``rank`` and for the left factor of a product, columns for
-the right factor), so rationals appear only where values enter and leave.
-``rank`` eliminates fraction-free (Bareiss 1968; Dumas, Saunders and
-Villard 2001 for the sparse integer case), removing a row's content gcd
-after a scaled update.
+everything computes on Python ``int``s: a matrix is split as an integer
+matrix and diagonal denominators (rows scaled by the lcm of their
+denominators for an elimination and for the left factor of a product,
+columns for the right factor), so rationals appear only where values enter
+and leave.  There is one elimination loop, ``_eliminate``: fraction-free
+(Bareiss 1968; Dumas, Saunders and Villard 2001 for the sparse integer
+case), removing a row's content gcd after a scaled update.  ``rank`` runs
+it with Markowitz pivots; kernels, solves and independent columns run it
+leftmost column first with Gauss-Jordan clearing, which yields the unique
+reduced echelon form.
 
 Every matrix is held to a nonzero-entry budget (``check_entry_budget``):
 inputs, stacks and products when they are formed, and the live entries of
@@ -335,13 +339,6 @@ class SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_row_dicts(m: SparseMatrix) -> dict[int, dict[int, Rational]]:
-    rows: dict[int, dict[int, Rational]] = {}
-    for r, c, v in m.iter_entries():
-        rows.setdefault(r, {})[c] = v
-    return rows
-
-
 def _integer_lines(
     m: SparseMatrix, by: int, scale: int
 ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
@@ -369,18 +366,33 @@ def _integer_lines(
     return lines, dens
 
 
-def _rank_of_rows(rows: dict[int, dict[int, int]], cap: int | None = None) -> int:
-    """Fraction-free integer Gaussian elimination with sparsity-driven
-    pivoting; consumes ``rows``.
+def _eliminate(
+    rows: dict[int, dict[int, int]],
+    cap: int | None = None,
+    leftmost: bool = False,
+    reduce: bool = False,
+) -> dict[int, int]:
+    """Fraction-free integer Gaussian elimination; consumes ``rows``.
+    Returns {pivot column: pivot row} in pivot order; its size is the rank.
 
-    Pivot choice is Markowitz-style: the column with fewest active entries is
-    eliminated first (ties to the lowest column index), using the row with the
-    fewest entries (ties to the lowest row index).  Columns with a single
-    entry retire a row with no arithmetic at all, which removes most of the
-    work on differential matrices.  The rule is deterministic, so the result
-    never depends on entry insertion order.
+    The pivot rule is the caller's:
 
-    A target row with entry a under the pivot p becomes
+    * Markowitz (the default): the column with fewest active entries is
+      eliminated first (ties to the lowest column index).  Columns with a
+      single entry retire a row with no arithmetic at all, which removes
+      most of the work on differential matrices.
+    * ``leftmost``: the lowest column first.  The pivot columns are then
+      those outside the span of the columns before them.
+
+    Pivot rows are dropped as they retire.  With ``reduce`` (leftmost only)
+    they are kept in ``rows`` instead, and each pivot column is cleared from
+    the earlier pivot rows as well (Gauss-Jordan): the rows left are the
+    unique reduced echelon form of the row space, each up to a nonzero
+    factor.
+
+    Either way the pivot row is the one with the fewest entries (ties to
+    the lowest row index), so the result never depends on entry insertion
+    order.  A target row with entry a under the pivot p becomes
     (p/g) row - (a/g) pivot_row with g = gcd(a, p), which keeps it integral
     and its support exactly that of the rational update; when p/g is not 1
     the row is divided by the gcd of its entries.  The live entry count is
@@ -396,33 +408,48 @@ def _rank_of_rows(rows: dict[int, dict[int, int]], cap: int | None = None) -> in
                 col_rows[c] = {r}
             else:
                 s.add(r)
-    # heap keys count * width + c order columns by (count, c)
+    # heap keys count * weight + c order columns by (count, c) for
+    # Markowitz, by c alone when the weight is 0
     width = max(col_rows, default=0) + 1
-    heap = [len(rs) * width + c for c, rs in col_rows.items()]
+    weight = 0 if leftmost else width
+    heap = [len(rs) * weight + c for c, rs in col_rows.items()]
     heapq.heapify(heap)
     push = heapq.heappush
-    rank = 0
+    pivots: dict[int, int] = {}
+    kept: set[int] = set()  # the pivot rows, with reduce
     while heap:
         count, c = divmod(heapq.heappop(heap), width)
         pivot_col = col_rows.get(c)
         if not pivot_col:
             col_rows.pop(c, None)
             continue
-        if len(pivot_col) != count:
-            push(heap, len(pivot_col) * width + c)  # stale entry, reinsert
+        if weight and len(pivot_col) != count:
+            push(heap, len(pivot_col) * weight + c)  # stale entry, reinsert
             continue
-        pivot_row = min(pivot_col, key=lambda r: (len(rows[r]), r))
-        prow = rows.pop(pivot_row)
-        live -= len(prow)
-        rank += 1
-        for cc in prow:
-            s = col_rows.get(cc)
-            if s is not None:
-                s.discard(pivot_row)
-                if not s:
-                    del col_rows[cc]
-        p = prow.pop(c)
-        pivot_items = list(prow.items())
+        if reduce:
+            # kept rows hold c beyond their pivots; the active ones start at c
+            active = [r for r in pivot_col if r not in kept]
+            if not active:
+                del col_rows[c]  # a free column
+                continue
+            pivot_row = min(active, key=lambda r: (len(rows[r]), r))
+            kept.add(pivot_row)
+            prow = rows[pivot_row]
+            p = prow[c]
+            pivot_items = [(cc, v) for cc, v in prow.items() if cc != c]
+        else:
+            pivot_row = min(pivot_col, key=lambda r: (len(rows[r]), r))
+            prow = rows.pop(pivot_row)
+            live -= len(prow)
+            for cc in prow:
+                s = col_rows.get(cc)
+                if s is not None:
+                    s.discard(pivot_row)
+                    if not s:
+                        del col_rows[cc]
+            p = prow.pop(c)
+            pivot_items = list(prow.items())
+        pivots[c] = pivot_row
         targets = [r for r in sorted(pivot_col) if r != pivot_row and r in rows]
         col_rows.pop(c, None)
         for r in targets:
@@ -445,7 +472,7 @@ def _rank_of_rows(rows: dict[int, dict[int, int]], cap: int | None = None) -> in
                     if s is None:
                         s = col_rows[cc] = set()
                     s.add(r)
-                    push(heap, len(s) * width + cc)
+                    push(heap, len(s) * weight + cc)
                 else:
                     nv = cur - f * pv
                     if nv:
@@ -455,7 +482,7 @@ def _rank_of_rows(rows: dict[int, dict[int, int]], cap: int | None = None) -> in
                         s = col_rows.get(cc)
                         if s is not None:
                             s.discard(r)
-                            push(heap, len(s) * width + cc)
+                            push(heap, len(s) * weight + cc)
             if not row:
                 del rows[r]
                 continue
@@ -466,82 +493,16 @@ def _rank_of_rows(rows: dict[int, dict[int, int]], cap: int | None = None) -> in
                         row[cc] //= content
             live += len(row)
         check_entry_budget(live, cap)
-    return rank
+    return pivots
 
 
-def _rref_rows(
-    rows_in: Iterable[dict[int, Rational]],
-) -> tuple[list[int], dict[int, dict[int, Rational]]]:
-    """Canonical reduced row echelon form of the span of the given rows.
-
-    Returns (pivot_cols, {pivot_col: row}) where pivot columns are the
-    leftmost possible ones, each pivot value is 1 and pivot columns are
-    cleared in every other row.  The output is the unique RREF basis of the
-    row space, independent of input order.
-    """
-    pivots: dict[int, dict[int, Rational]] = {}
-    col_index: dict[int, set[int]] = {}  # column -> leads of pivot rows using it
-
-    def reduce(row: dict[int, Rational]) -> dict[int, Rational]:
-        # cancel leading entries while they keep hitting pivot columns
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                break
-            f = row[lead]
-            for c, v in prow.items():
-                nv = row.get(c, QZERO) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-        # clear pivot columns sitting beyond the lead; pivot rows hold no
-        # other pivot columns, so one sweep cannot reintroduce any
-        hits = [c for c in row if c in pivots]
-        while hits:
-            for c in hits:
-                f = row.get(c)
-                if not f:
-                    continue
-                for cc, v in pivots[c].items():
-                    nv = row.get(cc, QZERO) - f * v
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-            hits = [c for c in row if c in pivots]
-        return row
-
-    for raw in rows_in:
-        row = reduce(dict(raw))
-        if not row:
-            continue
-        lead = min(row)
-        inv = 1 / row[lead]
-        row = {c: v * inv for c, v in row.items()}
-        # clear the new pivot column from the pivot rows that contain it
-        for p in list(col_index.get(lead, ())):
-            prow = pivots[p]
-            f = prow.get(lead)
-            if f is None:
-                continue
-            for c, v in row.items():
-                nv = prow.get(c, QZERO) - f * v
-                if nv:
-                    if c not in prow:
-                        col_index.setdefault(c, set()).add(p)
-                    prow[c] = nv
-                else:
-                    if c in prow:
-                        del prow[c]
-                        used = col_index.get(c)
-                        if used is not None:
-                            used.discard(p)
-        pivots[lead] = row
-        for c in row:
-            col_index.setdefault(c, set()).add(lead)
-    return sorted(pivots), pivots
+def _echelon(
+    lines: dict[int, dict[int, int]], cap: int | None
+) -> list[tuple[int, int, dict[int, int]]]:
+    """(pivot column, pivot value, row) of the reduced echelon form of the
+    integer rows, by pivot column."""
+    pivots = _eliminate(lines, cap, leftmost=True, reduce=True)
+    return [(c, lines[r][c], lines[r]) for c, r in pivots.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -555,35 +516,40 @@ def rank(m: SparseMatrix, entry_cap: int | None = None) -> int:
     ``entry_cap`` (default ``DEFAULT_ENTRY_CAP``)."""
     if not m.entries:
         return 0
-    return _rank_of_rows(_integer_lines(m, 0, 0)[0], entry_cap)
+    return len(_eliminate(_integer_lines(m, 0, 0)[0], entry_cap))
 
 
-def kernel_basis(m: SparseMatrix) -> list[QVector]:
+def kernel_basis(m: SparseMatrix, entry_cap: int | None = None) -> list[QVector]:
     """Canonical basis of the right null space {v : m v = 0}.
 
     The returned vectors, stacked as rows, form the unique reduced echelon
     basis of the kernel: each vector's first nonzero coordinate is +1, sits in
     a column where every other basis vector is 0, and vectors are ordered by
     that pivot column.
+
+    It is read off one elimination of m with its columns reversed, whose
+    pivots are the rightmost possible: a row R_p with pivot column p holds
+    no other pivot column and otherwise only free columns f < p, so the
+    vectors v_f = e_f - sum_p (R_p[f] / R_p[p]) e_p are that basis.  Fill-in
+    is held to ``entry_cap`` as in ``rank``.
     """
-    pivot_cols, pivot_rows = _rref_rows(_sorted_row_dicts(m).values())
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    by_free_col: dict[int, list[tuple[int, Rational]]] = {}
-    for p in pivot_cols:
-        for c, v in pivot_rows[p].items():
-            if c != p:
-                by_free_col.setdefault(c, []).append((p, v))
-    raw: list[dict[int, Rational]] = []
-    for f in free_cols:
-        vec = {f: QONE}
-        for p, coeff in by_free_col.get(f, ()):
-            vec[p] = -coeff
-        raw.append(vec)
-    # canonicalize the kernel basis itself
-    _, kernel_pivots = _rref_rows(raw)
+    last = m.cols - 1
+    lines = {
+        r: {last - c: v for c, v in line.items()}
+        for r, line in _integer_lines(m, 0, 0)[0].items()
+    }
+    pivots: set[int] = set()
+    by_free: dict[int, list[tuple[int, Rational]]] = {}
+    for rc, lead, row in _echelon(lines, entry_cap):
+        p = last - rc
+        pivots.add(p)
+        for c, v in row.items():
+            if c != rc:
+                by_free.setdefault(last - c, []).append((p, Rational(-v, lead)))
     return [
-        QVector.from_dict(m.cols, kernel_pivots[p]) for p in sorted(kernel_pivots)
+        QVector(m.cols, ((f, QONE), *sorted(by_free.get(f, ()))))
+        for f in range(m.cols)
+        if f not in pivots
     ]
 
 
@@ -630,37 +596,54 @@ def stack_rows(ms: list[SparseMatrix]) -> SparseMatrix:
     return SparseMatrix._of(offset, cols, ents)
 
 
-def is_in_column_span(m: SparseMatrix, vec: QVector) -> bool:
+def append_columns(m: SparseMatrix, vectors: Iterable[QVector]) -> SparseMatrix:
+    """[m | v_1 ... v_j]: the vectors appended as columns, in order."""
+    entries = dict(m.entries)
+    cols = m.cols
+    for vec in vectors:
+        if vec.length != m.rows:
+            raise ShapeError("column length mismatch")
+        for r, v in vec.entries:
+            entries[(r, cols)] = v
+        cols += 1
+    return SparseMatrix._of(m.rows, cols, entries)
+
+
+def independent_columns(m: SparseMatrix, entry_cap: int | None = None) -> list[int]:
+    """The columns of m outside the span of the columns before them, in
+    order: the pivot columns of its reduced echelon form.  They are what a
+    greedy pass over the columns keeps."""
+    return list(_eliminate(_integer_lines(m, 0, 0)[0], entry_cap, leftmost=True))
+
+
+def is_in_column_span(m: SparseMatrix, vec: QVector, entry_cap: int | None = None) -> bool:
     """Exact test for vec in the column space of m (rank comparison)."""
     if vec.length != m.rows:
         raise ShapeError("vector length must equal row count")
     if vec.is_zero:
         return True
-    base = rank(m)
-    aug_entries = dict(m.entries)
-    for r, v in vec.entries:
-        aug_entries[(r, m.cols)] = v
-    aug = SparseMatrix(m.rows, m.cols + 1, aug_entries)
-    return rank(aug) == base
+    return rank(append_columns(m, [vec]), entry_cap) == rank(m, entry_cap)
 
 
 class LinearSolver:
     """Repeated exact solves of ``A x = b`` against a fixed matrix A.
 
-    Factors once into RREF while tracking the row transform, then answers
-    each right-hand side in time proportional to its support.
+    Factors once into the reduced echelon form of [A | I], whose identity
+    part records the row transform, then answers each right-hand side in
+    time proportional to its support.  Fill-in is held to ``entry_cap`` as
+    in ``rank``.
     """
 
-    def __init__(self, a: SparseMatrix):
+    def __init__(self, a: SparseMatrix, entry_cap: int | None = None):
         self.matrix = a
-        # reduce [A | I] rows; transform columns live at cols + i
-        rows = _sorted_row_dicts(a)
-        augmented = []
+        # a row scaled by its lcm d carries d in its transform column
+        lines, dens = _integer_lines(a, 0, 0)
         for r in range(a.rows):
-            row = dict(rows.get(r, {}))
-            row[a.cols + r] = QONE
-            augmented.append(row)
-        self._pivot_cols, self._pivot_rows = _rref_rows(augmented)
+            lines.setdefault(r, {})[a.cols + r] = dens.get(r, 1)
+        self._transforms = [
+            (p, {c - a.cols: Rational(v, lead) for c, v in row.items() if c >= a.cols})
+            for p, lead, row in _echelon(lines, entry_cap)
+        ]
         self._cols = a.cols
 
     def solve(self, b: QVector) -> QVector | None:
@@ -669,12 +652,11 @@ class LinearSolver:
         if b.length != self.matrix.rows:
             raise ShapeError("right-hand side length mismatch")
         coords: dict[int, Rational] = {}
-        for p in self._pivot_cols:
-            prow = self._pivot_rows[p]
+        for p, transform in self._transforms:
             # value of the transformed rhs in this pivot row
             val = QZERO
             for r, v in b.entries:
-                f = prow.get(self._cols + r)
+                f = transform.get(r)
                 if f is not None:
                     val += f * v
             if val == 0:

@@ -27,7 +27,8 @@ from .exact_linalg import (
     QVector,
     QZERO,
     Rational,
-    SparseMatrix,
+    append_columns,
+    independent_columns,
     is_in_column_span,
     kernel_basis,
     rational_to_string,
@@ -100,7 +101,9 @@ def is_boundary(complex_: ChainComplex, chain: Chain) -> bool:
     for weight, part in _components(complex_, chain).items():
         if weight == zero:
             bounding = complex_.block(k + 1)
-            bounded = is_in_column_span(bounding, _padded(part, bounding.rows))
+            bounded = is_in_column_span(
+                bounding, _padded(part, bounding.rows), complex_.entry_cap
+            )
         else:
             bounded = _block_cycle(complex_, k, weight, part)
         if not bounded:
@@ -113,8 +116,9 @@ def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
     its first nonzero coordinate is +1.  The homology lies in the weight-0
     block, so they are found there, deterministically: kernel vectors of
     the block taken in canonical order and kept greedily when they enlarge
-    the span of its boundary columns.  At the cap there is no d_(k+1) to
-    tell cycles from boundaries, so that degree raises."""
+    the span of its boundary columns and of the cycles kept before.  At the
+    cap there is no d_(k+1) to tell cycles from boundaries, so that degree
+    raises.  Eliminations are held to the complex's ``entry_cap``."""
     complex_.check_degree(k)
     if k == complex_.cap:
         raise DegreeRangeError(
@@ -129,53 +133,19 @@ def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
     if cycle_block is None:
         cycles = [QVector.unit(bounding.rows, i) for i in range(bounding.rows)]
     else:
-        cycles = kernel_basis(cycle_block)
-    reducer: dict[int, dict[int, Rational]] = {}
-    for col in _columns_of(bounding):
-        if col:
-            _reduce_into(reducer, col)
-    reps: list[Chain] = []
-    for vec in cycles:
-        residue = _reduce_into(reducer, vec.to_dict())
-        if residue:
-            reps.append(Chain(k, complex_.from_block(k, zero, vec).normalized()))
-            if len(reps) == target:
-                break
+        cycles = kernel_basis(cycle_block, complex_.entry_cap)
+    # the greedy choice: pivot columns of [boundaries | cycles] past the boundaries
+    bordered = append_columns(bounding, (_padded(v, bounding.rows) for v in cycles))
+    reps = [
+        Chain(k, complex_.from_block(k, zero, cycles[c - bounding.cols]).normalized())
+        for c in independent_columns(bordered, complex_.entry_cap)
+        if c >= bounding.cols
+    ]
     if len(reps) != target:
         raise DomainError(
             f"found {len(reps)} independent cycles, expected {target}"
         )
     return reps
-
-
-def _columns_of(m: SparseMatrix) -> list[dict[int, Rational]]:
-    cols: list[dict[int, Rational]] = [dict() for _ in range(m.cols)]
-    for (r, c), v in m.entries.items():
-        cols[c][r] = v
-    return cols
-
-
-def _reduce_into(
-    reducer: dict[int, dict[int, Rational]], vec: dict[int, Rational]
-) -> dict[int, Rational]:
-    """Gaussian reducer over leading indices; inserts the residue when
-    nonzero and returns it."""
-    while vec:
-        lead = min(vec)
-        pivot = reducer.get(lead)
-        if pivot is None:
-            inv = 1 / vec[lead]
-            vec = {i: v * inv for i, v in vec.items()}
-            reducer[lead] = vec
-            return vec
-        f = vec[lead]
-        for i, v in pivot.items():
-            nv = vec.get(i, QZERO) - f * v
-            if nv:
-                vec[i] = nv
-            else:
-                vec.pop(i, None)
-    return {}
 
 
 def class_coordinates(
@@ -200,16 +170,17 @@ def class_coordinates(
         return None
     bounding = complex_.block(k + 1)
     rows = bounding.rows
-    columns = [QVector.from_dict(rows, c) for c in _columns_of(bounding) if c]
-    basis = columns + [_padded(complex_.components(r).get(zero), rows) for r in reps]
-    stacked = SparseMatrix.from_columns(rows, basis)
-    solution = LinearSolver(stacked).solve(_padded(parts.get(zero), rows))
+    stacked = append_columns(
+        bounding, (_padded(complex_.components(r).get(zero), rows) for r in reps)
+    )
+    solver = LinearSolver(stacked, complex_.entry_cap)
+    solution = solver.solve(_padded(parts.get(zero), rows))
     if solution is None:
         return None
     coords = [QZERO] * len(reps)
     for i, v in solution.entries:
-        if i >= len(columns):
-            coords[i - len(columns)] = v
+        if i >= bounding.cols:
+            coords[i - bounding.cols] = v
     return coords
 
 

@@ -23,6 +23,8 @@ from .exact_linalg import (
     QVector,
     QZERO,
     Rational,
+    SparseMatrix,
+    is_in_column_span,
     kernel_basis,
     stack_rows,
 )
@@ -52,32 +54,23 @@ class InvariantBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def spans(self, vec: QVector) -> bool:
-        """True iff vec lies in the invariant span (exact reduction)."""
-        residue = vec.to_dict()
-        for basis_vec in self.vectors:
-            pivot, _ = basis_vec.entries[0]
-            coeff = residue.get(pivot)
-            if not coeff:
-                continue
-            for i, v in basis_vec.entries:
-                nv = residue.get(i, QZERO) - coeff * v
-                if nv:
-                    residue[i] = nv
-                else:
-                    residue.pop(i, None)
-        return not residue
+    def spans(self, vec: QVector, entry_cap: int | None = None) -> bool:
+        """True iff vec lies in the invariant span (exact rank test)."""
+        return is_in_column_span(
+            SparseMatrix.from_columns(vec.length, self.vectors), vec, entry_cap
+        )
 
 
-def invariant_subspace(module: LieModule) -> InvariantBasis:
+def invariant_subspace(module: LieModule, entry_cap: int | None = None) -> InvariantBasis:
     """Kernel of the stacked action matrices: a deterministic basis of
-    {m : every algebra basis element kills m}."""
+    {m : every algebra basis element kills m}.  Elimination fill-in is held
+    to ``entry_cap``."""
     if module.dim == 0:
         return InvariantBasis(module.fingerprint()[:12], [])
     if not module.actions:
         raise DomainError("module has no acting algebra elements")
     stacked = stack_rows(list(module.actions))
-    return InvariantBasis(module.fingerprint()[:12], kernel_basis(stacked))
+    return InvariantBasis(module.fingerprint()[:12], kernel_basis(stacked, entry_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +268,14 @@ def predicted_ideal_tensor_invariant_dim(n: int, k: int) -> int:
     return 1 if k % 2 == 1 and (k + 1) // 2 <= n else 0
 
 
-def invariant_dimension_report(n: int, k_max: int, modules=None) -> InvariantTable:
+def invariant_dimension_report(
+    n: int, k_max: int, modules=None, entry_cap: int | None = None
+) -> InvariantTable:
     """For each k <= k_max, computed vs predicted dimensions of the three
     invariant spaces over sp, plus the module split consistency
     dim (affine (x) L)^sp = dim (constants (x) L)^sp + dim (sp (x) L)^sp.
-    ``modules`` is ``standard_modules(n)``, built here when not given."""
+    ``modules`` is ``standard_modules(n)``, built here when not given;
+    every elimination is held to ``entry_cap``."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if k_max < 0:
@@ -288,22 +284,22 @@ def invariant_dimension_report(n: int, k_max: int, modules=None) -> InvariantTab
     table = InvariantTable(n=n, k_max=k_max)
     for k in range(k_max + 1):
         lam = exterior_power_module(ideal_mod, k, validate=False)
-        wedge_inv = invariant_subspace(lam)
+        wedge_inv = invariant_subspace(lam, entry_cap)
         predicted_wedge = predicted_wedge_invariant_dim(n, k)
         spanned = True
         if wedge_inv.dim == 1 and predicted_wedge == 1:
-            spanned = wedge_inv.spans(omega_power(n, k // 2).vector)
+            spanned = wedge_inv.spans(omega_power(n, k // 2).vector, entry_cap)
         elif wedge_inv.dim != predicted_wedge:
             spanned = False
 
         ideal_tensor = tensor_module(ideal_mod, lam, validate=False)
-        ideal_inv = invariant_subspace(ideal_tensor)
+        ideal_inv = invariant_subspace(ideal_tensor, entry_cap)
 
         sp_tensor = tensor_module(sp_adjoint, lam, validate=False)
-        sp_inv = invariant_subspace(sp_tensor)
+        sp_inv = invariant_subspace(sp_tensor, entry_cap)
 
         g_tensor = tensor_module(g_mod, lam, validate=False)
-        g_inv = invariant_subspace(g_tensor)
+        g_inv = invariant_subspace(g_tensor, entry_cap)
 
         table.rows.append(
             InvariantTableRow(

@@ -300,7 +300,9 @@ class VerificationContext:
         """``invariant_dimension_report(n, k_max)`` over the shared modules."""
         key = ("invariants", n, k_max)
         if key not in self._complexes:
-            self._complexes[key] = invariant_dimension_report(n, k_max, self._standard(n))
+            self._complexes[key] = invariant_dimension_report(
+                n, k_max, self._standard(n), self.entry_cap
+            )
         return self._complexes[key]
 
 

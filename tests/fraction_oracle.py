@@ -1,9 +1,15 @@
-"""The Fraction-based sparse rank, product and serialization that
-``exact_linalg`` used before it computed on integers inside, kept
-as a test oracle for the integer core."""
+"""The Fraction-based sparse rank, product, serialization, reduced echelon
+form, kernel basis, solver and greedy cycle reducer that ``exact_linalg``
+and ``homology`` used before they computed on integers inside, kept as a
+test oracle for the integer core."""
 
 import heapq
 from fractions import Fraction
+
+from affsymp.chain_complexes import Chain
+from affsymp.errors import DomainError
+from affsymp.exact_linalg import QVector
+from affsymp.homology import betti
 
 
 def _sorted_row_dicts(m):
@@ -110,3 +116,194 @@ def matrix_text(m):
     for r, c, v in m.iter_entries():
         lines.append(f"{r} {c} {rational_to_string(v)}")
     return "\n".join(lines) + "\n"
+
+
+def _rref_rows(rows_in):
+    """Canonical reduced row echelon form of the span of the given rows.
+
+    Returns (pivot_cols, {pivot_col: row}) where pivot columns are the
+    leftmost possible ones, each pivot value is 1 and pivot columns are
+    cleared in every other row.  The output is the unique RREF basis of the
+    row space, independent of input order.
+    """
+    pivots = {}
+    col_index = {}  # column -> leads of pivot rows using it
+
+    def reduce(row):
+        # cancel leading entries while they keep hitting pivot columns
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                break
+            f = row[lead]
+            for c, v in prow.items():
+                nv = row.get(c, Fraction(0)) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        # clear pivot columns sitting beyond the lead; pivot rows hold no
+        # other pivot columns, so one sweep cannot reintroduce any
+        hits = [c for c in row if c in pivots]
+        while hits:
+            for c in hits:
+                f = row.get(c)
+                if not f:
+                    continue
+                for cc, v in pivots[c].items():
+                    nv = row.get(cc, Fraction(0)) - f * v
+                    if nv:
+                        row[cc] = nv
+                    else:
+                        row.pop(cc, None)
+            hits = [c for c in row if c in pivots]
+        return row
+
+    for raw in rows_in:
+        row = reduce(dict(raw))
+        if not row:
+            continue
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {c: v * inv for c, v in row.items()}
+        # clear the new pivot column from the pivot rows that contain it
+        for p in list(col_index.get(lead, ())):
+            prow = pivots[p]
+            f = prow.get(lead)
+            if f is None:
+                continue
+            for c, v in row.items():
+                nv = prow.get(c, Fraction(0)) - f * v
+                if nv:
+                    if c not in prow:
+                        col_index.setdefault(c, set()).add(p)
+                    prow[c] = nv
+                else:
+                    if c in prow:
+                        del prow[c]
+                        used = col_index.get(c)
+                        if used is not None:
+                            used.discard(p)
+        pivots[lead] = row
+        for c in row:
+            col_index.setdefault(c, set()).add(lead)
+    return sorted(pivots), pivots
+
+
+def kernel_basis(m):
+    """The reduced echelon basis of the right null space, from the RREF of
+    the rows and a second RREF of the raw kernel vectors."""
+    pivot_cols, pivot_rows = _rref_rows(_sorted_row_dicts(m).values())
+    pivot_set = set(pivot_cols)
+    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    by_free_col = {}
+    for p in pivot_cols:
+        for c, v in pivot_rows[p].items():
+            if c != p:
+                by_free_col.setdefault(c, []).append((p, v))
+    raw = []
+    for f in free_cols:
+        vec = {f: Fraction(1)}
+        for p, coeff in by_free_col.get(f, ()):
+            vec[p] = -coeff
+        raw.append(vec)
+    _, kernel_pivots = _rref_rows(raw)
+    return [QVector.from_dict(m.cols, kernel_pivots[p]) for p in sorted(kernel_pivots)]
+
+
+class LinearSolver:
+    """Solves A x = b from the Fraction RREF of [A | I]."""
+
+    def __init__(self, a):
+        self.matrix = a
+        rows = _sorted_row_dicts(a)
+        augmented = []
+        for r in range(a.rows):
+            row = dict(rows.get(r, {}))
+            row[a.cols + r] = Fraction(1)
+            augmented.append(row)
+        self._pivot_cols, self._pivot_rows = _rref_rows(augmented)
+        self._cols = a.cols
+
+    def solve(self, b):
+        """One exact solution (free variables 0), None if inconsistent."""
+        coords = {}
+        for p in self._pivot_cols:
+            prow = self._pivot_rows[p]
+            val = Fraction(0)
+            for r, v in b.entries:
+                f = prow.get(self._cols + r)
+                if f is not None:
+                    val += f * v
+            if val == 0:
+                continue
+            if p >= self._cols:
+                return None
+            coords[p] = val
+        return QVector.from_dict(self._cols, coords)
+
+
+def _columns_of(m):
+    cols = [dict() for _ in range(m.cols)]
+    for (r, c), v in m.entries.items():
+        cols[c][r] = v
+    return cols
+
+
+def _reduce_into(reducer, vec):
+    """Gaussian reducer over leading indices; inserts the residue when
+    nonzero and returns it."""
+    while vec:
+        lead = min(vec)
+        pivot = reducer.get(lead)
+        if pivot is None:
+            inv = 1 / vec[lead]
+            vec = {i: v * inv for i, v in vec.items()}
+            reducer[lead] = vec
+            return vec
+        f = vec[lead]
+        for i, v in pivot.items():
+            nv = vec.get(i, Fraction(0)) - f * v
+            if nv:
+                vec[i] = nv
+            else:
+                vec.pop(i, None)
+    return {}
+
+
+def greedy_cycles(bounding, cycles, target):
+    """The cycles kept, in order, while they enlarge the span of the
+    boundary columns and of the cycles kept before, up to ``target``."""
+    reducer = {}
+    for col in _columns_of(bounding):
+        if col:
+            _reduce_into(reducer, col)
+    kept = []
+    for vec in cycles:
+        if _reduce_into(reducer, vec.to_dict()):
+            kept.append(vec)
+            if len(kept) == target:
+                break
+    if len(kept) != target:
+        raise DomainError(f"found {len(kept)} independent cycles, expected {target}")
+    return kept
+
+
+def block_homology_reps(complex_, k):
+    """``homology.homology_reps`` as the greedy reducer computed it on the
+    weight-0 block, with the Fraction kernel basis."""
+    target = betti(complex_, k)
+    if target == 0:
+        return []
+    zero = complex_.zero_weight
+    bounding = complex_.block(k + 1)
+    cycle_block = complex_.cycle_block(k, zero)
+    if cycle_block is None:
+        cycles = [QVector.unit(bounding.rows, i) for i in range(bounding.rows)]
+    else:
+        cycles = kernel_basis(cycle_block)
+    return [
+        Chain(k, complex_.from_block(k, zero, vec).normalized())
+        for vec in greedy_cycles(bounding, cycles, target)
+    ]

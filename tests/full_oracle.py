@@ -19,18 +19,18 @@ from affsymp.chain_complexes import (
     partial_wedge_projection,
     wedge_projection,
 )
-from affsymp.errors import ConsistencyError, DomainError
+from affsymp.errors import ConsistencyError
 from affsymp.exact_linalg import (
-    LinearSolver,
     QVector,
     QZERO,
     SparseMatrix,
     is_in_column_span,
-    kernel_basis,
     multiply,
     stack_rows,
 )
-from affsymp.homology import _columns_of, _reduce_into, betti
+from affsymp.homology import betti
+
+from fraction_oracle import LinearSolver, _columns_of, greedy_cycles, kernel_basis
 
 
 def _kernel(complex_):
@@ -135,19 +135,7 @@ def homology_reps(complex_, k):
         cycles = kernel_basis(full_projection(complex_, 0))
     else:
         cycles = kernel_basis(full_block(complex_, k))
-    reducer = {}
-    for col in _columns_of(bounding):
-        if col:
-            _reduce_into(reducer, col)
-    reps = []
-    for vec in cycles:
-        if _reduce_into(reducer, vec.to_dict()):
-            reps.append(Chain(k, vec.normalized()))
-            if len(reps) == target:
-                break
-    if len(reps) != target:
-        raise DomainError(f"found {len(reps)} independent cycles, expected {target}")
-    return reps
+    return [Chain(k, vec.normalized()) for vec in greedy_cycles(bounding, cycles, target)]
 
 
 def class_coordinates(complex_, chain, reps):

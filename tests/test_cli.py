@@ -157,6 +157,29 @@ class TestInvariantsCommand:
         payload = validate_payload(out)
         assert payload["passed"] is True
 
+    def test_memory_cap_bounds_the_kernels_exit_three(self, capsys, monkeypatch):
+        argv = ["invariants", "--n", "2", "--k-max", "4"]
+        code, out, err = run_cli(capsys, argv + ["--memory-cap", "1"])
+        assert (code, out) == (3, "")
+        assert "resource guard" in err
+        monkeypatch.setenv("AFFSYMP_MEMORY_CAP", "1")
+        assert run_cli(capsys, argv)[0] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["algebra", "info", "--family", "sp", "--n", "1"], ["invariants", "--n", "1", "--k-max", "2"]],
+)
+def test_bad_memory_cap_exit_two(capsys, monkeypatch, argv):
+    for flag in ("0", "-5"):
+        code, out, err = run_cli(capsys, argv + ["--memory-cap", flag])
+        assert (code, out) == (2, "")
+        assert "--memory-cap must be a positive integer" in err
+    monkeypatch.setenv("AFFSYMP_MEMORY_CAP", "abc")
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "AFFSYMP_MEMORY_CAP" in err
+
 
 class TestVerifyCommand:
     def test_single_claim(self, capsys, cache_dir):
@@ -194,6 +217,12 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, ["verify", claim, "--n", "1", "--cap", "-1"])
         assert (code, out) == (2, "")
         assert "cap must be >= 0" in err
+
+    @pytest.mark.parametrize("cap", ["-1", "1"])
+    def test_all_rejects_cap_exit_two(self, capsys, cap):
+        code, out, err = run_cli(capsys, ["verify", "all", "--n", "1", "--cap", cap])
+        assert (code, out) == (2, "")
+        assert "--cap" in err
 
     def test_unknown_claim_exit_two(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "lemma-9.9", "--n", "1"])

@@ -9,6 +9,7 @@ from affsymp.exact_linalg import (
     QVector,
     Rational,
     SparseMatrix,
+    independent_columns,
     is_in_column_span,
     kernel_basis,
     multiply,
@@ -18,6 +19,7 @@ from affsymp.exact_linalg import (
     stack_rows,
 )
 
+import fraction_oracle
 from dense_oracle import dense_rank, to_dense
 from fraction_oracle import fraction_product, fraction_rank, matrix_text
 from fraction_oracle import rational_to_string as fraction_rational_to_string
@@ -289,6 +291,107 @@ class TestIntegerCore:
             complex_.rank_d(1)
         loose = ChainComplex("test", "circulant", [30, 30], {1: m}, {}, 1, entry_cap=4 * m.nnz)
         assert loose.rank_d(1) == 30
+
+    def test_kernel_and_solver_fill_in_over_entry_cap_abort(self):
+        m = circulant(30, (0, 1, 4, 13, 20))
+        with pytest.raises(ResourceLimitError):
+            kernel_basis(m, entry_cap=m.nnz)
+        with pytest.raises(ResourceLimitError):
+            LinearSolver(m, entry_cap=m.nnz)
+        with pytest.raises(ResourceLimitError):
+            is_in_column_span(m, QVector.unit(30, 0), entry_cap=m.nnz)
+        assert kernel_basis(m) == []
+        b = QVector.from_dense(range(30))
+        assert m.apply(LinearSolver(m).solve(b)) == b
+
+    def test_membership_and_reps_hold_to_the_complex_cap(self):
+        from affsymp.chain_complexes import Chain, ChainComplex
+        from affsymp.homology import class_coordinates, homology_reps, is_boundary
+
+        m = circulant(30, (0, 1, 4, 13, 20))
+        d1 = SparseMatrix(31, 30, m.entries)  # one zero row: b_0 = 1
+        bases = {0: range(31), 1: range(30)}  # ungraded: only their lengths are read
+        complex_ = ChainComplex("test", "circulant", [31, 30], {1: d1}, bases, 1)
+        chain = Chain(0, QVector.unit(31, 0))
+        assert complex_.rank_d(1) == 30 and is_boundary(complex_, chain)
+        reps = homology_reps(complex_, 0)
+        assert reps == [Chain(0, QVector.unit(31, 30))]
+        # ranks are memoized; every elimination started after this meets the cap
+        complex_.entry_cap = m.nnz
+        for call in (
+            lambda: is_boundary(complex_, chain),
+            lambda: homology_reps(complex_, 0),
+            lambda: class_coordinates(complex_, chain, reps),
+        ):
+            with pytest.raises(ResourceLimitError):
+                call()
+
+
+class TestFractionOracle:
+    """Kernels, solves, independent columns and representatives on the
+    integer core against the Fraction eliminators they replaced
+    (``fraction_oracle``), on non-integral, empty, zero-row and
+    duplicate-row matrices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_matrices())
+    def test_kernel_basis_matches_fraction_kernel(self, m):
+        vecs = kernel_basis(m)
+        assert vecs == fraction_oracle.kernel_basis(m)
+        assert all(type(v) is Fraction for vec in vecs for _, v in vec.entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_solve_matches_fraction_solver(self, data):
+        m = data.draw(oracle_matrices())
+        value = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+        x = QVector.from_dense(data.draw(st.lists(value, min_size=m.cols, max_size=m.cols)))
+        noise = QVector.from_dense(data.draw(st.lists(value, min_size=m.rows, max_size=m.rows)))
+        solver, oracle = LinearSolver(m), fraction_oracle.LinearSolver(m)
+        for b in (m.apply(x), noise):
+            got = solver.solve(b)
+            assert got == oracle.solve(b)
+            assert got is None or m.apply(got) == b
+        assert solver.solve(m.apply(x)) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_matrices())
+    def test_independent_columns_match_the_greedy_reducer(self, m):
+        reducer = {}
+        greedy = [
+            c for c, col in enumerate(fraction_oracle._columns_of(m))
+            if col and fraction_oracle._reduce_into(reducer, col)
+        ]
+        assert independent_columns(m) == greedy
+        assert len(greedy) == rank(m)
+
+    def test_reps_match_the_greedy_reducer(self, g1, sp1, g2, sp2):
+        from affsymp.chain_complexes import (
+            ce_complex, coeff_complex, cr_complex, leibniz_complex, rel_complex,
+        )
+        from affsymp.homology import homology_reps
+        from affsymp.lie_structures import adjoint_module, trivial_module
+        from test_weight_blocks import _complexes, _ideal_wedge
+
+        complexes = _complexes(g1, sp1, 5, 3)
+        for a in (g2[0], sp2):
+            complexes.append(ce_complex(a, 3))
+            complexes.append(leibniz_complex(a, 3))
+            complexes.append(coeff_complex(a, adjoint_module(a, validate=False), 3))
+            complexes.append(coeff_complex(a, trivial_module(a), 3))
+            complexes.append(rel_complex(a, 1))
+            complexes.append(cr_complex(a, 2))
+        for k in (1, 2):
+            complexes.append(coeff_complex(sp2, _ideal_wedge(g2, "sp", k), 3))
+        found = 0
+        for complex_ in complexes:
+            for k in range(complex_.cap):
+                reps = homology_reps(complex_, k)
+                assert reps == fraction_oracle.block_homology_reps(complex_, k), (
+                    complex_.name, k,
+                )
+                found += len(reps)
+        assert found > len(complexes)
 
 
 class TestSolver:

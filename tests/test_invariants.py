@@ -1,7 +1,7 @@
 import pytest
 
-from affsymp.errors import DomainError
-from affsymp.exact_linalg import Rational
+from affsymp.errors import DomainError, ResourceLimitError
+from affsymp.exact_linalg import QVector, Rational
 from affsymp.invariants import (
     invariant_dimension_report,
     invariant_subspace,
@@ -39,6 +39,14 @@ class TestInvariantSubspace:
         basis = invariant_subspace(lam2)
         assert basis.dim == 1
         assert basis.spans(omega_power(1, 1).vector)
+
+    def test_spans_only_the_invariant_line(self):
+        _, ideal_mod, _, _, _ = standard_modules(2)
+        basis = invariant_subspace(exterior_power_module(ideal_mod, 2))
+        power = omega_power(2, 1).vector
+        assert basis.spans(power.scale(Rational(-3, 2)))
+        assert not basis.spans(QVector.unit(power.length, 0))
+        assert not basis.spans(power.add(QVector.unit(power.length, 0)))
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_sp_tensor_invariants_vanish(self, k):
@@ -158,6 +166,28 @@ class TestTable:
     def test_n3_top_wedge(self):
         table = invariant_dimension_report(3, 6)
         assert table.rows[6].wedge_computed == 1
+
+    def test_entry_cap_reaches_every_elimination(self):
+        from affsymp.theorems import VerificationContext
+
+        from affsymp.invariants import InvariantBasis
+        from test_exact_linalg import circulant
+
+        _, ideal_mod, _, _, _ = standard_modules(1)
+        with pytest.raises(ResourceLimitError):
+            invariant_subspace(ideal_mod, entry_cap=1)
+        # a basis whose span test fills in past the cap
+        m = circulant(30, (0, 1, 4, 13, 20))
+        columns = [QVector.from_dict(30, dict(m.column(c))) for c in range(30)]
+        basis = InvariantBasis("circulant", columns)
+        assert basis.spans(QVector.unit(30, 0))
+        with pytest.raises(ResourceLimitError):
+            basis.spans(QVector.unit(30, 0), entry_cap=m.nnz)
+        with pytest.raises(ResourceLimitError):
+            invariant_dimension_report(1, 2, entry_cap=1)
+        with pytest.raises(ResourceLimitError):
+            VerificationContext(entry_cap=1).invariant_table(1, 2)
+        assert VerificationContext(entry_cap=10**4).invariant_table(1, 2).passed
 
     def test_decomposition_identity(self):
         table = invariant_dimension_report(2, 3)

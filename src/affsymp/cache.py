@@ -9,7 +9,10 @@ version, so every record written before it misses instead of being
 believed.  Writes are atomic (write to a temp file, then rename), giving
 single-writer / multi-reader safety.
 
-The complexes write ``diff/`` and ``rank/`` records only.  ``kernel/`` holds
+The complexes write ``diff/`` and ``rank/`` records only, and none for a
+matrix with at most one row or column (``worth_caching``): such a matrix
+is built and ranked in about the time its record takes to read, and each
+record is one more file to write and to copy.  ``kernel/`` holds
 the vector records of ``put_vectors``, which nothing in the package writes
 any more.
 
@@ -43,6 +46,12 @@ def _sha256(text: str) -> str:
 
 def descriptor_key(*parts: object) -> str:
     return _sha256("\x1f".join(str(p) for p in (f"basis-v{BASIS_CONVENTION}",) + parts))
+
+
+def worth_caching(rows: int, cols: int) -> bool:
+    """Whether a rows x cols matrix, or its rank, goes through the cache:
+    not when it has at most one row or column."""
+    return min(rows, cols) > 1
 
 
 def _rank_record(matrix_fingerprint: str, value: int) -> str:

@@ -61,7 +61,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
-from .cache import DiffCache, descriptor_key
+from .cache import DiffCache, descriptor_key, worth_caching
 from .errors import ConsistencyError, DegreeRangeError, DomainError
 from .exact_linalg import (
     QONE,
@@ -382,13 +382,14 @@ class ChainComplex:
         return got
 
     def _ranked(self, matrix: SparseMatrix) -> int:
-        """rank(matrix), through the disk cache when there is one.  A cached
+        """rank(matrix), through the disk cache when there is one and the
+        matrix is worth caching (``cache.worth_caching``).  A cached
         value that cannot be a rank of this shape counts as a miss and is
         recomputed and rewritten.  Elimination fill-in is held to the
         complex's ``entry_cap``."""
         if not matrix.entries:
             return 0
-        if self.cache is None:
+        if self.cache is None or not worth_caching(matrix.rows, matrix.cols):
             return rank(matrix, self.entry_cap)
         fp = matrix.fingerprint()
         hit = self.cache.get_rank(fp)
@@ -697,15 +698,19 @@ def _word_set(algebra: LieAlgebra, module: LieModule | None = None) -> WordSet:
 
 def _family(cache, key, assemble, words: WordSet, kind: str, shift: int = 0) -> _Graded:
     """The blocks ``assemble(k + shift, words of one total weight)``, whose
-    columns are the words of ``kind``.  With a key they go through the disk
-    cache under key + (degree, "weight", the total, the letter weights), so
-    a change of grading is a miss."""
+    columns are the words of ``kind`` and whose rows those one degree lower.
+    With a key they go through the disk cache under key + (degree, "weight",
+    the total, the letter weights), so a change of grading is a miss; a block
+    that is not worth caching, by its word counts, is built without a
+    lookup."""
     grading = (words.letter_weights, words.module_weights)
 
     def make(k: int, weight: Weight) -> SparseMatrix:
         degree = k + shift
         chosen = words.at(weight)
-        if key is None:
+        if key is None or not worth_caching(
+            chosen.count(kind, degree - 1, 2), chosen.count(kind, degree, 2)
+        ):
             return assemble(degree, chosen)
         parts = key + (degree, "weight", weight) + grading
         return _cached_matrix(cache, "diff", parts, lambda: assemble(degree, chosen))

@@ -14,9 +14,11 @@ columns for the right factor), so rationals appear only where values enter
 and leave.  There is one elimination loop, ``_eliminate``: fraction-free
 (Bareiss 1968; Dumas, Saunders and Villard 2001 for the sparse integer
 case), removing a row's content gcd after a scaled update.  ``rank`` runs
-it with Markowitz pivots; kernels, solves and independent columns run it
-leftmost column first with Gauss-Jordan clearing, which yields the unique
-reduced echelon form.
+it with Markowitz pivots, the column with the fewest live entries first;
+a lazy heap, pushed only when a column appears or its count falls below
+its latest entry, keeps that choice exact.  Kernels, solves and
+independent columns run it leftmost column first with Gauss-Jordan
+clearing, which yields the unique reduced echelon form.
 
 Every matrix is held to a nonzero-entry budget (``check_entry_budget``):
 inputs, stacks and products when they are formed, and the live entries of
@@ -314,9 +316,13 @@ class SparseMatrix:
         if len(lines) - 1 != nnz:
             raise ShapeError(f"expected {nnz} entry lines, found {len(lines) - 1}")
         ents = {}
+        values: dict[str, Rational] = {}  # one parse per distinct value
         for ln in lines[1:]:
             rt, ct, vt = ln.split()
-            ents[(int(rt), int(ct))] = rational_from_string(vt)
+            q = values.get(vt)
+            if q is None:
+                q = values[vt] = rational_from_string(vt)
+            ents[(int(rt), int(ct))] = q
         return cls(rows, cols, ents)
 
     def fingerprint(self) -> str:
@@ -377,12 +383,24 @@ def _eliminate(
 
     The pivot rule is the caller's:
 
-    * Markowitz (the default): the column with fewest active entries is
+    * Markowitz (the default): the column with fewest live entries is
       eliminated first (ties to the lowest column index).  Columns with a
       single entry retire a row with no arithmetic at all, which removes
       most of the work on differential matrices.
     * ``leftmost``: the lowest column first.  The pivot columns are then
       those outside the span of the columns before them.
+
+    The columns wait in a lazy heap of keys (count, column), count 0 under
+    ``leftmost``.  ``low`` holds the key last pushed for each column, and
+    for a live column that entry is still in the heap and at or below the
+    column's true key.  A column is pushed when it appears, and at the end
+    of a pivot step when its count has fallen (a cancellation, or the pivot
+    row retiring from it) below ``low``; fill-in only raises counts and
+    never pushes.  So no popped entry is above its column's true key.  An
+    equal one is exactly the Markowitz minimum.  A lower one is pushed
+    again at the true key when it is the latest push, and otherwise
+    dropped, since the latest covers the column.  The loop ends when no
+    row is left to pivot on.
 
     Pivot rows are dropped as they retire.  With ``reduce`` (leftmost only)
     they are kept in ``rows`` instead, and each pivot column is cleared from
@@ -395,8 +413,10 @@ def _eliminate(
     order.  A target row with entry a under the pivot p becomes
     (p/g) row - (a/g) pivot_row with g = gcd(a, p), which keeps it integral
     and its support exactly that of the rational update; when p/g is not 1
-    the row is divided by the gcd of its entries.  The live entry count is
-    checked against ``cap`` once per pivot step.
+    the row is divided by the gcd of its entries, and when p is 1 or -1
+    there is no gcd to take.  Each target row is updated from the pivot row
+    alone, so their order does not matter.  The live entry count is checked
+    against ``cap`` once per pivot step.
     """
     col_rows: dict[int, set[int]] = {}
     live = 0
@@ -412,26 +432,31 @@ def _eliminate(
     # Markowitz, by c alone when the weight is 0
     width = max(col_rows, default=0) + 1
     weight = 0 if leftmost else width
-    heap = [len(rs) * weight + c for c, rs in col_rows.items()]
+    low = {c: len(rs) * weight + c for c, rs in col_rows.items()}
+    heap = list(low.values())
     heapq.heapify(heap)
     push = heapq.heappush
     pivots: dict[int, int] = {}
     kept: set[int] = set()  # the pivot rows, with reduce
-    while heap:
+    fell: list[int] = []  # columns whose count fell in this step
+    while heap and len(rows) > len(kept):  # until every row is a pivot row or gone
         count, c = divmod(heapq.heappop(heap), width)
         pivot_col = col_rows.get(c)
         if not pivot_col:
             col_rows.pop(c, None)
             continue
         if weight and len(pivot_col) != count:
-            push(heap, len(pivot_col) * weight + c)  # stale entry, reinsert
+            # below the true key: re-push the latest entry, drop an older one
+            if count * weight + c == low[c]:
+                key = low[c] = len(pivot_col) * weight + c
+                push(heap, key)
             continue
+        del col_rows[c]
         if reduce:
             # kept rows hold c beyond their pivots; the active ones start at c
             active = [r for r in pivot_col if r not in kept]
             if not active:
-                del col_rows[c]  # a free column
-                continue
+                continue  # a free column
             pivot_row = min(active, key=lambda r: (len(rows[r]), r))
             kept.add(pivot_row)
             prow = rows[pivot_row]
@@ -441,48 +466,55 @@ def _eliminate(
             pivot_row = min(pivot_col, key=lambda r: (len(rows[r]), r))
             prow = rows.pop(pivot_row)
             live -= len(prow)
-            for cc in prow:
-                s = col_rows.get(cc)
-                if s is not None:
-                    s.discard(pivot_row)
-                    if not s:
-                        del col_rows[cc]
             p = prow.pop(c)
+            for cc in prow:
+                s = col_rows[cc]
+                s.discard(pivot_row)
+                if not s:
+                    del col_rows[cc]
+                elif weight:
+                    fell.append(cc)
             pivot_items = list(prow.items())
         pivots[c] = pivot_row
-        targets = [r for r in sorted(pivot_col) if r != pivot_row and r in rows]
-        col_rows.pop(c, None)
-        for r in targets:
-            row = rows[r]
-            a = row.pop(c, None)
-            if a is None:
+        unit = p == 1 or p == -1
+        for r in pivot_col:
+            if r == pivot_row:
                 continue
+            row = rows[r]
+            a = row.pop(c)
             live -= len(row) + 1
-            g = gcd(a, p)
-            scale, f = p // g, a // g
-            if scale < 0:
-                scale, f = -scale, -f
-            if scale != 1:
-                row = rows[r] = {cc: v * scale for cc, v in row.items()}
+            if unit:
+                scale, f = 1, a * p
+            else:
+                g = gcd(a, p)
+                scale, f = p // g, a // g
+                if scale < 0:
+                    scale, f = -scale, -f
+                if scale != 1:
+                    row = rows[r] = {cc: v * scale for cc, v in row.items()}
             for cc, pv in pivot_items:
                 cur = row.get(cc)
                 if cur is None:
                     row[cc] = -f * pv
                     s = col_rows.get(cc)
                     if s is None:
-                        s = col_rows[cc] = set()
-                    s.add(r)
-                    push(heap, len(s) * weight + cc)
+                        col_rows[cc] = {r}
+                        low[cc] = weight + cc
+                        push(heap, weight + cc)
+                    else:
+                        s.add(r)
                 else:
                     nv = cur - f * pv
                     if nv:
                         row[cc] = nv
                     else:
                         del row[cc]
-                        s = col_rows.get(cc)
-                        if s is not None:
-                            s.discard(r)
-                            push(heap, len(s) * weight + cc)
+                        s = col_rows[cc]
+                        s.discard(r)
+                        if not s:
+                            del col_rows[cc]
+                        elif weight:
+                            fell.append(cc)
             if not row:
                 del rows[r]
                 continue
@@ -492,6 +524,14 @@ def _eliminate(
                     for cc in row:
                         row[cc] //= content
             live += len(row)
+        for cc in fell:
+            s = col_rows.get(cc)
+            if s is not None:
+                key = len(s) * weight + cc
+                if key < low[cc]:
+                    low[cc] = key
+                    push(heap, key)
+        fell.clear()
         check_entry_budget(live, cap)
     return pivots
 

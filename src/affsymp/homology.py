@@ -20,13 +20,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .chain_complexes import Chain, ChainComplex
+from .chain_complexes import Chain, ChainComplex, KernelComplex
 from .errors import DegreeRangeError, DomainError, ShapeError
 from .exact_linalg import (
     LinearSolver,
+    QONE,
     QVector,
     QZERO,
     Rational,
+    SparseMatrix,
     append_columns,
     independent_columns,
     is_in_column_span,
@@ -118,7 +120,12 @@ def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
     the block taken in canonical order and kept greedily when they enlarge
     the span of its boundary columns and of the cycles kept before.  At the
     cap there is no d_(k+1) to tell cycles from boundaries, so that degree
-    raises.  Eliminations are held to the complex's ``entry_cap``."""
+    raises.  Eliminations are held to the complex's ``entry_cap``.
+
+    Outside the kernel complexes every boundary is a cycle, so the choice
+    is made on the rows at the free columns of the cycle basis alone
+    (``_on_free_rows``); a kernel complex's boundary columns [d; pi] are
+    not, and it eliminates the whole bordered block."""
     complex_.check_degree(k)
     if k == complex_.cap:
         raise DegreeRangeError(
@@ -135,7 +142,10 @@ def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
     else:
         cycles = kernel_basis(cycle_block, complex_.entry_cap)
     # the greedy choice: pivot columns of [boundaries | cycles] past the boundaries
-    bordered = append_columns(bounding, (_padded(v, bounding.rows) for v in cycles))
+    if isinstance(complex_, KernelComplex):
+        bordered = append_columns(bounding, (_padded(v, bounding.rows) for v in cycles))
+    else:
+        bordered = _on_free_rows(bounding, cycles)
     reps = [
         Chain(k, complex_.from_block(k, zero, cycles[c - bounding.cols]).normalized())
         for c in independent_columns(bordered, complex_.entry_cap)
@@ -146,6 +156,19 @@ def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
             f"found {len(reps)} independent cycles, expected {target}"
         )
     return reps
+
+
+def _on_free_rows(bounding: SparseMatrix, cycles: list[QVector]) -> SparseMatrix:
+    """[boundaries | cycles] on the rows at the free columns of the reduced
+    echelon cycle basis, in its order.  A cycle is 1 at its own free column
+    and 0 at the others, so ker d_k maps one-to-one onto these coordinates;
+    the boundaries lie in ker d_k, so every linear relation among the
+    columns survives, and the cycles' rows are the identity."""
+    free = {v.entries[0][0]: i for i, v in enumerate(cycles)}
+    entries = {(free[r], c): v for (r, c), v in bounding.entries.items() if r in free}
+    for i in range(len(cycles)):
+        entries[(i, bounding.cols + i)] = QONE
+    return SparseMatrix._of(len(cycles), bounding.cols + len(cycles), entries)
 
 
 def class_coordinates(

@@ -165,7 +165,7 @@ class WordSet:
             raise ValueError("total weight of the wrong length")
         self._lists: dict[tuple[str, int], list] = {}
         self._positions: dict[tuple[str, int], dict] = {}
-        self._reach: dict[tuple[bool, int], dict] = {}
+        self._reach: dict[bool, tuple[int, dict]] = {}
         self._totals: dict[Weight, WordSet] = {self.total: self}
 
     @classmethod
@@ -216,6 +216,20 @@ class WordSet:
 
         return self._memo("module_wedge", k, build)
 
+    def count(self, kind: str, k: int, limit: int) -> int:
+        """``min(limit, len(getattr(self, kind)(k)))``; the search stops
+        after ``limit`` words instead of listing them all."""
+        got = self._lists.get((kind, k))
+        if got is not None:
+            return min(limit, len(got))
+        if kind != "module_wedge":
+            return min(limit, len(self._search(k, kind == "wedge", self.total, limit)))
+        found = 0
+        for weight in self.module_weights:
+            if found < limit:
+                found += len(self._search(k, True, _minus(self.total, weight), limit - found))
+        return min(limit, found)
+
     def position(self, kind: str, k: int) -> dict:
         """Word -> index in ``getattr(self, kind)(k)``."""
         got = self._positions.get((kind, k))
@@ -233,35 +247,37 @@ class WordSet:
     def _sums(self, k: int, strict: bool) -> dict:
         """Weights reachable by j letters, for j <= k: keyed (i, j) with
         distinct letters of index >= i when ``strict``, keyed (0, j) with
-        any letters otherwise."""
-        table = self._reach.get((strict, k))
-        if table is not None:
+        any letters otherwise.  One table per ``strict``, extended by the
+        lengths a call needs beyond those it holds."""
+        depth, table = self._reach.get(strict, (-1, {}))
+        if depth >= k:
             return table
         weights = self.letter_weights
         n = len(weights)
-        table = {}
-        if strict:
-            for j in range(k + 1):
+        distinct = set(weights)
+        for j in range(depth + 1, k + 1):
+            if strict:
                 table[(n, j)] = {self.zero} if j == 0 else set()
-            for i in range(n - 1, -1, -1):
-                table[(i, 0)] = {self.zero}
-                for j in range(1, k + 1):
-                    table[(i, j)] = table[(i + 1, j)] | {
+                for i in range(n - 1, -1, -1):
+                    table[(i, j)] = {self.zero} if j == 0 else table[(i + 1, j)] | {
                         _plus(weights[i], s) for s in table[(i + 1, j - 1)]
                     }
-        else:
-            distinct = set(weights)
-            table[(0, 0)] = {self.zero}
-            for j in range(1, k + 1):
-                table[(0, j)] = {_plus(w, s) for w in distinct for s in table[(0, j - 1)]}
-        self._reach[(strict, k)] = table
+            else:
+                table[(0, j)] = {self.zero} if j == 0 else {
+                    _plus(w, s) for w in distinct for s in table[(0, j - 1)]
+                }
+        self._reach[strict] = (k, table)
         return table
 
-    def _search(self, k: int, strict: bool, total: Weight) -> list[tuple[int, ...]]:
+    def _search(
+        self, k: int, strict: bool, total: Weight, limit: int | None = None
+    ) -> list[tuple[int, ...]]:
         """Words of k letters (strictly increasing when ``strict``) whose
-        weights sum to ``total``, lexicographic.  The letters that can extend
-        a prefix depend only on (first allowed letter, weight still needed,
-        letters left), so they are listed once per such state."""
+        weights sum to ``total``, lexicographic; with a ``limit``, a prefix
+        of the list at least that long when there are so many.  The letters
+        that can extend a prefix depend only on (first allowed letter, weight
+        still needed, letters left), so they are listed once per such
+        state."""
         reach = self._sums(k, strict)
         weights = self.letter_weights
         n = len(weights)
@@ -287,6 +303,8 @@ class WordSet:
                 return
             for a, rest in options(start, need, left):
                 extend(prefix + (a,), a + 1 if strict else 0, rest, left - 1)
+                if limit is not None and len(out) >= limit:
+                    return
 
         if k == 0:
             out.append(())

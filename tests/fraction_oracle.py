@@ -20,8 +20,11 @@ def _sorted_row_dicts(m):
 
 
 def fraction_rank(m):
-    """Fraction-based Gaussian elimination with the same Markowitz pivot
-    rule as the integer core."""
+    """Fraction-based Gaussian elimination on a heap of (count, column)
+    entries.  It is pushed on every change of a count but not when the
+    pivot row retires from a column, so a pivot may have more live entries
+    than the Markowitz minimum the integer core takes; only its rank is
+    compared."""
     rows = {r: dict(d) for r, d in _sorted_row_dicts(m).items() if d}
     col_rows = {}
     for r, d in rows.items():

@@ -42,12 +42,12 @@ def test_descriptor_key_sensitivity():
 
 def test_basis_convention_bump_misses(tmp_path, monkeypatch):
     import affsymp.cache as cache_module
-    from affsymp.chain_complexes import ce_complex
+    from affsymp.chain_complexes import leibniz_complex
     from affsymp.lie_structures import build_sp
 
     sp = build_sp(1)
     cache = DiffCache(tmp_path)
-    ce_complex(sp, 3, cache=cache)
+    leibniz_complex(sp, 3, cache=cache)
     written = cache.stats()["diff"]["files"]
     assert written > 0
     lookups = []
@@ -59,11 +59,11 @@ def test_basis_convention_bump_misses(tmp_path, monkeypatch):
         return got
 
     monkeypatch.setattr(DiffCache, "get_matrix", counted)
-    ce_complex(sp, 3, cache=cache)
+    leibniz_complex(sp, 3, cache=cache)
     assert lookups and all(lookups)
     monkeypatch.setattr(cache_module, "BASIS_CONVENTION", cache_module.BASIS_CONVENTION + 1)
     lookups.clear()
-    ce_complex(sp, 3, cache=cache)
+    leibniz_complex(sp, 3, cache=cache)
     assert lookups and not any(lookups)
     assert cache.stats()["diff"]["files"] == 2 * written
 
@@ -80,6 +80,35 @@ def test_stats_and_clear(tmp_path):
 
 
 def test_complex_reuses_cached_rank(tmp_path):
+    from affsymp.chain_complexes import leibniz_complex
+    from affsymp.exact_linalg import rank
+    from affsymp.lie_structures import build_sp
+
+    sp = build_sp(1)
+    cache = DiffCache(tmp_path)
+    first = leibniz_complex(sp, 3, cache=cache)
+    assert first.rank_d(3) == 6
+    # rank_d(3) is the rank of the 3x7 weight-0 block, 2, plus 4 off the
+    # block.  Poison the block's cached rank with a wrong but possible value;
+    # a fresh complex must read it back verbatim, proving the lookup path is
+    # active
+    block = first.block(3)
+    assert (block.rows, block.cols) == (3, 7) and rank(block) == 2
+    fp = block.fingerprint()
+    assert cache.get_rank(fp) == 2
+    cache.put_rank(fp, 1)
+    second = leibniz_complex(sp, 3, cache=cache)
+    assert second.rank_d(3) == 5
+    # a value no 3x7 matrix can have is a miss: recomputed and rewritten
+    cache.put_rank(fp, 99)
+    third = leibniz_complex(sp, 3, cache=cache)
+    assert third.rank_d(3) == 6
+    assert cache.get_rank(fp) == 2
+
+
+def test_tiny_blocks_bypass_the_cache(tmp_path):
+    """A block with at most one row or column is rebuilt and reranked, never
+    read or written: a poisoned record of one is not believed."""
     from affsymp.chain_complexes import ce_complex
     from affsymp.lie_structures import build_sp
 
@@ -87,21 +116,11 @@ def test_complex_reuses_cached_rank(tmp_path):
     cache = DiffCache(tmp_path)
     first = ce_complex(sp, 3, cache=cache)
     assert first.rank_d(2) == 3
-    # rank_d(2) is the rank of the 1x1 weight-0 block, 1, plus 2 off the
-    # block.  Poison the block's cached rank with a wrong but possible value;
-    # a fresh complex must read it back verbatim, proving the lookup path is
-    # active
     block = first.block(2)
     assert (block.rows, block.cols) == (1, 1)
-    fp = block.fingerprint()
-    cache.put_rank(fp, 0)
-    second = ce_complex(sp, 3, cache=cache)
-    assert second.rank_d(2) == 2
-    # a value no 1x1 matrix can have is a miss: recomputed and rewritten
-    cache.put_rank(fp, 99)
-    third = ce_complex(sp, 3, cache=cache)
-    assert third.rank_d(2) == 3
-    assert cache.get_rank(fp) == 1
+    assert cache.stats()["diff"]["files"] == cache.stats()["rank"]["files"] == 0
+    cache.put_rank(block.fingerprint(), 0)
+    assert ce_complex(sp, 3, cache=cache).rank_d(2) == 3
 
 
 def test_malformed_rank_records_miss(tmp_path):
@@ -223,3 +242,43 @@ def test_corrupted_records_never_change_answers(filled_cache, tmp_path_factory, 
     assert (code, out, err) == (0, cold, "")
     # every corrupted record was a miss and was rewritten as the original
     assert _records(path) == records
+
+
+def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, monkeypatch):
+    """A cold n = 1 verify writes no record of a matrix with at most one row
+    or column; a warm rerun reads every record it looks up, writes none and
+    leaves the directory byte-identical."""
+    from affsymp.chain_complexes import ChainComplex
+    from affsymp.theorems import VerificationContext, run_all
+
+    shapes = {}
+    ranked = ChainComplex._ranked
+
+    def recorded(self, matrix):
+        shapes[matrix.fingerprint()] = (matrix.rows, matrix.cols)
+        return ranked(self, matrix)
+
+    monkeypatch.setattr(ChainComplex, "_ranked", recorded)
+    assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), 1))
+    cold = _records(tmp_path)
+    diffs = [name for name in cold if name.startswith("diff/")]
+    ranks = [name for name in cold if name.startswith("rank/")]
+    assert diffs and ranks
+    for name in diffs:
+        rows, cols, _ = cold[name].split(b"\n")[1].split()
+        assert min(int(rows), int(cols)) > 1, name
+    for name in ranks:
+        assert min(shapes[name[len("rank/"):-len(".txt")]]) > 1, name
+
+    calls = []
+    for method in ("get_matrix", "get_rank", "put_matrix", "put_rank"):
+        def spy(self, *args, _method=method, _original=getattr(DiffCache, method)):
+            got = _original(self, *args)
+            calls.append((_method, got is None))
+            return got
+
+        monkeypatch.setattr(DiffCache, method, spy)
+    assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), 1))
+    assert calls and {method for method, _ in calls} == {"get_matrix", "get_rank"}
+    assert not any(missed for _, missed in calls)
+    assert _records(tmp_path) == cold

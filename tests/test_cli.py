@@ -251,7 +251,7 @@ class TestCacheLifecycle:
         code, out, _ = run_cli(
             capsys,
             [
-                "homology", "--family", "sp", "--n", "1", "--theory", "lie",
+                "homology", "--family", "sp", "--n", "1", "--theory", "leibniz",
                 "--max-degree", "2", "--cache-dir", str(cache),
             ],
         )
@@ -323,7 +323,7 @@ class TestCacheLifecycle:
         monkeypatch.setenv("AFFSYMP_CACHE_DIR", str(cache))
         code, _, _ = run_cli(
             capsys,
-            ["homology", "--family", "sp", "--n", "1", "--theory", "lie", "--max-degree", "2"],
+            ["homology", "--family", "sp", "--n", "1", "--theory", "leibniz", "--max-degree", "2"],
         )
         assert code == 0
         assert any((cache / "diff").iterdir())

@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affsymp import exact_linalg
 from affsymp.errors import ResourceLimitError, ShapeError
 from affsymp.exact_linalg import (
     LinearSolver,
     QVector,
     Rational,
     SparseMatrix,
+    _eliminate,
+    _integer_lines,
     independent_columns,
     is_in_column_span,
     kernel_basis,
@@ -23,6 +26,7 @@ import fraction_oracle
 from dense_oracle import dense_rank, to_dense
 from fraction_oracle import fraction_product, fraction_rank, matrix_text
 from fraction_oracle import rational_to_string as fraction_rational_to_string
+from elimination_oracle import old_loop
 
 
 # sp1 bracket table, expanded by hand from the field basis
@@ -365,13 +369,24 @@ class TestFractionOracle:
         assert independent_columns(m) == greedy
         assert len(greedy) == rank(m)
 
-    def test_reps_match_the_greedy_reducer(self, g1, sp1, g2, sp2):
+    def test_reps_match_the_greedy_reducer(self, g1, sp1, g2, sp2, monkeypatch):
+        """Also: outside the kernel complexes the greedy choice eliminates
+        one row per weight-0 cycle, not the whole bordered block."""
+        from affsymp import homology
         from affsymp.chain_complexes import (
-            ce_complex, coeff_complex, cr_complex, leibniz_complex, rel_complex,
+            KernelComplex, ce_complex, coeff_complex, cr_complex, leibniz_complex, rel_complex,
         )
         from affsymp.homology import homology_reps
         from affsymp.lie_structures import adjoint_module, trivial_module
         from test_weight_blocks import _complexes, _ideal_wedge
+
+        shapes = []
+
+        def recorded(m, entry_cap=None):
+            shapes.append((m.rows, m.cols))
+            return independent_columns(m, entry_cap)
+
+        monkeypatch.setattr(homology, "independent_columns", recorded)
 
         complexes = _complexes(g1, sp1, 5, 3)
         for a in (g2[0], sp2):
@@ -386,12 +401,131 @@ class TestFractionOracle:
         found = 0
         for complex_ in complexes:
             for k in range(complex_.cap):
+                shapes.clear()
                 reps = homology_reps(complex_, k)
                 assert reps == fraction_oracle.block_homology_reps(complex_, k), (
                     complex_.name, k,
                 )
                 found += len(reps)
+                if reps and not isinstance(complex_, KernelComplex):
+                    bounding = complex_.block(k + 1)
+                    cycles = bounding.rows - (rank(complex_.block(k)) if k else 0)
+                    assert shapes == [(cycles, bounding.cols + cycles)]
         assert found > len(complexes)
+
+
+@st.composite
+def integer_matrices(draw, max_rows=10, max_cols=10):
+    """Sparse integer matrices with entries in -2..2, zero rows, and rows
+    that duplicate or negate an earlier one, drawn as they are or
+    transposed."""
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    value = st.integers(-2, 2)
+    dense_rows: list[dict] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["sparse", "sparse", "zero", "duplicate", "negated"]))
+        if kind == "zero" or ncols == 0:
+            dense_rows.append({})
+        elif kind in ("duplicate", "negated") and dense_rows:
+            source = draw(st.sampled_from(dense_rows))
+            sign = -1 if kind == "negated" else 1
+            dense_rows.append({c: sign * v for c, v in source.items()})
+        else:
+            support = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+            dense_rows.append({c: draw(value) for c in sorted(support)})
+    m = SparseMatrix(
+        nrows, ncols, {(r, c): v for r, row in enumerate(dense_rows) for c, v in row.items()}
+    )
+    return m.transpose() if draw(st.booleans()) else m
+
+
+def markowitz_reference(m):
+    """[(pivot column, pivot row)] of a rational elimination that scans every
+    live column at every step and takes the one with the fewest entries
+    (ties to the lowest column), and in it the row with the fewest entries
+    (ties to the lowest row)."""
+    rows = {r: {c: Fraction(v) for c, v in row.items()} for r, row in m.row_dicts().items()}
+    order = []
+    while rows:
+        counts: dict[int, int] = {}
+        for row in rows.values():
+            for c in row:
+                counts[c] = counts.get(c, 0) + 1
+        c = min(counts, key=lambda col: (counts[col], col))
+        pivot_row = min((r for r in rows if c in rows[r]), key=lambda r: (len(rows[r]), r))
+        prow = rows.pop(pivot_row)
+        order.append((c, pivot_row))
+        for r, row in list(rows.items()):
+            a = row.get(c)
+            if a is None:
+                continue
+            f = a / prow[c]
+            for cc, v in prow.items():
+                nv = row.get(cc, 0) - f * v
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+            if not row:
+                del rows[r]
+    return order
+
+
+class TestEliminationLoop:
+    """The elimination loop against the loop it replaced
+    (``elimination_oracle``), the Fraction and dense ranks, and a
+    brute-force Markowitz rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_rank_matches_the_old_loop_and_the_oracles(self, m):
+        got = rank(m)
+        with old_loop():
+            assert rank(m) == got
+        assert got == fraction_rank(m) == dense_rank(to_dense(m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_kernels_and_independent_columns_match_the_old_loop(self, m):
+        kernel, independent = kernel_basis(m), independent_columns(m)
+        with old_loop():
+            assert kernel_basis(m) == kernel
+            assert independent_columns(m) == independent
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_solves_match_the_old_loop(self, data):
+        m = data.draw(integer_matrices())
+        value = st.integers(-3, 3)
+        x = QVector.from_dense(data.draw(st.lists(value, min_size=m.cols, max_size=m.cols)))
+        noise = QVector.from_dense(data.draw(st.lists(value, min_size=m.rows, max_size=m.rows)))
+        solver = LinearSolver(m)
+        with old_loop():
+            oracle = LinearSolver(m)
+        assert solver._transforms == oracle._transforms
+        for b in (m.apply(x), noise):
+            assert solver.solve(b) == oracle.solve(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices(max_rows=8, max_cols=8))
+    def test_every_markowitz_pivot_has_the_fewest_live_entries(self, m):
+        pivots = _eliminate(_integer_lines(m, 0, 0)[0])
+        assert list(pivots.items()) == markowitz_reference(m)
+
+    def test_the_old_loop_lags_the_markowitz_minimum(self):
+        """Without a push when the pivot row retires from a column, the old
+        heap can hold a column above its true count and pivot elsewhere
+        first; the ranks still agree."""
+        # column 0 pivots on row 0; row 0 retiring leaves column 2 with one
+        # entry, which the old heap still holds at two
+        m = SparseMatrix.from_dense([[1, 0, 1, 0, 0], [-1, 2, 2, -1, -1], [0, 1, 0, 1, 1]])
+        assert list(_eliminate(_integer_lines(m, 0, 0)[0]).items()) == [(0, 0), (2, 1), (1, 2)]
+        assert markowitz_reference(m) == [(0, 0), (2, 1), (1, 2)]
+        with old_loop():
+            old = exact_linalg._eliminate(_integer_lines(m, 0, 0)[0])
+        assert list(old.items()) == [(0, 0), (1, 2), (2, 1)]
+        assert len(old) == rank(m) == 3
 
 
 class TestSolver:

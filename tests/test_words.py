@@ -111,6 +111,23 @@ class TestWordSet:
             listed = getattr(words, kind)(k)
             assert words.position(kind, k) == {w: i for i, w in enumerate(listed)}
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), max_size=3),
+        st.tuples(st.integers(-2, 2), st.integers(-1, 1)),
+        st.integers(0, 7),
+    )
+    def test_counts_match_the_listed_words(self, letters, modules, total, k):
+        # counted before anything is listed, on a set sharing its tables
+        words = WordSet(letters, modules).at(total)
+        kinds = ("tensor", "wedge", "module_wedge")
+        counts = {(kind, limit): words.count(kind, k, limit) for kind in kinds for limit in (1, 2, 5)}
+        fresh = WordSet(letters, modules, total)
+        for (kind, limit), count in counts.items():
+            assert count == min(limit, len(getattr(fresh, kind)(k))), (kind, limit)
+            assert words.count(kind, k, limit) == count
+
     def test_all_words_is_the_full_basis(self):
         words = WordSet.all(4, 2)
         assert not words.graded

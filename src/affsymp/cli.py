@@ -20,24 +20,6 @@ from . import __version__
 from .cache import DiffCache
 from .errors import AffsympError, DomainError, ResourceLimitError
 from .homology import homology_report
-from .invariants import invariant_dimension_report
-from .lie_structures import (
-    adjoint_module,
-    build_g,
-    build_I,
-    build_sp,
-    exterior_power_module,
-    restriction_module,
-    submodule,
-    trivial_module,
-)
-from .chain_complexes import (
-    ce_complex,
-    coeff_complex,
-    cr_complex,
-    leibniz_complex,
-    rel_complex,
-)
 from .theorems import CLAIM_IDS, VerificationContext, run_all, run_claim
 
 EXIT_OK = 0
@@ -121,46 +103,11 @@ def _resolve_cap(args) -> int | None:
     return int(env)
 
 
-def _algebra_for(family: str, n: int):
-    if family == "sp":
-        return build_sp(n), None
-    if family == "I":
-        return build_I(n), None
-    if family == "g":
-        algebra, split = build_g(n)
-        return algebra, split
-    raise DomainError(f"unknown family {family!r} (expected sp, I or g)")
-
-
-def _module_for(spec: str, family: str, n: int, algebra):
-    if spec == "trivial":
-        return trivial_module(algebra)
-    if spec == "adjoint":
-        return adjoint_module(algebra, validate=False)
-    if spec.startswith("I^"):
-        try:
-            k = int(spec[2:])
-        except ValueError:
-            raise DomainError(f"bad exterior power in module spec {spec!r}")
-        if k < 0:
-            raise DomainError("exterior power must be >= 0")
-        if family == "I":
-            raise DomainError("coefficients I^k need the sp or g action")
-        g_algebra, split = build_g(n)
-        g_adj = adjoint_module(g_algebra, validate=False)
-        if family == "g":
-            base = submodule(g_adj, split.ideal_indices)
-        else:
-            base = submodule(
-                restriction_module(g_adj, split.quotient_indices), split.ideal_indices
-            )
-        return exterior_power_module(base, k, validate=False)
-    raise DomainError(f"unknown module spec {spec!r} (trivial, adjoint or I^k)")
-
-
 def _cmd_algebra_info(args) -> int:
     _resolve_cap(args)  # checked as elsewhere; the algebras build under the default cap
-    algebra, split = _algebra_for(args.family, args.n)
+    ctx = VerificationContext()
+    algebra = ctx.algebra(args.family, args.n)
+    split = ctx.g(args.n)[1] if args.family == "g" else None
     payload = {
         "report": "algebra",
         "family": args.family,
@@ -191,31 +138,9 @@ def _cmd_homology(args) -> int:
     entry_cap = _resolve_cap(args)
     if args.max_degree < 0:
         raise DomainError("max degree must be >= 0")
-    algebra, _ = _algebra_for(args.family, args.n)
-    cap = args.max_degree + 1  # one degree above keeps every reported row exact
-    label = f"{args.family}{args.n}"
-    theory = args.theory
-    if theory == "lie":
-        complex_ = ce_complex(algebra, cap, cache, entry_cap, name=f"lie({label})")
-    elif theory == "leibniz":
-        complex_ = leibniz_complex(algebra, cap, cache, entry_cap, name=f"leibniz({label})")
-    elif theory == "adjoint":
-        complex_ = coeff_complex(
-            algebra, adjoint_module(algebra, validate=False), cap, cache, entry_cap,
-            name=f"adjoint({label})",
-        )
-    elif theory.startswith("coeff:"):
-        module = _module_for(theory[len("coeff:"):], args.family, args.n, algebra)
-        complex_ = coeff_complex(
-            algebra, module, cap, cache, entry_cap,
-            name=f"coeff({label},{theory[len('coeff:'):]})",
-        )
-    elif theory == "rel":
-        complex_ = rel_complex(algebra, cap, cache, entry_cap, name=f"rel({label})")
-    elif theory == "cr":
-        complex_ = cr_complex(algebra, cap, cache, entry_cap, name=f"cr({label})")
-    else:
-        raise DomainError(f"unknown theory {theory!r}")
+    ctx = VerificationContext(cache=cache, entry_cap=entry_cap)
+    # one degree above keeps every reported row exact
+    complex_ = ctx.complex(args.theory, args.family, args.n, args.max_degree + 1)
     report = homology_report(complex_, args.max_degree, emit_cycles=args.emit_cycles)
     if args.format == "json":
         print(report.to_json())
@@ -228,7 +153,7 @@ def _cmd_homology(args) -> int:
 
 def _cmd_invariants(args) -> int:
     entry_cap = _resolve_cap(args)
-    table = invariant_dimension_report(args.n, args.k_max, entry_cap=entry_cap)
+    table = VerificationContext(entry_cap=entry_cap).invariant_table(args.n, args.k_max)
     if args.format == "json":
         print(table.to_json())
     elif args.format == "csv":
@@ -248,58 +173,48 @@ def _cmd_verify(args) -> int:
         reports = run_all(ctx, args.n)
         if not reports:
             raise DomainError(f"no claims configured for n={args.n}")
-        passed = all(r.passed for r in reports)
-        if args.format == "json":
+    elif args.claim in CLAIM_IDS:
+        reports = [run_claim(ctx, args.claim, args.n, args.cap)]
+    else:
+        raise DomainError(
+            f"unknown claim {args.claim!r}; choose from {', '.join(CLAIM_IDS)} or all"
+        )
+    passed = all(r.passed for r in reports)
+    if args.format == "json":
+        if args.claim == "all":
             payload = {
                 "report": "verification-suite",
                 "n": args.n,
                 "passed": passed,
                 "reports": [r.to_json_dict() for r in reports],
             }
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        elif args.format == "csv":
-            print("claim,part,degree,expected,computed,passed")
-            for r in reports:
-                for row in r.rows:
-                    deg = "" if row.degree is None else row.degree
-                    print(
-                        f"{r.claim_id},{row.part},{deg},{row.expected},"
-                        f"{row.computed},{str(row.passed).lower()}"
-                    )
         else:
-            for r in reports:
-                print(r.to_text())
-        return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
-    if args.claim not in CLAIM_IDS:
-        raise DomainError(
-            f"unknown claim {args.claim!r}; choose from {', '.join(CLAIM_IDS)} or all"
-        )
-    report = run_claim(ctx, args.claim, args.n, args.cap)
-    if args.format == "json":
-        print(report.to_json())
+            payload = reports[0].to_json_dict()
+        print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "csv":
         print("claim,part,degree,expected,computed,passed")
-        for row in report.rows:
-            deg = "" if row.degree is None else row.degree
-            print(
-                f"{report.claim_id},{row.part},{deg},{row.expected},"
-                f"{row.computed},{str(row.passed).lower()}"
-            )
+        for r in reports:
+            for row in r.rows:
+                deg = "" if row.degree is None else row.degree
+                print(
+                    f"{r.claim_id},{row.part},{deg},{row.expected},"
+                    f"{row.computed},{str(row.passed).lower()}"
+                )
     else:
-        print(report.to_text())
-    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
+        for r in reports:
+            print(r.to_text())
+    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_cache(args) -> int:
-    path = args.cache_dir or os.environ.get("AFFSYMP_CACHE_DIR")
-    if not path:
+    cache = _resolve_cache(args)
+    if cache is None:
         raise DomainError("no cache directory given (flag --cache-dir or AFFSYMP_CACHE_DIR)")
-    cache = DiffCache(path)
     if args.cache_command == "info":
         print(json.dumps(cache.stats(), indent=2, sort_keys=True))
     else:
         removed = cache.clear()
-        print(f"removed {removed} cached artifacts from {path}")
+        print(f"removed {removed} cached artifacts from {cache.path}")
     return EXIT_OK
 
 

@@ -13,11 +13,21 @@ The graded predictions combine three ingredients:
 
 Each claim id maps to one verifier; ``run_claim`` and ``run_all`` drive them
 with desk-scale default caps.
+
+``VerificationContext`` is the one registry of complexes, shared by the
+claims and the CLI.  ``ctx.complex(theory, family, n, cap)`` takes the
+``homology --theory`` strings (``lie``, ``leibniz``, ``adjoint``,
+``coeff:<trivial|adjoint|I^k>``, ``rel``, ``cr``) over the families ``sp``,
+``I`` and ``g``, names the complex as the CLI reports it (``lie(g1)``,
+``coeff(sp1,I^2)``), and memoizes it by ``(theory, family, n)``: a complex
+already built to at least ``cap`` is reused, so claims that share a complex
+build and rank it once.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -47,11 +57,14 @@ from .invariants import (
 )
 from .lie_structures import (
     LieAlgebra,
+    LieModule,
+    SubalgebraDecomposition,
     adjoint_module,
     build_I,
     build_g,
     build_sp,
     exterior_power_module,
+    submodule,
     trivial_module,
 )
 
@@ -163,147 +176,115 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+# the k of a ``coeff:I^k`` spec, one spelling per k
+_EXPONENT = re.compile("0|[1-9][0-9]*")
+
+
 class VerificationContext:
-    """Memoizes algebras, modules, invariant tables and complexes across
-    claims; one disk cache."""
+    """Memoizes algebras, the standard modules, invariant tables and
+    complexes across claims and CLI commands; one disk cache."""
 
     def __init__(self, cache: DiffCache | None = None, entry_cap: int | None = None):
         self.cache = cache
         self.entry_cap = entry_cap
         self._algebras: dict = {}
         self._complexes: dict = {}
+        self._tables: dict = {}
 
-    # -- algebras ---------------------------------------------------------
+    # -- algebras and modules -----------------------------------------------
 
-    def sp(self, n: int) -> LieAlgebra:
-        return self._algebra("sp", n)
+    def g(self, n: int) -> tuple[LieAlgebra, SubalgebraDecomposition]:
+        """The affine algebra with its split into ideal and quotient."""
+        key = ("g", n)
+        if key not in self._algebras:
+            self._algebras[key] = build_g(n)
+        return self._algebras[key]
 
-    def ideal(self, n: int) -> LieAlgebra:
-        return self._algebra("I", n)
-
-    def g(self, n: int):
-        return self._algebra("g", n)
-
-    def _algebra(self, family: str, n: int):
+    def algebra(self, family: str, n: int) -> LieAlgebra:
+        """``sp_n``, ``I_n`` or ``g_n`` by family name."""
+        if family == "g":
+            return self.g(n)[0]
         key = (family, n)
         if key not in self._algebras:
             if family == "sp":
                 self._algebras[key] = build_sp(n)
             elif family == "I":
                 self._algebras[key] = build_I(n)
-            elif family == "g":
-                self._algebras[key] = build_g(n)
             else:
-                raise DomainError(f"unknown algebra family {family!r}")
+                raise DomainError(f"unknown family {family!r} (expected sp, I or g)")
         return self._algebras[key]
 
-    # -- complexes ----------------------------------------------------------
-
-    def _complex(self, key, cap: int, builder) -> ChainComplex:
-        found = self._complexes.get(key)
-        if found is None or found.cap < cap:
-            found = builder(cap)
-            self._complexes[key] = found
-        return found
-
-    def ce(self, family: str, n: int, cap: int) -> ChainComplex:
-        algebra = self.g(n)[0] if family == "g" else self._algebra(family, n)
-        return self._complex(
-            ("lie", family, n),
-            cap,
-            lambda c: ce_complex(
-                algebra, c, self.cache, self.entry_cap, name=f"lie({family}{n})"
-            ),
-        )
-
-    def leibniz(self, family: str, n: int, cap: int) -> ChainComplex:
-        algebra = self.g(n)[0] if family == "g" else self._algebra(family, n)
-        return self._complex(
-            ("leibniz", family, n),
-            cap,
-            lambda c: leibniz_complex(
-                algebra, c, self.cache, self.entry_cap, name=f"leibniz({family}{n})"
-            ),
-        )
-
-    def adjoint(self, family: str, n: int, cap: int) -> ChainComplex:
-        algebra = self.g(n)[0] if family == "g" else self._algebra(family, n)
-        return self._complex(
-            ("adjoint", family, n),
-            cap,
-            lambda c: coeff_complex(
-                algebra,
-                adjoint_module(algebra, validate=False),
-                c,
-                self.cache,
-                self.entry_cap,
-                name=f"adjoint({family}{n})",
-            ),
-        )
-
-    def coeff_wedge_ideal(self, n: int, k: int, cap: int) -> ChainComplex:
-        """Coefficient complex of sp with the k-th exterior power of the
-        constants module."""
-        sp, ideal_mod, _, _, _ = self._standard(n)
-        module = exterior_power_module(ideal_mod, k, validate=False)
-        return self._complex(
-            ("coeff-wedge", n, k),
-            cap,
-            lambda c: coeff_complex(
-                sp, module, c, self.cache, self.entry_cap,
-                name=f"coeff(sp{n}, wedge^{k}(I{n}))",
-            ),
-        )
-
-    def trivial_coeff(self, family: str, n: int, cap: int) -> ChainComplex:
-        algebra = self.g(n)[0] if family == "g" else self._algebra(family, n)
-        return self._complex(
-            ("trivial-coeff", family, n),
-            cap,
-            lambda c: coeff_complex(
-                algebra,
-                trivial_module(algebra),
-                c,
-                self.cache,
-                self.entry_cap,
-                name=f"coeff(({family}{n}), trivial)",
-            ),
-        )
-
-    def rel(self, family: str, n: int, cap: int) -> ChainComplex:
-        algebra = self.g(n)[0] if family == "g" else self._algebra(family, n)
-        return self._complex(
-            ("rel", family, n),
-            cap,
-            lambda c: rel_complex(
-                algebra, c, self.cache, self.entry_cap, name=f"rel({family}{n})"
-            ),
-        )
-
-    def cr(self, family: str, n: int, cap: int) -> ChainComplex:
-        algebra = self.g(n)[0] if family == "g" else self._algebra(family, n)
-        return self._complex(
-            ("cr", family, n),
-            cap,
-            lambda c: cr_complex(
-                algebra, c, self.cache, self.entry_cap, name=f"cr({family}{n})"
-            ),
-        )
+    def module(self, spec: str, family: str, n: int) -> LieModule:
+        """The coefficients of ``coeff:<spec>``: trivial, adjoint, or the
+        k-th exterior power of the constants I over sp or g."""
+        algebra = self.algebra(family, n)
+        if spec == "trivial":
+            return trivial_module(algebra)
+        if spec == "adjoint":
+            return adjoint_module(algebra, validate=False)
+        if not spec.startswith("I^"):
+            raise DomainError(f"unknown module spec {spec!r} (trivial, adjoint or I^k)")
+        if not _EXPONENT.fullmatch(spec[2:]):
+            raise DomainError(f"bad exterior power in module spec {spec!r}")
+        if family == "I":
+            raise DomainError("coefficients I^k need the sp or g action")
+        if family == "g":
+            g, split = self.g(n)
+            base = submodule(adjoint_module(g, validate=False), split.ideal_indices)
+        else:
+            base = self._standard(n)[1]
+        return exterior_power_module(base, int(spec[2:]), validate=False)
 
     def _standard(self, n: int):
         key = ("standard", n)
-        if key not in self._complexes:
-            self._complexes[key] = standard_modules(n, self.sp(n), self.g(n))
-        return self._complexes[key]
+        if key not in self._tables:
+            self._tables[key] = standard_modules(n, self.algebra("sp", n), self.g(n))
+        return self._tables[key]
+
+    # -- complexes ----------------------------------------------------------
+
+    def complex(self, theory: str, family: str, n: int, cap: int) -> ChainComplex:
+        """The ``theory`` complex of the ``family`` algebra at ``n``, built
+        through degree ``cap`` or beyond."""
+        key = (theory, family, n)
+        found = self._complexes.get(key)
+        if found is not None and found.cap >= cap:
+            return found
+        algebra = self.algebra(family, n)
+        name = f"{theory}({family}{n})"
+        shared = (cap, self.cache, self.entry_cap)
+        # builders are looked up by their module names at each call, so a
+        # wrapper installed on this module's globals sees every build
+        if theory == "lie":
+            found = ce_complex(algebra, *shared, name=name)
+        elif theory == "leibniz":
+            found = leibniz_complex(algebra, *shared, name=name)
+        elif theory == "adjoint":
+            module = self.module("adjoint", family, n)
+            found = coeff_complex(algebra, module, *shared, name=name)
+        elif theory.startswith("coeff:"):
+            spec = theory[len("coeff:"):]
+            found = coeff_complex(
+                algebra, self.module(spec, family, n), *shared,
+                name=f"coeff({family}{n},{spec})",
+            )
+        elif theory == "rel":
+            found = rel_complex(algebra, *shared, name=name)
+        elif theory == "cr":
+            found = cr_complex(algebra, *shared, name=name)
+        else:
+            raise DomainError(f"unknown theory {theory!r}")
+        self._complexes[key] = found
+        return found
 
     def invariant_table(self, n: int, k_max: int) -> InvariantTable:
         """``invariant_dimension_report(n, k_max)`` over the shared modules."""
         key = ("invariants", n, k_max)
-        if key not in self._complexes:
-            self._complexes[key] = invariant_dimension_report(
+        if key not in self._tables:
+            self._tables[key] = invariant_dimension_report(
                 n, k_max, self._standard(n), self.entry_cap
             )
-        return self._complexes[key]
+        return self._tables[key]
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +306,11 @@ def verify_lie_factorization(
     )
     sp_h = predict_sp_homology(n)
     trivial_expected = convolve(sp_h, bivector_exterior(n))
-    complex_ = ctx.ce("g", n, cap + 1)
+    complex_ = ctx.complex("lie", "g", n, cap + 1)
     for k in range(cap + 1):
         report.add("trivial", k, trivial_expected.get(k, 0), betti(complex_, k))
     adjoint_expected = convolve(sp_h, bivector_exterior_reduced(n))
-    adj = ctx.adjoint("g", n, adjoint_cap + 1)
+    adj = ctx.complex("adjoint", "g", n, adjoint_cap + 1)
     for k in range(adjoint_cap + 1):
         report.add("adjoint", k, adjoint_expected.get(k, 0), betti(adj, k))
     report.wall_time = time.monotonic() - t0
@@ -345,7 +326,7 @@ def verify_leibniz_exterior(
     t0 = time.monotonic()
     report = VerificationReport("thm-4.3", {"n": n, "cap": cap})
     expected = bivector_exterior(n)
-    complex_ = ctx.leibniz("g", n, cap + 1)
+    complex_ = ctx.complex("leibniz", "g", n, cap + 1)
     for k in range(cap + 1):
         report.add("homology", k, expected.get(k, 0), betti(complex_, k))
     for k in range(cap + 1):
@@ -375,7 +356,7 @@ def verify_shifted_rel(
     report = VerificationReport("lemma-4.2", {"n": n, "cap": cap})
     sp_h = predict_sp_homology(n)
     for family, part in (("g", "affine"), ("sp", "symplectic")):
-        complex_ = ctx.cr(family, n, cap + 1)
+        complex_ = ctx.complex("cr", family, n, cap + 1)
         for m in range(cap + 1):
             report.add(part, m, sp_h.get(m + 3, 0), betti(complex_, m))
     report.wall_time = time.monotonic() - t0
@@ -392,7 +373,7 @@ def verify_rel_factorization(
     sp_h = predict_sp_homology(n)
     shifted = {k - 3: v for k, v in sp_h.items() if k >= 3}
     expected = convolve(bivector_exterior(n), shifted)
-    complex_ = ctx.rel("g", n, cap + 1)
+    complex_ = ctx.complex("rel", "g", n, cap + 1)
     for m in range(cap + 1):
         report.add("relative", m, expected.get(m, 0), betti(complex_, m))
     report.wall_time = time.monotonic() - t0
@@ -411,10 +392,10 @@ def verify_sp_vanishing(
     report = VerificationReport(
         "sp-vanishing", {"n": n, "cap": cap, "adjoint_cap": adjoint_cap}
     )
-    leib = ctx.leibniz("sp", n, cap + 1)
+    leib = ctx.complex("leibniz", "sp", n, cap + 1)
     for k in range(1, cap + 1):
         report.add("tensor", k, 0, betti(leib, k))
-    adj = ctx.adjoint("sp", n, adjoint_cap + 1)
+    adj = ctx.complex("adjoint", "sp", n, adjoint_cap + 1)
     for k in range(adjoint_cap + 1):
         report.add("adjoint", k, 0, betti(adj, k))
     report.wall_time = time.monotonic() - t0
@@ -435,7 +416,7 @@ def verify_coefficient_split(
     table = ctx.invariant_table(n, k_cap)
     for k in range(k_cap + 1):
         inv_dim = table.rows[k].wedge_computed
-        complex_ = ctx.coeff_wedge_ideal(n, k, m_cap + 1)
+        complex_ = ctx.complex(f"coeff:I^{k}", "sp", n, m_cap + 1)
         for m in range(m_cap + 1):
             report.add(
                 f"coeffs=wedge^{k}", m, sp_h.get(m, 0) * inv_dim, betti(complex_, m)
@@ -514,16 +495,16 @@ def exactness_audit(
     t0 = time.monotonic()
     report = VerificationReport("exactness", {"n": n, "cap": cap})
 
-    leib = ctx.leibniz("g", n, cap + 1)
-    lie = ctx.ce("g", n, cap + 1)
+    leib = ctx.complex("leibniz", "g", n, cap + 1)
+    lie = ctx.complex("lie", "g", n, cap + 1)
     rel_cap = {1: 2}.get(n, 1)
-    rel = ctx.rel("g", n, rel_cap + 1)
+    rel = ctx.complex("rel", "g", n, rel_cap + 1)
     adj_cap = {1: 4}.get(n, 3)
-    adj = ctx.adjoint("g", n, adj_cap + 1)
+    adj = ctx.complex("adjoint", "g", n, adj_cap + 1)
     cr_cap = 2
-    cr = ctx.cr("g", n, cr_cap + 1)
-    sp_cr = ctx.cr("sp", n, cr_cap + 1)
-    sp_lie = ctx.ce("sp", n, cr_cap + 4)
+    cr = ctx.complex("cr", "g", n, cr_cap + 1)
+    sp_cr = ctx.complex("cr", "sp", n, cr_cap + 1)
+    sp_lie = ctx.complex("lie", "sp", n, cr_cap + 4)
 
     hl = {k: betti(leib, k) for k in range(cap + 1)}
     hlie = {k: betti(lie, k) for k in range(cap + 1)}
@@ -630,7 +611,7 @@ def claim_params(claim_id: str, n: int, cap: int | None = None) -> dict:
     defaults = CLAIM_DEFAULT_CAPS[claim_id]
     params = dict(defaults[n])
     if cap is not None:
-        if "cap" in params or not params:
+        if "cap" in params:
             params["cap"] = cap
         elif "m_cap" in params:
             params["m_cap"] = cap

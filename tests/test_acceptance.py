@@ -81,16 +81,16 @@ def test_criterion_01_structure():
 
 
 def test_criterion_02_sp_exterior_homology(ctx):
-    got1 = betti_list(ctx.ce("sp", 1, 4), 3)
-    got2 = betti_list(ctx.ce("sp", 2, 6), 5)
+    got1 = betti_list(ctx.complex("lie", "sp", 1, 4), 3)
+    got2 = betti_list(ctx.complex("lie", "sp", 2, 6), 5)
     ok = got1 == [1, 0, 0, 1] and got2 == [1, 0, 0, 1, 0, 0]
     report("2-sp-homology", ok, f"sp1 {got1}, sp2 {got2}")
     assert ok
 
 
 def test_criterion_03_affine_trivial_coefficients(ctx):
-    got1 = betti_list(ctx.ce("g", 1, 6), 5)
-    got2 = betti_list(ctx.ce("g", 2, 6), 5)
+    got1 = betti_list(ctx.complex("lie", "g", 1, 6), 5)
+    got2 = betti_list(ctx.complex("lie", "g", 2, 6), 5)
     ok = got1 == [1, 0, 1, 1, 0, 1] and got2 == [1, 0, 1, 1, 1, 1]
     report("3-affine-homology", ok, f"g1 {got1}, g2 {got2}")
     assert ok
@@ -103,7 +103,7 @@ def test_criterion_04_affine_adjoint_coefficients(ctx):
     # H_1 = S^3V + R, H_2 = V, invariants (0, 1, 0); H_*(sp_1) sits in
     # degrees 0 and 3, giving [0, 1, 0, 0, 1].  The table once shipped here,
     # [0, 0, 1, 0, 1], was wrong: H_1(g;g) surjects onto H_2(g) = 1.
-    complex_ = ctx.adjoint("g", 1, 5)
+    complex_ = ctx.complex("adjoint", "g", 1, 5)
     got = betti_list(complex_, 4)
     expected = [0, 1, 0, 0, 1]
     ranks = [0] + [dense_rank(to_dense(full_d(complex_, k))) for k in range(1, 6)]
@@ -118,13 +118,13 @@ def test_criterion_04_affine_adjoint_coefficients(ctx):
 
 
 def test_criterion_05_leibniz_homology(ctx):
-    got1 = betti_list(ctx.leibniz("g", 1, 6), 5)
-    got2 = betti_list(ctx.leibniz("g", 2, 4), 3)
+    got1 = betti_list(ctx.complex("leibniz", "g", 1, 6), 5)
+    got2 = betti_list(ctx.complex("leibniz", "g", 2, 4), 3)
     ok = got1 == [1, 0, 1, 0, 0, 0] and got2 == [1, 0, 1, 0]
     detail = f"g1 {got1}, g2 {got2}"
     generator_ok = True
     for n in (1, 2):
-        complex_ = ctx.leibniz("g", n, 6 if n == 1 else 4)
+        complex_ = ctx.complex("leibniz", "g", n, 6 if n == 1 else 4)
         lift = omega_tilde(n)
         reps = homology_reps(complex_, 2)
         cycle = is_cycle(complex_, lift)
@@ -142,17 +142,17 @@ def test_criterion_05_leibniz_homology(ctx):
 
 
 def test_criterion_06_sp_vanishing(ctx):
-    hl1 = [betti(ctx.leibniz("sp", 1, 6), k) for k in range(1, 6)]
-    hl2 = [betti(ctx.leibniz("sp", 2, 4), k) for k in range(1, 4)]
-    adj1 = betti_list(ctx.adjoint("sp", 1, 5), 4)
+    hl1 = [betti(ctx.complex("leibniz", "sp", 1, 6), k) for k in range(1, 6)]
+    hl2 = [betti(ctx.complex("leibniz", "sp", 2, 4), k) for k in range(1, 4)]
+    adj1 = betti_list(ctx.complex("adjoint", "sp", 1, 5), 4)
     ok = hl1 == [0] * 5 and hl2 == [0] * 3 and adj1 == [0] * 5
     report("6-sp-vanishing", ok, f"HL(sp1) {hl1}, HL(sp2) {hl2}, adjoint {adj1}")
     assert ok
 
 
 def test_criterion_07_shifted_rel(ctx):
-    got_g = betti_list(ctx.cr("g", 1, 3), 2)
-    got_sp = betti(ctx.cr("sp", 1, 3), 0)
+    got_g = betti_list(ctx.complex("cr", "g", 1, 3), 2)
+    got_sp = betti(ctx.complex("cr", "sp", 1, 3), 0)
     shift = predict_sp_homology(1)
     expected = [shift.get(m + 3, 0) for m in range(3)]
     ok = got_g == expected == [1, 0, 0] and got_sp == 1
@@ -161,7 +161,7 @@ def test_criterion_07_shifted_rel(ctx):
 
 
 def test_criterion_08_relative_homology(ctx):
-    complex_ = ctx.rel("g", 1, 3)
+    complex_ = ctx.complex("rel", "g", 1, 3)
     dims_ok = complex_.dims == [15, 115, 620, 3124]
     got = betti_list(complex_, 2)
     ok = dims_ok and got == [1, 0, 1]
@@ -184,8 +184,8 @@ def test_criterion_09_invariant_tables():
 
 
 def test_criterion_10_coefficient_split(ctx):
-    k1 = [betti(ctx.coeff_wedge_ideal(1, 1, 4), m) for m in range(4)]
-    k2 = [betti(ctx.coeff_wedge_ideal(1, 2, 4), m) for m in range(4)]
+    k1 = [betti(ctx.complex("coeff:I^1", "sp", 1, 4), m) for m in range(4)]
+    k2 = [betti(ctx.complex("coeff:I^2", "sp", 1, 4), m) for m in range(4)]
     table = invariant_dimension_report(1, 2)
     sp_h = predict_sp_homology(1)
     split_ok = True
@@ -203,15 +203,15 @@ def test_criterion_11_property_suites(ctx, g1):
     checks = {}
 
     # d o d = 0 on every complex built here (constructors verify; re-check two)
-    lie = ctx.ce("g", 1, 6)
-    leib = ctx.leibniz("g", 1, 6)
+    lie = ctx.complex("lie", "g", 1, 6)
+    leib = ctx.complex("leibniz", "g", 1, 6)
     lie_d, leib_d = full_diffs(lie), full_diffs(leib)
     checks["dd-zero"] = all(
         multiply(lie_d[k - 1], lie_d[k]).nnz == 0 for k in range(2, 7)
     ) and all(multiply(leib_d[k - 1], leib_d[k]).nnz == 0 for k in range(2, 7))
 
     # projection chain maps through degree 4
-    adjoint = ctx.adjoint("g", 1, 5)
+    adjoint = ctx.complex("adjoint", "g", 1, 5)
     cm = True
     for k in range(2, 5):
         cm = cm and multiply(wedge_projection(algebra, k - 1), leib_d[k]) == multiply(
@@ -233,14 +233,14 @@ def test_criterion_11_property_suites(ctx, g1):
         (lie, 5),
         (leib, 5),
         (adjoint, 4),
-        (ctx.ce("sp", 1, 4), 3),
-        (ctx.ce("sp", 2, 6), 5),
-        (ctx.ce("g", 2, 6), 5),
-        (ctx.leibniz("sp", 1, 6), 5),
-        (ctx.leibniz("sp", 2, 4), 3),
-        (ctx.leibniz("g", 2, 4), 3),
-        (ctx.rel("g", 1, 3), 2),
-        (ctx.cr("g", 1, 3), 2),
+        (ctx.complex("lie", "sp", 1, 4), 3),
+        (ctx.complex("lie", "sp", 2, 6), 5),
+        (ctx.complex("lie", "g", 2, 6), 5),
+        (ctx.complex("leibniz", "sp", 1, 6), 5),
+        (ctx.complex("leibniz", "sp", 2, 4), 3),
+        (ctx.complex("leibniz", "g", 2, 4), 3),
+        (ctx.complex("rel", "g", 1, 3), 2),
+        (ctx.complex("cr", "g", 1, 3), 2),
     ]
     dual = True
     for complex_, top in surveyed:

@@ -146,20 +146,20 @@ class TestProjections:
 
 class TestKernelComplexes:
     def test_rel_dims(self, ctx):
-        complex_ = ctx.rel("g", 1, 3)
+        complex_ = ctx.complex("rel", "g", 1, 3)
         assert complex_.dims == [15, 115, 620, 3124]
 
     def test_cr_dims_by_surjectivity(self, ctx):
         from math import comb
 
-        complex_ = ctx.cr("g", 1, 3)
+        complex_ = ctx.complex("cr", "g", 1, 3)
         assert complex_.dims == [
             5 * comb(5, m + 1) - comb(5, m + 2) for m in range(4)
         ]
 
     def test_restricted_differential_is_exact_restriction(self, ctx, g1):
         algebra = g1[0]
-        complex_ = ctx.rel("g", 1, 2)
+        complex_ = ctx.complex("rel", "g", 1, 2)
         full = leibniz_complex(algebra, 4)
         basis1 = kernel_vectors(complex_, 1)
         basis0 = kernel_vectors(complex_, 0)
@@ -234,7 +234,7 @@ class TestResourceGuard:
         for builder in (ce_complex, leibniz_complex, rel_complex, cr_complex):
             assert builder(g1[0], 2, entry_cap=10**5).entry_cap == 10**5
         assert coeff_complex(g1[0], trivial_module(g1[0]), 2, entry_cap=99).entry_cap == 99
-        assert VerificationContext(entry_cap=10**5).rel("g", 1, 1).entry_cap == 10**5
+        assert VerificationContext(entry_cap=10**5).complex("rel", "g", 1, 1).entry_cap == 10**5
 
 
 class TestBadCaps:

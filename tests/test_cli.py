@@ -134,6 +134,20 @@ class TestHomologyCommand:
         payload = validate_payload(out)
         assert [r["betti"] for r in payload["rows"]] == [1, 0, 0, 1]
 
+    # int() would take each of these, and every spelling would name and
+    # build a complex of its own
+    @pytest.mark.parametrize(
+        "power", ["+1", "01", "00", " 1", "1 ", "-1", "\u0661", "\uff11", ""]
+    )
+    def test_noncanonical_exterior_power_exit_two(self, capsys, power):
+        code, out, err = run_cli(
+            capsys,
+            ["homology", "--family", "sp", "--n", "1", "--theory", f"coeff:I^{power}",
+             "--max-degree", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert "bad exterior power" in err
+
     def test_emit_cycles(self, capsys, cache_dir):
         code, out, _ = run_cli(
             capsys,

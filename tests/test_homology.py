@@ -25,15 +25,15 @@ from full_oracle import full_d
 
 class TestBetti:
     def test_sp1_exterior(self, ctx):
-        complex_ = ctx.ce("sp", 1, 4)
+        complex_ = ctx.complex("lie", "sp", 1, 4)
         assert [betti(complex_, k) for k in range(4)] == [1, 0, 0, 1]
 
     def test_sp1_tensor_vanishing(self, ctx):
-        complex_ = ctx.leibniz("sp", 1, 6)
+        complex_ = ctx.complex("leibniz", "sp", 1, 6)
         assert [betti(complex_, k) for k in range(1, 6)] == [0, 0, 0, 0, 0]
 
     def test_g1_tensor(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         assert [betti(complex_, k) for k in range(6)] == [1, 0, 1, 0, 0, 0]
 
     def test_cap_value_is_upper_bound(self, sp1):
@@ -48,7 +48,7 @@ class TestBetti:
             betti(complex_, 3)
 
     def test_rank_nullity_bookkeeping(self, ctx):
-        complex_ = ctx.ce("g", 1, 6)
+        complex_ = ctx.complex("lie", "g", 1, 6)
         for k in range(6):
             assert (
                 complex_.dim(k)
@@ -58,12 +58,12 @@ class TestBetti:
 
 class TestCobetti:
     def test_matches_betti_sp1(self, ctx):
-        complex_ = ctx.ce("sp", 1, 4)
+        complex_ = ctx.complex("lie", "sp", 1, 4)
         for k in range(4):
             assert cobetti(complex_, k) == betti(complex_, k)
 
     def test_matches_betti_g1_tensor(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         for k in range(5):
             assert cobetti(complex_, k) == betti(complex_, k)
 
@@ -74,27 +74,27 @@ class TestCobetti:
 
 class TestCycleBoundary:
     def test_omega_tilde_is_cycle_not_boundary(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         lift = omega_tilde(1)
         assert is_cycle(complex_, lift)
         assert not is_boundary(complex_, lift)
 
     def test_degree_one_chains_are_cycles(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         for i in range(5):
             assert is_cycle(complex_, Chain(1, QVector.unit(5, i)))
 
     def test_mixed_word_is_not_cycle(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         chain = tensor_chain(5, 2, {(0, 2): Rational(1)})  # dx (x) x dy
         assert not is_cycle(complex_, chain)
 
     def test_zero_chain_is_boundary(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         assert is_boundary(complex_, Chain(2, QVector.zero(25)))
 
     def test_image_of_d_is_boundary(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         word = tensor_chain(5, 3, {(0, 2, 4): Rational(1)})
         image = Chain(2, full_d(complex_, 3).apply(word.vector))
         assert is_boundary(complex_, image)
@@ -102,11 +102,11 @@ class TestCycleBoundary:
 
 class TestRepresentatives:
     def test_empty_when_trivial(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         assert homology_reps(complex_, 1) == []
 
     def test_reps_are_cycles_not_boundaries(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         for k in (0, 2):
             for rep in homology_reps(complex_, k):
                 assert is_cycle(complex_, rep)
@@ -123,12 +123,12 @@ class TestRepresentatives:
         assert len(homology_reps(leibniz_complex(g1[0], 3), 2)) == 1
 
     def test_normalization(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         for rep in homology_reps(complex_, 2):
             assert rep.vector.entries[0][1] == Rational(1)
 
     def test_exterior_degree_two_class_is_bivector(self, ctx, g1):
-        complex_ = ctx.ce("g", 1, 6)
+        complex_ = ctx.complex("lie", "g", 1, 6)
         reps = homology_reps(complex_, 2)
         assert len(reps) == 1
         embedded = omega(1, ambient_dim=g1[0].dim)
@@ -136,7 +136,7 @@ class TestRepresentatives:
         assert coords is not None and coords[0] != 0
 
     def test_leibniz_degree_two_class_is_lifted_bivector(self, ctx):
-        complex_ = ctx.leibniz("g", 1, 6)
+        complex_ = ctx.complex("leibniz", "g", 1, 6)
         reps = homology_reps(complex_, 2)
         assert len(reps) == 1
         lift = omega_tilde(1)
@@ -147,21 +147,21 @@ class TestRepresentatives:
 
 class TestReport:
     def test_csv_header_and_rows(self, ctx):
-        report = homology_report(ctx.ce("sp", 1, 4), 3)
+        report = homology_report(ctx.complex("lie", "sp", 1, 4), 3)
         lines = report.to_csv().splitlines()
         assert lines[0] == "degree,dim,rank_d,rank_d_next,betti"
         assert lines[1] == "0,1,0,0,1"
         assert len(lines) == 5
 
     def test_json_shape(self, ctx):
-        report = homology_report(ctx.ce("sp", 1, 4), 3)
+        report = homology_report(ctx.complex("lie", "sp", 1, 4), 3)
         payload = json.loads(report.to_json())
         assert payload["report"] == "homology"
         assert [row["betti"] for row in payload["rows"]] == [1, 0, 0, 1]
         assert all(row["exact"] for row in payload["rows"])
 
     def test_emit_cycles(self, ctx):
-        report = homology_report(ctx.ce("sp", 1, 4), 3, emit_cycles=True)
+        report = homology_report(ctx.complex("lie", "sp", 1, 4), 3, emit_cycles=True)
         degree_three = report.rows[3]
         assert degree_three.cycles is not None and len(degree_three.cycles) == 1
         assert degree_three.cycles[0]["degree"] == 3

@@ -127,7 +127,7 @@ class TestOmegaTilde:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_is_cycle(self, n, ctx):
-        complex_ = ctx.leibniz("g", n, 3)
+        complex_ = ctx.complex("leibniz", "g", n, 3)
         assert is_cycle(complex_, omega_tilde(n))
 
 

@@ -163,3 +163,77 @@ class TestSharedBuilds:
         assert all(r.passed for r in reports)
         # build_g checks its quotient against a build_sp of its own
         assert calls == {"build_g": 1, "build_sp": 2}
+
+
+# each theory string and the chain_complexes builder it is made by
+THEORY_BUILDERS = [
+    ("lie", "ce_complex"),
+    ("leibniz", "leibniz_complex"),
+    ("adjoint", "coeff_complex"),
+    ("coeff:I^1", "coeff_complex"),
+    ("rel", "rel_complex"),
+    ("cr", "cr_complex"),
+]
+
+
+def _record_builds(monkeypatch, builder: str) -> list:
+    """Wrap ``theorems.<builder>`` so that every complex it builds is kept."""
+    import affsymp.theorems as theorems
+
+    built = []
+    original = getattr(theorems, builder)
+
+    def recorded(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(theorems, builder, recorded)
+    return built
+
+
+class TestComplexRegistry:
+    @pytest.mark.parametrize("theory, builder", THEORY_BUILDERS)
+    def test_builders_are_looked_up_at_call_time(self, monkeypatch, theory, builder):
+        # the benchmark's tracer wraps module globals; a builder bound at
+        # import would escape it
+        from affsymp.theorems import VerificationContext
+
+        built = _record_builds(monkeypatch, builder)
+        ctx = VerificationContext()
+        complex_ = ctx.complex(theory, "sp", 1, 2)
+        assert built == [complex_]
+        assert ctx.complex(theory, "sp", 1, 1) is complex_
+        assert ctx.complex(theory, "sp", 1, 2) is complex_
+        assert len(built) == 1
+        assert ctx.complex(theory, "sp", 1, 3).cap == 3
+        assert len(built) == 2
+
+    def test_e2_page_complexes_are_shared(self, monkeypatch):
+        from affsymp.theorems import VerificationContext
+
+        built = _record_builds(monkeypatch, "coeff_complex")
+        ctx = VerificationContext()
+        assert run_claim(ctx, "e2-page", 1).passed
+        complex_ = ctx.complex("coeff:I^1", "sp", 1, 2)
+        assert any(complex_ is c for c in built)
+        assert complex_.name == "coeff(sp1,I^1)"
+        assert ctx.complex("coeff:I^1", "sp", 1, 1) is complex_
+        assert len(built) == 3  # I^0, I^1 and I^2, each built once
+
+    @pytest.mark.parametrize(
+        "theory, family, message",
+        [
+            ("weird", "g", "unknown theory 'weird'"),
+            ("lie", "q", "unknown family 'q' (expected sp, I or g)"),
+            ("coeff:foo", "sp", "unknown module spec 'foo' (trivial, adjoint or I^k)"),
+            ("coeff:I^x", "sp", "bad exterior power in module spec 'I^x'"),
+            ("coeff:I^01", "g", "bad exterior power in module spec 'I^01'"),
+            ("coeff:I^1", "I", "coefficients I^k need the sp or g action"),
+        ],
+    )
+    def test_bad_input_messages(self, theory, family, message):
+        from affsymp.theorems import VerificationContext
+
+        with pytest.raises(DomainError) as info:
+            VerificationContext().complex(theory, family, 1, 2)
+        assert str(info.value) == message

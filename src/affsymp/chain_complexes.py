@@ -29,11 +29,12 @@ full dimensions come in closed form, and the membership tests of
 ``homology`` split a chain into its weight components and use only the
 blocks it touches (``ChainComplex.components``).
 
-``ce_d``, ``leibniz_d``, ``coeff_d`` and the projection functions assemble
-the rows and columns of a given ``WordSet``, one total weight; the full
-matrix, over all words, is built only by tests, as an oracle.  They raise
-``ConsistencyError`` when an image word leaves the set, so a bracket that
-breaks the grading is caught, not absorbed.  An algebra without a grading
+``ce_d``, ``leibniz_d``, ``coeff_d`` and the three projections each give
+a rule from a word to its image words; one loop, ``_assemble``, sums the
+rule over the rows and columns of a given ``WordSet``, one total weight,
+and raises ``ConsistencyError`` when an image leaves the set, so a bracket
+that breaks the grading is caught, not absorbed.  The full matrix, over all
+words, is built only by tests, as an oracle.  An algebra without a grading
 (``I_n``), or a complex built from explicit matrices, has a single block:
 the whole complex.
 
@@ -276,7 +277,6 @@ class ChainComplex:
         bases: dict[int, object],
         cap: int,
         cache: DiffCache | None = None,
-        validate: bool = True,
         entry_cap: int | None = None,
     ):
         self.kind = kind
@@ -297,8 +297,7 @@ class ChainComplex:
         for k, d in enumerate(blocks, start=1):
             if d.cols != self.block_dims[k] or d.rows != self.block_dims[k - 1]:
                 raise ConsistencyError(f"differential d_{k} has the wrong shape")
-        if validate:
-            self.verify_dd_zero()
+        self.verify_dd_zero()
 
     def verify_dd_zero(self) -> None:
         """d o d = 0 on every adjacent pair of weight-0 blocks."""
@@ -404,7 +403,7 @@ class ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# differential construction
+# differentials and projections
 # ---------------------------------------------------------------------------
 
 
@@ -428,20 +427,16 @@ def _bracket_table(algebra: LieAlgebra) -> tuple[dict, int]:
 
 
 def _insert_sorted(
-    rest: list[int], m: int, slot: int = 0
-) -> tuple[list[int] | None, int]:
-    """Insert m into a strictly increasing list; (None, 0) if already there.
+    rest: tuple[int, ...], m: int, slot: int = 0
+) -> tuple[tuple[int, ...] | None, int]:
+    """Insert m into a strictly increasing word; (None, 0) if already there.
 
     The sign is the parity of the move from position ``slot`` (where the
     bracket lands before reordering) to the sorted position."""
     p = bisect_left(rest, m)
     if p < len(rest) and rest[p] == m:
         return None, 0
-    return rest[:p] + [m] + rest[p:], -1 if (p - slot) % 2 else 1
-
-
-def _guard(estimate: int, cap: int | None) -> None:
-    check_entry_budget(estimate, cap)
+    return rest[:p] + (m,) + rest[p:], -1 if (p - slot) % 2 else 1
 
 
 def _leaves(word, k: int) -> ConsistencyError:
@@ -450,9 +445,59 @@ def _leaves(word, k: int) -> ConsistencyError:
     )
 
 
-# The up-front estimates count the full matrix whatever word set is
-# assembled, so the envelope of a complex (and every exit 3 it gives) does
-# not depend on its grading; the weight-0 block is never larger.
+def _assemble(
+    words: WordSet, col_kind: str, k: int, row_kind: str, row_k: int,
+    images, estimate: int, entry_cap: int | None,
+) -> SparseMatrix:
+    """Column i sums the (image word, coefficient) pairs of ``images(w)``,
+    w the i-th degree-k word of ``col_kind`` in ``words``, into the rows of
+    the degree-``row_k`` words of ``row_kind``; an image outside them raises.
+
+    The entry guard checks ``estimate`` first and the entries made last.
+    Each assembler estimates its full matrix, whatever words it is given:
+    all its columns times a bound on the terms of one, comb(k, 2) * (longest
+    bracket) for the Lie and Leibniz differentials, k * (longest action
+    column) + comb(k, 2) * (longest bracket) for the coefficient one, 1 for
+    a projection, so no exit 3 depends on the grading.  A weight-0 estimate
+    would let Leibniz d_6 of g_2 past the default cap (192,364 * 15 * 2 =
+    5,770,920; the full one is 225,886,080), and that block alone has
+    passed 2 GB."""
+    check_entry_budget(estimate, entry_cap)
+    cols = getattr(words, col_kind)(k)
+    row_of = words.position(row_kind, row_k)
+    entries: dict[tuple[int, int], Rational | int] = {}
+    for col, word in enumerate(cols):
+        for image, c in images(word):
+            row = row_of.get(image)
+            if row is None:
+                raise _leaves(image, k)
+            key = (row, col)
+            was = entries.get(key)
+            nv = c if was is None else was + c
+            if nv:
+                entries[key] = nv
+            else:
+                del entries[key]
+    check_entry_budget(len(entries), entry_cap)
+    return SparseMatrix(len(row_of), len(cols), entries)
+
+
+def _wedge_brackets(table: dict, k: int, word: tuple[int, ...], parity: int) -> list:
+    """The bracket terms of a wedge word: [g_s, g_t] lands in slot s, slot t
+    is dropped and the word is sorted, with sign (-1)^(t + parity) times
+    the sorting sign (t 0-based)."""
+    out = []
+    for t in range(1, k):
+        sign_t = -1 if (t + parity) % 2 else 1
+        for s in range(t):
+            items = table.get((word[s], word[t]))
+            if items:
+                rest = word[:s] + word[s + 1 : t] + word[t + 1 :]
+                for m, c in items:
+                    placed, psign = _insert_sorted(rest, m, s)
+                    if placed is not None:
+                        out.append((placed, sign_t * psign * c))
+    return out
 
 
 def ce_d(
@@ -460,37 +505,12 @@ def ce_d(
 ) -> SparseMatrix:
     """Exterior-power differential d_k : Lambda^k -> Lambda^(k-1) on the
     wedge words of ``words`` (all words by default)."""
-    dim = algebra.dim
     table, longest = _bracket_table(algebra)
-    if k >= 2:
-        _guard(wedge_dim(dim, k) * comb(k, 2) * longest, entry_cap)
-    words = WordSet.all(dim) if words is None else words
-    cols = words.wedge(k)
-    row_of = words.position("wedge", k - 1)
-    entries: dict[tuple[int, int], Rational | int] = {}
-    for ci, w in enumerate(cols):
-        for t in range(1, k):
-            sign_t = -1 if (t + 1) % 2 else 1      # (-1)^j with j = t+1 one-based
-            for s in range(t):
-                items = table.get((w[s], w[t]))
-                if not items:
-                    continue
-                rest = list(w[:s] + w[s + 1 : t] + w[t + 1 :])
-                for m, c in items:
-                    placed, psign = _insert_sorted(rest, m, s)
-                    if placed is None:
-                        continue
-                    row = row_of.get(tuple(placed))
-                    if row is None:
-                        raise _leaves(tuple(placed), k)
-                    key = (row, ci)
-                    nv = entries.get(key, 0) + sign_t * psign * c
-                    if nv:
-                        entries[key] = nv
-                    else:
-                        del entries[key]
-    _guard(len(entries), entry_cap)
-    return SparseMatrix(len(row_of), len(cols), entries)
+    return _assemble(
+        WordSet.all(algebra.dim) if words is None else words, "wedge", k, "wedge", k - 1,
+        lambda w: _wedge_brackets(table, k, w, 1),        # (-1)^j, j = t+1 one-based
+        wedge_dim(algebra.dim, k) * comb(k, 2) * longest, entry_cap,
+    )
 
 
 def leibniz_d(
@@ -499,37 +519,23 @@ def leibniz_d(
     """Tensor-power differential on the tensor words of ``words`` (all words
     by default): bracket lands in slot i, slot j dropped, sign (-1)^j, no
     reordering."""
-    dim = algebra.dim
     table, longest = _bracket_table(algebra)
-    if k >= 2:
-        _guard(tensor_dim(dim, k) * comb(k, 2) * longest, entry_cap)
-    words = WordSet.all(dim) if words is None else words
-    cols = words.tensor(k)
-    row_of = words.position("tensor", k - 1)
-    entries: dict[tuple[int, int], Rational | int] = {}
-    for ci, w in enumerate(cols):
-        for t in range(1, k):
-            sign_t = -1 if (t + 1) % 2 else 1
-            for s in range(t):
-                items = table.get((w[s], w[t]))
-                if not items:
-                    continue
-                prefix = w[:s]
-                middle = w[s + 1 : t]
-                suffix = w[t + 1 :]
+    slots = [(s, t, -1 if (t + 1) % 2 else 1) for t in range(1, k) for s in range(t)]
+
+    def images(w):
+        out = []
+        for s, t, sign_t in slots:
+            items = table.get((w[s], w[t]))
+            if items:
+                prefix, middle, suffix = w[:s], w[s + 1 : t], w[t + 1 :]
                 for m, c in items:
-                    nw = prefix + (m,) + middle + suffix
-                    row = row_of.get(nw)
-                    if row is None:
-                        raise _leaves(nw, k)
-                    key = (row, ci)
-                    nv = entries.get(key, 0) + sign_t * c
-                    if nv:
-                        entries[key] = nv
-                    else:
-                        del entries[key]
-    _guard(len(entries), entry_cap)
-    return SparseMatrix(len(row_of), len(cols), entries)
+                    out.append((prefix + (m,) + middle + suffix, sign_t * c))
+        return out
+
+    return _assemble(
+        WordSet.all(algebra.dim) if words is None else words, "tensor", k, "tensor", k - 1,
+        images, tensor_dim(algebra.dim, k) * comb(k, 2) * longest, entry_cap,
+    )
 
 
 def coeff_d(
@@ -543,63 +549,35 @@ def coeff_d(
     terms carry (-1)^j = (-1)^t by the same indexing.
     """
     algebra = module.algebra
-    dim = algebra.dim
     table, longest = _bracket_table(algebra)
     action_longest = max((1,) + tuple(a.nnz // max(a.cols, 1) + 1 for a in module.actions))
-    _guard(
-        module.dim * wedge_dim(dim, k) * (k * action_longest + comb(k, 2) * longest),
-        entry_cap,
-    )
-    words = WordSet.all(dim, module.dim) if words is None else words
-    cols = words.module_wedge(k)
-    row_of = words.position("module_wedge", k - 1)
-    # wedge-only terms of a word, shared across module indices
-    shared_of: dict[tuple[int, ...], list[tuple[tuple[int, ...], Rational | int]]] = {}
-    entries: dict[tuple[int, int], Rational | int] = {}
+    # the bracket terms of a wedge word, shared across module indices
+    wedge_terms: dict[tuple[int, ...], list] = {}
 
-    def add(word, col: int, value) -> None:
-        row = row_of.get(word)
-        if row is None:
-            raise _leaves(word, k)
-        key = (row, col)
-        nv = entries.get(key, 0) + value
-        if nv:
-            entries[key] = nv
-        else:
-            del entries[key]
-
-    for col, (mi, w) in enumerate(cols):
-        shared = shared_of.get(w)
-        if shared is None:
-            shared = shared_of[w] = []
-            for t in range(1, k):
-                sign_t = -1 if t % 2 else 1            # (-1)^(t+2)
-                for s in range(t):
-                    items = table.get((w[s], w[t]))
-                    if not items:
-                        continue
-                    rest = list(w[:s] + w[s + 1 : t] + w[t + 1 :])
-                    for m, c in items:
-                        placed, psign = _insert_sorted(rest, m, s)
-                        if placed is None:
-                            continue
-                        shared.append((tuple(placed), sign_t * psign * c))
+    def images(word):
+        mi, w = word
+        out = []
         for s in range(k):
             sign_s = -1 if s % 2 else 1                # (-1)^(s+2)
             rest = w[:s] + w[s + 1 :]
             for m2, v in module.actions[w[s]].column(mi):
-                add((m2, rest), col, sign_s * _whole(v))
-        for placed, c in shared:
-            add((mi, placed), col, c)
-    _guard(len(entries), entry_cap)
-    return SparseMatrix(len(row_of), len(cols), entries)
+                out.append(((m2, rest), sign_s * _whole(v)))
+        brackets = wedge_terms.get(w)
+        if brackets is None:
+            brackets = wedge_terms[w] = _wedge_brackets(table, k, w, 0)   # (-1)^(t+2)
+        for placed, c in brackets:
+            out.append(((mi, placed), c))
+        return out
+
+    return _assemble(
+        WordSet.all(algebra.dim, module.dim) if words is None else words,
+        "module_wedge", k, "module_wedge", k - 1, images,
+        module.dim * wedge_dim(algebra.dim, k) * (k * action_longest + comb(k, 2) * longest),
+        entry_cap,
+    )
 
 
-# ---------------------------------------------------------------------------
-# projections
-# ---------------------------------------------------------------------------
-
-
+# signs as rationals, which ``SparseMatrix`` stores without converting
 _UNIT = {1: QONE, -1: -QONE}
 
 
@@ -609,21 +587,15 @@ def wedge_projection(
     """Antisymmetrization g^((x)k) -> g^(^k) on the tensor and wedge words of
     ``words`` (all words by default): a word with a repeated letter maps to
     0, otherwise to its sorted word with the permutation sign."""
-    dim = algebra.dim
-    _guard(tensor_dim(dim, k), entry_cap)
-    words = WordSet.all(dim) if words is None else words
-    cols = words.tensor(k)
-    row_of = words.position("wedge", k)
-    entries: dict[tuple[int, int], Rational] = {}
-    for ci, w in enumerate(cols):
+
+    def images(w):
         ordered, sign = sort_with_sign(w)
-        if ordered is None:
-            continue
-        row = row_of.get(ordered)
-        if row is None:
-            raise _leaves(ordered, k)
-        entries[(row, ci)] = _UNIT[sign]
-    return SparseMatrix(len(row_of), len(cols), entries)
+        return () if ordered is None else ((ordered, _UNIT[sign]),)
+
+    return _assemble(
+        WordSet.all(algebra.dim) if words is None else words, "tensor", k, "wedge", k,
+        images, tensor_dim(algebra.dim, k), entry_cap,
+    )
 
 
 def partial_wedge_projection(
@@ -633,20 +605,16 @@ def partial_wedge_projection(
     e (x) w -> e ^ w, no scalar.  Columns are the module-wedge words of
     ``words`` over the adjoint module (all words by default)."""
     dim = algebra.dim
-    _guard(dim * wedge_dim(dim, k), entry_cap)
-    words = WordSet.all(dim, dim) if words is None else words
-    cols = words.module_wedge(k)
-    row_of = words.position("wedge", k + 1)
-    entries: dict[tuple[int, int], Rational] = {}
-    for ci, (e, w) in enumerate(cols):
-        placed, sign = _insert_sorted(list(w), e)
-        if placed is None:
-            continue
-        row = row_of.get(tuple(placed))
-        if row is None:
-            raise _leaves(tuple(placed), k)
-        entries[(row, ci)] = _UNIT[sign]
-    return SparseMatrix(len(row_of), len(cols), entries)
+
+    def images(word):
+        e, w = word
+        placed, sign = _insert_sorted(w, e)
+        return () if placed is None else ((placed, _UNIT[sign]),)
+
+    return _assemble(
+        WordSet.all(dim, dim) if words is None else words, "module_wedge", k, "wedge", k + 1,
+        images, dim * wedge_dim(dim, k), entry_cap,
+    )
 
 
 def mixed_projection(
@@ -657,37 +625,20 @@ def mixed_projection(
     words by default).  Composing with the partial wedge projection recovers
     the full one."""
     dim = algebra.dim
-    _guard(tensor_dim(dim, k + 1), entry_cap)
-    words = WordSet.all(dim, dim) if words is None else words
-    cols = words.tensor(k + 1)
-    row_of = words.position("module_wedge", k)
-    entries: dict[tuple[int, int], Rational] = {}
-    for ci, w in enumerate(cols):
+
+    def images(w):
         ordered, sign = sort_with_sign(w[1:])
-        if ordered is None:
-            continue
-        row = row_of.get((w[0], ordered))
-        if row is None:
-            raise _leaves((w[0], ordered), k + 1)
-        entries[(row, ci)] = _UNIT[sign]
-    return SparseMatrix(len(row_of), len(cols), entries)
+        return () if ordered is None else (((w[0], ordered), _UNIT[sign]),)
+
+    return _assemble(
+        WordSet.all(dim, dim) if words is None else words, "tensor", k + 1, "module_wedge", k,
+        images, tensor_dim(dim, k + 1), entry_cap,
+    )
 
 
 # ---------------------------------------------------------------------------
 # complex builders
 # ---------------------------------------------------------------------------
-
-
-def _cached_matrix(cache, kind, key_parts, builder):
-    if cache is None:
-        return builder()
-    key = descriptor_key(*key_parts)
-    hit = cache.get_matrix(kind, key)
-    if hit is not None:
-        return hit
-    built = builder()
-    cache.put_matrix(kind, key, built)
-    return built
 
 
 def _word_set(algebra: LieAlgebra, module: LieModule | None = None) -> WordSet:
@@ -699,8 +650,8 @@ def _word_set(algebra: LieAlgebra, module: LieModule | None = None) -> WordSet:
 def _family(cache, key, assemble, words: WordSet, kind: str, shift: int = 0) -> _Graded:
     """The blocks ``assemble(k + shift, words of one total weight)``, whose
     columns are the words of ``kind`` and whose rows those one degree lower.
-    With a key they go through the disk cache under key + (degree, "weight",
-    the total, the letter weights), so a change of grading is a miss; a block
+    With a cache they go through it under key + (degree, "weight", the
+    total, the letter weights), so a change of grading is a miss; a block
     that is not worth caching, by its word counts, is built without a
     lookup."""
     grading = (words.letter_weights, words.module_weights)
@@ -708,12 +659,16 @@ def _family(cache, key, assemble, words: WordSet, kind: str, shift: int = 0) -> 
     def make(k: int, weight: Weight) -> SparseMatrix:
         degree = k + shift
         chosen = words.at(weight)
-        if key is None or not worth_caching(
+        if cache is None or not worth_caching(
             chosen.count(kind, degree - 1, 2), chosen.count(kind, degree, 2)
         ):
             return assemble(degree, chosen)
-        parts = key + (degree, "weight", weight) + grading
-        return _cached_matrix(cache, "diff", parts, lambda: assemble(degree, chosen))
+        digest = descriptor_key(*key, degree, "weight", weight, *grading)
+        got = cache.get_matrix("diff", digest)
+        if got is None:
+            got = assemble(degree, chosen)
+            cache.put_matrix("diff", digest, got)
+        return got
 
     return _Graded(make, words, kind, shift)
 
@@ -1006,11 +961,7 @@ def wedge_chain(
         if sorted_word is None:
             continue
         idx = wedge_index(sorted_word, algebra_dim)
-        nv = acc.get(idx, QZERO) + sign * Rational(coeff)
-        if nv:
-            acc[idx] = nv
-        else:
-            del acc[idx]
+        acc[idx] = acc.get(idx, QZERO) + sign * Rational(coeff)
     return Chain(degree, QVector.from_dict(wedge_dim(algebra_dim, degree), acc))
 
 
@@ -1023,9 +974,5 @@ def tensor_chain(
         if len(word) != degree:
             raise DomainError("word length must equal the degree")
         idx = tensor_index(tuple(word), algebra_dim)
-        nv = acc.get(idx, QZERO) + Rational(coeff)
-        if nv:
-            acc[idx] = nv
-        else:
-            del acc[idx]
+        acc[idx] = acc.get(idx, QZERO) + Rational(coeff)
     return Chain(degree, QVector.from_dict(tensor_dim(algebra_dim, degree), acc))

@@ -11,8 +11,9 @@ The graded predictions combine three ingredients:
 * its reduced variant for adjoint coefficients, whose q-th power sits in
   degree 2q - 1 (the invariant lives in constants (x) constants^(2q-1)).
 
-Each claim id maps to one verifier; ``run_claim`` and ``run_all`` drive them
-with desk-scale default caps.
+Each claim id maps to one verifier, which takes every parameter
+explicitly; ``run_claim`` and ``run_all`` drive them with the desk-scale
+caps of ``CLAIM_DEFAULT_CAPS`` and time them.
 
 ``VerificationContext`` is the one registry of complexes, shared by the
 claims and the CLI.  ``ctx.complex(theory, family, n, cap)`` takes the
@@ -293,14 +294,11 @@ class VerificationContext:
 
 
 def verify_lie_factorization(
-    ctx: VerificationContext, n: int, cap: int = 5, adjoint_cap: int | None = None
+    ctx: VerificationContext, n: int, cap: int, adjoint_cap: int
 ) -> VerificationReport:
     """Claim lemma-3.3: Lie homology of the affine algebra factors through
     the symplectic homology times the bivector exterior algebra, for trivial
     and adjoint coefficients."""
-    t0 = time.monotonic()
-    if adjoint_cap is None:
-        adjoint_cap = {1: 4}.get(n, 3)
     report = VerificationReport(
         "lemma-3.3", {"n": n, "cap": cap, "adjoint_cap": adjoint_cap}
     )
@@ -313,17 +311,13 @@ def verify_lie_factorization(
     adj = ctx.complex("adjoint", "g", n, adjoint_cap + 1)
     for k in range(adjoint_cap + 1):
         report.add("adjoint", k, adjoint_expected.get(k, 0), betti(adj, k))
-    report.wall_time = time.monotonic() - t0
     return report
 
 
-def verify_leibniz_exterior(
-    ctx: VerificationContext, n: int, cap: int = 5
-) -> VerificationReport:
+def verify_leibniz_exterior(ctx: VerificationContext, n: int, cap: int) -> VerificationReport:
     """Claim thm-4.3: the tensor-complex homology of the affine algebra is
     the exterior algebra on the bivector; dually for the transposed complex;
     the degree-2 class is generated by the lifted bivector."""
-    t0 = time.monotonic()
     report = VerificationReport("thm-4.3", {"n": n, "cap": cap})
     expected = bivector_exterior(n)
     complex_ = ctx.complex("leibniz", "g", n, cap + 1)
@@ -342,33 +336,25 @@ def verify_leibniz_exterior(
             if coords is not None and coords[0] != 0:
                 generated = 1
         report.add("lift-generates", 2, 1, generated)
-    report.wall_time = time.monotonic() - t0
     return report
 
 
-def verify_shifted_rel(
-    ctx: VerificationContext, n: int, cap: int = 2
-) -> VerificationReport:
+def verify_shifted_rel(ctx: VerificationContext, n: int, cap: int) -> VerificationReport:
     """Claim lemma-4.2: the mixed-kernel homology of the affine algebra in
     degree m equals the symplectic homology in degree m + 3, and already does
     so over the symplectic algebra itself."""
-    t0 = time.monotonic()
     report = VerificationReport("lemma-4.2", {"n": n, "cap": cap})
     sp_h = predict_sp_homology(n)
     for family, part in (("g", "affine"), ("sp", "symplectic")):
         complex_ = ctx.complex("cr", family, n, cap + 1)
         for m in range(cap + 1):
             report.add(part, m, sp_h.get(m + 3, 0), betti(complex_, m))
-    report.wall_time = time.monotonic() - t0
     return report
 
 
-def verify_rel_factorization(
-    ctx: VerificationContext, n: int, cap: int = 2
-) -> VerificationReport:
+def verify_rel_factorization(ctx: VerificationContext, n: int, cap: int) -> VerificationReport:
     """Claim rel-homology: the tensor-kernel homology equals the bivector
     exterior algebra convolved with the 3-shifted symplectic homology."""
-    t0 = time.monotonic()
     report = VerificationReport("rel-homology", {"n": n, "cap": cap})
     sp_h = predict_sp_homology(n)
     shifted = {k - 3: v for k, v in sp_h.items() if k >= 3}
@@ -376,19 +362,15 @@ def verify_rel_factorization(
     complex_ = ctx.complex("rel", "g", n, cap + 1)
     for m in range(cap + 1):
         report.add("relative", m, expected.get(m, 0), betti(complex_, m))
-    report.wall_time = time.monotonic() - t0
     return report
 
 
 def verify_sp_vanishing(
-    ctx: VerificationContext, n: int, cap: int = 5, adjoint_cap: int | None = None
+    ctx: VerificationContext, n: int, cap: int, adjoint_cap: int
 ) -> VerificationReport:
     """Claim sp-vanishing: the tensor-complex homology of the symplectic
     algebra vanishes in positive degrees, and its adjoint homology vanishes
     in every degree."""
-    t0 = time.monotonic()
-    if adjoint_cap is None:
-        adjoint_cap = {1: 4}.get(n, 2)
     report = VerificationReport(
         "sp-vanishing", {"n": n, "cap": cap, "adjoint_cap": adjoint_cap}
     )
@@ -398,19 +380,15 @@ def verify_sp_vanishing(
     adj = ctx.complex("adjoint", "sp", n, adjoint_cap + 1)
     for k in range(adjoint_cap + 1):
         report.add("adjoint", k, 0, betti(adj, k))
-    report.wall_time = time.monotonic() - t0
     return report
 
 
 def verify_coefficient_split(
-    ctx: VerificationContext, n: int, m_cap: int = 3, k_cap: int | None = None
+    ctx: VerificationContext, n: int, m_cap: int, k_cap: int
 ) -> VerificationReport:
     """Claim e2-page: homology of the symplectic algebra with coefficients in
     an exterior power of the constants splits as (homology with trivial
     coefficients) times (invariant dimension)."""
-    t0 = time.monotonic()
-    if k_cap is None:
-        k_cap = 2 * n
     report = VerificationReport("e2-page", {"n": n, "m_cap": m_cap, "k_cap": k_cap})
     sp_h = predict_sp_homology(n)
     table = ctx.invariant_table(n, k_cap)
@@ -421,18 +399,14 @@ def verify_coefficient_split(
             report.add(
                 f"coeffs=wedge^{k}", m, sp_h.get(m, 0) * inv_dim, betti(complex_, m)
             )
-    report.wall_time = time.monotonic() - t0
     return report
 
 
 def verify_invariant_tables(
-    ctx: VerificationContext, n: int, k_max: int | None = None
+    ctx: VerificationContext, n: int, k_max: int
 ) -> VerificationReport:
     """Claim appendix: the three invariant-dimension families match their
     predictions, with the invariant lines spanned by bivector powers."""
-    t0 = time.monotonic()
-    if k_max is None:
-        k_max = 2 * n
     report = VerificationReport("appendix", {"n": n, "k_max": k_max})
     table = ctx.invariant_table(n, k_max)
     for row in table.rows:
@@ -444,7 +418,6 @@ def verify_invariant_tables(
         )
         report.add("sp-tensor", row.k, row.sp_tensor_predicted, row.sp_tensor_computed)
         report.add("split-consistent", row.k, 1, int(row.decomposition_consistent))
-    report.wall_time = time.monotonic() - t0
     return report
 
 
@@ -484,15 +457,12 @@ def _alternating_stretch_failures(seq: list[tuple[str, int | None]]) -> list[str
     return bad
 
 
-def exactness_audit(
-    ctx: VerificationContext, n: int, cap: int = 5
-) -> VerificationReport:
+def exactness_audit(ctx: VerificationContext, n: int, cap: int) -> VerificationReport:
     """Claim exactness: the computed Betti tables admit the two long exact
     sequences (tensor-vs-wedge and adjoint-vs-wedge), checked as dimension
     bookkeeping: three-term bounds, alternating sums across fully known
     stretches between zeros, the degenerate low-degree isomorphisms, and the
     forced shift isomorphism over the symplectic algebra."""
-    t0 = time.monotonic()
     report = VerificationReport("exactness", {"n": n, "cap": cap})
 
     leib = ctx.complex("leibniz", "g", n, cap + 1)
@@ -551,7 +521,6 @@ def exactness_audit(
     for message in failures + failures2:
         report.add(f"violation: {message}", None, 0, 1)
 
-    report.wall_time = time.monotonic() - t0
     return report
 
 
@@ -623,8 +592,13 @@ def claim_params(claim_id: str, n: int, cap: int | None = None) -> dict:
 def run_claim(
     ctx: VerificationContext, claim_id: str, n: int, cap: int | None = None
 ) -> VerificationReport:
+    """One claim with its default parameters (``cap`` overriding the main
+    one), timed."""
+    t0 = time.monotonic()
     params = claim_params(claim_id, n, cap)
-    return CLAIM_RUNNERS[claim_id](ctx, n, **params)
+    report = CLAIM_RUNNERS[claim_id](ctx, n, **params)
+    report.wall_time = time.monotonic() - t0
+    return report
 
 
 def run_all(

@@ -1,10 +1,15 @@
+import hashlib
+
 import pytest
 
 from affsymp.chain_complexes import (
     ce_complex,
+    ce_d,
     coeff_complex,
+    coeff_d,
     cr_complex,
     leibniz_complex,
+    leibniz_d,
     mixed_projection,
     partial_wedge_projection,
     rel_complex,
@@ -18,12 +23,13 @@ from affsymp.homology import betti
 from affsymp.lie_structures import (
     adjoint_module,
     build_g,
+    cartan_weights,
     exterior_power_module,
     restriction_module,
     submodule,
     trivial_module,
 )
-from affsymp.words import tensor_index, wedge_index
+from affsymp.words import WordSet, tensor_index, wedge_index
 
 from full_oracle import (
     full_d,
@@ -287,3 +293,30 @@ class TestChains:
         assert combined.vector.get(1) == Rational(1)
         with pytest.raises(DomainError):
             a.add(tensor_chain(3, 2, {(0, 0): Rational(1)}))
+
+
+class TestAssembledMatrices:
+    # SHA-256 of the fingerprints listed by ``_pinned_fingerprints``, one a
+    # line, as the assemblers produced them before they shared one loop
+    PINNED = "8380f01da4d11d7da29f86114d8f1abe5899da7e1da710144fcc9afbee66cafb"
+
+    @staticmethod
+    def _pinned_fingerprints(sp1, g1, i1, g2):
+        fingerprints = []
+        for algebra in (sp1, g1[0], i1):
+            for module in (trivial_module(algebra), adjoint_module(algebra)):
+                fingerprints += [coeff_d(module, k).fingerprint() for k in range(1, 5)]
+            for assemble in (ce_d, leibniz_d):
+                fingerprints += [assemble(algebra, k).fingerprint() for k in range(1, 5)]
+            fingerprints += [wedge_projection(algebra, k).fingerprint() for k in range(5)]
+            for assemble in (partial_wedge_projection, mixed_projection):
+                fingerprints += [assemble(algebra, k).fingerprint() for k in range(4)]
+        words = WordSet(*cartan_weights(g2[0]))
+        fingerprints += [leibniz_d(g2[0], k, None, words).fingerprint() for k in range(1, 5)]
+        return fingerprints
+
+    def test_fingerprints_are_pinned(self, sp1, g1, i1, g2):
+        """Every entry of the full matrices over sp_1, g_1 and I_1 and of
+        the weight-0 Leibniz blocks of g_2 through degree 4."""
+        lines = "\n".join(self._pinned_fingerprints(sp1, g1, i1, g2))
+        assert hashlib.sha256(lines.encode()).hexdigest() == self.PINNED

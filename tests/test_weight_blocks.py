@@ -141,7 +141,10 @@ def test_bracket_breaking_the_grading_is_caught(g1):
         lambda a: ce_complex(a, 2),
         lambda a: leibniz_complex(a, 2),
         lambda a: coeff_complex(a, trivial_module(a), 2),
+        # the module-action terms of coeff_d leave the set first
+        lambda a: coeff_complex(a, adjoint_module(a, validate=False), 2),
         lambda a: rel_complex(a, 1),
+        lambda a: cr_complex(a, 1),
     )
     for build in builders:
         with pytest.raises(ConsistencyError, match="leaves the assembled word set"):

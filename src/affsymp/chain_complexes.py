@@ -65,7 +65,6 @@ from math import comb
 from .cache import DiffCache, descriptor_key, worth_caching
 from .errors import ConsistencyError, DegreeRangeError, DomainError
 from .exact_linalg import (
-    QONE,
     QVector,
     QZERO,
     Rational,
@@ -414,8 +413,7 @@ def _whole(value: Rational):
 
 def _bracket_table(algebra: LieAlgebra) -> tuple[dict, int]:
     """Both orders of every nonzero bracket, as sorted (target, coefficient)
-    pairs; the assembly loops sum in ints where the constants allow and
-    ``SparseMatrix`` turns the sums into rationals."""
+    pairs; the assembly loops sum in ints where the constants allow."""
     table = {}
     longest = 1
     for (i, j), coeffs in algebra.brackets.items():
@@ -561,7 +559,7 @@ def coeff_d(
             sign_s = -1 if s % 2 else 1                # (-1)^(s+2)
             rest = w[:s] + w[s + 1 :]
             for m2, v in module.actions[w[s]].column(mi):
-                out.append(((m2, rest), sign_s * _whole(v)))
+                out.append(((m2, rest), sign_s * v))
         brackets = wedge_terms.get(w)
         if brackets is None:
             brackets = wedge_terms[w] = _wedge_brackets(table, k, w, 0)   # (-1)^(t+2)
@@ -577,10 +575,6 @@ def coeff_d(
     )
 
 
-# signs as rationals, which ``SparseMatrix`` stores without converting
-_UNIT = {1: QONE, -1: -QONE}
-
-
 def wedge_projection(
     algebra: LieAlgebra, k: int, entry_cap: int | None = None, words: WordSet | None = None
 ) -> SparseMatrix:
@@ -590,7 +584,7 @@ def wedge_projection(
 
     def images(w):
         ordered, sign = sort_with_sign(w)
-        return () if ordered is None else ((ordered, _UNIT[sign]),)
+        return () if ordered is None else ((ordered, sign),)
 
     return _assemble(
         WordSet.all(algebra.dim) if words is None else words, "tensor", k, "wedge", k,
@@ -609,7 +603,7 @@ def partial_wedge_projection(
     def images(word):
         e, w = word
         placed, sign = _insert_sorted(w, e)
-        return () if placed is None else ((placed, _UNIT[sign]),)
+        return () if placed is None else ((placed, sign),)
 
     return _assemble(
         WordSet.all(dim, dim) if words is None else words, "module_wedge", k, "wedge", k + 1,
@@ -628,7 +622,7 @@ def mixed_projection(
 
     def images(w):
         ordered, sign = sort_with_sign(w[1:])
-        return () if ordered is None else (((w[0], ordered), _UNIT[sign]),)
+        return () if ordered is None else (((w[0], ordered), sign),)
 
     return _assemble(
         WordSet.all(dim, dim) if words is None else words, "tensor", k + 1, "module_wedge", k,

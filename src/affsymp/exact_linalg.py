@@ -5,20 +5,26 @@ representative cycles) reduces to ``rank``, ``kernel_basis``,
 ``independent_columns``, ``LinearSolver``, ``multiply`` and ``stack_rows``,
 all computed in exact rational arithmetic.
 
-Scalars at the API are ``fractions.Fraction``, kept reduced with positive
-denominator, so equality is exact and serialization is canonical.  Inside,
-everything computes on Python ``int``s: a matrix is split as an integer
-matrix and diagonal denominators (rows scaled by the lcm of their
-denominators for an elimination and for the left factor of a product,
-columns for the right factor), so rationals appear only where values enter
-and leave.  There is one elimination loop, ``_eliminate``: fraction-free
-(Bareiss 1968; Dumas, Saunders and Villard 2001 for the sparse integer
-case), removing a row's content gcd after a scaled update.  ``rank`` runs
-it with Markowitz pivots, the column with the fewest live entries first;
-a lazy heap, pushed only when a column appears or its count falls below
-its latest entry, keeps that choice exact.  Kernels, solves and
-independent columns run it leftmost column first with Gauss-Jordan
-clearing, which yields the unique reduced echelon form.
+A matrix entry is held in one normal form: a Python ``int`` when it is
+integral, a reduced ``fractions.Fraction`` with positive denominator
+otherwise, so equality is exact and serialization is canonical.  Every
+differential and projection here is integral, so its entries never become
+``Fraction``s.  Vectors (``QVector``), kernel vectors, solutions and the
+scalars the API takes are ``Fraction``s.  Inside, everything computes on
+``int``s: a matrix is split as an integer matrix and diagonal denominators
+(rows scaled by the lcm of their denominators for an elimination and for
+the left factor of a product, columns for the right factor), and only
+``Fraction`` entries add to those lcms, so rationals appear only where
+values enter and leave.
+
+There is one elimination loop, ``_eliminate``: fraction-free (Bareiss
+1968; Dumas, Saunders and Villard 2001 for the sparse integer case),
+removing a row's content gcd after a scaled update.  ``rank`` runs it with
+Markowitz pivots, the column with the fewest live entries first; a lazy
+heap, pushed only when a column appears or its count falls below its
+latest entry, keeps that choice exact.  Kernels, solves and independent
+columns run it leftmost column first with Gauss-Jordan clearing, which
+yields the unique reduced echelon form.
 
 Every matrix is held to a nonzero-entry budget (``check_entry_budget``):
 inputs, stacks and products when they are formed, and the live entries of
@@ -61,6 +67,15 @@ def rational_to_string(value) -> str:
     """Canonical "p/q" form, denominator always written."""
     q = Rational(value)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _entry(value) -> int | Rational:
+    """A matrix entry in normal form: an ``int`` when it is integral, a
+    reduced ``Fraction`` otherwise."""
+    if type(value) is int:
+        return value
+    q = value if type(value) is Rational else Rational(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def check_entry_budget(count: int, cap: int | None = None) -> None:
@@ -159,14 +174,16 @@ class QVector:
         """Scaled so the first nonzero coordinate is +1."""
         if not self.entries:
             return self
-        return self.scale(1 / self.entries[0][1])
+        return self.scale(QONE / self.entries[0][1])
 
 
 class SparseMatrix:
     """Immutable sparse rational matrix in triplet form.
 
-    Entries are held as ``{(row, col): value}`` with no explicit zeros;
-    iteration order is canonical (row-major).  Do not mutate after
+    Entries are held as ``{(row, col): value}`` with no explicit zeros; a
+    value is an ``int`` exactly when its denominator is 1, and a
+    ``Fraction`` otherwise, whatever numbers the constructor was given.
+    Iteration order is canonical (row-major).  Do not mutate after
     construction; every operation returns a new matrix.
     """
 
@@ -177,12 +194,13 @@ class SparseMatrix:
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ShapeError(f"entry ({r},{c}) out of range for {rows}x{cols}")
-            q = v if type(v) is Rational else Rational(v)
-            if q:
-                clean[(r, c)] = q
+            if type(v) is not int:
+                v = _entry(v)
+            if v:
+                clean[(r, c)] = v
         self._set(rows, cols, clean)
 
-    def _set(self, rows: int, cols: int, clean: dict[tuple[int, int], Rational]) -> None:
+    def _set(self, rows: int, cols: int, clean: dict[tuple[int, int], int | Rational]) -> None:
         check_entry_budget(len(clean))
         self.rows = rows
         self.cols = cols
@@ -191,8 +209,11 @@ class SparseMatrix:
         self._fingerprint: str | None = None
 
     @classmethod
-    def _of(cls, rows: int, cols: int, clean: dict[tuple[int, int], Rational]) -> "SparseMatrix":
-        """Wrap entries already known to be in range, nonzero and Rational."""
+    def _of(
+        cls, rows: int, cols: int, clean: dict[tuple[int, int], int | Rational]
+    ) -> "SparseMatrix":
+        """Wrap entries already known to be in range, nonzero and in normal
+        form."""
         m = cls.__new__(cls)
         m._set(rows, cols, clean)
         return m
@@ -205,7 +226,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): QONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_dense(cls, rows_list: Iterable[Iterable]) -> "SparseMatrix":
@@ -218,7 +239,7 @@ class SparseMatrix:
                 raise ShapeError("ragged rows")
             for c, v in enumerate(row):
                 if v:
-                    ents[(r, c)] = Rational(v)
+                    ents[(r, c)] = v
         return cls(nrows, ncols, ents)
 
     @classmethod
@@ -304,7 +325,10 @@ class SparseMatrix:
         lines = [f"{self.rows} {self.cols} {len(ents)}"]
         for key in sorted(ents):
             v = ents[key]
-            lines.append(f"{key[0]} {key[1]} {v.numerator}/{v.denominator}")
+            if type(v) is int:
+                lines.append(f"{key[0]} {key[1]} {v}/1")
+            else:
+                lines.append(f"{key[0]} {key[1]} {v.numerator}/{v.denominator}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -316,12 +340,12 @@ class SparseMatrix:
         if len(lines) - 1 != nnz:
             raise ShapeError(f"expected {nnz} entry lines, found {len(lines) - 1}")
         ents = {}
-        values: dict[str, Rational] = {}  # one parse per distinct value
+        values: dict[str, int | Rational] = {}  # one parse per distinct value
         for ln in lines[1:]:
             rt, ct, vt = ln.split()
             q = values.get(vt)
             if q is None:
-                q = values[vt] = rational_from_string(vt)
+                q = values[vt] = _entry(rational_from_string(vt))
             ents[(int(rt), int(ct))] = q
         return cls(rows, cols, ents)
 
@@ -351,19 +375,20 @@ def _integer_lines(
     """m with each row (scale=0) or column (scale=1) multiplied by the lcm
     of its denominators, so every entry is an int, grouped by row (by=0) or
     column (by=1) as {line: {index along the line: value}}.  Also returns
-    the lcms that are not 1.  Scaling a row or column by a nonzero constant
-    keeps the support and the rank."""
+    the lcms that are not 1.  An ``int`` entry is read as it is; only the
+    ``Fraction`` entries enter the lcms.  Scaling a row or column by a
+    nonzero constant keeps the support and the rank."""
     along = 1 - by
     lines: dict[int, dict[int, int]] = {}
     dens: dict[int, int] = {}
     for key, v in m.entries.items():
-        if v.denominator != 1:
+        if type(v) is not int:
             dens[key[scale]] = lcm(dens.get(key[scale], 1), v.denominator)
         line = lines.get(key[by])
         if line is None:
-            lines[key[by]] = {key[along]: v.numerator}
+            lines[key[by]] = {key[along]: v}
         else:
-            line[key[along]] = v.numerator
+            line[key[along]] = v
     if dens:  # rebuild with the scaled values
         lines = {}
         for key, v in m.entries.items():
@@ -601,7 +626,7 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     a_cols, row_dens = _integer_lines(a, 1, 0)
     b_cols, col_dens = _integer_lines(b, 1, 1)
-    ents: dict[tuple[int, int], Rational] = {}
+    ents: dict[tuple[int, int], int | Rational] = {}
     for j in sorted(b_cols):
         acc: dict[int, int] = {}
         for k, bv in b_cols[j].items():
@@ -611,7 +636,7 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         for r, v in acc.items():
             if v:
                 den = row_dens.get(r, 1) * d_j
-                ents[(r, j)] = Rational(v) if den == 1 else Rational(v, den)
+                ents[(r, j)] = v if den == 1 else _entry(Rational(v, den))
         check_entry_budget(len(ents))
     return SparseMatrix._of(a.rows, b.cols, ents)
 
@@ -644,7 +669,7 @@ def append_columns(m: SparseMatrix, vectors: Iterable[QVector]) -> SparseMatrix:
         if vec.length != m.rows:
             raise ShapeError("column length mismatch")
         for r, v in vec.entries:
-            entries[(r, cols)] = v
+            entries[(r, cols)] = _entry(v)
         cols += 1
     return SparseMatrix._of(m.rows, cols, entries)
 

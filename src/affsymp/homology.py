@@ -24,7 +24,6 @@ from .chain_complexes import Chain, ChainComplex, KernelComplex
 from .errors import DegreeRangeError, DomainError, ShapeError
 from .exact_linalg import (
     LinearSolver,
-    QONE,
     QVector,
     QZERO,
     Rational,
@@ -167,7 +166,7 @@ def _on_free_rows(bounding: SparseMatrix, cycles: list[QVector]) -> SparseMatrix
     free = {v.entries[0][0]: i for i, v in enumerate(cycles)}
     entries = {(free[r], c): v for (r, c), v in bounding.entries.items() if r in free}
     for i in range(len(cycles)):
-        entries[(i, bounding.cols + i)] = QONE
+        entries[(i, bounding.cols + i)] = 1
     return SparseMatrix._of(len(cycles), bounding.cols + len(cycles), entries)
 
 

@@ -254,14 +254,14 @@ class LieModule:
                 aj = self.actions[j]
                 lhs = (ai @ aj).entries.copy()
                 for (r, c), v in (aj @ ai).entries.items():
-                    nv = lhs.get((r, c), QZERO) - v
+                    nv = lhs.get((r, c), 0) - v
                     if nv:
                         lhs[(r, c)] = nv
                     else:
                         lhs.pop((r, c), None)
                 for k, coeff in self.algebra.bracket_coeffs(i, j).items():
                     for (r, c), v in self.actions[k].entries.items():
-                        nv = lhs.get((r, c), QZERO) + coeff * v
+                        nv = lhs.get((r, c), 0) + coeff * v
                         if nv:
                             lhs[(r, c)] = nv
                         else:
@@ -569,7 +569,7 @@ def exterior_power_module(module: LieModule, k: int, validate: bool = True) -> L
                     if nw is None:
                         continue
                     key = (index[nw], ci)
-                    nv = entries.get(key, QZERO) + sign * v
+                    nv = entries.get(key, 0) + sign * v
                     if nv:
                         entries[key] = nv
                     else:
@@ -589,7 +589,7 @@ def tensor_module(m1: LieModule, m2: LieModule, validate: bool = True) -> LieMod
         for (r, c), v in a1.entries.items():
             for i in range(m2.dim):
                 key = (r * m2.dim + i, c * m2.dim + i)
-                nv = entries.get(key, QZERO) + v
+                nv = entries.get(key, 0) + v
                 if nv:
                     entries[key] = nv
                 else:
@@ -597,7 +597,7 @@ def tensor_module(m1: LieModule, m2: LieModule, validate: bool = True) -> LieMod
         for (r, c), v in a2.entries.items():
             for j in range(m1.dim):
                 key = (j * m2.dim + r, j * m2.dim + c)
-                nv = entries.get(key, QZERO) + v
+                nv = entries.get(key, 0) + v
                 if nv:
                     entries[key] = nv
                 else:

@@ -248,9 +248,11 @@ class LinearSolver:
 
 
 def _columns_of(m):
+    """The columns of m as {row: Fraction}; the entries of m are ``int``s
+    where they are integral."""
     cols = [dict() for _ in range(m.cols)]
     for (r, c), v in m.entries.items():
-        cols[c][r] = v
+        cols[c][r] = Fraction(v)
     return cols
 
 

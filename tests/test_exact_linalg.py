@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from affsymp.exact_linalg import (
     SparseMatrix,
     _eliminate,
     _integer_lines,
+    append_columns,
     independent_columns,
     is_in_column_span,
     kernel_basis,
@@ -233,6 +235,13 @@ def oracle_products(draw):
     return a, draw(oracle_matrices(rows=a.cols))
 
 
+def assert_normal_form(m):
+    """Every entry of m is an int exactly when its denominator is 1, and a
+    Fraction otherwise."""
+    for v in m.entries.values():
+        assert type(v) is (int if v.denominator == 1 else Fraction), v
+
+
 def circulant(n, offsets):
     """n x n, row i holding j + 1 at column i + offsets[j] mod n: every row
     and column has len(offsets) entries, and eliminating it fills in."""
@@ -259,7 +268,7 @@ class TestIntegerCore:
         product = multiply(a, b)
         assert (product.rows, product.cols) == (a.rows, b.cols)
         assert product.entries == fraction_product(a, b)
-        assert all(type(v) is Fraction for v in product.entries.values())
+        assert_normal_form(product)
 
     @settings(max_examples=200, deadline=None)
     @given(oracle_matrices())
@@ -593,3 +602,109 @@ class TestQVector:
     def test_entries_sorted_nonzero(self):
         v = QVector.from_dict(5, {3: Rational(1), 1: Rational(0), 0: Rational(2)})
         assert v.entries == ((0, Rational(2)), (3, Rational(1)))
+
+
+@st.composite
+def mixed_entries(draw, max_rows=6, max_cols=6):
+    """(rows, cols, entries), the entries drawn as ints, as integral
+    Fractions (4/2 among them) and as non-integral Fractions."""
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    keys = (
+        draw(st.sets(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))))
+        if nrows and ncols else set()
+    )
+    value = st.one_of(
+        st.integers(-6, 6), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+    )
+    return nrows, ncols, {key: draw(value) for key in sorted(keys)}
+
+
+class TestNormalForm:
+    """Every constructor and operation gives entries in one normal form, an
+    int exactly when the denominator is 1, whatever numbers it was given."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_entries())
+    def test_every_constructor_and_operation(self, drawn):
+        rows, cols, values = drawn
+        as_fractions = {key: Fraction(v) for key, v in values.items()}
+        as_ints = {
+            key: q.numerator if q.denominator == 1 else q for key, q in as_fractions.items()
+        }
+        m = SparseMatrix(rows, cols, as_fractions)
+        columns = [
+            QVector.from_dict(rows, {r: v for (r, c), v in as_fractions.items() if c == col})
+            for col in range(cols)
+        ]
+        built = [
+            SparseMatrix(rows, cols, as_ints),
+            SparseMatrix(rows, cols, values),
+            SparseMatrix.from_columns(rows, columns),
+            SparseMatrix.from_text(m.to_text()),
+            append_columns(SparseMatrix.zero(rows, 0), columns),
+            m.transpose().transpose(),
+        ]
+        if rows:
+            dense = [[as_fractions.get((r, c), 0) for c in range(cols)] for r in range(rows)]
+            built.append(SparseMatrix.from_dense(dense))
+        assert_normal_form(m)
+        form = {key: type(v) for key, v in m.entries.items()}
+        for other in built:
+            assert {key: type(v) for key, v in other.entries.items()} == form
+            assert other == m
+            assert hash(other) == hash(m)
+            assert other.fingerprint() == m.fingerprint()
+            assert other.to_text() == m.to_text() == matrix_text(m)
+            assert rank(other) == rank(m)
+        for derived in (
+            SparseMatrix.identity(rows),
+            m.transpose(),
+            stack_rows([m, built[0]]),
+            append_columns(m, columns),
+            multiply(m, m.transpose()),
+            multiply(m.transpose(), m),
+        ):
+            assert_normal_form(derived)
+
+
+class TestNoFloats:
+    """Integral inputs never turn into floats: every value that leaves a
+    solve, a kernel, a product with a vector or a representative cycle is a
+    Fraction."""
+
+    @staticmethod
+    def assert_fractions(vectors):
+        for vec in vectors:
+            assert all(type(v) is Fraction for _, v in vec.entries), vec
+
+    def test_normalized_divides_exactly(self):
+        # a vector built around from_dict may hold ints; 1 / 3 would be a float
+        v = QVector(2, ((0, 3), (1, 1)))
+        assert v.normalized() == QVector.from_dense([1, Fraction(1, 3)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_matrices(max_rows=7, max_cols=7), st.data())
+    def test_outputs_stay_fractions(self, m, data):
+        from affsymp.chain_complexes import ChainComplex
+        from affsymp.homology import homology_reps
+
+        ints = st.integers(-3, 3)
+        x = QVector.from_dense(data.draw(st.lists(ints, min_size=m.cols, max_size=m.cols)))
+        b = QVector.from_dense(data.draw(st.lists(ints, min_size=m.rows, max_size=m.rows)))
+        kernel = kernel_basis(m)
+        solver = LinearSolver(m)
+        solved = [v for v in (solver.solve(m.apply(x)), solver.solve(b)) if v is not None]
+        self.assert_fractions([*kernel, *solved, m.apply(x)])
+        # d_2: half the kernel vectors, cleared of denominators, so d_1 d_2 = 0
+        # and H_1 is not 0 when the kernel has two vectors or more
+        d2 = SparseMatrix.from_columns(m.cols, [
+            vec.scale(lcm(*(v.denominator for _, v in vec.entries))) for vec in kernel[::2]
+        ])
+        assert all(type(v) is int for v in d2.entries.values())
+        complex_ = ChainComplex(
+            "test", "integral", [m.rows, m.cols, d2.cols], {1: m, 2: d2},
+            {0: range(m.rows), 1: range(m.cols), 2: range(d2.cols)}, 2,
+        )
+        for k in (0, 1):
+            self.assert_fractions([rep.vector for rep in homology_reps(complex_, k)])

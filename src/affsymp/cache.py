@@ -18,11 +18,24 @@ any more.
 
 A matrix record (``diff/`` and ``kernel/``, ``.mtx``) is a header line
 ``affsymp-matrix <format version> <SHA-256 of the payload>`` followed by
-the payload, the matrix's canonical ``to_text``.  A rank record is one line,
-the value and the SHA-256 digest of (matrix fingerprint, value).  A record
-that cannot be read, does not parse, or differs by a single byte from the
-record its payload and digest would be written as reads as a miss, so a
-truncated or edited file is recomputed and rewritten rather than believed.
+the payload, the matrix's canonical ``to_text``.  The digest of a payload
+that reads back is handed to ``SparseMatrix.from_text``, which keeps it as
+the matrix's fingerprint when the payload is provably canonical, so a block
+read from disk is never serialized again to be hashed.
+
+A rank record is one line, the value and the SHA-256 digest of (key,
+value), filed under its key (``rank_key``).  The key of a matrix ranked as
+it is is its fingerprint.  A transposed matrix and a stack of blocks are
+never serialized: the key of a transpose is ``descriptor_key("transposed",
+key of the matrix)`` and that of a stack of blocks ``descriptor_key(
+"stacked", their fingerprints)``.  Records that an older version filed
+under the fingerprint of a transpose or a stack are orphans that nothing
+reads; ``clear`` removes them.
+
+A record that cannot be read, does not parse, or differs by a single byte
+from the record its payload and digest would be written as reads as a
+miss, so a truncated or edited file is recomputed and rewritten rather than
+believed.
 """
 
 from __future__ import annotations
@@ -54,8 +67,18 @@ def worth_caching(rows: int, cols: int) -> bool:
     return min(rows, cols) > 1
 
 
-def _rank_record(matrix_fingerprint: str, value: int) -> str:
-    return f"{value} {descriptor_key('rank', matrix_fingerprint, value)}\n"
+def rank_key(parts: tuple[SparseMatrix, ...], transposed: bool = False) -> str:
+    """The key of the rank record of ``parts`` stacked by rows (a single
+    matrix as it is), or of its transpose, from the parts' fingerprints."""
+    if len(parts) == 1:
+        key = parts[0].fingerprint()
+    else:
+        key = descriptor_key("stacked", *(p.fingerprint() for p in parts))
+    return descriptor_key("transposed", key) if transposed else key
+
+
+def _rank_record(key: str, value: int) -> str:
+    return f"{value} {descriptor_key('rank', key, value)}\n"
 
 
 class DiffCache:
@@ -88,9 +111,10 @@ class DiffCache:
         target = self.path / kind / f"{key}.mtx"
         try:
             header, _, payload = target.read_text(encoding="ascii").partition("\n")
-            if header != f"{MATRIX_TAG} {MATRIX_FORMAT} {_sha256(payload)}":
+            digest = _sha256(payload)
+            if header != f"{MATRIX_TAG} {MATRIX_FORMAT} {digest}":
                 return None
-            return SparseMatrix.from_text(payload)
+            return SparseMatrix.from_text(payload, digest)
         except (OSError, ValueError):  # ShapeError is a ValueError
             return None
 
@@ -118,24 +142,22 @@ class DiffCache:
 
     # -- ranks -------------------------------------------------------------
 
-    def get_rank(self, matrix_fingerprint: str) -> int | None:
-        """The recorded rank, or None when the record is missing, does not
-        parse or does not carry the digest of (fingerprint, value)."""
-        target = self.path / "rank" / f"{matrix_fingerprint}.txt"
+    def get_rank(self, key: str) -> int | None:
+        """The rank recorded under ``key`` (``rank_key``), or None when the
+        record is missing, does not parse or does not carry the digest of
+        (key, value)."""
+        target = self.path / "rank" / f"{key}.txt"
         try:
             text = target.read_text(encoding="ascii")
             value = int(text.partition(" ")[0])
         except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
             return None
-        if text != _rank_record(matrix_fingerprint, value):
+        if text != _rank_record(key, value):
             return None
         return value
 
-    def put_rank(self, matrix_fingerprint: str, value: int) -> None:
-        self._write_atomic(
-            self.path / "rank" / f"{matrix_fingerprint}.txt",
-            _rank_record(matrix_fingerprint, value),
-        )
+    def put_rank(self, key: str, value: int) -> None:
+        self._write_atomic(self.path / "rank" / f"{key}.txt", _rank_record(key, value))
 
     # -- management ----------------------------------------------------------
 

@@ -40,8 +40,13 @@ the whole complex.
 
 Degree caps are explicit.  d o d = 0 is verified at build time on every
 adjacent pair of weight-0 blocks.  A finished complex is shareable across
-threads; blocks and ranks are memoized per complex and optionally
-persisted in a ``DiffCache``.
+threads; ranks are memoized per complex, and blocks, word sets and the
+build-time checks in a ``BlockMemo``.  The complexes of one memo share
+them: a block is looked up there under its descriptor before it is read
+from a ``DiffCache`` or built, and a check of the same block objects runs
+once.  The ambient differentials of ``rel`` and ``cr`` are the blocks of
+``leibniz`` and ``adjoint``, and the targets of both are those of ``lie``.
+A builder called without a memo gets one of its own.
 
 The two kernel complexes (``KernelComplex``) hold the ambient
 differentials d_m and the projections pi_m, never kernel bases.  Their
@@ -62,7 +67,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
-from .cache import DiffCache, descriptor_key, worth_caching
+from .cache import DiffCache, descriptor_key, rank_key, worth_caching
 from .errors import ConsistencyError, DegreeRangeError, DomainError
 from .exact_linalg import (
     QVector,
@@ -252,6 +257,62 @@ class _Graded:
         )
 
 
+class BlockMemo:
+    """Blocks, word sets and build-time checks shared by the complexes
+    built with it, for as long as it lives; one per ``VerificationContext``.
+
+    ``block`` keeps each block under the digest of its descriptor.  A block
+    that a family persisting to a cache finds here, but that was built by
+    a family that does not persist (a target), is looked up on disk once
+    and written when missing there, so the disk records do not depend on
+    the order in which complexes are built.  ``words`` keeps one
+    ``WordSet`` per grading, so its word lists are searched once.  ``check``
+    runs a check once per tuple of the same block objects."""
+
+    def __init__(self):
+        self._blocks: dict[str, SparseMatrix] = {}
+        self._stored: dict[str, DiffCache] = {}
+        self._words: dict[tuple, WordSet] = {}
+        self._checked: dict[tuple[int, ...], tuple] = {}
+
+    def words(self, algebra: LieAlgebra, module: LieModule | None = None) -> WordSet:
+        """The words of the algebra, and of the module when given, graded by
+        their Cartan weights; without a grading, every word at weight ()."""
+        letters, modules = cartan_weights(algebra, module)
+        key = (tuple(letters), tuple(modules))
+        got = self._words.get(key)
+        if got is None:
+            got = self._words[key] = WordSet(letters, modules)
+        return got
+
+    def block(self, digest: str, build, cache: DiffCache | None = None) -> SparseMatrix:
+        """The block with descriptor ``digest``: kept here, read from
+        ``cache`` when given, or ``build()``, and written to ``cache``
+        when it misses there."""
+        got = self._blocks.get(digest)
+        if cache is not None and self._stored.get(digest) is not cache:
+            stored = cache.get_matrix("diff", digest)
+            if stored is None:
+                if got is None:
+                    got = build()
+                cache.put_matrix("diff", digest, got)
+            elif got is None:
+                got = stored
+            self._stored[digest] = cache
+        elif got is None:
+            got = build()
+        self._blocks[digest] = got
+        return got
+
+    def check(self, parts: tuple, verify) -> None:
+        """``verify()``, which raises on failure, unless it passed before
+        on the same objects ``parts``; they are kept, so no id is reused."""
+        key = tuple(map(id, parts))
+        if key not in self._checked:
+            verify()
+            self._checked[key] = parts
+
+
 def _check_zero_product(first: SparseMatrix, second: SparseMatrix, what: str) -> None:
     if multiply(first, second).nnz:
         raise ConsistencyError(what)
@@ -264,7 +325,8 @@ class ChainComplex:
     ``_Graded`` family of a builder.  ``dims`` and ``bases`` describe the
     full complex; ``block_dims`` the weight-0 block that ranks run on.
     Chains are vectors in ``basis(k)``; ``components`` splits one by
-    weight for the membership tests of ``homology``.
+    weight for the membership tests of ``homology``.  ``blocks`` is the
+    memo the build-time checks run through.
     """
 
     def __init__(
@@ -277,6 +339,7 @@ class ChainComplex:
         cap: int,
         cache: DiffCache | None = None,
         entry_cap: int | None = None,
+        blocks: BlockMemo | None = None,
     ):
         self.kind = kind
         self.name = name
@@ -285,6 +348,7 @@ class ChainComplex:
         self.cap = cap
         self.cache = cache
         self.entry_cap = entry_cap
+        self._blocks = BlockMemo() if blocks is None else blocks
         self._diffs = _Graded.of(diffs)
         self._ranks: dict[int, int] = {}
         self._ranks_transposed: dict[int, int] = {}
@@ -300,11 +364,14 @@ class ChainComplex:
 
     def verify_dd_zero(self) -> None:
         """d o d = 0 on every adjacent pair of weight-0 blocks."""
+        self._check_dd("")
+
+    def _check_dd(self, label: str) -> None:
         for k in range(2, self.cap + 1):
-            _check_zero_product(
-                self._diffs.block(k - 1), self._diffs.block(k),
-                f"{self.name}: d_{k - 1} o d_{k} != 0",
-            )
+            pair = (self._diffs.block(k - 1), self._diffs.block(k))
+            self._blocks.check(pair, lambda: _check_zero_product(
+                *pair, f"{self.name}: {label}d_{k - 1} o d_{k} != 0"
+            ))
 
     def check_degree(self, k: int) -> None:
         if not 0 <= k <= self.cap:
@@ -350,18 +417,22 @@ class ChainComplex:
 
     def rank_d(self, k: int) -> int:
         """rank d_k, memoized; rank d_0 is 0 by convention."""
-        return self._memoized(
-            self._ranks, k, lambda: self._ranked(self.block(k)) + self._off_block_rank(k)
-        )
+        return self._memoized(self._ranks, k, lambda: self._rank(k, False))
 
     def rank_d_transposed(self, k: int) -> int:
         """rank of the transposed differential, its block eliminated
         independently; equals rank_d over a field and serves as its
         cross-check."""
-        return self._memoized(
-            self._ranks_transposed, k,
-            lambda: self._ranked(self.block(k).transpose()) + self._off_block_rank(k),
-        )
+        return self._memoized(self._ranks_transposed, k, lambda: self._rank(k, True))
+
+    def _rank(self, k: int, transposed: bool) -> int:
+        """rank of ``block(k)``, or of its transpose, plus the off-block
+        part."""
+        return self._ranked(self._parts(k), transposed) + self._off_block_rank(k)
+
+    def _parts(self, k: int) -> tuple[SparseMatrix, ...]:
+        """The weight-0 blocks whose rows ``block(k)`` stacks."""
+        return (self._diffs.block(k),)
 
     def _off_block_rank(self, k: int) -> int:
         """rank of d_k outside the weight-0 block.  That part of the complex
@@ -379,22 +450,30 @@ class ChainComplex:
             got = memo[k] = compute()
         return got
 
-    def _ranked(self, matrix: SparseMatrix) -> int:
-        """rank(matrix), through the disk cache when there is one and the
-        matrix is worth caching (``cache.worth_caching``).  A cached
-        value that cannot be a rank of this shape counts as a miss and is
-        recomputed and rewritten.  Elimination fill-in is held to the
-        complex's ``entry_cap``."""
-        if not matrix.entries:
+    def _ranked(self, parts: tuple[SparseMatrix, ...], transposed: bool) -> int:
+        """rank of the rows of ``parts`` stacked, or of its transpose.  It
+        goes through the disk cache when there is one and the matrix is
+        worth caching (``cache.worth_caching``), under the key
+        ``cache.rank_key`` derives from the parts, so a hit forms neither
+        the stack nor the transpose.  A cached value that cannot be a rank
+        of this shape counts as a miss and is recomputed and rewritten.
+        Elimination fill-in is held to the complex's ``entry_cap``."""
+        if not any(p.entries for p in parts):
             return 0
-        if self.cache is None or not worth_caching(matrix.rows, matrix.cols):
-            return rank(matrix, self.entry_cap)
-        fp = matrix.fingerprint()
-        hit = self.cache.get_rank(fp)
-        if hit is not None and 0 <= hit <= min(matrix.rows, matrix.cols):
+        rows, cols = sum(p.rows for p in parts), parts[0].cols
+
+        def computed() -> int:
+            matrix = parts[0] if len(parts) == 1 else stack_rows(list(parts))
+            return rank(matrix.transpose() if transposed else matrix, self.entry_cap)
+
+        if self.cache is None or not worth_caching(rows, cols):
+            return computed()
+        key = rank_key(parts, transposed)
+        hit = self.cache.get_rank(key)
+        if hit is not None and 0 <= hit <= min(rows, cols):
             return hit
-        value = rank(matrix, self.entry_cap)
-        self.cache.put_rank(fp, value)
+        value = computed()
+        self.cache.put_rank(key, value)
         return value
 
     def __repr__(self) -> str:
@@ -406,22 +485,19 @@ class ChainComplex:
 # ---------------------------------------------------------------------------
 
 
-def _whole(value: Rational):
-    """An integral rational as an int, which sums faster; others as they are."""
-    return int(value) if value.denominator == 1 else value
-
-
-def _bracket_table(algebra: LieAlgebra) -> tuple[dict, int]:
+def _bracket_table(algebra: LieAlgebra) -> dict:
     """Both orders of every nonzero bracket, as sorted (target, coefficient)
-    pairs; the assembly loops sum in ints where the constants allow."""
+    pairs."""
     table = {}
-    longest = 1
     for (i, j), coeffs in algebra.brackets.items():
-        items = tuple(sorted((k, _whole(v)) for k, v in coeffs.items()))
+        items = tuple(sorted(coeffs.items()))
         table[(i, j)] = items
         table[(j, i)] = tuple((k, -v) for k, v in items)
-        longest = max(longest, len(items))
-    return table, longest
+    return table
+
+
+def _longest_bracket(algebra: LieAlgebra) -> int:
+    return max(map(len, algebra.brackets.values()), default=1)
 
 
 def _insert_sorted(
@@ -452,11 +528,14 @@ def _assemble(
     the degree-``row_k`` words of ``row_kind``; an image outside them raises.
 
     The entry guard checks ``estimate`` first and the entries made last.
-    Each assembler estimates its full matrix, whatever words it is given:
-    all its columns times a bound on the terms of one, comb(k, 2) * (longest
-    bracket) for the Lie and Leibniz differentials, k * (longest action
-    column) + comb(k, 2) * (longest bracket) for the coefficient one, 1 for
-    a projection, so no exit 3 depends on the grading.  A weight-0 estimate
+    Each assembler estimates its full matrix, whatever words it is given
+    (its ``_estimate_*`` function): all its columns times a bound on the
+    terms of one, comb(k, 2) * (longest bracket) for the Lie and Leibniz
+    differentials, k * (longest action column) + comb(k, 2) * (longest
+    bracket) for the coefficient one, 1 for a projection, so no exit 3
+    depends on the grading.  A family of blocks checks the same estimate
+    before it looks a block up (``_family``), so none depends on the
+    cache either.  A weight-0 estimate
     would let Leibniz d_6 of g_2 past the default cap (192,364 * 15 * 2 =
     5,770,920; the full one is 225,886,080), and that block alone has
     passed 2 GB."""
@@ -498,17 +577,25 @@ def _wedge_brackets(table: dict, k: int, word: tuple[int, ...], parity: int) -> 
     return out
 
 
+def _estimate_ce(algebra: LieAlgebra, k: int) -> int:
+    return wedge_dim(algebra.dim, k) * comb(k, 2) * _longest_bracket(algebra)
+
+
 def ce_d(
     algebra: LieAlgebra, k: int, entry_cap: int | None = None, words: WordSet | None = None
 ) -> SparseMatrix:
     """Exterior-power differential d_k : Lambda^k -> Lambda^(k-1) on the
     wedge words of ``words`` (all words by default)."""
-    table, longest = _bracket_table(algebra)
+    table = _bracket_table(algebra)
     return _assemble(
         WordSet.all(algebra.dim) if words is None else words, "wedge", k, "wedge", k - 1,
         lambda w: _wedge_brackets(table, k, w, 1),        # (-1)^j, j = t+1 one-based
-        wedge_dim(algebra.dim, k) * comb(k, 2) * longest, entry_cap,
+        _estimate_ce(algebra, k), entry_cap,
     )
+
+
+def _estimate_leibniz(algebra: LieAlgebra, k: int) -> int:
+    return tensor_dim(algebra.dim, k) * comb(k, 2) * _longest_bracket(algebra)
 
 
 def leibniz_d(
@@ -517,7 +604,7 @@ def leibniz_d(
     """Tensor-power differential on the tensor words of ``words`` (all words
     by default): bracket lands in slot i, slot j dropped, sign (-1)^j, no
     reordering."""
-    table, longest = _bracket_table(algebra)
+    table = _bracket_table(algebra)
     slots = [(s, t, -1 if (t + 1) % 2 else 1) for t in range(1, k) for s in range(t)]
 
     def images(w):
@@ -532,7 +619,14 @@ def leibniz_d(
 
     return _assemble(
         WordSet.all(algebra.dim) if words is None else words, "tensor", k, "tensor", k - 1,
-        images, tensor_dim(algebra.dim, k) * comb(k, 2) * longest, entry_cap,
+        images, _estimate_leibniz(algebra, k), entry_cap,
+    )
+
+
+def _estimate_coeff(module: LieModule, k: int) -> int:
+    action_longest = max((1,) + tuple(a.nnz // max(a.cols, 1) + 1 for a in module.actions))
+    return module.dim * wedge_dim(module.algebra.dim, k) * (
+        k * action_longest + comb(k, 2) * _longest_bracket(module.algebra)
     )
 
 
@@ -547,8 +641,7 @@ def coeff_d(
     terms carry (-1)^j = (-1)^t by the same indexing.
     """
     algebra = module.algebra
-    table, longest = _bracket_table(algebra)
-    action_longest = max((1,) + tuple(a.nnz // max(a.cols, 1) + 1 for a in module.actions))
+    table = _bracket_table(algebra)
     # the bracket terms of a wedge word, shared across module indices
     wedge_terms: dict[tuple[int, ...], list] = {}
 
@@ -569,10 +662,13 @@ def coeff_d(
 
     return _assemble(
         WordSet.all(algebra.dim, module.dim) if words is None else words,
-        "module_wedge", k, "module_wedge", k - 1, images,
-        module.dim * wedge_dim(algebra.dim, k) * (k * action_longest + comb(k, 2) * longest),
+        "module_wedge", k, "module_wedge", k - 1, images, _estimate_coeff(module, k),
         entry_cap,
     )
+
+
+def _estimate_wedge_projection(algebra: LieAlgebra, k: int) -> int:
+    return tensor_dim(algebra.dim, k)
 
 
 def wedge_projection(
@@ -588,8 +684,12 @@ def wedge_projection(
 
     return _assemble(
         WordSet.all(algebra.dim) if words is None else words, "tensor", k, "wedge", k,
-        images, tensor_dim(algebra.dim, k), entry_cap,
+        images, _estimate_wedge_projection(algebra, k), entry_cap,
     )
+
+
+def _estimate_partial_wedge_projection(algebra: LieAlgebra, k: int) -> int:
+    return algebra.dim * wedge_dim(algebra.dim, k)
 
 
 def partial_wedge_projection(
@@ -607,7 +707,7 @@ def partial_wedge_projection(
 
     return _assemble(
         WordSet.all(dim, dim) if words is None else words, "module_wedge", k, "wedge", k + 1,
-        images, dim * wedge_dim(dim, k), entry_cap,
+        images, _estimate_partial_wedge_projection(algebra, k), entry_cap,
     )
 
 
@@ -635,36 +735,76 @@ def mixed_projection(
 # ---------------------------------------------------------------------------
 
 
-def _word_set(algebra: LieAlgebra, module: LieModule | None = None) -> WordSet:
-    """The words of the algebra, and of the module when given, graded by
-    their Cartan weights; without a grading, every word at weight ()."""
-    return WordSet(*cartan_weights(algebra, module))
-
-
-def _family(cache, key, assemble, words: WordSet, kind: str, shift: int = 0) -> _Graded:
+def _family(
+    blocks: BlockMemo, key: tuple, words: WordSet, kind: str, shift: int,
+    assemble, estimate, entry_cap: int | None, cache: DiffCache | None = None,
+) -> _Graded:
     """The blocks ``assemble(k + shift, words of one total weight)``, whose
     columns are the words of ``kind`` and whose rows those one degree lower.
-    With a cache they go through it under key + (degree, "weight", the
-    total, the letter weights), so a change of grading is a miss; a block
-    that is not worth caching, by its word counts, is built without a
-    lookup."""
+
+    A block is first held to the entry guard by ``estimate(k + shift)``,
+    then looked up in ``blocks`` under the digest of key + (degree,
+    "weight", the total, the letter weights), so a change of grading is a
+    miss.  With a cache, a block worth caching by its word counts also goes
+    through the disk under that digest; a family without one, such as a
+    target, never reads or writes the disk."""
     grading = (words.letter_weights, words.module_weights)
 
     def make(k: int, weight: Weight) -> SparseMatrix:
         degree = k + shift
+        check_entry_budget(estimate(degree), entry_cap)
         chosen = words.at(weight)
-        if cache is None or not worth_caching(
+        persist = cache is not None and worth_caching(
             chosen.count(kind, degree - 1, 2), chosen.count(kind, degree, 2)
-        ):
-            return assemble(degree, chosen)
-        digest = descriptor_key(*key, degree, "weight", weight, *grading)
-        got = cache.get_matrix("diff", digest)
-        if got is None:
-            got = assemble(degree, chosen)
-            cache.put_matrix("diff", digest, got)
-        return got
+        )
+        return blocks.block(
+            descriptor_key(*key, degree, "weight", weight, *grading),
+            lambda: assemble(degree, chosen),
+            cache if persist else None,
+        )
 
     return _Graded(make, words, kind, shift)
+
+
+def _lie_family(
+    blocks: BlockMemo, algebra: LieAlgebra, entry_cap: int | None,
+    cache: DiffCache | None = None, shift: int = 0,
+) -> _Graded:
+    """``ce_d`` of the algebra, the differentials of ``lie`` and the
+    targets of ``rel`` and ``cr``."""
+    return _family(
+        blocks, ("lie", algebra.fingerprint()), blocks.words(algebra), "wedge", shift,
+        lambda k, ws: ce_d(algebra, k, entry_cap, ws),
+        lambda k: _estimate_ce(algebra, k), entry_cap, cache,
+    )
+
+
+def _leibniz_family(
+    blocks: BlockMemo, algebra: LieAlgebra, entry_cap: int | None,
+    cache: DiffCache | None, shift: int = 0,
+) -> _Graded:
+    """``leibniz_d`` of the algebra, the differentials of ``leibniz`` and
+    the ambient ones of ``rel``."""
+    return _family(
+        blocks, ("leibniz", algebra.fingerprint()), blocks.words(algebra), "tensor", shift,
+        lambda k, ws: leibniz_d(algebra, k, entry_cap, ws),
+        lambda k: _estimate_leibniz(algebra, k), entry_cap, cache,
+    )
+
+
+def _coeff_family(
+    blocks: BlockMemo, module: LieModule, entry_cap: int | None,
+    cache: DiffCache | None, shift: int = 0,
+) -> _Graded:
+    """``coeff_d`` of the module, the differentials of ``coeff`` (and of
+    ``adjoint``) and the ambient ones of ``cr``."""
+    algebra = module.algebra
+    return _family(
+        blocks, ("coeff", algebra.fingerprint(), module.fingerprint()),
+        blocks.words(algebra, module), "module_wedge", shift,
+        lambda k, ws: coeff_d(module, k, entry_cap, ws),
+        lambda k: _estimate_coeff(module, k), entry_cap, cache,
+    )
 
 
 def ce_complex(
@@ -673,19 +813,18 @@ def ce_complex(
     cache: DiffCache | None = None,
     entry_cap: int | None = None,
     name: str | None = None,
+    blocks: BlockMemo | None = None,
 ) -> ChainComplex:
     """Exterior-power complex of the algebra through degree cap."""
     if cap < 0:
         raise DomainError("cap must be >= 0")
+    blocks = BlockMemo() if blocks is None else blocks
     fp = algebra.fingerprint()
     name = name or f"lie[{fp[:8]}]"
     dims = [wedge_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: WedgeBasis(algebra, k) for k in range(cap + 1)}
-    diffs = _family(
-        cache, ("lie", fp), lambda k, words: ce_d(algebra, k, entry_cap, words),
-        _word_set(algebra), "wedge",
-    )
-    return ChainComplex("lie", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap)
+    diffs = _lie_family(blocks, algebra, entry_cap, cache)
+    return ChainComplex("lie", name, dims, diffs, bases, cap, cache, entry_cap, blocks)
 
 
 def coeff_complex(
@@ -695,22 +834,21 @@ def coeff_complex(
     cache: DiffCache | None = None,
     entry_cap: int | None = None,
     name: str | None = None,
+    blocks: BlockMemo | None = None,
 ) -> ChainComplex:
     """Complex M (x) Lambda^*(algebra) for a right module M."""
     if cap < 0:
         raise DomainError("cap must be >= 0")
     if module.algebra.fingerprint() != algebra.fingerprint():
         raise DomainError("module is not over the given algebra")
+    blocks = BlockMemo() if blocks is None else blocks
     fp = algebra.fingerprint()
     mfp = module.fingerprint()
     name = name or f"coeff[{fp[:8]},{mfp[:8]}]"
     dims = [module.dim * wedge_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: ModuleWedgeBasis(module, k) for k in range(cap + 1)}
-    diffs = _family(
-        cache, ("coeff", fp, mfp), lambda k, words: coeff_d(module, k, entry_cap, words),
-        _word_set(algebra, module), "module_wedge",
-    )
-    return ChainComplex("coeff", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap)
+    diffs = _coeff_family(blocks, module, entry_cap, cache)
+    return ChainComplex("coeff", name, dims, diffs, bases, cap, cache, entry_cap, blocks)
 
 
 def leibniz_complex(
@@ -719,21 +857,18 @@ def leibniz_complex(
     cache: DiffCache | None = None,
     entry_cap: int | None = None,
     name: str | None = None,
+    blocks: BlockMemo | None = None,
 ) -> ChainComplex:
     """Tensor-power complex of the algebra through degree cap."""
     if cap < 0:
         raise DomainError("cap must be >= 0")
+    blocks = BlockMemo() if blocks is None else blocks
     fp = algebra.fingerprint()
     name = name or f"leibniz[{fp[:8]}]"
     dims = [tensor_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: TensorBasis(algebra, k) for k in range(cap + 1)}
-    diffs = _family(
-        cache, ("leibniz", fp), lambda k, words: leibniz_d(algebra, k, entry_cap, words),
-        _word_set(algebra), "tensor",
-    )
-    return ChainComplex(
-        "leibniz", name, dims, diffs, bases, cap, cache, entry_cap=entry_cap
-    )
+    diffs = _leibniz_family(blocks, algebra, entry_cap, cache)
+    return ChainComplex("leibniz", name, dims, diffs, bases, cap, cache, entry_cap, blocks)
 
 
 class KernelComplex(ChainComplex):
@@ -764,6 +899,7 @@ class KernelComplex(ChainComplex):
         cap: int,
         cache: DiffCache | None = None,
         entry_cap: int | None = None,
+        blocks: BlockMemo | None = None,
     ):
         self.kind = kind
         self.name = name
@@ -772,6 +908,7 @@ class KernelComplex(ChainComplex):
         self.cap = cap
         self.cache = cache
         self.entry_cap = entry_cap
+        self._blocks = BlockMemo() if blocks is None else blocks
         self._diffs = _Graded.of(ambient_d)
         self._projection = _Graded.of(projections)
         self._target = _Graded.of(targets)
@@ -797,29 +934,17 @@ class KernelComplex(ChainComplex):
         """Ambient d o d = 0 on every pair used, and the exact chain-map
         identity pi_(m-1) d_m = e_m pi_m at every degree, on weight-0
         blocks."""
-        for m in range(2, self.cap + 1):
-            _check_zero_product(
-                self._diffs.block(m - 1), self._diffs.block(m),
-                f"{self.name}: ambient d_{m - 1} o d_{m} != 0",
-            )
+        self._check_dd("ambient ")
         for m in range(1, self.cap + 1):
-            lhs = multiply(self._projection.block(m - 1), self._diffs.block(m))
-            if lhs != multiply(self._target.block(m), self._projection.block(m)):
-                raise ConsistencyError(
-                    f"{self.name}: projection is not a chain map at degree {m}"
-                )
+            parts = (
+                self._projection.block(m - 1), self._diffs.block(m),
+                self._target.block(m), self._projection.block(m),
+            )
+            self._blocks.check(parts, lambda: self._check_chain_map(m, *parts))
 
-    def rank_d(self, k: int) -> int:
-        """rank([d_k; pi_k]) - rank pi_k on weight 0, the rank of the
-        restriction there, plus the off-block part."""
-        return self._memoized(self._ranks, k, lambda: self._restricted_rank(k, False))
-
-    def rank_d_transposed(self, k: int) -> int:
-        """The same from rank([d_k; pi_k]^T) - rank pi_k^T, eliminated
-        independently."""
-        return self._memoized(
-            self._ranks_transposed, k, lambda: self._restricted_rank(k, True)
-        )
+    def _check_chain_map(self, m: int, before, d, target, pi) -> None:
+        if multiply(before, d) != multiply(target, pi):
+            raise ConsistencyError(f"{self.name}: projection is not a chain map at degree {m}")
 
     def block(self, k: int, weight: Weight | None = None) -> SparseMatrix:
         """[d_k; pi_k] on the words of total ``weight``; at the default,
@@ -839,22 +964,21 @@ class KernelComplex(ChainComplex):
     def cycle_block(self, k: int, weight: Weight) -> SparseMatrix:
         return self._projection.block(0, weight) if k == 0 else self.block(k, weight)
 
-    def _restricted_rank(self, k: int, transposed: bool) -> int:
-        stacked = self.block(k)
-        if transposed:
-            stacked = stacked.transpose()
-        return (
-            self._ranked(stacked)
-            - self._projection_rank(k, transposed)
-            + self._off_block_rank(k)
-        )
+    def _rank(self, k: int, transposed: bool) -> int:
+        """rank([d_k; pi_k]) - rank pi_k on weight 0, the rank of the
+        restriction there, or the same of the transposes, eliminated
+        independently; plus the off-block part."""
+        return super()._rank(k, transposed) - self._projection_rank(k, transposed)
+
+    def _parts(self, k: int) -> tuple[SparseMatrix, ...]:
+        return (self._diffs.block(k), self._projection.block(k))
 
     def _projection_rank(self, k: int, transposed: bool) -> int:
         """rank of the weight-0 pi_k, or of its transpose, eliminated once."""
         got = self._projection_ranks.get((k, transposed))
         if got is None:
             pi = self._projection.block(k)
-            got = self._ranked(pi.transpose() if transposed else pi)
+            got = self._ranked((pi,), transposed)
             self._projection_ranks[(k, transposed)] = got
         return got
 
@@ -868,33 +992,31 @@ def rel_complex(
     cache: DiffCache | None = None,
     entry_cap: int | None = None,
     name: str | None = None,
+    blocks: BlockMemo | None = None,
 ) -> KernelComplex:
     """Relative complex: degree m is the kernel of the antisymmetrization at
     tensor degree m + 2, differential the restricted tensor differential."""
     if cap < 0:
         raise DomainError("cap must be >= 0")
+    blocks = BlockMemo() if blocks is None else blocks
     fp = algebra.fingerprint()
     dim = algebra.dim
-    words = _word_set(algebra)
     return KernelComplex(
         "rel",
         name or f"rel[{fp[:8]}]",
         [tensor_dim(dim, m + 2) - wedge_dim(dim, m + 2) for m in range(cap + 1)],
-        ambient_d=_family(
-            cache, ("leibniz", fp), lambda k, ws: leibniz_d(algebra, k, entry_cap, ws),
-            words, "tensor", shift=2,
-        ),
+        ambient_d=_leibniz_family(blocks, algebra, entry_cap, cache, shift=2),
         projections=_family(
-            None, None, lambda k, ws: wedge_projection(algebra, k, entry_cap, ws),
-            words, "tensor", shift=2,
+            blocks, ("wedge-projection", fp), blocks.words(algebra), "tensor", 2,
+            lambda k, ws: wedge_projection(algebra, k, entry_cap, ws),
+            lambda k: _estimate_wedge_projection(algebra, k), entry_cap,
         ),
-        targets=_family(
-            None, None, lambda k, ws: ce_d(algebra, k, entry_cap, ws), words, "wedge", shift=2
-        ),
+        targets=_lie_family(blocks, algebra, entry_cap, shift=2),
         bases={m: TensorBasis(algebra, m + 2) for m in range(cap + 1)},
         cap=cap,
         cache=cache,
         entry_cap=entry_cap,
+        blocks=blocks,
     )
 
 
@@ -904,36 +1026,34 @@ def cr_complex(
     cache: DiffCache | None = None,
     entry_cap: int | None = None,
     name: str | None = None,
+    blocks: BlockMemo | None = None,
 ) -> KernelComplex:
     """Mixed-kernel complex: degree m is the kernel of
     g (x) Lambda^(m+1) -> Lambda^(m+2), differential the restricted adjoint
     coefficient differential."""
     if cap < 0:
         raise DomainError("cap must be >= 0")
+    blocks = BlockMemo() if blocks is None else blocks
     fp = algebra.fingerprint()
     dim = algebra.dim
     adj = adjoint_module(algebra, validate=False)
-    mfp = adj.fingerprint()
-    words = _word_set(algebra, adj)
     return KernelComplex(
         "cr",
         name or f"cr[{fp[:8]}]",
         [dim * wedge_dim(dim, m + 1) - wedge_dim(dim, m + 2) for m in range(cap + 1)],
-        ambient_d=_family(
-            cache, ("coeff", fp, mfp), lambda k, ws: coeff_d(adj, k, entry_cap, ws),
-            words, "module_wedge", shift=1,
-        ),
+        ambient_d=_coeff_family(blocks, adj, entry_cap, cache, shift=1),
         projections=_family(
-            None, None, lambda k, ws: partial_wedge_projection(algebra, k, entry_cap, ws),
-            words, "module_wedge", shift=1,
+            blocks, ("partial-wedge-projection", fp), blocks.words(algebra, adj),
+            "module_wedge", 1,
+            lambda k, ws: partial_wedge_projection(algebra, k, entry_cap, ws),
+            lambda k: _estimate_partial_wedge_projection(algebra, k), entry_cap,
         ),
-        targets=_family(
-            None, None, lambda k, ws: ce_d(algebra, k, entry_cap, ws), words, "wedge", shift=2
-        ),
+        targets=_lie_family(blocks, algebra, entry_cap, shift=2),
         bases={m: ModuleWedgeBasis(adj, m + 1) for m in range(cap + 1)},
         cap=cap,
         cache=cache,
         entry_cap=entry_cap,
+        blocks=blocks,
     )
 
 

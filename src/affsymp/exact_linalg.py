@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 from math import gcd, lcm
@@ -56,6 +57,15 @@ QONE = Rational(1)
 # Tensor-power dimensions grow as dim**k.
 DEFAULT_ENTRY_CAP = 10_000_000
 
+# ``to_text`` writes every number without a sign (but a numerator's minus)
+# or a leading zero, one space apart, every value "num/den" with den >= 1,
+# and a newline after every line.  A body is canonical when removing every
+# match of the line pattern leaves nothing: ``subn`` holds one match at a
+# time, where a repeated group in one ``fullmatch`` keeps state for every
+# line and raised a warm run's peak memory by about 2 MB.
+_CANONICAL_HEADER = re.compile(r"(0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n")
+_CANONICAL_LINE = re.compile(r"(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) -?[1-9][0-9]*/[1-9][0-9]*\n")
+
 
 def rational_from_string(text: str) -> Rational:
     """Parse "p" or "p/q" in base 10."""
@@ -69,7 +79,7 @@ def rational_to_string(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _entry(value) -> int | Rational:
+def normal_entry(value) -> int | Rational:
     """A matrix entry in normal form: an ``int`` when it is integral, a
     reduced ``Fraction`` otherwise."""
     if type(value) is int:
@@ -195,7 +205,7 @@ class SparseMatrix:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ShapeError(f"entry ({r},{c}) out of range for {rows}x{cols}")
             if type(v) is not int:
-                v = _entry(v)
+                v = normal_entry(v)
             if v:
                 clean[(r, c)] = v
         self._set(rows, cols, clean)
@@ -332,7 +342,62 @@ class SparseMatrix:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "SparseMatrix":
+    def from_text(cls, text: str, digest: str | None = None) -> "SparseMatrix":
+        """Parse ``to_text`` output.  Blank lines and extra spaces are
+        tolerated, values may be written "p" or "p/q", and lines may come in
+        any order.
+
+        ``digest`` is the SHA-256 of ``text``, as the caller has checked it.
+        It becomes the matrix's fingerprint, with no serialization, when
+        ``text`` is provably the ``to_text`` of the matrix it parses to: the
+        header is exact, every entry line matches the canonical form, the
+        keys strictly increase and every value is in lowest terms.  Any
+        other text parses to the same matrix, whose fingerprint is computed
+        from its own ``to_text`` when asked for."""
+        m = cls._from_canonical_text(text)
+        if m is None:
+            return cls._from_loose_text(text)
+        if digest is not None:
+            m._fingerprint = digest
+        return m
+
+    @classmethod
+    def _from_canonical_text(cls, text: str) -> "SparseMatrix | None":
+        """The matrix whose ``to_text`` is exactly ``text``, or None."""
+        head = _CANONICAL_HEADER.match(text)
+        if head is None:
+            return None
+        rows, cols, nnz = map(int, head.groups())
+        body = text[head.end():]
+        left, lines = _CANONICAL_LINE.subn("", body)
+        if left or lines != nnz:
+            return None
+        ents = {}
+        values: dict[str, int | Rational] = {}  # one parse per distinct value
+        last = (-1, -1)
+        for ln in body.splitlines():
+            rt, ct, vt = ln.split(" ")
+            key = (int(rt), int(ct))
+            if key <= last or key[1] >= cols:
+                return None
+            last = key
+            q = values.get(vt)
+            if q is None:
+                num, _, den = vt.partition("/")
+                if den == "1":
+                    q = int(num)
+                elif gcd(int(num), int(den)) == 1:
+                    q = Rational(int(num), int(den))
+                else:
+                    return None
+                values[vt] = q
+            ents[key] = q
+        if last[0] >= rows:
+            return None
+        return cls._of(rows, cols, ents)
+
+    @classmethod
+    def _from_loose_text(cls, text: str) -> "SparseMatrix":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ShapeError("empty matrix text")
@@ -345,7 +410,7 @@ class SparseMatrix:
             rt, ct, vt = ln.split()
             q = values.get(vt)
             if q is None:
-                q = values[vt] = _entry(rational_from_string(vt))
+                q = values[vt] = normal_entry(rational_from_string(vt))
             ents[(int(rt), int(ct))] = q
         return cls(rows, cols, ents)
 
@@ -636,7 +701,7 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         for r, v in acc.items():
             if v:
                 den = row_dens.get(r, 1) * d_j
-                ents[(r, j)] = v if den == 1 else _entry(Rational(v, den))
+                ents[(r, j)] = v if den == 1 else normal_entry(Rational(v, den))
         check_entry_budget(len(ents))
     return SparseMatrix._of(a.rows, b.cols, ents)
 
@@ -669,7 +734,7 @@ def append_columns(m: SparseMatrix, vectors: Iterable[QVector]) -> SparseMatrix:
         if vec.length != m.rows:
             raise ShapeError("column length mismatch")
         for r, v in vec.entries:
-            entries[(r, cols)] = _entry(v)
+            entries[(r, cols)] = normal_entry(v)
         cols += 1
     return SparseMatrix._of(m.rows, cols, entries)
 

@@ -30,6 +30,7 @@ from .exact_linalg import (
     QZERO,
     Rational,
     SparseMatrix,
+    normal_entry,
     rank,
     rational_to_string,
 )
@@ -57,7 +58,9 @@ class LieAlgebra:
 
     Constants are stored for i < j only, so antisymmetry is structural; the
     Jacobi identity is checked at construction unless ``validate=False``
-    (used by falsification fixtures).
+    (used by falsification fixtures).  Each constant is held in the normal
+    form of a ``SparseMatrix`` entry: an ``int`` when it is integral, a
+    ``Fraction`` otherwise.
     """
 
     __slots__ = ("dim", "labels", "brackets", "_fingerprint")
@@ -71,7 +74,7 @@ class LieAlgebra:
     ):
         if len(labels) != dim:
             raise DomainError("label count must equal dimension")
-        clean: dict[tuple[int, int], dict[int, Rational]] = {}
+        clean: dict[tuple[int, int], dict[int, int | Rational]] = {}
         for (i, j), coeffs in brackets.items():
             if not 0 <= i < j < dim:
                 raise DomainError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
@@ -79,8 +82,8 @@ class LieAlgebra:
             for k, v in coeffs.items():
                 if not 0 <= k < dim:
                     raise DomainError(f"bracket target {k} out of range")
-                q = Rational(v)
-                if q != 0:
+                q = normal_entry(v)
+                if q:
                     kept[k] = q
             if kept:
                 clean[(i, j)] = kept
@@ -98,7 +101,7 @@ class LieAlgebra:
 
     # -- bracket access -------------------------------------------------
 
-    def bracket_coeffs(self, i: int, j: int) -> dict[int, Rational]:
+    def bracket_coeffs(self, i: int, j: int) -> dict[int, int | Rational]:
         """[e_i, e_j] as {k: coefficient}, any index order."""
         if i == j:
             return {}
@@ -135,16 +138,16 @@ class LieAlgebra:
                 cij = self.bracket_coeffs(i, j)
                 for k in range(j + 1, self.dim):
                     checked += 1
-                    acc: dict[int, Rational] = {}
+                    acc: dict[int, int | Rational] = {}
                     for m, c in cij.items():
                         for l, d in self.bracket_coeffs(m, k).items():
-                            acc[l] = acc.get(l, QZERO) + c * d
+                            acc[l] = acc.get(l, 0) + c * d
                     for m, c in self.bracket_coeffs(j, k).items():
                         for l, d in self.bracket_coeffs(m, i).items():
-                            acc[l] = acc.get(l, QZERO) + c * d
+                            acc[l] = acc.get(l, 0) + c * d
                     for m, c in self.bracket_coeffs(k, i).items():
                         for l, d in self.bracket_coeffs(m, j).items():
-                            acc[l] = acc.get(l, QZERO) + c * d
+                            acc[l] = acc.get(l, 0) + c * d
                     if any(v != 0 for v in acc.values()):
                         failures.append(f"jacobi fails on triple ({i},{j},{k})")
         return ValidationReport(not failures, checked, failures)
@@ -474,10 +477,7 @@ def cartan_weights(
             for m in range(module.dim)
         ]
     kept = [c for c in range(len(grading)) if any(row[c] for row in rows)]
-    vectors = [
-        tuple(int(row[c]) if Rational(row[c]).denominator == 1 else row[c] for c in kept)
-        for row in rows
-    ]
+    vectors = [tuple(row[c] for c in kept) for row in rows]
     return vectors[:dim], vectors[dim:]
 
 

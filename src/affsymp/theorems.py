@@ -22,7 +22,11 @@ claims and the CLI.  ``ctx.complex(theory, family, n, cap)`` takes the
 ``I`` and ``g``, names the complex as the CLI reports it (``lie(g1)``,
 ``coeff(sp1,I^2)``), and memoizes it by ``(theory, family, n)``: a complex
 already built to at least ``cap`` is reused, so claims that share a complex
-build and rank it once.
+build and rank it once.  Its ``BlockMemo`` goes further, to the blocks that
+different complexes share: ``rel`` and ``cr`` take their ambient
+differentials from ``leibniz`` and ``adjoint`` and their targets from
+``lie``, and a block, its fingerprint and each of its d o d and chain-map
+checks are made once per context.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass, field
 
 from .cache import DiffCache
 from .chain_complexes import (
+    BlockMemo,
     ChainComplex,
     ce_complex,
     coeff_complex,
@@ -182,12 +187,14 @@ _EXPONENT = re.compile("0|[1-9][0-9]*")
 
 
 class VerificationContext:
-    """Memoizes algebras, the standard modules, invariant tables and
-    complexes across claims and CLI commands; one disk cache."""
+    """Memoizes algebras, the standard modules, invariant tables, complexes
+    and, in ``blocks``, the blocks the complexes share, across claims and CLI
+    commands; one disk cache."""
 
     def __init__(self, cache: DiffCache | None = None, entry_cap: int | None = None):
         self.cache = cache
         self.entry_cap = entry_cap
+        self.blocks = BlockMemo()
         self._algebras: dict = {}
         self._complexes: dict = {}
         self._tables: dict = {}
@@ -257,22 +264,22 @@ class VerificationContext:
         # builders are looked up by their module names at each call, so a
         # wrapper installed on this module's globals sees every build
         if theory == "lie":
-            found = ce_complex(algebra, *shared, name=name)
+            found = ce_complex(algebra, *shared, name=name, blocks=self.blocks)
         elif theory == "leibniz":
-            found = leibniz_complex(algebra, *shared, name=name)
+            found = leibniz_complex(algebra, *shared, name=name, blocks=self.blocks)
         elif theory == "adjoint":
             module = self.module("adjoint", family, n)
-            found = coeff_complex(algebra, module, *shared, name=name)
+            found = coeff_complex(algebra, module, *shared, name=name, blocks=self.blocks)
         elif theory.startswith("coeff:"):
             spec = theory[len("coeff:"):]
             found = coeff_complex(
                 algebra, self.module(spec, family, n), *shared,
-                name=f"coeff({family}{n},{spec})",
+                name=f"coeff({family}{n},{spec})", blocks=self.blocks,
             )
         elif theory == "rel":
-            found = rel_complex(algebra, *shared, name=name)
+            found = rel_complex(algebra, *shared, name=name, blocks=self.blocks)
         elif theory == "cr":
-            found = cr_complex(algebra, *shared, name=name)
+            found = cr_complex(algebra, *shared, name=name, blocks=self.blocks)
         else:
             raise DomainError(f"unknown theory {theory!r}")
         self._complexes[key] = found

@@ -168,6 +168,41 @@ def test_malformed_matrix_records_miss(tmp_path):
     assert cache.get_matrix("diff", "k") == m
 
 
+def test_a_canonical_record_keeps_its_digest_as_the_fingerprint(tmp_path, monkeypatch):
+    cache = DiffCache(tmp_path)
+    m = SparseMatrix.from_dense([[1, Rational(2, 3), 0], [0, -1, 3]])
+    cache.put_matrix("diff", "k", m)
+
+    def refused(self):
+        raise AssertionError("a record read back was serialized again")
+
+    monkeypatch.setattr(SparseMatrix, "to_text", refused)
+    got = cache.get_matrix("diff", "k")
+    assert got == m and got.fingerprint() == m.fingerprint()
+
+
+@pytest.mark.parametrize("payload", [
+    "2 3 4\n0 1 2/3\n0 0 1/1\n1 1 -1/1\n1 2 3/1\n",     # lines reordered
+    "2 3 4\n0 0 +1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",    # a plus sign
+    "2 3 4\n0 0 1/1\n0 1 2/3\n01 1 -1/1\n1 2 3/1\n",    # a leading zero
+    "2 3 4\n0 0 1/1\n\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",  # a blank line
+    "2 3 4\n0 0 2/2\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",     # not in lowest terms
+    "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3\n",       # no denominator
+    "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1 \n",    # a trailing space
+])
+def test_a_noncanonical_record_parses_and_rehashes(tmp_path, payload):
+    """A payload whose digest holds but which is not the canonical text of
+    its matrix reads as that matrix, and its fingerprint is recomputed, not
+    taken from the record."""
+    cache = DiffCache(tmp_path)
+    m = SparseMatrix.from_dense([[1, Rational(2, 3), 0], [0, -1, 3]])
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    (tmp_path / "diff" / "k.mtx").write_text(f"affsymp-matrix 1 {digest}\n{payload}")
+    got = cache.get_matrix("diff", "k")
+    assert got == m
+    assert got.fingerprint() == m.fingerprint() != digest
+
+
 def test_malformed_vector_records_miss(tmp_path):
     cache = DiffCache(tmp_path)
     vecs = [QVector.from_dense([1, 0, -2])]
@@ -248,15 +283,16 @@ def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, 
     """A cold n = 1 verify writes no record of a matrix with at most one row
     or column; a warm rerun reads every record it looks up, writes none and
     leaves the directory byte-identical."""
+    from affsymp.cache import rank_key
     from affsymp.chain_complexes import ChainComplex
     from affsymp.theorems import VerificationContext, run_all
 
     shapes = {}
     ranked = ChainComplex._ranked
 
-    def recorded(self, matrix):
-        shapes[matrix.fingerprint()] = (matrix.rows, matrix.cols)
-        return ranked(self, matrix)
+    def recorded(self, parts, transposed):
+        shapes[rank_key(parts, transposed)] = (sum(p.rows for p in parts), parts[0].cols)
+        return ranked(self, parts, transposed)
 
     monkeypatch.setattr(ChainComplex, "_ranked", recorded)
     assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), 1))

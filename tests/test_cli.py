@@ -343,6 +343,21 @@ class TestCacheLifecycle:
         assert any((cache / "diff").iterdir())
 
 
+@pytest.mark.parametrize("cap", ["2000", "20000"])
+def test_entry_guard_exit_three_cold_and_warm(capsys, tmp_path, cap):
+    """A block's estimate is checked before the cache is looked up, so a
+    warm cache does not lift the entry guard."""
+    argv = ["homology", "--family", "g", "--n", "1", "--theory", "leibniz", "--max-degree", "4"]
+    guarded = argv + ["--memory-cap", cap]
+    cache = ["--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, guarded)[0] == 3
+    assert run_cli(capsys, guarded + cache)[0] == 3
+    assert run_cli(capsys, argv + cache)[0] == 0
+    assert any((tmp_path / "diff").iterdir()) and any((tmp_path / "rank").iterdir())
+    code, _, err = run_cli(capsys, guarded + cache)
+    assert code == 3 and "resource guard" in err
+
+
 class TestColdWarmDeterminism:
     def test_byte_identical_payloads(self, capsys, tmp_path):
         cache = tmp_path / "cache"

@@ -278,6 +278,21 @@ class TestIntegerCore:
         for v in m.entries.values():
             assert rational_to_string(v) == fraction_rational_to_string(v)
 
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_matrices())
+    def test_canonical_text_keeps_the_given_digest(self, m):
+        text = m.to_text()
+        got = SparseMatrix.from_text(text, "given")
+        assert got == m and got.fingerprint() == "given"
+        assert_normal_form(got)
+        # the same lines in reverse order are not canonical: same matrix,
+        # fingerprint from its own text
+        head, *lines = text.splitlines()
+        if len(lines) > 1:
+            shuffled = "\n".join([head] + lines[::-1]) + "\n"
+            again = SparseMatrix.from_text(shuffled, "given")
+            assert again == m and again.fingerprint() == m.fingerprint()
+
     def test_pinned_leibniz_ranks(self, g1, g2):
         from affsymp.chain_complexes import leibniz_d
 

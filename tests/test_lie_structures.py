@@ -231,3 +231,37 @@ class TestSerialization:
 
     def test_fingerprint_stable(self, sp1):
         assert sp1.fingerprint() == build_sp(1).fingerprint()
+
+    def test_fingerprints_and_dumps_are_pinned(self):
+        """The constants are held as ints, yet every algebra's fingerprint and
+        JSON dump, and its adjoint module's fingerprint, are byte for byte
+        those written when they were ``Fraction``s."""
+        import hashlib
+        import json
+
+        h = hashlib.sha256()
+        for n in (1, 2, 3):
+            for algebra in (build_sp(n), build_I(n), build_g(n)[0]):
+                h.update(algebra.fingerprint().encode())
+                h.update(json.dumps(algebra.to_json_dict(), sort_keys=True).encode())
+                h.update(adjoint_module(algebra).fingerprint().encode())
+        assert h.hexdigest() == "d21c4d2e7b786f56b578a16373c9da03b328810afd9762b20aba4adde927368b"
+
+
+class TestConstants:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_integral_constants_are_ints(self, n):
+        for algebra in (build_sp(n), build_g(n)[0]):
+            values = [v for coeffs in algebra.brackets.values() for v in coeffs.values()]
+            assert values and all(type(v) is int for v in values)
+
+    def test_constants_take_the_matrix_entry_normal_form(self):
+        algebra = LieAlgebra(
+            3, ("a", "b", "c"),
+            {(0, 1): {2: Rational(4, 2), 0: 0}, (0, 2): {2: Rational(1, 2)}},
+            validate=False,
+        )
+        assert algebra.brackets == {(0, 1): {2: 2}, (0, 2): {2: Rational(1, 2)}}
+        assert type(algebra.brackets[(0, 1)][2]) is int
+        assert type(algebra.brackets[(0, 2)][2]) is Rational
+        assert algebra.to_json_dict()["brackets"] == [[0, 1, 2, "2/1"], [0, 2, 2, "1/2"]]

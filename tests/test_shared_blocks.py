@@ -1,0 +1,130 @@
+"""One ``VerificationContext`` builds, reads and d o d-checks each weight
+block once: ``rel`` and ``cr`` take their ambient differentials from
+``leibniz`` and ``adjoint`` and their targets from ``lie``, through the
+context's ``BlockMemo``.  Fresh contexts are the oracle for every rank."""
+
+import collections
+
+import pytest
+
+import affsymp.chain_complexes as chain_complexes
+from affsymp.cache import DiffCache
+from affsymp.errors import ResourceLimitError
+from affsymp.homology import betti, cobetti
+from affsymp.theorems import VerificationContext
+
+THEORIES = ("leibniz", "adjoint", "lie", "rel", "cr")
+
+
+def _numbers(complex_):
+    degrees = range(complex_.cap + 1)
+    return (
+        [complex_.rank_d(k) for k in degrees],
+        [complex_.rank_d_transposed(k) for k in degrees],
+        [betti(complex_, k) for k in degrees],
+        [cobetti(complex_, k) for k in degrees],
+    )
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Counts the ``_assemble`` calls by block descriptor (row and column
+    kinds and degrees, grading, total weight) and the ``multiply`` calls of
+    the build-time checks by the pair of objects multiplied."""
+    assembled = collections.Counter()
+    products = collections.Counter()
+    operands = []  # kept alive, so no id is reused
+    assemble, multiply = chain_complexes._assemble, chain_complexes.multiply
+
+    def counted_assemble(words, col_kind, k, row_kind, row_k, *rest):
+        grading = (tuple(words.letter_weights), tuple(words.module_weights), words.total)
+        assembled[(col_kind, k, row_kind, row_k, grading)] += 1
+        return assemble(words, col_kind, k, row_kind, row_k, *rest)
+
+    def counted_multiply(a, b):
+        operands.append((a, b))
+        products[(id(a), id(b))] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(chain_complexes, "_assemble", counted_assemble)
+    monkeypatch.setattr(chain_complexes, "multiply", counted_multiply)
+    return assembled, products
+
+
+@pytest.mark.parametrize("family, cap", [("g", 4), ("sp", 3)])
+def test_one_context_assembles_and_checks_each_block_once(spied, family, cap):
+    assembled, products = spied
+    ctx = VerificationContext()
+    numbers = {t: _numbers(ctx.complex(t, family, 1, cap)) for t in THEORIES}
+    assert assembled and set(assembled.values()) == {1}
+    assert products and set(products.values()) == {1}
+    shared = sum(assembled.values()), sum(products.values())
+
+    assembled.clear()
+    products.clear()
+    for theory in THEORIES:
+        assert _numbers(VerificationContext().complex(theory, family, 1, cap)) == numbers[theory]
+    # the fresh contexts rebuild and recheck what the shared one did once
+    assert sum(assembled.values()) > shared[0]
+    assert sum(products.values()) > shared[1]
+
+
+def test_kernel_complexes_reuse_the_block_objects(spied):
+    ctx = VerificationContext()
+    leibniz = ctx.complex("leibniz", "g", 1, 5)
+    adjoint = ctx.complex("adjoint", "g", 1, 4)
+    lie = ctx.complex("lie", "g", 1, 5)
+    rel = ctx.complex("rel", "g", 1, 3)
+    cr = ctx.complex("cr", "g", 1, 3)
+    for m in range(1, 4):
+        assert rel._diffs.block(m) is leibniz.block(m + 2)
+        assert cr._diffs.block(m) is adjoint.block(m + 1)
+        assert rel._target.block(m) is lie.block(m + 2)
+        assert cr._target.block(m) is lie.block(m + 2)
+
+
+def _records(path):
+    return {
+        str(f.relative_to(path)): f.read_bytes() for f in sorted(path.rglob("*")) if f.is_file()
+    }
+
+
+def test_disk_records_do_not_depend_on_the_build_order(tmp_path, monkeypatch):
+    """A lie block first built as a target of cr, which never writes, is
+    still written when lie asks for it; a warm rerun neither misses nor
+    writes."""
+    shared, apart = tmp_path / "shared", tmp_path / "apart"
+    ctx = VerificationContext(cache=DiffCache(shared))
+    first = [betti(ctx.complex(t, "g", 1, 4), 2) for t in ("cr", "rel", "lie")]
+    for theory in ("cr", "rel", "lie"):
+        betti(VerificationContext(cache=DiffCache(apart)).complex(theory, "g", 1, 4), 2)
+    assert _records(shared) == _records(apart)
+
+    calls = []
+    for method in ("get_matrix", "get_rank", "put_matrix", "put_rank"):
+        def spy(self, *args, _method=method, _original=getattr(DiffCache, method)):
+            got = _original(self, *args)
+            calls.append((_method, got is None))
+            return got
+
+        monkeypatch.setattr(DiffCache, method, spy)
+    cold = _records(shared)
+    ctx = VerificationContext(cache=DiffCache(shared))
+    assert [betti(ctx.complex(t, "g", 1, 4), 2) for t in ("cr", "rel", "lie")] == first
+    assert calls and {method for method, _ in calls} == {"get_matrix", "get_rank"}
+    assert not any(missed for _, missed in calls)
+    assert _records(shared) == cold
+
+
+def test_entry_guard_holds_for_a_block_shared_from_an_earlier_complex(spied):
+    """rel(g_1) through degree 3 needs Leibniz d_5, which leibniz(g_1)
+    built; under a smaller cap its estimate still aborts, before any
+    Leibniz block is assembled again."""
+    assembled, _ = spied
+    ctx = VerificationContext()
+    ctx.complex("leibniz", "g", 1, 5)
+    tensor = sum(v for key, v in assembled.items() if key[0] == key[2] == "tensor")
+    ctx.entry_cap = 2000
+    with pytest.raises(ResourceLimitError):
+        ctx.complex("rel", "g", 1, 3)
+    assert sum(v for key, v in assembled.items() if key[0] == key[2] == "tensor") == tensor

@@ -75,7 +75,7 @@ from .exact_linalg import (
     Rational,
     SparseMatrix,
     check_entry_budget,
-    multiply,
+    products_cancel,
     rank,
     stack_rows,
 )
@@ -314,7 +314,7 @@ class BlockMemo:
 
 
 def _check_zero_product(first: SparseMatrix, second: SparseMatrix, what: str) -> None:
-    if multiply(first, second).nnz:
+    if not products_cancel([(1, first, second)]):
         raise ConsistencyError(what)
 
 
@@ -943,7 +943,7 @@ class KernelComplex(ChainComplex):
             self._blocks.check(parts, lambda: self._check_chain_map(m, *parts))
 
     def _check_chain_map(self, m: int, before, d, target, pi) -> None:
-        if multiply(before, d) != multiply(target, pi):
+        if not products_cancel([(1, before, d), (-1, target, pi)]):
             raise ConsistencyError(f"{self.name}: projection is not a chain map at degree {m}")
 
     def block(self, k: int, weight: Weight | None = None) -> SparseMatrix:

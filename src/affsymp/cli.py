@@ -2,7 +2,8 @@
 
 Subcommands: ``algebra info``, ``homology``, ``invariants``, ``verify`` and
 ``cache``.  Exit codes: 0 all requested checks passed, 1 a verification
-failed, 2 usage or domain error, 3 resource-guard abort.
+failed, 2 usage or domain error, 3 resource-guard abort, 141 (128 + SIGPIPE)
+the reader of standard output went away before the output was written.
 
 The cache directory and memory cap come from ``--cache-dir`` /
 ``--memory-cap``, falling back to the environment variables
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,6 +220,20 @@ def _cmd_cache(args) -> int:
     return EXIT_OK
 
 
+def _run(args) -> int:
+    if args.command == "algebra":
+        return _cmd_algebra_info(args)
+    if args.command == "homology":
+        return _cmd_homology(args)
+    if args.command == "invariants":
+        return _cmd_invariants(args)
+    if args.command == "verify":
+        return _cmd_verify(args)
+    if args.command == "cache":
+        return _cmd_cache(args)
+    raise DomainError(f"unknown command {args.command!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -225,17 +241,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
-        if args.command == "algebra":
-            return _cmd_algebra_info(args)
-        if args.command == "homology":
-            return _cmd_homology(args)
-        if args.command == "invariants":
-            return _cmd_invariants(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-        raise DomainError(f"unknown command {args.command!r}")
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing reads standard output any more: point it at devnull, so
+        # the interpreter's last flush cannot fail again (the recipe of the
+        # Python ``signal`` documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

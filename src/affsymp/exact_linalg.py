@@ -2,8 +2,9 @@
 
 Everything downstream (differentials, invariant subspaces, Betti numbers,
 representative cycles) reduces to ``rank``, ``kernel_basis``,
-``independent_columns``, ``LinearSolver``, ``multiply`` and ``stack_rows``,
-all computed in exact rational arithmetic.
+``independent_columns``, ``LinearSolver``, ``multiply``, ``stack_rows`` and
+``products_cancel``, the test that a sum of products is zero (d o d = 0,
+chain maps, module laws), all computed in exact rational arithmetic.
 
 A matrix entry is held in one normal form: a Python ``int`` when it is
 integral, a reduced ``fractions.Fraction`` with positive denominator
@@ -13,9 +14,9 @@ differential and projection here is integral, so its entries never become
 scalars the API takes are ``Fraction``s.  Inside, everything computes on
 ``int``s: a matrix is split as an integer matrix and diagonal denominators
 (rows scaled by the lcm of their denominators for an elimination and for
-the left factor of a product, columns for the right factor), and only
-``Fraction`` entries add to those lcms, so rationals appear only where
-values enter and leave.
+the left factor of a product, columns for the right factor, the whole
+matrix for ``products_cancel``), and only ``Fraction`` entries add to those
+lcms, so rationals appear only where values enter and leave.
 
 There is one elimination loop, ``_eliminate``: fraction-free (Bareiss
 1968; Dumas, Saunders and Villard 2001 for the sparse integer case),
@@ -704,6 +705,76 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                 ents[(r, j)] = v if den == 1 else normal_entry(Rational(v, den))
         check_entry_budget(len(ents))
     return SparseMatrix._of(a.rows, b.cols, ents)
+
+
+def _integral(m: SparseMatrix) -> tuple[int, Mapping[tuple[int, int], int]]:
+    """(d, entries of d m) for d the lcm of the denominators of m, so every
+    entry is an int; m's own entries when d is 1."""
+    d = 1
+    for v in m.entries.values():
+        if type(v) is not int:
+            d = lcm(d, v.denominator)
+    if d == 1:
+        return 1, m.entries
+    return d, {key: (v * d).numerator for key, v in m.entries.items()}
+
+
+def products_cancel(terms: Iterable[tuple[object, SparseMatrix, SparseMatrix]]) -> bool:
+    """Whether the sum of c * (a @ b) over the terms (c, a, b) is exactly
+    the zero matrix.  No product is formed.
+
+    Each a and b is scaled to integers A = d_a a and B = d_b b by the lcm of
+    its denominators, and the coefficients c / (d_a d_b) are cleared to ints
+    e by the lcm of theirs; the sum vanishes exactly when sum e (A @ B) does.
+    Column k of A is packed into one int, sum_r A[r, k] 2^(w r) (Kronecker
+    substitution), so column j of the sum is the one int
+    sum e B[k, j] packed_k, whose slot r holds the true coefficient x_r of
+    row r.  The slot width w is ``bound.bit_length()`` for
+    bound = sum |e| max|A| max|B| a.cols, so every |x_r| <= bound < 2^w.
+    Then the column's int is 0 exactly when every x_r is: if r0 is the
+    highest row with x_r0 != 0, its slot contributes at least 2^(w r0) in
+    absolute value, and the slots below at most
+    (2^w - 1)(1 + 2^w + ... + 2^(w (r0 - 1))) = 2^(w r0) - 1, so nothing
+    cancels it.  No sign bit is needed; one bit fewer is not enough, as
+    x = (-2^(w-1), 1) with bound 2^(w-1) shows.  The column sums, like the
+    packed columns, take about rows * w bits each.  Raises ``ShapeError``
+    unless every a @ b is defined and all have one shape.
+    """
+    terms = list(terms)
+    if not terms:
+        return True
+    rows, cols = terms[0][1].rows, terms[0][2].cols
+    scaled = []
+    for c, a, b in terms:
+        if a.cols != b.rows or a.rows != rows or b.cols != cols:
+            raise ShapeError(
+                f"a {a.rows}x{a.cols} by {b.rows}x{b.cols} product is not "
+                f"a {rows}x{cols} term"
+            )
+        d_a, a_ents = _integral(a)
+        d_b, b_ents = _integral(b)
+        if a_ents and b_ents:
+            scaled.append((Rational(c) / (d_a * d_b), a_ents, b_ents, a.cols))
+    clear = lcm(1, *(q.denominator for q, *_ in scaled))
+    ints = []
+    bound = 0
+    for q, a_ents, b_ents, inner in scaled:
+        e = (q * clear).numerator
+        if e:
+            top = max(map(abs, a_ents.values())) * max(map(abs, b_ents.values()))
+            bound += abs(e) * top * inner
+            ints.append((e, a_ents, b_ents, inner))
+    width = bound.bit_length()
+    sums = [0] * cols
+    for e, a_ents, b_ents, inner in ints:
+        packed = [0] * inner
+        for (r, k), v in a_ents.items():
+            packed[k] += v << (width * r)
+        if e != 1:
+            packed = [e * p for p in packed]
+        for (k, j), v in b_ents.items():
+            sums[j] += v * packed[k]
+    return not any(sums)
 
 
 def stack_rows(ms: list[SparseMatrix]) -> SparseMatrix:

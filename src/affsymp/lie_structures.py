@@ -31,6 +31,7 @@ from .exact_linalg import (
     Rational,
     SparseMatrix,
     normal_entry,
+    products_cancel,
     rank,
     rational_to_string,
 )
@@ -250,26 +251,16 @@ class LieModule:
     def validate(self) -> ValidationReport:
         failures = []
         checked = 0
+        identity = SparseMatrix.identity(self.dim)
         for i in range(self.algebra.dim):
             ai = self.actions[i]
             for j in range(i + 1, self.algebra.dim):
                 checked += 1
                 aj = self.actions[j]
-                lhs = (ai @ aj).entries.copy()
-                for (r, c), v in (aj @ ai).entries.items():
-                    nv = lhs.get((r, c), 0) - v
-                    if nv:
-                        lhs[(r, c)] = nv
-                    else:
-                        lhs.pop((r, c), None)
+                terms = [(1, ai, aj), (-1, aj, ai)]
                 for k, coeff in self.algebra.bracket_coeffs(i, j).items():
-                    for (r, c), v in self.actions[k].entries.items():
-                        nv = lhs.get((r, c), 0) + coeff * v
-                        if nv:
-                            lhs[(r, c)] = nv
-                        else:
-                            lhs.pop((r, c), None)
-                if lhs:
+                    terms.append((coeff, self.actions[k], identity))
+                if not products_cancel(terms):
                     failures.append(f"module law fails on pair ({i},{j})")
         return ValidationReport(not failures, checked, failures)
 

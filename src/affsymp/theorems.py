@@ -187,7 +187,7 @@ _EXPONENT = re.compile("0|[1-9][0-9]*")
 
 
 class VerificationContext:
-    """Memoizes algebras, the standard modules, invariant tables, complexes
+    """Memoizes algebras, modules, invariant tables, complexes
     and, in ``blocks``, the blocks the complexes share, across claims and CLI
     commands; one disk cache."""
 
@@ -224,7 +224,13 @@ class VerificationContext:
 
     def module(self, spec: str, family: str, n: int) -> LieModule:
         """The coefficients of ``coeff:<spec>``: trivial, adjoint, or the
-        k-th exterior power of the constants I over sp or g."""
+        k-th exterior power of the constants I over sp or g, memoized."""
+        key = ("module", spec, family, n)
+        if key not in self._tables:
+            self._tables[key] = self._module(spec, family, n)
+        return self._tables[key]
+
+    def _module(self, spec: str, family: str, n: int) -> LieModule:
         algebra = self.algebra(family, n)
         if spec == "trivial":
             return trivial_module(algebra)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -379,3 +382,23 @@ class TestColdWarmDeterminism:
         _, cold, _ = run_cli(capsys, argv)
         _, warm, _ = run_cli(capsys, argv)
         assert cold == warm
+
+
+@pytest.mark.parametrize("argv", [
+    # 13.7 KB, more than the stdout buffer: the write fails inside print
+    ["verify", "all", "--n", "1", "--format", "json"],
+    # a few lines, still buffered: the write fails at the last flush
+    ["algebra", "info", "--family", "g", "--n", "1"],
+])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affsymp.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the child has computed anything to write
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 141
+    assert b"Traceback" not in err

@@ -18,6 +18,7 @@ from affsymp.exact_linalg import (
     is_in_column_span,
     kernel_basis,
     multiply,
+    products_cancel,
     rank,
     rational_from_string,
     rational_to_string,
@@ -723,3 +724,160 @@ class TestNoFloats:
         )
         for k in (0, 1):
             self.assert_fractions([rep.vector for rep in homology_reps(complex_, k)])
+
+
+def scaled(m, s):
+    return SparseMatrix(m.rows, m.cols, {key: v * s for key, v in m.entries.items()})
+
+
+def products_sum(terms):
+    """The oracle: sum c * multiply(a, b), as {(row, col): nonzero value}."""
+    total = {}
+    for c, a, b in terms:
+        for key, v in multiply(a, b).entries.items():
+            total[key] = total.get(key, 0) + Fraction(c) * v
+    return {key: v for key, v in total.items() if v}
+
+
+ENTRIES = {
+    "small": st.integers(-3, 3),
+    "big": st.integers(-(2**80), 2**80),
+    "fraction": st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+}
+COEFFICIENTS = st.sampled_from([1, -1, 2, -2, Fraction(1, 2)])
+
+
+@st.composite
+def kind_matrices(draw, rows, cols):
+    """rows x cols with small, big or Fraction entries on a random support,
+    which may be empty."""
+    value = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    support = draw(st.sets(st.sampled_from(cells), max_size=len(cells))) if cells else set()
+    return SparseMatrix(rows, cols, {key: draw(value) for key in support})
+
+
+@st.composite
+def product_terms(draw):
+    """Terms (c, a, b) of one shape, either free or built so that their sum
+    vanishes: each term again with a factor moved from c into a, or a
+    product (a m) b next to a (m b)."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        inner = draw(st.integers(0, 4))
+        terms.append((
+            draw(COEFFICIENTS),
+            draw(kind_matrices(rows, inner)),
+            draw(kind_matrices(inner, cols)),
+        ))
+    built = draw(st.sampled_from(["free", "negated", "associated"]))
+    if built == "negated":
+        factor = draw(st.sampled_from([2, -1, Fraction(1, 2)]))
+        terms += [(-Fraction(c) / factor, scaled(a, factor), b) for c, a, b in terms]
+    elif built == "associated":
+        c, a, b = terms[0]
+        middle = draw(kind_matrices(a.cols, draw(st.integers(0, 4))))
+        right = draw(kind_matrices(middle.cols, cols))
+        terms = [(c, multiply(a, middle), right), (-c, a, multiply(middle, right))]
+    return built, terms
+
+
+class TestProductsCancel:
+    """``products_cancel`` against the sum of ``multiply`` products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(product_terms())
+    def test_matches_the_multiply_sum(self, built_terms):
+        built, terms = built_terms
+        expected = not products_sum(terms)
+        assert products_cancel(terms) == expected
+        if built != "free":
+            assert expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_terms(), st.integers(0, 3), st.integers(0, 3))
+    def test_one_changed_entry_is_seen(self, built_terms, r, c):
+        """A vanishing sum plus e_r e_c^T: nonzero whenever it fits."""
+        _, terms = built_terms
+        rows, cols = terms[0][1].rows, terms[0][2].cols
+        if built_terms[0] == "free" or not (r < rows and c < cols):
+            return
+        bump = (1, SparseMatrix(rows, 1, {(r, 0): 1}), SparseMatrix(1, cols, {(0, c): 1}))
+        assert not products_cancel(terms + [bump])
+
+    def test_no_terms_and_empty_shapes(self):
+        assert products_cancel([])
+        assert products_cancel([(1, SparseMatrix.zero(0, 3), SparseMatrix.zero(3, 2))])
+        assert products_cancel([(1, SparseMatrix.zero(2, 0), SparseMatrix.zero(0, 2))])
+        assert products_cancel([(0, SparseMatrix.identity(2), SparseMatrix.identity(2))])
+
+    def test_slots_one_bit_narrower_would_carry_into_a_zero(self):
+        """The true column (-2^s, 1) meets its bound, 2^s, so the slots are
+        s + 1 bits wide.  In slots of s bits it would carry into a zero:
+        -2^s + 1 * 2^s.  The kernel must still see it."""
+        s = 40
+        assert -(2**s) + (1 << s) == 0
+        a = SparseMatrix(2, 1, {(0, 0): -(2**s), (1, 0): 1})
+        b = SparseMatrix.identity(1)
+        assert not products_cancel([(1, a, b)])
+        # the same column as the sum of two terms of half the size, and its
+        # exact cancellation
+        half = SparseMatrix(2, 1, {(0, 0): -(2 ** (s - 1)), (1, 0): 1})
+        other = SparseMatrix(2, 1, {(1, 0): -1})
+        assert not products_cancel([(2, half, b), (1, other, b)])
+        assert products_cancel([(2, half, b), (1, other, b), (-1, a, b)])
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            products_cancel([(1, SparseMatrix.zero(2, 3), SparseMatrix.zero(2, 3))])
+        with pytest.raises(ShapeError):
+            products_cancel([
+                (1, SparseMatrix.zero(2, 3), SparseMatrix.zero(3, 2)),
+                (1, SparseMatrix.zero(3, 3), SparseMatrix.zero(3, 2)),
+            ])
+        with pytest.raises(ShapeError):
+            products_cancel([
+                (1, SparseMatrix.zero(2, 3), SparseMatrix.zero(3, 2)),
+                (1, SparseMatrix.zero(2, 3), SparseMatrix.zero(3, 4)),
+            ])
+
+
+def test_a_cached_block_that_breaks_dd_fails_the_build(tmp_path, capsys):
+    """A diff/ record rewritten with one entry changed, under the valid
+    digest of its new payload, reads back as a hit; the d o d check of the
+    build must then fail, and the CLI exit 1 without printing a Betti
+    number."""
+    from affsymp.cache import DiffCache
+    from affsymp.cli import main
+    from affsymp.errors import ConsistencyError
+    from affsymp.theorems import VerificationContext
+
+    argv = [
+        "homology", "--family", "g", "--n", "1", "--theory", "leibniz",
+        "--max-degree", "3", "--format", "json", "--cache-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    good = VerificationContext().complex("leibniz", "g", 1, 4)
+    d3, d4 = good.block(3), good.block(4)
+    cache = DiffCache(tmp_path)
+    (key,) = [
+        path.stem for path in (tmp_path / "diff").glob("*.mtx")
+        if cache.get_matrix("diff", path.stem) == d4
+    ]
+    # bump an entry in a row whose column of d_3 is not zero
+    row, col = next(key_ for key_ in sorted(d4.entries) if d3.column(key_[0]))
+    tampered = dict(d4.entries)
+    tampered[(row, col)] += 1
+    tampered = SparseMatrix(d4.rows, d4.cols, tampered)
+    assert multiply(d3, tampered).nnz
+    cache.put_matrix("diff", key, tampered)
+    assert cache.get_matrix("diff", key) == tampered
+
+    with pytest.raises(ConsistencyError, match="d_3 o d_4"):
+        VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 4)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d_3 o d_4" in captured.err

@@ -29,25 +29,26 @@ def _numbers(complex_):
 @pytest.fixture
 def spied(monkeypatch):
     """Counts the ``_assemble`` calls by block descriptor (row and column
-    kinds and degrees, grading, total weight) and the ``multiply`` calls of
-    the build-time checks by the pair of objects multiplied."""
+    kinds and degrees, grading, total weight) and the ``products_cancel``
+    calls of the build-time checks by the objects of each of their terms."""
     assembled = collections.Counter()
     products = collections.Counter()
     operands = []  # kept alive, so no id is reused
-    assemble, multiply = chain_complexes._assemble, chain_complexes.multiply
+    assemble, products_cancel = chain_complexes._assemble, chain_complexes.products_cancel
 
     def counted_assemble(words, col_kind, k, row_kind, row_k, *rest):
         grading = (tuple(words.letter_weights), tuple(words.module_weights), words.total)
         assembled[(col_kind, k, row_kind, row_k, grading)] += 1
         return assemble(words, col_kind, k, row_kind, row_k, *rest)
 
-    def counted_multiply(a, b):
-        operands.append((a, b))
-        products[(id(a), id(b))] += 1
-        return multiply(a, b)
+    def counted_products_cancel(terms):
+        terms = list(terms)
+        operands.append(terms)
+        products[tuple((id(a), id(b)) for _, a, b in terms)] += 1
+        return products_cancel(terms)
 
     monkeypatch.setattr(chain_complexes, "_assemble", counted_assemble)
-    monkeypatch.setattr(chain_complexes, "multiply", counted_multiply)
+    monkeypatch.setattr(chain_complexes, "products_cancel", counted_products_cancel)
     return assembled, products
 
 

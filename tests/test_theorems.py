@@ -221,6 +221,19 @@ class TestComplexRegistry:
         assert len(built) == 3  # I^0, I^1 and I^2, each built once
 
     @pytest.mark.parametrize(
+        "spec, family",
+        [("trivial", "g"), ("adjoint", "g"), ("adjoint", "sp"), ("I^2", "sp"), ("I^1", "g")],
+    )
+    def test_modules_are_built_once_per_context(self, spec, family):
+        from affsymp.theorems import VerificationContext
+
+        ctx = VerificationContext()
+        module = ctx.module(spec, family, 1)
+        assert ctx.module(spec, family, 1) is module
+        assert VerificationContext().module(spec, family, 1) is not module
+        assert VerificationContext().module(spec, family, 1).fingerprint() == module.fingerprint()
+
+    @pytest.mark.parametrize(
         "theory, family, message",
         [
             ("weird", "g", "unknown theory 'weird'"),

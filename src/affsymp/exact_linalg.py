@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import json
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Rational
@@ -66,6 +68,10 @@ DEFAULT_ENTRY_CAP = 10_000_000
 # line and raised a warm run's peak memory by about 2 MB.
 _CANONICAL_HEADER = re.compile(r"(0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n")
 _CANONICAL_LINE = re.compile(r"(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) -?[1-9][0-9]*/[1-9][0-9]*\n")
+# Every canonical line is "row col num/den\n": with its separators made
+# commas and the last one dropped, a body is the inside of a JSON array of
+# ints.
+_SEPARATORS_TO_COMMAS = str.maketrans(" /\n", ",,,")
 
 
 def rational_from_string(text: str) -> Rational:
@@ -364,7 +370,14 @@ class SparseMatrix:
 
     @classmethod
     def _from_canonical_text(cls, text: str) -> "SparseMatrix | None":
-        """The matrix whose ``to_text`` is exactly ``text``, or None."""
+        """The matrix whose ``to_text`` is exactly ``text``, or None.
+
+        Once every line matches the canonical form, the body is read in one
+        C-level scan: its separators become commas and one ``json.loads``
+        parses all the numbers.  The checks left are on whole lists: keys
+        strictly increase, the last row and the largest column are in
+        range, and only a denominator other than 1 is checked for lowest
+        terms and makes a ``Fraction``."""
         head = _CANONICAL_HEADER.match(text)
         if head is None:
             return None
@@ -373,29 +386,26 @@ class SparseMatrix:
         left, lines = _CANONICAL_LINE.subn("", body)
         if left or lines != nnz:
             return None
-        ents = {}
-        values: dict[str, int | Rational] = {}  # one parse per distinct value
-        last = (-1, -1)
-        for ln in body.splitlines():
-            rt, ct, vt = ln.split(" ")
-            key = (int(rt), int(ct))
-            if key <= last or key[1] >= cols:
-                return None
-            last = key
-            q = values.get(vt)
-            if q is None:
-                num, _, den = vt.partition("/")
-                if den == "1":
-                    q = int(num)
-                elif gcd(int(num), int(den)) == 1:
-                    q = Rational(int(num), int(den))
-                else:
-                    return None
-                values[vt] = q
-            ents[key] = q
-        if last[0] >= rows:
+        if not nnz:
+            return cls._of(rows, cols, {})
+        numbers = json.loads(f"[{body[:-1].translate(_SEPARATORS_TO_COMMAS)}]")
+        columns = numbers[1::4]
+        keys = list(zip(numbers[0::4], columns))
+        if (
+            keys[-1][0] >= rows
+            or max(columns) >= cols
+            or not all(map(operator.lt, keys, keys[1:]))
+        ):
             return None
-        return cls._of(rows, cols, ents)
+        values = numbers[2::4]
+        denominators = numbers[3::4]
+        if max(denominators) > 1:
+            for i, den in enumerate(denominators):
+                if den != 1:
+                    if gcd(values[i], den) != 1:
+                        return None
+                    values[i] = Rational(values[i], den)
+        return cls._of(rows, cols, dict(zip(keys, values)))
 
     @classmethod
     def _from_loose_text(cls, text: str) -> "SparseMatrix":

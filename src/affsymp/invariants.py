@@ -47,7 +47,6 @@ from .words import merge_with_sign, wedge_dim, wedge_index
 class InvariantBasis:
     """Reduced-echelon basis of a module's invariant subspace."""
 
-    module_id: str
     vectors: list[QVector]
 
     @property
@@ -66,11 +65,11 @@ def invariant_subspace(module: LieModule, entry_cap: int | None = None) -> Invar
     {m : every algebra basis element kills m}.  Elimination fill-in is held
     to ``entry_cap``."""
     if module.dim == 0:
-        return InvariantBasis(module.fingerprint()[:12], [])
+        return InvariantBasis([])
     if not module.actions:
         raise DomainError("module has no acting algebra elements")
     stacked = stack_rows(list(module.actions))
-    return InvariantBasis(module.fingerprint()[:12], kernel_basis(stacked, entry_cap))
+    return InvariantBasis(kernel_basis(stacked, entry_cap))
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,10 @@ def test_a_canonical_record_keeps_its_digest_as_the_fingerprint(tmp_path, monkey
     assert got == m and got.fingerprint() == m.fingerprint()
 
 
-@pytest.mark.parametrize("payload", [
+# non-canonical payloads of [[1, 2/3, 0], [0, -1, 3]], whose canonical text
+# is "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n": each reads back as the
+# matrix with its fingerprint recomputed ...
+_REHASHED = [
     "2 3 4\n0 1 2/3\n0 0 1/1\n1 1 -1/1\n1 2 3/1\n",     # lines reordered
     "2 3 4\n0 0 +1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",    # a plus sign
     "2 3 4\n0 0 1/1\n0 1 2/3\n01 1 -1/1\n1 2 3/1\n",    # a leading zero
@@ -189,18 +192,49 @@ def test_a_canonical_record_keeps_its_digest_as_the_fingerprint(tmp_path, monkey
     "2 3 4\n0 0 2/2\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",     # not in lowest terms
     "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3\n",       # no denominator
     "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1 \n",    # a trailing space
-])
+    "2 3 4\n-0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",    # a -0 index
+    "2 3 5\n0 0 1/1\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",  # a duplicate key
+    "2 3 4\n0\t0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",    # a tab separator
+    "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1",        # no final newline
+]
+# ... and each of these is a miss
+_MISSED = [
+    "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 3 3/1\n",     # a column >= cols
+    "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n2 2 3/1\n",     # a row >= rows
+    "2 3 5\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",     # header nnz one too large
+    # CRLF line ends: the record is read with universal newlines, so the
+    # payload read is not the one the digest was taken of
+    "2 3 4\r\n0 0 1/1\r\n0 1 2/3\r\n1 1 -1/1\r\n1 2 3/1\r\n",
+]
+
+
+def _write_record(tmp_path, payload):
+    cache = DiffCache(tmp_path)
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    (tmp_path / "diff" / "k.mtx").write_text(f"affsymp-matrix 1 {digest}\n{payload}", newline="")
+    return cache, digest
+
+
+@pytest.mark.parametrize("payload", _REHASHED)
 def test_a_noncanonical_record_parses_and_rehashes(tmp_path, payload):
     """A payload whose digest holds but which is not the canonical text of
     its matrix reads as that matrix, and its fingerprint is recomputed, not
     taken from the record."""
-    cache = DiffCache(tmp_path)
+    assert SparseMatrix._from_canonical_text(payload) is None
+    cache, digest = _write_record(tmp_path, payload)
     m = SparseMatrix.from_dense([[1, Rational(2, 3), 0], [0, -1, 3]])
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    (tmp_path / "diff" / "k.mtx").write_text(f"affsymp-matrix 1 {digest}\n{payload}")
     got = cache.get_matrix("diff", "k")
     assert got == m
     assert got.fingerprint() == m.fingerprint() != digest
+
+
+@pytest.mark.parametrize("payload", _MISSED)
+def test_a_noncanonical_record_that_cannot_read_back_misses(tmp_path, payload):
+    """A payload that does not parse to a matrix of its shape, or does not
+    read back as the text its digest was taken of, is a miss."""
+    assert SparseMatrix._from_canonical_text(payload) is None
+    cache, _ = _write_record(tmp_path, payload)
+    assert cache.get_matrix("diff", "k") is None
 
 
 def test_malformed_vector_records_miss(tmp_path):

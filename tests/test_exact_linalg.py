@@ -30,6 +30,7 @@ from dense_oracle import dense_rank, to_dense
 from fraction_oracle import fraction_product, fraction_rank, matrix_text
 from fraction_oracle import rational_to_string as fraction_rational_to_string
 from elimination_oracle import old_loop
+from text_oracle import canonical_text_matrix
 
 
 # sp1 bracket table, expanded by hand from the field basis
@@ -354,6 +355,79 @@ class TestIntegerCore:
         ):
             with pytest.raises(ResourceLimitError):
                 call()
+
+
+@st.composite
+def text_matrices(draw):
+    """Matrices whose ``to_text`` the canonical scan reads: small ints,
+    ints beyond 2**64, Fractions, all-zero ones and 0 x n and n x 0
+    shapes."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    value = st.one_of(
+        st.integers(-3, 3),
+        st.integers(2**64, 2**90),
+        st.integers(-(2**90), -(2**64)),
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+        st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+    )
+    if not nrows or not ncols:
+        return SparseMatrix.zero(nrows, ncols)
+    cell = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    return SparseMatrix(nrows, ncols, draw(st.dictionaries(cell, value)))
+
+
+_EDIT_CHARACTERS = "0123456789 -/+\n\t\r"
+
+
+@st.composite
+def edited_texts(draw):
+    """The ``to_text`` of a matrix with one character deleted, inserted or
+    replaced, or one entry line copied over the next, which keeps the
+    header's count and breaks the strict order of the keys."""
+    text = draw(text_matrices()).to_text()
+    kind = draw(st.sampled_from(["delete", "insert", "replace", "copy line"]))
+    lines = text.splitlines(keepends=True)
+    if kind == "copy line" and len(lines) > 2:
+        at = draw(st.integers(1, len(lines) - 2))
+        return "".join(lines[: at + 1] + [lines[at]] + lines[at + 2 :])
+    char = draw(st.sampled_from(_EDIT_CHARACTERS))
+    if kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + char + text[at:]
+    at = draw(st.integers(0, len(text) - 1))
+    return text[:at] + ("" if kind == "delete" else char) + text[at + 1 :]
+
+
+def assert_scan_matches_the_line_reader(text):
+    """Both readers refuse ``text``, or both give the same entries in the
+    same order with the same types, and ``from_text`` keeps the digest."""
+    expected = canonical_text_matrix(text)
+    got = SparseMatrix._from_canonical_text(text)
+    if expected is None:
+        assert got is None
+        return
+    assert got == expected and expected.to_text() == text
+    assert list(got.entries) == list(expected.entries)
+    assert [type(v) for v in got.entries.values()] == [
+        type(v) for v in expected.entries.values()
+    ]
+    assert SparseMatrix.from_text(text, "given").fingerprint() == "given"
+
+
+class TestCanonicalScan:
+    """The one-``json.loads`` reader of a canonical text against the
+    line-by-line reader it replaced (``text_oracle``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text_matrices())
+    def test_written_texts_read_back_alike(self, m):
+        assert SparseMatrix._from_canonical_text(m.to_text()) == m
+        assert_scan_matches_the_line_reader(m.to_text())
+
+    @settings(max_examples=1000, deadline=None)
+    @given(edited_texts())
+    def test_edited_texts_are_refused_or_read_alike(self, text):
+        assert_scan_matches_the_line_reader(text)
 
 
 class TestFractionOracle:

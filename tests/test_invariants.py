@@ -55,6 +55,18 @@ class TestInvariantSubspace:
         product = tensor_module(sp_adjoint, lam, validate=False)
         assert invariant_subspace(product).dim == 0
 
+    def test_serializes_no_matrix(self, monkeypatch):
+        from affsymp.exact_linalg import SparseMatrix
+
+        _, ideal_mod, _, _, _ = standard_modules(1)
+        modules = [exterior_power_module(ideal_mod, k) for k in (0, 2, 3)]
+
+        def refused(self):
+            raise AssertionError("an invariant subspace serialized a matrix")
+
+        monkeypatch.setattr(SparseMatrix, "to_text", refused)
+        assert [invariant_subspace(m).dim for m in modules] == [1, 1, 0]
+
 
 class TestOmega:
     def test_n1_single_pair(self):
@@ -179,7 +191,7 @@ class TestTable:
         # a basis whose span test fills in past the cap
         m = circulant(30, (0, 1, 4, 13, 20))
         columns = [QVector.from_dict(30, dict(m.column(c))) for c in range(30)]
-        basis = InvariantBasis("circulant", columns)
+        basis = InvariantBasis(columns)
         assert basis.spans(QVector.unit(30, 0))
         with pytest.raises(ResourceLimitError):
             basis.spans(QVector.unit(30, 0), entry_cap=m.nnz)

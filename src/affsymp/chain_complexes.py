@@ -46,7 +46,9 @@ them: a block is looked up there under its descriptor before it is read
 from a ``DiffCache`` or built, and a check of the same block objects runs
 once.  The ambient differentials of ``rel`` and ``cr`` are the blocks of
 ``leibniz`` and ``adjoint``, and the targets of both are those of ``lie``.
-A builder called without a memo gets one of its own.
+A builder called without a memo gets one of its own.  The rank and the
+transposed rank each run from the bottom up, and each clears a block with
+the pivots of its own elimination one degree below (``_block_rank``).
 
 The two kernel complexes (``KernelComplex``) hold the ambient
 differentials d_m and the projections pi_m, never kernel bases.  Their
@@ -352,6 +354,9 @@ class ChainComplex:
         self._diffs = _Graded.of(diffs)
         self._ranks: dict[int, int] = {}
         self._ranks_transposed: dict[int, int] = {}
+        # by orientation, degree -> the independent columns of its block
+        # that its elimination found, until the degree above uses them
+        self._pivots: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
         blocks = [self._diffs.block(k) for k in range(1, cap + 1)]
         if self._diffs.graded and blocks:
             self.block_dims = [blocks[0].rows] + [d.cols for d in blocks]
@@ -421,18 +426,40 @@ class ChainComplex:
 
     def rank_d_transposed(self, k: int) -> int:
         """rank of the transposed differential, its block eliminated
-        independently; equals rank_d over a field and serves as its
-        cross-check."""
+        independently and cleared only with the pivots of this
+        orientation's own eliminations (``_block_rank``); equals rank_d over
+        a field and serves as its cross-check."""
         return self._memoized(self._ranks_transposed, k, lambda: self._rank(k, True))
 
     def _rank(self, k: int, transposed: bool) -> int:
         """rank of ``block(k)``, or of its transpose, plus the off-block
         part."""
-        return self._ranked(self._parts(k), transposed) + self._off_block_rank(k)
+        return self._block_rank(k, transposed) + self._off_block_rank(k)
 
-    def _parts(self, k: int) -> tuple[SparseMatrix, ...]:
-        """The weight-0 blocks whose rows ``block(k)`` stacks."""
-        return (self._diffs.block(k),)
+    def _block_rank(self, k: int, transposed: bool) -> int:
+        """rank of ``block(k)``, or of its transpose, cleared (Chen and
+        Kerber 2011) with the pivots of degree k - 1 in the same
+        orientation.
+
+        Degree k - 1 is ranked first, so each orientation runs from the
+        bottom up.  Its elimination hands back a set P of columns of
+        ``block(k - 1)`` with full column rank: the pivot columns of the
+        block, or the pivot rows of its transpose.  As
+        ``block(k - 1) @ block(k) = 0`` (checked at build time), the rows of
+        ``block(k)`` indexed by P are combinations of the others, so they
+        are dropped before the elimination and the rank is unchanged.  The
+        pivot set is dropped once used, and none is kept at the cap, where
+        no degree uses it; a rank read from the cache leaves none, and the
+        degree above it is eliminated whole."""
+        (self.rank_d_transposed if transposed else self.rank_d)(k - 1)
+        pivots = self._pivots[transposed]
+        found: set[int] | None = set() if k < self.cap else None
+        value = self._ranked(
+            (self._diffs.block(k),), transposed, pivots.pop(k - 1, None), found
+        )
+        if found:
+            pivots[k] = found
+        return value
 
     def _off_block_rank(self, k: int) -> int:
         """rank of d_k outside the weight-0 block.  That part of the complex
@@ -450,21 +477,32 @@ class ChainComplex:
             got = memo[k] = compute()
         return got
 
-    def _ranked(self, parts: tuple[SparseMatrix, ...], transposed: bool) -> int:
+    def _ranked(
+        self,
+        parts: tuple[SparseMatrix, ...],
+        transposed: bool,
+        clear: set[int] | None = None,
+        found: set[int] | None = None,
+    ) -> int:
         """rank of the rows of ``parts`` stacked, or of its transpose.  It
         goes through the disk cache when there is one and the matrix is
         worth caching (``cache.worth_caching``), under the key
-        ``cache.rank_key`` derives from the parts, so a hit forms neither
-        the stack nor the transpose.  A cached value that cannot be a rank
-        of this shape counts as a miss and is recomputed and rewritten.
-        Elimination fill-in is held to the complex's ``entry_cap``."""
+        ``cache.rank_key`` derives from the parts, so a hit forms no stack.
+        A cached value that cannot be a rank of this shape counts as a miss
+        and is recomputed and rewritten.  An elimination drops the rows
+        ``clear``, which the caller knows to be dependent on the others,
+        and adds to ``found`` the independent columns ``rank`` hands back;
+        a hit adds none.  Elimination fill-in is held to the complex's
+        ``entry_cap``."""
         if not any(p.entries for p in parts):
             return 0
         rows, cols = sum(p.rows for p in parts), parts[0].cols
 
         def computed() -> int:
             matrix = parts[0] if len(parts) == 1 else stack_rows(list(parts))
-            return rank(matrix.transpose() if transposed else matrix, self.entry_cap)
+            if clear:
+                matrix = matrix.without_rows(clear)
+            return rank(matrix, self.entry_cap, transposed, found)
 
         if self.cache is None or not worth_caching(rows, cols):
             return computed()
@@ -964,14 +1002,12 @@ class KernelComplex(ChainComplex):
     def cycle_block(self, k: int, weight: Weight) -> SparseMatrix:
         return self._projection.block(0, weight) if k == 0 else self.block(k, weight)
 
-    def _rank(self, k: int, transposed: bool) -> int:
+    def _block_rank(self, k: int, transposed: bool) -> int:
         """rank([d_k; pi_k]) - rank pi_k on weight 0, the rank of the
         restriction there, or the same of the transposes, eliminated
-        independently; plus the off-block part."""
-        return super()._rank(k, transposed) - self._projection_rank(k, transposed)
-
-    def _parts(self, k: int) -> tuple[SparseMatrix, ...]:
-        return (self._diffs.block(k), self._projection.block(k))
+        independently and whole."""
+        parts = (self._diffs.block(k), self._projection.block(k))
+        return self._ranked(parts, transposed) - self._projection_rank(k, transposed)
 
     def _projection_rank(self, k: int, transposed: bool) -> int:
         """rank of the weight-0 pi_k, or of its transpose, eliminated once."""
@@ -1027,29 +1063,35 @@ def cr_complex(
     entry_cap: int | None = None,
     name: str | None = None,
     blocks: BlockMemo | None = None,
+    module: LieModule | None = None,
 ) -> KernelComplex:
     """Mixed-kernel complex: degree m is the kernel of
     g (x) Lambda^(m+1) -> Lambda^(m+2), differential the restricted adjoint
-    coefficient differential."""
+    coefficient differential.  ``module`` is the adjoint module of the
+    algebra when the caller holds one, so its fingerprint is not computed
+    again; by default it is built."""
     if cap < 0:
         raise DomainError("cap must be >= 0")
     blocks = BlockMemo() if blocks is None else blocks
     fp = algebra.fingerprint()
     dim = algebra.dim
-    adj = adjoint_module(algebra, validate=False)
+    if module is None:
+        module = adjoint_module(algebra, validate=False)
+    elif module.algebra.fingerprint() != fp or module.dim != dim:
+        raise DomainError("module is not the adjoint module of the given algebra")
     return KernelComplex(
         "cr",
         name or f"cr[{fp[:8]}]",
         [dim * wedge_dim(dim, m + 1) - wedge_dim(dim, m + 2) for m in range(cap + 1)],
-        ambient_d=_coeff_family(blocks, adj, entry_cap, cache, shift=1),
+        ambient_d=_coeff_family(blocks, module, entry_cap, cache, shift=1),
         projections=_family(
-            blocks, ("partial-wedge-projection", fp), blocks.words(algebra, adj),
+            blocks, ("partial-wedge-projection", fp), blocks.words(algebra, module),
             "module_wedge", 1,
             lambda k, ws: partial_wedge_projection(algebra, k, entry_cap, ws),
             lambda k: _estimate_partial_wedge_projection(algebra, k), entry_cap,
         ),
         targets=_lie_family(blocks, algebra, entry_cap, shift=2),
-        bases={m: ModuleWedgeBasis(adj, m + 1) for m in range(cap + 1)},
+        bases={m: ModuleWedgeBasis(module, m + 1) for m in range(cap + 1)},
         cap=cap,
         cache=cache,
         entry_cap=entry_cap,

@@ -23,9 +23,11 @@ There is one elimination loop, ``_eliminate``: fraction-free (Bareiss
 removing a row's content gcd after a scaled update.  ``rank`` runs it with
 Markowitz pivots, the column with the fewest live entries first; a lazy
 heap, pushed only when a column appears or its count falls below its
-latest entry, keeps that choice exact.  Kernels, solves and independent
-columns run it leftmost column first with Gauss-Jordan clearing, which
-yields the unique reduced echelon form.
+latest entry, keeps that choice exact.  It ranks a transpose without
+forming it, and hands back the pivots with which ``ChainComplex`` clears
+the next differential.  Kernels, solves and independent columns run it
+leftmost column first with Gauss-Jordan clearing, which yields the unique
+reduced echelon form.
 
 Every matrix is held to a nonzero-entry budget (``check_entry_budget``):
 inputs, stacks and products when they are formed, and the live entries of
@@ -299,6 +301,13 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix._of(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
+        )
+
+    def without_rows(self, rows: set[int]) -> "SparseMatrix":
+        """The same shape with the entries of ``rows`` dropped."""
+        return SparseMatrix._of(
+            self.rows, self.cols,
+            {key: v for key, v in self.entries.items() if key[0] not in rows},
         )
 
     def apply(self, vec: QVector) -> QVector:
@@ -651,13 +660,30 @@ def _echelon(
 # ---------------------------------------------------------------------------
 
 
-def rank(m: SparseMatrix, entry_cap: int | None = None) -> int:
+def rank(
+    m: SparseMatrix,
+    entry_cap: int | None = None,
+    transposed: bool = False,
+    independent: set[int] | None = None,
+) -> int:
     """Rank over the rationals (deterministic for a given matrix).  Raises
     ``ResourceLimitError`` when the live entries of the elimination exceed
-    ``entry_cap`` (default ``DEFAULT_ENTRY_CAP``)."""
+    ``entry_cap`` (default ``DEFAULT_ENTRY_CAP``).
+
+    With ``transposed`` it eliminates the columns of m as the rows of its
+    transpose, grouped by column with no transpose formed: the same
+    elimination as ``rank(m.transpose())``.  Given a set ``independent``,
+    it adds ``rank`` columns of m that are linearly independent: the pivot
+    columns of the elimination of m, or the pivot rows of that of its
+    transpose, which are columns of m.  Either way the pivot rows and
+    columns meet in a nonsingular submatrix."""
     if not m.entries:
         return 0
-    return len(_eliminate(_integer_lines(m, 0, 0)[0], entry_cap))
+    side = 1 if transposed else 0
+    pivots = _eliminate(_integer_lines(m, side, side)[0], entry_cap)
+    if independent is not None:
+        independent.update(pivots.values() if transposed else pivots)
+    return len(pivots)
 
 
 def kernel_basis(m: SparseMatrix, entry_cap: int | None = None) -> list[QVector]:

@@ -52,7 +52,9 @@ def betti_is_exact(complex_: ChainComplex, k: int) -> bool:
 
 def cobetti(complex_: ChainComplex, k: int) -> int:
     """Betti number of the transposed differentials.  The transposes are
-    eliminated independently, so over the rationals this re-derives betti
+    eliminated independently, each cleared only with the pivots of the
+    transposed elimination one degree below and never with those of the
+    ranks ``betti`` uses, so over the rationals this re-derives betti
     along a genuinely different pivot path."""
     complex_.check_degree(k)
     kernel_dim = complex_.dim(k) - complex_.rank_d_transposed(k)

@@ -285,7 +285,10 @@ class VerificationContext:
         elif theory == "rel":
             found = rel_complex(algebra, *shared, name=name, blocks=self.blocks)
         elif theory == "cr":
-            found = cr_complex(algebra, *shared, name=name, blocks=self.blocks)
+            found = cr_complex(
+                algebra, *shared, name=name, blocks=self.blocks,
+                module=self.module("adjoint", family, n),
+            )
         else:
             raise DomainError(f"unknown theory {theory!r}")
         self._complexes[key] = found

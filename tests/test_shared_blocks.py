@@ -9,7 +9,7 @@ import pytest
 
 import affsymp.chain_complexes as chain_complexes
 from affsymp.cache import DiffCache
-from affsymp.errors import ResourceLimitError
+from affsymp.errors import DomainError, ResourceLimitError
 from affsymp.homology import betti, cobetti
 from affsymp.theorems import VerificationContext
 
@@ -82,6 +82,29 @@ def test_kernel_complexes_reuse_the_block_objects(spied):
         assert cr._diffs.block(m) is adjoint.block(m + 1)
         assert rel._target.block(m) is lie.block(m + 2)
         assert cr._target.block(m) is lie.block(m + 2)
+
+
+def test_cr_takes_the_context_adjoint_module(monkeypatch):
+    """cr is built over the context's adjoint module, so no action matrix
+    of a second copy is serialized to fingerprint it; a module of another
+    algebra is refused."""
+    from affsymp.exact_linalg import SparseMatrix
+
+    ctx = VerificationContext()
+    module = ctx.module("adjoint", "g", 1)
+    module.fingerprint()
+
+    def refused(self):
+        raise AssertionError("a matrix was serialized")
+
+    monkeypatch.setattr(SparseMatrix, "to_text", refused)
+    cr = ctx.complex("cr", "g", 1, 3)
+    assert cr.basis(0).module is module
+    monkeypatch.undo()
+    with pytest.raises(DomainError):
+        chain_complexes.cr_complex(
+            ctx.algebra("g", 1), 3, module=ctx.module("adjoint", "sp", 1)
+        )
 
 
 def _records(path):

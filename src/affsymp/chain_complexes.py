@@ -48,7 +48,9 @@ once.  The ambient differentials of ``rel`` and ``cr`` are the blocks of
 ``leibniz`` and ``adjoint``, and the targets of both are those of ``lie``.
 A builder called without a memo gets one of its own.  The rank and the
 transposed rank each run from the bottom up, and each clears a block with
-the pivots of its own elimination one degree below (``_block_rank``).
+the pivots of its own elimination one degree below (``_block_rank``); a
+degree whose rank was read from the cache has its pivots derived again
+when the degree above misses.
 
 The two kernel complexes (``KernelComplex``) hold the ambient
 differentials d_m and the projections pi_m, never kernel bases.  Their
@@ -66,6 +68,7 @@ iff (v, 0) lies in the column span of [d_(m+1); pi_(m+1)].
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
@@ -428,7 +431,10 @@ class ChainComplex:
         """rank of the transposed differential, its block eliminated
         independently and cleared only with the pivots of this
         orientation's own eliminations (``_block_rank``); equals rank_d over
-        a field and serves as its cross-check."""
+        a field and serves as its cross-check.  The rows of the transpose
+        are the columns of the block, mostly short, so the many with one
+        live entry are retired first at no cost (``exact_linalg.rank``);
+        the pivots it takes still differ from those of rank_d."""
         return self._memoized(self._ranks_transposed, k, lambda: self._rank(k, True))
 
     def _rank(self, k: int, transposed: bool) -> int:
@@ -449,17 +455,34 @@ class ChainComplex:
         ``block(k)`` indexed by P are combinations of the others, so they
         are dropped before the elimination and the rank is unchanged.  The
         pivot set is dropped once used, and none is kept at the cap, where
-        no degree uses it; a rank read from the cache leaves none, and the
-        degree above it is eliminated whole."""
+        no degree uses it.  A rank read from the cache leaves none; when
+        the degree above it then misses the cache, the set is derived again
+        (``_pivots_again``) rather than eliminating that block whole."""
         (self.rank_d_transposed if transposed else self.rank_d)(k - 1)
         pivots = self._pivots[transposed]
         found: set[int] | None = set() if k < self.cap else None
         value = self._ranked(
-            (self._diffs.block(k),), transposed, pivots.pop(k - 1, None), found
+            (self._diffs.block(k),), transposed, pivots.pop(k - 1, None), found,
+            (lambda: self._pivots_again(k - 1, transposed)) if k > 1 else None,
         )
         if found:
             pivots[k] = found
         return value
+
+    def _pivots_again(self, k: int, transposed: bool) -> set[int]:
+        """The pivot set that the elimination of ``block(k)`` in this
+        orientation hands back, for a degree whose rank was read from the
+        cache: the block is eliminated again, cleared as ``_block_rank``
+        clears it, with the set of degree k - 1 taken from the store or
+        derived again the same way.  No rank is read or written."""
+        found: set[int] = set()
+        block = self._diffs.block(k)
+        if block.entries:
+            clear = self._pivots[transposed].pop(k - 1, None)
+            if clear is None and k > 1:
+                clear = self._pivots_again(k - 1, transposed)
+            rank(block, self.entry_cap, transposed, found, clear or ())
+        return found
 
     def _off_block_rank(self, k: int) -> int:
         """rank of d_k outside the weight-0 block.  That part of the complex
@@ -483,6 +506,7 @@ class ChainComplex:
         transposed: bool,
         clear: set[int] | None = None,
         found: set[int] | None = None,
+        derive: Callable[[], set[int]] | None = None,
     ) -> int:
         """rank of the rows of ``parts`` stacked, or of its transpose.  It
         goes through the disk cache when there is one and the matrix is
@@ -492,26 +516,24 @@ class ChainComplex:
         and is recomputed and rewritten.  An elimination drops the rows
         ``clear``, which the caller knows to be dependent on the others,
         and adds to ``found`` the independent columns ``rank`` hands back;
-        a hit adds none.  Elimination fill-in is held to the complex's
-        ``entry_cap``."""
+        a hit adds none.  When ``clear`` is None and the rank misses the
+        cache, ``derive()``, if given, supplies those rows.  Elimination
+        fill-in is held to the complex's ``entry_cap``."""
         if not any(p.entries for p in parts):
             return 0
         rows, cols = sum(p.rows for p in parts), parts[0].cols
-
-        def computed() -> int:
-            matrix = parts[0] if len(parts) == 1 else stack_rows(list(parts))
-            if clear:
-                matrix = matrix.without_rows(clear)
-            return rank(matrix, self.entry_cap, transposed, found)
-
-        if self.cache is None or not worth_caching(rows, cols):
-            return computed()
-        key = rank_key(parts, transposed)
-        hit = self.cache.get_rank(key)
-        if hit is not None and 0 <= hit <= min(rows, cols):
-            return hit
-        value = computed()
-        self.cache.put_rank(key, value)
+        key = None
+        if self.cache is not None and worth_caching(rows, cols):
+            key = rank_key(parts, transposed)
+            hit = self.cache.get_rank(key)
+            if hit is not None and 0 <= hit <= min(rows, cols):
+                return hit
+            if clear is None and derive is not None:
+                clear = derive()
+        matrix = parts[0] if len(parts) == 1 else stack_rows(list(parts))
+        value = rank(matrix, self.entry_cap, transposed, found, clear or ())
+        if key is not None:
+            self.cache.put_rank(key, value)
         return value
 
     def __repr__(self) -> str:

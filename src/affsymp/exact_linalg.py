@@ -21,13 +21,14 @@ lcms, so rationals appear only where values enter and leave.
 There is one elimination loop, ``_eliminate``: fraction-free (Bareiss
 1968; Dumas, Saunders and Villard 2001 for the sparse integer case),
 removing a row's content gcd after a scaled update.  ``rank`` runs it with
-Markowitz pivots, the column with the fewest live entries first; a lazy
-heap, pushed only when a column appears or its count falls below its
-latest entry, keeps that choice exact.  It ranks a transpose without
-forming it, and hands back the pivots with which ``ChainComplex`` clears
-the next differential.  Kernels, solves and independent columns run it
-leftmost column first with Gauss-Jordan clearing, which yields the unique
-reduced echelon form.
+Markowitz pivots, the column with the fewest live entries first, but takes
+a row with one live entry, which costs no arithmetic, before any column
+with more than one; two lazy heaps, one of columns by count and one of
+such rows, keep that choice exact.  It ranks a transpose, and a matrix
+without the rows a caller clears, without forming either, and hands back
+the pivots with which ``ChainComplex`` clears the next differential.
+Kernels, solves and independent columns run it leftmost column first with
+Gauss-Jordan clearing, which yields the unique reduced echelon form.
 
 Every matrix is held to a nonzero-entry budget (``check_entry_budget``):
 inputs, stacks and products when they are formed, and the live entries of
@@ -50,7 +51,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ResourceLimitError, ShapeError
 
@@ -303,13 +304,6 @@ class SparseMatrix:
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
-    def without_rows(self, rows: set[int]) -> "SparseMatrix":
-        """The same shape with the entries of ``rows`` dropped."""
-        return SparseMatrix._of(
-            self.rows, self.cols,
-            {key: v for key, v in self.entries.items() if key[0] not in rows},
-        )
-
     def apply(self, vec: QVector) -> QVector:
         """Matrix times column vector."""
         if vec.length != self.cols:
@@ -455,18 +449,20 @@ class SparseMatrix:
 
 
 def _integer_lines(
-    m: SparseMatrix, by: int, scale: int
+    m: SparseMatrix, by: int, scale: int, skip: Collection[int] = ()
 ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     """m with each row (scale=0) or column (scale=1) multiplied by the lcm
     of its denominators, so every entry is an int, grouped by row (by=0) or
-    column (by=1) as {line: {index along the line: value}}.  Also returns
-    the lcms that are not 1.  An ``int`` entry is read as it is; only the
-    ``Fraction`` entries enter the lcms.  Scaling a row or column by a
-    nonzero constant keeps the support and the rank."""
+    column (by=1) as {line: {index along the line: value}}, leaving out the
+    rows ``skip``.  Also returns the lcms that are not 1.  An ``int`` entry
+    is read as it is; only the ``Fraction`` entries enter the lcms.  Scaling
+    a row or column by a nonzero constant keeps the support and the rank."""
     along = 1 - by
     lines: dict[int, dict[int, int]] = {}
     dens: dict[int, int] = {}
     for key, v in m.entries.items():
+        if key[0] in skip:
+            continue
         if type(v) is not int:
             dens[key[scale]] = lcm(dens.get(key[scale], 1), v.denominator)
         line = lines.get(key[by])
@@ -477,6 +473,8 @@ def _integer_lines(
     if dens:  # rebuild with the scaled values
         lines = {}
         for key, v in m.entries.items():
+            if key[0] in skip:
+                continue
             value = v.numerator * (dens.get(key[scale], 1) // v.denominator)
             lines.setdefault(key[by], {})[key[along]] = value
     return lines, dens
@@ -493,10 +491,17 @@ def _eliminate(
 
     The pivot rule is the caller's:
 
-    * Markowitz (the default): the column with fewest live entries is
-      eliminated first (ties to the lowest column index).  Columns with a
-      single entry retire a row with no arithmetic at all, which removes
-      most of the work on differential matrices.
+    * Markowitz (the default), with the pivots that cost nothing first
+      (the singletons of structured Gaussian elimination: LaMacchia and
+      Odlyzko 1990; Dumas and Villard 2002).  Each step takes
+      1. the lowest column with one live entry, which retires its row with
+         no arithmetic; otherwise
+      2. the lowest row with one live entry, which every other row of its
+         column only loses, with no scaling, gcd or fill-in; otherwise
+      3. the column with the fewest live entries (ties to the lowest
+         column index).
+      Singleton rows go second: taken before singleton columns, or last
+      in first out, they cost more on the Leibniz blocks.
     * ``leftmost``: the lowest column first.  The pivot columns are then
       those outside the span of the columns before them.
 
@@ -506,11 +511,15 @@ def _eliminate(
     column's true key.  A column is pushed when it appears, and at the end
     of a pivot step when its count has fallen (a cancellation, or the pivot
     row retiring from it) below ``low``; fill-in only raises counts and
-    never pushes.  So no popped entry is above its column's true key.  An
-    equal one is exactly the Markowitz minimum.  A lower one is pushed
+    never pushes.  So no entry at the top is above its column's true key.
+    An equal one is exactly the Markowitz minimum.  A lower one is pushed
     again at the true key when it is the latest push, and otherwise
-    dropped, since the latest covers the column.  The loop ends when no
-    row is left to pivot on.
+    dropped, since the latest covers the column; so is an entry of a
+    column that is gone.  Under Markowitz a second lazy heap holds row
+    indices: the rows with one entry at the start, and each row an update
+    leaves with one entry.  A popped row is used only if it still has one
+    entry; a row that has one again is pushed again.  The loop ends when
+    no row is left to pivot on.
 
     Pivot rows are dropped as they retire.  With ``reduce`` (leftmost only)
     they are kept in ``rows`` instead, and each pivot column is cleared from
@@ -518,9 +527,10 @@ def _eliminate(
     unique reduced echelon form of the row space, each up to a nonzero
     factor.
 
-    Either way the pivot row is the one with the fewest entries (ties to
-    the lowest row index), so the result never depends on entry insertion
-    order.  A target row with entry a under the pivot p becomes
+    Either way, in a column chosen by its count the pivot row is the one
+    with the fewest entries (ties to the lowest row index), so the result
+    never depends on entry insertion order.  A target row with entry a
+    under the pivot p becomes
     (p/g) row - (a/g) pivot_row with g = gcd(a, p), which keeps it integral
     and its support exactly that of the rational update; when p/g is not 1
     the row is divided by the gcd of its entries, and when p is 1 or -1
@@ -545,22 +555,40 @@ def _eliminate(
     low = {c: len(rs) * weight + c for c, rs in col_rows.items()}
     heap = list(low.values())
     heapq.heapify(heap)
-    push = heapq.heappush
+    push, pop = heapq.heappush, heapq.heappop
+    # Markowitz only: the rows that had one entry when pushed, lowest first
+    singles = [] if leftmost else [r for r, d in rows.items() if len(d) == 1]
+    heapq.heapify(singles)
     pivots: dict[int, int] = {}
     kept: set[int] = set()  # the pivot rows, with reduce
     fell: list[int] = []  # columns whose count fell in this step
     while heap and len(rows) > len(kept):  # until every row is a pivot row or gone
-        count, c = divmod(heapq.heappop(heap), width)
+        count, c = divmod(heap[0], width)
         pivot_col = col_rows.get(c)
         if not pivot_col:
+            pop(heap)
             col_rows.pop(c, None)
             continue
         if weight and len(pivot_col) != count:
             # below the true key: re-push the latest entry, drop an older one
+            pop(heap)
             if count * weight + c == low[c]:
                 key = low[c] = len(pivot_col) * weight + c
                 push(heap, key)
             continue
+        pivot_row = None
+        if weight and count > 1:
+            while singles:  # the lowest row left with one entry, if any
+                r = pop(singles)
+                if len(rows.get(r, ())) == 1:
+                    pivot_row = r
+                    c = next(iter(rows[r]))
+                    pivot_col = col_rows[c]
+                    break
+        if pivot_row is None:
+            pop(heap)
+        # else the heap top stays for the next step, and the entries of the
+        # pivot column are dropped when they reach the top
         del col_rows[c]
         if reduce:
             # kept rows hold c beyond their pivots; the active ones start at c
@@ -573,10 +601,25 @@ def _eliminate(
             p = prow[c]
             pivot_items = [(cc, v) for cc, v in prow.items() if cc != c]
         else:
-            pivot_row = min(pivot_col, key=lambda r: (len(rows[r]), r))
+            if pivot_row is None:
+                pivot_row = min(pivot_col, key=lambda r: (len(rows[r]), r))
             prow = rows.pop(pivot_row)
             live -= len(prow)
             p = prow.pop(c)
+            if weight and not prow:
+                # the pivot alone: each other row of the column only loses
+                # its entry there, with no scaling and no fill-in
+                pivots[c] = pivot_row
+                for r in pivot_col:
+                    if r != pivot_row:
+                        row = rows[r]
+                        del row[c]
+                        live -= 1
+                        if not row:
+                            del rows[r]
+                        elif len(row) == 1:
+                            push(singles, r)
+                continue
             for cc in prow:
                 s = col_rows[cc]
                 s.discard(pivot_row)
@@ -628,6 +671,8 @@ def _eliminate(
             if not row:
                 del rows[r]
                 continue
+            if weight and len(row) == 1:
+                push(singles, r)
             if scale != 1:
                 content = gcd(*row.values())
                 if content != 1:
@@ -665,22 +710,27 @@ def rank(
     entry_cap: int | None = None,
     transposed: bool = False,
     independent: set[int] | None = None,
+    clear: Collection[int] = (),
 ) -> int:
-    """Rank over the rationals (deterministic for a given matrix).  Raises
+    """Rank over the rationals (deterministic for a given matrix) of m
+    without its rows ``clear``, which the caller knows to be combinations
+    of the others, so the rank is that of m.  Raises
     ``ResourceLimitError`` when the live entries of the elimination exceed
     ``entry_cap`` (default ``DEFAULT_ENTRY_CAP``).
 
     With ``transposed`` it eliminates the columns of m as the rows of its
     transpose, grouped by column with no transpose formed: the same
-    elimination as ``rank(m.transpose())``.  Given a set ``independent``,
-    it adds ``rank`` columns of m that are linearly independent: the pivot
-    columns of the elimination of m, or the pivot rows of that of its
-    transpose, which are columns of m.  Either way the pivot rows and
-    columns meet in a nonsingular submatrix."""
+    elimination as ``rank(m.transpose())``.  The rows ``clear`` are left
+    out as the entries are grouped, so no cleared matrix is formed either.
+    Given a set ``independent``, it adds ``rank`` columns of m that are
+    linearly independent: the pivot columns of the elimination of m, or
+    the pivot rows of that of its transpose, which are columns of m.
+    Either way the pivot rows and columns meet in a nonsingular
+    submatrix."""
     if not m.entries:
         return 0
     side = 1 if transposed else 0
-    pivots = _eliminate(_integer_lines(m, side, side)[0], entry_cap)
+    pivots = _eliminate(_integer_lines(m, side, side, clear)[0], entry_cap)
     if independent is not None:
         independent.update(pivots.values() if transposed else pivots)
     return len(pivots)

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import affsymp.chain_complexes as chain_complexes
-from affsymp.cache import DiffCache
+from affsymp.cache import DiffCache, worth_caching
 from affsymp.chain_complexes import ChainComplex
-from affsymp.exact_linalg import QVector, SparseMatrix, kernel_basis, rank
+from affsymp.exact_linalg import (
+    QVector, SparseMatrix, _eliminate, _integer_lines, kernel_basis, rank,
+)
 from affsymp.theorems import VerificationContext
 
 ORDERS = ("ascending", "descending", "shuffled")
@@ -130,13 +132,14 @@ def test_registry_theories_at_n1_rank_as_the_uncleared_oracle(theory, family, ca
 
 @pytest.fixture
 def eliminated(monkeypatch):
-    """The nnz of each matrix the complexes hand to ``rank``, by orientation."""
+    """The nnz of each matrix the complexes hand to ``rank``, without the
+    rows they clear, by orientation."""
     seen = []
     original = chain_complexes.rank
 
-    def spy(m, entry_cap=None, transposed=False, independent=None):
-        seen.append((m.nnz, transposed))
-        return original(m, entry_cap, transposed, independent)
+    def spy(m, entry_cap=None, transposed=False, independent=None, clear=()):
+        seen.append((sum(r not in clear for r, _ in m.entries), transposed))
+        return original(m, entry_cap, transposed, independent, clear)
 
     monkeypatch.setattr(chain_complexes, "rank", spy)
     return seen
@@ -155,29 +158,64 @@ def test_leibniz_d6_of_g1_is_cleared(eliminated, transposed):
     assert orientation == transposed and nnz < block.nnz
 
 
+def test_the_cross_check_of_leibniz_d6_of_g1_takes_its_own_pivots():
+    """The transposed rank is eliminated on its own: on the cleared d_6 of
+    g_1, the (row, column) pivot pairs of the two orientations differ,
+    though each orientation retires its one-entry lines first."""
+    complex_ = VerificationContext().complex("leibniz", "g", 1, 6)
+    block = complex_.block(6)
+    pairs = []
+    for transposed in (False, True):
+        _requested(complex_, 5, transposed)
+        side = int(transposed)
+        lines = _integer_lines(block, side, side, complex_._pivots[transposed][5])[0]
+        pivots = _eliminate(lines)
+        pairs.append({(c, r) if transposed else (r, c) for c, r in pivots.items()})
+    forward, backward = pairs
+    assert len(forward) == len(backward) == complex_.rank_d(6) - complex_._off_block_rank(6)
+    assert forward != backward
+
+
 @pytest.mark.parametrize("transposed", [False, True])
-def test_a_degree_above_a_cache_hit_is_eliminated_whole(tmp_path, eliminated, transposed):
+def test_a_degree_above_a_cache_hit_is_cleared(tmp_path, eliminated, transposed):
     """Degree 3 of Leibniz of g_1 is read from a partly warm cache, so it
-    has no pivots, and the miss at degree 4 eliminates its whole block; a
-    cold complex clears that block."""
+    leaves no pivots; the miss at degree 4 derives them again by
+    eliminating the blocks below it, cleared as a cold complex clears
+    them, and then eliminates as few nonzeros as the cold complex."""
     k = 4
     first = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 6)
     _requested(first, k - 1, transposed)
     cold = VerificationContext().complex("leibniz", "g", 1, 6)
-    _requested(cold, k - 1, transposed)
     eliminated.clear()
     expected = _requested(cold, k, transposed)
-    [(cleared, _)] = eliminated
-    assert cleared < cold.block(k).nnz
+    # d_1 is empty; d_2, d_3 and d_4 are eliminated, d_4 cleared
+    cold_calls = list(eliminated)
+    assert len(cold_calls) == 3 and cold_calls[-1][0] < cold.block(k).nnz
 
     warm = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 6)
     eliminated.clear()
     assert _requested(warm, k, transposed) == expected
-    # d_1 is empty, d_2 (1 x 5) too small to cache and eliminated whole,
-    # d_3 (5 x 19) a hit; so d_4 has no pivots to clear with
-    assert eliminated == [(warm.block(2).nnz, transposed), (warm.block(k).nnz, transposed)]
+    # d_2 (1 x 5) is too small to cache and eliminated, d_3 (5 x 19) is a
+    # hit, and the miss at d_4 eliminates d_2 and d_3 again before itself
+    assert eliminated == cold_calls[:1] + cold_calls
     assert set(warm._pivots[transposed]) == {k}
     assert expected == _oracle(warm.block(k), transposed) + warm._off_block_rank(k)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_a_warm_rerun_eliminates_no_block_it_reads(tmp_path, eliminated, transposed):
+    """A rerun at the same cap reads every rank worth caching, so no pivot
+    set is derived again: it eliminates only the blocks too small to
+    cache."""
+    cap = 6
+    first = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, cap)
+    _requested(first, cap, transposed)
+    warm = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, cap)
+    eliminated.clear()
+    _requested(warm, cap, transposed)
+    small = [k for k in range(1, cap + 1) if warm.block(k).entries
+             and not worth_caching(warm.block(k).rows, warm.block(k).cols)]
+    assert eliminated == [(warm.block(k).nnz, transposed) for k in small]
 
 
 def test_threads_sharing_a_complex_get_the_oracle_ranks():

@@ -541,9 +541,11 @@ def integer_matrices(draw, max_rows=10, max_cols=10):
 
 def markowitz_reference(m):
     """[(pivot column, pivot row)] of a rational elimination that scans every
-    live column at every step and takes the one with the fewest entries
-    (ties to the lowest column), and in it the row with the fewest entries
-    (ties to the lowest row)."""
+    live column and every row at every step.  It takes the lowest column
+    with one entry, and that entry's row; when there is none, the lowest
+    row with one entry, and that entry's column; and when there is none
+    either, the column with the fewest entries (ties to the lowest column),
+    and in it the row with the fewest entries (ties to the lowest row)."""
     rows = {r: {c: Fraction(v) for c, v in row.items()} for r, row in m.row_dicts().items()}
     order = []
     while rows:
@@ -552,7 +554,12 @@ def markowitz_reference(m):
             for c in row:
                 counts[c] = counts.get(c, 0) + 1
         c = min(counts, key=lambda col: (counts[col], col))
-        pivot_row = min((r for r in rows if c in rows[r]), key=lambda r: (len(rows[r]), r))
+        singles = [r for r, row in rows.items() if len(row) == 1]
+        if counts[c] > 1 and singles:
+            pivot_row = min(singles)
+            [c] = rows[pivot_row]
+        else:
+            pivot_row = min((r for r in rows if c in rows[r]), key=lambda r: (len(rows[r]), r))
         prow = rows.pop(pivot_row)
         order.append((c, pivot_row))
         for r, row in list(rows.items()):
@@ -574,7 +581,8 @@ def markowitz_reference(m):
 class TestEliminationLoop:
     """The elimination loop against the loop it replaced
     (``elimination_oracle``), the Fraction and dense ranks, and a
-    brute-force Markowitz rule."""
+    brute-force pivot rule: one-entry columns, then one-entry rows, then
+    Markowitz."""
 
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())
@@ -611,6 +619,21 @@ class TestEliminationLoop:
     def test_every_markowitz_pivot_has_the_fewest_live_entries(self, m):
         pivots = _eliminate(_integer_lines(m, 0, 0)[0])
         assert list(pivots.items()) == markowitz_reference(m)
+
+    @pytest.mark.parametrize("dense, expected", [
+        # no column has one entry, row 3 has: it is the pivot, rows 1 and
+        # 2 are left with one entry each and go next, lowest first, and row
+        # 0 loses column 0 to become the last one-entry row
+        ([[1, 1, 0], [1, 0, 1], [0, 1, 1], [0, 0, 1]], [(2, 3), (0, 1), (1, 0)]),
+        # column 1 has one entry, so it goes before the one-entry row 0
+        ([[1, 0], [1, 1]], [(1, 1), (0, 0)]),
+        # nothing has one entry: the Markowitz column, then what it leaves
+        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [(0, 0), (1, 1), (2, 2)]),
+    ])
+    def test_one_entry_columns_then_one_entry_rows_then_markowitz(self, dense, expected):
+        m = SparseMatrix.from_dense(dense)
+        assert list(_eliminate(_integer_lines(m, 0, 0)[0]).items()) == expected
+        assert markowitz_reference(m) == expected
 
     def test_the_old_loop_lags_the_markowitz_minimum(self):
         """Without a push when the pivot row retires from a column, the old

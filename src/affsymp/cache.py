@@ -27,12 +27,11 @@ form, one ``json.loads`` reads all its numbers.
 
 A rank record is one line, the value and the SHA-256 digest of (key,
 value), filed under its key (``rank_key``).  The key of a matrix ranked as
-it is is its fingerprint.  A transposed matrix and a stack of blocks are
-never serialized: the key of a transpose is ``descriptor_key("transposed",
-key of the matrix)`` and that of a stack of blocks ``descriptor_key(
-"stacked", their fingerprints)``.  Records that an older version filed
-under the fingerprint of a transpose or a stack are orphans that nothing
-reads; ``clear`` removes them.
+it is is its fingerprint.  A transposed matrix is never serialized: the
+key of a transpose is ``descriptor_key("transposed", key of the matrix)``.
+Records an older version filed under the fingerprint of a transpose, or
+under ``descriptor_key("stacked", fingerprints)`` for the stacked [d; pi]
+of a kernel complex, are orphans that nothing reads; ``clear`` removes them.
 
 A record that cannot be read, does not parse, or differs by a single byte
 from the record its payload and digest would be written as reads as a
@@ -69,13 +68,10 @@ def worth_caching(rows: int, cols: int) -> bool:
     return min(rows, cols) > 1
 
 
-def rank_key(parts: tuple[SparseMatrix, ...], transposed: bool = False) -> str:
-    """The key of the rank record of ``parts`` stacked by rows (a single
-    matrix as it is), or of its transpose, from the parts' fingerprints."""
-    if len(parts) == 1:
-        key = parts[0].fingerprint()
-    else:
-        key = descriptor_key("stacked", *(p.fingerprint() for p in parts))
+def rank_key(matrix: SparseMatrix, transposed: bool = False) -> str:
+    """The key of the rank record of ``matrix``, or of its transpose, from
+    its fingerprint."""
+    key = matrix.fingerprint()
     return descriptor_key("transposed", key) if transposed else key
 
 

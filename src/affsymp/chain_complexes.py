@@ -52,17 +52,12 @@ the pivots of its own elimination one degree below (``_block_rank``); a
 degree whose rank was read from the cache has its pivots derived again
 when the degree above misses.
 
-The two kernel complexes (``KernelComplex``) hold the ambient
-differentials d_m and the projections pi_m, never kernel bases.  Their
-ranks come from stacked blocks, as rank([d_m; pi_m]) minus rank pi_m (the
-rank of d_m restricted to ker pi_m) on weight 0 plus the off-block sum
-above.  Every pi_m is onto, so dim ker pi_m = dim C_m - dim target_m in
-closed form; the elimination of each weight-0 projection checks that it is
-onto.  The build-time checks are ambient d o d = 0 and the chain-map
+The two kernel complexes (``KernelComplex``) are complexes like the others
+in the free words of their projections pi_m (``_FreeWords``), which also
+proves every pi_m onto, so dim ker pi_m = dim C_m - dim target_m in closed
+form.  The build-time checks are ambient d o d = 0 and the chain-map
 identity pi_(m-1) d_m = e_m pi_m with e the exterior differential, which
-together make the restriction a complex.  Their chains are vectors of the
-ambient space: the cycles are ker [d_m; pi_m], and a cycle v is a boundary
-iff (v, 0) lies in the column span of [d_(m+1); pi_(m+1)].
+together make the restriction a complex.  Their chains are ambient vectors.
 """
 
 from __future__ import annotations
@@ -80,9 +75,9 @@ from .exact_linalg import (
     Rational,
     SparseMatrix,
     check_entry_budget,
+    normal_entry,
     products_cancel,
     rank,
-    stack_rows,
 )
 from .lie_structures import LieAlgebra, LieModule, adjoint_module, cartan_weights
 from .words import (
@@ -318,8 +313,8 @@ class BlockMemo:
             self._checked[key] = parts
 
 
-def _check_zero_product(first: SparseMatrix, second: SparseMatrix, what: str) -> None:
-    if not products_cancel([(1, first, second)]):
+def _check_zero_product(terms: list, what: str) -> None:
+    if not products_cancel(terms):
         raise ConsistencyError(what)
 
 
@@ -372,13 +367,13 @@ class ChainComplex:
 
     def verify_dd_zero(self) -> None:
         """d o d = 0 on every adjacent pair of weight-0 blocks."""
-        self._check_dd("")
+        self._check_dd(self._diffs, "")
 
-    def _check_dd(self, label: str) -> None:
+    def _check_dd(self, diffs: _Graded, label: str) -> None:
         for k in range(2, self.cap + 1):
-            pair = (self._diffs.block(k - 1), self._diffs.block(k))
+            pair = (diffs.block(k - 1), diffs.block(k))
             self._blocks.check(pair, lambda: _check_zero_product(
-                *pair, f"{self.name}: {label}d_{k - 1} o d_{k} != 0"
+                [(1, *pair)], f"{self.name}: {label}d_{k - 1} o d_{k} != 0"
             ))
 
     def check_degree(self, k: int) -> None:
@@ -408,14 +403,15 @@ class ChainComplex:
             raise DegreeRangeError("d_0 does not exist")
         return self._diffs.block(k, weight)
 
-    def cycle_block(self, k: int, weight: Weight) -> SparseMatrix | None:
-        """The matrix whose kernel is the degree-k cycles of total
-        ``weight``, or None when every chain of degree k is a cycle."""
-        return None if k == 0 else self.block(k, weight)
+    def _free_words(self, m: int, weight: Weight | None = None) -> _FreeWords:
+        """Made again on each use rather than kept."""
+        pi = self._projection.block(m, weight)
+        return _FreeWords(pi, f"{self.name}: projection at degree {m}")
 
-    def components(self, chain: Chain) -> dict[Weight, QVector]:
+    def components(self, chain: Chain) -> dict[Weight, QVector] | None:
         """The nonzero weight components of a chain, each in the positions
-        of the words of its weight, which are those of ``block``."""
+        of the words of its weight, which are those of ``block``, or None
+        for a vector that is not a chain (outside a kernel complex)."""
         return self._diffs.split(chain.degree, chain.vector, self.basis(chain.degree))
 
     def from_block(self, k: int, weight: Weight, vector: QVector) -> QVector:
@@ -462,7 +458,7 @@ class ChainComplex:
         pivots = self._pivots[transposed]
         found: set[int] | None = set() if k < self.cap else None
         value = self._ranked(
-            (self._diffs.block(k),), transposed, pivots.pop(k - 1, None), found,
+            self._diffs.block(k), transposed, pivots.pop(k - 1, None), found,
             (lambda: self._pivots_again(k - 1, transposed)) if k > 1 else None,
         )
         if found:
@@ -502,42 +498,40 @@ class ChainComplex:
 
     def _ranked(
         self,
-        parts: tuple[SparseMatrix, ...],
+        matrix: SparseMatrix,
         transposed: bool,
         clear: set[int] | None = None,
         found: set[int] | None = None,
         derive: Callable[[], set[int]] | None = None,
     ) -> int:
-        """rank of the rows of ``parts`` stacked, or of its transpose.  It
-        goes through the disk cache when there is one and the matrix is
-        worth caching (``cache.worth_caching``), under the key
-        ``cache.rank_key`` derives from the parts, so a hit forms no stack.
-        A cached value that cannot be a rank of this shape counts as a miss
-        and is recomputed and rewritten.  An elimination drops the rows
+        """rank of ``matrix``, or of its transpose.  It goes through the
+        disk cache when there is one and the matrix is worth caching
+        (``cache.worth_caching``), under the key ``cache.rank_key`` derives
+        from its fingerprint.  A cached value that cannot be a rank of this
+        shape counts as a miss and is recomputed and rewritten.  An
+        elimination drops the rows
         ``clear``, which the caller knows to be dependent on the others,
         and adds to ``found`` the independent columns ``rank`` hands back;
         a hit adds none.  When ``clear`` is None and the rank misses the
         cache, ``derive()``, if given, supplies those rows.  Elimination
         fill-in is held to the complex's ``entry_cap``."""
-        if not any(p.entries for p in parts):
+        if not matrix.entries:
             return 0
-        rows, cols = sum(p.rows for p in parts), parts[0].cols
         key = None
-        if self.cache is not None and worth_caching(rows, cols):
-            key = rank_key(parts, transposed)
+        if self.cache is not None and worth_caching(matrix.rows, matrix.cols):
+            key = rank_key(matrix, transposed)
             hit = self.cache.get_rank(key)
-            if hit is not None and 0 <= hit <= min(rows, cols):
+            if hit is not None and 0 <= hit <= min(matrix.rows, matrix.cols):
                 return hit
             if clear is None and derive is not None:
                 clear = derive()
-        matrix = parts[0] if len(parts) == 1 else stack_rows(list(parts))
         value = rank(matrix, self.entry_cap, transposed, found, clear or ())
         if key is not None:
             self.cache.put_rank(key, value)
         return value
 
     def __repr__(self) -> str:
-        return f"ChainComplex({self.name}, kind={self.kind}, cap={self.cap})"
+        return f"{type(self).__name__}({self.name}, kind={self.kind}, cap={self.cap})"
 
 
 # ---------------------------------------------------------------------------
@@ -931,21 +925,61 @@ def leibniz_complex(
     return ChainComplex("leibniz", name, dims, diffs, bases, cap, cache, entry_cap, blocks)
 
 
-class KernelComplex(ChainComplex):
-    """Degree m is ker pi_m inside an ambient space, with differential the
-    ambient d_m restricted to it.
+def _check_projection(pi: SparseMatrix, what: str) -> None:
+    """Each column of pi holds one entry, +-1, or none; each row one at least."""
+    if len({c for _, c in pi.entries}) < pi.nnz or not set(pi.entries.values()) <= {1, -1}:
+        raise ConsistencyError(f"{what} does not send each word to one word or 0")
+    if len({r for r, _ in pi.entries}) < pi.rows:
+        raise ConsistencyError(f"{what} is not onto")
 
-    ``ambient_d`` (1 <= m <= cap), ``projections`` (0 <= m <= cap) and
-    ``targets`` (1 <= m <= cap) are explicit matrices by degree or the
-    ``_Graded`` families of a builder, and must satisfy
-    pi_(m-1) d_m = e_m pi_m for e_m the target; that identity, checked with
-    ambient d o d = 0, is what makes the restriction a complex.  ``dims``
-    are the kernel dimensions dim C_m - dim target_m, which holds because
-    every pi_m is onto; the weight-0 projections are eliminated and checked
-    to be onto.  Ranks come from stacked weight-0 blocks and projection
-    ranks alone.  ``bases`` are the ambient bases: a chain is an ambient
-    vector, a cycle lies in ker [d_m; pi_m] (ker pi_0 at degree 0).
-    """
+
+class _FreeWords:
+    """The free words (columns) of a projection pi, and ``lifts``, whose
+    columns are a basis of ker pi: row r keeps its highest column c_r as its
+    pivot, and every other column c is free, with the lift
+    e_c - (pi_c / pi_(c_r)) e_(c_r), or e_c.  The first nonzero entry of a
+    kernel vector is free (a pivot entry needs a lower one in its row), so
+    lifting keeps the reduced echelon form of ``kernel_basis``."""
+
+    def __init__(self, pi: SparseMatrix, what: str):
+        _check_projection(pi, what)
+        pivot = {r: c for r, c in sorted(pi.entries)}  # the last is the highest
+        pivots = set(pivot.values())
+        self.free = [c for c in range(pi.cols) if c not in pivots]
+        self.position = {c: j for j, c in enumerate(self.free)}
+        lifts = {(c, j): 1 for j, c in enumerate(self.free)}
+        for (r, c), v in pi.entries.items():
+            if c not in pivots:
+                lifts[(pivot[r], self.position[c])] = -v * pi.entries[(r, pivot[r])]
+        self.lifts = SparseMatrix._of(pi.cols, len(self.free), lifts)
+
+
+def _restricted(d: SparseMatrix, rows: _FreeWords, cols: _FreeWords) -> SparseMatrix:
+    """d times the lifts of the free columns, on the free rows, which fix
+    the image since it lies in ker pi one degree lower."""
+    lifted = cols.lifts.row_dicts()
+    entries: dict[tuple[int, int], Rational | int] = {}
+    for (r, c), v in d.entries.items():
+        i = rows.position.get(r)
+        if i is None:
+            continue
+        for j, t in lifted.get(c, {}).items():
+            x = entries.get((i, j), 0) + t * v
+            if x:
+                entries[(i, j)] = x if type(x) is int else normal_entry(x)
+            else:
+                del entries[(i, j)]
+    return SparseMatrix._of(len(rows.free), len(cols.free), entries)
+
+
+class KernelComplex(ChainComplex):
+    """Degree m is ker pi_m inside an ambient space; its blocks are the
+    ambient d_m restricted to it in free words (``_restricted``), kept in
+    ``blocks`` and the cache under the builder's ``key`` when given.
+    ``ambient_d``, ``projections`` and ``targets`` are explicit matrices by
+    degree or ``_Graded`` families, with pi_(m-1) d_m = e_m pi_m for e_m the
+    target: checked with ambient d o d = 0, it makes the restriction a
+    complex.  ``dims`` are the kernel dimensions, ``bases`` the ambient ones."""
 
     def __init__(
         self,
@@ -960,88 +994,67 @@ class KernelComplex(ChainComplex):
         cache: DiffCache | None = None,
         entry_cap: int | None = None,
         blocks: BlockMemo | None = None,
+        key: tuple | None = None,
     ):
-        self.kind = kind
-        self.name = name
-        self.dims = list(dims)
-        self.bases = dict(bases)
-        self.cap = cap
-        self.cache = cache
-        self.entry_cap = entry_cap
-        self._blocks = BlockMemo() if blocks is None else blocks
-        self._diffs = _Graded.of(ambient_d)
-        self._projection = _Graded.of(projections)
+        blocks = BlockMemo() if blocks is None else blocks
+        self._ambient = ambient = _Graded.of(ambient_d)
+        self._projection = projection = _Graded.of(projections)
         self._target = _Graded.of(targets)
-        self._stacked: dict[tuple[int, Weight], SparseMatrix] = {}
-        self._ranks: dict[int, int] = {}
-        self._ranks_transposed: dict[int, int] = {}
-        self._projection_ranks: dict[tuple[int, bool], int] = {}
-        for m in range(1, cap + 1):
-            d, pi = self._diffs.block(m), self._projection
-            if d.cols != pi.block(m).cols or d.rows != pi.block(m - 1).cols:
-                raise ConsistencyError(f"ambient differential d_{m} has the wrong shape")
-        self.verify_dd_zero()
-        self.block_dims = []
         for m in range(cap + 1):
-            pi = self._projection.block(m)
-            if self._projection_rank(m, False) != pi.rows:
-                raise ConsistencyError(f"{name}: projection at degree {m} is not onto")
-            self.block_dims.append(pi.cols - pi.rows)
-        if not self._projection.graded and self.block_dims != self.dims:
-            raise ConsistencyError(f"{name}: dims {self.dims} are not those of the kernels")
+            _check_projection(projection.block(m), f"{name}: projection at degree {m}")
+
+        def restricted(m: int, weight: Weight) -> SparseMatrix:
+            build = lambda: _restricted(
+                ambient.block(m, weight), *(self._free_words(j, weight) for j in (m - 1, m))
+            )
+            if key is None:
+                return build()
+            # every pi is onto, so the free words of pi number cols - rows
+            below, pi = projection.block(m - 1, weight), projection.block(m, weight)
+            persist = worth_caching(below.cols - below.rows, pi.cols - pi.rows)
+            digest = descriptor_key(*key, m, "weight", weight)
+            return blocks.block(digest, build, cache if persist else None)
+
+        diffs = _Graded(restricted, ambient.words)
+        super().__init__(kind, name, dims, diffs, bases, cap, cache, entry_cap, blocks)
 
     def verify_dd_zero(self) -> None:
         """Ambient d o d = 0 on every pair used, and the exact chain-map
         identity pi_(m-1) d_m = e_m pi_m at every degree, on weight-0
         blocks."""
-        self._check_dd("ambient ")
+        self._check_dd(self._ambient, "ambient ")
         for m in range(1, self.cap + 1):
             parts = (
-                self._projection.block(m - 1), self._diffs.block(m),
+                self._projection.block(m - 1), self._ambient.block(m),
                 self._target.block(m), self._projection.block(m),
             )
-            self._blocks.check(parts, lambda: self._check_chain_map(m, *parts))
+            self._blocks.check(parts, lambda: _check_zero_product(
+                [(1, *parts[:2]), (-1, *parts[2:])],
+                f"{self.name}: projection is not a chain map at degree {m}",
+            ))
 
-    def _check_chain_map(self, m: int, before, d, target, pi) -> None:
-        if not products_cancel([(1, before, d), (-1, target, pi)]):
-            raise ConsistencyError(f"{self.name}: projection is not a chain map at degree {m}")
+    def _free_words(self, m: int, weight: Weight | None = None) -> _FreeWords:
+        """Made again on each use rather than kept."""
+        pi = self._projection.block(m, weight)
+        return _FreeWords(pi, f"{self.name}: projection at degree {m}")
 
-    def block(self, k: int, weight: Weight | None = None) -> SparseMatrix:
-        """[d_k; pi_k] on the words of total ``weight``; at the default,
-        weight 0, the matrix ``rank_d(k)`` eliminates.  A degree-(k-1)
-        cycle v is a boundary iff (v, 0) lies in its column span."""
-        self.check_degree(k)
-        if k == 0:
-            raise DegreeRangeError("d_0 does not exist")
-        key = (k, self.zero_weight if weight is None else weight)
-        got = self._stacked.get(key)
-        if got is None:
-            got = self._stacked[key] = stack_rows(
-                [self._diffs.block(k, weight), self._projection.block(k, weight)]
-            )
-        return got
+    def components(self, chain: Chain) -> dict[Weight, QVector] | None:
+        """The free entries of each weight component of an ambient vector,
+        or None when a component is outside the kernel of its projection."""
+        k = chain.degree
+        out = {}
+        for weight, part in self._ambient.split(k, chain.vector, self.basis(k)).items():
+            if not self._projection.block(k, weight).apply(part).is_zero:
+                return None
+            at = self._free_words(k, weight).position
+            free = {at[c]: v for c, v in part.entries if c in at}
+            out[weight] = QVector.from_dict(len(at), free)
+        return out
 
-    def cycle_block(self, k: int, weight: Weight) -> SparseMatrix:
-        return self._projection.block(0, weight) if k == 0 else self.block(k, weight)
-
-    def _block_rank(self, k: int, transposed: bool) -> int:
-        """rank([d_k; pi_k]) - rank pi_k on weight 0, the rank of the
-        restriction there, or the same of the transposes, eliminated
-        independently and whole."""
-        parts = (self._diffs.block(k), self._projection.block(k))
-        return self._ranked(parts, transposed) - self._projection_rank(k, transposed)
-
-    def _projection_rank(self, k: int, transposed: bool) -> int:
-        """rank of the weight-0 pi_k, or of its transpose, eliminated once."""
-        got = self._projection_ranks.get((k, transposed))
-        if got is None:
-            pi = self._projection.block(k)
-            got = self._ranked((pi,), transposed)
-            self._projection_ranks[(k, transposed)] = got
-        return got
-
-    def __repr__(self) -> str:
-        return f"KernelComplex({self.name}, kind={self.kind}, cap={self.cap})"
+    def from_block(self, k: int, weight: Weight, vector: QVector) -> QVector:
+        """The ambient vector with the given free entries of ``weight``."""
+        lifted = self._free_words(k, weight).lifts.apply(vector)
+        return self._ambient.lift(k, weight, lifted, self.basis(k))
 
 
 def rel_complex(
@@ -1075,6 +1088,7 @@ def rel_complex(
         cache=cache,
         entry_cap=entry_cap,
         blocks=blocks,
+        key=("rel", fp, blocks.words(algebra).letter_weights),
     )
 
 
@@ -1118,6 +1132,7 @@ def cr_complex(
         cache=cache,
         entry_cap=entry_cap,
         blocks=blocks,
+        key=("cr", fp, module.fingerprint(), blocks.words(algebra, module).letter_weights),
     )
 
 

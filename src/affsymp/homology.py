@@ -12,7 +12,8 @@ weight components is, its weight-0 component is a boundary iff it is one in
 the weight-0 block, and a component of nonzero weight is a boundary iff it
 is a cycle.  Representatives are weight-0 cycles, mapped back to full
 indices through their words; both orders are lexicographic.  Chains of the
-kernel complexes are vectors of the ambient space.
+kernel complexes are vectors of the ambient space; one outside the kernel
+is neither a cycle nor a boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .chain_complexes import Chain, ChainComplex, KernelComplex
+from .chain_complexes import Chain, ChainComplex
 from .errors import DegreeRangeError, DomainError, ShapeError
 from .exact_linalg import (
     LinearSolver,
@@ -63,7 +64,7 @@ def cobetti(complex_: ChainComplex, k: int) -> int:
     return kernel_dim - complex_.rank_d_transposed(k + 1)
 
 
-def _components(complex_: ChainComplex, chain: Chain) -> dict:
+def _components(complex_: ChainComplex, chain: Chain) -> dict | None:
     complex_.check_degree(chain.degree)
     if chain.vector.length != len(complex_.basis(chain.degree)):
         raise ShapeError("chain length does not match the degree dimension")
@@ -71,24 +72,17 @@ def _components(complex_: ChainComplex, chain: Chain) -> dict:
 
 
 def _block_cycle(complex_: ChainComplex, k: int, weight, part: QVector) -> bool:
-    cycles = complex_.cycle_block(k, weight)
-    return cycles is None or cycles.apply(part).is_zero
-
-
-def _padded(part: QVector | None, length: int) -> QVector:
-    """A block vector as (part, 0): the rows below it are those of the
-    projection stacked under a kernel complex's differential."""
-    return QVector.from_dict(length, part.to_dict() if part is not None else {})
+    return k == 0 or complex_.block(k, weight).apply(part).is_zero
 
 
 def is_cycle(complex_: ChainComplex, chain: Chain) -> bool:
     """True iff every weight component of the chain is a cycle in its
     block: d(chain) = 0, and for a kernel complex also pi(chain) = 0.  Every
-    degree-0 chain of the other complexes is a cycle."""
+    degree-0 chain is a cycle."""
     k = chain.degree
-    return all(
-        _block_cycle(complex_, k, weight, part)
-        for weight, part in _components(complex_, chain).items()
+    parts = _components(complex_, chain)
+    return parts is not None and all(
+        _block_cycle(complex_, k, weight, part) for weight, part in parts.items()
     )
 
 
@@ -101,12 +95,12 @@ def is_boundary(complex_: ChainComplex, chain: Chain) -> bool:
     if k + 1 > complex_.cap:
         raise DegreeRangeError(f"boundary test at degree {k} needs d_{k + 1}")
     zero = complex_.zero_weight
-    for weight, part in _components(complex_, chain).items():
+    parts = _components(complex_, chain)
+    if parts is None:
+        return False
+    for weight, part in parts.items():
         if weight == zero:
-            bounding = complex_.block(k + 1)
-            bounded = is_in_column_span(
-                bounding, _padded(part, bounding.rows), complex_.entry_cap
-            )
+            bounded = is_in_column_span(complex_.block(k + 1), part, complex_.entry_cap)
         else:
             bounded = _block_cycle(complex_, k, weight, part)
         if not bounded:
@@ -123,10 +117,8 @@ def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
     cap there is no d_(k+1) to tell cycles from boundaries, so that degree
     raises.  Eliminations are held to the complex's ``entry_cap``.
 
-    Outside the kernel complexes every boundary is a cycle, so the choice
-    is made on the rows at the free columns of the cycle basis alone
-    (``_on_free_rows``); a kernel complex's boundary columns [d; pi] are
-    not, and it eliminates the whole bordered block."""
+    Every boundary is a cycle, so the choice is made on the rows at the
+    free columns of the cycle basis alone (``_on_free_rows``)."""
     complex_.check_degree(k)
     if k == complex_.cap:
         raise DegreeRangeError(
@@ -137,16 +129,12 @@ def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
         return []
     zero = complex_.zero_weight
     bounding = complex_.block(k + 1)
-    cycle_block = complex_.cycle_block(k, zero)
-    if cycle_block is None:
+    if k == 0:
         cycles = [QVector.unit(bounding.rows, i) for i in range(bounding.rows)]
     else:
-        cycles = kernel_basis(cycle_block, complex_.entry_cap)
+        cycles = kernel_basis(complex_.block(k), complex_.entry_cap)
     # the greedy choice: pivot columns of [boundaries | cycles] past the boundaries
-    if isinstance(complex_, KernelComplex):
-        bordered = append_columns(bounding, (_padded(v, bounding.rows) for v in cycles))
-    else:
-        bordered = _on_free_rows(bounding, cycles)
+    bordered = _on_free_rows(bounding, cycles)
     reps = [
         Chain(k, complex_.from_block(k, zero, cycles[c - bounding.cols]).normalized())
         for c in independent_columns(bordered, complex_.entry_cap)
@@ -187,7 +175,7 @@ def class_coordinates(
     parts = _components(complex_, chain)
     if any(rep.degree != k or not is_cycle(complex_, rep) for rep in reps):
         raise DomainError(f"representatives must be cycles of degree {k}")
-    if any(
+    if parts is None or any(
         weight != zero and not _block_cycle(complex_, k, weight, part)
         for weight, part in parts.items()
     ):
@@ -195,10 +183,10 @@ def class_coordinates(
     bounding = complex_.block(k + 1)
     rows = bounding.rows
     stacked = append_columns(
-        bounding, (_padded(complex_.components(r).get(zero), rows) for r in reps)
+        bounding, (complex_.components(r).get(zero, QVector.zero(rows)) for r in reps)
     )
     solver = LinearSolver(stacked, complex_.entry_cap)
-    solution = solver.solve(_padded(parts.get(zero), rows))
+    solution = solver.solve(parts.get(zero, QVector.zero(rows)))
     if solution is None:
         return None
     coords = [QZERO] * len(reps)

@@ -303,11 +303,10 @@ def block_homology_reps(complex_, k):
         return []
     zero = complex_.zero_weight
     bounding = complex_.block(k + 1)
-    cycle_block = complex_.cycle_block(k, zero)
-    if cycle_block is None:
+    if k == 0:
         cycles = [QVector.unit(bounding.rows, i) for i in range(bounding.rows)]
     else:
-        cycles = kernel_basis(cycle_block)
+        cycles = kernel_basis(complex_.block(k))
     return [
         Chain(k, complex_.from_block(k, zero, vec).normalized())
         for vec in greedy_cycles(bounding, cycles, target)

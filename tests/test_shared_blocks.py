@@ -77,11 +77,14 @@ def test_kernel_complexes_reuse_the_block_objects(spied):
     lie = ctx.complex("lie", "g", 1, 5)
     rel = ctx.complex("rel", "g", 1, 3)
     cr = ctx.complex("cr", "g", 1, 3)
+    again = chain_complexes.rel_complex(rel.basis(0).algebra, 3, blocks=ctx.blocks)
     for m in range(1, 4):
-        assert rel._diffs.block(m) is leibniz.block(m + 2)
-        assert cr._diffs.block(m) is adjoint.block(m + 1)
+        assert rel._ambient.block(m) is leibniz.block(m + 2)
+        assert cr._ambient.block(m) is adjoint.block(m + 1)
         assert rel._target.block(m) is lie.block(m + 2)
         assert cr._target.block(m) is lie.block(m + 2)
+        # the restricted differentials are blocks of the memo as well
+        assert again.block(m) is rel.block(m)
 
 
 def test_cr_takes_the_context_adjoint_module(monkeypatch):

@@ -9,12 +9,16 @@ version, so every record written before it misses instead of being
 believed.  Writes are atomic (write to a temp file, then rename), giving
 single-writer / multi-reader safety.
 
-The complexes write ``diff/`` and ``rank/`` records only, and none for a
-matrix with at most one row or column (``worth_caching``): such a matrix
-is built and ranked in about the time its record takes to read, and each
-record is one more file to write and to copy.  ``kernel/`` holds
-the vector records of ``put_vectors``, which nothing in the package writes
-any more.
+The complexes write ``diff/`` records of assembled differential blocks
+and ``rank/`` records, and none for a matrix with at most one row or
+column (``worth_caching``): such a matrix is built and ranked in about the
+time its record takes to read, and each record is one more file to write
+and to copy.  Projections and the restricted differentials of the kernel
+complexes are made from blocks the run holds and never written; the
+ranks of the latter are.  ``diff/`` records an older version wrote for
+those restricted differentials are orphans that nothing reads; ``clear``
+removes them.  ``kernel/`` holds the vector records of ``put_vectors``,
+which nothing in the package writes any more.
 
 A matrix record (``diff/`` and ``kernel/``, ``.mtx``) is a header line
 ``affsymp-matrix <format version> <SHA-256 of the payload>`` followed by

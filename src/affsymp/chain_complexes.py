@@ -40,17 +40,17 @@ the whole complex.
 
 Degree caps are explicit.  d o d = 0 is verified at build time on every
 adjacent pair of weight-0 blocks.  A finished complex is shareable across
-threads; ranks are memoized per complex, and blocks, word sets and the
-build-time checks in a ``BlockMemo``.  The complexes of one memo share
-them: a block is looked up there under its descriptor before it is read
-from a ``DiffCache`` or built, and a check of the same block objects runs
-once.  The ambient differentials of ``rel`` and ``cr`` are the blocks of
+threads; ranks and pivot sets are memoized per complex, and blocks, word
+sets and the build-time checks in a ``BlockMemo``.  The complexes of one
+memo share them: a block is looked up there under its descriptor before it
+is read from a ``DiffCache`` or built, and a check of the same block
+objects runs once.  The ambient differentials of ``rel`` and ``cr`` are the blocks of
 ``leibniz`` and ``adjoint``, and the targets of both are those of ``lie``.
 A builder called without a memo gets one of its own.  The rank and the
 transposed rank each run from the bottom up, and each clears a block with
-the pivots of its own elimination one degree below (``_block_rank``); a
-degree whose rank was read from the cache has its pivots derived again
-when the degree above misses.
+the pivots of its own elimination one degree below (``_pivot_set``); each
+pivot set is computed once, also below a degree whose rank was read from
+the cache.  Only assembled blocks and ranks go to disk.
 
 The two kernel complexes (``KernelComplex``) are complexes like the others
 in the free words of their projections pi_m (``_FreeWords``), which also
@@ -58,12 +58,14 @@ proves every pi_m onto, so dim ker pi_m = dim C_m - dim target_m in closed
 form.  The build-time checks are ambient d o d = 0 and the chain-map
 identity pi_(m-1) d_m = e_m pi_m with e the exterior differential, which
 together make the restriction a complex.  Their chains are ambient vectors.
+Their blocks, the restricted differentials, are made from the ambient and
+projection blocks the run holds, and are never written to disk; their
+ranks are.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
@@ -261,17 +263,16 @@ class BlockMemo:
     """Blocks, word sets and build-time checks shared by the complexes
     built with it, for as long as it lives; one per ``VerificationContext``.
 
-    ``block`` keeps each block under the digest of its descriptor.  A block
-    that a family persisting to a cache finds here, but that was built by
-    a family that does not persist (a target), is looked up on disk once
-    and written when missing there, so the disk records do not depend on
-    the order in which complexes are built.  ``words`` keeps one
-    ``WordSet`` per grading, so its word lists are searched once.  ``check``
-    runs a check once per tuple of the same block objects."""
+    ``block`` keeps each block under the digest of its descriptor.  All
+    the families that share a descriptor pass the same cache, or none, so
+    a block kept here is on disk whenever its family writes there, and the
+    disk records do not depend on the order in which complexes are built.
+    ``words`` keeps one ``WordSet`` per grading, so its word lists are
+    searched once.  ``check`` runs a check once per tuple of the same block
+    objects."""
 
     def __init__(self):
         self._blocks: dict[str, SparseMatrix] = {}
-        self._stored: dict[str, DiffCache] = {}
         self._words: dict[tuple, WordSet] = {}
         self._checked: dict[tuple[int, ...], tuple] = {}
 
@@ -290,18 +291,14 @@ class BlockMemo:
         ``cache`` when given, or ``build()``, and written to ``cache``
         when it misses there."""
         got = self._blocks.get(digest)
-        if cache is not None and self._stored.get(digest) is not cache:
-            stored = cache.get_matrix("diff", digest)
-            if stored is None:
-                if got is None:
-                    got = build()
-                cache.put_matrix("diff", digest, got)
-            elif got is None:
-                got = stored
-            self._stored[digest] = cache
-        elif got is None:
-            got = build()
-        self._blocks[digest] = got
+        if got is None:
+            if cache is not None:
+                got = cache.get_matrix("diff", digest)
+            if got is None:
+                got = build()
+                if cache is not None:
+                    cache.put_matrix("diff", digest, got)
+            self._blocks[digest] = got
         return got
 
     def check(self, parts: tuple, verify) -> None:
@@ -352,8 +349,7 @@ class ChainComplex:
         self._diffs = _Graded.of(diffs)
         self._ranks: dict[int, int] = {}
         self._ranks_transposed: dict[int, int] = {}
-        # by orientation, degree -> the independent columns of its block
-        # that its elimination found, until the degree above uses them
+        # by orientation, degree below the cap -> ``_pivot_set``
         self._pivots: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
         blocks = [self._diffs.block(k) for k in range(1, cap + 1)]
         if self._diffs.graded and blocks:
@@ -403,11 +399,6 @@ class ChainComplex:
             raise DegreeRangeError("d_0 does not exist")
         return self._diffs.block(k, weight)
 
-    def _free_words(self, m: int, weight: Weight | None = None) -> _FreeWords:
-        """Made again on each use rather than kept."""
-        pi = self._projection.block(m, weight)
-        return _FreeWords(pi, f"{self.name}: projection at degree {m}")
-
     def components(self, chain: Chain) -> dict[Weight, QVector] | None:
         """The nonzero weight components of a chain, each in the positions
         of the words of its weight, which are those of ``block``, or None
@@ -425,8 +416,8 @@ class ChainComplex:
 
     def rank_d_transposed(self, k: int) -> int:
         """rank of the transposed differential, its block eliminated
-        independently and cleared only with the pivots of this
-        orientation's own eliminations (``_block_rank``); equals rank_d over
+        independently and cleared only with the pivot sets of this
+        orientation's own eliminations (``_pivot_set``); equals rank_d over
         a field and serves as its cross-check.  The rows of the transpose
         are the columns of the block, mostly short, so the many with one
         live entry are retired first at no cost (``exact_linalg.rank``);
@@ -439,46 +430,58 @@ class ChainComplex:
         return self._block_rank(k, transposed) + self._off_block_rank(k)
 
     def _block_rank(self, k: int, transposed: bool) -> int:
-        """rank of ``block(k)``, or of its transpose, cleared (Chen and
-        Kerber 2011) with the pivots of degree k - 1 in the same
-        orientation.
-
-        Degree k - 1 is ranked first, so each orientation runs from the
-        bottom up.  Its elimination hands back a set P of columns of
-        ``block(k - 1)`` with full column rank: the pivot columns of the
-        block, or the pivot rows of its transpose.  As
-        ``block(k - 1) @ block(k) = 0`` (checked at build time), the rows of
-        ``block(k)`` indexed by P are combinations of the others, so they
-        are dropped before the elimination and the rank is unchanged.  The
-        pivot set is dropped once used, and none is kept at the cap, where
-        no degree uses it.  A rank read from the cache leaves none; when
-        the degree above it then misses the cache, the set is derived again
-        (``_pivots_again``) rather than eliminating that block whole."""
+        """rank of ``block(k)``, or of its transpose.  Degree k - 1 is ranked
+        first, so each orientation writes its rank records from the bottom
+        up.  The rank goes through the disk cache when there is one and the
+        block is worth caching (``cache.worth_caching``), under the key
+        ``cache.rank_key`` derives from its fingerprint; a cached value that
+        cannot be a rank of this shape counts as a miss and is recomputed
+        and rewritten.  On a miss the rank is the size of
+        ``_pivot_set(k)``."""
         (self.rank_d_transposed if transposed else self.rank_d)(k - 1)
-        pivots = self._pivots[transposed]
-        found: set[int] | None = set() if k < self.cap else None
-        value = self._ranked(
-            self._diffs.block(k), transposed, pivots.pop(k - 1, None), found,
-            (lambda: self._pivots_again(k - 1, transposed)) if k > 1 else None,
-        )
-        if found:
-            pivots[k] = found
+        block = self._diffs.block(k)
+        if not block.entries:
+            return 0
+        key = None
+        if self.cache is not None and worth_caching(block.rows, block.cols):
+            key = rank_key(block, transposed)
+            hit = self.cache.get_rank(key)
+            if hit is not None and 0 <= hit <= min(block.rows, block.cols):
+                return hit
+        value = len(self._pivot_set(k, transposed))
+        if key is not None:
+            self.cache.put_rank(key, value)
         return value
 
-    def _pivots_again(self, k: int, transposed: bool) -> set[int]:
-        """The pivot set that the elimination of ``block(k)`` in this
-        orientation hands back, for a degree whose rank was read from the
-        cache: the block is eliminated again, cleared as ``_block_rank``
-        clears it, with the set of degree k - 1 taken from the store or
-        derived again the same way.  No rank is read or written."""
-        found: set[int] = set()
-        block = self._diffs.block(k)
-        if block.entries:
-            clear = self._pivots[transposed].pop(k - 1, None)
-            if clear is None and k > 1:
-                clear = self._pivots_again(k - 1, transposed)
-            rank(block, self.entry_cap, transposed, found, clear or ())
-        return found
+    def _pivot_set(self, k: int, transposed: bool) -> set[int]:
+        """The columns of ``block(k)`` with full column rank that its
+        elimination in this orientation hands back: the pivot columns of the
+        block, or the pivot rows of its transpose.  Fill-in is held to the
+        complex's ``entry_cap``.
+
+        The elimination is cleared (Chen and Kerber 2011) with the set of
+        degree k - 1: as ``block(k - 1) @ block(k) = 0`` (checked at build
+        time), the rows of ``block(k)`` indexed by it are combinations of
+        the others, so they are dropped and the rank is unchanged.  Each set
+        is memoized, so no block is eliminated twice, except the one at the
+        cap, which no degree clears with: keeping it alive through the other
+        orientation's elimination raises the peak memory.  A block with at
+        most one row or column, whose rank is never cached, is eliminated
+        whole: clearing it saves next to nothing, and on a warm run deriving
+        the set below it would eliminate a block whose rank was read."""
+        pivots = self._pivots[transposed]
+        got = pivots.get(k)
+        if got is None:
+            got = set()
+            block = self._diffs.block(k)
+            if block.entries:
+                clear = ()
+                if k > 1 and worth_caching(block.rows, block.cols):
+                    clear = self._pivot_set(k - 1, transposed)
+                rank(block, self.entry_cap, transposed, got, clear)
+            if k < self.cap:
+                pivots[k] = got
+        return got
 
     def _off_block_rank(self, k: int) -> int:
         """rank of d_k outside the weight-0 block.  That part of the complex
@@ -495,40 +498,6 @@ class ChainComplex:
         if got is None:
             got = memo[k] = compute()
         return got
-
-    def _ranked(
-        self,
-        matrix: SparseMatrix,
-        transposed: bool,
-        clear: set[int] | None = None,
-        found: set[int] | None = None,
-        derive: Callable[[], set[int]] | None = None,
-    ) -> int:
-        """rank of ``matrix``, or of its transpose.  It goes through the
-        disk cache when there is one and the matrix is worth caching
-        (``cache.worth_caching``), under the key ``cache.rank_key`` derives
-        from its fingerprint.  A cached value that cannot be a rank of this
-        shape counts as a miss and is recomputed and rewritten.  An
-        elimination drops the rows
-        ``clear``, which the caller knows to be dependent on the others,
-        and adds to ``found`` the independent columns ``rank`` hands back;
-        a hit adds none.  When ``clear`` is None and the rank misses the
-        cache, ``derive()``, if given, supplies those rows.  Elimination
-        fill-in is held to the complex's ``entry_cap``."""
-        if not matrix.entries:
-            return 0
-        key = None
-        if self.cache is not None and worth_caching(matrix.rows, matrix.cols):
-            key = rank_key(matrix, transposed)
-            hit = self.cache.get_rank(key)
-            if hit is not None and 0 <= hit <= min(matrix.rows, matrix.cols):
-                return hit
-            if clear is None and derive is not None:
-                clear = derive()
-        value = rank(matrix, self.entry_cap, transposed, found, clear or ())
-        if key is not None:
-            self.cache.put_rank(key, value)
-        return value
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, kind={self.kind}, cap={self.cap})"
@@ -801,7 +770,7 @@ def _family(
     "weight", the total, the letter weights), so a change of grading is a
     miss.  With a cache, a block worth caching by its word counts also goes
     through the disk under that digest; a family without one, such as a
-    target, never reads or writes the disk."""
+    projection, never reads or writes the disk."""
     grading = (words.letter_weights, words.module_weights)
 
     def make(k: int, weight: Weight) -> SparseMatrix:
@@ -822,7 +791,7 @@ def _family(
 
 def _lie_family(
     blocks: BlockMemo, algebra: LieAlgebra, entry_cap: int | None,
-    cache: DiffCache | None = None, shift: int = 0,
+    cache: DiffCache | None, shift: int = 0,
 ) -> _Graded:
     """``ce_d`` of the algebra, the differentials of ``lie`` and the
     targets of ``rel`` and ``cr``."""
@@ -974,8 +943,8 @@ def _restricted(d: SparseMatrix, rows: _FreeWords, cols: _FreeWords) -> SparseMa
 
 class KernelComplex(ChainComplex):
     """Degree m is ker pi_m inside an ambient space; its blocks are the
-    ambient d_m restricted to it in free words (``_restricted``), kept in
-    ``blocks`` and the cache under the builder's ``key`` when given.
+    ambient d_m restricted to it in free words (``_restricted``), made from
+    the ambient and projection blocks and never written to disk.
     ``ambient_d``, ``projections`` and ``targets`` are explicit matrices by
     degree or ``_Graded`` families, with pi_(m-1) d_m = e_m pi_m for e_m the
     target: checked with ambient d o d = 0, it makes the restriction a
@@ -994,28 +963,16 @@ class KernelComplex(ChainComplex):
         cache: DiffCache | None = None,
         entry_cap: int | None = None,
         blocks: BlockMemo | None = None,
-        key: tuple | None = None,
     ):
-        blocks = BlockMemo() if blocks is None else blocks
         self._ambient = ambient = _Graded.of(ambient_d)
         self._projection = projection = _Graded.of(projections)
         self._target = _Graded.of(targets)
         for m in range(cap + 1):
             _check_projection(projection.block(m), f"{name}: projection at degree {m}")
 
-        def restricted(m: int, weight: Weight) -> SparseMatrix:
-            build = lambda: _restricted(
-                ambient.block(m, weight), *(self._free_words(j, weight) for j in (m - 1, m))
-            )
-            if key is None:
-                return build()
-            # every pi is onto, so the free words of pi number cols - rows
-            below, pi = projection.block(m - 1, weight), projection.block(m, weight)
-            persist = worth_caching(below.cols - below.rows, pi.cols - pi.rows)
-            digest = descriptor_key(*key, m, "weight", weight)
-            return blocks.block(digest, build, cache if persist else None)
-
-        diffs = _Graded(restricted, ambient.words)
+        diffs = _Graded(lambda m, weight: _restricted(
+            ambient.block(m, weight), *(self._free_words(j, weight) for j in (m - 1, m))
+        ), ambient.words)
         super().__init__(kind, name, dims, diffs, bases, cap, cache, entry_cap, blocks)
 
     def verify_dd_zero(self) -> None:
@@ -1082,13 +1039,12 @@ def rel_complex(
             lambda k, ws: wedge_projection(algebra, k, entry_cap, ws),
             lambda k: _estimate_wedge_projection(algebra, k), entry_cap,
         ),
-        targets=_lie_family(blocks, algebra, entry_cap, shift=2),
+        targets=_lie_family(blocks, algebra, entry_cap, cache, shift=2),
         bases={m: TensorBasis(algebra, m + 2) for m in range(cap + 1)},
         cap=cap,
         cache=cache,
         entry_cap=entry_cap,
         blocks=blocks,
-        key=("rel", fp, blocks.words(algebra).letter_weights),
     )
 
 
@@ -1126,13 +1082,12 @@ def cr_complex(
             lambda k, ws: partial_wedge_projection(algebra, k, entry_cap, ws),
             lambda k: _estimate_partial_wedge_projection(algebra, k), entry_cap,
         ),
-        targets=_lie_family(blocks, algebra, entry_cap, shift=2),
+        targets=_lie_family(blocks, algebra, entry_cap, cache, shift=2),
         bases={m: ModuleWedgeBasis(module, m + 1) for m in range(cap + 1)},
         cap=cap,
         cache=cache,
         entry_cap=entry_cap,
         blocks=blocks,
-        key=("cr", fp, module.fingerprint(), blocks.words(algebra, module).letter_weights),
     )
 
 

@@ -88,7 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_cache(args) -> DiffCache | None:
     path = args.cache_dir or os.environ.get("AFFSYMP_CACHE_DIR")
-    return DiffCache(path) if path else None
+    if not path:
+        return None
+    try:
+        return DiffCache(path)
+    except OSError as exc:
+        raise DomainError(f"cannot use {path!r} as the cache directory: {exc.strerror}") from exc
 
 
 def _resolve_cap(args) -> int | None:

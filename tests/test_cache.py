@@ -315,20 +315,21 @@ def test_corrupted_records_never_change_answers(filled_cache, tmp_path_factory, 
 
 def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, monkeypatch):
     """A cold n = 1 verify writes no record of a matrix with at most one row
-    or column; a warm rerun reads every record it looks up, writes none and
-    leaves the directory byte-identical."""
-    from affsymp.cache import rank_key
-    from affsymp.chain_complexes import ChainComplex
+    or column; a warm rerun reads every record it looks up, writes none,
+    leaves the directory byte-identical and eliminates only the matrices
+    too small to cache."""
+    import affsymp.chain_complexes as chain_complexes
     from affsymp.theorems import VerificationContext, run_all
 
     shapes = {}
-    ranked = ChainComplex._ranked
+    rank_key = chain_complexes.rank_key
 
-    def recorded(self, matrix, transposed, *clearing):
-        shapes[rank_key(matrix, transposed)] = (matrix.rows, matrix.cols)
-        return ranked(self, matrix, transposed, *clearing)
+    def recorded(matrix, transposed=False):
+        key = rank_key(matrix, transposed)
+        shapes[key] = (matrix.rows, matrix.cols)
+        return key
 
-    monkeypatch.setattr(ChainComplex, "_ranked", recorded)
+    monkeypatch.setattr(chain_complexes, "rank_key", recorded)
     assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), 1))
     cold = _records(tmp_path)
     diffs = [name for name in cold if name.startswith("diff/")]
@@ -348,7 +349,16 @@ def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, 
             return got
 
         monkeypatch.setattr(DiffCache, method, spy)
+    eliminated = []
+    rank = chain_complexes.rank
+
+    def counted(m, *args):
+        eliminated.append((m.rows, m.cols))
+        return rank(m, *args)
+
+    monkeypatch.setattr(chain_complexes, "rank", counted)
     assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), 1))
     assert calls and {method for method, _ in calls} == {"get_matrix", "get_rank"}
     assert not any(missed for _, missed in calls)
     assert _records(tmp_path) == cold
+    assert eliminated and all(min(shape) <= 1 for shape in eliminated)

@@ -2,9 +2,10 @@
 and drops the rows of ``block(k)`` that the pivots of its own elimination
 of ``block(k - 1)`` prove dependent.  The oracle is the uncleared
 ``rank(block)`` and ``rank(block.transpose())``.  A clearing with the pivot
-rows of ``block(k - 1)`` instead of its pivot columns, in either
-orientation, fails the oracle tests; a pivot set never dropped, or kept at
-the cap, fails the checks that none is left."""
+rows of ``block(k - 1)`` instead of its pivot columns fails the oracle
+tests; one with the set of the other orientation, also columns of full
+rank, derives that set, which the tests of what is eliminated catch; a
+pivot set kept at the cap fails the checks of the kept sets."""
 
 import random
 import sys
@@ -72,6 +73,18 @@ def _requested(complex_, k, transposed):
     return (complex_.rank_d_transposed if transposed else complex_.rank_d)(k)
 
 
+def _check_pivot_sets(complex_):
+    """No pivot set is kept at the cap, and each kept set of degree k is as
+    large as the rank of ``block(k)``, which its columns alone reach."""
+    for pivots in complex_._pivots:
+        assert complex_.cap not in pivots
+        for k, found in pivots.items():
+            block = complex_.block(k)
+            r = rank(block)
+            picked = {key: v for key, v in block.entries.items() if key[1] in found}
+            assert len(found) == r == rank(SparseMatrix(block.rows, block.cols, picked))
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), made=complexes(), order=st.sampled_from(ORDERS))
 def test_random_complexes_rank_as_the_uncleared_oracle(data, made, order):
@@ -81,8 +94,7 @@ def test_random_complexes_rank_as_the_uncleared_oracle(data, made, order):
     for k, transposed in _requests(cap, order, lambda p: data.draw(st.permutations(p))):
         expected = 0 if k == 0 else _oracle(diffs[k], transposed)
         assert _requested(complex_, k, transposed) == expected
-    # every pivot set was used by the degree above it and dropped
-    assert complex_._pivots == ({}, {})
+    _check_pivot_sets(complex_)
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +139,7 @@ def test_registry_theories_at_n1_rank_as_the_uncleared_oracle(theory, family, ca
         if k:
             expected = _oracle(complex_.block(k), transposed) + complex_._off_block_rank(k)
         assert _requested(complex_, k, transposed) == expected, (k, transposed)
-    assert complex_._pivots == ({}, {})
+    _check_pivot_sets(complex_)
 
 
 @pytest.fixture
@@ -179,9 +191,9 @@ def test_the_cross_check_of_leibniz_d6_of_g1_takes_its_own_pivots():
 @pytest.mark.parametrize("transposed", [False, True])
 def test_a_degree_above_a_cache_hit_is_cleared(tmp_path, eliminated, transposed):
     """Degree 3 of Leibniz of g_1 is read from a partly warm cache, so it
-    leaves no pivots; the miss at degree 4 derives them again by
-    eliminating the blocks below it, cleared as a cold complex clears
-    them, and then eliminates as few nonzeros as the cold complex."""
+    leaves no pivots; the miss at degree 4 derives them by eliminating
+    d_3, cleared with the set that the rank of d_2 kept, as a cold complex
+    clears it, and then eliminates as few nonzeros as the cold complex."""
     k = 4
     first = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 6)
     _requested(first, k - 1, transposed)
@@ -196,17 +208,17 @@ def test_a_degree_above_a_cache_hit_is_cleared(tmp_path, eliminated, transposed)
     eliminated.clear()
     assert _requested(warm, k, transposed) == expected
     # d_2 (1 x 5) is too small to cache and eliminated, d_3 (5 x 19) is a
-    # hit, and the miss at d_4 eliminates d_2 and d_3 again before itself
-    assert eliminated == cold_calls[:1] + cold_calls
-    assert set(warm._pivots[transposed]) == {k}
+    # hit, and the miss at d_4 eliminates d_3 before itself
+    assert eliminated == cold_calls
+    assert set(warm._pivots[transposed]) == {2, 3, 4}
     assert expected == _oracle(warm.block(k), transposed) + warm._off_block_rank(k)
 
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_a_warm_rerun_eliminates_no_block_it_reads(tmp_path, eliminated, transposed):
     """A rerun at the same cap reads every rank worth caching, so no pivot
-    set is derived again: it eliminates only the blocks too small to
-    cache."""
+    set is derived: it eliminates only the blocks too small to cache, each
+    whole."""
     cap = 6
     first = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, cap)
     _requested(first, cap, transposed)
@@ -220,8 +232,8 @@ def test_a_warm_rerun_eliminates_no_block_it_reads(tmp_path, eliminated, transpo
 
 def test_threads_sharing_a_complex_get_the_oracle_ranks():
     """Threads that request the ranks of one complex in different orders
-    race on its memo and pivot sets; a lost pivot set costs only a whole
-    elimination, so every rank is still exact."""
+    race on its memos of ranks and pivot sets; a set two threads derive at
+    once is only computed twice, so every rank is still exact."""
     complex_ = VerificationContext().complex("leibniz", "g", 1, 6)
     expected = {
         (k, transposed): _oracle(complex_.block(k), transposed) + complex_._off_block_rank(k)

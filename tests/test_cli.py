@@ -287,6 +287,28 @@ class TestCacheLifecycle:
         code, _, err = run_cli(capsys, ["cache", "info"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--n", "1"],
+        ["homology", "--family", "g", "--n", "1", "--theory", "lie", "--max-degree", "1"],
+        ["cache", "info"],
+        ["cache", "clear"],
+    ])
+    @pytest.mark.parametrize("through", ["flag", "env"])
+    def test_unusable_cache_directory_exit_two(
+        self, capsys, tmp_path, monkeypatch, argv, through
+    ):
+        # a directory cannot be made under a regular file
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / "file" / "cache")
+        if through == "flag":
+            monkeypatch.delenv("AFFSYMP_CACHE_DIR", raising=False)
+            argv = argv + ["--cache-dir", path]
+        else:
+            monkeypatch.setenv("AFFSYMP_CACHE_DIR", path)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and path in err
+
     def test_corrupt_rank_records_are_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         argv = [

@@ -83,8 +83,8 @@ def test_kernel_complexes_reuse_the_block_objects(spied):
         assert cr._ambient.block(m) is adjoint.block(m + 1)
         assert rel._target.block(m) is lie.block(m + 2)
         assert cr._target.block(m) is lie.block(m + 2)
-        # the restricted differentials are blocks of the memo as well
-        assert again.block(m) is rel.block(m)
+        # the restricted differentials are made again from those blocks
+        assert again.block(m) == rel.block(m)
 
 
 def test_cr_takes_the_context_adjoint_module(monkeypatch):
@@ -141,6 +141,30 @@ def test_disk_records_do_not_depend_on_the_build_order(tmp_path, monkeypatch):
     assert calls and {method for method, _ in calls} == {"get_matrix", "get_rank"}
     assert not any(missed for _, missed in calls)
     assert _records(shared) == cold
+
+
+def test_restricted_differentials_are_derived_never_written(tmp_path, monkeypatch):
+    """rel and cr, built against a cache that holds their ambient and
+    target blocks, write no matrix: their restricted differentials are made
+    from those blocks.  A fresh context is the oracle for their ranks."""
+    cache = DiffCache(tmp_path)
+    ctx = VerificationContext(cache=cache)
+    for theory, cap in (("leibniz", 5), ("adjoint", 4), ("lie", 5)):
+        ctx.complex(theory, "g", 1, cap)
+
+    written = []
+    put_matrix = DiffCache.put_matrix
+
+    def spy(self, kind, key, matrix):
+        written.append((kind, key))
+        put_matrix(self, kind, key, matrix)
+
+    monkeypatch.setattr(DiffCache, "put_matrix", spy)
+    ctx = VerificationContext(cache=cache)
+    for theory in ("rel", "cr"):
+        got = _numbers(ctx.complex(theory, "g", 1, 3))
+        assert got == _numbers(VerificationContext().complex(theory, "g", 1, 3))
+    assert written == []
 
 
 def test_entry_guard_holds_for_a_block_shared_from_an_earlier_complex(spied):

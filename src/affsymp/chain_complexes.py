@@ -30,10 +30,13 @@ full dimensions come in closed form, and the membership tests of
 blocks it touches (``ChainComplex.components``).
 
 ``ce_d``, ``leibniz_d``, ``coeff_d`` and the three projections each give
-a rule from a word to its image words; one loop, ``_assemble``, sums the
-rule over the rows and columns of a given ``WordSet``, one total weight,
-and raises ``ConsistencyError`` when an image leaves the set, so a bracket
-that breaks the grading is caught, not absorbed.  The full matrix, over all
+a rule from a word to the (code, coefficient) pairs of its image, the
+integer codes of ``words`` (a tensor index, a wedge bitmask, or
+(m << dim) | bitmask); one loop, ``_assemble``, sums the rule over the
+columns of a given ``WordSet``, one total weight, finds each nonzero sum's
+row by its code, and raises ``ConsistencyError``, naming the word, when an
+image leaves the set, so a bracket that breaks the grading is caught, not
+absorbed.  The full matrix, over all
 words, is built only by tests, as an oracle.  An algebra without a grading
 (``I_n``), or a complex built from explicit matrices, has a single block:
 the whole complex.
@@ -65,7 +68,7 @@ ranks are.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -86,9 +89,12 @@ from .words import (
     Weight,
     WordSet,
     sort_with_sign,
+    sorted_wedge_code,
     tensor_dim,
     tensor_index,
     tensor_word_at,
+    wedge_code,
+    wedge_contractions,
     wedge_dim,
     wedge_index,
     wedge_word_at,
@@ -523,19 +529,6 @@ def _longest_bracket(algebra: LieAlgebra) -> int:
     return max(map(len, algebra.brackets.values()), default=1)
 
 
-def _insert_sorted(
-    rest: tuple[int, ...], m: int, slot: int = 0
-) -> tuple[tuple[int, ...] | None, int]:
-    """Insert m into a strictly increasing word; (None, 0) if already there.
-
-    The sign is the parity of the move from position ``slot`` (where the
-    bracket lands before reordering) to the sorted position."""
-    p = bisect_left(rest, m)
-    if p < len(rest) and rest[p] == m:
-        return None, 0
-    return rest[:p] + (m,) + rest[p:], -1 if (p - slot) % 2 else 1
-
-
 def _leaves(word, k: int) -> ConsistencyError:
     return ConsistencyError(
         f"the image {word} of a degree-{k} word leaves the assembled word set"
@@ -546,9 +539,11 @@ def _assemble(
     words: WordSet, col_kind: str, k: int, row_kind: str, row_k: int,
     images, estimate: int, entry_cap: int | None,
 ) -> SparseMatrix:
-    """Column i sums the (image word, coefficient) pairs of ``images(w)``,
-    w the i-th degree-k word of ``col_kind`` in ``words``, into the rows of
-    the degree-``row_k`` words of ``row_kind``; an image outside them raises.
+    """Column i sums the (row code, coefficient) pairs of ``images(w)``,
+    w the i-th degree-k word of ``col_kind`` in ``words``, and puts each
+    nonzero sum in the row of the degree-``row_k`` word of ``row_kind``
+    with that code (``WordSet.codes``); a sum whose code is no such word
+    raises, naming the word.
 
     The entry guard checks ``estimate`` first and the entries made last.
     Each assembler estimates its full matrix, whatever words it is given
@@ -564,40 +559,29 @@ def _assemble(
     passed 2 GB."""
     check_entry_budget(estimate, entry_cap)
     cols = getattr(words, col_kind)(k)
-    row_of = words.position(row_kind, row_k)
+    row_of = words.codes(row_kind, row_k)
     entries: dict[tuple[int, int], Rational | int] = {}
     for col, word in enumerate(cols):
-        for image, c in images(word):
-            row = row_of.get(image)
-            if row is None:
-                raise _leaves(image, k)
-            key = (row, col)
-            was = entries.get(key)
-            nv = c if was is None else was + c
-            if nv:
-                entries[key] = nv
-            else:
-                del entries[key]
+        sums: dict[int, Rational | int] = {}
+        for code, c in images(word):
+            sums[code] = sums.get(code, 0) + c
+        for code, v in sums.items():
+            if v:
+                row = row_of.get(code)
+                if row is None:
+                    raise _leaves(words.decode(row_kind, row_k, code), k)
+                entries[(row, col)] = v if type(v) is int else normal_entry(v)
     check_entry_budget(len(entries), entry_cap)
-    return SparseMatrix(len(row_of), len(cols), entries)
+    return SparseMatrix._of(len(row_of), len(cols), entries)
 
 
-def _wedge_brackets(table: dict, k: int, word: tuple[int, ...], parity: int) -> list:
-    """The bracket terms of a wedge word: [g_s, g_t] lands in slot s, slot t
-    is dropped and the word is sorted, with sign (-1)^(t + parity) times
-    the sorting sign (t 0-based)."""
-    out = []
-    for t in range(1, k):
-        sign_t = -1 if (t + parity) % 2 else 1
-        for s in range(t):
-            items = table.get((word[s], word[t]))
-            if items:
-                rest = word[:s] + word[s + 1 : t] + word[t + 1 :]
-                for m, c in items:
-                    placed, psign = _insert_sorted(rest, m, s)
-                    if placed is not None:
-                        out.append((placed, sign_t * psign * c))
-    return out
+def _wedge_table(algebra: LieAlgebra) -> list:
+    """[g_a, g_b] by the letters b, then a, as (1 << m, (1 << m) - 1,
+    coefficient) for each target m: the table of ``wedge_contractions``."""
+    by_letter = [[()] * algebra.dim for _ in range(algebra.dim)]
+    for (a, b), items in _bracket_table(algebra).items():
+        by_letter[b][a] = tuple((1 << m, (1 << m) - 1, c) for m, c in items)
+    return by_letter
 
 
 def _estimate_ce(algebra: LieAlgebra, k: int) -> int:
@@ -609,10 +593,10 @@ def ce_d(
 ) -> SparseMatrix:
     """Exterior-power differential d_k : Lambda^k -> Lambda^(k-1) on the
     wedge words of ``words`` (all words by default)."""
-    table = _bracket_table(algebra)
+    table = _wedge_table(algebra)
     return _assemble(
         WordSet.all(algebra.dim) if words is None else words, "wedge", k, "wedge", k - 1,
-        lambda w: _wedge_brackets(table, k, w, 1),        # (-1)^j, j = t+1 one-based
+        lambda w: wedge_contractions(table, w, wedge_code(w), 1),  # (-1)^j, j = t+1 one-based
         _estimate_ce(algebra, k), entry_cap,
     )
 
@@ -626,28 +610,50 @@ def leibniz_d(
 ) -> SparseMatrix:
     """Tensor-power differential on the tensor words of ``words`` (all words
     by default): bracket lands in slot i, slot j dropped, sign (-1)^j, no
-    reordering."""
+    reordering.
+
+    Codes are tensor indices: with ``base`` the code of the word without
+    slot t, the term of target m in slot s < t has code
+    base + (m - w_s) * dim^(k-2-s).  These changes of code, with the sign
+    (-1)^(t+1), are tabulated once a call: ``slots`` holds for each t the
+    terms of [g_a, g_b] by the letter b in slot t, the slot s and the
+    letter a in it."""
+    dim = algebra.dim
     table = _bracket_table(algebra)
-    slots = [(s, t, -1 if (t + 1) % 2 else 1) for t in range(1, k) for s in range(t)]
+    power = [dim**j for j in range(k + 1)]
+    slots = []
+    for t in range(1, k):
+        sign_t = -1 if (t + 1) % 2 else 1
+        by_letter = [[[()] * dim for _ in range(t)] for _ in range(dim)]
+        for (a, b), items in table.items():
+            for s in range(t):
+                place = power[k - 2 - s]
+                by_letter[b][s][a] = tuple(((m - a) * place, sign_t * c) for m, c in items)
+        low = power[k - 1 - t]
+        slots.append((t, low * dim, low, by_letter))
 
     def images(w):
+        code = tensor_index(w, dim)
         out = []
-        for s, t, sign_t in slots:
-            items = table.get((w[s], w[t]))
-            if items:
-                prefix, middle, suffix = w[:s], w[s + 1 : t], w[t + 1 :]
-                for m, c in items:
-                    out.append((prefix + (m,) + middle + suffix, sign_t * c))
+        for t, high, low, by_letter in slots:
+            base = code // high * low + code % low  # the word without slot t
+            for by_a, a in zip(by_letter[w[t]], w):
+                for change, c in by_a[a]:
+                    out.append((base + change, c))
         return out
 
     return _assemble(
-        WordSet.all(algebra.dim) if words is None else words, "tensor", k, "tensor", k - 1,
+        WordSet.all(dim) if words is None else words, "tensor", k, "tensor", k - 1,
         images, _estimate_leibniz(algebra, k), entry_cap,
     )
 
 
+def _longest_column(m: SparseMatrix) -> int:
+    return max(Counter(c for _, c in m.entries).values(), default=0)
+
+
 def _estimate_coeff(module: LieModule, k: int) -> int:
-    action_longest = max((1,) + tuple(a.nnz // max(a.cols, 1) + 1 for a in module.actions))
+    action_longest = max((1, *map(_longest_column, module.actions)))
     return module.dim * wedge_dim(module.algebra.dim, k) * (
         k * action_longest + comb(k, 2) * _longest_bracket(module.algebra)
     )
@@ -664,27 +670,33 @@ def coeff_d(
     terms carry (-1)^j = (-1)^t by the same indexing.
     """
     algebra = module.algebra
-    table = _bracket_table(algebra)
+    dim = algebra.dim
+    table = _wedge_table(algebra)
+    # [m, g_a] by the letters a, then m, as (m2 << dim, coefficient)
+    acting = [
+        [tuple((m2 << dim, v) for m2, v in action.column(m)) for m in range(module.dim)]
+        for action in module.actions
+    ]
     # the bracket terms of a wedge word, shared across module indices
-    wedge_terms: dict[tuple[int, ...], list] = {}
+    wedge_terms: dict[int, list] = {}
 
     def images(word):
         mi, w = word
+        mask = wedge_code(w)
         out = []
         for s in range(k):
-            sign_s = -1 if s % 2 else 1                # (-1)^(s+2)
-            rest = w[:s] + w[s + 1 :]
-            for m2, v in module.actions[w[s]].column(mi):
-                out.append(((m2, rest), sign_s * v))
-        brackets = wedge_terms.get(w)
+            rest = mask ^ (1 << w[s])
+            for head, v in acting[w[s]][mi]:
+                out.append((head | rest, -v if s % 2 else v))   # (-1)^(s+2)
+        brackets = wedge_terms.get(mask)
         if brackets is None:
-            brackets = wedge_terms[w] = _wedge_brackets(table, k, w, 0)   # (-1)^(t+2)
-        for placed, c in brackets:
-            out.append(((mi, placed), c))
+            brackets = wedge_terms[mask] = wedge_contractions(table, w, mask, 0)  # (-1)^(t+2)
+        head = mi << dim
+        out += [(head | placed, c) for placed, c in brackets]
         return out
 
     return _assemble(
-        WordSet.all(algebra.dim, module.dim) if words is None else words,
+        WordSet.all(dim, module.dim) if words is None else words,
         "module_wedge", k, "module_wedge", k - 1, images, _estimate_coeff(module, k),
         entry_cap,
     )
@@ -702,8 +714,8 @@ def wedge_projection(
     0, otherwise to its sorted word with the permutation sign."""
 
     def images(w):
-        ordered, sign = sort_with_sign(w)
-        return () if ordered is None else ((ordered, sign),)
+        placed = sorted_wedge_code(w)
+        return () if placed is None else (placed,)
 
     return _assemble(
         WordSet.all(algebra.dim) if words is None else words, "tensor", k, "wedge", k,
@@ -724,9 +736,8 @@ def partial_wedge_projection(
     dim = algebra.dim
 
     def images(word):
-        e, w = word
-        placed, sign = _insert_sorted(w, e)
-        return () if placed is None else ((placed, sign),)
+        placed = sorted_wedge_code((word[0], *word[1]))
+        return () if placed is None else (placed,)
 
     return _assemble(
         WordSet.all(dim, dim) if words is None else words, "module_wedge", k, "wedge", k + 1,
@@ -744,8 +755,8 @@ def mixed_projection(
     dim = algebra.dim
 
     def images(w):
-        ordered, sign = sort_with_sign(w[1:])
-        return () if ordered is None else (((w[0], ordered), sign),)
+        placed = sorted_wedge_code(w[1:])
+        return () if placed is None else (((w[0] << dim) | placed[0], placed[1]),)
 
     return _assemble(
         WordSet.all(dim, dim) if words is None else words, "tensor", k + 1, "module_wedge", k,
@@ -908,7 +919,9 @@ class _FreeWords:
     pivot, and every other column c is free, with the lift
     e_c - (pi_c / pi_(c_r)) e_(c_r), or e_c.  The first nonzero entry of a
     kernel vector is free (a pivot entry needs a lower one in its row), so
-    lifting keeps the reduced echelon form of ``kernel_basis``."""
+    lifting keeps the reduced echelon form of ``kernel_basis``.  ``spread``
+    holds the lift entries off the free columns: pivot column -> {position
+    of a free column: entry}."""
 
     def __init__(self, pi: SparseMatrix, what: str):
         _check_projection(pi, what)
@@ -917,27 +930,34 @@ class _FreeWords:
         self.free = [c for c in range(pi.cols) if c not in pivots]
         self.position = {c: j for j, c in enumerate(self.free)}
         lifts = {(c, j): 1 for j, c in enumerate(self.free)}
+        self.spread: dict[int, dict[int, int]] = {}
         for (r, c), v in pi.entries.items():
             if c not in pivots:
-                lifts[(pivot[r], self.position[c])] = -v * pi.entries[(r, pivot[r])]
+                j = self.position[c]
+                t = lifts[(pivot[r], j)] = -v * pi.entries[(r, pivot[r])]
+                self.spread.setdefault(pivot[r], {})[j] = t
         self.lifts = SparseMatrix._of(pi.cols, len(self.free), lifts)
 
 
 def _restricted(d: SparseMatrix, rows: _FreeWords, cols: _FreeWords) -> SparseMatrix:
     """d times the lifts of the free columns, on the free rows, which fix
-    the image since it lies in ker pi one degree lower."""
-    lifted = cols.lifts.row_dicts()
-    entries: dict[tuple[int, int], Rational | int] = {}
+    the image since it lies in ker pi one degree lower: the entries of d in
+    free rows and columns, plus those of its pivot columns spread over the
+    free columns by the lifts."""
+    at_row, at_col, spread = rows.position, cols.position, cols.spread
+    entries: dict[tuple[int, int], Rational | int] = {
+        (at_row[r], at_col[c]): v
+        for (r, c), v in d.entries.items() if c in at_col and r in at_row
+    }
     for (r, c), v in d.entries.items():
-        i = rows.position.get(r)
-        if i is None:
-            continue
-        for j, t in lifted.get(c, {}).items():
-            x = entries.get((i, j), 0) + t * v
-            if x:
-                entries[(i, j)] = x if type(x) is int else normal_entry(x)
-            else:
-                del entries[(i, j)]
+        if c in spread and r in at_row:
+            i = at_row[r]
+            for j, t in spread[c].items():
+                x = entries.get((i, j), 0) + t * v
+                if x:
+                    entries[(i, j)] = x if type(x) is int else normal_entry(x)
+                else:
+                    del entries[(i, j)]
     return SparseMatrix._of(len(rows.free), len(cols.free), entries)
 
 

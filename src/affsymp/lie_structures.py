@@ -388,9 +388,13 @@ def build_I(n: int) -> LieAlgebra:
     return LieAlgebra(2 * n, labels, {})
 
 
-def build_g(n: int) -> tuple[LieAlgebra, SubalgebraDecomposition]:
+def build_g(
+    n: int, sp: LieAlgebra | None = None
+) -> tuple[LieAlgebra, SubalgebraDecomposition]:
     """Affine symplectic algebra, constants first then the symplectic basis;
-    dimension 2n^2 + 3n.  Validates the abelian-ideal split."""
+    dimension 2n^2 + 3n.  Validates the abelian-ideal split, with ``sp``,
+    the caller's ``build_sp(n)``, as the model of the quotient; by default
+    it is built."""
     if n < 1:
         raise DomainError("n must be >= 1")
     fields = _ideal_fields(n) + _sp_fields(n)
@@ -398,7 +402,7 @@ def build_g(n: int) -> tuple[LieAlgebra, SubalgebraDecomposition]:
     algebra = _algebra_from_fields(fields, labels)
     ideal = tuple(range(2 * n))
     quotient = tuple(range(2 * n, algebra.dim))
-    _check_decomposition(algebra, ideal, quotient, build_sp(n))
+    _check_decomposition(algebra, ideal, quotient, build_sp(n) if sp is None else sp)
     return algebra, SubalgebraDecomposition(ideal, quotient)
 
 

@@ -205,7 +205,7 @@ class VerificationContext:
         """The affine algebra with its split into ideal and quotient."""
         key = ("g", n)
         if key not in self._algebras:
-            self._algebras[key] = build_g(n)
+            self._algebras[key] = build_g(n, self.algebra("sp", n))
         return self._algebras[key]
 
     def algebra(self, family: str, n: int) -> LieAlgebra:

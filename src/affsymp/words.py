@@ -4,19 +4,26 @@ Wedge words are strictly increasing index tuples in lexicographic order;
 tensor words are arbitrary tuples in lexicographic order.  Ranking and
 unranking are exact integer computations so bases never need materializing.
 
+Each word also has an integer code, which the assembly loop of
+``chain_complexes`` sums and looks up in place of the tuple: a tensor word
+over ``dim`` letters is its ``tensor_index`` (base ``dim``), a wedge word
+the bitmask of its letters (``wedge_code``), and a module-wedge word
+(m, w) the int ``(m << dim) | wedge_code(w)`` (``module_wedge_code``).
+
 ``WordSet`` enumerates the words of one total weight (zero unless another
 is asked for) when every letter carries a weight vector: a depth-first
 search that extends a prefix only when the remaining letters can still
 bring the sum to that total, so it never visits, let alone filters, the
-full list.  With weight vectors of length 0 every word qualifies, and
-``WordSet.all`` is the full basis.
+full list.  The search packs each weight vector into one int, a slot of
+bits per coordinate wide enough for every sum it compares, so adding and
+comparing weights is int arithmetic.  With weight vectors of length 0
+every word qualifies, and ``WordSet.all`` is the full basis.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb
-from operator import add, sub
 from typing import Iterator, Sequence
 
 
@@ -81,6 +88,76 @@ def tensor_word_at(index: int, dim: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
+def wedge_code(word: tuple[int, ...]) -> int:
+    """The bitmask of the letters of a wedge word."""
+    code = 0
+    for a in word:
+        code |= 1 << a
+    return code
+
+
+def wedge_from_code(code: int) -> tuple[int, ...]:
+    """Inverse of wedge_code: the set bits, lowest first."""
+    word = []
+    while code:
+        low = code & -code
+        word.append(low.bit_length() - 1)
+        code ^= low
+    return tuple(word)
+
+
+def module_wedge_code(word: tuple[int, tuple[int, ...]], dim: int) -> int:
+    """(m << dim) | wedge_code(w) for a module-wedge word (m, w) over ``dim``
+    algebra letters."""
+    m, letters = word
+    return (m << dim) | wedge_code(letters)
+
+
+def module_wedge_from_code(code: int, dim: int) -> tuple[int, tuple[int, ...]]:
+    """Inverse of module_wedge_code."""
+    return code >> dim, wedge_from_code(code & ((1 << dim) - 1))
+
+
+def sorted_wedge_code(word: tuple[int, ...]) -> tuple[int, int] | None:
+    """(wedge_code, permutation sign) of the sorted word, None on repeats:
+    each letter moves past the larger letters before it."""
+    code = 0
+    odd = 0
+    for a in word:
+        bit = 1 << a
+        if code & bit:
+            return None
+        odd ^= (code >> a).bit_count() & 1
+        code |= bit
+    return code, -1 if odd else 1
+
+
+def wedge_contractions(
+    table: list, word: tuple[int, ...], code: int, parity: int
+) -> list[tuple[int, int]]:
+    """The terms of contracting the letters a, b in slots s < t of a wedge
+    word with code ``code`` into each letter m of ``table[b][a]``, a tuple
+    of (1 << m, (1 << m) - 1, coefficient), as (code, coefficient) pairs:
+    m lands in slot s, slot t is dropped and the word is sorted, and the
+    coefficient takes the sign (-1)^(t + parity) (t 0-based) and that of
+    the sort.  With ``rest`` the code of the other letters, the term has
+    code rest | 1 << m, or vanishes when m is in rest, and the sort moves m
+    from slot s to slot (rest & ((1 << m) - 1)).bit_count()."""
+    out = []
+    for t in range(1, len(word)):
+        sign_t = -1 if (t + parity) % 2 else 1
+        by_a = table[word[t]]
+        for s in range(t):
+            terms = by_a[word[s]]
+            if terms:
+                rest = code ^ (1 << word[s]) ^ (1 << word[t])
+                for bit, below, c in terms:
+                    if not rest & bit:
+                        odd = ((rest & below).bit_count() - s) % 2
+                        out.append((rest | bit, -sign_t * c if odd else sign_t * c))
+    return out
+
+
 def sort_with_sign(word: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
     """Sort a word, tracking the permutation sign; (None, 0) on repeats."""
     items = list(word)
@@ -125,12 +202,103 @@ def merge_with_sign(
 Weight = tuple
 
 
-def _plus(a: Weight, b: Weight) -> Weight:
-    return tuple(map(add, a, b))
+def _pack(weight: Weight, width: int) -> int:
+    """A weight vector as one int, coordinate i in the ``width`` bits from
+    bit i * width up.  Packing is additive, and injective on vectors whose
+    coordinates differ by less than 2**width."""
+    return sum(c << (i * width) for i, c in enumerate(weight))
 
 
-def _minus(a: Weight, b: Weight) -> Weight:
-    return tuple(map(sub, a, b))
+class _Search:
+    """The words of k letters, strictly increasing when ``strict``, whose
+    packed weights (``packed[a]`` for letter a) sum to a given int, in
+    lexicographic order.
+
+    ``reach[(i, j)]`` holds the packed sums of j letters: distinct and of
+    index >= i when ``strict``, any when not (then i is 0).  A prefix is
+    extended only by a letter that leaves a sum the remaining letters can
+    reach.  The suffixes that complete a prefix depend only on (first
+    allowed letter, weight still needed, letters left), so each such list
+    is made once a search and kept in ``suffixes``.  Between searches it
+    keeps only the whole results (``results``), which the word sets hold
+    anyway and later searches of longer words reuse as suffixes; the
+    shorter lists would hold several times as many words."""
+
+    def __init__(self, packed: list[int], strict: bool):
+        self.packed = packed
+        self.strict = strict
+        self.depth = -1
+        self.reach: dict[tuple[int, int], set[int]] = {}
+        self.suffixes: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+        self.results: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+
+    def words(self, need: int, k: int) -> list[tuple[int, ...]]:
+        self._extend(k)
+        if need not in self.reach[(0, k)]:
+            return []
+        got = self.results[(0, need, k)] = self._complete(0, need, k)
+        self.suffixes = dict(self.results)
+        return got
+
+    def count(self, need: int, k: int, limit: int) -> int:
+        """How many words ``words(need, k)`` lists, up to ``limit``, found
+        without listing them: every letter that passes the reach test
+        begins at least one word."""
+        self._extend(k)
+        if need not in self.reach[(0, k)]:
+            return 0
+        return self._count(0, need, k, limit)
+
+    def _count(self, start: int, need: int, left: int, limit: int) -> int:
+        if left == 0:
+            return 1
+        found = 0
+        for a in range(start, len(self.packed)):
+            after = a + 1 if self.strict else 0
+            rest = need - self.packed[a]
+            if rest in self.reach[(after, left - 1)]:
+                found += self._count(after, rest, left - 1, limit - found)
+                if found >= limit:
+                    break
+        return found
+
+    def _extend(self, k: int) -> None:
+        """The reach sets for lengths up to k."""
+        packed = self.packed
+        reach = self.reach
+        n = len(packed)
+        for j in range(self.depth + 1, k + 1):
+            if self.strict:
+                reach[(n, j)] = {0} if j == 0 else set()
+                for i in range(n - 1, -1, -1):
+                    reach[(i, j)] = {0} if j == 0 else reach[(i + 1, j)] | {
+                        packed[i] + s for s in reach[(i + 1, j - 1)]
+                    }
+            else:
+                reach[(0, j)] = {0} if j == 0 else {
+                    w + s for w in set(packed) for s in reach[(0, j - 1)]
+                }
+        self.depth = max(self.depth, k)
+
+    def _complete(self, start: int, need: int, left: int) -> list[tuple[int, ...]]:
+        key = (start, need, left)
+        got = self.suffixes.get(key)
+        if got is None:
+            packed = self.packed
+            if left == 0:
+                got = [()]
+            elif left == 1:
+                got = [(a,) for a in range(start, len(packed)) if packed[a] == need]
+            else:
+                got = []
+                for a in range(start, len(packed)):
+                    after = a + 1 if self.strict else 0
+                    rest = need - packed[a]
+                    if rest in self.reach[(after, left - 1)]:
+                        head = (a,)
+                        got += [head + tail for tail in self._complete(after, rest, left - 1)]
+            self.suffixes[key] = got
+        return got
 
 
 class WordSet:
@@ -144,7 +312,8 @@ class WordSet:
     ``total``, all in lexicographic order (module letter major), so over
     ``WordSet.all`` their positions are the usual tensor, wedge and
     module-wedge indices.  ``at`` gives the same letters at another total.
-    Lists and position maps are memoized.
+    Lists and position maps are memoized; ``codes`` maps the integer codes
+    of a list (see the module docstring) to positions.
     """
 
     def __init__(
@@ -163,9 +332,11 @@ class WordSet:
         self.total = self.zero if total is None else tuple(total)
         if len(self.total) != self.width:
             raise ValueError("total weight of the wrong length")
+        self.dim = len(self.letter_weights)
+        self._largest = max((abs(c) for w in self.letter_weights for c in w), default=0)
         self._lists: dict[tuple[str, int], list] = {}
         self._positions: dict[tuple[str, int], dict] = {}
-        self._reach: dict[bool, tuple[int, dict]] = {}
+        self._searches: dict[tuple[int, bool], _Search] = {}
         self._totals: dict[Weight, WordSet] = {self.total: self}
 
     @classmethod
@@ -180,11 +351,11 @@ class WordSet:
 
     def at(self, total: Weight) -> "WordSet":
         """The same letters at total weight ``total``, memoized; the sets of
-        one family share their reachability tables."""
+        one family share their searches."""
         got = self._totals.get(total)
         if got is None:
             got = WordSet(self.letter_weights, self.module_weights, total)
-            got._reach = self._reach
+            got._searches = self._searches
             got._totals = self._totals
             self._totals[got.total] = got
         return got
@@ -192,13 +363,12 @@ class WordSet:
     def weight(self, kind: str, word) -> Weight:
         """The total weight of a word of ``kind`` ("tensor", "wedge" or
         "module_wedge")."""
-        total = self.zero
+        vectors = []
         if kind == "module_wedge":
             m, word = word
-            total = self.module_weights[m]
-        for a in word:
-            total = _plus(total, self.letter_weights[a])
-        return total
+            vectors.append(self.module_weights[m])
+        vectors += [self.letter_weights[a] for a in word]
+        return tuple(map(sum, zip(self.zero, *vectors)))
 
     def tensor(self, k: int) -> list[tuple[int, ...]]:
         return self._memo("tensor", k, lambda: self._search(k, False, self.total))
@@ -209,9 +379,8 @@ class WordSet:
     def module_wedge(self, k: int) -> list[tuple[int, tuple[int, ...]]]:
         def build():
             out = []
-            for m, weight in enumerate(self.module_weights):
-                need = _minus(self.total, weight)
-                out.extend((m, w) for w in self._search(k, True, need))
+            for m, need in enumerate(self._module_needs()):
+                out += [(m, w) for w in self._search(k, True, need)]
             return out
 
         return self._memo("module_wedge", k, build)
@@ -222,13 +391,11 @@ class WordSet:
         got = self._lists.get((kind, k))
         if got is not None:
             return min(limit, len(got))
-        if kind != "module_wedge":
-            return min(limit, len(self._search(k, kind == "wedge", self.total, limit)))
         found = 0
-        for weight in self.module_weights:
+        for need in self._module_needs() if kind == "module_wedge" else [self.total]:
             if found < limit:
-                found += len(self._search(k, True, _minus(self.total, weight), limit - found))
-        return min(limit, found)
+                found += self._search(k, kind != "tensor", need, limit - found)
+        return found
 
     def position(self, kind: str, k: int) -> dict:
         """Word -> index in ``getattr(self, kind)(k)``."""
@@ -238,76 +405,56 @@ class WordSet:
             got = self._positions[(kind, k)] = {w: i for i, w in enumerate(words)}
         return got
 
+    def codes(self, kind: str, k: int) -> dict[int, int]:
+        """Code -> index in ``getattr(self, kind)(k)``, made on each call."""
+        words = getattr(self, kind)(k)
+        dim = self.dim
+        if kind == "tensor":
+            return {tensor_index(w, dim): i for i, w in enumerate(words)}
+        if kind == "wedge":
+            return {wedge_code(w): i for i, w in enumerate(words)}
+        return {module_wedge_code(w, dim): i for i, w in enumerate(words)}
+
+    def decode(self, kind: str, k: int, code: int):
+        """The word of ``kind`` and length k with ``code``, in this set or
+        not."""
+        if kind == "tensor":
+            return tensor_word_at(code, self.dim, k)
+        if kind == "wedge":
+            return wedge_from_code(code)
+        return module_wedge_from_code(code, self.dim)
+
     def _memo(self, kind: str, k: int, build) -> list:
         got = self._lists.get((kind, k))
         if got is None:
             got = self._lists[(kind, k)] = build()
         return got
 
-    def _sums(self, k: int, strict: bool) -> dict:
-        """Weights reachable by j letters, for j <= k: keyed (i, j) with
-        distinct letters of index >= i when ``strict``, keyed (0, j) with
-        any letters otherwise.  One table per ``strict``, extended by the
-        lengths a call needs beyond those it holds."""
-        depth, table = self._reach.get(strict, (-1, {}))
-        if depth >= k:
-            return table
-        weights = self.letter_weights
-        n = len(weights)
-        distinct = set(weights)
-        for j in range(depth + 1, k + 1):
-            if strict:
-                table[(n, j)] = {self.zero} if j == 0 else set()
-                for i in range(n - 1, -1, -1):
-                    table[(i, j)] = {self.zero} if j == 0 else table[(i + 1, j)] | {
-                        _plus(weights[i], s) for s in table[(i + 1, j - 1)]
-                    }
-            else:
-                table[(0, j)] = {self.zero} if j == 0 else {
-                    _plus(w, s) for w in distinct for s in table[(0, j - 1)]
-                }
-        self._reach[strict] = (k, table)
-        return table
+    def _module_needs(self) -> list[Weight]:
+        """The weight the wedge word must bring, by module letter."""
+        return [tuple(t - c for t, c in zip(self.total, w)) for w in self.module_weights]
 
-    def _search(
-        self, k: int, strict: bool, total: Weight, limit: int | None = None
-    ) -> list[tuple[int, ...]]:
+    def _search(self, k: int, strict: bool, total: Weight, limit: int | None = None):
         """Words of k letters (strictly increasing when ``strict``) whose
-        weights sum to ``total``, lexicographic; with a ``limit``, a prefix
-        of the list at least that long when there are so many.  The letters
-        that can extend a prefix depend only on (first allowed letter, weight
-        still needed, letters left), so they are listed once per such
-        state."""
-        reach = self._sums(k, strict)
-        weights = self.letter_weights
-        n = len(weights)
-        out: list[tuple[int, ...]] = []
-        if total not in reach[(0, k)]:
-            return out
-        steps: dict[tuple, list[tuple[int, Weight]]] = {}
+        weights sum to ``total``, lexicographic; with a ``limit``, only
+        how many there are, up to it.
 
-        def options(start: int, need: Weight, left: int) -> list[tuple[int, Weight]]:
-            key = (start, need, left)
-            got = steps.get(key)
-            if got is None:
-                got = steps[key] = []
-                for a in range(start, n):
-                    rest = _minus(need, weights[a])
-                    if rest in reach[(a + 1 if strict else 0, left - 1)]:
-                        got.append((a, rest))
-            return got
-
-        def extend(prefix: tuple[int, ...], start: int, need: Weight, left: int) -> None:
-            if left == 1:
-                out.extend(prefix + (a,) for a, _ in options(start, need, 1))
-                return
-            for a, rest in options(start, need, left):
-                extend(prefix + (a,), a + 1 if strict else 0, rest, left - 1)
-                if limit is not None and len(out) >= limit:
-                    return
-
-        if k == 0:
-            out.append(())
-        else:
-            extend((), 0, total, k)
-        return out
+        No sum of k letters has a coordinate beyond k times the largest
+        letter coordinate L, so a total outside that box has no words.  In
+        it, every weight the search adds, subtracts or compares has
+        coordinates within (k + 1) L, so any two differ by less than
+        2**width in each coordinate for width (2 (k + 1) L).bit_length(),
+        and ``_pack`` keeps them apart.  The width is rounded up to a
+        multiple of 16 bits, so that searches of most lengths share one
+        ``_Search``; each of them stays within its own, smaller bound."""
+        bound = k * self._largest
+        if any(abs(c) > bound for c in total):
+            return [] if limit is None else 0
+        width = -(-(2 * (k + 1) * self._largest).bit_length() // 16) * 16
+        search = self._searches.get((width, strict))
+        if search is None:
+            packed = [_pack(w, width) for w in self.letter_weights]
+            search = self._searches[(width, strict)] = _Search(packed, strict)
+        if limit is None:
+            return search.words(_pack(total, width), k)
+        return search.count(_pack(total, width), k, limit)

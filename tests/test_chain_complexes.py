@@ -1,8 +1,11 @@
 import hashlib
+from collections import Counter
+from math import comb
 
 import pytest
 
 from affsymp.chain_complexes import (
+    _estimate_coeff,
     ce_complex,
     ce_d,
     coeff_complex,
@@ -29,7 +32,8 @@ from affsymp.lie_structures import (
     submodule,
     trivial_module,
 )
-from affsymp.words import WordSet, tensor_index, wedge_index
+from affsymp.theorems import VerificationContext
+from affsymp.words import WordSet, tensor_index, wedge_dim, wedge_index
 
 from full_oracle import (
     full_d,
@@ -320,3 +324,47 @@ class TestAssembledMatrices:
         the weight-0 Leibniz blocks of g_2 through degree 4."""
         lines = "\n".join(self._pinned_fingerprints(sp1, g1, i1, g2))
         assert hashlib.sha256(lines.encode()).hexdigest() == self.PINNED
+
+    # SHA-256 of the fingerprints listed by ``_pinned_blocks``, one a line,
+    # as the assemblers produced them from tuple words, before codes
+    PINNED_BLOCKS = "d6b61d08a8744e748ee61275866d996bf5390cc3253c34344133dae21272636d"
+
+    @staticmethod
+    def _pinned_blocks(g1):
+        context = VerificationContext()
+        fingerprints = []
+        for family in ("g", "sp"):
+            algebra = context.algebra(family, 2)
+            words = WordSet(*cartan_weights(algebra))
+            fingerprints += [ce_d(algebra, k, None, words).fingerprint() for k in range(1, 7)]
+            for spec in ("adjoint", "I^1", "I^2", "I^3"):
+                module = context.module(spec, family, 2)
+                words = WordSet(*cartan_weights(algebra, module))
+                fingerprints += [
+                    coeff_d(module, k, None, words).fingerprint() for k in range(1, 5)
+                ]
+        words = WordSet(*cartan_weights(g1[0]))
+        fingerprints += [leibniz_d(g1[0], k, None, words).fingerprint() for k in (5, 6)]
+        return fingerprints
+
+    def test_weight_zero_blocks_are_pinned(self, g1):
+        """Every entry of the weight-0 blocks of the Lie complexes of g_2
+        and sp_2 through degree 6, of their coefficient complexes in the
+        adjoint module and in Lambda^k I (k = 1, 2, 3) through degree 4, and
+        of Leibniz d_5 and d_6 of g_1."""
+        lines = "\n".join(self._pinned_blocks(g1))
+        assert hashlib.sha256(lines.encode()).hexdigest() == self.PINNED_BLOCKS
+
+    def test_coefficient_estimate_counts_the_longest_action_column(self, g2):
+        """The adjoint action of g_2 has columns of two entries, though no
+        action averages more than one entry a column."""
+        algebra = g2[0]
+        module = adjoint_module(algebra)
+        assert max(a.nnz // a.cols + 1 for a in module.actions) == 1
+        for k in range(1, 4):
+            assert _estimate_coeff(module, k) == module.dim * wedge_dim(algebra.dim, k) * (
+                2 * k + comb(k, 2) * 2
+            )
+        full = coeff_d(module, 2)
+        terms = max(Counter(c for _, c in full.entries).values())
+        assert terms <= _estimate_coeff(module, 2) // full.cols

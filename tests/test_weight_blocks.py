@@ -10,6 +10,9 @@ the representatives are checked against the same oracle, and no production
 path may assemble all words.
 """
 
+import ast
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -147,8 +150,14 @@ def test_bracket_breaking_the_grading_is_caught(g1):
         lambda a: cr_complex(a, 1),
     )
     for build in builders:
-        with pytest.raises(ConsistencyError, match="leaves the assembled word set"):
+        with pytest.raises(ConsistencyError, match="leaves the assembled word set") as caught:
             build(broken)
+        # the message names the word, decoded from its code
+        named = re.fullmatch(r"the image (.*) of a degree-\d+ word .*", str(caught.value))
+        word = ast.literal_eval(named.group(1))
+        if word and isinstance(word[-1], tuple):  # a module-wedge word (m, letters)
+            word = (word[0], *word[1])
+        assert type(word) is tuple and all(type(a) is int for a in word), caught.value
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,16 @@ from hypothesis import given, settings, strategies as st
 from affsymp.words import (
     WordSet,
     merge_with_sign,
+    module_wedge_code,
+    module_wedge_from_code,
     sort_with_sign,
     tensor_dim,
     tensor_index,
     tensor_word_at,
     tensor_words,
+    wedge_code,
     wedge_dim,
+    wedge_from_code,
     wedge_index,
     wedge_word_at,
     wedge_words,
@@ -44,6 +48,40 @@ class TestTensorRanking:
 
     def test_dim(self):
         assert tensor_dim(5, 3) == 125
+
+
+class TestCodes:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 70), st.data())
+    def test_wedge_round_trip(self, dim, data):
+        word = tuple(sorted(data.draw(st.sets(st.integers(0, dim - 1), max_size=dim))))
+        code = wedge_code(word)
+        assert code == sum(1 << a for a in word)
+        assert wedge_from_code(code) == word
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 70), st.integers(0, 40), st.data())
+    def test_module_wedge_round_trip(self, dim, m, data):
+        word = tuple(sorted(data.draw(st.sets(st.integers(0, dim - 1), max_size=dim))))
+        code = module_wedge_code((m, word), dim)
+        assert code >> dim == m
+        assert module_wedge_from_code(code, dim) == (m, word)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.lists(st.integers(0, 29), max_size=8))
+    def test_tensor_round_trip(self, dim, letters):
+        word = tuple(a % dim for a in letters)
+        assert tensor_word_at(tensor_index(word, dim), dim, len(word)) == word
+
+    def test_codes_of_a_word_set(self):
+        words = WordSet([(1,), (-1,), (0,), (2,), (-2,)], [(0,), (1,)])
+        for kind in ("tensor", "wedge", "module_wedge"):
+            for k in range(5):
+                listed = getattr(words, kind)(k)
+                codes = words.codes(kind, k)
+                assert sorted(codes.values()) == list(range(len(listed)))
+                for code, i in codes.items():
+                    assert words.decode(kind, k, code) == listed[i]
 
 
 class TestSigns:
@@ -127,6 +165,50 @@ class TestWordSet:
         for (kind, limit), count in counts.items():
             assert count == min(limit, len(getattr(fresh, kind)(k))), (kind, limit)
             assert words.count(kind, k, limit) == count
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wide_and_negative_weights(self, data):
+        """Coordinates up to 2**40 in size, either sign, and words up to
+        length 8: weights that a slot too narrow, or a carry between the
+        slots, would pack alike must not meet.  The total is the weight of a drawn word,
+        so the lists are seldom empty."""
+        powers = [sign << e for e in (0, 8, 16, 24, 32, 40) for sign in (1, -1)]
+        coordinate = st.sampled_from([0, 2**40 - 1, 1 - 2**40, *powers])
+        vector = st.tuples(coordinate, coordinate)
+        letters = data.draw(st.lists(vector, min_size=1, max_size=9))
+        modules = data.draw(st.lists(vector, max_size=2))
+        dim = len(letters)
+        k = data.draw(st.integers(0, min(8, dim)))
+        drawn = tuple(data.draw(st.lists(st.integers(0, dim - 1), min_size=k, max_size=k)))
+        total = _total(letters, drawn, 2)
+        words = WordSet(letters, modules).at(total)
+        wedges = [w for w in wedge_words(dim, k) if _total(letters, w, 2) == total]
+        assert words.wedge(k) == wedges
+        assert words.module_wedge(k) == [
+            (m, w)
+            for m in range(len(modules))
+            for w in wedge_words(dim, k)
+            if tuple(a + b for a, b in zip(modules[m], _total(letters, w, 2))) == total
+        ]
+        if dim**k <= 5000:
+            assert words.tensor(k) == [
+                w for w in tensor_words(dim, k) if _total(letters, w, 2) == total
+            ]
+            assert drawn in words.tensor(k)
+        counted = WordSet(letters, modules).at(total)  # nothing listed yet
+        for kind in ("tensor", "wedge", "module_wedge"):
+            if kind != "tensor" or dim**k <= 5000:
+                assert counted.count(kind, k, 3) == min(3, len(getattr(words, kind)(k)))
+
+    def test_a_sum_that_fills_a_slot_is_not_a_carry(self):
+        """Four letters (2**40, 0) sum to (2**42, 0), which slots of 42
+        bits would pack as (0, 1)."""
+        letters = [(2**40, 0), (0, 1), (0, 0)]
+        words = WordSet(letters).at((0, 1))
+        assert words.tensor(4) == [
+            w for w in tensor_words(3, 4) if _total(letters, w, 2) == (0, 1)
+        ]
 
     def test_all_words_is_the_full_basis(self):
         words = WordSet.all(4, 2)

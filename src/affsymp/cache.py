@@ -2,15 +2,17 @@
 for matrix ranks.
 
 Keys are SHA-256 digests of structural descriptors (algebra fingerprint,
-complex kind, module fingerprint, degree, total weight and letter
-weights) and of ``BASIS_CONVENTION``, the version of the word order and
+complex kind, module fingerprint, degree, total weight or, for a block on
+W~-orbit sums, the group's generators, and letter weights) and of
+``BASIS_CONVENTION``, the version of the word order and
 indexing the blocks are written in; a change of that convention bumps the
 version, so every record written before it misses instead of being
 believed.  Writes are atomic (write to a temp file, then rename), giving
 single-writer / multi-reader safety.
 
 The complexes write ``diff/`` records of assembled differential blocks
-and ``rank/`` records, and none for a matrix with at most one row or
+(the ranked blocks on orbit sums, and the weight blocks the membership
+tests make) and ``rank/`` records, and none for a matrix with at most one row or
 column (``worth_caching``): such a matrix is built and ranked in about the
 time its record takes to read, and each record is one more file to write
 and to copy.  Projections and the restricted differentials of the kernel

@@ -21,29 +21,49 @@ By Cartan's formula theta_h = d iota_h + iota_h d every block of nonzero
 weight is acyclic in characteristic 0 (Hochschild-Serre 1953 for the Lie
 and coefficient complexes, Loday-Pirashvili 1993 for the Leibniz complex,
 and the kernel complexes by the long exact sequence of their surjective
-projections).  Hence ranks come from the weight-0 block,
+projections).
 
-    rank d_k = rank(d_k on weight 0) + sum_{j<k} (-1)^(k-1-j) (dim C_j - dim C_j^0),
+Over ``sp_n`` and ``g_n`` the ranks come from a smaller complex still, the
+W~-invariants of weight 0 (``weyl``).  W~, the signed permutations of the
+coordinates that preserve omega, lies in Sp(2n, R), acts on the complex by
+chain maps (push-forward is natural for brackets, module actions and
+projections) and keeps weight 0.  Sp(2n, R) is connected, so each element
+of W~ is a product of exponentials of elements of sp_n, which act on
+homology trivially, being inner derivations (Cartan for the Lie and
+coefficient complexes, Loday-Pirashvili 1993 for the Leibniz complex; for
+the kernel complexes by their long exact sequences and the complete
+reducibility of sp_n).  So W~ acts trivially on homology, averaging over it
+is a chain projection in characteristic 0, and the complement of the
+invariants is acyclic.  The invariants have the live orbit sums as a
+basis, and a projection pi maps S(u) to +-S(pi u) or 0, still one word or
+none per column, so the kernel complexes keep their free words.  Two
+exclusions keep this sound: ``I_n``, where sp acts by outer derivations and
+H(I_n) = Lambda I_n is not W~-trivial, gets no action; and neither does an
+anti-symplectic map, which negates omega (``lie_structures``).  Hence,
+with C^r the ranked part (the invariants, or weight 0 without an action),
+
+    rank d_k = rank(d_k on C^r) + sum_{j<k} (-1)^(k-1-j) (dim C_j - dim C_j^r),
 
 full dimensions come in closed form, and the membership tests of
 ``homology`` split a chain into its weight components and use only the
-blocks it touches (``ChainComplex.components``).
+weight blocks it touches (``ChainComplex.components``).
 
 ``ce_d``, ``leibniz_d``, ``coeff_d`` and the three projections each give
 a rule from a word to the (code, coefficient) pairs of its image, the
 integer codes of ``words`` (a tensor index, a wedge bitmask, or
 (m << dim) | bitmask); one loop, ``_assemble``, sums the rule over the
-columns of a given ``WordSet``, one total weight, finds each nonzero sum's
-row by its code, and raises ``ConsistencyError``, naming the word, when an
-image leaves the set, so a bracket that breaks the grading is caught, not
-absorbed.  The full matrix, over all
-words, is built only by tests, as an oracle.  An algebra without a grading
-(``I_n``), or a complex built from explicit matrices, has a single block:
-the whole complex.
+columns of a given ``WordSet`` of one total weight, or of its
+``weyl.OrbitWords``, by the (row, sign) of each code, and raises
+``ConsistencyError``, naming the word, when an image leaves the set, so a
+bracket that breaks the grading is caught, not absorbed.  The full matrix,
+over all words, is built only by tests, as an oracle.  An algebra without
+a grading (``I_n``), or a complex built from explicit matrices, has a
+single block: the whole complex.
 
 Degree caps are explicit.  d o d = 0 is verified at build time on every
-adjacent pair of weight-0 blocks.  A finished complex is shareable across
-threads; ranks and pivot sets are memoized per complex, and blocks, word
+adjacent pair of ranked blocks, and the weight blocks are made only for
+the membership tests.  A finished complex is shareable across threads;
+ranks and pivot sets are memoized per complex, and blocks, word
 sets and the build-time checks in a ``BlockMemo``.  The complexes of one
 memo share them: a block is looked up there under its descriptor before it
 is read from a ``DiffCache`` or built, and a check of the same block
@@ -85,98 +105,27 @@ from .exact_linalg import (
     rank,
 )
 from .lie_structures import LieAlgebra, LieModule, adjoint_module, cartan_weights
+from .weyl import OrbitWords, orbit_words
 from .words import (
+    ModuleWedgeBasis,
+    TensorBasis,
     Weight,
+    WedgeBasis,
     WordSet,
     sort_with_sign,
     sorted_wedge_code,
     tensor_dim,
     tensor_index,
-    tensor_word_at,
     wedge_code,
     wedge_contractions,
     wedge_dim,
     wedge_index,
-    wedge_word_at,
 )
 
 
 # ---------------------------------------------------------------------------
-# graded bases
+# chains and graded families (the bases are in ``words``)
 # ---------------------------------------------------------------------------
-
-
-class WedgeBasis:
-    """Strictly increasing words over the algebra basis, lexicographic."""
-
-    def __init__(self, algebra: LieAlgebra, k: int):
-        self.algebra = algebra
-        self.k = k
-        self.dim = wedge_dim(algebra.dim, k)
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def word_at(self, index: int) -> tuple[int, ...]:
-        return wedge_word_at(index, self.algebra.dim, self.k)
-
-    def index(self, word: tuple[int, ...]) -> int:
-        return wedge_index(word, self.algebra.dim)
-
-    def label(self, index: int) -> str:
-        if self.k == 0:
-            return "1"
-        return " ^ ".join(f"({self.algebra.labels[i]})" for i in self.word_at(index))
-
-
-class TensorBasis:
-    """All words over the algebra basis, lexicographic."""
-
-    def __init__(self, algebra: LieAlgebra, k: int):
-        self.algebra = algebra
-        self.k = k
-        self.dim = tensor_dim(algebra.dim, k)
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def word_at(self, index: int) -> tuple[int, ...]:
-        return tensor_word_at(index, self.algebra.dim, self.k)
-
-    def index(self, word: tuple[int, ...]) -> int:
-        return tensor_index(word, self.algebra.dim)
-
-    def label(self, index: int) -> str:
-        if self.k == 0:
-            return "1"
-        return " (x) ".join(f"({self.algebra.labels[i]})" for i in self.word_at(index))
-
-
-class ModuleWedgeBasis:
-    """Pairs (module element, wedge word), module index major."""
-
-    def __init__(self, module: LieModule, k: int):
-        self.module = module
-        self.algebra = module.algebra
-        self.k = k
-        self.wedge = wedge_dim(self.algebra.dim, k)
-        self.dim = module.dim * self.wedge
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def index(self, word: tuple[int, tuple[int, ...]]) -> int:
-        m, letters = word
-        return m * self.wedge + wedge_index(letters, self.algebra.dim)
-
-    def word_at(self, index: int) -> tuple[int, tuple[int, ...]]:
-        m, w = divmod(index, self.wedge)
-        return m, wedge_word_at(w, self.algebra.dim, self.k)
-
-    def label(self, index: int) -> str:
-        m, word = self.word_at(index)
-        tail = " ^ ".join(f"({self.algebra.labels[i]})" for i in word) or "1"
-        return f"m{m} (x) {tail}"
 
 
 @dataclass(frozen=True)
@@ -207,7 +156,9 @@ class _Graded:
     ``make(k, weight)``.  Degree k of the family has the words of ``kind``
     and length k + ``shift`` in ``words`` as its columns.  An ungraded
     family (explicit matrices, an algebra without a grading) has no
-    ``words`` and one matrix per degree, of weight ()."""
+    ``words`` and one matrix per degree, of weight ().  ``ranked`` is the
+    family ranks run on: the blocks on W~-orbit sums when a builder gives
+    it one, otherwise the family itself, whose weight-0 blocks are used."""
 
     def __init__(self, make, words: WordSet | None = None, kind: str = "", shift: int = 0):
         self._make = make
@@ -216,6 +167,7 @@ class _Graded:
         self.shift = shift
         self.zero = self.words.zero if self.words is not None else ()
         self._made: dict[tuple[int, Weight], SparseMatrix] = {}
+        self.ranked = self
 
     @classmethod
     def of(cls, matrices) -> "_Graded":
@@ -274,12 +226,13 @@ class BlockMemo:
     a block kept here is on disk whenever its family writes there, and the
     disk records do not depend on the order in which complexes are built.
     ``words`` keeps one ``WordSet`` per grading, so its word lists are
-    searched once.  ``check`` runs a check once per tuple of the same block
-    objects."""
+    searched once, and ``orbits`` one orbit view per grading and group.
+    ``check`` runs a check once per tuple of the same block objects."""
 
     def __init__(self):
         self._blocks: dict[str, SparseMatrix] = {}
         self._words: dict[tuple, WordSet] = {}
+        self._orbits: dict[tuple, OrbitWords | None] = {}
         self._checked: dict[tuple[int, ...], tuple] = {}
 
     def words(self, algebra: LieAlgebra, module: LieModule | None = None) -> WordSet:
@@ -291,6 +244,15 @@ class BlockMemo:
         if got is None:
             got = self._words[key] = WordSet(letters, modules)
         return got
+
+    def orbits(self, algebra: LieAlgebra, module: LieModule | None = None) -> OrbitWords | None:
+        """The W~-orbits of ``words(algebra, module)`` (``weyl.orbit_words``),
+        or None without a verified action."""
+        words = self.words(algebra, module)
+        key = (id(words), algebra.weyl, module and module.weyl, module and module.fingerprint())
+        if key not in self._orbits:
+            self._orbits[key] = orbit_words(words, algebra, module)
+        return self._orbits[key]
 
     def block(self, digest: str, build, cache: DiffCache | None = None) -> SparseMatrix:
         """The block with descriptor ``digest``: kept here, read from
@@ -326,10 +288,13 @@ class ChainComplex:
 
     ``diffs`` is either a dict of explicit matrices by degree or the
     ``_Graded`` family of a builder.  ``dims`` and ``bases`` describe the
-    full complex; ``block_dims`` the weight-0 block that ranks run on.
-    Chains are vectors in ``basis(k)``; ``components`` splits one by
-    weight for the membership tests of ``homology``.  ``blocks`` is the
-    memo the build-time checks run through.
+    full complex.  Ranks, clearing, the shapes and the d o d check run on
+    one family, ``_ranked`` (``_Graded.ranked``): the blocks on orbit sums,
+    or the weight-0 blocks without a verified action; ``block_dims`` are
+    its dimensions.  Chains are vectors in ``basis(k)``; ``components``
+    splits one by weight for the membership tests of ``homology``, which
+    use the weight blocks (``block``), each made on first use.
+    ``blocks`` is the memo the build-time checks run through.
     """
 
     def __init__(
@@ -353,11 +318,12 @@ class ChainComplex:
         self.entry_cap = entry_cap
         self._blocks = BlockMemo() if blocks is None else blocks
         self._diffs = _Graded.of(diffs)
+        self._ranked = self._diffs.ranked
         self._ranks: dict[int, int] = {}
         self._ranks_transposed: dict[int, int] = {}
         # by orientation, degree below the cap -> ``_pivot_set``
         self._pivots: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
-        blocks = [self._diffs.block(k) for k in range(1, cap + 1)]
+        blocks = [self._ranked.block(k) for k in range(1, cap + 1)]
         if self._diffs.graded and blocks:
             self.block_dims = [blocks[0].rows] + [d.cols for d in blocks]
         else:  # the block is the whole complex, or at cap 0 nothing is ranked
@@ -368,12 +334,13 @@ class ChainComplex:
         self.verify_dd_zero()
 
     def verify_dd_zero(self) -> None:
-        """d o d = 0 on every adjacent pair of weight-0 blocks."""
+        """d o d = 0 on every adjacent pair of ranked blocks."""
         self._check_dd(self._diffs, "")
 
     def _check_dd(self, diffs: _Graded, label: str) -> None:
+        """On the ranked blocks of ``diffs``."""
         for k in range(2, self.cap + 1):
-            pair = (diffs.block(k - 1), diffs.block(k))
+            pair = (diffs.ranked.block(k - 1), diffs.ranked.block(k))
             self._blocks.check(pair, lambda: _check_zero_product(
                 [(1, *pair)], f"{self.name}: {label}d_{k - 1} o d_{k} != 0"
             ))
@@ -398,8 +365,8 @@ class ChainComplex:
         return self._diffs.zero
 
     def block(self, k: int, weight: Weight | None = None) -> SparseMatrix:
-        """d_k on the words of total ``weight``; at the default, weight 0,
-        the matrix ``rank_d(k)`` eliminates."""
+        """d_k on the words of total ``weight`` (default 0), for the
+        membership tests; ranks run on ``_ranked``."""
         self.check_degree(k)
         if k == 0:
             raise DegreeRangeError("d_0 does not exist")
@@ -431,21 +398,21 @@ class ChainComplex:
         return self._memoized(self._ranks_transposed, k, lambda: self._rank(k, True))
 
     def _rank(self, k: int, transposed: bool) -> int:
-        """rank of ``block(k)``, or of its transpose, plus the off-block
-        part."""
+        """rank of the ranked block, or of its transpose, plus the
+        off-block part."""
         return self._block_rank(k, transposed) + self._off_block_rank(k)
 
     def _block_rank(self, k: int, transposed: bool) -> int:
-        """rank of ``block(k)``, or of its transpose.  Degree k - 1 is ranked
-        first, so each orientation writes its rank records from the bottom
-        up.  The rank goes through the disk cache when there is one and the
+        """rank of the ranked block of degree k, or of its transpose.
+        Degree k - 1 is ranked first, so each orientation writes its rank
+        records from the bottom up.  The rank goes through the disk cache when there is one and the
         block is worth caching (``cache.worth_caching``), under the key
         ``cache.rank_key`` derives from its fingerprint; a cached value that
         cannot be a rank of this shape counts as a miss and is recomputed
         and rewritten.  On a miss the rank is the size of
         ``_pivot_set(k)``."""
         (self.rank_d_transposed if transposed else self.rank_d)(k - 1)
-        block = self._diffs.block(k)
+        block = self._ranked.block(k)
         if not block.entries:
             return 0
         key = None
@@ -460,18 +427,19 @@ class ChainComplex:
         return value
 
     def _pivot_set(self, k: int, transposed: bool) -> set[int]:
-        """The columns of ``block(k)`` with full column rank that its
-        elimination in this orientation hands back: the pivot columns of the
-        block, or the pivot rows of its transpose.  Fill-in is held to the
+        """The columns of the ranked block of degree k with full column
+        rank that its elimination in this orientation hands back: the pivot
+        columns of the block, or the pivot rows of its transpose.  Fill-in is held to the
         complex's ``entry_cap``.
 
         The elimination is cleared (Chen and Kerber 2011) with the set of
         degree k - 1: as ``block(k - 1) @ block(k) = 0`` (checked at build
-        time), the rows of ``block(k)`` indexed by it are combinations of
-        the others, so they are dropped and the rank is unchanged.  Each set
-        is memoized, so no block is eliminated twice, except the one at the
-        cap, which no degree clears with: keeping it alive through the other
-        orientation's elimination raises the peak memory.  A block with at
+        time), the rows of the block of degree k indexed by it are
+        combinations of the others, so they are dropped and the rank is
+        unchanged.  Each set is memoized, so no block is eliminated twice,
+        except the one at the cap, which no degree clears with: keeping it
+        alive through the other orientation's elimination raises the peak
+        memory.  A block with at
         most one row or column, whose rank is never cached, is eliminated
         whole: clearing it saves next to nothing, and on a warm run deriving
         the set below it would eliminate a block whose rank was read."""
@@ -479,7 +447,7 @@ class ChainComplex:
         got = pivots.get(k)
         if got is None:
             got = set()
-            block = self._diffs.block(k)
+            block = self._ranked.block(k)
             if block.entries:
                 clear = ()
                 if k > 1 and worth_caching(block.rows, block.cols):
@@ -490,7 +458,7 @@ class ChainComplex:
         return got
 
     def _off_block_rank(self, k: int) -> int:
-        """rank of d_k outside the weight-0 block.  That part of the complex
+        """rank of d_k outside the ranked blocks.  That part of the complex
         is acyclic, so its ranks telescope down to degree 0."""
         return sum(
             (-1) ** (k - 1 - j) * (self.dims[j] - self.block_dims[j]) for j in range(k)
@@ -539,11 +507,12 @@ def _assemble(
     words: WordSet, col_kind: str, k: int, row_kind: str, row_k: int,
     images, estimate: int, entry_cap: int | None,
 ) -> SparseMatrix:
-    """Column i sums the (row code, coefficient) pairs of ``images(w)``,
-    w the i-th degree-k word of ``col_kind`` in ``words``, and puts each
-    nonzero sum in the row of the degree-``row_k`` word of ``row_kind``
-    with that code (``WordSet.codes``); a sum whose code is no such word
-    raises, naming the word.
+    """Column i sums the (code, coefficient) pairs of ``images(w)``, w the
+    i-th degree-k word of ``col_kind`` in ``words``, by row: ``rows`` of
+    ``words`` maps the code of each degree-``row_k`` word of ``row_kind``
+    to its (row, sign), the sign 1 on a ``WordSet`` and that of the word in
+    its orbit sum, or 0 for a dead orbit, on ``weyl.OrbitWords``.  A code
+    that is no such word raises, naming the word.
 
     The entry guard checks ``estimate`` first and the entries made last.
     Each assembler estimates its full matrix, whatever words it is given
@@ -559,20 +528,22 @@ def _assemble(
     passed 2 GB."""
     check_entry_budget(estimate, entry_cap)
     cols = getattr(words, col_kind)(k)
-    row_of = words.codes(row_kind, row_k)
+    row_of = words.rows(row_kind, row_k)
     entries: dict[tuple[int, int], Rational | int] = {}
     for col, word in enumerate(cols):
         sums: dict[int, Rational | int] = {}
         for code, c in images(word):
-            sums[code] = sums.get(code, 0) + c
-        for code, v in sums.items():
+            at = row_of.get(code)
+            if at is None:
+                raise _leaves(words.decode(row_kind, row_k, code), k)
+            row, sign = at
+            if sign:
+                sums[row] = sums.get(row, 0) + sign * c
+        for row, v in sums.items():
             if v:
-                row = row_of.get(code)
-                if row is None:
-                    raise _leaves(words.decode(row_kind, row_k, code), k)
                 entries[(row, col)] = v if type(v) is int else normal_entry(v)
     check_entry_budget(len(entries), entry_cap)
-    return SparseMatrix._of(len(row_of), len(cols), entries)
+    return SparseMatrix._of(len(getattr(words, row_kind)(row_k)), len(cols), entries)
 
 
 def _wedge_table(algebra: LieAlgebra) -> list:
@@ -772,32 +743,42 @@ def mixed_projection(
 def _family(
     blocks: BlockMemo, key: tuple, words: WordSet, kind: str, shift: int,
     assemble, estimate, entry_cap: int | None, cache: DiffCache | None = None,
+    orbits: OrbitWords | None = None,
 ) -> _Graded:
     """The blocks ``assemble(k + shift, words of one total weight)``, whose
-    columns are the words of ``kind`` and whose rows those one degree lower.
+    columns are the words of ``kind`` and whose rows those one degree
+    lower, and, given the ``orbits`` of the weight-0 words, the ranked
+    family ``assemble(k + shift, orbits)`` on orbit sums.
 
     A block is first held to the entry guard by ``estimate(k + shift)``,
     then looked up in ``blocks`` under the digest of key + (degree,
-    "weight", the total, the letter weights), so a change of grading is a
-    miss.  With a cache, a block worth caching by its word counts also goes
-    through the disk under that digest; a family without one, such as a
-    projection, never reads or writes the disk."""
+    "weight", the total, the letter weights), or key + (degree, "weyl", the
+    group, the letter weights) on orbit sums, so a change of grading or of
+    group is a miss.  With a cache, a block worth caching by its word (or
+    orbit) counts also goes through the disk under that digest; the counts
+    stop at 2, so a block read back lists no word, or finds no orbit, past
+    the second.  A family without a cache, such as a projection, never
+    reads or writes the disk."""
     grading = (words.letter_weights, words.module_weights)
 
-    def make(k: int, weight: Weight) -> SparseMatrix:
+    def make(k: int, chosen, *label) -> SparseMatrix:
         degree = k + shift
         check_entry_budget(estimate(degree), entry_cap)
-        chosen = words.at(weight)
         persist = cache is not None and worth_caching(
             chosen.count(kind, degree - 1, 2), chosen.count(kind, degree, 2)
         )
         return blocks.block(
-            descriptor_key(*key, degree, "weight", weight, *grading),
+            descriptor_key(*key, degree, *label, *grading),
             lambda: assemble(degree, chosen),
             cache if persist else None,
         )
 
-    return _Graded(make, words, kind, shift)
+    family = _Graded(
+        lambda k, weight: make(k, words.at(weight), "weight", weight), words, kind, shift
+    )
+    if orbits is not None:
+        family.ranked = _Graded(lambda k, _: make(k, orbits, "weyl", orbits.key))
+    return family
 
 
 def _lie_family(
@@ -809,7 +790,7 @@ def _lie_family(
     return _family(
         blocks, ("lie", algebra.fingerprint()), blocks.words(algebra), "wedge", shift,
         lambda k, ws: ce_d(algebra, k, entry_cap, ws),
-        lambda k: _estimate_ce(algebra, k), entry_cap, cache,
+        lambda k: _estimate_ce(algebra, k), entry_cap, cache, blocks.orbits(algebra),
     )
 
 
@@ -822,22 +803,22 @@ def _leibniz_family(
     return _family(
         blocks, ("leibniz", algebra.fingerprint()), blocks.words(algebra), "tensor", shift,
         lambda k, ws: leibniz_d(algebra, k, entry_cap, ws),
-        lambda k: _estimate_leibniz(algebra, k), entry_cap, cache,
+        lambda k: _estimate_leibniz(algebra, k), entry_cap, cache, blocks.orbits(algebra),
     )
 
 
 def _coeff_family(
-    blocks: BlockMemo, module: LieModule, entry_cap: int | None,
+    blocks: BlockMemo, algebra: LieAlgebra, module: LieModule, entry_cap: int | None,
     cache: DiffCache | None, shift: int = 0,
 ) -> _Graded:
-    """``coeff_d`` of the module, the differentials of ``coeff`` (and of
-    ``adjoint``) and the ambient ones of ``cr``."""
-    algebra = module.algebra
+    """``coeff_d`` of the module over the algebra (the module's own, or a
+    copy with its fingerprint, whose ``weyl`` is used), the differentials
+    of ``coeff`` (and of ``adjoint``) and the ambient ones of ``cr``."""
     return _family(
         blocks, ("coeff", algebra.fingerprint(), module.fingerprint()),
         blocks.words(algebra, module), "module_wedge", shift,
         lambda k, ws: coeff_d(module, k, entry_cap, ws),
-        lambda k: _estimate_coeff(module, k), entry_cap, cache,
+        lambda k: _estimate_coeff(module, k), entry_cap, cache, blocks.orbits(algebra, module),
     )
 
 
@@ -881,7 +862,7 @@ def coeff_complex(
     name = name or f"coeff[{fp[:8]},{mfp[:8]}]"
     dims = [module.dim * wedge_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: ModuleWedgeBasis(module, k) for k in range(cap + 1)}
-    diffs = _coeff_family(blocks, module, entry_cap, cache)
+    diffs = _coeff_family(blocks, algebra, module, entry_cap, cache)
     return ChainComplex("coeff", name, dims, diffs, bases, cap, cache, entry_cap, blocks)
 
 
@@ -943,7 +924,11 @@ def _restricted(d: SparseMatrix, rows: _FreeWords, cols: _FreeWords) -> SparseMa
     """d times the lifts of the free columns, on the free rows, which fix
     the image since it lies in ker pi one degree lower: the entries of d in
     free rows and columns, plus those of its pivot columns spread over the
-    free columns by the lifts."""
+    free columns by the lifts.  When every word is free at both degrees
+    (pi is 0, as on orbit sums where no wedge orbit of weight 0 lives), it
+    is d itself, not a copy."""
+    if len(rows.free) == d.rows and len(cols.free) == d.cols:
+        return d
     at_row, at_col, spread = rows.position, cols.position, cols.spread
     entries: dict[tuple[int, int], Rational | int] = {
         (at_row[r], at_col[c]): v
@@ -988,22 +973,27 @@ class KernelComplex(ChainComplex):
         self._projection = projection = _Graded.of(projections)
         self._target = _Graded.of(targets)
         for m in range(cap + 1):
-            _check_projection(projection.block(m), f"{name}: projection at degree {m}")
+            _check_projection(projection.ranked.block(m), f"{name}: projection at degree {m}")
 
         diffs = _Graded(lambda m, weight: _restricted(
             ambient.block(m, weight), *(self._free_words(j, weight) for j in (m - 1, m))
         ), ambient.words)
+        if ambient.ranked is not ambient:
+            diffs.ranked = _Graded(lambda m, _: _restricted(ambient.ranked.block(m), *(
+                _FreeWords(projection.ranked.block(j), f"{name}: projection at degree {j}")
+                for j in (m - 1, m)
+            )))
         super().__init__(kind, name, dims, diffs, bases, cap, cache, entry_cap, blocks)
 
     def verify_dd_zero(self) -> None:
         """Ambient d o d = 0 on every pair used, and the exact chain-map
-        identity pi_(m-1) d_m = e_m pi_m at every degree, on weight-0
+        identity pi_(m-1) d_m = e_m pi_m at every degree, on ranked
         blocks."""
         self._check_dd(self._ambient, "ambient ")
         for m in range(1, self.cap + 1):
             parts = (
-                self._projection.block(m - 1), self._ambient.block(m),
-                self._target.block(m), self._projection.block(m),
+                self._projection.ranked.block(m - 1), self._ambient.ranked.block(m),
+                self._target.ranked.block(m), self._projection.ranked.block(m),
             )
             self._blocks.check(parts, lambda: _check_zero_product(
                 [(1, *parts[:2]), (-1, *parts[2:])],
@@ -1058,6 +1048,7 @@ def rel_complex(
             blocks, ("wedge-projection", fp), blocks.words(algebra), "tensor", 2,
             lambda k, ws: wedge_projection(algebra, k, entry_cap, ws),
             lambda k: _estimate_wedge_projection(algebra, k), entry_cap,
+            orbits=blocks.orbits(algebra),
         ),
         targets=_lie_family(blocks, algebra, entry_cap, cache, shift=2),
         bases={m: TensorBasis(algebra, m + 2) for m in range(cap + 1)},
@@ -1095,12 +1086,13 @@ def cr_complex(
         "cr",
         name or f"cr[{fp[:8]}]",
         [dim * wedge_dim(dim, m + 1) - wedge_dim(dim, m + 2) for m in range(cap + 1)],
-        ambient_d=_coeff_family(blocks, module, entry_cap, cache, shift=1),
+        ambient_d=_coeff_family(blocks, algebra, module, entry_cap, cache, shift=1),
         projections=_family(
             blocks, ("partial-wedge-projection", fp), blocks.words(algebra, module),
             "module_wedge", 1,
             lambda k, ws: partial_wedge_projection(algebra, k, entry_cap, ws),
             lambda k: _estimate_partial_wedge_projection(algebra, k), entry_cap,
+            orbits=blocks.orbits(algebra, module),
         ),
         targets=_lie_family(blocks, algebra, entry_cap, cache, shift=2),
         bases={m: ModuleWedgeBasis(module, m + 1) for m in range(cap + 1)},

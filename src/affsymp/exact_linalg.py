@@ -65,16 +65,13 @@ DEFAULT_ENTRY_CAP = 10_000_000
 
 # ``to_text`` writes every number without a sign (but a numerator's minus)
 # or a leading zero, one space apart, every value "num/den" with den >= 1,
-# and a newline after every line.  A body is canonical when removing every
-# match of the line pattern leaves nothing: ``subn`` holds one match at a
-# time, where a repeated group in one ``fullmatch`` keeps state for every
-# line and raised a warm run's peak memory by about 2 MB.
+# and a newline after every line.  ``_from_canonical_text`` proves a body
+# of that form by its separator skeleton (``_NUMBER_BYTES`` deleted) and
+# one ``json.loads`` of it with the separators made commas: a canonical
+# line "row col num/den\n" is four JSON ints.
 _CANONICAL_HEADER = re.compile(r"(0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n")
-_CANONICAL_LINE = re.compile(r"(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) -?[1-9][0-9]*/[1-9][0-9]*\n")
-# Every canonical line is "row col num/den\n": with its separators made
-# commas and the last one dropped, a body is the inside of a JSON array of
-# ints.
-_SEPARATORS_TO_COMMAS = str.maketrans(" /\n", ",,,")
+_NUMBER_BYTES = b"0123456789-"
+_SEPARATORS_TO_COMMAS = bytes.maketrans(b" /\n", b",,,")
 
 
 def rational_from_string(text: str) -> Rational:
@@ -151,9 +148,6 @@ class QVector:
     @property
     def is_zero(self) -> bool:
         return not self.entries
-
-    def first_nonzero(self) -> tuple[int, Rational] | None:
-        return self.entries[0] if self.entries else None
 
     def scale(self, c) -> "QVector":
         c = Rational(c)
@@ -375,33 +369,51 @@ class SparseMatrix:
     def _from_canonical_text(cls, text: str) -> "SparseMatrix | None":
         """The matrix whose ``to_text`` is exactly ``text``, or None.
 
-        Once every line matches the canonical form, the body is read in one
-        C-level scan: its separators become commas and one ``json.loads``
-        parses all the numbers.  The checks left are on whole lists: keys
-        strictly increase, the last row and the largest column are in
-        range, and only a denominator other than 1 is checked for lowest
-        terms and makes a ``Fraction``."""
+        The body is proved canonical in C-level scans of its bytes, with no
+        pattern per line:
+        * deleting its digits and minus signs leaves "  /\n" once per entry,
+          so it has nnz lines of four fields each, and it ends in a newline
+          (or is empty when nnz is 0);
+        * it holds no "-0";
+        * with its separators made commas it is a JSON array of ints, which
+          refuses an empty field, a leading zero and an inner minus;
+        * no row or column is negative, no denominator below 1 and no value
+          0.
+        So every field is one the ``to_text`` form allows.  The checks left
+        are on whole lists: keys strictly increase, the last row and the
+        largest column are in range, and only a denominator other than 1 is
+        checked for lowest terms and makes a ``Fraction``."""
         head = _CANONICAL_HEADER.match(text)
         if head is None:
             return None
         rows, cols, nnz = map(int, head.groups())
-        body = text[head.end():]
-        left, lines = _CANONICAL_LINE.subn("", body)
-        if left or lines != nnz:
+        body = text[head.end():].encode()
+        if (
+            body.translate(None, _NUMBER_BYTES) != b"  /\n" * nnz
+            or not (body.endswith(b"\n") if nnz else body == b"")
+            or b"-0" in body
+        ):
             return None
         if not nnz:
             return cls._of(rows, cols, {})
-        numbers = json.loads(f"[{body[:-1].translate(_SEPARATORS_TO_COMMAS)}]")
+        try:
+            numbers = json.loads(b"[" + body[:-1].translate(_SEPARATORS_TO_COMMAS) + b"]")
+        except ValueError:
+            return None
         columns = numbers[1::4]
         keys = list(zip(numbers[0::4], columns))
+        values = numbers[2::4]
+        denominators = numbers[3::4]
         if (
-            keys[-1][0] >= rows
+            keys[0][0] < 0
+            or min(columns) < 0
+            or min(denominators) < 1
+            or 0 in values
+            or keys[-1][0] >= rows
             or max(columns) >= cols
             or not all(map(operator.lt, keys, keys[1:]))
         ):
             return None
-        values = numbers[2::4]
-        denominators = numbers[3::4]
         if max(denominators) > 1:
             for i, den in enumerate(denominators):
                 if den != 1:
@@ -536,7 +548,8 @@ def _eliminate(
     the row is divided by the gcd of its entries, and when p is 1 or -1
     there is no gcd to take.  Each target row is updated from the pivot row
     alone, so their order does not matter.  The live entry count is checked
-    against ``cap`` once per pivot step.
+    against ``cap`` before the first pivot step and after each step that
+    can add entries; a step on a one-entry row only removes them.
     """
     col_rows: dict[int, set[int]] = {}
     live = 0
@@ -548,6 +561,7 @@ def _eliminate(
                 col_rows[c] = {r}
             else:
                 s.add(r)
+    check_entry_budget(live, cap)
     # heap keys count * weight + c order columns by (count, c) for
     # Markowitz, by c alone when the weight is 0
     width = max(col_rows, default=0) + 1

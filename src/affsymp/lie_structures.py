@@ -14,6 +14,20 @@ Right modules are one action matrix per algebra basis element, with
 ``actions[i] @ m`` representing the bracket [m, e_i]; the compatibility law
 ``A_i A_j - A_j A_i = -sum_k c_ij^k A_k`` is validated at construction.
 
+``build_sp`` and ``build_g`` also give their algebra ``weyl``: the letter
+actions of the generators of the signed Weyl group W~ of Sp(2n, R), the
+signed permutations of the coordinates that preserve the symplectic form.
+Each generator is a linear symplectic map A, checked so (A^T Omega A =
+Omega); its push-forward of vector fields is checked to send every basis
+field to plus or minus one basis field, and that signed permutation of the
+letters to preserve the bracket table.  An anti-symplectic permutation also
+preserves the bracket table of g_1 but lies outside Sp(2n, R), and is
+refused.  Every other algebra, ``I_n`` included, has no ``weyl``.  The
+adjoint, trivial, coordinate-sub and exterior-power modules of an algebra
+with ``weyl`` carry the induced module-letter actions (``LieModule.weyl``);
+``module_weyl`` hands them out once every action matrix checks
+equivariant.
+
 Constructed objects are immutable and freely shareable across threads.
 """
 
@@ -27,7 +41,6 @@ from .errors import ConsistencyError, DomainError
 from .exact_linalg import (
     LinearSolver,
     QVector,
-    QZERO,
     Rational,
     SparseMatrix,
     normal_entry,
@@ -43,6 +56,10 @@ from .vector_fields import (
     hamiltonian_field,
 )
 from .words import sort_with_sign, wedge_dim, wedge_index, wedge_words
+
+# a signed permutation of basis letters (or coordinates): entry a is the
+# (image, sign) of letter a
+SignedPerm = tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -64,7 +81,7 @@ class LieAlgebra:
     ``Fraction`` otherwise.
     """
 
-    __slots__ = ("dim", "labels", "brackets", "_fingerprint")
+    __slots__ = ("dim", "labels", "brackets", "weyl", "_fingerprint")
 
     def __init__(
         self,
@@ -91,6 +108,8 @@ class LieAlgebra:
         self.dim = dim
         self.labels = tuple(labels)
         self.brackets = clean
+        # the letter actions of W~'s generators, set by build_sp and build_g
+        self.weyl: tuple[SignedPerm, ...] | None = None
         self._fingerprint: str | None = None
         if validate:
             report = self.validate()
@@ -110,18 +129,6 @@ class LieAlgebra:
             return self.brackets.get((i, j), {})
         flipped = self.brackets.get((j, i), {})
         return {k: -v for k, v in flipped.items()}
-
-    def bracket_vectors(self, v: QVector, w: QVector) -> QVector:
-        acc: dict[int, Rational] = {}
-        for i, a in v.entries:
-            for j, b in w.entries:
-                for k, c in self.bracket_coeffs(i, j).items():
-                    nv = acc.get(k, QZERO) + a * b * c
-                    if nv:
-                        acc[k] = nv
-                    else:
-                        del acc[k]
-        return QVector.from_dict(self.dim, acc)
 
     @property
     def is_abelian(self) -> bool:
@@ -219,7 +226,7 @@ class LieModule:
     at construction.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "_fingerprint")
+    __slots__ = ("algebra", "dim", "actions", "weyl", "_fingerprint")
 
     def __init__(
         self,
@@ -236,6 +243,9 @@ class LieModule:
         self.algebra = algebra
         self.dim = dim
         self.actions = tuple(actions)
+        # the module-letter actions of W~'s generators, for the modules
+        # derived from an algebra with ``weyl``; see ``module_weyl``
+        self.weyl: tuple[SignedPerm, ...] | None = None
         self._fingerprint: str | None = None
         if validate:
             report = self.validate()
@@ -354,8 +364,10 @@ class _FieldSpan:
 
 
 def _algebra_from_fields(
-    fields: list[PolyVectorField], labels: tuple[str, ...]
+    fields: list[PolyVectorField], labels: tuple[str, ...], n: int
 ) -> LieAlgebra:
+    """The algebra the fields span, with the letter actions of the
+    generators of W~ (``weyl_action``)."""
     span = _FieldSpan(fields)
     brackets: dict[tuple[int, int], dict[int, Rational]] = {}
     for i in range(len(fields)):
@@ -366,7 +378,127 @@ def _algebra_from_fields(
             coeffs = span.expand(prod)
             if not coeffs.is_zero:
                 brackets[(i, j)] = coeffs.to_dict()
-    return LieAlgebra(len(fields), labels, brackets)
+    algebra = LieAlgebra(len(fields), labels, brackets)
+    algebra.weyl = weyl_action(fields, algebra, weyl_generators(n))
+    return algebra
+
+
+# ---------------------------------------------------------------------------
+# the signed Weyl group W~ of Sp(2n, R)
+# ---------------------------------------------------------------------------
+
+
+def weyl_generators(n: int) -> list[SignedPerm]:
+    """Generators of W~ as signed permutations of the coordinates
+    x_1..x_n, y_1..y_n (A e_j = sign * e_image): J_i, x_i -> y_i and
+    y_i -> -x_i, for each i, and the simultaneous swap of the indices i and
+    i + 1 of x and y.  W~ has order 4^n n!."""
+    out = []
+    for i in range(n):
+        coords = [(c, 1) for c in range(2 * n)]
+        coords[i], coords[n + i] = (n + i, 1), (i, -1)
+        out.append(tuple(coords))
+    for i in range(n - 1):
+        coords = [(c, 1) for c in range(2 * n)]
+        for a in (i, n + i):
+            coords[a], coords[a + 1] = (a + 1, 1), (a, 1)
+        out.append(tuple(coords))
+    return out
+
+
+def _is_symplectic(coords: SignedPerm) -> bool:
+    """A^T Omega A = Omega, entry by entry: omega(A e_a, A e_b) =
+    omega(e_a, e_b) for omega(x_i, y_i) = 1."""
+    n = len(coords) // 2
+
+    def omega(a: int, b: int) -> int:
+        return (b - a == n and a < n) - (a - b == n and b < n)
+
+    return all(
+        s * t * omega(ta, tb) == omega(a, b)
+        for a, (ta, s) in enumerate(coords) for b, (tb, t) in enumerate(coords)
+    )
+
+
+def _pushed(f: PolyVectorField, coords: SignedPerm) -> PolyVectorField:
+    """The push-forward A X(A^-1 p) of a field by A e_j = s_j e_(sigma j):
+    a coefficient monomial prod z_j^e_j becomes prod (s_j z_(sigma j))^e_j,
+    and the direction j becomes s_j e_(sigma j)."""
+    components = {}
+    for d, poly in f.components.items():
+        target, sign = coords[d]
+        terms = {}
+        for mono, c in poly.terms.items():
+            odd = sign < 0
+            for j, e in mono.exps:
+                odd ^= coords[j][1] < 0 and e % 2 == 1
+            terms[Monomial.from_dict({coords[j][0]: e for j, e in mono.exps})] = -c if odd else c
+        components[target] = Polynomial(terms)
+    return PolyVectorField(components)
+
+
+def _field_key(f: PolyVectorField) -> tuple:
+    return tuple(sorted(
+        (d, tuple(sorted((m.exps, c) for m, c in p.terms.items())))
+        for d, p in f.components.items()
+    ))
+
+
+def _preserves_brackets(algebra: LieAlgebra, perm: SignedPerm) -> bool:
+    """[g e_i, g e_j] = g [e_i, e_j] for every pair of letters."""
+    for i, (ti, si) in enumerate(perm):
+        for j in range(i + 1, algebra.dim):
+            tj, sj = perm[j]
+            moved = {perm[k][0]: perm[k][1] * v for k, v in algebra.bracket_coeffs(i, j).items()}
+            if moved != {k: si * sj * v for k, v in algebra.bracket_coeffs(ti, tj).items()}:
+                return False
+    return True
+
+
+def weyl_action(
+    fields: list[PolyVectorField], algebra: LieAlgebra, generators: list[SignedPerm]
+) -> tuple[SignedPerm, ...]:
+    """The letter actions of the coordinate maps ``generators`` on the
+    algebra spanned by ``fields`` (its letters, in order), by push-forward.
+    Raises ``ConsistencyError`` unless each map is symplectic, sends every
+    basis field to plus or minus one basis field, and preserves the bracket
+    table."""
+    letter = {}
+    for a, f in enumerate(fields):
+        letter[_field_key(f)] = (a, 1)
+        letter[_field_key(f.neg())] = (a, -1)
+    out = []
+    for coords in generators:
+        if not _is_symplectic(coords):
+            raise ConsistencyError(f"the coordinate map {coords} is not symplectic")
+        perm = tuple(letter.get(_field_key(_pushed(f, coords))) for f in fields)
+        if None in perm:
+            raise ConsistencyError(
+                f"the coordinate map {coords} sends a basis field to no signed basis field"
+            )
+        if not _preserves_brackets(algebra, perm):
+            raise ConsistencyError(f"the coordinate map {coords} breaks the bracket table")
+        out.append(perm)
+    return tuple(out)
+
+
+def module_weyl(algebra: LieAlgebra, module: LieModule) -> tuple[SignedPerm, ...] | None:
+    """The module-letter actions of the generators of ``algebra.weyl`` on
+    ``module``, a module over the algebra (or a copy with its fingerprint),
+    or None when either has none or an action matrix does not check
+    equivariant: g A_a g^-1 = s_a A_(sigma a) for g e_a = s_a e_(sigma a)."""
+    if algebra.weyl is None or module.weyl is None or len(module.weyl) != len(algebra.weyl):
+        return None
+    for letters, slots in zip(algebra.weyl, module.weyl):
+        for a, action in enumerate(module.actions):
+            target, s = letters[a]
+            moved = {
+                (slots[r][0], slots[c][0]): s * slots[r][1] * slots[c][1] * v
+                for (r, c), v in action.entries.items()
+            }
+            if moved != module.actions[target].entries:
+                return None
+    return module.weyl
 
 
 def build_sp(n: int) -> LieAlgebra:
@@ -376,7 +508,7 @@ def build_sp(n: int) -> LieAlgebra:
         raise DomainError("n must be >= 1")
     fields = _sp_fields(n)
     labels = tuple(f.render(n) for f in fields)
-    return _algebra_from_fields(fields, labels)
+    return _algebra_from_fields(fields, labels, n)
 
 
 def build_I(n: int) -> LieAlgebra:
@@ -399,7 +531,7 @@ def build_g(
         raise DomainError("n must be >= 1")
     fields = _ideal_fields(n) + _sp_fields(n)
     labels = tuple(f.render(n) for f in fields)
-    algebra = _algebra_from_fields(fields, labels)
+    algebra = _algebra_from_fields(fields, labels, n)
     ideal = tuple(range(2 * n))
     quotient = tuple(range(2 * n, algebra.dim))
     _check_decomposition(algebra, ideal, quotient, build_sp(n) if sp is None else sp)
@@ -485,12 +617,18 @@ def adjoint_module(algebra: LieAlgebra, validate: bool = True) -> LieModule:
             for k, v in algebra.bracket_coeffs(j, i).items():
                 entries[(k, j)] = v
         actions.append(SparseMatrix(algebra.dim, algebra.dim, entries))
-    return LieModule(algebra, algebra.dim, tuple(actions), validate=validate)
+    module = LieModule(algebra, algebra.dim, tuple(actions), validate=validate)
+    module.weyl = algebra.weyl  # W~ acts on the letters as on the algebra
+    return module
 
 
 def trivial_module(algebra: LieAlgebra, dim: int = 1) -> LieModule:
     zero = SparseMatrix.zero(dim, dim)
-    return LieModule(algebra, dim, tuple(zero for _ in range(algebra.dim)), validate=False)
+    module = LieModule(algebra, dim, tuple(zero for _ in range(algebra.dim)), validate=False)
+    if algebra.weyl is not None:
+        fixed = tuple((m, 1) for m in range(dim))
+        module.weyl = tuple(fixed for _ in algebra.weyl)
+    return module
 
 
 def restriction_module(module: LieModule, sub_indices: tuple[int, ...]) -> LieModule:
@@ -519,7 +657,12 @@ def restriction_module(module: LieModule, sub_indices: tuple[int, ...]) -> LieMo
         len(sub), tuple(algebra.labels[e] for e in sub), brackets
     )
     actions = tuple(module.actions[e] for e in sub)
-    return LieModule(sub_algebra, module.dim, actions)
+    restricted = LieModule(sub_algebra, module.dim, actions)
+    # the same group acts on the same module letters; the subalgebra itself
+    # gets no ``weyl``, so only a complex over an algebra that has one (and
+    # the fingerprint of the subalgebra) can use it
+    restricted.weyl = module.weyl
+    return restricted
 
 
 def submodule(module: LieModule, indices: tuple[int, ...]) -> LieModule:
@@ -539,7 +682,14 @@ def submodule(module: LieModule, indices: tuple[int, ...]) -> LieModule:
                     )
                 entries[(position[r], position[c])] = v
         actions.append(SparseMatrix(len(keep), len(keep), entries))
-    return LieModule(module.algebra, len(keep), tuple(actions))
+    sub = LieModule(module.algebra, len(keep), tuple(actions))
+    if module.weyl is not None and all(
+        perm[e][0] in keep_set for perm in module.weyl for e in keep
+    ):
+        sub.weyl = tuple(
+            tuple((position[perm[e][0]], perm[e][1]) for e in keep) for perm in module.weyl
+        )
+    return sub
 
 
 def exterior_power_module(module: LieModule, k: int, validate: bool = True) -> LieModule:
@@ -570,7 +720,19 @@ def exterior_power_module(module: LieModule, k: int, validate: bool = True) -> L
                     else:
                         del entries[key]
         actions.append(SparseMatrix(dim, dim, entries))
-    return LieModule(module.algebra, dim, tuple(actions), validate=validate)
+    power = LieModule(module.algebra, dim, tuple(actions), validate=validate)
+    if module.weyl is not None:
+        induced = []
+        for perm in module.weyl:
+            slots = []
+            for w in words:
+                moved, sign = sort_with_sign(tuple(perm[a][0] for a in w))
+                for a in w:
+                    sign *= perm[a][1]
+                slots.append((index[moved], sign))
+            induced.append(tuple(slots))
+        power.weyl = tuple(induced)
+    return power
 
 
 def tensor_module(m1: LieModule, m2: LieModule, validate: bool = True) -> LieModule:

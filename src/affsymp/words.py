@@ -1,4 +1,6 @@
-"""Index words for tensor and exterior power bases.
+"""Index words for tensor and exterior power bases, and those bases
+(``WedgeBasis``, ``TensorBasis``, ``ModuleWedgeBasis``), one degree of a
+complex each.
 
 Wedge words are strictly increasing index tuples in lexicographic order;
 tensor words are arbitrary tuples in lexicographic order.  Ranking and
@@ -197,6 +199,85 @@ def merge_with_sign(
     out.extend(left[i:])
     out.extend(right[j:])
     return tuple(out), sign
+
+
+# ---------------------------------------------------------------------------
+# the bases of the complexes: one degree of words over an algebra's letters
+# (and a module's), with their indices and labels
+# ---------------------------------------------------------------------------
+
+
+class WedgeBasis:
+    """Strictly increasing words over the algebra basis, lexicographic."""
+
+    def __init__(self, algebra, k: int):
+        self.algebra = algebra
+        self.k = k
+        self.dim = wedge_dim(algebra.dim, k)
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def word_at(self, index: int) -> tuple[int, ...]:
+        return wedge_word_at(index, self.algebra.dim, self.k)
+
+    def index(self, word: tuple[int, ...]) -> int:
+        return wedge_index(word, self.algebra.dim)
+
+    def label(self, index: int) -> str:
+        if self.k == 0:
+            return "1"
+        return " ^ ".join(f"({self.algebra.labels[i]})" for i in self.word_at(index))
+
+
+class TensorBasis:
+    """All words over the algebra basis, lexicographic."""
+
+    def __init__(self, algebra, k: int):
+        self.algebra = algebra
+        self.k = k
+        self.dim = tensor_dim(algebra.dim, k)
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def word_at(self, index: int) -> tuple[int, ...]:
+        return tensor_word_at(index, self.algebra.dim, self.k)
+
+    def index(self, word: tuple[int, ...]) -> int:
+        return tensor_index(word, self.algebra.dim)
+
+    def label(self, index: int) -> str:
+        if self.k == 0:
+            return "1"
+        return " (x) ".join(f"({self.algebra.labels[i]})" for i in self.word_at(index))
+
+
+class ModuleWedgeBasis:
+    """Pairs (module element, wedge word), module index major."""
+
+    def __init__(self, module, k: int):
+        self.module = module
+        self.algebra = module.algebra
+        self.k = k
+        self.wedge = wedge_dim(self.algebra.dim, k)
+        self.dim = module.dim * self.wedge
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def index(self, word: tuple[int, tuple[int, ...]]) -> int:
+        m, letters = word
+        return m * self.wedge + wedge_index(letters, self.algebra.dim)
+
+    def word_at(self, index: int) -> tuple[int, tuple[int, ...]]:
+        m, w = divmod(index, self.wedge)
+        return m, wedge_word_at(w, self.algebra.dim, self.k)
+
+    def label(self, index: int) -> str:
+        m, word = self.word_at(index)
+        tail = " ^ ".join(f"({self.algebra.labels[i]})" for i in word) or "1"
+        return f"m{m} (x) {tail}"
 
 
 Weight = tuple
@@ -414,6 +495,11 @@ class WordSet:
         if kind == "wedge":
             return {wedge_code(w): i for i, w in enumerate(words)}
         return {module_wedge_code(w, dim): i for i, w in enumerate(words)}
+
+    def rows(self, kind: str, k: int) -> dict[int, tuple[int, int]]:
+        """Code -> (index in ``getattr(self, kind)(k)``, sign 1): the row
+        map of the assembly loop, which ``weyl.OrbitWords`` also gives."""
+        return {code: (i, 1) for code, i in self.codes(kind, k).items()}
 
     def decode(self, kind: str, k: int, code: int):
         """The word of ``kind`` and length k with ``code``, in this set or

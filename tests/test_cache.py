@@ -88,18 +88,18 @@ def test_complex_reuses_cached_rank(tmp_path):
     cache = DiffCache(tmp_path)
     first = leibniz_complex(sp, 3, cache=cache)
     assert first.rank_d(3) == 6
-    # rank_d(3) is the rank of the 3x7 weight-0 block, 2, plus 4 off the
-    # block.  Poison the block's cached rank with a wrong but possible value;
-    # a fresh complex must read it back verbatim, proving the lookup path is
-    # active
-    block = first.block(3)
-    assert (block.rows, block.cols) == (3, 7) and rank(block) == 2
+    # rank_d(3) is the rank of the 2x3 block on orbit sums, 2, plus 4 off
+    # the block.  Poison the block's cached rank with a wrong but possible
+    # value; a fresh complex must read it back verbatim, proving the lookup
+    # path is active
+    block = first._ranked.block(3)
+    assert (block.rows, block.cols) == (2, 3) and rank(block) == 2
     fp = block.fingerprint()
     assert cache.get_rank(fp) == 2
     cache.put_rank(fp, 1)
     second = leibniz_complex(sp, 3, cache=cache)
     assert second.rank_d(3) == 5
-    # a value no 3x7 matrix can have is a miss: recomputed and rewritten
+    # a value no 2x3 matrix can have is a miss: recomputed and rewritten
     cache.put_rank(fp, 99)
     third = leibniz_complex(sp, 3, cache=cache)
     assert third.rank_d(3) == 6
@@ -108,19 +108,22 @@ def test_complex_reuses_cached_rank(tmp_path):
 
 def test_tiny_blocks_bypass_the_cache(tmp_path):
     """A block with at most one row or column is rebuilt and reranked, never
-    read or written: a poisoned record of one is not believed."""
-    from affsymp.chain_complexes import ce_complex
+    read or written: a poisoned record of one is not believed.  On orbit
+    sums, d_1 of cr(sp_1) is 2 x 1; its ambient block is worth a record."""
+    from affsymp.chain_complexes import cr_complex
     from affsymp.lie_structures import build_sp
 
     sp = build_sp(1)
     cache = DiffCache(tmp_path)
-    first = ce_complex(sp, 3, cache=cache)
-    assert first.rank_d(2) == 3
-    block = first.block(2)
-    assert (block.rows, block.cols) == (1, 1)
-    assert cache.stats()["diff"]["files"] == cache.stats()["rank"]["files"] == 0
+    first = cr_complex(sp, 1, cache=cache)
+    assert first.rank_d(1) == 5
+    block = first._ranked.block(1)
+    assert (block.rows, block.cols) == (2, 1) and block.entries
+    assert cache.stats()["rank"]["files"] == 0
+    records = [cache.get_matrix("diff", f.stem) for f in (tmp_path / "diff").glob("*.mtx")]
+    assert records and all(min(m.rows, m.cols) > 1 for m in records)
     cache.put_rank(block.fingerprint(), 0)
-    assert ce_complex(sp, 3, cache=cache).rank_d(2) == 3
+    assert cr_complex(sp, 1, cache=cache).rank_d(1) == 5
 
 
 def test_malformed_rank_records_miss(tmp_path):

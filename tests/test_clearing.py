@@ -1,6 +1,7 @@
-"""Clearing: each orientation ranks the weight-0 blocks from the bottom up
-and drops the rows of ``block(k)`` that the pivots of its own elimination
-of ``block(k - 1)`` prove dependent.  The oracle is the uncleared
+"""Clearing: each orientation ranks the blocks of ``_ranked`` (on orbit
+sums, or the weight-0 blocks) from the bottom up and drops the rows of the
+block of degree k that the pivots of its own elimination of the block of
+degree k - 1 prove dependent.  The oracle is the uncleared
 ``rank(block)`` and ``rank(block.transpose())``.  A clearing with the pivot
 rows of ``block(k - 1)`` instead of its pivot columns fails the oracle
 tests; one with the set of the other orientation, also columns of full
@@ -75,11 +76,11 @@ def _requested(complex_, k, transposed):
 
 def _check_pivot_sets(complex_):
     """No pivot set is kept at the cap, and each kept set of degree k is as
-    large as the rank of ``block(k)``, which its columns alone reach."""
+    large as the rank of the ranked block, which its columns alone reach."""
     for pivots in complex_._pivots:
         assert complex_.cap not in pivots
         for k, found in pivots.items():
-            block = complex_.block(k)
+            block = complex_._ranked.block(k)
             r = rank(block)
             picked = {key: v for key, v in block.entries.items() if key[1] in found}
             assert len(found) == r == rank(SparseMatrix(block.rows, block.cols, picked))
@@ -137,7 +138,8 @@ def test_registry_theories_at_n1_rank_as_the_uncleared_oracle(theory, family, ca
     for k, transposed in _requests(cap, order, lambda p: shuffle(p, len(p))):
         expected = 0
         if k:
-            expected = _oracle(complex_.block(k), transposed) + complex_._off_block_rank(k)
+            block = complex_._ranked.block(k)
+            expected = _oracle(block, transposed) + complex_._off_block_rank(k)
         assert _requested(complex_, k, transposed) == expected, (k, transposed)
     _check_pivot_sets(complex_)
 
@@ -162,7 +164,7 @@ def test_leibniz_d6_of_g1_is_cleared(eliminated, transposed):
     complex_ = VerificationContext().complex("leibniz", "g", 1, 6)
     _requested(complex_, 5, transposed)
     eliminated.clear()
-    block = complex_.block(6)
+    block = complex_._ranked.block(6)
     assert _requested(complex_, 6, transposed) == (
         _oracle(block, transposed) + complex_._off_block_rank(6)
     )
@@ -175,7 +177,7 @@ def test_the_cross_check_of_leibniz_d6_of_g1_takes_its_own_pivots():
     g_1, the (row, column) pivot pairs of the two orientations differ,
     though each orientation retires its one-entry lines first."""
     complex_ = VerificationContext().complex("leibniz", "g", 1, 6)
-    block = complex_.block(6)
+    block = complex_._ranked.block(6)
     pairs = []
     for transposed in (False, True):
         _requested(complex_, 5, transposed)
@@ -190,28 +192,29 @@ def test_the_cross_check_of_leibniz_d6_of_g1_takes_its_own_pivots():
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_a_degree_above_a_cache_hit_is_cleared(tmp_path, eliminated, transposed):
-    """Degree 3 of Leibniz of g_1 is read from a partly warm cache, so it
-    leaves no pivots; the miss at degree 4 derives them by eliminating
-    d_3, cleared with the set that the rank of d_2 kept, as a cold complex
+    """Degree 4 of Leibniz of g_1 is read from a partly warm cache, so it
+    leaves no pivots; the miss at degree 5 derives them by eliminating
+    d_4, cleared with the set that the rank of d_3 kept, as a cold complex
     clears it, and then eliminates as few nonzeros as the cold complex."""
-    k = 4
+    k = 5
     first = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 6)
     _requested(first, k - 1, transposed)
     cold = VerificationContext().complex("leibniz", "g", 1, 6)
     eliminated.clear()
     expected = _requested(cold, k, transposed)
-    # d_1 is empty; d_2, d_3 and d_4 are eliminated, d_4 cleared
+    # on orbit sums d_1 (1 x 0) and d_2 (0 x 3) are empty; d_3, d_4 and d_5
+    # are eliminated, d_4 and d_5 cleared
     cold_calls = list(eliminated)
-    assert len(cold_calls) == 3 and cold_calls[-1][0] < cold.block(k).nnz
+    assert len(cold_calls) == 3 and cold_calls[-1][0] < cold._ranked.block(k).nnz
 
     warm = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 6)
     eliminated.clear()
     assert _requested(warm, k, transposed) == expected
-    # d_2 (1 x 5) is too small to cache and eliminated, d_3 (5 x 19) is a
-    # hit, and the miss at d_4 eliminates d_3 before itself
+    # d_3 (3 x 9) and d_4 (9 x 43) are hits, and the miss at d_5
+    # eliminates both before itself
     assert eliminated == cold_calls
-    assert set(warm._pivots[transposed]) == {2, 3, 4}
-    assert expected == _oracle(warm.block(k), transposed) + warm._off_block_rank(k)
+    assert set(warm._pivots[transposed]) == {2, 3, 4, 5}
+    assert expected == _oracle(warm._ranked.block(k), transposed) + warm._off_block_rank(k)
 
 
 @pytest.mark.parametrize("transposed", [False, True])
@@ -225,9 +228,9 @@ def test_a_warm_rerun_eliminates_no_block_it_reads(tmp_path, eliminated, transpo
     warm = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, cap)
     eliminated.clear()
     _requested(warm, cap, transposed)
-    small = [k for k in range(1, cap + 1) if warm.block(k).entries
-             and not worth_caching(warm.block(k).rows, warm.block(k).cols)]
-    assert eliminated == [(warm.block(k).nnz, transposed) for k in small]
+    small = [k for k in range(1, cap + 1) if warm._ranked.block(k).entries
+             and not worth_caching(warm._ranked.block(k).rows, warm._ranked.block(k).cols)]
+    assert eliminated == [(warm._ranked.block(k).nnz, transposed) for k in small]
 
 
 def test_threads_sharing_a_complex_get_the_oracle_ranks():
@@ -236,7 +239,8 @@ def test_threads_sharing_a_complex_get_the_oracle_ranks():
     once is only computed twice, so every rank is still exact."""
     complex_ = VerificationContext().complex("leibniz", "g", 1, 6)
     expected = {
-        (k, transposed): _oracle(complex_.block(k), transposed) + complex_._off_block_rank(k)
+        (k, transposed):
+            _oracle(complex_._ranked.block(k), transposed) + complex_._off_block_rank(k)
         for k in range(1, 7) for transposed in (False, True)
     }
     got, errors = [], []

@@ -312,6 +312,19 @@ class TestIntegerCore:
             rank(m, entry_cap=m.nnz)
         assert rank(m, entry_cap=4 * m.nnz) == 30
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_an_input_over_the_cap_aborts_when_every_step_is_a_singleton(self, transposed):
+        """Every pivot step on an identity or a permutation matrix retires a
+        one-entry line, which adds no entry; the input alone is over the
+        cap, as ``kernel_basis`` finds."""
+        cyclic = SparseMatrix(3, 3, {(0, 1): 1, (1, 2): -1, (2, 0): 1})
+        for m in (SparseMatrix.identity(3), cyclic):
+            with pytest.raises(ResourceLimitError):
+                rank(m, entry_cap=m.nnz - 1, transposed=transposed)
+            with pytest.raises(ResourceLimitError):
+                kernel_basis(m, entry_cap=m.nnz - 1)
+            assert rank(m, entry_cap=m.nnz, transposed=transposed) == 3
+
     def test_complex_passes_entry_cap_to_rank(self):
         from affsymp.chain_complexes import ChainComplex
 
@@ -941,10 +954,10 @@ class TestProductsCancel:
 
 
 def test_a_cached_block_that_breaks_dd_fails_the_build(tmp_path, capsys):
-    """A diff/ record rewritten with one entry changed, under the valid
-    digest of its new payload, reads back as a hit; the d o d check of the
-    build must then fail, and the CLI exit 1 without printing a Betti
-    number."""
+    """A diff/ record of a ranked block (on orbit sums) rewritten with one
+    entry changed, under the valid digest of its new payload, reads back as
+    a hit; the d o d check of the build must then fail, and the CLI exit 1
+    without printing a Betti number."""
     from affsymp.cache import DiffCache
     from affsymp.cli import main
     from affsymp.errors import ConsistencyError
@@ -957,7 +970,7 @@ def test_a_cached_block_that_breaks_dd_fails_the_build(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out
     good = VerificationContext().complex("leibniz", "g", 1, 4)
-    d3, d4 = good.block(3), good.block(4)
+    d3, d4 = good._ranked.block(3), good._ranked.block(4)
     cache = DiffCache(tmp_path)
     (key,) = [
         path.stem for path in (tmp_path / "diff").glob("*.mtx")

@@ -47,12 +47,11 @@ believed.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 from pathlib import Path
 
-from .exact_linalg import QVector, SparseMatrix
+from .exact_linalg import QVector, SparseMatrix, sha256
 
 MATRIX_TAG = "affsymp-matrix"
 MATRIX_FORMAT = 1
@@ -61,7 +60,7 @@ BASIS_CONVENTION = 1
 
 
 def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def descriptor_key(*parts: object) -> str:

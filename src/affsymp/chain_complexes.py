@@ -89,7 +89,6 @@ ranks are.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 
 from .cache import DiffCache, descriptor_key, rank_key, worth_caching
@@ -128,12 +127,27 @@ from .words import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Chain:
-    """An element of one degree of a complex, in that degree's basis."""
+    """An element of one degree of a complex, in that degree's basis.  An
+    immutable value: equal to a ``Chain`` of the same degree and vector,
+    and hashable."""
 
-    degree: int
-    vector: QVector
+    __slots__ = ("degree", "vector")
+
+    def __init__(self, degree: int, vector: QVector):
+        self.degree = degree
+        self.vector = vector
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.degree == other.degree and self.vector == other.vector
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.vector))
+
+    def __repr__(self) -> str:
+        return f"Chain(degree={self.degree!r}, vector={self.vector!r})"
 
     def scale(self, c) -> "Chain":
         return Chain(self.degree, self.vector.scale(c))

@@ -43,17 +43,27 @@ order or scheduling.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from fractions import Fraction as Rational
 from math import gcd, lcm
-from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ResourceLimitError, ShapeError
+
+# SHA-256 from CPython's built-in module, as ``random`` does: ``hashlib``
+# loads OpenSSL's libcrypto, several MB resident, for the same digest.  The
+# module is ``_sha256`` up to 3.11 and ``_sha2`` from 3.12; ``hashlib`` is
+# the fallback for a build without either.
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 QZERO = Rational(0)
 QONE = Rational(1)
@@ -103,13 +113,27 @@ def check_entry_budget(count: int, cap: int | None = None) -> None:
         )
 
 
-@dataclass(frozen=True)
 class QVector:
     """Sparse exact vector: entries are (index, value), strictly increasing
-    indices, no zero values."""
+    indices, no zero values.  An immutable value: equal to a ``QVector`` of
+    the same length and entries, and hashable."""
 
-    length: int
-    entries: tuple[tuple[int, Rational], ...]
+    __slots__ = ("length", "entries")
+
+    def __init__(self, length: int, entries: tuple[tuple[int, Rational], ...]):
+        self.length = length
+        self.entries = entries
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.length == other.length and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.entries))
+
+    def __repr__(self) -> str:
+        return f"QVector(length={self.length!r}, entries={self.entries!r})"
 
     @classmethod
     def from_dict(cls, length: int, values: Mapping[int, Rational]) -> "QVector":
@@ -451,7 +475,7 @@ class SparseMatrix:
         kept as the fingerprint."""
         text = self.to_text()
         if self._fingerprint is None:
-            self._fingerprint = hashlib.sha256(text.encode()).hexdigest()
+            self._fingerprint = sha256(text.encode()).hexdigest()
         return text, self._fingerprint
 
 

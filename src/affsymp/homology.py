@@ -19,7 +19,6 @@ is neither a cycle nor a boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .chain_complexes import Chain, ChainComplex
 from .errors import DegreeRangeError, DomainError, ShapeError
@@ -208,24 +207,33 @@ def is_homologous(complex_: ChainComplex, a: Chain, b: Chain) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DegreeRecord:
-    degree: int
-    dim: int
-    rank_d: int
-    rank_d_next: int | None
-    betti: int
-    exact: bool
-    cycles: list[dict] | None = None
+    def __init__(
+        self,
+        degree: int,
+        dim: int,
+        rank_d: int,
+        rank_d_next: int | None,
+        betti: int,
+        exact: bool,
+        cycles: list[dict] | None = None,
+    ):
+        self.degree = degree
+        self.dim = dim
+        self.rank_d = rank_d
+        self.rank_d_next = rank_d_next
+        self.betti = betti
+        self.exact = exact
+        self.cycles = cycles
 
 
-@dataclass
 class HomologyReport:
     """Per-degree rank bookkeeping for one complex."""
 
-    complex_id: str
-    kind: str
-    rows: list[DegreeRecord] = field(default_factory=list)
+    def __init__(self, complex_id: str, kind: str):
+        self.complex_id = complex_id
+        self.kind = kind
+        self.rows: list[DegreeRecord] = []
 
     def betti_list(self) -> list[int]:
         return [r.betti for r in self.rows]

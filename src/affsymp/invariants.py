@@ -4,8 +4,9 @@ tables that drive every graded prediction downstream.
 
 For a module M over an algebra g, the invariants are
 M^g = {m : [m, X] = 0 for all X in g}, computed as the kernel of the row
-stack of all action matrices.  Over the symplectic algebra the expected
-answers are exterior powers of
+stack of all action matrices; the tables take only its dimension, the
+dimension of M less the rank of that stack.  Over the symplectic algebra
+the expected answers are exterior powers of
 
     omega_n = sum_i dx^i ^ dy^i     (constants-field indices (i, n+i)),
 
@@ -15,7 +16,6 @@ whose k-th wedge power is nonzero exactly for k <= n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .chain_complexes import Chain, tensor_chain, wedge_chain
 from .errors import DomainError
@@ -26,6 +26,7 @@ from .exact_linalg import (
     SparseMatrix,
     is_in_column_span,
     kernel_basis,
+    rank,
     stack_rows,
 )
 from .lie_structures import (
@@ -43,11 +44,11 @@ from .lie_structures import (
 from .words import merge_with_sign, wedge_dim, wedge_index
 
 
-@dataclass
 class InvariantBasis:
     """Reduced-echelon basis of a module's invariant subspace."""
 
-    vectors: list[QVector]
+    def __init__(self, vectors: list[QVector]):
+        self.vectors = vectors
 
     @property
     def dim(self) -> int:
@@ -60,16 +61,29 @@ class InvariantBasis:
         )
 
 
+def _stacked_actions(module: LieModule) -> SparseMatrix:
+    """The action matrices stacked, whose kernel is the invariant space."""
+    if not module.actions:
+        raise DomainError("module has no acting algebra elements")
+    return stack_rows(list(module.actions))
+
+
 def invariant_subspace(module: LieModule, entry_cap: int | None = None) -> InvariantBasis:
     """Kernel of the stacked action matrices: a deterministic basis of
     {m : every algebra basis element kills m}.  Elimination fill-in is held
     to ``entry_cap``."""
     if module.dim == 0:
         return InvariantBasis([])
-    if not module.actions:
-        raise DomainError("module has no acting algebra elements")
-    stacked = stack_rows(list(module.actions))
-    return InvariantBasis(kernel_basis(stacked, entry_cap))
+    return InvariantBasis(kernel_basis(_stacked_actions(module), entry_cap))
+
+
+def invariant_dim(module: LieModule, entry_cap: int | None = None) -> int:
+    """dim of the invariant subspace, ``module.dim`` less the rank of the
+    stacked actions; no basis is formed.  Elimination fill-in is held to
+    ``entry_cap``."""
+    if module.dim == 0:
+        return 0
+    return module.dim - rank(_stacked_actions(module), entry_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +157,28 @@ def omega_tilde(n: int, ambient_dim: int | None = None) -> Chain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class InvariantTableRow:
-    k: int
-    wedge_computed: int
-    wedge_predicted: int
-    wedge_spanned_by_power: bool
-    ideal_tensor_computed: int
-    ideal_tensor_predicted: int
-    sp_tensor_computed: int
-    sp_tensor_predicted: int
-    decomposition_consistent: bool
+    def __init__(
+        self,
+        k: int,
+        wedge_computed: int,
+        wedge_predicted: int,
+        wedge_spanned_by_power: bool,
+        ideal_tensor_computed: int,
+        ideal_tensor_predicted: int,
+        sp_tensor_computed: int,
+        sp_tensor_predicted: int,
+        decomposition_consistent: bool,
+    ):
+        self.k = k
+        self.wedge_computed = wedge_computed
+        self.wedge_predicted = wedge_predicted
+        self.wedge_spanned_by_power = wedge_spanned_by_power
+        self.ideal_tensor_computed = ideal_tensor_computed
+        self.ideal_tensor_predicted = ideal_tensor_predicted
+        self.sp_tensor_computed = sp_tensor_computed
+        self.sp_tensor_predicted = sp_tensor_predicted
+        self.decomposition_consistent = decomposition_consistent
 
     @property
     def passed(self) -> bool:
@@ -166,11 +191,11 @@ class InvariantTableRow:
         )
 
 
-@dataclass
 class InvariantTable:
-    n: int
-    k_max: int
-    rows: list[InvariantTableRow] = field(default_factory=list)
+    def __init__(self, n: int, k_max: int):
+        self.n = n
+        self.k_max = k_max
+        self.rows: list[InvariantTableRow] = []
 
     @property
     def passed(self) -> bool:
@@ -283,34 +308,29 @@ def invariant_dimension_report(
     table = InvariantTable(n=n, k_max=k_max)
     for k in range(k_max + 1):
         lam = exterior_power_module(ideal_mod, k, validate=False)
-        wedge_inv = invariant_subspace(lam, entry_cap)
+        wedge_inv_dim = invariant_dim(lam, entry_cap)
         predicted_wedge = predicted_wedge_invariant_dim(n, k)
-        spanned = True
-        if wedge_inv.dim == 1 and predicted_wedge == 1:
-            spanned = wedge_inv.spans(omega_power(n, k // 2).vector, entry_cap)
-        elif wedge_inv.dim != predicted_wedge:
-            spanned = False
+        spanned = wedge_inv_dim == predicted_wedge
+        if wedge_inv_dim == 1 and spanned:
+            # a nonzero invariant spans the invariant line
+            power = omega_power(n, k // 2).vector
+            spanned = not power.is_zero and all(a.apply(power).is_zero for a in lam.actions)
 
-        ideal_tensor = tensor_module(ideal_mod, lam, validate=False)
-        ideal_inv = invariant_subspace(ideal_tensor, entry_cap)
-
-        sp_tensor = tensor_module(sp_adjoint, lam, validate=False)
-        sp_inv = invariant_subspace(sp_tensor, entry_cap)
-
-        g_tensor = tensor_module(g_mod, lam, validate=False)
-        g_inv = invariant_subspace(g_tensor, entry_cap)
+        ideal_dim = invariant_dim(tensor_module(ideal_mod, lam, validate=False), entry_cap)
+        sp_dim = invariant_dim(tensor_module(sp_adjoint, lam, validate=False), entry_cap)
+        g_dim = invariant_dim(tensor_module(g_mod, lam, validate=False), entry_cap)
 
         table.rows.append(
             InvariantTableRow(
                 k=k,
-                wedge_computed=wedge_inv.dim,
+                wedge_computed=wedge_inv_dim,
                 wedge_predicted=predicted_wedge,
                 wedge_spanned_by_power=spanned,
-                ideal_tensor_computed=ideal_inv.dim,
+                ideal_tensor_computed=ideal_dim,
                 ideal_tensor_predicted=predicted_ideal_tensor_invariant_dim(n, k),
-                sp_tensor_computed=sp_inv.dim,
+                sp_tensor_computed=sp_dim,
                 sp_tensor_predicted=0,
-                decomposition_consistent=(g_inv.dim == ideal_inv.dim + sp_inv.dim),
+                decomposition_consistent=(g_dim == ideal_dim + sp_dim),
             )
         )
     return table

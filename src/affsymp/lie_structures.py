@@ -33,9 +33,7 @@ Constructed objects are immutable and freely shareable across threads.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError
 from .exact_linalg import (
@@ -47,6 +45,7 @@ from .exact_linalg import (
     products_cancel,
     rank,
     rational_to_string,
+    sha256,
 )
 from .vector_fields import (
     Monomial,
@@ -62,13 +61,13 @@ from .words import sort_with_sign, wedge_dim, wedge_index, wedge_words
 SignedPerm = tuple[tuple[int, int], ...]
 
 
-@dataclass
 class ValidationReport:
     """Outcome of structural checks; failures list the offending indices."""
 
-    passed: bool
-    checked: int
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, passed: bool, checked: int, failures: list[str] | None = None):
+        self.passed = passed
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
 
 class LieAlgebra:
@@ -192,7 +191,7 @@ class LieAlgebra:
     def fingerprint(self) -> str:
         if self._fingerprint is None:
             payload = json.dumps(self.to_json_dict(), sort_keys=True)
-            self._fingerprint = hashlib.sha256(payload.encode()).hexdigest()
+            self._fingerprint = sha256(payload.encode()).hexdigest()
         return self._fingerprint
 
     def __eq__(self, other) -> bool:
@@ -208,13 +207,33 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim})"
 
 
-@dataclass(frozen=True)
 class SubalgebraDecomposition:
     """Index split of an algebra into an abelian ideal and a complement
-    closed under bracket, validated by ``build_g``."""
+    closed under bracket, validated by ``build_g``.  An immutable value:
+    equal to a split with the same indices, and hashable."""
 
-    ideal_indices: tuple[int, ...]
-    quotient_indices: tuple[int, ...]
+    __slots__ = ("ideal_indices", "quotient_indices")
+
+    def __init__(self, ideal_indices: tuple[int, ...], quotient_indices: tuple[int, ...]):
+        self.ideal_indices = ideal_indices
+        self.quotient_indices = quotient_indices
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.ideal_indices == other.ideal_indices
+            and self.quotient_indices == other.quotient_indices
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ideal_indices, self.quotient_indices))
+
+    def __repr__(self) -> str:
+        return (
+            f"SubalgebraDecomposition(ideal_indices={self.ideal_indices!r},"
+            f" quotient_indices={self.quotient_indices!r})"
+        )
 
 
 class LieModule:
@@ -276,7 +295,7 @@ class LieModule:
 
     def fingerprint(self) -> str:
         if self._fingerprint is None:
-            h = hashlib.sha256()
+            h = sha256()
             h.update(self.algebra.fingerprint().encode())
             h.update(f"|dim={self.dim}".encode())
             for a in self.actions:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
 
 from .cache import DiffCache
 from .chain_complexes import (
@@ -112,12 +111,12 @@ def bivector_exterior_reduced(n: int) -> GradedPrediction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ClaimRow:
-    part: str
-    degree: int | None
-    expected: int
-    computed: int
+    def __init__(self, part: str, degree: int | None, expected: int, computed: int):
+        self.part = part
+        self.degree = degree
+        self.expected = expected
+        self.computed = computed
 
     @property
     def passed(self) -> bool:
@@ -133,12 +132,12 @@ class ClaimRow:
         }
 
 
-@dataclass
 class VerificationReport:
-    claim_id: str
-    params: dict
-    rows: list[ClaimRow] = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self, claim_id: str, params: dict):
+        self.claim_id = claim_id
+        self.params = params
+        self.rows: list[ClaimRow] = []
+        self.wall_time = 0.0
 
     @property
     def passed(self) -> bool:

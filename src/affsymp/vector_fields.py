@@ -11,8 +11,7 @@ All values are immutable; operations are pure and reentrant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Mapping
 
 from .errors import DomainError
 from .exact_linalg import QONE, QZERO, Rational, rational_from_string
@@ -28,11 +27,26 @@ def direction_name(index: int, n: int) -> str:
     return "d/d" + coord_name(index, n)
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """Exponent vector, stored as sorted (coordinate, exponent>0) pairs."""
+    """Exponent vector, stored as sorted (coordinate, exponent>0) pairs.  An
+    immutable value: equal to a ``Monomial`` of the same exponents, and
+    hashable."""
 
-    exps: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("exps",)
+
+    def __init__(self, exps: tuple[tuple[int, int], ...] = ()):
+        self.exps = exps
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exps == other.exps
+
+    def __hash__(self) -> int:
+        return hash((self.exps,))
+
+    def __repr__(self) -> str:
+        return f"Monomial(exps={self.exps!r})"
 
     @classmethod
     def from_dict(cls, exps: Mapping[int, int]) -> "Monomial":

@@ -24,9 +24,9 @@ every word qualifies, and ``WordSet.all`` is the full basis.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, Sequence
 
 
 def wedge_dim(dim: int, k: int) -> int:

@@ -3,6 +3,7 @@ import pytest
 from affsymp.errors import DomainError, ResourceLimitError
 from affsymp.exact_linalg import QVector, Rational
 from affsymp.invariants import (
+    invariant_dim,
     invariant_dimension_report,
     invariant_subspace,
     omega,
@@ -200,6 +201,53 @@ class TestTable:
         with pytest.raises(ResourceLimitError):
             VerificationContext(entry_cap=1).invariant_table(1, 2)
         assert VerificationContext(entry_cap=10**4).invariant_table(1, 2).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_the_kernel_basis_oracle(self, n):
+        # the table ranks the stacked actions; the oracle forms the
+        # invariant bases and tests omega^(k/2) against their span
+        _, ideal_mod, sp_adjoint, g_mod, _ = modules = standard_modules(n)
+        table = invariant_dimension_report(n, 2 * n + 1, modules)
+        for row in table.rows:
+            lam = exterior_power_module(ideal_mod, row.k, validate=False)
+            wedge = invariant_subspace(lam)
+            tensors = [
+                invariant_subspace(tensor_module(m, lam, validate=False)).dim
+                for m in (ideal_mod, sp_adjoint, g_mod)
+            ]
+            spanned = wedge.dim == row.wedge_predicted and (
+                wedge.dim != 1 or wedge.spans(omega_power(n, row.k // 2).vector)
+            )
+            assert (row.wedge_computed, row.ideal_tensor_computed, row.sp_tensor_computed) == (
+                wedge.dim, tensors[0], tensors[1])
+            assert row.decomposition_consistent == (tensors[2] == tensors[0] + tensors[1])
+            assert row.wedge_spanned_by_power == spanned
+
+    def test_power_that_is_not_invariant_is_caught(self):
+        # the constants with y_1 and y_2 swapped: omega_2 in these coordinates
+        # is dx^1 ^ dy^2 + dx^2 ^ dy^1, not invariant, though the invariant
+        # line is still there
+        from affsymp.lie_structures import submodule
+
+        sp, _, sp_adjoint, g_mod, split = standard_modules(2)
+        x1, x2, y1, y2 = split.ideal_indices
+        swapped = submodule(g_mod, (x1, x2, y2, y1))
+        table = invariant_dimension_report(2, 2, (sp, swapped, sp_adjoint, g_mod, split))
+        assert [r.wedge_computed for r in table.rows] == [1, 0, 1]
+        assert [r.wedge_spanned_by_power for r in table.rows] == [True, True, False]
+        assert not table.passed
+
+    def test_invariant_dim_edge_cases(self):
+        from affsymp.lie_structures import LieAlgebra, LieModule
+
+        _, ideal_mod, _, _, _ = standard_modules(1)
+        assert invariant_dim(exterior_power_module(ideal_mod, 3)) == 0
+        assert invariant_dim(exterior_power_module(ideal_mod, 0)) == 1
+        with pytest.raises(ResourceLimitError):
+            invariant_dim(ideal_mod, entry_cap=1)
+        point = LieAlgebra(0, (), {})
+        with pytest.raises(DomainError):
+            invariant_dim(LieModule(point, 1, ()))
 
     def test_decomposition_identity(self):
         table = invariant_dimension_report(2, 3)

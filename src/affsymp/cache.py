@@ -26,10 +26,11 @@ A matrix record (``diff/`` and ``kernel/``, ``.mtx``) is a header line
 ``affsymp-matrix <format version> <SHA-256 of the payload>`` followed by
 the payload, the matrix's canonical ``to_text``.  The digest of a payload
 that reads back is handed to ``SparseMatrix.from_text``, which keeps it as
-the matrix's fingerprint when the payload is provably canonical, so a block
-read from disk is never serialized again to be hashed.  A canonical payload
-is parsed in one C-level scan: after its lines have matched the canonical
-form, one ``json.loads`` reads all its numbers.
+the matrix's fingerprint, so a block read from disk is never serialized
+again to be hashed.  The payload is parsed in one C-level scan: after its
+lines have matched the canonical form, one ``json.loads`` reads all its
+numbers.  A payload that is not canonical does not parse, even when its
+digest holds, and so reads as a miss.
 
 A rank record is one line, the value and the SHA-256 digest of (key,
 value), filed under its key (``rank_key``).  The key of a matrix ranked as

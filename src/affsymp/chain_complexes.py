@@ -769,10 +769,11 @@ def _family(
     "weight", the total, the letter weights), or key + (degree, "weyl", the
     group, the letter weights) on orbit sums, so a change of grading or of
     group is a miss.  With a cache, a block worth caching by its word (or
-    orbit) counts also goes through the disk under that digest; the counts
-    stop at 2, so a block read back lists no word, or finds no orbit, past
-    the second.  A family without a cache, such as a projection, never
-    reads or writes the disk."""
+    orbit) counts also goes through the disk under that digest.  The counts
+    stop at 2, but they list the words of both degrees first (and find the
+    first two orbits of each), also for a block that is then read back.  A
+    family without a cache, such as a projection, never reads or writes the
+    disk."""
     grading = (words.letter_weights, words.module_weights)
 
     def make(k: int, chosen, *label) -> SparseMatrix:
@@ -1122,6 +1123,13 @@ def cr_complex(
 # ---------------------------------------------------------------------------
 
 
+def _check_word(word: tuple[int, ...], algebra_dim: int, degree: int) -> None:
+    if len(word) != degree:
+        raise DomainError("word length must equal the degree")
+    if not all(0 <= a < algebra_dim for a in word):
+        raise DomainError(f"word {word} has a letter outside 0..{algebra_dim - 1}")
+
+
 def wedge_chain(
     algebra_dim: int, degree: int, terms: dict[tuple[int, ...], Rational]
 ) -> Chain:
@@ -1129,8 +1137,7 @@ def wedge_chain(
     unsorted and pick up the permutation sign."""
     acc: dict[int, Rational] = {}
     for word, coeff in terms.items():
-        if len(word) != degree:
-            raise DomainError("word length must equal the degree")
+        _check_word(word, algebra_dim, degree)
         sorted_word, sign = sort_with_sign(tuple(word))
         if sorted_word is None:
             continue
@@ -1145,8 +1152,7 @@ def tensor_chain(
     """Chain in the tensor basis from {word: coefficient}."""
     acc: dict[int, Rational] = {}
     for word, coeff in terms.items():
-        if len(word) != degree:
-            raise DomainError("word length must equal the degree")
+        _check_word(word, algebra_dim, degree)
         idx = tensor_index(tuple(word), algebra_dim)
         acc[idx] = acc.get(idx, QZERO) + Rational(coeff)
     return Chain(degree, QVector.from_dict(tensor_dim(algebra_dim, degree), acc))

@@ -371,20 +371,15 @@ class SparseMatrix:
 
     @classmethod
     def from_text(cls, text: str, digest: str | None = None) -> "SparseMatrix":
-        """Parse ``to_text`` output.  Blank lines and extra spaces are
-        tolerated, values may be written "p" or "p/q", and lines may come in
-        any order.
+        """The matrix whose ``to_text`` is exactly ``text``; ``ShapeError``
+        on any other text (lines out of order, blank lines, a value not
+        written "p/q" in lowest terms, duplicate keys, ...).
 
-        ``digest`` is the SHA-256 of ``text``, as the caller has checked it.
-        It becomes the matrix's fingerprint, with no serialization, when
-        ``text`` is provably the ``to_text`` of the matrix it parses to: the
-        header is exact, every entry line matches the canonical form, the
-        keys strictly increase and every value is in lowest terms.  Any
-        other text parses to the same matrix, whose fingerprint is computed
-        from its own ``to_text`` when asked for."""
+        ``digest`` is the SHA-256 of ``text``, as the caller has checked it,
+        and becomes the matrix's fingerprint with no serialization."""
         m = cls._from_canonical_text(text)
         if m is None:
-            return cls._from_loose_text(text)
+            raise ShapeError("not the canonical text of a matrix")
         if digest is not None:
             m._fingerprint = digest
         return m
@@ -445,24 +440,6 @@ class SparseMatrix:
                         return None
                     values[i] = Rational(values[i], den)
         return cls._of(rows, cols, dict(zip(keys, values)))
-
-    @classmethod
-    def _from_loose_text(cls, text: str) -> "SparseMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ShapeError("empty matrix text")
-        rows, cols, nnz = (int(t) for t in lines[0].split())
-        if len(lines) - 1 != nnz:
-            raise ShapeError(f"expected {nnz} entry lines, found {len(lines) - 1}")
-        ents = {}
-        values: dict[str, int | Rational] = {}  # one parse per distinct value
-        for ln in lines[1:]:
-            rt, ct, vt = ln.split()
-            q = values.get(vt)
-            if q is None:
-                q = values[vt] = normal_entry(rational_from_string(vt))
-            ents[(int(rt), int(ct))] = q
-        return cls(rows, cols, ents)
 
     def fingerprint(self) -> str:
         """Content hash of the canonical serialization."""

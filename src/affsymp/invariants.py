@@ -41,7 +41,7 @@ from .lie_structures import (
     submodule,
     tensor_module,
 )
-from .words import merge_with_sign, wedge_dim, wedge_index
+from .words import sort_with_sign, wedge_dim, wedge_index
 
 
 class InvariantBasis:
@@ -120,7 +120,7 @@ def omega_power(n: int, k: int, ambient_dim: int | None = None) -> Chain:
         nxt: dict[tuple[int, ...], Rational] = {}
         for word, coeff in acc.items():
             for pair in pairs:
-                merged, sign = merge_with_sign(word, pair)
+                merged, sign = sort_with_sign(word + pair)
                 if merged is None:
                     continue
                 nv = nxt.get(merged, QZERO) + sign * coeff

@@ -52,7 +52,6 @@ from .vector_fields import (
     Polynomial,
     PolyVectorField,
     bracket as field_bracket,
-    hamiltonian_field,
 )
 from .words import sort_with_sign, wedge_dim, wedge_index, wedge_words
 

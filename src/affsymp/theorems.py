@@ -567,17 +567,9 @@ CLAIM_RUNNERS = {
 
 CLAIM_IDS = tuple(CLAIM_RUNNERS)
 
-# claims whose tensor-power complexes stay desk-scale, per n
-CLAIM_MAX_N = {
-    "lemma-3.3": 2,
-    "thm-4.3": 2,
-    "lemma-4.2": 2,
-    "rel-homology": 2,
-    "sp-vanishing": 2,
-    "e2-page": 2,
-    "exactness": 2,
-    "appendix": 3,
-}
+# the largest n each claim has default caps for: beyond it the tensor-power
+# complexes do not stay desk-scale
+CLAIM_MAX_N = {claim_id: max(caps) for claim_id, caps in CLAIM_DEFAULT_CAPS.items()}
 
 
 def claim_params(claim_id: str, n: int, cap: int | None = None) -> dict:

@@ -162,43 +162,10 @@ def wedge_contractions(
 
 def sort_with_sign(word: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
     """Sort a word, tracking the permutation sign; (None, 0) on repeats."""
-    items = list(word)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(items)):
-        if items[i - 1] == items[i]:
-            return None, 0
-    return tuple(items), sign
-
-
-def merge_with_sign(
-    left: tuple[int, ...], right: tuple[int, ...]
-) -> tuple[tuple[int, ...] | None, int]:
-    """Merge two strictly increasing words, counting inversion parity;
-    (None, 0) when they share a letter."""
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            return None, 0
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            if (len(left) - i) % 2:
-                sign = -sign
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return tuple(out), sign
+    got = sorted_wedge_code(word)
+    if got is None:
+        return None, 0
+    return wedge_from_code(got[0]), got[1]
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +287,6 @@ class _Search:
         got = self.results[(0, need, k)] = self._complete(0, need, k)
         self.suffixes = dict(self.results)
         return got
-
-    def count(self, need: int, k: int, limit: int) -> int:
-        """How many words ``words(need, k)`` lists, up to ``limit``, found
-        without listing them: every letter that passes the reach test
-        begins at least one word."""
-        self._extend(k)
-        if need not in self.reach[(0, k)]:
-            return 0
-        return self._count(0, need, k, limit)
-
-    def _count(self, start: int, need: int, left: int, limit: int) -> int:
-        if left == 0:
-            return 1
-        found = 0
-        for a in range(start, len(self.packed)):
-            after = a + 1 if self.strict else 0
-            rest = need - self.packed[a]
-            if rest in self.reach[(after, left - 1)]:
-                found += self._count(after, rest, left - 1, limit - found)
-                if found >= limit:
-                    break
-        return found
 
     def _extend(self, k: int) -> None:
         """The reach sets for lengths up to k."""
@@ -467,16 +412,8 @@ class WordSet:
         return self._memo("module_wedge", k, build)
 
     def count(self, kind: str, k: int, limit: int) -> int:
-        """``min(limit, len(getattr(self, kind)(k)))``; the search stops
-        after ``limit`` words instead of listing them all."""
-        got = self._lists.get((kind, k))
-        if got is not None:
-            return min(limit, len(got))
-        found = 0
-        for need in self._module_needs() if kind == "module_wedge" else [self.total]:
-            if found < limit:
-                found += self._search(k, kind != "tensor", need, limit - found)
-        return found
+        """``min(limit, len(getattr(self, kind)(k)))``."""
+        return min(limit, len(getattr(self, kind)(k)))
 
     def position(self, kind: str, k: int) -> dict:
         """Word -> index in ``getattr(self, kind)(k)``."""
@@ -520,10 +457,9 @@ class WordSet:
         """The weight the wedge word must bring, by module letter."""
         return [tuple(t - c for t, c in zip(self.total, w)) for w in self.module_weights]
 
-    def _search(self, k: int, strict: bool, total: Weight, limit: int | None = None):
+    def _search(self, k: int, strict: bool, total: Weight) -> list[tuple[int, ...]]:
         """Words of k letters (strictly increasing when ``strict``) whose
-        weights sum to ``total``, lexicographic; with a ``limit``, only
-        how many there are, up to it.
+        weights sum to ``total``, lexicographic.
 
         No sum of k letters has a coordinate beyond k times the largest
         letter coordinate L, so a total outside that box has no words.  In
@@ -535,12 +471,10 @@ class WordSet:
         ``_Search``; each of them stays within its own, smaller bound."""
         bound = k * self._largest
         if any(abs(c) > bound for c in total):
-            return [] if limit is None else 0
+            return []
         width = -(-(2 * (k + 1) * self._largest).bit_length() // 16) * 16
         search = self._searches.get((width, strict))
         if search is None:
             packed = [_pack(w, width) for w in self.letter_weights]
             search = self._searches[(width, strict)] = _Search(packed, strict)
-        if limit is None:
-            return search.words(_pack(total, width), k)
-        return search.count(_pack(total, width), k, limit)
+        return search.words(_pack(total, width), k)

@@ -185,9 +185,9 @@ def test_a_canonical_record_keeps_its_digest_as_the_fingerprint(tmp_path, monkey
 
 
 # non-canonical payloads of [[1, 2/3, 0], [0, -1, 3]], whose canonical text
-# is "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n": each reads back as the
-# matrix with its fingerprint recomputed ...
-_REHASHED = [
+# is "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n", or contradictory: each
+# is a miss though its digest holds, and is rewritten canonical ...
+_NONCANONICAL = [
     "2 3 4\n0 1 2/3\n0 0 1/1\n1 1 -1/1\n1 2 3/1\n",     # lines reordered
     "2 3 4\n0 0 +1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",    # a plus sign
     "2 3 4\n0 0 1/1\n0 1 2/3\n01 1 -1/1\n1 2 3/1\n",    # a leading zero
@@ -199,8 +199,9 @@ _REHASHED = [
     "2 3 5\n0 0 1/1\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",  # a duplicate key
     "2 3 4\n0\t0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",    # a tab separator
     "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1",        # no final newline
+    "2 3 5\n0 0 1/1\n0 0 7/1\n0 1 2/3\n1 1 -1/1\n1 2 3/1\n",  # two values for a key
 ]
-# ... and each of these is a miss
+# ... and each of these is a miss too
 _MISSED = [
     "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n1 3 3/1\n",     # a column >= cols
     "2 3 4\n0 0 1/1\n0 1 2/3\n1 1 -1/1\n2 2 3/1\n",     # a row >= rows
@@ -218,14 +219,17 @@ def _write_record(tmp_path, payload):
     return cache, digest
 
 
-@pytest.mark.parametrize("payload", _REHASHED)
+@pytest.mark.parametrize("payload", _NONCANONICAL)
 def test_a_noncanonical_record_parses_and_rehashes(tmp_path, payload):
     """A payload whose digest holds but which is not the canonical text of
-    its matrix reads as that matrix, and its fingerprint is recomputed, not
-    taken from the record."""
+    a matrix does not parse, so the record is a miss.  The matrix put in its
+    place is written canonical and reads back with the digest of its own
+    text as its fingerprint."""
     assert SparseMatrix._from_canonical_text(payload) is None
     cache, digest = _write_record(tmp_path, payload)
+    assert cache.get_matrix("diff", "k") is None
     m = SparseMatrix.from_dense([[1, Rational(2, 3), 0], [0, -1, 3]])
+    cache.put_matrix("diff", "k", m)
     got = cache.get_matrix("diff", "k")
     assert got == m
     assert got.fingerprint() == m.fingerprint() != digest
@@ -314,6 +318,28 @@ def test_corrupted_records_never_change_answers(filled_cache, tmp_path_factory, 
     assert (code, out, err) == (0, cold, "")
     # every corrupted record was a miss and was rewritten as the original
     assert _records(path) == records
+
+
+def test_a_reordered_record_is_rebuilt_and_rewritten_canonical(filled_cache, tmp_path):
+    """A warm run over a cache in which one block's record has its entry
+    lines reversed and its digest recomputed prints what the cold run
+    printed and leaves that record canonical again."""
+    cold, records = filled_cache
+    name = next(
+        name for name in records if name.startswith("diff/") and records[name].count(b"\n") > 3
+    )
+    header, head, *lines = records[name].decode().splitlines(keepends=True)
+    payload = "".join([head] + lines[::-1])
+    tag, version, _ = header.split()
+    for other, content in records.items():
+        target = tmp_path / other
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(content)
+    (tmp_path / name).write_text(
+        f"{tag} {version} {hashlib.sha256(payload.encode()).hexdigest()}\n{payload}"
+    )
+    assert _homology(tmp_path) == (0, cold, "")
+    assert _records(tmp_path) == records
 
 
 def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, monkeypatch):

@@ -290,6 +290,14 @@ class TestChains:
         chain = tensor_chain(3, 2, {(2, 1): Rational(1, 2)})
         assert chain.vector.get(tensor_index((2, 1), 3)) == Rational(1, 2)
 
+    @pytest.mark.parametrize(
+        "make, word",
+        [(tensor_chain, (0, 4)), (wedge_chain, (-1, 2)), (wedge_chain, (0, 5))],
+    )
+    def test_a_letter_out_of_range_is_refused(self, make, word):
+        with pytest.raises(DomainError, match=rf"word \({word[0]}, {word[1]}\)"):
+            make(4, 2, {word: Rational(1)})
+
     def test_chain_arithmetic(self):
         a = tensor_chain(3, 1, {(0,): Rational(1)})
         b = tensor_chain(3, 1, {(1,): Rational(2)})

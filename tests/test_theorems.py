@@ -2,7 +2,9 @@ import pytest
 
 from affsymp.errors import DomainError
 from affsymp.theorems import (
+    CLAIM_DEFAULT_CAPS,
     CLAIM_IDS,
+    CLAIM_MAX_N,
     bivector_exterior,
     bivector_exterior_reduced,
     claim_params,
@@ -121,6 +123,14 @@ class TestParams:
     def test_envelope(self):
         with pytest.raises(DomainError):
             claim_params("thm-4.3", 3)
+
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_every_n_up_to_the_envelope_has_caps(self, claim):
+        max_n = CLAIM_MAX_N[claim]
+        for n in range(1, max_n + 1):
+            assert claim_params(claim, n) == CLAIM_DEFAULT_CAPS[claim][n]
+        with pytest.raises(DomainError):
+            claim_params(claim, max_n + 1)
 
     def test_cap_override(self):
         assert claim_params("thm-4.3", 1, cap=2) == {"cap": 2}

@@ -2,7 +2,6 @@ from hypothesis import given, settings, strategies as st
 
 from affsymp.words import (
     WordSet,
-    merge_with_sign,
     module_wedge_code,
     module_wedge_from_code,
     sort_with_sign,
@@ -17,6 +16,8 @@ from affsymp.words import (
     wedge_word_at,
     wedge_words,
 )
+
+from sign_oracle import merge_with_sign, tuple_sort_with_sign
 
 
 class TestWedgeRanking:
@@ -95,10 +96,23 @@ class TestSigns:
         assert sort_with_sign((1, 1)) == (None, 0)
 
     def test_merge_sign(self):
-        merged, sign = merge_with_sign((0, 2), (1, 3))
+        """Merging two increasing words has the parity of sorting their
+        concatenation."""
+        merged, sign = sort_with_sign((0, 2) + (1, 3))
         assert merged == (0, 1, 2, 3)
         assert sign == -1  # moving 1 past one element
-        assert merge_with_sign((0, 1), (1, 2)) == (None, 0)
+        assert sort_with_sign((0, 1) + (1, 2)) == (None, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 70), max_size=9))
+    def test_sort_matches_the_tuple_sort(self, letters):
+        assert sort_with_sign(tuple(letters)) == tuple_sort_with_sign(letters)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(0, 20), max_size=6), st.sets(st.integers(0, 20), max_size=6))
+    def test_sort_of_a_concatenation_matches_the_merge(self, left, right):
+        left, right = tuple(sorted(left)), tuple(sorted(right))
+        assert sort_with_sign(left + right) == merge_with_sign(left, right)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 9), min_size=0, max_size=6))

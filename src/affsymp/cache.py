@@ -49,7 +49,6 @@ believed.
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
 from .exact_linalg import QVector, SparseMatrix, sha256
@@ -96,6 +95,10 @@ class DiffCache:
     # -- low-level ------------------------------------------------------
 
     def _write_atomic(self, target: Path, text: str) -> None:
+        # imported here: ``tempfile`` brings ``random`` and ``shutil``,
+        # which a run that writes nothing never needs
+        import tempfile
+
         fd, tmp = tempfile.mkstemp(dir=str(target.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

@@ -27,8 +27,10 @@ with more than one; two lazy heaps, one of columns by count and one of
 such rows, keep that choice exact.  It ranks a transpose, and a matrix
 without the rows a caller clears, without forming either, and hands back
 the pivots with which ``ChainComplex`` clears the next differential.
-Kernels, solves and independent columns run it leftmost column first with
-Gauss-Jordan clearing, which yields the unique reduced echelon form.
+Kernels and solves run it leftmost column first with Gauss-Jordan
+clearing, which yields the unique reduced echelon form.  Independent
+columns run it leftmost column first without clearing, as whether a column
+is a pivot does not depend on it.
 
 Every matrix is held to a nonzero-entry budget (``check_entry_budget``):
 inputs, stacks and products when they are formed, and the live entries of

@@ -1,14 +1,19 @@
 """Finite-dimensional Lie algebras as labeled bases plus structure constants.
 
-The three algebras of interest are built from explicit vector-field bases on
-R^(2n):
+The three algebras of interest are spanned by Hamiltonian vector fields
+X_h on R^(2n), each basis field the field of a multiple h of one monomial:
 
-* ``build_sp(n)``   : the symplectic algebra spanned by the Hamiltonian
-  fields of quadratic polynomials, dimension 2n^2 + n;
+* ``build_sp(n)``   : the symplectic algebra of the fields of quadratic
+  polynomials, dimension 2n^2 + n;
 * ``build_I(n)``    : the abelian algebra of constant fields (Hamiltonian
   fields of linear polynomials), dimension 2n;
 * ``build_g(n)``    : their semidirect sum, the affine symplectic algebra,
   basis ordered constants first, dimension 2n^2 + 3n.
+
+As [X_f, X_g] = X_{f,g} for the Poisson bracket and the field of a constant
+is 0, the structure constants are read off {h_a, h_b}: each coefficient of
+a non-constant monomial, over that of the basis Hamiltonian with the same
+monomial.  The fields label the letters; none is bracketed.
 
 Right modules are one action matrix per algebra basis element, with
 ``actions[i] @ m`` representing the bracket [m, e_i]; the compatibility law
@@ -18,10 +23,11 @@ Right modules are one action matrix per algebra basis element, with
 actions of the generators of the signed Weyl group W~ of Sp(2n, R), the
 signed permutations of the coordinates that preserve the symplectic form.
 Each generator is a linear symplectic map A, checked so (A^T Omega A =
-Omega); its push-forward of vector fields is checked to send every basis
-field to plus or minus one basis field, and that signed permutation of the
-letters to preserve the bracket table.  An anti-symplectic permutation also
-preserves the bracket table of g_1 but lies outside Sp(2n, R), and is
+Omega), which pushes X_h forward to X_(h o A^-1); it is checked to send
+every basis Hamiltonian to plus or minus one basis Hamiltonian, and that
+signed permutation of the letters to preserve the bracket table.  An
+anti-symplectic permutation, which pushes X_h forward to -X_(h o A^-1),
+also preserves the bracket table of g_1 but lies outside Sp(2n, R), and is
 refused.  Every other algebra, ``I_n`` included, has no ``weyl``.  The
 adjoint, trivial, coordinate-sub and exterior-power modules of an algebra
 with ``weyl`` carry the induced module-letter actions (``LieModule.weyl``);
@@ -37,23 +43,16 @@ import json
 
 from .errors import ConsistencyError, DomainError
 from .exact_linalg import (
-    LinearSolver,
     QVector,
     Rational,
     SparseMatrix,
     normal_entry,
     products_cancel,
-    rank,
     rational_to_string,
     sha256,
 )
-from .vector_fields import (
-    Monomial,
-    Polynomial,
-    PolyVectorField,
-    bracket as field_bracket,
-)
-from .words import sort_with_sign, wedge_dim, wedge_index, wedge_words
+from .vector_fields import Monomial, Polynomial, hamiltonian_field, poisson
+from .words import sort_with_sign, wedge_dim, wedge_words
 
 # a signed permutation of basis letters (or coordinates): entry a is the
 # (image, sign) of letter a
@@ -307,97 +306,70 @@ class LieModule:
 
 
 # ---------------------------------------------------------------------------
-# vector-field bases and the algebras they span
+# basis Hamiltonians and the algebras their fields span
 # ---------------------------------------------------------------------------
 
 
-def _sp_fields(n: int) -> list[PolyVectorField]:
-    """Quadratic-Hamiltonian basis, ordered by family:
-    (1) x_k d/dy^k, (2) y_k d/dx^k, (3) x_i d/dy^j + x_j d/dy^i (i<j),
-    (4) y_i d/dx^j + y_j d/dx^i (i<j), (5) y_j d/dy^i - x_i d/dx^j (all i,j).
-    """
-    fields = []
-    for k in range(n):                               # (1)
-        fields.append(PolyVectorField({n + k: Polynomial.var(k)}))
-    for k in range(n):                               # (2)
-        fields.append(PolyVectorField({k: Polynomial.var(n + k)}))
-    for i in range(n):                               # (3)
-        for j in range(i + 1, n):
-            fields.append(
-                PolyVectorField({n + j: Polynomial.var(i), n + i: Polynomial.var(j)})
+def _term(c, exps: dict[int, int]) -> Polynomial:
+    return Polynomial({Monomial.from_dict(exps): c})
+
+
+def _sp_hamiltonians(n: int) -> list[Polynomial]:
+    """Quadratic basis Hamiltonians, ordered by family: (1) x_k^2/2,
+    (2) -y_k^2/2, (3) x_i x_j (i<j), (4) -y_i y_j (i<j), (5) x_i y_j (all
+    i,j).  Their fields are (1) x_k d/dy^k, (2) y_k d/dx^k,
+    (3) x_i d/dy^j + x_j d/dy^i, (4) y_i d/dx^j + y_j d/dx^i,
+    (5) y_j d/dy^i - x_i d/dx^j."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return (
+        [_term(Rational(1, 2), {k: 2}) for k in range(n)]                  # (1)
+        + [_term(Rational(-1, 2), {n + k: 2}) for k in range(n)]           # (2)
+        + [_term(1, {i: 1, j: 1}) for i, j in pairs]                       # (3)
+        + [_term(-1, {n + i: 1, n + j: 1}) for i, j in pairs]              # (4)
+        + [_term(1, {i: 1, n + j: 1}) for i in range(n) for j in range(n)]  # (5)
+    )
+
+
+def _ideal_hamiltonians(n: int) -> list[Polynomial]:
+    """-y_1..-y_n, x_1..x_n: the fields d/dx^1..d/dx^n, d/dy^1..d/dy^n."""
+    return [_term(-1, {n + i: 1}) for i in range(n)] + [_term(1, {i: 1}) for i in range(n)]
+
+
+def _labels(hamiltonians: list[Polynomial], n: int) -> tuple[str, ...]:
+    return tuple(hamiltonian_field(h, n).render(n) for h in hamiltonians)
+
+
+def _algebra_from_hamiltonians(hamiltonians: list[Polynomial], n: int) -> LieAlgebra:
+    """The algebra the fields X_h span, with the letter actions of the
+    generators of W~ (``weyl_action``).  As [X_f, X_g] = X_{f,g} and the
+    field of a constant is 0, c_ab^k is the coefficient of the monomial of
+    h_k in {h_a, h_b} over its coefficient in h_k, the constant term
+    dropped.  Raises ``ConsistencyError`` unless each h_k is a multiple of
+    its own non-constant monomial and every bracket lies in their span."""
+    letter = {}
+    for k, h in enumerate(hamiltonians):
+        mono = next(iter(h.terms), Monomial())
+        if len(h.terms) != 1 or not mono.exps or mono in letter:
+            raise ConsistencyError(
+                f"basis Hamiltonian {h.render(n)} is not a multiple of a monomial of its own"
             )
-    for i in range(n):                               # (4)
-        for j in range(i + 1, n):
-            fields.append(
-                PolyVectorField({j: Polynomial.var(n + i), i: Polynomial.var(n + j)})
-            )
-    for i in range(n):                               # (5)
-        for j in range(n):
-            f = PolyVectorField(
-                {n + i: Polynomial.var(n + j), j: Polynomial.var(i).neg()}
-            )
-            fields.append(f)
-    return fields
-
-
-def _ideal_fields(n: int) -> list[PolyVectorField]:
-    """Constant fields d/dx^1..d/dx^n, d/dy^1..d/dy^n."""
-    return [PolyVectorField.unit(d) for d in range(2 * n)]
-
-
-class _FieldSpan:
-    """Expands vector fields in a fixed linearly independent field basis."""
-
-    def __init__(self, fields: list[PolyVectorField]):
-        self.fields = fields
-        rows: dict[tuple[int, tuple], int] = {}
-        for f in fields:
-            for d, poly in f.components.items():
-                for mono in poly.terms:
-                    rows.setdefault((d, mono.exps), len(rows))
-        self.rows = rows
-        entries = {}
-        for col, f in enumerate(fields):
-            for d, poly in f.components.items():
-                for mono, coeff in poly.terms.items():
-                    entries[(rows[(d, mono.exps)], col)] = coeff
-        matrix = SparseMatrix(len(rows), len(fields), entries)
-        if fields and rank(matrix) != len(fields):
-            raise ConsistencyError("basis fields are linearly dependent")
-        self.solver = LinearSolver(matrix)
-
-    def expand(self, f: PolyVectorField) -> QVector:
-        coords: dict[int, Rational] = {}
-        for d, poly in f.components.items():
-            for mono, coeff in poly.terms.items():
-                row = self.rows.get((d, mono.exps))
-                if row is None:
-                    raise ConsistencyError("field does not lie in the basis span")
-                coords[row] = coeff
-        rhs = QVector.from_dict(len(self.rows), coords)
-        out = self.solver.solve(rhs)
-        if out is None:
-            raise ConsistencyError("field does not lie in the basis span")
-        return out
-
-
-def _algebra_from_fields(
-    fields: list[PolyVectorField], labels: tuple[str, ...], n: int
-) -> LieAlgebra:
-    """The algebra the fields span, with the letter actions of the
-    generators of W~ (``weyl_action``)."""
-    span = _FieldSpan(fields)
+        letter[mono] = (k, h.terms[mono])
     brackets: dict[tuple[int, int], dict[int, Rational]] = {}
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            prod = field_bracket(fields[i], fields[j])
-            if prod.is_zero:
-                continue
-            coeffs = span.expand(prod)
-            if not coeffs.is_zero:
-                brackets[(i, j)] = coeffs.to_dict()
-    algebra = LieAlgebra(len(fields), labels, brackets)
-    algebra.weyl = weyl_action(fields, algebra, weyl_generators(n))
+    for a in range(len(hamiltonians)):
+        for b in range(a + 1, len(hamiltonians)):
+            coeffs = {}
+            for mono, c in poisson(hamiltonians[a], hamiltonians[b], n).terms.items():
+                if mono.exps:
+                    if mono not in letter:
+                        raise ConsistencyError(
+                            f"the bracket of letters {a} and {b} leaves the span at {mono.render(n)}"
+                        )
+                    k, unit = letter[mono]
+                    coeffs[k] = c / unit
+            if coeffs:
+                brackets[(a, b)] = coeffs
+    algebra = LieAlgebra(len(hamiltonians), _labels(hamiltonians, n), brackets)
+    algebra.weyl = weyl_action(hamiltonians, algebra, weyl_generators(n))
     return algebra
 
 
@@ -438,28 +410,17 @@ def _is_symplectic(coords: SignedPerm) -> bool:
     )
 
 
-def _pushed(f: PolyVectorField, coords: SignedPerm) -> PolyVectorField:
-    """The push-forward A X(A^-1 p) of a field by A e_j = s_j e_(sigma j):
-    a coefficient monomial prod z_j^e_j becomes prod (s_j z_(sigma j))^e_j,
-    and the direction j becomes s_j e_(sigma j)."""
-    components = {}
-    for d, poly in f.components.items():
-        target, sign = coords[d]
-        terms = {}
-        for mono, c in poly.terms.items():
-            odd = sign < 0
-            for j, e in mono.exps:
-                odd ^= coords[j][1] < 0 and e % 2 == 1
-            terms[Monomial.from_dict({coords[j][0]: e for j, e in mono.exps})] = -c if odd else c
-        components[target] = Polynomial(terms)
-    return PolyVectorField(components)
-
-
-def _field_key(f: PolyVectorField) -> tuple:
-    return tuple(sorted(
-        (d, tuple(sorted((m.exps, c) for m, c in p.terms.items())))
-        for d, p in f.components.items()
-    ))
+def _pushed(h: Polynomial, coords: SignedPerm) -> Polynomial:
+    """h o A^-1 for A e_j = s_j e_(sigma j): a monomial prod z_j^e_j becomes
+    prod (s_j z_(sigma j))^e_j.  For a symplectic A it is the Hamiltonian of
+    the push-forward A X_h(A^-1 p)."""
+    terms = {}
+    for mono, c in h.terms.items():
+        odd = False
+        for j, e in mono.exps:
+            odd ^= coords[j][1] < 0 and e % 2 == 1
+        terms[Monomial.from_dict({coords[j][0]: e for j, e in mono.exps})] = -c if odd else c
+    return Polynomial(terms)
 
 
 def _preserves_brackets(algebra: LieAlgebra, perm: SignedPerm) -> bool:
@@ -474,22 +435,23 @@ def _preserves_brackets(algebra: LieAlgebra, perm: SignedPerm) -> bool:
 
 
 def weyl_action(
-    fields: list[PolyVectorField], algebra: LieAlgebra, generators: list[SignedPerm]
+    hamiltonians: list[Polynomial], algebra: LieAlgebra, generators: list[SignedPerm]
 ) -> tuple[SignedPerm, ...]:
     """The letter actions of the coordinate maps ``generators`` on the
-    algebra spanned by ``fields`` (its letters, in order), by push-forward.
+    algebra spanned by the fields of ``hamiltonians`` (its letters, in
+    order), by push-forward: a symplectic A sends X_h to X_(h o A^-1).
     Raises ``ConsistencyError`` unless each map is symplectic, sends every
     basis field to plus or minus one basis field, and preserves the bracket
     table."""
     letter = {}
-    for a, f in enumerate(fields):
-        letter[_field_key(f)] = (a, 1)
-        letter[_field_key(f.neg())] = (a, -1)
+    for a, h in enumerate(hamiltonians):
+        letter[h] = (a, 1)
+        letter[h.neg()] = (a, -1)
     out = []
     for coords in generators:
         if not _is_symplectic(coords):
             raise ConsistencyError(f"the coordinate map {coords} is not symplectic")
-        perm = tuple(letter.get(_field_key(_pushed(f, coords))) for f in fields)
+        perm = tuple(letter.get(_pushed(h, coords)) for h in hamiltonians)
         if None in perm:
             raise ConsistencyError(
                 f"the coordinate map {coords} sends a basis field to no signed basis field"
@@ -520,22 +482,18 @@ def module_weyl(algebra: LieAlgebra, module: LieModule) -> tuple[SignedPerm, ...
 
 
 def build_sp(n: int) -> LieAlgebra:
-    """Symplectic algebra from the quadratic-Hamiltonian field basis;
-    dimension 2n^2 + n."""
+    """Symplectic algebra of the fields of the quadratic basis
+    Hamiltonians; dimension 2n^2 + n."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    fields = _sp_fields(n)
-    labels = tuple(f.render(n) for f in fields)
-    return _algebra_from_fields(fields, labels, n)
+    return _algebra_from_hamiltonians(_sp_hamiltonians(n), n)
 
 
 def build_I(n: int) -> LieAlgebra:
     """Abelian algebra of constant fields; dimension 2n."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    fields = _ideal_fields(n)
-    labels = tuple(f.render(n) for f in fields)
-    return LieAlgebra(2 * n, labels, {})
+    return LieAlgebra(2 * n, _labels(_ideal_hamiltonians(n), n), {})
 
 
 def build_g(
@@ -547,9 +505,7 @@ def build_g(
     it is built."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    fields = _ideal_fields(n) + _sp_fields(n)
-    labels = tuple(f.render(n) for f in fields)
-    algebra = _algebra_from_fields(fields, labels, n)
+    algebra = _algebra_from_hamiltonians(_ideal_hamiltonians(n) + _sp_hamiltonians(n), n)
     ideal = tuple(range(2 * n))
     quotient = tuple(range(2 * n, algebra.dim))
     _check_decomposition(algebra, ideal, quotient, build_sp(n) if sp is None else sp)

@@ -316,18 +316,20 @@ def bracket(xf: PolyVectorField, yf: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(acc)
 
 
+def _check_domain(max_coord: int, n: int) -> None:
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if max_coord >= 2 * n:
+        raise DomainError(f"polynomial uses coordinate {max_coord}, out of range for R^{2 * n}")
+
+
 def hamiltonian_field(h: Polynomial, n: int) -> PolyVectorField:
     """Field with components +dh/dx_i on d/dy^i and -dh/dy_i on d/dx^i.
 
     Linear h give constant fields, quadratic h give the linear fields that
     close under bracket into the symplectic algebra.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if h.max_coord() >= 2 * n:
-        raise DomainError(
-            f"polynomial uses coordinate {h.max_coord()}, out of range for R^{2 * n}"
-        )
+    _check_domain(h.max_coord(), n)
     comps: dict[int, Polynomial] = {}
     for i in range(n):
         dy = h.diff(i)          # d/dx_i lands on the y^i direction
@@ -341,7 +343,9 @@ def hamiltonian_field(h: Polynomial, n: int) -> PolyVectorField:
 
 def poisson(h: Polynomial, k: Polynomial, n: int) -> Polynomial:
     """Poisson bracket {h, k} = sum dh/dx_i dk/dy_i - dh/dy_i dk/dx_i,
-    normalized so that [X_h, X_k] = X_{h, k}."""
+    normalized so that [X_h, X_k] = X_{h, k}.  Raises ``DomainError``
+    unless n >= 1 and h and k use only coordinates below 2n."""
+    _check_domain(max(h.max_coord(), k.max_coord()), n)
     out = Polynomial.zero()
     for i in range(n):
         out = out.add(h.diff(i).mul(k.diff(n + i)))

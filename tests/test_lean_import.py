@@ -1,5 +1,5 @@
-"""``import affsymp`` loads neither OpenSSL nor ``dataclasses``, and its
-lean SHA-256 gives ``hashlib``'s digests."""
+"""``import affsymp`` loads neither OpenSSL, ``dataclasses`` nor
+``tempfile``, and its lean SHA-256 gives ``hashlib``'s digests."""
 
 import hashlib
 import os
@@ -14,9 +14,10 @@ from affsymp.exact_linalg import sha256
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # heavy modules that nothing in affsymp needs at start-up: OpenSSL's
-# libcrypto behind ``hashlib``, and ``dataclasses`` with ``inspect`` and
-# ``typing``
-UNWANTED = ("hashlib", "_hashlib", "dataclasses", "inspect", "typing")
+# libcrypto behind ``hashlib``, ``dataclasses`` with ``inspect`` and
+# ``typing``, and ``tempfile`` with ``random`` and ``shutil``, which only a
+# cache write needs
+UNWANTED = ("hashlib", "_hashlib", "dataclasses", "inspect", "typing", "tempfile")
 
 PAYLOADS = [b"", b"affsymp-matrix 1\n3 3 2\n0 0 1/1\n", "ω ∧ ω = 2 dx¹dy¹dx²dy²".encode()]
 

@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import pytest
 
 from affsymp.errors import ConsistencyError, DomainError
 from affsymp.exact_linalg import Rational, SparseMatrix
 from affsymp.lie_structures import (
     LieAlgebra,
+    _algebra_from_hamiltonians,
+    _sp_hamiltonians,
     adjoint_module,
     build_g,
     build_I,
@@ -14,7 +19,11 @@ from affsymp.lie_structures import (
     tensor_module,
     trivial_module,
     validate_lie,
+    weyl_generators,
 )
+from affsymp.vector_fields import Monomial, Polynomial, PolyVectorField, bracket, poisson
+
+from field_oracle import ideal_fields, pushed, sp_fields
 
 
 class TestDimensions:
@@ -236,9 +245,6 @@ class TestSerialization:
         """The constants are held as ints, yet every algebra's fingerprint and
         JSON dump, and its adjoint module's fingerprint, are byte for byte
         those written when they were ``Fraction``s."""
-        import hashlib
-        import json
-
         h = hashlib.sha256()
         for n in (1, 2, 3):
             for algebra in (build_sp(n), build_I(n), build_g(n)[0]):
@@ -246,6 +252,68 @@ class TestSerialization:
                 h.update(json.dumps(algebra.to_json_dict(), sort_keys=True).encode())
                 h.update(adjoint_module(algebra).fingerprint().encode())
         assert h.hexdigest() == "d21c4d2e7b786f56b578a16373c9da03b328810afd9762b20aba4adde927368b"
+
+    def test_weyl_actions_are_pinned(self):
+        """The letter actions of W~'s generators, byte for byte those found
+        by pushing the basis fields forward."""
+        h = hashlib.sha256()
+        for n in (1, 2, 3):
+            for algebra in (build_sp(n), build_g(n)[0]):
+                h.update(json.dumps(algebra.weyl).encode())
+        assert h.hexdigest() == "f6cf32450419acd35410efd76bb64ae8b293c4bbf8b763322c10d6d58be6b7b7"
+
+
+def _with_fields(family, n):
+    """The built algebra and its basis fields, from ``tests/field_oracle.py``."""
+    if family == "sp":
+        return build_sp(n), sp_fields(n)
+    return build_g(n)[0], ideal_fields(n) + sp_fields(n)
+
+
+class TestFieldOracle:
+    """The structure constants and W~ actions read off the basis
+    Hamiltonians are those of the vector fields they stand for."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["sp", "g"])
+    def test_commutators_expand_in_the_structure_constants(self, family, n):
+        algebra, fields = _with_fields(family, n)
+        assert algebra.labels == tuple(f.render(n) for f in fields)
+        for a in range(algebra.dim):
+            for b in range(a + 1, algebra.dim):
+                expected = PolyVectorField.zero()
+                for k, c in algebra.bracket_coeffs(a, b).items():
+                    expected = expected.add(fields[k].scale(c))
+                assert bracket(fields[a], fields[b]) == expected, (a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["sp", "g"])
+    def test_push_forward_sends_each_field_to_its_signed_image(self, family, n):
+        algebra, fields = _with_fields(family, n)
+        assert len(algebra.weyl) == len(weyl_generators(n))
+        for coords, perm in zip(weyl_generators(n), algebra.weyl):
+            for f, (target, sign) in zip(fields, perm):
+                assert pushed(f, coords) == fields[target].scale(sign)
+
+
+class TestHamiltonianBasis:
+    def test_a_hamiltonian_of_two_monomials_is_refused(self):
+        hamiltonians = _sp_hamiltonians(1)
+        hamiltonians[2] = hamiltonians[2].add(hamiltonians[0])  # x1 y1 + x1^2/2
+        with pytest.raises(ConsistencyError, match="not a multiple of a monomial of its own"):
+            _algebra_from_hamiltonians(hamiltonians, 1)
+
+    def test_two_hamiltonians_that_share_a_monomial_are_refused(self):
+        hamiltonians = _sp_hamiltonians(1)
+        hamiltonians[1] = hamiltonians[0].scale(2)  # x1^2 beside x1^2/2
+        with pytest.raises(ConsistencyError, match="not a multiple of a monomial of its own"):
+            _algebra_from_hamiltonians(hamiltonians, 1)
+
+    def test_a_bracket_that_leaves_the_span_is_refused(self):
+        x2, y2 = Polynomial.var(0, 2), Polynomial.var(1, 2)
+        assert poisson(x2, y2, 1) == Polynomial({Monomial.from_dict({0: 1, 1: 1}): 4})
+        with pytest.raises(ConsistencyError, match=r"leaves the span at x1\*y1"):
+            _algebra_from_hamiltonians([x2, y2], 1)
 
 
 class TestConstants:

@@ -116,6 +116,14 @@ class TestBracket:
 
 
 class TestPoisson:
+    def test_out_of_range_coordinate(self):
+        x2, y2 = var(1), var(3)
+        assert poisson(x2, y2, 2) == Polynomial.constant(1)
+        with pytest.raises(DomainError):
+            poisson(x2, y2, 1)  # coordinate 3 needs n >= 2
+        with pytest.raises(DomainError):
+            poisson(var(0), var(1), 0)
+
     @settings(max_examples=30, deadline=None)
     @given(small_polynomials(2, max_degree=2), small_polynomials(2, max_degree=2))
     def test_field_of_poisson_bracket(self, h, k):

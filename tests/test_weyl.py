@@ -21,11 +21,10 @@ from affsymp.errors import ConsistencyError
 from affsymp.homology import betti
 from affsymp.lie_structures import (
     LieAlgebra,
-    _field_key,
-    _ideal_fields,
+    _ideal_hamiltonians,
     _pushed,
     _preserves_brackets,
-    _sp_fields,
+    _sp_hamiltonians,
     adjoint_module,
     build_I,
     cartan_weights,
@@ -38,6 +37,7 @@ from affsymp.lie_structures import (
 from affsymp.weyl import orbit_words
 from affsymp.words import WordSet
 
+from field_oracle import field_letters, ideal_fields, sp_fields
 from test_weight_blocks import _ideal_wedge
 
 
@@ -146,16 +146,18 @@ def _swap_xy(n):
 
 def test_an_anti_symplectic_permutation_is_refused(g1):
     algebra = g1[0]
-    fields = _ideal_fields(1) + _sp_fields(1)
+    hamiltonians = _ideal_hamiltonians(1) + _sp_hamiltonians(1)
     bad = _swap_xy(1)
     letter = {}
-    for a, f in enumerate(fields):
-        letter[_field_key(f)] = (a, 1)
-        letter[_field_key(f.neg())] = (a, -1)
-    perm = tuple(letter[_field_key(_pushed(f, bad))] for f in fields)
+    for a, h in enumerate(hamiltonians):
+        letter[h] = (a, 1)
+        letter[h.neg()] = (a, -1)
+    # an anti-symplectic A pushes X_h forward to -X_(h o A^-1)
+    perm = tuple((t, -s) for t, s in (letter[_pushed(h, bad)] for h in hamiltonians))
+    assert perm == field_letters(ideal_fields(1) + sp_fields(1), bad)
     assert _preserves_brackets(algebra, perm)
     with pytest.raises(ConsistencyError, match="not symplectic"):
-        weyl_action(fields, algebra, [bad])
+        weyl_action(hamiltonians, algebra, [bad])
     # with it, the Leibniz homology of g_1 would lose the class of omega
     wrong = _bare(algebra)
     wrong.weyl = (perm,)
@@ -164,13 +166,13 @@ def test_an_anti_symplectic_permutation_is_refused(g1):
 
 
 def test_a_basis_the_group_does_not_permute_is_refused(g1):
-    """g_1 spanned by the same fields but H + x d/dy in place of H: J sends
-    it to -H - y d/dx, no signed basis field."""
+    """g_1 spanned by the same fields but H + x d/dy in place of H, the
+    field of x y + x^2/2: J sends it to -H - y d/dx, no signed basis field."""
     algebra = g1[0]
-    fields = _ideal_fields(1) + _sp_fields(1)
-    fields[-1] = fields[-1].add(fields[2])
+    hamiltonians = _ideal_hamiltonians(1) + _sp_hamiltonians(1)
+    hamiltonians[-1] = hamiltonians[-1].add(hamiltonians[2])
     with pytest.raises(ConsistencyError, match="no signed basis field"):
-        weyl_action(fields, algebra, weyl_generators(1))
+        weyl_action(hamiltonians, algebra, weyl_generators(1))
 
 
 def test_i_n_gets_no_action(i1):

@@ -1,7 +1,7 @@
 """Exact-arithmetic homology engine for the affine symplectic Lie algebra.
 
 Builds the symplectic algebra sp_n, the abelian algebra of constant fields
-and their semidirect sum from explicit polynomial vector-field bases,
+and their semidirect sum from the Hamiltonians of their basis fields,
 assembles the exterior, coefficient, tensor and kernel chain complexes, and
 computes homology, invariant subspaces and the full verification suite over
 the rationals with no floating point anywhere.
@@ -29,10 +29,6 @@ from .exact_linalg import (
 from .vector_fields import (
     Monomial,
     Polynomial,
-    PolyVectorField,
-    bracket,
-    hamiltonian_field,
-    parse_field,
     poisson,
 )
 from .lie_structures import (

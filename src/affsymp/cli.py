@@ -2,8 +2,10 @@
 
 Subcommands: ``algebra info``, ``homology``, ``invariants``, ``verify`` and
 ``cache``.  Exit codes: 0 all requested checks passed, 1 a verification
-failed, 2 usage or domain error, 3 resource-guard abort, 141 (128 + SIGPIPE)
-the reader of standard output went away before the output was written.
+failed, 2 usage or domain error or a file that cannot be written or removed
+(say, a directory in place of a cache record), 3 resource-guard abort, 141
+(128 + SIGPIPE) the reader of standard output went away before the output
+was written.
 
 The cache directory and memory cap come from ``--cache-dir`` /
 ``--memory-cap``, falling back to the environment variables
@@ -256,6 +258,11 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # os.replace names the temporary file first and the record second
+        path = exc.filename2 or exc.filename
+        print(f"error: {path}: {exc.strerror}" if path else f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

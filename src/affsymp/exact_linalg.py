@@ -196,20 +196,6 @@ class QVector:
     def sub(self, other: "QVector") -> "QVector":
         return self.add(other.scale(-1))
 
-    def dot(self, other: "QVector") -> Rational:
-        if self.length != other.length:
-            raise ShapeError("vector length mismatch")
-        small, big = self, other
-        if len(small.entries) > len(big.entries):
-            small, big = big, small
-        lookup = dict(big.entries)
-        total = QZERO
-        for i, v in small.entries:
-            w = lookup.get(i)
-            if w is not None:
-                total += v * w
-        return total
-
     def normalized(self) -> "QVector":
         """Scaled so the first nonzero coordinate is +1."""
         if not self.entries:

@@ -235,9 +235,6 @@ class HomologyReport:
         self.kind = kind
         self.rows: list[DegreeRecord] = []
 
-    def betti_list(self) -> list[int]:
-        return [r.betti for r in self.rows]
-
     def to_json_dict(self) -> dict:
         return {
             "report": "homology",

@@ -51,7 +51,7 @@ from .exact_linalg import (
     rational_to_string,
     sha256,
 )
-from .vector_fields import Monomial, Polynomial, hamiltonian_field, poisson
+from .vector_fields import Monomial, Polynomial, field_label, poisson
 from .words import sort_with_sign, wedge_dim, wedge_words
 
 # a signed permutation of basis letters (or coordinates): entry a is the
@@ -336,7 +336,7 @@ def _ideal_hamiltonians(n: int) -> list[Polynomial]:
 
 
 def _labels(hamiltonians: list[Polynomial], n: int) -> tuple[str, ...]:
-    return tuple(hamiltonian_field(h, n).render(n) for h in hamiltonians)
+    return tuple(field_label(h, n) for h in hamiltonians)
 
 
 def _algebra_from_hamiltonians(hamiltonians: list[Polynomial], n: int) -> LieAlgebra:

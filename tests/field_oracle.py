@@ -1,10 +1,128 @@
 """The vector-field derivation that ``affsymp.lie_structures`` built
 ``sp_n`` and ``g_n`` from before it read their structure constants off the
 Poisson brackets of the basis Hamiltonians, kept as a test oracle: the
-basis fields written out, and their push-forward by a signed permutation
-of the coordinates."""
+polynomial vector fields and their commutator bracket, the Hamiltonian
+field of a polynomial, the basis fields written out, and their
+push-forward by a signed permutation of the coordinates."""
 
-from affsymp.vector_fields import Monomial, Polynomial, PolyVectorField
+from collections.abc import Mapping
+
+from affsymp.errors import DomainError
+from affsymp.vector_fields import Monomial, Polynomial, _check_domain, direction_name
+
+
+class PolyVectorField:
+    """Derivation sum p_i(x, y) d/dx^i + q_i(x, y) d/dy^i."""
+
+    __slots__ = ("components",)
+
+    def __init__(self, components: Mapping[int, Polynomial] | None = None):
+        clean = {}
+        for d, p in (components or {}).items():
+            if d < 0:
+                raise DomainError("direction index must be >= 0")
+            if not p.is_zero:
+                clean[d] = p
+        self.components = clean
+
+    @classmethod
+    def zero(cls) -> "PolyVectorField":
+        return cls()
+
+    @classmethod
+    def unit(cls, direction: int) -> "PolyVectorField":
+        return cls({direction: Polynomial.constant(1)})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def component(self, direction: int) -> Polynomial:
+        return self.components.get(direction, Polynomial.zero())
+
+    def max_coord(self) -> int:
+        dirs = max(self.components, default=-1)
+        coeffs = max((p.max_coord() for p in self.components.values()), default=-1)
+        return max(dirs, coeffs)
+
+    def add(self, other: "PolyVectorField") -> "PolyVectorField":
+        acc = dict(self.components)
+        for d, p in other.components.items():
+            acc[d] = acc.get(d, Polynomial.zero()).add(p)
+        return PolyVectorField(acc)
+
+    def neg(self) -> "PolyVectorField":
+        return PolyVectorField({d: p.neg() for d, p in self.components.items()})
+
+    def sub(self, other: "PolyVectorField") -> "PolyVectorField":
+        return self.add(other.neg())
+
+    def scale(self, c) -> "PolyVectorField":
+        return PolyVectorField({d: p.scale(c) for d, p in self.components.items()})
+
+    def apply_to(self, f: Polynomial) -> Polynomial:
+        """Action as a derivation: X(f) = sum_i X_i * df/d(coord i)."""
+        out = Polynomial.zero()
+        for d, p in self.components.items():
+            out = out.add(p.mul(f.diff(d)))
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyVectorField):
+            return NotImplemented
+        return self.components == other.components
+
+    def render(self, n: int) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for d in sorted(self.components):
+            p = self.components[d]
+            dname = direction_name(d, n)
+            if p == Polynomial.constant(1):
+                body = dname
+            elif p == Polynomial.constant(-1):
+                body = "-" + dname
+            elif len(p.terms) == 1:
+                body = f"{p.render(n)}*{dname}"
+            else:
+                body = f"({p.render(n)})*{dname}"
+            parts.append(body)
+        out = parts[0]
+        for part in parts[1:]:
+            out += " - " + part[1:] if part.startswith("-") else " + " + part
+        return out
+
+    def __repr__(self) -> str:
+        return f"PolyVectorField({self.components!r})"
+
+
+def bracket(xf: PolyVectorField, yf: PolyVectorField) -> PolyVectorField:
+    """Commutator of derivations: [X, Y]_d = X(Y_d) - Y(X_d)."""
+    acc: dict[int, Polynomial] = {}
+    for d in set(xf.components) | set(yf.components):
+        comp = xf.apply_to(yf.component(d)).sub(yf.apply_to(xf.component(d)))
+        if not comp.is_zero:
+            acc[d] = comp
+    return PolyVectorField(acc)
+
+
+def hamiltonian_field(h: Polynomial, n: int) -> PolyVectorField:
+    """Field with components +dh/dx_i on d/dy^i and -dh/dy_i on d/dx^i.
+
+    Linear h give constant fields, quadratic h give the linear fields that
+    close under bracket into the symplectic algebra.
+    """
+    _check_domain(h.max_coord(), n)
+    comps: dict[int, Polynomial] = {}
+    for i in range(n):
+        dy = h.diff(i)          # d/dx_i lands on the y^i direction
+        if not dy.is_zero:
+            comps[n + i] = dy
+        dx = h.diff(n + i)      # d/dy_i lands on the x^i direction, negated
+        if not dx.is_zero:
+            comps[i] = dx.neg()
+    return PolyVectorField(comps)
 
 
 def sp_fields(n):

@@ -357,6 +357,26 @@ class TestCacheLifecycle:
             # every miss was rebuilt and rewritten as the original record
             assert {record: record.read_text() for record in records} == good
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--n", "1"],
+        ["homology", "--family", "g", "--n", "1", "--theory", "cr", "--max-degree", "2"],
+        ["cache", "clear"],
+    ])
+    @pytest.mark.parametrize("kind", ["rank", "diff"])
+    def test_a_directory_in_place_of_a_record_exit_two(self, capsys, tmp_path, argv, kind):
+        cache = tmp_path / "cache"
+        fill = ["verify", "all", "--n", "1"] if argv[0] == "cache" else argv
+        code, _, _ = run_cli(capsys, fill + ["--cache-dir", str(cache)])
+        assert code == 0
+        # the rerun reads the record as a miss, then can neither replace nor remove it
+        record = sorted((cache / kind).iterdir())[0]
+        record.unlink()
+        record.mkdir()
+        code, out, err = run_cli(capsys, argv + ["--cache-dir", str(cache)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {record}: ") and err.count("\n") == 1
+        assert not list(cache.rglob("*.tmp"))
+
     def test_env_variable_used(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
         monkeypatch.setenv("AFFSYMP_CACHE_DIR", str(cache))

@@ -722,7 +722,6 @@ class TestQVector:
         b = QVector.from_dense([0, 3, -2])
         assert a.add(b) == QVector.from_dense([1, 3, 0])
         assert a.scale(Rational(1, 2)) == QVector.from_dense([Fraction(1, 2), 0, 1])
-        assert a.dot(b) == Rational(-4)
 
     def test_entries_sorted_nonzero(self):
         v = QVector.from_dict(5, {3: Rational(1), 1: Rational(0), 0: Rational(2)})

@@ -2,12 +2,14 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affsymp.errors import ConsistencyError, DomainError
 from affsymp.exact_linalg import Rational, SparseMatrix
 from affsymp.lie_structures import (
     LieAlgebra,
     _algebra_from_hamiltonians,
+    _ideal_hamiltonians,
     _sp_hamiltonians,
     adjoint_module,
     build_g,
@@ -21,9 +23,16 @@ from affsymp.lie_structures import (
     validate_lie,
     weyl_generators,
 )
-from affsymp.vector_fields import Monomial, Polynomial, PolyVectorField, bracket, poisson
+from affsymp.vector_fields import Monomial, Polynomial, field_label, poisson
 
-from field_oracle import ideal_fields, pushed, sp_fields
+from field_oracle import (
+    PolyVectorField,
+    bracket,
+    hamiltonian_field,
+    ideal_fields,
+    pushed,
+    sp_fields,
+)
 
 
 class TestDimensions:
@@ -294,6 +303,44 @@ class TestFieldOracle:
         for coords, perm in zip(weyl_generators(n), algebra.weyl):
             for f, (target, sign) in zip(fields, perm):
                 assert pushed(f, coords) == fields[target].scale(sign)
+
+
+@st.composite
+def _one_monomial(draw):
+    """n in 1..3 and a single non-constant monomial of degree at most 4 with a
+    nonzero rational coefficient, such as -3/2 x1^2 y2 at n = 2."""
+    n = draw(st.integers(1, 3))
+    exps = draw(
+        st.dictionaries(st.integers(0, 2 * n - 1), st.integers(1, 2), min_size=1, max_size=2)
+    )
+    c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool))
+    return Polynomial({Monomial.from_dict(exps): Rational(c.numerator, c.denominator)}), n
+
+
+class TestFieldLabel:
+    """``field_label`` renders X_h from the partials of h as the oracle's
+    field of h renders."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["sp", "I", "g"])
+    def test_basis_labels_are_the_rendered_fields(self, family, n):
+        hamiltonians = {
+            "sp": _sp_hamiltonians(n),
+            "I": _ideal_hamiltonians(n),
+            "g": _ideal_hamiltonians(n) + _sp_hamiltonians(n),
+        }[family]
+        expected = tuple(hamiltonian_field(h, n).render(n) for h in hamiltonians)
+        assert tuple(field_label(h, n) for h in hamiltonians) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(_one_monomial())
+    def test_a_monomial_renders_as_its_field(self, h_n):
+        h, n = h_n
+        assert field_label(h, n) == hamiltonian_field(h, n).render(n)
+
+    def test_a_foreign_coordinate_is_refused(self):
+        with pytest.raises(DomainError):
+            field_label(Polynomial.var(2), 1)  # coordinate 2 needs n >= 2
 
 
 class TestHamiltonianBasis:

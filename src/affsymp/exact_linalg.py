@@ -2,7 +2,7 @@
 
 Everything downstream (differentials, invariant subspaces, Betti numbers,
 representative cycles) reduces to ``rank``, ``kernel_basis``,
-``independent_columns``, ``LinearSolver``, ``multiply``, ``stack_rows`` and
+``independent_columns``, ``solve``, ``multiply``, ``stack_rows`` and
 ``products_cancel``, the test that a sum of products is zero (d o d = 0,
 chain maps, module laws), all computed in exact rational arithmetic.
 
@@ -27,15 +27,17 @@ with more than one; two lazy heaps, one of columns by count and one of
 such rows, keep that choice exact.  It ranks a transpose, and a matrix
 without the rows a caller clears, without forming either, and hands back
 the pivots with which ``ChainComplex`` clears the next differential.
-Kernels and solves run it leftmost column first with Gauss-Jordan
-clearing, which yields the unique reduced echelon form.  Independent
-columns run it leftmost column first without clearing, as whether a column
-is a pivot does not depend on it.
+Every other reader runs it leftmost column first with Gauss-Jordan
+clearing, which yields the unique reduced echelon form (``_echelon``):
+kernels read it with the columns reversed, independent columns are its
+pivot columns, and a solve of a x = b reads it off [a | b].
 
 Every matrix is held to a nonzero-entry budget (``check_entry_budget``):
-inputs, stacks and products when they are formed, and the live entries of
-an elimination once per pivot step, so fill-in aborts with
-``ResourceLimitError`` instead of growing memory.
+outside input to the ``SparseMatrix`` constructor, stacks and products
+when they are formed, and the live entries of an elimination once per pivot
+step, so fill-in aborts with ``ResourceLimitError`` instead of growing
+memory.  A block that a complex assembles, or reads back from its cache,
+is held to the complex's own cap by its builder, not to the default.
 
 All public objects are immutable values: operations are pure functions and
 safe to call concurrently on distinct inputs.  Elimination is sequential and
@@ -84,12 +86,6 @@ DEFAULT_ENTRY_CAP = 10_000_000
 _CANONICAL_HEADER = re.compile(r"(0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n")
 _NUMBER_BYTES = b"0123456789-"
 _SEPARATORS_TO_COMMAS = bytes.maketrans(b" /\n", b",,,")
-
-
-def rational_from_string(text: str) -> Rational:
-    """Parse "p" or "p/q" in base 10."""
-    num, _, den = text.partition("/")
-    return Rational(int(num), int(den)) if den and den != "1" else Rational(int(num))
 
 
 def rational_to_string(value) -> str:
@@ -224,10 +220,10 @@ class SparseMatrix:
                 v = normal_entry(v)
             if v:
                 clean[(r, c)] = v
+        check_entry_budget(len(clean))
         self._set(rows, cols, clean)
 
     def _set(self, rows: int, cols: int, clean: dict[tuple[int, int], int | Rational]) -> None:
-        check_entry_budget(len(clean))
         self.rows = rows
         self.cols = cols
         self.entries = clean
@@ -239,7 +235,9 @@ class SparseMatrix:
         cls, rows: int, cols: int, clean: dict[tuple[int, int], int | Rational]
     ) -> "SparseMatrix":
         """Wrap entries already known to be in range, nonzero and in normal
-        form."""
+        form.  No budget is checked here: an assembled or cached block is
+        held to its complex's cap by its builder, and products and stacks
+        check their own as they grow."""
         m = cls.__new__(cls)
         m._set(rows, cols, clean)
         return m
@@ -298,12 +296,6 @@ class SparseMatrix:
                 idx.setdefault(cc, []).append((r, v))
             self._col_index = idx
         return self._col_index.get(c, [])
-
-    def row_dicts(self) -> dict[int, dict[int, Rational]]:
-        out: dict[int, dict[int, Rational]] = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(r, {})[c] = v
-        return out
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix._of(
@@ -485,7 +477,6 @@ def _eliminate(
     rows: dict[int, dict[int, int]],
     cap: int | None = None,
     leftmost: bool = False,
-    reduce: bool = False,
 ) -> dict[int, int]:
     """Fraction-free integer Gaussian elimination; consumes ``rows``.
     Returns {pivot column: pivot row} in pivot order; its size is the rank.
@@ -503,8 +494,9 @@ def _eliminate(
          column index).
       Singleton rows go second: taken before singleton columns, or last
       in first out, they cost more on the Leibniz blocks.
-    * ``leftmost``: the lowest column first.  The pivot columns are then
-      those outside the span of the columns before them.
+    * ``leftmost``: the lowest column first, with Gauss-Jordan clearing.
+      The pivot columns are then those outside the span of the columns
+      before them.
 
     The columns wait in a lazy heap of keys (count, column), count 0 under
     ``leftmost``.  ``low`` holds the key last pushed for each column, and
@@ -522,9 +514,9 @@ def _eliminate(
     entry; a row that has one again is pushed again.  The loop ends when
     no row is left to pivot on.
 
-    Pivot rows are dropped as they retire.  With ``reduce`` (leftmost only)
-    they are kept in ``rows`` instead, and each pivot column is cleared from
-    the earlier pivot rows as well (Gauss-Jordan): the rows left are the
+    Under Markowitz pivot rows are dropped as they retire.  Under
+    ``leftmost`` they are kept in ``rows`` instead, and each pivot column is
+    cleared from the earlier pivot rows as well: the rows left are the
     unique reduced echelon form of the row space, each up to a nonzero
     factor.
 
@@ -563,7 +555,7 @@ def _eliminate(
     singles = [] if leftmost else [r for r, d in rows.items() if len(d) == 1]
     heapq.heapify(singles)
     pivots: dict[int, int] = {}
-    kept: set[int] = set()  # the pivot rows, with reduce
+    kept: set[int] = set()  # the pivot rows, under leftmost
     fell: list[int] = []  # columns whose count fell in this step
     while heap and len(rows) > len(kept):  # until every row is a pivot row or gone
         count, c = divmod(heap[0], width)
@@ -593,7 +585,7 @@ def _eliminate(
         # else the heap top stays for the next step, and the entries of the
         # pivot column are dropped when they reach the top
         del col_rows[c]
-        if reduce:
+        if leftmost:
             # kept rows hold c beyond their pivots; the active ones start at c
             active = [r for r in pivot_col if r not in kept]
             if not active:
@@ -609,7 +601,7 @@ def _eliminate(
             prow = rows.pop(pivot_row)
             live -= len(prow)
             p = prow.pop(c)
-            if weight and not prow:
+            if not prow:
                 # the pivot alone: each other row of the column only loses
                 # its entry there, with no scaling and no fill-in
                 pivots[c] = pivot_row
@@ -628,7 +620,7 @@ def _eliminate(
                 s.discard(pivot_row)
                 if not s:
                     del col_rows[cc]
-                elif weight:
+                else:
                     fell.append(cc)
             pivot_items = list(prow.items())
         pivots[c] = pivot_row
@@ -699,7 +691,7 @@ def _echelon(
 ) -> list[tuple[int, int, dict[int, int]]]:
     """(pivot column, pivot value, row) of the reduced echelon form of the
     integer rows, by pivot column."""
-    pivots = _eliminate(lines, cap, leftmost=True, reduce=True)
+    pivots = _eliminate(lines, cap, leftmost=True)
     return [(c, lines[r][c], lines[r]) for c, r in pivots.items()]
 
 
@@ -903,55 +895,23 @@ def independent_columns(m: SparseMatrix, entry_cap: int | None = None) -> list[i
     """The columns of m outside the span of the columns before them, in
     order: the pivot columns of its reduced echelon form.  They are what a
     greedy pass over the columns keeps."""
-    return list(_eliminate(_integer_lines(m, 0, 0)[0], entry_cap, leftmost=True))
+    return [c for c, _, _ in _echelon(_integer_lines(m, 0, 0)[0], entry_cap)]
 
 
-def is_in_column_span(m: SparseMatrix, vec: QVector, entry_cap: int | None = None) -> bool:
-    """Exact test for vec in the column space of m (rank comparison)."""
-    if vec.length != m.rows:
-        raise ShapeError("vector length must equal row count")
-    if vec.is_zero:
-        return True
-    return rank(append_columns(m, [vec]), entry_cap) == rank(m, entry_cap)
+def solve(a: SparseMatrix, b: QVector, entry_cap: int | None = None) -> QVector | None:
+    """The exact solution of a x = b with every free variable 0, or None
+    when b is outside the column span of a.
 
-
-class LinearSolver:
-    """Repeated exact solves of ``A x = b`` against a fixed matrix A.
-
-    Factors once into the reduced echelon form of [A | I], whose identity
-    part records the row transform, then answers each right-hand side in
-    time proportional to its support.  Fill-in is held to ``entry_cap`` as
-    in ``rank``.
-    """
-
-    def __init__(self, a: SparseMatrix, entry_cap: int | None = None):
-        self.matrix = a
-        # a row scaled by its lcm d carries d in its transform column
-        lines, dens = _integer_lines(a, 0, 0)
-        for r in range(a.rows):
-            lines.setdefault(r, {})[a.cols + r] = dens.get(r, 1)
-        self._transforms = [
-            (p, {c - a.cols: Rational(v, lead) for c, v in row.items() if c >= a.cols})
-            for p, lead, row in _echelon(lines, entry_cap)
-        ]
-        self._cols = a.cols
-
-    def solve(self, b: QVector) -> QVector | None:
-        """One exact solution of A x = b (free variables 0), None if
-        inconsistent."""
-        if b.length != self.matrix.rows:
-            raise ShapeError("right-hand side length mismatch")
-        coords: dict[int, Rational] = {}
-        for p, transform in self._transforms:
-            # value of the transformed rhs in this pivot row
-            val = QZERO
-            for r, v in b.entries:
-                f = transform.get(r)
-                if f is not None:
-                    val += f * v
-            if val == 0:
-                continue
-            if p >= self._cols:
-                return None  # pivot in the transform part: inconsistent rhs
-            coords[p] = val
-        return QVector.from_dict(self._cols, coords)
+    It is read off the reduced echelon form of [a | b]: the column of b is
+    a pivot exactly when b is outside the span, and otherwise the pivot row
+    of each pivot column c, lead x_c + (free columns) = v, gives
+    x_c = v / lead.  Fill-in is held to ``entry_cap`` as in ``rank``."""
+    if b.length != a.rows:
+        raise ShapeError("right-hand side length mismatch")
+    coords: dict[int, Rational] = {}
+    for p, lead, row in _echelon(_integer_lines(append_columns(a, [b]), 0, 0)[0], entry_cap):
+        if p == a.cols:
+            return None
+        if a.cols in row:
+            coords[p] = Rational(row[a.cols], lead)
+    return QVector.from_dict(a.cols, coords)

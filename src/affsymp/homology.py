@@ -23,16 +23,15 @@ import json
 from .chain_complexes import Chain, ChainComplex
 from .errors import DegreeRangeError, DomainError, ShapeError
 from .exact_linalg import (
-    LinearSolver,
     QVector,
     QZERO,
     Rational,
     SparseMatrix,
     append_columns,
     independent_columns,
-    is_in_column_span,
     kernel_basis,
     rational_to_string,
+    solve,
 )
 
 
@@ -87,9 +86,9 @@ def is_cycle(complex_: ChainComplex, chain: Chain) -> bool:
 
 def is_boundary(complex_: ChainComplex, chain: Chain) -> bool:
     """True iff the chain lies in the image of d_(degree+1).  The weight-0
-    component is tested by an exact rank comparison of the bordered weight-0
-    block; a component of nonzero weight lies in an acyclic block, so it is
-    a boundary iff it is a cycle."""
+    component is one iff d_(degree+1) x = component has an exact solution
+    on the weight-0 block; a component of nonzero weight lies in an acyclic
+    block, so it is a boundary iff it is a cycle."""
     k = chain.degree
     if k + 1 > complex_.cap:
         raise DegreeRangeError(f"boundary test at degree {k} needs d_{k + 1}")
@@ -99,7 +98,7 @@ def is_boundary(complex_: ChainComplex, chain: Chain) -> bool:
         return False
     for weight, part in parts.items():
         if weight == zero:
-            bounded = is_in_column_span(complex_.block(k + 1), part, complex_.entry_cap)
+            bounded = solve(complex_.block(k + 1), part, complex_.entry_cap) is not None
         else:
             bounded = _block_cycle(complex_, k, weight, part)
         if not bounded:
@@ -166,7 +165,9 @@ def class_coordinates(
     cycles, or None when the chain is not in their span modulo boundaries.
     Components of nonzero weight are boundaries when they are cycles, so
     only the weight-0 components of the chain and of the representatives
-    enter the solve; a representative that is not a cycle raises."""
+    enter the one exact solve against [boundaries | representatives], whose
+    coordinates past the boundaries are the answer; a representative that
+    is not a cycle raises."""
     k = chain.degree
     if k + 1 > complex_.cap:
         raise DegreeRangeError("class reduction needs the next differential")
@@ -184,8 +185,7 @@ def class_coordinates(
     stacked = append_columns(
         bounding, (complex_.components(r).get(zero, QVector.zero(rows)) for r in reps)
     )
-    solver = LinearSolver(stacked, complex_.entry_cap)
-    solution = solver.solve(parts.get(zero, QVector.zero(rows)))
+    solution = solve(stacked, parts.get(zero, QVector.zero(rows)), complex_.entry_cap)
     if solution is None:
         return None
     coords = [QZERO] * len(reps)

@@ -16,17 +16,17 @@ whose k-th wedge power is nonzero exactly for k <= n.
 from __future__ import annotations
 
 import json
+from itertools import permutations
 
 from .chain_complexes import Chain, tensor_chain, wedge_chain
 from .errors import DomainError
 from .exact_linalg import (
     QVector,
-    QZERO,
     Rational,
     SparseMatrix,
-    is_in_column_span,
     kernel_basis,
     rank,
+    solve,
     stack_rows,
 )
 from .lie_structures import (
@@ -41,7 +41,6 @@ from .lie_structures import (
     submodule,
     tensor_module,
 )
-from .words import sort_with_sign, wedge_dim, wedge_index
 
 
 class InvariantBasis:
@@ -55,10 +54,10 @@ class InvariantBasis:
         return len(self.vectors)
 
     def spans(self, vec: QVector, entry_cap: int | None = None) -> bool:
-        """True iff vec lies in the invariant span (exact rank test)."""
-        return is_in_column_span(
-            SparseMatrix.from_columns(vec.length, self.vectors), vec, entry_cap
-        )
+        """True iff vec lies in the invariant span: the basis, as columns,
+        has an exact solve for it."""
+        matrix = SparseMatrix.from_columns(vec.length, self.vectors)
+        return solve(matrix, vec, entry_cap) is not None
 
 
 def _stacked_actions(module: LieModule) -> SparseMatrix:
@@ -100,39 +99,25 @@ def omega(n: int, ambient_dim: int | None = None) -> Chain:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    dim = 2 * n if ambient_dim is None else ambient_dim
-    if dim < 2 * n:
-        raise DomainError("ambient dimension too small")
-    return wedge_chain(dim, 2, {(i, n + i): Rational(1) for i in range(n)})
+    return omega_power(n, 1, ambient_dim)
 
 
 def omega_power(n: int, k: int, ambient_dim: int | None = None) -> Chain:
     """k-fold wedge power of omega(n), expanded and canonicalized; the zero
-    chain when k > n, the unit of the empty wedge when k = 0."""
+    chain when k > n, the unit of the empty wedge when k = 0.
+
+    It is the sum of the wedges of k distinct pairs (i, n+i) taken in every
+    order: the pairs have even degree, so the k! orders of one set of pairs
+    carry one sign and add up to k! times its wedge."""
     if k < 0:
         raise DomainError("power must be >= 0")
     dim = 2 * n if ambient_dim is None else ambient_dim
     if dim < 2 * n:
         raise DomainError("ambient dimension too small")
-    acc: dict[tuple[int, ...], Rational] = {(): Rational(1)}
     pairs = [(i, n + i) for i in range(n)]
-    for _ in range(k):
-        nxt: dict[tuple[int, ...], Rational] = {}
-        for word, coeff in acc.items():
-            for pair in pairs:
-                merged, sign = sort_with_sign(word + pair)
-                if merged is None:
-                    continue
-                nv = nxt.get(merged, QZERO) + sign * coeff
-                if nv:
-                    nxt[merged] = nv
-                else:
-                    nxt.pop(merged, None)
-        acc = nxt
-    vec = {
-        wedge_index(word, dim): coeff for word, coeff in acc.items()
-    }
-    return Chain(2 * k, QVector.from_dict(wedge_dim(dim, 2 * k), vec))
+    return wedge_chain(
+        dim, 2 * k, {sum(chosen, ()): 1 for chosen in permutations(pairs, k)}
+    )
 
 
 def omega_tilde(n: int, ambient_dim: int | None = None) -> Chain:

@@ -43,7 +43,6 @@ import json
 
 from .errors import ConsistencyError, DomainError
 from .exact_linalg import (
-    QVector,
     Rational,
     SparseMatrix,
     normal_entry,
@@ -271,9 +270,6 @@ class LieModule:
                     "action matrices violate the right-module law: "
                     + "; ".join(report.failures[:3])
                 )
-
-    def act(self, vec: QVector, i: int) -> QVector:
-        return self.actions[i].apply(vec)
 
     def validate(self) -> ValidationReport:
         failures = []

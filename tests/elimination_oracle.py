@@ -5,6 +5,10 @@ It pushes a heap entry on every change of a column count and none when the
 pivot row retires from a column, so its Markowitz pivots can lag behind
 the true minimum; its results (rank, and every leftmost elimination) are
 the same.  Swap it in for the current loop with ``old_loop()``.
+
+The current loop takes one flag, ``leftmost``, for the lowest column first
+with Gauss-Jordan clearing; this one takes that rule as two flags,
+``leftmost`` and ``reduce``, and ``old_loop`` maps the one onto the two.
 """
 
 import heapq
@@ -20,8 +24,12 @@ from affsymp.exact_linalg import check_entry_budget
 def old_loop():
     """Every elimination of ``exact_linalg`` inside the block runs on the
     old loop."""
-    with mock.patch.object(exact_linalg, "_eliminate", _eliminate):
+    with mock.patch.object(exact_linalg, "_eliminate", _one_flag):
         yield
+
+
+def _one_flag(rows, cap=None, leftmost=False):
+    return _eliminate(rows, cap, leftmost=leftmost, reduce=leftmost)
 
 
 def _eliminate(

@@ -24,8 +24,8 @@ from affsymp.exact_linalg import (
     QVector,
     QZERO,
     SparseMatrix,
-    is_in_column_span,
     multiply,
+    solve,
     stack_rows,
 )
 from affsymp.homology import betti
@@ -119,7 +119,7 @@ def is_cycle(complex_, chain):
 
 def is_boundary(complex_, chain):
     block = full_block(complex_, chain.degree + 1)
-    return is_in_column_span(block, _padded(chain.vector, block.rows))
+    return solve(block, _padded(chain.vector, block.rows)) is not None
 
 
 def homology_reps(complex_, k):

@@ -246,6 +246,33 @@ class TestResourceGuard:
         assert coeff_complex(g1[0], trivial_module(g1[0]), 2, entry_cap=99).entry_cap == 99
         assert VerificationContext(entry_cap=10**5).complex("rel", "g", 1, 1).entry_cap == 10**5
 
+    def test_a_raised_cap_holds_for_assembled_and_cached_blocks(self, g1, tmp_path, monkeypatch):
+        """With the built-in default lowered to 300 entries, a build under a
+        raised ``entry_cap`` assembles blocks above the default, writes them
+        to a cache and reads them back, with the Betti numbers of a build at
+        the true default; without ``entry_cap`` the build still aborts."""
+        from affsymp import exact_linalg
+        from affsymp.cache import DiffCache
+
+        expected = [betti(leibniz_complex(g1[0], 5), k) for k in range(5)]
+        read = []
+        get_matrix = DiffCache.get_matrix
+
+        def recorded(cache, kind, key):
+            found = get_matrix(cache, kind, key)
+            if found is not None:
+                read.append(found.nnz)
+            return found
+
+        monkeypatch.setattr(exact_linalg, "DEFAULT_ENTRY_CAP", 300)
+        monkeypatch.setattr(DiffCache, "get_matrix", recorded)
+        for _ in ("cold", "warm"):
+            complex_ = leibniz_complex(g1[0], 5, cache=DiffCache(tmp_path), entry_cap=10**9)
+            assert [betti(complex_, k) for k in range(5)] == expected
+        assert max(read) > 300
+        with pytest.raises(ResourceLimitError):
+            leibniz_complex(g1[0], 5)
+
 
 class TestBadCaps:
     def test_negative_caps_rejected(self, sp1):

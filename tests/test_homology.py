@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from affsymp.homology import (
 )
 from affsymp.invariants import omega, omega_tilde
 from affsymp.lie_structures import build_I
+from affsymp.theorems import VerificationContext
 from affsymp.words import tensor_index
 
 from full_oracle import full_d
@@ -165,3 +167,30 @@ class TestReport:
         degree_three = report.rows[3]
         assert degree_three.cycles is not None and len(degree_three.cycles) == 1
         assert degree_three.cycles[0]["degree"] == 3
+
+
+# SHA-256 of homology_report(..., emit_cycles=True).to_json() for the eight
+# homology runs of the warm-rerun step of .github/workflows/tests.yml, for
+# lie(g2) and for leibniz(g1): Betti numbers, ranks and the bytes of every
+# representative cycle
+EMITTED_CYCLES = [
+    ("rel", "g", 1, 4, "2e7b00c325521948013becf786c714bf6630f4b41eb83aed33bc1eaa816b721e"),
+    ("cr", "g", 1, 4, "e42620d6a972a8cf355bf6842d1e9ee97ed0fb05fa4f469a1deb0d48825e4285"),
+    ("rel", "g", 2, 1, "5ae15a9385f6eabc85c9dafb194f8d92c92b65960ac2e3252af5f276bc850717"),
+    ("cr", "g", 2, 2, "77883a42873bcf6fa107b5e7b95888ad79066f9ef84c8c8b8ad7d28bf1364534"),
+    ("coeff:I^2", "sp", 2, 3, "0c912e20fadaa07aead96cee1c8e99d1f425a9ab42881db3c7b060bedca0a859"),
+    ("leibniz", "g", 2, 3, "3eef19b7ff87adb34d498580e109b796ad830cc4026004ee08c828c7d17f443b"),
+    ("leibniz", "I", 2, 3, "372d63b82c96f827db273f37f57c78be58cd5c2a51f5582557bef4eb89ceb2ff"),
+    ("rel", "I", 1, 3, "25ccbab8d8ae673f6c34ad1af245818d530ec71540d9169a06fb3718528efb0d"),
+    ("lie", "g", 2, 4, "44a8078fca142f423ba2c3cc55411866ce47bd8b252d5508808f26de0f201f2f"),
+    ("leibniz", "g", 1, 5, "7d05a659abec1394dab80026fcf84826eba95dbc387ad8e2bcd3d0053490ef02"),
+]
+
+
+@pytest.mark.parametrize("theory, family, n, max_degree, digest", EMITTED_CYCLES)
+def test_emitted_cycles_keep_their_bytes(theory, family, n, max_degree, digest):
+    """The report ``homology --emit-cycles --format json`` prints, built as
+    the CLI builds it: one degree past the last row, in a fresh context."""
+    complex_ = VerificationContext().complex(theory, family, n, max_degree + 1)
+    text = homology_report(complex_, max_degree, emit_cycles=True).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -239,12 +239,14 @@ class BlockMemo:
     the families that share a descriptor pass the same cache, or none, so
     a block kept here is on disk whenever its family writes there, and the
     disk records do not depend on the order in which complexes are built.
-    ``words`` keeps one ``WordSet`` per grading, so its word lists are
-    searched once, and ``orbits`` one orbit view per grading and group.
+    ``words`` reads the Cartan weights once per pair of algebra and module
+    fingerprints and keeps one ``WordSet`` per grading, so its word lists
+    are searched once, and ``orbits`` one orbit view per grading and group.
     ``check`` runs a check once per tuple of the same block objects."""
 
     def __init__(self):
         self._blocks: dict[str, SparseMatrix] = {}
+        self._weights: dict[tuple[str, str | None], tuple] = {}
         self._words: dict[tuple, WordSet] = {}
         self._orbits: dict[tuple, OrbitWords | None] = {}
         self._checked: dict[tuple[int, ...], tuple] = {}
@@ -252,11 +254,14 @@ class BlockMemo:
     def words(self, algebra: LieAlgebra, module: LieModule | None = None) -> WordSet:
         """The words of the algebra, and of the module when given, graded by
         their Cartan weights; without a grading, every word at weight ()."""
-        letters, modules = cartan_weights(algebra, module)
-        key = (tuple(letters), tuple(modules))
+        fingerprints = (algebra.fingerprint(), module and module.fingerprint())
+        key = self._weights.get(fingerprints)
+        if key is None:
+            letters, modules = cartan_weights(algebra, module)
+            key = self._weights[fingerprints] = (tuple(letters), tuple(modules))
         got = self._words.get(key)
         if got is None:
-            got = self._words[key] = WordSet(letters, modules)
+            got = self._words[key] = WordSet(*key)
         return got
 
     def orbits(self, algebra: LieAlgebra, module: LieModule | None = None) -> OrbitWords | None:
@@ -496,17 +501,6 @@ class ChainComplex:
 # ---------------------------------------------------------------------------
 
 
-def _bracket_table(algebra: LieAlgebra) -> dict:
-    """Both orders of every nonzero bracket, as sorted (target, coefficient)
-    pairs."""
-    table = {}
-    for (i, j), coeffs in algebra.brackets.items():
-        items = tuple(sorted(coeffs.items()))
-        table[(i, j)] = items
-        table[(j, i)] = tuple((k, -v) for k, v in items)
-    return table
-
-
 def _longest_bracket(algebra: LieAlgebra) -> int:
     return max(map(len, algebra.brackets.values()), default=1)
 
@@ -562,10 +556,11 @@ def _assemble(
 
 def _wedge_table(algebra: LieAlgebra) -> list:
     """[g_a, g_b] by the letters b, then a, as (1 << m, (1 << m) - 1,
-    coefficient) for each target m: the table of ``wedge_contractions``."""
+    coefficient) for each target m in increasing order: the table of
+    ``wedge_contractions``, made once per algebra (``LieAlgebra.derived``)."""
     by_letter = [[()] * algebra.dim for _ in range(algebra.dim)]
-    for (a, b), items in _bracket_table(algebra).items():
-        by_letter[b][a] = tuple((1 << m, (1 << m) - 1, c) for m, c in items)
+    for (a, b), coeffs in algebra.table.items():
+        by_letter[b][a] = tuple((1 << m, (1 << m) - 1, c) for m, c in coeffs.items())
     return by_letter
 
 
@@ -578,7 +573,7 @@ def ce_d(
 ) -> SparseMatrix:
     """Exterior-power differential d_k : Lambda^k -> Lambda^(k-1) on the
     wedge words of ``words`` (all words by default)."""
-    table = _wedge_table(algebra)
+    table = algebra.derived(_wedge_table)
     return _assemble(
         WordSet.all(algebra.dim) if words is None else words, "wedge", k, "wedge", k - 1,
         lambda w: wedge_contractions(table, w, wedge_code(w), 1),  # (-1)^j, j = t+1 one-based
@@ -604,16 +599,17 @@ def leibniz_d(
     terms of [g_a, g_b] by the letter b in slot t, the slot s and the
     letter a in it."""
     dim = algebra.dim
-    table = _bracket_table(algebra)
     power = [dim**j for j in range(k + 1)]
     slots = []
     for t in range(1, k):
         sign_t = -1 if (t + 1) % 2 else 1
         by_letter = [[[()] * dim for _ in range(t)] for _ in range(dim)]
-        for (a, b), items in table.items():
+        for (a, b), coeffs in algebra.table.items():
             for s in range(t):
                 place = power[k - 2 - s]
-                by_letter[b][s][a] = tuple(((m - a) * place, sign_t * c) for m, c in items)
+                by_letter[b][s][a] = tuple(
+                    ((m - a) * place, sign_t * c) for m, c in coeffs.items()
+                )
         low = power[k - 1 - t]
         slots.append((t, low * dim, low, by_letter))
 
@@ -656,7 +652,7 @@ def coeff_d(
     """
     algebra = module.algebra
     dim = algebra.dim
-    table = _wedge_table(algebra)
+    table = algebra.derived(_wedge_table)
     # [m, g_a] by the letters a, then m, as (m2 << dim, coefficient)
     acting = [
         [tuple((m2 << dim, v) for m2, v in action.column(m)) for m in range(module.dim)]

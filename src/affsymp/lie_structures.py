@@ -40,9 +40,11 @@ Constructed objects are immutable and freely shareable across threads.
 from __future__ import annotations
 
 import json
+from math import comb
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .exact_linalg import (
+    DEFAULT_ENTRY_CAP,
     Rational,
     SparseMatrix,
     normal_entry,
@@ -70,14 +72,20 @@ class ValidationReport:
 class LieAlgebra:
     """Basis labels plus sparse structure constants [e_i, e_j] = c_ij^k e_k.
 
-    Constants are stored for i < j only, so antisymmetry is structural; the
-    Jacobi identity is checked at construction unless ``validate=False``
-    (used by falsification fixtures).  Each constant is held in the normal
-    form of a ``SparseMatrix`` entry: an ``int`` when it is integral, a
-    ``Fraction`` otherwise.
+    Constants are given for i < j only (``brackets``), so antisymmetry is
+    structural; ``table`` holds every nonzero bracket in both orders, built
+    once here, its i < j dicts those of ``brackets`` and its i > j ones
+    their negations, each in increasing order of its targets k.  Every
+    reader of the constants goes through it.  The Jacobi identity is
+    checked at construction unless ``validate=False`` (used by
+    falsification fixtures).  Each constant is held in the normal form of a
+    ``SparseMatrix`` entry: an ``int`` when it is integral, a ``Fraction``
+    otherwise.
     """
 
-    __slots__ = ("dim", "labels", "brackets", "weyl", "_fingerprint")
+    __slots__ = (
+        "dim", "labels", "brackets", "table", "weyl", "_derived", "_report", "_fingerprint",
+    )
 
     def __init__(
         self,
@@ -100,10 +108,16 @@ class LieAlgebra:
                 if q:
                     kept[k] = q
             if kept:
-                clean[(i, j)] = kept
+                clean[(i, j)] = dict(sorted(kept.items()))
+        table = dict(clean)
+        for (i, j), kept in clean.items():
+            table[(j, i)] = {k: -v for k, v in kept.items()}
         self.dim = dim
         self.labels = tuple(labels)
         self.brackets = clean
+        self.table = table
+        self._derived: dict = {}
+        self._report: ValidationReport | None = None
         # the letter actions of W~'s generators, set by build_sp and build_g
         self.weyl: tuple[SignedPerm, ...] | None = None
         self._fingerprint: str | None = None
@@ -118,13 +132,20 @@ class LieAlgebra:
     # -- bracket access -------------------------------------------------
 
     def bracket_coeffs(self, i: int, j: int) -> dict[int, int | Rational]:
-        """[e_i, e_j] as {k: coefficient}, any index order."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        flipped = self.brackets.get((j, i), {})
-        return {k: -v for k, v in flipped.items()}
+        """[e_i, e_j] as {k: coefficient}, any index order: the dict of
+        ``table``, shared with every caller, which must not mutate it, or a
+        new empty dict for a zero bracket."""
+        return self.table.get((i, j), {})
+
+    def derived(self, make):
+        """``make(self)``, made on the first call with this ``make`` and
+        kept with the algebra: a table another layer reads off the
+        constants, such as the per-letter tables of ``chain_complexes``,
+        is built once per algebra, not once per use."""
+        got = self._derived.get(make)
+        if got is None:
+            got = self._derived[make] = make(self)
+        return got
 
     @property
     def is_abelian(self) -> bool:
@@ -134,27 +155,30 @@ class LieAlgebra:
 
     def validate(self) -> ValidationReport:
         """Check antisymmetry (structural for this storage) and the Jacobi
-        identity over all basis triples."""
+        identity over all basis triples, once per algebra: the report is
+        kept.  A triple none of whose pairs has a nonzero bracket satisfies
+        it trivially, so only the triples with a pair in ``table`` are
+        summed, in increasing order."""
+        if self._report is None:
+            self._report = self._jacobi()
+        return self._report
+
+    def _jacobi(self) -> ValidationReport:
+        table = self.table
+        triples = sorted({
+            tuple(sorted((i, j, k))) for i, j in self.brackets
+            for k in range(self.dim) if k != i and k != j
+        })
         failures = []
-        checked = 0
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                cij = self.bracket_coeffs(i, j)
-                for k in range(j + 1, self.dim):
-                    checked += 1
-                    acc: dict[int, int | Rational] = {}
-                    for m, c in cij.items():
-                        for l, d in self.bracket_coeffs(m, k).items():
-                            acc[l] = acc.get(l, 0) + c * d
-                    for m, c in self.bracket_coeffs(j, k).items():
-                        for l, d in self.bracket_coeffs(m, i).items():
-                            acc[l] = acc.get(l, 0) + c * d
-                    for m, c in self.bracket_coeffs(k, i).items():
-                        for l, d in self.bracket_coeffs(m, j).items():
-                            acc[l] = acc.get(l, 0) + c * d
-                    if any(v != 0 for v in acc.values()):
-                        failures.append(f"jacobi fails on triple ({i},{j},{k})")
-        return ValidationReport(not failures, checked, failures)
+        for i, j, k in triples:
+            acc: dict[int, int | Rational] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in table.get((a, b), {}).items():
+                    for l, y in table.get((m, c), {}).items():
+                        acc[l] = acc.get(l, 0) + x * y
+            if any(acc.values()):
+                failures.append(f"jacobi fails on triple ({i},{j},{k})")
+        return ValidationReport(not failures, comb(self.dim, 3), failures)
 
     # -- derived algebras --------------------------------------------------
 
@@ -420,13 +444,18 @@ def _pushed(h: Polynomial, coords: SignedPerm) -> Polynomial:
 
 
 def _preserves_brackets(algebra: LieAlgebra, perm: SignedPerm) -> bool:
-    """[g e_i, g e_j] = g [e_i, e_j] for every pair of letters."""
-    for i, (ti, si) in enumerate(perm):
-        for j in range(i + 1, algebra.dim):
-            tj, sj = perm[j]
-            moved = {perm[k][0]: perm[k][1] * v for k, v in algebra.bracket_coeffs(i, j).items()}
-            if moved != {k: si * sj * v for k, v in algebra.bracket_coeffs(ti, tj).items()}:
-                return False
+    """[g e_i, g e_j] = g [e_i, e_j] for every pair of letters.  g permutes
+    the letters, so it permutes their pairs, and once each nonzero bracket
+    goes to the bracket of the images, which is then nonzero, the zero
+    brackets go to zero ones: only the pairs of ``brackets`` are read."""
+    if len({t for t, _ in perm}) != len(perm):
+        return False
+    table = algebra.table
+    for (i, j), coeffs in algebra.brackets.items():
+        (ti, si), (tj, sj) = perm[i], perm[j]
+        moved = {perm[k][0]: perm[k][1] * v for k, v in coeffs.items()}
+        if moved != {k: si * sj * v for k, v in table.get((ti, tj), {}).items()}:
+            return False
     return True
 
 
@@ -477,11 +506,25 @@ def module_weyl(algebra: LieAlgebra, module: LieModule) -> tuple[SignedPerm, ...
     return module.weyl
 
 
+def _check_letter_pairs(dim: int) -> None:
+    """Raise ``ResourceLimitError`` when an algebra of dimension ``dim``
+    has more pairs of letters than the default entry cap: the bracket table
+    and every complex over the algebra grow with them.  Run before any
+    Hamiltonian is made, so a huge n is refused at once."""
+    pairs = comb(dim, 2)
+    if pairs > DEFAULT_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"an algebra of dimension {dim} has {pairs} pairs of letters,"
+            f" over the cap {DEFAULT_ENTRY_CAP}"
+        )
+
+
 def build_sp(n: int) -> LieAlgebra:
     """Symplectic algebra of the fields of the quadratic basis
     Hamiltonians; dimension 2n^2 + n."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    _check_letter_pairs(2 * n * n + n)
     return _algebra_from_hamiltonians(_sp_hamiltonians(n), n)
 
 
@@ -489,6 +532,7 @@ def build_I(n: int) -> LieAlgebra:
     """Abelian algebra of constant fields; dimension 2n."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    _check_letter_pairs(2 * n)
     return LieAlgebra(2 * n, _labels(_ideal_hamiltonians(n), n), {})
 
 
@@ -501,6 +545,7 @@ def build_g(
     it is built."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    _check_letter_pairs(2 * n * n + 3 * n)
     algebra = _algebra_from_hamiltonians(_ideal_hamiltonians(n) + _sp_hamiltonians(n), n)
     ideal = tuple(range(2 * n))
     quotient = tuple(range(2 * n, algebra.dim))
@@ -562,12 +607,14 @@ def cartan_weights(
     preserves the total weight of a word.
     """
     dim = algebra.dim
+    table = algebra.table
+    off_diagonal = {i for (j, i), coeffs in table.items() if coeffs.keys() - {j}}
     grading = [
         i for i in range(dim)
-        if all(set(algebra.bracket_coeffs(j, i)) <= {j} for j in range(dim))
+        if i not in off_diagonal
         and (module is None or all(r == c for r, c in module.actions[i].entries))
     ]
-    rows = [[algebra.bracket_coeffs(j, i).get(j, 0) for i in grading] for j in range(dim)]
+    rows = [[table.get((j, i), {}).get(j, 0) for i in grading] for j in range(dim)]
     if module is not None:
         rows += [
             [module.actions[i].entries.get((m, m), 0) for i in grading]
@@ -579,15 +626,25 @@ def cartan_weights(
 
 
 def adjoint_module(algebra: LieAlgebra, validate: bool = True) -> LieModule:
-    """The algebra acting on itself: column j of A_i holds [e_j, e_i]."""
-    actions = []
-    for i in range(algebra.dim):
-        entries = {}
-        for j in range(algebra.dim):
-            for k, v in algebra.bracket_coeffs(j, i).items():
-                entries[(k, j)] = v
-        actions.append(SparseMatrix(algebra.dim, algebra.dim, entries))
-    module = LieModule(algebra, algebra.dim, tuple(actions), validate=validate)
+    """The algebra acting on itself: column j of A_i holds [e_j, e_i].
+
+    Its module law on e_m at the pair (i, j) reads [[e_m, e_j], e_i] -
+    [[e_m, e_i], e_j] + [e_m, [e_i, e_j]] = 0: the Jacobi identity of
+    {m, i, j}, or antisymmetry when m is i or j.  So ``validate`` reads the
+    algebra's own report (``LieAlgebra.validate``), made once."""
+    entries: list[dict] = [{} for _ in range(algebra.dim)]
+    for (j, i), coeffs in sorted(algebra.table.items()):
+        for k, v in coeffs.items():
+            entries[i][(k, j)] = v
+    actions = [SparseMatrix(algebra.dim, algebra.dim, e) for e in entries]
+    if validate:
+        report = algebra.validate()
+        if not report.passed:
+            raise ConsistencyError(
+                "the adjoint action violates the right-module law: "
+                + "; ".join(report.failures[:3])
+            )
+    module = LieModule(algebra, algebra.dim, tuple(actions), validate=False)
     module.weyl = algebra.weyl  # W~ acts on the letters as on the algebra
     return module
 

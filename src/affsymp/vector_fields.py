@@ -231,13 +231,30 @@ def _check_domain(max_coord: int, n: int) -> None:
 def poisson(h: Polynomial, k: Polynomial, n: int) -> Polynomial:
     """Poisson bracket {h, k} = sum dh/dx_i dk/dy_i - dh/dy_i dk/dx_i,
     normalized so that [X_h, X_k] = X_{h, k}.  Raises ``DomainError``
-    unless n >= 1 and h and k use only coordinates below 2n."""
+    unless n >= 1 and h and k use only coordinates below 2n.
+
+    Computed term by term on exponent maps: for terms c z^a of h and d z^b
+    of k, both products of index i give the monomial z^(a + b) / (x_i y_i),
+    with coefficient c d (a_(x_i) b_(y_i) - a_(y_i) b_(x_i)), so no
+    intermediate polynomial is formed."""
     _check_domain(max(h.max_coord(), k.max_coord()), n)
-    out = Polynomial.zero()
-    for i in range(n):
-        out = out.add(h.diff(i).mul(k.diff(n + i)))
-        out = out.sub(h.diff(n + i).mul(k.diff(i)))
-    return out
+    acc: dict[tuple[tuple[int, int], ...], Rational] = {}
+    for m1, c1 in h.terms.items():
+        a = dict(m1.exps)
+        indices = sorted({c % n for c in a})
+        for m2, c2 in k.terms.items():
+            b = dict(m2.exps)
+            for i in indices:
+                w = a.get(i, 0) * b.get(n + i, 0) - a.get(n + i, 0) * b.get(i, 0)
+                if w:
+                    exps = dict(a)
+                    for c, e in m2.exps:
+                        exps[c] = exps.get(c, 0) + e
+                    for c in (i, n + i):
+                        exps[c] -= 1
+                    key = tuple(sorted(t for t in exps.items() if t[1]))
+                    acc[key] = acc.get(key, 0) + c1 * c2 * w
+    return Polynomial({Monomial(key): c for key, c in acc.items()})
 
 
 def field_label(h: Polynomial, n: int) -> str:

@@ -3,7 +3,10 @@
 Poisson brackets of the basis Hamiltonians, kept as a test oracle: the
 polynomial vector fields and their commutator bracket, the Hamiltonian
 field of a polynomial, the basis fields written out, and their
-push-forward by a signed permutation of the coordinates."""
+push-forward by a signed permutation of the coordinates.  Also the Poisson
+bracket as ``affsymp.vector_fields.poisson`` computed it before it worked
+term by term on exponent maps: a chain of ``Polynomial`` derivatives,
+products and sums."""
 
 from collections.abc import Mapping
 
@@ -95,6 +98,18 @@ class PolyVectorField:
 
     def __repr__(self) -> str:
         return f"PolyVectorField({self.components!r})"
+
+
+def polynomial_poisson(h: Polynomial, k: Polynomial, n: int) -> Polynomial:
+    """{h, k} = sum dh/dx_i dk/dy_i - dh/dy_i dk/dx_i, one ``Polynomial``
+    operation at a time.  Raises ``DomainError`` unless n >= 1 and h and k
+    use only coordinates below 2n."""
+    _check_domain(max(h.max_coord(), k.max_coord()), n)
+    out = Polynomial.zero()
+    for i in range(n):
+        out = out.add(h.diff(i).mul(k.diff(n + i)))
+        out = out.sub(h.diff(n + i).mul(k.diff(i)))
+    return out
 
 
 def bracket(xf: PolyVectorField, yf: PolyVectorField) -> PolyVectorField:

@@ -94,6 +94,17 @@ class TestHomologyCommand:
         assert code == 3
         assert "resource guard" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["algebra", "info", "--family", "g", "--n", "100000"],
+        ["invariants", "--n", "100000", "--k-max", "1"],
+        ["homology", "--family", "I", "--n", "100000000", "--theory", "lie", "--max-degree", "1"],
+        ["homology", "--family", "g", "--n", "60", "--theory", "lie", "--max-degree", "1"],
+    ])
+    def test_a_huge_n_is_refused_before_the_algebra_is_built(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("resource guard: ") and err.count("\n") == 1
+
     def test_memory_cap_flag(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -4,10 +4,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affsymp.errors import ConsistencyError, DomainError
+import affsymp.lie_structures as lie_structures
+from affsymp.errors import ConsistencyError, DomainError, ResourceLimitError
 from affsymp.exact_linalg import Rational, SparseMatrix
 from affsymp.lie_structures import (
     LieAlgebra,
+    LieModule,
     _algebra_from_hamiltonians,
     _ideal_hamiltonians,
     _sp_hamiltonians,
@@ -15,6 +17,7 @@ from affsymp.lie_structures import (
     build_g,
     build_I,
     build_sp,
+    cartan_weights,
     exterior_power_module,
     restriction_module,
     submodule,
@@ -107,6 +110,61 @@ class TestValidation:
         report = corrupt.validate()
         assert not report.passed
         assert any("(0,1,2)" in f for f in report.failures)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_table_driven_jacobi_matches_every_triple(self, sp2, data):
+        # each triple summed over bracket_coeffs, as before the check
+        # skipped the triples no nonzero bracket touches
+        bad = {k: dict(v) for k, v in sp2.brackets.items()}
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, sp2.dim - 2))
+            j = data.draw(st.integers(i + 1, sp2.dim - 1))
+            k = data.draw(st.integers(0, sp2.dim - 1))
+            bad[(i, j)] = {k: data.draw(st.integers(-2, 2))}
+        algebra = LieAlgebra(sp2.dim, sp2.labels, bad, validate=False)
+        failures = []
+        for i in range(algebra.dim):
+            for j in range(i + 1, algebra.dim):
+                for k in range(j + 1, algebra.dim):
+                    acc = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in algebra.bracket_coeffs(a, b).items():
+                            for l, y in algebra.bracket_coeffs(m, c).items():
+                                acc[l] = acc.get(l, 0) + x * y
+                    if any(acc.values()):
+                        failures.append(f"jacobi fails on triple ({i},{j},{k})")
+        report = algebra.validate()
+        assert report.failures == failures
+        assert report.checked == 120
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_adjoint_law_is_the_jacobi_identity(self, g1, data):
+        # the generic module law on the adjoint action matrices, as the
+        # adjoint module checked itself before it read the algebra's report
+        algebra = g1[0]
+        bad = {k: dict(v) for k, v in algebra.brackets.items()}
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, algebra.dim - 2))
+            j = data.draw(st.integers(i + 1, algebra.dim - 1))
+            bad[(i, j)] = {data.draw(st.integers(0, algebra.dim - 1)): data.draw(st.integers(-2, 2))}
+        corrupt = LieAlgebra(algebra.dim, algebra.labels, bad, validate=False)
+        actions = adjoint_module(corrupt, validate=False).actions
+        try:
+            LieModule(corrupt, corrupt.dim, actions)
+            law_holds = True
+        except ConsistencyError:
+            law_holds = False
+        assert law_holds == corrupt.validate().passed
+        if law_holds:
+            adjoint_module(corrupt)
+        else:
+            with pytest.raises(ConsistencyError, match="right-module law"):
+                adjoint_module(corrupt)
+
+    def test_the_report_is_made_once(self, sp2):
+        assert sp2.validate() is sp2.validate() is validate_lie(sp2)
 
     def test_constructor_rejects_corruption(self, sp1):
         bad = {k: dict(v) for k, v in sp1.brackets.items()}
@@ -361,6 +419,88 @@ class TestHamiltonianBasis:
         assert poisson(x2, y2, 1) == Polynomial({Monomial.from_dict({0: 1, 1: 1}): 4})
         with pytest.raises(ConsistencyError, match=r"leaves the span at x1\*y1"):
             _algebra_from_hamiltonians([x2, y2], 1)
+
+
+FAMILIES = {"sp": build_sp, "I": build_I, "g": lambda n: build_g(n)[0]}
+
+
+class TestBracketTable:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_both_orders_agree_with_brackets(self, family, n):
+        algebra = FAMILIES[family](n)
+        for i in range(algebra.dim):
+            assert algebra.bracket_coeffs(i, i) == {}
+            for j in range(i + 1, algebra.dim):
+                forward = algebra.bracket_coeffs(i, j)
+                assert forward == algebra.brackets.get((i, j), {})
+                assert algebra.bracket_coeffs(j, i) == {k: -v for k, v in forward.items()}
+                assert list(forward) == sorted(forward)
+        assert len(algebra.table) == 2 * len(algebra.brackets)
+
+    def test_the_shared_dict_is_handed_out(self, sp1):
+        (i, j), coeffs = next(iter(sp1.brackets.items()))
+        assert sp1.bracket_coeffs(i, j) is coeffs is sp1.table[(i, j)]
+        assert sp1.bracket_coeffs(j, i) is sp1.table[(j, i)]
+
+    def test_constants_are_held_in_increasing_target_order(self):
+        algebra = LieAlgebra(3, ("a", "b", "c"), {(0, 1): {2: 1, 0: 3, 1: 0}}, validate=False)
+        assert list(algebra.brackets[(0, 1)].items()) == [(0, 3), (2, 1)]
+        assert list(algebra.table[(1, 0)].items()) == [(0, -3), (2, -1)]
+
+    def test_derived_tables_are_made_once(self, sp1):
+        made = []
+
+        def make(algebra):
+            made.append(algebra)
+            return object()
+
+        assert sp1.derived(make) is sp1.derived(make)
+        assert made == [sp1]
+
+    @staticmethod
+    def _letter_weights(algebra):
+        # each h tested over every letter j, as before the table was read
+        dim = algebra.dim
+        grading = [
+            i for i in range(dim)
+            if all(set(algebra.bracket_coeffs(j, i)) <= {j} for j in range(dim))
+        ]
+        rows = [[algebra.bracket_coeffs(j, i).get(j, 0) for i in grading] for j in range(dim)]
+        kept = [c for c in range(len(grading)) if any(row[c] for row in rows)]
+        return [tuple(row[c] for c in kept) for row in rows]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cartan_weights_read_the_diagonal_brackets(self, family, n):
+        algebra = FAMILIES[family](n)
+        vectors = self._letter_weights(algebra)
+        assert cartan_weights(algebra) == (vectors, [])
+        assert cartan_weights(algebra, adjoint_module(algebra)) == (vectors, vectors)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] < p[1]),
+        st.dictionaries(st.integers(0, 3), st.integers(-2, 2), max_size=2),
+        max_size=5,
+    ))
+    def test_cartan_weights_of_arbitrary_constants(self, brackets):
+        algebra = LieAlgebra(4, ("a", "b", "c", "d"), brackets, validate=False)
+        assert cartan_weights(algebra)[0] == self._letter_weights(algebra)
+
+
+class TestLetterPairGuard:
+    @pytest.mark.parametrize("build, n", [
+        (build_sp, 100_000), (build_I, 100_000_000), (build_g, 100_000), (build_g, 47),
+    ])
+    def test_a_huge_algebra_is_refused_before_it_is_built(self, build, n):
+        with pytest.raises(ResourceLimitError, match="pairs of letters"):
+            build(n)
+
+    def test_the_largest_sp_under_the_cap_passes_the_guard(self, monkeypatch):
+        # sp_47 has comb(4465, 2) = 9,965,880 pairs; only the guard runs here
+        monkeypatch.setattr(lie_structures, "_algebra_from_hamiltonians", lambda hs, n: len(hs))
+        assert build_sp(47) == 4465
 
 
 class TestConstants:

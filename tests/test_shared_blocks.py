@@ -11,7 +11,7 @@ import affsymp.chain_complexes as chain_complexes
 from affsymp.cache import DiffCache
 from affsymp.errors import DomainError, ResourceLimitError
 from affsymp.homology import betti, cobetti
-from affsymp.theorems import VerificationContext
+from affsymp.theorems import VerificationContext, run_all
 
 THEORIES = ("leibniz", "adjoint", "lie", "rel", "cr")
 
@@ -179,3 +179,17 @@ def test_entry_guard_holds_for_a_block_shared_from_an_earlier_complex(spied):
     with pytest.raises(ResourceLimitError):
         ctx.complex("rel", "g", 1, 3)
     assert sum(v for key, v in assembled.items() if key[0] == key[2] == "tensor") == tensor
+
+
+def test_cartan_weights_run_once_per_algebra_and_module(monkeypatch):
+    counted = collections.Counter()
+    cartan_weights = chain_complexes.cartan_weights
+
+    def counted_cartan_weights(algebra, module=None):
+        counted[(algebra.fingerprint(), module and module.fingerprint())] += 1
+        return cartan_weights(algebra, module)
+
+    monkeypatch.setattr(chain_complexes, "cartan_weights", counted_cartan_weights)
+    assert all(report.passed for report in run_all(VerificationContext(), 2))
+    assert counted and set(counted.values()) == {1}
+    assert any(module is None for _, module in counted)

@@ -5,7 +5,7 @@ from affsymp.errors import DomainError
 from affsymp.exact_linalg import Rational
 from affsymp.vector_fields import Monomial, Polynomial, poisson
 
-from field_oracle import PolyVectorField, bracket, hamiltonian_field
+from field_oracle import PolyVectorField, bracket, hamiltonian_field, polynomial_poisson
 
 
 def var(i):
@@ -137,6 +137,53 @@ class TestPoisson:
         combined = hamiltonian_field(h.scale(q).add(k), n)
         split = hamiltonian_field(h, n).scale(q).add(hamiltonian_field(k, n))
         assert combined == split
+
+
+def exponent_polynomials(coordinates, max_terms=4, max_exponent=3):
+    """Up to ``max_terms`` terms over the first ``coordinates`` coordinates,
+    each exponent at most ``max_exponent``, small rational coefficients."""
+    exponents = st.dictionaries(
+        st.integers(0, coordinates - 1), st.integers(0, max_exponent), max_size=coordinates
+    )
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    terms = st.lists(st.tuples(exponents, coeffs), max_size=max_terms)
+    return terms.map(lambda pairs: Polynomial({
+        Monomial.from_dict(exps): Rational(c.numerator, c.denominator) for exps, c in pairs
+    }))
+
+
+class TestPoissonAgainstPolynomialChains:
+    """``poisson`` on exponent maps against ``polynomial_poisson``, the
+    chain of ``Polynomial`` operations it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), exponent_polynomials(2 * n), exponent_polynomials(2 * n)
+    )))
+    def test_same_bracket(self, case):
+        n, h, k = case
+        got = poisson(h, k, n)
+        assert got == polynomial_poisson(h, k, n)
+        assert all(type(c) is Rational and c != 0 for c in got.terms.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-1, 3), exponent_polynomials(6), exponent_polynomials(6))
+    def test_same_domain_errors(self, n, h, k):
+        def outcome(bracket_of):
+            try:
+                return bracket_of(h, k, n)
+            except DomainError:
+                return DomainError
+
+        assert outcome(poisson) == outcome(polynomial_poisson)
+
+    def test_refusals_name_the_same_problem(self):
+        for args in ((var(0), var(1), 0), (var(0), var(3), 1)):
+            with pytest.raises(DomainError) as new:
+                poisson(*args)
+            with pytest.raises(DomainError) as old:
+                polynomial_poisson(*args)
+            assert str(new.value) == str(old.value)
 
 
 class TestRenderParse:

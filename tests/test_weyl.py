@@ -8,7 +8,10 @@ kinds.  The orbit counts are pinned, the action is refused where it would
 give wrong numbers, and ``I_n`` gets none.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affsymp.chain_complexes import (
     ce_complex,
@@ -200,3 +203,49 @@ def test_a_module_action_that_is_not_equivariant_is_dropped(g1):
     assert module_weyl(algebra, module) is None
     complex_ = coeff_complex(algebra, module, 3)
     assert complex_._ranked is complex_._diffs
+
+
+def _every_pair(algebra, perm):
+    """[g e_i, g e_j] = g [e_i, e_j] on every pair of letters, as
+    ``_preserves_brackets`` checked it before it read only the nonzero
+    brackets."""
+    return all(
+        {perm[k][0]: perm[k][1] * v for k, v in algebra.bracket_coeffs(i, j).items()}
+        == {k: perm[i][1] * perm[j][1] * v
+            for k, v in algebra.bracket_coeffs(perm[i][0], perm[j][0]).items()}
+        for i in range(algebra.dim) for j in range(i + 1, algebra.dim)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.permutations(range(5)), st.lists(st.sampled_from((1, -1)), min_size=5, max_size=5))
+def test_bracket_preservation_reads_only_nonzero_brackets(g1, letters, signs):
+    perm = tuple(zip(letters, signs))
+    assert _preserves_brackets(g1[0], perm) == _every_pair(g1[0], perm)
+
+
+# [e0, e1] = e2, with e3 central: small enough to try every signed map
+_NILPOTENT = LieAlgebra(4, ("e0", "e1", "e2", "e3"), {(0, 1): {2: 1}})
+
+
+def test_bracket_preservation_of_every_signed_map():
+    # a map that is not a bijection of the letters is refused, even one
+    # that keeps every bracket, such as e3 -> e2 with the rest fixed
+    images = [(t, s) for t in range(4) for s in (1, -1)]
+    for perm in itertools.product(images, repeat=4):
+        bijective = len({t for t, _ in perm}) == 4
+        expected = bijective and _every_pair(_NILPOTENT, perm)
+        assert _preserves_brackets(_NILPOTENT, perm) == expected
+    assert _every_pair(_NILPOTENT, ((0, 1), (1, 1), (2, 1), (2, 1)))
+
+
+def test_bracket_preservation_refusals():
+    assert _preserves_brackets(_NILPOTENT, ((0, 1), (1, 1), (2, 1), (3, 1)))
+    # a nonzero bracket, [e0, e1], sent to a zero one, [e0, e3]
+    assert not _preserves_brackets(_NILPOTENT, ((0, 1), (3, 1), (2, 1), (1, 1)))
+    # e0 and e3 both sent to e0, so the zero [e3, e1] would go to e2
+    assert not _preserves_brackets(_NILPOTENT, ((0, 1), (1, 1), (2, 1), (0, 1)))
+
+
+def test_the_generators_preserve_the_brackets(g1):
+    assert all(_preserves_brackets(g1[0], perm) for perm in g1[0].weyl)

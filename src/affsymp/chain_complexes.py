@@ -1090,7 +1090,7 @@ def cr_complex(
     fp = algebra.fingerprint()
     dim = algebra.dim
     if module is None:
-        module = adjoint_module(algebra, validate=False)
+        module = adjoint_module(algebra)
     elif module.algebra.fingerprint() != fp or module.dim != dim:
         raise DomainError("module is not the adjoint module of the given algebra")
     return KernelComplex(

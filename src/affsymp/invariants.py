@@ -258,8 +258,8 @@ def standard_modules(
     over the given ``sp = build_sp(n)`` and ``g = build_g(n)`` or fresh
     ones."""
     sp = build_sp(n) if sp is None else sp
-    g, split = build_g(n) if g is None else g
-    g_over_sp = restriction_module(adjoint_module(g, validate=False), split.quotient_indices)
+    g, split = build_g(n, sp) if g is None else g
+    g_over_sp = restriction_module(adjoint_module(g), split.quotient_indices, sp)
     ideal_over_sp = submodule(g_over_sp, split.ideal_indices)
     sp_adjoint = adjoint_module(sp)
     return sp, ideal_over_sp, sp_adjoint, g_over_sp, split
@@ -292,7 +292,7 @@ def invariant_dimension_report(
     sp, ideal_mod, sp_adjoint, g_mod, _ = standard_modules(n) if modules is None else modules
     table = InvariantTable(n=n, k_max=k_max)
     for k in range(k_max + 1):
-        lam = exterior_power_module(ideal_mod, k, validate=False)
+        lam = exterior_power_module(ideal_mod, k)
         wedge_inv_dim = invariant_dim(lam, entry_cap)
         predicted_wedge = predicted_wedge_invariant_dim(n, k)
         spanned = wedge_inv_dim == predicted_wedge
@@ -301,9 +301,9 @@ def invariant_dimension_report(
             power = omega_power(n, k // 2).vector
             spanned = not power.is_zero and all(a.apply(power).is_zero for a in lam.actions)
 
-        ideal_dim = invariant_dim(tensor_module(ideal_mod, lam, validate=False), entry_cap)
-        sp_dim = invariant_dim(tensor_module(sp_adjoint, lam, validate=False), entry_cap)
-        g_dim = invariant_dim(tensor_module(g_mod, lam, validate=False), entry_cap)
+        ideal_dim = invariant_dim(tensor_module(ideal_mod, lam), entry_cap)
+        sp_dim = invariant_dim(tensor_module(sp_adjoint, lam), entry_cap)
+        g_dim = invariant_dim(tensor_module(g_mod, lam), entry_cap)
 
         table.rows.append(
             InvariantTableRow(

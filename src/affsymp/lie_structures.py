@@ -16,8 +16,13 @@ a non-constant monomial, over that of the basis Hamiltonian with the same
 monomial.  The fields label the letters; none is bracketed.
 
 Right modules are one action matrix per algebra basis element, with
-``actions[i] @ m`` representing the bracket [m, e_i]; the compatibility law
-``A_i A_j - A_j A_i = -sum_k c_ij^k A_k`` is validated at construction.
+``actions[i] @ m`` representing the bracket [m, e_i].  The compatibility
+law ``A_i A_j - A_j A_i = -sum_k c_ij^k A_k`` is checked on matrices from
+outside (``LieModule(...)``).  A module derived from a checked algebra or
+module inherits it and is not checked again: the adjoint law is the Jacobi
+identity, the law of a restriction to a closed subalgebra is part of the
+parent's, and a preserved subspace, a tensor product and an exterior power
+keep the law of their factors.
 
 ``build_sp`` and ``build_g`` also give their algebra ``weyl``: the letter
 actions of the generators of the signed Weyl group W~ of Sp(2n, R), the
@@ -262,38 +267,49 @@ class LieModule:
 
     ``actions[i].apply(m)`` is the bracket [m, e_i] in coordinates.  The law
     A_i A_j - A_j A_i = -sum_k c_ij^k A_k (the unique compatibility for the
-    right-action convention [m,[g,h]] = [[m,g],h] - [[m,h],g]) is validated
-    at construction.
+    right-action convention [m,[g,h]] = [[m,g],h] - [[m,h],g]) is checked
+    here; the module constructors below derive theirs through ``_of``.
     """
 
     __slots__ = ("algebra", "dim", "actions", "weyl", "_fingerprint")
 
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        dim: int,
-        actions: tuple[SparseMatrix, ...],
-        validate: bool = True,
-    ):
+    def __init__(self, algebra: LieAlgebra, dim: int, actions: tuple[SparseMatrix, ...]):
         if len(actions) != algebra.dim:
             raise DomainError("need one action matrix per algebra basis element")
         for a in actions:
             if a.rows != dim or a.cols != dim:
                 raise DomainError(f"action matrices must be {dim}x{dim}")
+        self._set(algebra, dim, tuple(actions), None)
+        report = self.validate()
+        if not report.passed:
+            raise ConsistencyError(
+                "action matrices violate the right-module law: "
+                + "; ".join(report.failures[:3])
+            )
+
+    @classmethod
+    def _of(
+        cls,
+        algebra: LieAlgebra,
+        dim: int,
+        actions: tuple[SparseMatrix, ...],
+        weyl: tuple[SignedPerm, ...] | None = None,
+    ) -> "LieModule":
+        """Wrap the actions of a module derived from a checked algebra or
+        module: their shapes are right by construction and the law is
+        inherited, so neither is checked."""
+        m = cls.__new__(cls)
+        m._set(algebra, dim, actions, weyl)
+        return m
+
+    def _set(self, algebra, dim, actions, weyl) -> None:
         self.algebra = algebra
         self.dim = dim
-        self.actions = tuple(actions)
+        self.actions = actions
         # the module-letter actions of W~'s generators, for the modules
         # derived from an algebra with ``weyl``; see ``module_weyl``
-        self.weyl: tuple[SignedPerm, ...] | None = None
+        self.weyl: tuple[SignedPerm, ...] | None = weyl
         self._fingerprint: str | None = None
-        if validate:
-            report = self.validate()
-            if not report.passed:
-                raise ConsistencyError(
-                    "action matrices violate the right-module law: "
-                    + "; ".join(report.failures[:3])
-                )
 
     def validate(self) -> ValidationReport:
         failures = []
@@ -506,15 +522,22 @@ def module_weyl(algebra: LieAlgebra, module: LieModule) -> tuple[SignedPerm, ...
     return module.weyl
 
 
-def _check_letter_pairs(dim: int) -> None:
-    """Raise ``ResourceLimitError`` when an algebra of dimension ``dim``
-    has more pairs of letters than the default entry cap: the bracket table
-    and every complex over the algebra grow with them.  Run before any
-    Hamiltonian is made, so a huge n is refused at once."""
+def check_size(family: str, n: int) -> None:
+    """Raise ``DomainError`` unless n >= 1, and ``ResourceLimitError`` when
+    the ``family`` algebra at n (``"sp"``, ``"I"`` or ``"g"``) outgrows the
+    default entry cap: ``sp_n`` and ``g_n`` by comb(dim, 2) * dim, the
+    bound on the triples their Jacobi check sums, and the abelian ``I_n``,
+    which has no brackets, by its comb(dim, 2) pairs of letters.  Run
+    before any Hamiltonian is made, so a huge n is refused at once."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    dim = {"sp": 2 * n * n + n, "I": 2 * n, "g": 2 * n * n + 3 * n}[family]
     pairs = comb(dim, 2)
-    if pairs > DEFAULT_ENTRY_CAP:
+    size = pairs if family == "I" else pairs * dim
+    if size > DEFAULT_ENTRY_CAP:
+        times = "" if family == "I" else f" times {dim} letters, {size}"
         raise ResourceLimitError(
-            f"an algebra of dimension {dim} has {pairs} pairs of letters,"
+            f"an algebra of dimension {dim} has {pairs} pairs of letters{times},"
             f" over the cap {DEFAULT_ENTRY_CAP}"
         )
 
@@ -522,17 +545,13 @@ def _check_letter_pairs(dim: int) -> None:
 def build_sp(n: int) -> LieAlgebra:
     """Symplectic algebra of the fields of the quadratic basis
     Hamiltonians; dimension 2n^2 + n."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    _check_letter_pairs(2 * n * n + n)
+    check_size("sp", n)
     return _algebra_from_hamiltonians(_sp_hamiltonians(n), n)
 
 
 def build_I(n: int) -> LieAlgebra:
     """Abelian algebra of constant fields; dimension 2n."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    _check_letter_pairs(2 * n)
+    check_size("I", n)
     return LieAlgebra(2 * n, _labels(_ideal_hamiltonians(n), n), {})
 
 
@@ -541,44 +560,47 @@ def build_g(
 ) -> tuple[LieAlgebra, SubalgebraDecomposition]:
     """Affine symplectic algebra, constants first then the symplectic basis;
     dimension 2n^2 + 3n.  Validates the abelian-ideal split, with ``sp``,
-    the caller's ``build_sp(n)``, as the model of the quotient; by default
+    the caller's ``build_sp(n)``, as the model of the quotient
+    (``DomainError`` when its constants are not the quotient's); by default
     it is built."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    _check_letter_pairs(2 * n * n + 3 * n)
+    check_size("g", n)
     algebra = _algebra_from_hamiltonians(_ideal_hamiltonians(n) + _sp_hamiltonians(n), n)
     ideal = tuple(range(2 * n))
     quotient = tuple(range(2 * n, algebra.dim))
-    _check_decomposition(algebra, ideal, quotient, build_sp(n) if sp is None else sp)
+    for a in ideal:
+        for j in range(algebra.dim):
+            coeffs = algebra.bracket_coeffs(a, j)
+            if j < 2 * n and coeffs:
+                raise ConsistencyError("ideal is not abelian")
+            if any(k >= 2 * n for k in coeffs):
+                raise ConsistencyError("bracket leaves the ideal")
+    _check_subalgebra(algebra, quotient, build_sp(n) if sp is None else sp)
     return algebra, SubalgebraDecomposition(ideal, quotient)
 
 
-def _check_decomposition(
-    algebra: LieAlgebra,
-    ideal: tuple[int, ...],
-    quotient: tuple[int, ...],
-    quotient_model: LieAlgebra,
-) -> None:
-    ideal_set = set(ideal)
-    offset = len(ideal)
-    for a in ideal:
-        for b in ideal:
-            if a < b and algebra.bracket_coeffs(a, b):
-                raise ConsistencyError("ideal is not abelian")
-        for j in range(algebra.dim):
-            for k in algebra.bracket_coeffs(a, j):
-                if k not in ideal_set:
-                    raise ConsistencyError("bracket leaves the ideal")
-    for p in range(len(quotient)):
-        for q in range(p + 1, len(quotient)):
-            got = algebra.bracket_coeffs(quotient[p], quotient[q])
-            sp_part = {k - offset: v for k, v in got.items() if k not in ideal_set}
-            if any(k in ideal_set for k in got):
-                raise ConsistencyError("complement is not closed under bracket")
-            if sp_part != quotient_model.bracket_coeffs(p, q):
-                raise ConsistencyError(
-                    f"quotient constants differ from the model at ({p},{q})"
-                )
+def _check_subalgebra(algebra: LieAlgebra, letters: tuple[int, ...], model: LieAlgebra) -> None:
+    """Raise ``DomainError`` unless the ``letters`` of ``algebra`` close
+    under its bracket with the constants of ``model``, whose letter p is
+    ``letters[p]``: [e_letters[p], e_letters[q]] = sum_r c_pq^r
+    e_letters[r] for c the constants of ``model``."""
+    position = {e: p for p, e in enumerate(letters)}
+    if len(position) != len(letters):
+        raise DomainError("repeated indices in subalgebra index set")
+    if model.dim != len(letters):
+        raise DomainError(
+            f"{len(letters)} letters cannot span an algebra of dimension {model.dim}"
+        )
+    for p, a in enumerate(letters):
+        for q in range(p + 1, len(letters)):
+            b = letters[q]
+            coeffs = algebra.bracket_coeffs(a, b)
+            for k in coeffs:
+                if k not in position:
+                    raise DomainError(
+                        f"index set is not closed under bracket: [{a},{b}] hits basis element {k}"
+                    )
+            if {position[k]: v for k, v in coeffs.items()} != model.bracket_coeffs(p, q):
+                raise DomainError(f"the constants of letters ({a},{b}) differ from the model's")
 
 
 # ---------------------------------------------------------------------------
@@ -625,71 +647,44 @@ def cartan_weights(
     return vectors[:dim], vectors[dim:]
 
 
-def adjoint_module(algebra: LieAlgebra, validate: bool = True) -> LieModule:
+def adjoint_module(algebra: LieAlgebra) -> LieModule:
     """The algebra acting on itself: column j of A_i holds [e_j, e_i].
 
     Its module law on e_m at the pair (i, j) reads [[e_m, e_j], e_i] -
     [[e_m, e_i], e_j] + [e_m, [e_i, e_j]] = 0: the Jacobi identity of
-    {m, i, j}, or antisymmetry when m is i or j.  So ``validate`` reads the
-    algebra's own report (``LieAlgebra.validate``), made once."""
+    {m, i, j}, checked when the algebra was built, or antisymmetry when m
+    is i or j.  W~ acts on the module letters as on the algebra's."""
     entries: list[dict] = [{} for _ in range(algebra.dim)]
     for (j, i), coeffs in sorted(algebra.table.items()):
         for k, v in coeffs.items():
             entries[i][(k, j)] = v
-    actions = [SparseMatrix(algebra.dim, algebra.dim, e) for e in entries]
-    if validate:
-        report = algebra.validate()
-        if not report.passed:
-            raise ConsistencyError(
-                "the adjoint action violates the right-module law: "
-                + "; ".join(report.failures[:3])
-            )
-    module = LieModule(algebra, algebra.dim, tuple(actions), validate=False)
-    module.weyl = algebra.weyl  # W~ acts on the letters as on the algebra
-    return module
+    actions = tuple(SparseMatrix(algebra.dim, algebra.dim, e) for e in entries)
+    return LieModule._of(algebra, algebra.dim, actions, algebra.weyl)
 
 
 def trivial_module(algebra: LieAlgebra, dim: int = 1) -> LieModule:
     zero = SparseMatrix.zero(dim, dim)
-    module = LieModule(algebra, dim, tuple(zero for _ in range(algebra.dim)), validate=False)
+    weyl = None
     if algebra.weyl is not None:
         fixed = tuple((m, 1) for m in range(dim))
-        module.weyl = tuple(fixed for _ in algebra.weyl)
-    return module
+        weyl = tuple(fixed for _ in algebra.weyl)
+    return LieModule._of(algebra, dim, tuple(zero for _ in range(algebra.dim)), weyl)
 
 
-def restriction_module(module: LieModule, sub_indices: tuple[int, ...]) -> LieModule:
-    """Same underlying space, action restricted to a bracket-closed subset of
-    the algebra basis; the acting algebra is rebuilt on that subset."""
-    algebra = module.algebra
+def restriction_module(
+    module: LieModule, sub_indices: tuple[int, ...], algebra: LieAlgebra
+) -> LieModule:
+    """Same underlying space, acted on by the letters ``sub_indices`` of the
+    module's algebra through ``algebra``, the caller's copy of the
+    subalgebra they span, its letter p the letter ``sub_indices[p]``.
+    Raises ``DomainError`` unless they close under the bracket with the
+    constants of ``algebra``; no algebra is built.  W~ acts on the same
+    module letters, for a complex over an algebra that has it."""
     sub = tuple(sub_indices)
-    position = {e: p for p, e in enumerate(sub)}
-    if len(position) != len(sub):
-        raise DomainError("repeated indices in subalgebra index set")
-    brackets: dict[tuple[int, int], dict[int, Rational]] = {}
-    for p in range(len(sub)):
-        for q in range(p + 1, len(sub)):
-            coeffs = algebra.bracket_coeffs(sub[p], sub[q])
-            out = {}
-            for k, v in coeffs.items():
-                if k not in position:
-                    raise DomainError(
-                        f"index set is not closed under bracket: [{sub[p]},{sub[q]}] "
-                        f"hits basis element {k}"
-                    )
-                out[position[k]] = v
-            if out:
-                brackets[(p, q)] = out
-    sub_algebra = LieAlgebra(
-        len(sub), tuple(algebra.labels[e] for e in sub), brackets
+    _check_subalgebra(module.algebra, sub, algebra)
+    return LieModule._of(
+        algebra, module.dim, tuple(module.actions[e] for e in sub), module.weyl
     )
-    actions = tuple(module.actions[e] for e in sub)
-    restricted = LieModule(sub_algebra, module.dim, actions)
-    # the same group acts on the same module letters; the subalgebra itself
-    # gets no ``weyl``, so only a complex over an algebra that has one (and
-    # the fingerprint of the subalgebra) can use it
-    restricted.weyl = module.weyl
-    return restricted
 
 
 def submodule(module: LieModule, indices: tuple[int, ...]) -> LieModule:
@@ -709,17 +704,17 @@ def submodule(module: LieModule, indices: tuple[int, ...]) -> LieModule:
                     )
                 entries[(position[r], position[c])] = v
         actions.append(SparseMatrix(len(keep), len(keep), entries))
-    sub = LieModule(module.algebra, len(keep), tuple(actions))
+    weyl = None
     if module.weyl is not None and all(
         perm[e][0] in keep_set for perm in module.weyl for e in keep
     ):
-        sub.weyl = tuple(
+        weyl = tuple(
             tuple((position[perm[e][0]], perm[e][1]) for e in keep) for perm in module.weyl
         )
-    return sub
+    return LieModule._of(module.algebra, len(keep), tuple(actions), weyl)
 
 
-def exterior_power_module(module: LieModule, k: int, validate: bool = True) -> LieModule:
+def exterior_power_module(module: LieModule, k: int) -> LieModule:
     """k-th exterior power with the derivation action
     [a_1 ^ ... ^ a_k, X] = sum_i a_1 ^ ... ^ [a_i, X] ^ ... ^ a_k.
 
@@ -747,7 +742,7 @@ def exterior_power_module(module: LieModule, k: int, validate: bool = True) -> L
                     else:
                         del entries[key]
         actions.append(SparseMatrix(dim, dim, entries))
-    power = LieModule(module.algebra, dim, tuple(actions), validate=validate)
+    weyl = None
     if module.weyl is not None:
         induced = []
         for perm in module.weyl:
@@ -758,11 +753,11 @@ def exterior_power_module(module: LieModule, k: int, validate: bool = True) -> L
                     sign *= perm[a][1]
                 slots.append((index[moved], sign))
             induced.append(tuple(slots))
-        power.weyl = tuple(induced)
-    return power
+        weyl = tuple(induced)
+    return LieModule._of(module.algebra, dim, tuple(actions), weyl)
 
 
-def tensor_module(m1: LieModule, m2: LieModule, validate: bool = True) -> LieModule:
+def tensor_module(m1: LieModule, m2: LieModule) -> LieModule:
     """Tensor product with the derivation action, first factor index major."""
     if m1.algebra.fingerprint() != m2.algebra.fingerprint():
         raise DomainError("tensor factors must be modules over the same algebra")
@@ -787,4 +782,4 @@ def tensor_module(m1: LieModule, m2: LieModule, validate: bool = True) -> LieMod
                 else:
                     del entries[key]
         actions.append(SparseMatrix(dim, dim, entries))
-    return LieModule(m1.algebra, dim, tuple(actions), validate=validate)
+    return LieModule._of(m1.algebra, dim, tuple(actions))

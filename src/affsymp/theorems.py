@@ -68,6 +68,7 @@ from .lie_structures import (
     build_I,
     build_g,
     build_sp,
+    check_size,
     exterior_power_module,
     submodule,
     trivial_module,
@@ -204,6 +205,7 @@ class VerificationContext:
         """The affine algebra with its split into ideal and quotient."""
         key = ("g", n)
         if key not in self._algebras:
+            check_size("g", n)  # before the smaller sp_n is built
             self._algebras[key] = build_g(n, self.algebra("sp", n))
         return self._algebras[key]
 
@@ -234,7 +236,7 @@ class VerificationContext:
         if spec == "trivial":
             return trivial_module(algebra)
         if spec == "adjoint":
-            return adjoint_module(algebra, validate=False)
+            return adjoint_module(algebra)
         if not spec.startswith("I^"):
             raise DomainError(f"unknown module spec {spec!r} (trivial, adjoint or I^k)")
         if not _EXPONENT.fullmatch(spec[2:]):
@@ -242,11 +244,10 @@ class VerificationContext:
         if family == "I":
             raise DomainError("coefficients I^k need the sp or g action")
         if family == "g":
-            g, split = self.g(n)
-            base = submodule(adjoint_module(g, validate=False), split.ideal_indices)
+            base = submodule(self.module("adjoint", "g", n), self.g(n)[1].ideal_indices)
         else:
             base = self._standard(n)[1]
-        return exterior_power_module(base, int(spec[2:]), validate=False)
+        return exterior_power_module(base, int(spec[2:]))
 
     def _standard(self, n: int):
         key = ("standard", n)

@@ -89,7 +89,7 @@ class TestCoefficientComplex:
     def test_dd_zero_for_wedge_coefficients(self, sp1):
         algebra, split = build_g(1)
         ideal = submodule(
-            restriction_module(adjoint_module(algebra), split.quotient_indices),
+            restriction_module(adjoint_module(algebra), split.quotient_indices, sp1),
             split.ideal_indices,
         )
         module = exterior_power_module(ideal, 2)

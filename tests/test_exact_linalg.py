@@ -500,12 +500,12 @@ class TestFractionOracle:
         for a in (g2[0], sp2):
             complexes.append(ce_complex(a, 3))
             complexes.append(leibniz_complex(a, 3))
-            complexes.append(coeff_complex(a, adjoint_module(a, validate=False), 3))
+            complexes.append(coeff_complex(a, adjoint_module(a), 3))
             complexes.append(coeff_complex(a, trivial_module(a), 3))
             complexes.append(rel_complex(a, 1))
             complexes.append(cr_complex(a, 2))
         for k in (1, 2):
-            complexes.append(coeff_complex(sp2, _ideal_wedge(g2, "sp", k), 3))
+            complexes.append(coeff_complex(sp2, _ideal_wedge(g2, sp2, k), 3))
         found = 0
         for complex_ in complexes:
             for k in range(complex_.cap):

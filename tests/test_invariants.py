@@ -52,8 +52,8 @@ class TestInvariantSubspace:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_sp_tensor_invariants_vanish(self, k):
         _, ideal_mod, sp_adjoint, _, _ = standard_modules(1)
-        lam = exterior_power_module(ideal_mod, k, validate=False)
-        product = tensor_module(sp_adjoint, lam, validate=False)
+        lam = exterior_power_module(ideal_mod, k)
+        product = tensor_module(sp_adjoint, lam)
         assert invariant_subspace(product).dim == 0
 
     def test_serializes_no_matrix(self, monkeypatch):
@@ -83,7 +83,7 @@ class TestOmega:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_invariance_under_every_sp_generator(self, n):
         _, ideal_mod, _, _, _ = standard_modules(n)
-        lam2 = exterior_power_module(ideal_mod, 2, validate=False)
+        lam2 = exterior_power_module(ideal_mod, 2)
         vec = omega(n).vector
         for action in lam2.actions:
             assert action.apply(vec).is_zero
@@ -117,7 +117,7 @@ class TestOmegaPower:
     @pytest.mark.parametrize("n,q", [(2, 1), (2, 2), (3, 2), (3, 3)])
     def test_powers_lie_in_invariant_line(self, n, q):
         _, ideal_mod, _, _, _ = standard_modules(n)
-        lam = exterior_power_module(ideal_mod, 2 * q, validate=False)
+        lam = exterior_power_module(ideal_mod, 2 * q)
         basis = invariant_subspace(lam)
         assert basis.dim == 1
         assert basis.spans(omega_power(n, q).vector)
@@ -209,10 +209,10 @@ class TestTable:
         _, ideal_mod, sp_adjoint, g_mod, _ = modules = standard_modules(n)
         table = invariant_dimension_report(n, 2 * n + 1, modules)
         for row in table.rows:
-            lam = exterior_power_module(ideal_mod, row.k, validate=False)
+            lam = exterior_power_module(ideal_mod, row.k)
             wedge = invariant_subspace(lam)
             tensors = [
-                invariant_subspace(tensor_module(m, lam, validate=False)).dim
+                invariant_subspace(tensor_module(m, lam)).dim
                 for m in (ideal_mod, sp_adjoint, g_mod)
             ]
             spanned = wedge.dim == row.wedge_predicted and (

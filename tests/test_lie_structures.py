@@ -1,5 +1,6 @@
 import hashlib
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from affsymp.lie_structures import (
     build_I,
     build_sp,
     cartan_weights,
+    check_size,
     exterior_power_module,
     restriction_module,
     submodule,
@@ -141,8 +143,9 @@ class TestValidation:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_adjoint_law_is_the_jacobi_identity(self, g1, data):
-        # the generic module law on the adjoint action matrices, as the
-        # adjoint module checked itself before it read the algebra's report
+        # the generic module law on the adjoint action matrices holds
+        # exactly when the algebra's Jacobi report passes, so the adjoint
+        # module of a checked algebra is not checked again
         algebra = g1[0]
         bad = {k: dict(v) for k, v in algebra.brackets.items()}
         if data.draw(st.booleans()):
@@ -150,18 +153,13 @@ class TestValidation:
             j = data.draw(st.integers(i + 1, algebra.dim - 1))
             bad[(i, j)] = {data.draw(st.integers(0, algebra.dim - 1)): data.draw(st.integers(-2, 2))}
         corrupt = LieAlgebra(algebra.dim, algebra.labels, bad, validate=False)
-        actions = adjoint_module(corrupt, validate=False).actions
+        actions = adjoint_module(corrupt).actions
         try:
             LieModule(corrupt, corrupt.dim, actions)
             law_holds = True
         except ConsistencyError:
             law_holds = False
         assert law_holds == corrupt.validate().passed
-        if law_holds:
-            adjoint_module(corrupt)
-        else:
-            with pytest.raises(ConsistencyError, match="right-module law"):
-                adjoint_module(corrupt)
 
     def test_the_report_is_made_once(self, sp2):
         assert sp2.validate() is sp2.validate() is validate_lie(sp2)
@@ -186,7 +184,7 @@ class TestAdjoint:
             assert trace == 0
 
     def test_module_law_validated_for_affine(self, g1):
-        adjoint_module(g1[0])  # construction runs the law check
+        assert adjoint_module(g1[0]).validate().passed
 
     def test_bad_actions_rejected(self, sp1):
         actions = list(adjoint_module(sp1).actions)
@@ -200,22 +198,35 @@ class TestAdjoint:
 
 
 class TestRestrictionSubmodule:
-    def test_restrict_affine_adjoint_to_sp(self, g1):
+    def test_restrict_affine_adjoint_to_sp(self, g1, sp1):
         algebra, split = g1
-        module = restriction_module(adjoint_module(algebra), split.quotient_indices)
+        module = restriction_module(adjoint_module(algebra), split.quotient_indices, sp1)
         assert module.dim == 5
-        assert module.algebra.dim == 3
-        assert module.algebra.brackets == build_sp(1).brackets
+        assert module.algebra is sp1
+        assert module.validate().passed
 
-    def test_restrict_to_constants_gives_nilpotent_actions(self, g1):
+    def test_restrict_to_constants_gives_nilpotent_actions(self, g1, i1):
         algebra, split = g1
-        module = restriction_module(adjoint_module(algebra), split.ideal_indices)
+        module = restriction_module(adjoint_module(algebra), split.ideal_indices, i1)
         for a in module.actions:
             assert (a @ a).nnz == 0
 
-    def test_non_closed_subset_rejected(self, g1):
-        with pytest.raises(DomainError):
-            restriction_module(adjoint_module(g1[0]), (2, 3))
+    def test_non_closed_subset_rejected(self, g1, i1):
+        with pytest.raises(DomainError, match="not closed under bracket"):
+            restriction_module(adjoint_module(g1[0]), (2, 3), i1)
+
+    def test_a_model_with_other_constants_is_rejected(self, g1, sp1):
+        algebra, split = g1
+        adjoint, swapped = adjoint_module(algebra), sp1.permuted([1, 0, 2])
+        with pytest.raises(DomainError, match="differ from the model"):
+            restriction_module(adjoint, split.quotient_indices, swapped)
+        with pytest.raises(DomainError, match="cannot span"):
+            restriction_module(adjoint, split.quotient_indices, build_sp(2))
+        with pytest.raises(DomainError, match="repeated"):
+            restriction_module(adjoint, (2, 2, 3), sp1)
+        # build_g checks its quotient with the same span check
+        with pytest.raises(DomainError, match="differ from the model"):
+            build_g(1, swapped)
 
     def test_submodule_requires_invariance(self, g1):
         algebra, split = g1
@@ -227,7 +238,8 @@ class TestRestrictionSubmodule:
 class TestPowersAndProducts:
     def _ideal_module(self, n):
         algebra, split = build_g(n)
-        restricted = restriction_module(adjoint_module(algebra), split.quotient_indices)
+        adjoint = adjoint_module(algebra)
+        restricted = restriction_module(adjoint, split.quotient_indices, build_sp(n))
         return submodule(restricted, split.ideal_indices)
 
     def test_exterior_zero_is_trivial(self):
@@ -259,12 +271,12 @@ class TestPowersAndProducts:
         m = self._ideal_module(1)
         lam2 = exterior_power_module(m, 2)
         algebra, split = build_g(1)
-        g_mod = restriction_module(adjoint_module(algebra), split.quotient_indices)
+        g_mod = restriction_module(adjoint_module(algebra), split.quotient_indices, m.algebra)
         assert tensor_module(g_mod, lam2).dim == 5
 
     def test_tensor_module_law_holds(self):
         m = self._ideal_module(1)
-        tensor_module(m, m)  # validated at construction
+        assert tensor_module(m, m).validate().passed
 
     def test_mismatched_algebras_rejected(self, sp1):
         other = adjoint_module(build_sp(2))
@@ -492,15 +504,29 @@ class TestBracketTable:
 class TestLetterPairGuard:
     @pytest.mark.parametrize("build, n", [
         (build_sp, 100_000), (build_I, 100_000_000), (build_g, 100_000), (build_g, 47),
+        (build_sp, 47),
     ])
     def test_a_huge_algebra_is_refused_before_it_is_built(self, build, n):
         with pytest.raises(ResourceLimitError, match="pairs of letters"):
             build(n)
 
     def test_the_largest_sp_under_the_cap_passes_the_guard(self, monkeypatch):
-        # sp_47 has comb(4465, 2) = 9,965,880 pairs; only the guard runs here
+        # sp_11 has comb(253, 2) * 253 = 8,065,134 (pair, letter) triples,
+        # sp_12 has 13,455,000; only the guard runs here
         monkeypatch.setattr(lie_structures, "_algebra_from_hamiltonians", lambda hs, n: len(hs))
-        assert build_sp(47) == 4465
+        assert build_sp(11) == 253
+        with pytest.raises(ResourceLimitError, match="times 300 letters, 13455000,"):
+            build_sp(12)
+
+    @pytest.mark.parametrize("family, n, size", [("g", 10, 6_057_050), ("I", 2236, 9_997_156)])
+    def test_the_guard_refuses_the_next_n(self, family, n, size):
+        # comb(dim, 2) * dim for sp and g, whose Jacobi check sums that many
+        # triples at most; comb(dim, 2) for the abelian I, which has none
+        check_size(family, n)
+        with pytest.raises(ResourceLimitError, match="over the cap 10000000"):
+            check_size(family, n + 1)
+        dim = {"sp": 2 * n * n + n, "I": 2 * n, "g": 2 * n * n + 3 * n}[family]
+        assert comb(dim, 2) * (1 if family == "I" else dim) == size
 
 
 class TestConstants:

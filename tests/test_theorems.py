@@ -174,6 +174,105 @@ class TestSharedBuilds:
         # build_g checks its quotient against the context's build_sp
         assert calls == {"build_g": 1, "build_sp": 1}
 
+    def test_run_all_checks_each_algebra_once_and_no_derived_module(self, monkeypatch):
+        """sp_2 and g_2 are the only algebras made, each Jacobi-checked and
+        given a wedge table once; no module law is checked, since every
+        module of the run is derived from them."""
+        import affsymp.chain_complexes as chain_complexes
+        from affsymp.lie_structures import LieAlgebra, LieModule
+        from affsymp.theorems import VerificationContext
+
+        calls = {"LieAlgebra": 0, "_jacobi": 0, "_wedge_table": 0, "LieModule.validate": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(LieAlgebra, "__init__", counted("LieAlgebra", LieAlgebra.__init__))
+        monkeypatch.setattr(LieAlgebra, "_jacobi", counted("_jacobi", LieAlgebra._jacobi))
+        monkeypatch.setattr(
+            chain_complexes, "_wedge_table", counted("_wedge_table", chain_complexes._wedge_table)
+        )
+        monkeypatch.setattr(
+            LieModule, "validate", counted("LieModule.validate", LieModule.validate)
+        )
+        assert all(r.passed for r in run_all(VerificationContext(), 2))
+        assert calls == {"LieAlgebra": 2, "_jacobi": 2, "_wedge_table": 2, "LieModule.validate": 0}
+
+    def test_standard_modules_build_sp_once(self, monkeypatch):
+        import affsymp.invariants as invariants
+        import affsymp.lie_structures as lie_structures
+
+        built = []
+        original = lie_structures.build_sp
+
+        def build_sp(n):
+            built.append(n)
+            return original(n)
+
+        monkeypatch.setattr(invariants, "build_sp", build_sp)
+        monkeypatch.setattr(lie_structures, "build_sp", build_sp)
+        sp, _, _, g_mod, _ = invariants.standard_modules(1)
+        assert built == [1] and g_mod.algebra is sp
+        assert invariants.invariant_dimension_report(1, 2).passed
+        assert built == [1, 1]
+
+    def test_a_huge_g_is_refused_before_its_sp_is_built(self, monkeypatch):
+        import affsymp.theorems as theorems
+        from affsymp.errors import ResourceLimitError
+        from affsymp.theorems import VerificationContext
+
+        def refused(n):
+            raise AssertionError(f"sp_{n} was built")
+
+        monkeypatch.setattr(theorems, "build_sp", refused)
+        with pytest.raises(ResourceLimitError, match="dimension 275"):
+            VerificationContext().algebra("g", 11)
+
+
+def _derived_modules(n):
+    """Every module a context derives at n, by name: both adjoints, g and
+    the constants over sp, the constants over g, Lambda^k of the constants
+    over sp and over g for k <= 4, and the tensor modules of the invariant
+    table, whose k_max at n = 2 is 4."""
+    from affsymp.lie_structures import exterior_power_module, tensor_module
+    from affsymp.theorems import VerificationContext
+
+    ctx = VerificationContext()
+    _, ideal_mod, sp_adjoint, g_mod, split = ctx._standard(n)
+    modules = {
+        "adjoint(sp)": ctx.module("adjoint", "sp", n),
+        "adjoint(g)": ctx.module("adjoint", "g", n),
+        "trivial(g)": ctx.module("trivial", "g", n),
+        "g over sp": g_mod,
+        "I over sp": ideal_mod,
+        "I over g": ctx.module("I^1", "g", n),
+        "sp adjoint of the table": sp_adjoint,
+    }
+    for k in range(5):
+        for family in ("sp", "g"):
+            modules[f"I^{k} over {family}"] = ctx.module(f"I^{k}", family, n)
+        lam = exterior_power_module(ideal_mod, k)
+        for name, m in (("I", ideal_mod), ("sp", sp_adjoint), ("g", g_mod)):
+            modules[f"{name} (x) I^{k}"] = tensor_module(m, lam)
+    return modules
+
+
+DERIVED = {n: _derived_modules(n) for n in (1, 2)}
+
+
+@pytest.mark.parametrize("n, name", [(n, name) for n in DERIVED for name in DERIVED[n]])
+def test_every_derived_module_satisfies_the_law(n, name):
+    """The law a derived module inherits holds: checked here, not at
+    construction."""
+    module = DERIVED[n][name]
+    report = module.validate()
+    assert report.passed, report.failures[:3]
+    assert report.checked == module.algebra.dim * (module.algebra.dim - 1) // 2
+
 
 # each theory string and the chain_complexes builder it is made by
 THEORY_BUILDERS = [

@@ -42,15 +42,14 @@ import full_oracle
 from full_oracle import full_block, full_d, full_projection, restricted_d
 
 
-def _ideal_wedge(g, family, k):
-    """Lambda^k of the constants, over g itself or restricted to sp."""
+def _ideal_wedge(g, over, k):
+    """Lambda^k of the constants, over g itself or restricted to ``over``,
+    the sp of g."""
     algebra, split = g
-    adj = adjoint_module(algebra, validate=False)
-    if family == "g":
-        base = submodule(adj, split.ideal_indices)
-    else:
-        base = submodule(restriction_module(adj, split.quotient_indices), split.ideal_indices)
-    return exterior_power_module(base, k, validate=False)
+    adj = adjoint_module(algebra)
+    if over is not algebra:
+        adj = restriction_module(adj, split.quotient_indices, over)
+    return exterior_power_module(submodule(adj, split.ideal_indices), k)
 
 
 def _complexes(g, sp, cap, kernel_cap):
@@ -59,13 +58,13 @@ def _complexes(g, sp, cap, kernel_cap):
     for a in (algebra, sp):
         out.append(ce_complex(a, cap))
         out.append(leibniz_complex(a, cap))
-        out.append(coeff_complex(a, adjoint_module(a, validate=False), cap))
+        out.append(coeff_complex(a, adjoint_module(a), cap))
         out.append(coeff_complex(a, trivial_module(a), cap))
         out.append(rel_complex(a, kernel_cap))
         out.append(cr_complex(a, kernel_cap))
     for k in range(len(g[1].ideal_indices) + 1):
-        out.append(coeff_complex(algebra, _ideal_wedge(g, "g", k), cap))
-        out.append(coeff_complex(sp, _ideal_wedge(g, "sp", k), cap))
+        out.append(coeff_complex(algebra, _ideal_wedge(g, algebra, k), cap))
+        out.append(coeff_complex(sp, _ideal_wedge(g, sp, k), cap))
     return out
 
 
@@ -111,12 +110,12 @@ def test_blocks_match_full_ranks_n2(g2, sp2):
     for a in (algebra, sp2):
         complexes.append(ce_complex(a, 3))
         complexes.append(leibniz_complex(a, 3))
-        complexes.append(coeff_complex(a, adjoint_module(a, validate=False), 3))
+        complexes.append(coeff_complex(a, adjoint_module(a), 3))
         complexes.append(coeff_complex(a, trivial_module(a), 3))
         complexes.append(rel_complex(a, 1))
         complexes.append(cr_complex(a, 2))
     for k in (1, 2):
-        complexes.append(coeff_complex(sp2, _ideal_wedge(g2, "sp", k), 3))
+        complexes.append(coeff_complex(sp2, _ideal_wedge(g2, sp2, k), 3))
     _assert_blocks_match(complexes, explicit_kernels=False)
 
 
@@ -145,7 +144,7 @@ def test_bracket_breaking_the_grading_is_caught(g1):
         lambda a: leibniz_complex(a, 2),
         lambda a: coeff_complex(a, trivial_module(a), 2),
         # the module-action terms of coeff_d leave the set first
-        lambda a: coeff_complex(a, adjoint_module(a, validate=False), 2),
+        lambda a: coeff_complex(a, adjoint_module(a), 2),
         lambda a: rel_complex(a, 1),
         lambda a: cr_complex(a, 1),
     )
@@ -221,8 +220,8 @@ def test_reps_match_the_oracle(g1, sp1):
     complexes = [
         ce_complex(algebra, 5),
         leibniz_complex(algebra, 4),
-        coeff_complex(algebra, adjoint_module(algebra, validate=False), 4),
-        coeff_complex(sp1, _ideal_wedge(g1, "sp", 2), 4),
+        coeff_complex(algebra, adjoint_module(algebra), 4),
+        coeff_complex(sp1, _ideal_wedge(g1, sp1, 2), 4),
         rel_complex(algebra, 3),
         cr_complex(algebra, 2),
     ]
@@ -241,8 +240,8 @@ def membership_cases(g1, sp1):
     complexes = [
         leibniz_complex(algebra, 3),
         ce_complex(algebra, 4),
-        coeff_complex(algebra, adjoint_module(algebra, validate=False), 3),
-        coeff_complex(sp1, _ideal_wedge(g1, "sp", 2), 3),
+        coeff_complex(algebra, adjoint_module(algebra), 3),
+        coeff_complex(sp1, _ideal_wedge(g1, sp1, 2), 3),
         rel_complex(algebra, 2),
         cr_complex(algebra, 2),
     ]

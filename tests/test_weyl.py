@@ -59,7 +59,7 @@ def _pairs(algebra, modules, caps):
         built = [
             ce_complex(a, caps["lie"], **guard),
             leibniz_complex(a, caps["leibniz"], **guard),
-            coeff_complex(a, adjoint_module(a, validate=False), caps["adjoint"], **guard),
+            coeff_complex(a, adjoint_module(a), caps["adjoint"], **guard),
             rel_complex(a, caps["rel"], **guard),
             cr_complex(a, caps["cr"], **guard),
         ]
@@ -79,7 +79,7 @@ def test_orbit_sums_rank_as_the_weight_zero_blocks(request, family, n):
     g = request.getfixturevalue(f"g{n}")
     algebra = g[0] if family == "g" else request.getfixturevalue(f"sp{n}")
     modules = [trivial_module(algebra)]
-    modules += [_ideal_wedge(g, family, k) for k in range(1, 2 * n + 1)]
+    modules += [_ideal_wedge(g, algebra, k) for k in range(1, 2 * n + 1)]
     checked = smaller = 0
     for orbits, blocks in _pairs(algebra, modules, CAPS[n]):
         assert orbits._ranked is not orbits._diffs and blocks._ranked is blocks._diffs
@@ -185,12 +185,12 @@ def test_i_n_gets_no_action(i1):
         assert complex_._ranked is complex_._diffs
 
 
-def test_the_constants_as_an_ideal_get_no_action(g1):
+def test_the_constants_as_an_ideal_get_no_action(g1, i1):
     """The constants restricted to themselves are I_1, on which sp acts by
     outer derivations: the restricted algebra carries no ``weyl``."""
     algebra, split = g1
-    module = restriction_module(adjoint_module(algebra), split.ideal_indices)
-    assert module.algebra.weyl is None
+    module = restriction_module(adjoint_module(algebra), split.ideal_indices, i1)
+    assert module.algebra is i1 and i1.weyl is None
     complex_ = coeff_complex(module.algebra, module, 2)
     assert complex_._ranked is complex_._diffs
 

@@ -85,11 +85,12 @@ def _rank_record(key: str, value: int) -> str:
 
 
 class DiffCache:
-    """Directory of serialized matrices and rank records."""
+    """Directory of serialized matrices and rank records, made with its
+    record folders unless ``create`` is false."""
 
-    def __init__(self, path: str | os.PathLike):
+    def __init__(self, path: str | os.PathLike, create: bool = True):
         self.path = Path(path)
-        for sub in ("diff", "kernel", "rank"):
+        for sub in ("diff", "kernel", "rank") if create else ():
             (self.path / sub).mkdir(parents=True, exist_ok=True)
 
     # -- low-level ------------------------------------------------------

@@ -63,17 +63,20 @@ single block: the whole complex.
 Degree caps are explicit.  d o d = 0 is verified at build time on every
 adjacent pair of ranked blocks, and the weight blocks are made only for
 the membership tests.  A finished complex is shareable across threads;
-ranks and pivot sets are memoized per complex, and blocks, word
-sets and the build-time checks in a ``BlockMemo``.  The complexes of one
-memo share them: a block is looked up there under its descriptor before it
-is read from a ``DiffCache`` or built, and a check of the same block
-objects runs once.  The ambient differentials of ``rel`` and ``cr`` are the blocks of
-``leibniz`` and ``adjoint``, and the targets of both are those of ``lie``.
-A builder called without a memo gets one of its own.  The rank and the
-transposed rank each run from the bottom up, and each clears a block with
-the pivots of its own elimination one degree below (``_pivot_set``); each
-pivot set is computed once, also below a degree whose rank was read from
-the cache.  Only assembled blocks and ranks go to disk.
+ranks and pivot sets are memoized per complex.  Everything else of a
+build lives in one ``BlockMemo``: the run's disk cache and entry cap, and
+the blocks, word sets and build-time checks the complexes built with it
+share.  A block is looked up there under its descriptor before the memo
+reads it from its cache or has it built, a rank record is read and written
+by the memo alone, and a check of the same block objects runs once.  The
+ambient differentials of ``rel`` and ``cr`` are the blocks of ``leibniz``
+and ``adjoint``, and the targets of both are those of ``lie``.  A builder
+called without a memo gets ``BlockMemo()``: no cache, the default cap.
+The rank and the transposed rank each run from the bottom up, and each
+clears a block with the pivots of its own elimination one degree below
+(``_pivot_set``); each pivot set is computed once, also below a degree
+whose rank was read from the cache.  Only assembled blocks and ranks go to
+disk.
 
 The two kernel complexes (``KernelComplex``) are complexes like the others
 in the free words of their projections pi_m (``_FreeWords``), which also
@@ -232,19 +235,24 @@ class _Graded:
 
 
 class BlockMemo:
-    """Blocks, word sets and build-time checks shared by the complexes
-    built with it, for as long as it lives; one per ``VerificationContext``.
+    """The build context of the complexes built with it, for as long as it
+    lives; one per ``VerificationContext``.  It holds the run's disk cache
+    (``cache``, or None) and the entry cap of every assembly and
+    elimination (``entry_cap``, None for ``exact_linalg.DEFAULT_ENTRY_CAP``),
+    and is the one reader and writer of their block and rank records.
 
-    ``block`` keeps each block under the digest of its descriptor.  All
-    the families that share a descriptor pass the same cache, or none, so
-    a block kept here is on disk whenever its family writes there, and the
-    disk records do not depend on the order in which complexes are built.
+    ``block`` keeps each block under the digest of its descriptor.  Whether
+    a block has a record depends on its descriptor alone (``_family``), and
+    the memo has one cache, so the disk records do not depend on the order
+    in which complexes are built.  ``rank`` goes through the rank records.
     ``words`` reads the Cartan weights once per pair of algebra and module
     fingerprints and keeps one ``WordSet`` per grading, so its word lists
     are searched once, and ``orbits`` one orbit view per grading and group.
     ``check`` runs a check once per tuple of the same block objects."""
 
-    def __init__(self):
+    def __init__(self, cache: DiffCache | None = None, entry_cap: int | None = None):
+        self.cache = cache
+        self.entry_cap = entry_cap
         self._blocks: dict[str, SparseMatrix] = {}
         self._weights: dict[tuple[str, str | None], tuple] = {}
         self._words: dict[tuple, WordSet] = {}
@@ -273,12 +281,13 @@ class BlockMemo:
             self._orbits[key] = orbit_words(words, algebra, module)
         return self._orbits[key]
 
-    def block(self, digest: str, build, cache: DiffCache | None = None) -> SparseMatrix:
-        """The block with descriptor ``digest``: kept here, read from
-        ``cache`` when given, or ``build()``, and written to ``cache``
-        when it misses there."""
+    def block(self, digest: str, build, persist: bool) -> SparseMatrix:
+        """The block with descriptor ``digest``: kept here, read from the
+        cache when ``persist`` and there is one, or ``build()``, and then
+        written to the cache when ``persist``."""
         got = self._blocks.get(digest)
         if got is None:
+            cache = self.cache if persist else None
             if cache is not None:
                 got = cache.get_matrix("diff", digest)
             if got is None:
@@ -287,6 +296,22 @@ class BlockMemo:
                     cache.put_matrix("diff", digest, got)
             self._blocks[digest] = got
         return got
+
+    def rank(self, block: SparseMatrix, transposed: bool, compute) -> int:
+        """The rank of ``block``, or of its transpose: ``compute()``, through
+        the cache when there is one and the block is worth caching
+        (``cache.worth_caching``), under the key ``cache.rank_key`` derives
+        from its fingerprint.  A recorded value that cannot be a rank of
+        this shape counts as a miss, and is recomputed and rewritten."""
+        if self.cache is None or not worth_caching(block.rows, block.cols):
+            return compute()
+        key = rank_key(block, transposed)
+        hit = self.cache.get_rank(key)
+        if hit is not None and 0 <= hit <= min(block.rows, block.cols):
+            return hit
+        value = compute()
+        self.cache.put_rank(key, value)
+        return value
 
     def check(self, parts: tuple, verify) -> None:
         """``verify()``, which raises on failure, unless it passed before
@@ -313,7 +338,9 @@ class ChainComplex:
     its dimensions.  Chains are vectors in ``basis(k)``; ``components``
     splits one by weight for the membership tests of ``homology``, which
     use the weight blocks (``block``), each made on first use.
-    ``blocks`` is the memo the build-time checks run through.
+    ``blocks`` is its memo (``BlockMemo``), whose cache its ranks go through
+    and whose entry cap holds its eliminations, and through which its
+    build-time checks run.
     """
 
     def __init__(
@@ -324,8 +351,6 @@ class ChainComplex:
         diffs,
         bases: dict[int, object],
         cap: int,
-        cache: DiffCache | None = None,
-        entry_cap: int | None = None,
         blocks: BlockMemo | None = None,
     ):
         self.kind = kind
@@ -333,9 +358,7 @@ class ChainComplex:
         self.dims = list(dims)
         self.bases = dict(bases)
         self.cap = cap
-        self.cache = cache
-        self.entry_cap = entry_cap
-        self._blocks = BlockMemo() if blocks is None else blocks
+        self.blocks = BlockMemo() if blocks is None else blocks
         self._diffs = _Graded.of(diffs)
         self._ranked = self._diffs.ranked
         self._ranks: dict[int, int] = {}
@@ -360,7 +383,7 @@ class ChainComplex:
         """On the ranked blocks of ``diffs``."""
         for k in range(2, self.cap + 1):
             pair = (diffs.ranked.block(k - 1), diffs.ranked.block(k))
-            self._blocks.check(pair, lambda: _check_zero_product(
+            self.blocks.check(pair, lambda: _check_zero_product(
                 [(1, *pair)], f"{self.name}: {label}d_{k - 1} o d_{k} != 0"
             ))
 
@@ -424,32 +447,20 @@ class ChainComplex:
     def _block_rank(self, k: int, transposed: bool) -> int:
         """rank of the ranked block of degree k, or of its transpose.
         Degree k - 1 is ranked first, so each orientation writes its rank
-        records from the bottom up.  The rank goes through the disk cache when there is one and the
-        block is worth caching (``cache.worth_caching``), under the key
-        ``cache.rank_key`` derives from its fingerprint; a cached value that
-        cannot be a rank of this shape counts as a miss and is recomputed
-        and rewritten.  On a miss the rank is the size of
+        records from the bottom up.  The rank goes through the rank records
+        of the memo (``BlockMemo.rank``); on a miss it is the size of
         ``_pivot_set(k)``."""
         (self.rank_d_transposed if transposed else self.rank_d)(k - 1)
         block = self._ranked.block(k)
         if not block.entries:
             return 0
-        key = None
-        if self.cache is not None and worth_caching(block.rows, block.cols):
-            key = rank_key(block, transposed)
-            hit = self.cache.get_rank(key)
-            if hit is not None and 0 <= hit <= min(block.rows, block.cols):
-                return hit
-        value = len(self._pivot_set(k, transposed))
-        if key is not None:
-            self.cache.put_rank(key, value)
-        return value
+        return self.blocks.rank(block, transposed, lambda: len(self._pivot_set(k, transposed)))
 
     def _pivot_set(self, k: int, transposed: bool) -> set[int]:
         """The columns of the ranked block of degree k with full column
         rank that its elimination in this orientation hands back: the pivot
-        columns of the block, or the pivot rows of its transpose.  Fill-in is held to the
-        complex's ``entry_cap``.
+        columns of the block, or the pivot rows of its transpose.  Fill-in is
+        held to the entry cap of the memo.
 
         The elimination is cleared (Chen and Kerber 2011) with the set of
         degree k - 1: as ``block(k - 1) @ block(k) = 0`` (checked at build
@@ -471,7 +482,7 @@ class ChainComplex:
                 clear = ()
                 if k > 1 and worth_caching(block.rows, block.cols):
                     clear = self._pivot_set(k - 1, transposed)
-                rank(block, self.entry_cap, transposed, got, clear)
+                rank(block, self.blocks.entry_cap, transposed, got, clear)
             if k < self.cap:
                 pivots[k] = got
         return got
@@ -751,37 +762,37 @@ def mixed_projection(
 
 
 def _family(
-    blocks: BlockMemo, key: tuple, words: WordSet, kind: str, shift: int,
-    assemble, estimate, entry_cap: int | None, cache: DiffCache | None = None,
-    orbits: OrbitWords | None = None,
+    blocks: BlockMemo, key: tuple, algebra: LieAlgebra, module: LieModule | None,
+    kind: str, shift: int, assemble, estimate, persist: bool = True,
 ) -> _Graded:
-    """The blocks ``assemble(k + shift, words of one total weight)``, whose
-    columns are the words of ``kind`` and whose rows those one degree
-    lower, and, given the ``orbits`` of the weight-0 words, the ranked
-    family ``assemble(k + shift, orbits)`` on orbit sums.
+    """The blocks ``assemble(k + shift, words of one total weight)`` over
+    ``blocks.words(algebra, module)``, whose columns are the words of
+    ``kind`` and whose rows those one degree lower, and, given the
+    ``blocks.orbits`` of the weight-0 words, the ranked family
+    ``assemble(k + shift, orbits)`` on orbit sums.
 
-    A block is first held to the entry guard by ``estimate(k + shift)``,
-    then looked up in ``blocks`` under the digest of key + (degree,
-    "weight", the total, the letter weights), or key + (degree, "weyl", the
-    group, the letter weights) on orbit sums, so a change of grading or of
-    group is a miss.  With a cache, a block worth caching by its word (or
-    orbit) counts also goes through the disk under that digest.  The counts
-    stop at 2, but they list the words of both degrees first (and find the
-    first two orbits of each), also for a block that is then read back.  A
-    family without a cache, such as a projection, never reads or writes the
-    disk."""
+    A block is first held to the entry guard of the memo by
+    ``estimate(k + shift)``, then looked up in ``blocks`` under the digest
+    of key + (degree, "weight", the total, the letter weights), or key +
+    (degree, "weyl", the group, the letter weights) on orbit sums, so a
+    change of grading or of group is a miss.  When the memo has a cache, a
+    block worth caching by its word (or orbit) counts also goes through the
+    disk under that digest.  The counts stop at 2, but they list the words
+    of both degrees first (and find the first two orbits of each), also for
+    a block that is then read back.  A family that does not ``persist``,
+    such as a projection, never reads or writes the disk."""
+    words, orbits = blocks.words(algebra, module), blocks.orbits(algebra, module)
     grading = (words.letter_weights, words.module_weights)
 
     def make(k: int, chosen, *label) -> SparseMatrix:
         degree = k + shift
-        check_entry_budget(estimate(degree), entry_cap)
-        persist = cache is not None and worth_caching(
-            chosen.count(kind, degree - 1, 2), chosen.count(kind, degree, 2)
-        )
+        check_entry_budget(estimate(degree), blocks.entry_cap)
         return blocks.block(
             descriptor_key(*key, degree, *label, *grading),
             lambda: assemble(degree, chosen),
-            cache if persist else None,
+            persist and blocks.cache is not None and worth_caching(
+                chosen.count(kind, degree - 1, 2), chosen.count(kind, degree, 2)
+            ),
         )
 
     family = _Graded(
@@ -792,54 +803,42 @@ def _family(
     return family
 
 
-def _lie_family(
-    blocks: BlockMemo, algebra: LieAlgebra, entry_cap: int | None,
-    cache: DiffCache | None, shift: int = 0,
-) -> _Graded:
+def _lie_family(blocks: BlockMemo, algebra: LieAlgebra, shift: int = 0) -> _Graded:
     """``ce_d`` of the algebra, the differentials of ``lie`` and the
     targets of ``rel`` and ``cr``."""
     return _family(
-        blocks, ("lie", algebra.fingerprint()), blocks.words(algebra), "wedge", shift,
-        lambda k, ws: ce_d(algebra, k, entry_cap, ws),
-        lambda k: _estimate_ce(algebra, k), entry_cap, cache, blocks.orbits(algebra),
+        blocks, ("lie", algebra.fingerprint()), algebra, None, "wedge", shift,
+        lambda k, ws: ce_d(algebra, k, blocks.entry_cap, ws),
+        lambda k: _estimate_ce(algebra, k),
     )
 
 
-def _leibniz_family(
-    blocks: BlockMemo, algebra: LieAlgebra, entry_cap: int | None,
-    cache: DiffCache | None, shift: int = 0,
-) -> _Graded:
+def _leibniz_family(blocks: BlockMemo, algebra: LieAlgebra, shift: int = 0) -> _Graded:
     """``leibniz_d`` of the algebra, the differentials of ``leibniz`` and
     the ambient ones of ``rel``."""
     return _family(
-        blocks, ("leibniz", algebra.fingerprint()), blocks.words(algebra), "tensor", shift,
-        lambda k, ws: leibniz_d(algebra, k, entry_cap, ws),
-        lambda k: _estimate_leibniz(algebra, k), entry_cap, cache, blocks.orbits(algebra),
+        blocks, ("leibniz", algebra.fingerprint()), algebra, None, "tensor", shift,
+        lambda k, ws: leibniz_d(algebra, k, blocks.entry_cap, ws),
+        lambda k: _estimate_leibniz(algebra, k),
     )
 
 
 def _coeff_family(
-    blocks: BlockMemo, algebra: LieAlgebra, module: LieModule, entry_cap: int | None,
-    cache: DiffCache | None, shift: int = 0,
+    blocks: BlockMemo, algebra: LieAlgebra, module: LieModule, shift: int = 0
 ) -> _Graded:
     """``coeff_d`` of the module over the algebra (the module's own, or a
     copy with its fingerprint, whose ``weyl`` is used), the differentials
     of ``coeff`` (and of ``adjoint``) and the ambient ones of ``cr``."""
     return _family(
-        blocks, ("coeff", algebra.fingerprint(), module.fingerprint()),
-        blocks.words(algebra, module), "module_wedge", shift,
-        lambda k, ws: coeff_d(module, k, entry_cap, ws),
-        lambda k: _estimate_coeff(module, k), entry_cap, cache, blocks.orbits(algebra, module),
+        blocks, ("coeff", algebra.fingerprint(), module.fingerprint()), algebra, module,
+        "module_wedge", shift,
+        lambda k, ws: coeff_d(module, k, blocks.entry_cap, ws),
+        lambda k: _estimate_coeff(module, k),
     )
 
 
 def ce_complex(
-    algebra: LieAlgebra,
-    cap: int,
-    cache: DiffCache | None = None,
-    entry_cap: int | None = None,
-    name: str | None = None,
-    blocks: BlockMemo | None = None,
+    algebra: LieAlgebra, cap: int, name: str | None = None, blocks: BlockMemo | None = None
 ) -> ChainComplex:
     """Exterior-power complex of the algebra through degree cap."""
     if cap < 0:
@@ -849,16 +848,14 @@ def ce_complex(
     name = name or f"lie[{fp[:8]}]"
     dims = [wedge_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: WedgeBasis(algebra, k) for k in range(cap + 1)}
-    diffs = _lie_family(blocks, algebra, entry_cap, cache)
-    return ChainComplex("lie", name, dims, diffs, bases, cap, cache, entry_cap, blocks)
+    diffs = _lie_family(blocks, algebra)
+    return ChainComplex("lie", name, dims, diffs, bases, cap, blocks)
 
 
 def coeff_complex(
     algebra: LieAlgebra,
     module: LieModule,
     cap: int,
-    cache: DiffCache | None = None,
-    entry_cap: int | None = None,
     name: str | None = None,
     blocks: BlockMemo | None = None,
 ) -> ChainComplex:
@@ -873,17 +870,12 @@ def coeff_complex(
     name = name or f"coeff[{fp[:8]},{mfp[:8]}]"
     dims = [module.dim * wedge_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: ModuleWedgeBasis(module, k) for k in range(cap + 1)}
-    diffs = _coeff_family(blocks, algebra, module, entry_cap, cache)
-    return ChainComplex("coeff", name, dims, diffs, bases, cap, cache, entry_cap, blocks)
+    diffs = _coeff_family(blocks, algebra, module)
+    return ChainComplex("coeff", name, dims, diffs, bases, cap, blocks)
 
 
 def leibniz_complex(
-    algebra: LieAlgebra,
-    cap: int,
-    cache: DiffCache | None = None,
-    entry_cap: int | None = None,
-    name: str | None = None,
-    blocks: BlockMemo | None = None,
+    algebra: LieAlgebra, cap: int, name: str | None = None, blocks: BlockMemo | None = None
 ) -> ChainComplex:
     """Tensor-power complex of the algebra through degree cap."""
     if cap < 0:
@@ -893,8 +885,8 @@ def leibniz_complex(
     name = name or f"leibniz[{fp[:8]}]"
     dims = [tensor_dim(algebra.dim, k) for k in range(cap + 1)]
     bases = {k: TensorBasis(algebra, k) for k in range(cap + 1)}
-    diffs = _leibniz_family(blocks, algebra, entry_cap, cache)
-    return ChainComplex("leibniz", name, dims, diffs, bases, cap, cache, entry_cap, blocks)
+    diffs = _leibniz_family(blocks, algebra)
+    return ChainComplex("leibniz", name, dims, diffs, bases, cap, blocks)
 
 
 def _check_projection(pi: SparseMatrix, what: str) -> None:
@@ -976,8 +968,6 @@ class KernelComplex(ChainComplex):
         targets,
         bases: dict[int, object],
         cap: int,
-        cache: DiffCache | None = None,
-        entry_cap: int | None = None,
         blocks: BlockMemo | None = None,
     ):
         self._ambient = ambient = _Graded.of(ambient_d)
@@ -994,7 +984,7 @@ class KernelComplex(ChainComplex):
                 _FreeWords(projection.ranked.block(j), f"{name}: projection at degree {j}")
                 for j in (m - 1, m)
             )))
-        super().__init__(kind, name, dims, diffs, bases, cap, cache, entry_cap, blocks)
+        super().__init__(kind, name, dims, diffs, bases, cap, blocks)
 
     def verify_dd_zero(self) -> None:
         """Ambient d o d = 0 on every pair used, and the exact chain-map
@@ -1006,7 +996,7 @@ class KernelComplex(ChainComplex):
                 self._projection.ranked.block(m - 1), self._ambient.ranked.block(m),
                 self._target.ranked.block(m), self._projection.ranked.block(m),
             )
-            self._blocks.check(parts, lambda: _check_zero_product(
+            self.blocks.check(parts, lambda: _check_zero_product(
                 [(1, *parts[:2]), (-1, *parts[2:])],
                 f"{self.name}: projection is not a chain map at degree {m}",
             ))
@@ -1036,12 +1026,7 @@ class KernelComplex(ChainComplex):
 
 
 def rel_complex(
-    algebra: LieAlgebra,
-    cap: int,
-    cache: DiffCache | None = None,
-    entry_cap: int | None = None,
-    name: str | None = None,
-    blocks: BlockMemo | None = None,
+    algebra: LieAlgebra, cap: int, name: str | None = None, blocks: BlockMemo | None = None
 ) -> KernelComplex:
     """Relative complex: degree m is the kernel of the antisymmetrization at
     tensor degree m + 2, differential the restricted tensor differential."""
@@ -1054,18 +1039,15 @@ def rel_complex(
         "rel",
         name or f"rel[{fp[:8]}]",
         [tensor_dim(dim, m + 2) - wedge_dim(dim, m + 2) for m in range(cap + 1)],
-        ambient_d=_leibniz_family(blocks, algebra, entry_cap, cache, shift=2),
+        ambient_d=_leibniz_family(blocks, algebra, shift=2),
         projections=_family(
-            blocks, ("wedge-projection", fp), blocks.words(algebra), "tensor", 2,
-            lambda k, ws: wedge_projection(algebra, k, entry_cap, ws),
-            lambda k: _estimate_wedge_projection(algebra, k), entry_cap,
-            orbits=blocks.orbits(algebra),
+            blocks, ("wedge-projection", fp), algebra, None, "tensor", 2,
+            lambda k, ws: wedge_projection(algebra, k, blocks.entry_cap, ws),
+            lambda k: _estimate_wedge_projection(algebra, k), persist=False,
         ),
-        targets=_lie_family(blocks, algebra, entry_cap, cache, shift=2),
+        targets=_lie_family(blocks, algebra, shift=2),
         bases={m: TensorBasis(algebra, m + 2) for m in range(cap + 1)},
         cap=cap,
-        cache=cache,
-        entry_cap=entry_cap,
         blocks=blocks,
     )
 
@@ -1073,8 +1055,6 @@ def rel_complex(
 def cr_complex(
     algebra: LieAlgebra,
     cap: int,
-    cache: DiffCache | None = None,
-    entry_cap: int | None = None,
     name: str | None = None,
     blocks: BlockMemo | None = None,
     module: LieModule | None = None,
@@ -1097,19 +1077,15 @@ def cr_complex(
         "cr",
         name or f"cr[{fp[:8]}]",
         [dim * wedge_dim(dim, m + 1) - wedge_dim(dim, m + 2) for m in range(cap + 1)],
-        ambient_d=_coeff_family(blocks, algebra, module, entry_cap, cache, shift=1),
+        ambient_d=_coeff_family(blocks, algebra, module, shift=1),
         projections=_family(
-            blocks, ("partial-wedge-projection", fp), blocks.words(algebra, module),
-            "module_wedge", 1,
-            lambda k, ws: partial_wedge_projection(algebra, k, entry_cap, ws),
-            lambda k: _estimate_partial_wedge_projection(algebra, k), entry_cap,
-            orbits=blocks.orbits(algebra, module),
+            blocks, ("partial-wedge-projection", fp), algebra, module, "module_wedge", 1,
+            lambda k, ws: partial_wedge_projection(algebra, k, blocks.entry_cap, ws),
+            lambda k: _estimate_partial_wedge_projection(algebra, k), persist=False,
         ),
-        targets=_lie_family(blocks, algebra, entry_cap, cache, shift=2),
+        targets=_lie_family(blocks, algebra, shift=2),
         bases={m: ModuleWedgeBasis(module, m + 1) for m in range(cap + 1)},
         cap=cap,
-        cache=cache,
-        entry_cap=entry_cap,
         blocks=blocks,
     )
 

@@ -9,7 +9,9 @@ was written.
 
 The cache directory and memory cap come from ``--cache-dir`` /
 ``--memory-cap``, falling back to the environment variables
-``AFFSYMP_CACHE_DIR`` / ``AFFSYMP_MEMORY_CAP``.
+``AFFSYMP_CACHE_DIR`` / ``AFFSYMP_MEMORY_CAP``.  ``verify`` and
+``homology`` make the cache directory; ``cache info`` and ``cache clear``
+need it to exist, so a mistyped path exits 2 and makes nothing.
 """
 
 from __future__ import annotations
@@ -88,12 +90,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cache(args) -> DiffCache | None:
+def _resolve_cache(args, create: bool = True) -> DiffCache | None:
+    """The cache the flag or the environment names; without ``create`` it
+    must be a directory already, and nothing is made."""
     path = args.cache_dir or os.environ.get("AFFSYMP_CACHE_DIR")
     if not path:
         return None
+    if not create and not os.path.isdir(path):
+        raise DomainError(f"no cache directory at {path!r}")
     try:
-        return DiffCache(path)
+        return DiffCache(path, create)
     except OSError as exc:
         raise DomainError(f"cannot use {path!r} as the cache directory: {exc.strerror}") from exc
 
@@ -216,7 +222,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    cache = _resolve_cache(args)
+    cache = _resolve_cache(args, create=False)
     if cache is None:
         raise DomainError("no cache directory given (flag --cache-dir or AFFSYMP_CACHE_DIR)")
     if args.cache_command == "info":

@@ -98,7 +98,7 @@ def is_boundary(complex_: ChainComplex, chain: Chain) -> bool:
         return False
     for weight, part in parts.items():
         if weight == zero:
-            bounded = solve(complex_.block(k + 1), part, complex_.entry_cap) is not None
+            bounded = solve(complex_.block(k + 1), part, complex_.blocks.entry_cap) is not None
         else:
             bounded = _block_cycle(complex_, k, weight, part)
         if not bounded:
@@ -113,7 +113,7 @@ def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
     the block taken in canonical order and kept greedily when they enlarge
     the span of its boundary columns and of the cycles kept before.  At the
     cap there is no d_(k+1) to tell cycles from boundaries, so that degree
-    raises.  Eliminations are held to the complex's ``entry_cap``.
+    raises.  Eliminations are held to the entry cap of the complex's memo.
 
     Every boundary is a cycle, so the choice is made on the rows at the
     free columns of the cycle basis alone (``_on_free_rows``)."""
@@ -130,12 +130,12 @@ def homology_reps(complex_: ChainComplex, k: int) -> list[Chain]:
     if k == 0:
         cycles = [QVector.unit(bounding.rows, i) for i in range(bounding.rows)]
     else:
-        cycles = kernel_basis(complex_.block(k), complex_.entry_cap)
+        cycles = kernel_basis(complex_.block(k), complex_.blocks.entry_cap)
     # the greedy choice: pivot columns of [boundaries | cycles] past the boundaries
     bordered = _on_free_rows(bounding, cycles)
     reps = [
         Chain(k, complex_.from_block(k, zero, cycles[c - bounding.cols]).normalized())
-        for c in independent_columns(bordered, complex_.entry_cap)
+        for c in independent_columns(bordered, complex_.blocks.entry_cap)
         if c >= bounding.cols
     ]
     if len(reps) != target:
@@ -185,7 +185,7 @@ def class_coordinates(
     stacked = append_columns(
         bounding, (complex_.components(r).get(zero, QVector.zero(rows)) for r in reps)
     )
-    solution = solve(stacked, parts.get(zero, QVector.zero(rows)), complex_.entry_cap)
+    solution = solve(stacked, parts.get(zero, QVector.zero(rows)), complex_.blocks.entry_cap)
     if solution is None:
         return None
     coords = [QZERO] * len(reps)

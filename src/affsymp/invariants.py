@@ -251,17 +251,21 @@ class InvariantTable:
 
 def standard_modules(
     n: int,
-    sp: LieAlgebra | None = None,
-    g: tuple[LieAlgebra, SubalgebraDecomposition] | None = None,
+    sp_adjoint: LieModule | None = None,
+    g_adjoint: LieModule | None = None,
+    split: SubalgebraDecomposition | None = None,
 ) -> tuple[LieAlgebra, LieModule, LieModule, LieModule, SubalgebraDecomposition]:
     """(sp, constants-as-sp-module, sp-adjoint, affine-as-sp-module, split),
-    over the given ``sp = build_sp(n)`` and ``g = build_g(n)`` or fresh
-    ones."""
-    sp = build_sp(n) if sp is None else sp
-    g, split = build_g(n, sp) if g is None else g
-    g_over_sp = restriction_module(adjoint_module(g), split.quotient_indices, sp)
+    from the adjoint modules of ``build_sp(n)`` and of ``build_g(n)`` and
+    the split of the latter when given, as a ``VerificationContext`` holds
+    them, or from fresh ones."""
+    if sp_adjoint is None:
+        sp = build_sp(n)
+        g, split = build_g(n, sp)
+        sp_adjoint, g_adjoint = adjoint_module(sp), adjoint_module(g)
+    sp = sp_adjoint.algebra
+    g_over_sp = restriction_module(g_adjoint, split.quotient_indices, sp)
     ideal_over_sp = submodule(g_over_sp, split.ideal_indices)
-    sp_adjoint = adjoint_module(sp)
     return sp, ideal_over_sp, sp_adjoint, g_over_sp, split
 
 

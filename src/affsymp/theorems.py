@@ -22,11 +22,14 @@ claims and the CLI.  ``ctx.complex(theory, family, n, cap)`` takes the
 ``I`` and ``g``, names the complex as the CLI reports it (``lie(g1)``,
 ``coeff(sp1,I^2)``), and memoizes it by ``(theory, family, n)``: a complex
 already built to at least ``cap`` is reused, so claims that share a complex
-build and rank it once.  Its ``BlockMemo`` goes further, to the blocks that
-different complexes share: ``rel`` and ``cr`` take their ambient
-differentials from ``leibniz`` and ``adjoint`` and their targets from
-``lie``, and a block, its fingerprint and each of its d o d and chain-map
-checks are made once per context.
+build and rank it once.  Its ``BlockMemo``, ``blocks``, is the build
+context of every complex it makes.  It holds the run's disk cache and
+entry cap, and the blocks that different complexes share: ``rel`` and
+``cr`` take their ambient differentials from ``leibniz`` and ``adjoint``
+and their targets from ``lie``, and a block, its fingerprint and each of
+its d o d and chain-map checks are made once per context.  The invariant
+tables are held to the same cap and built over the context's adjoint
+modules of ``sp_n`` and ``g_n``.
 """
 
 from __future__ import annotations
@@ -189,12 +192,10 @@ _EXPONENT = re.compile("0|[1-9][0-9]*")
 class VerificationContext:
     """Memoizes algebras, modules, invariant tables, complexes
     and, in ``blocks``, the blocks the complexes share, across claims and CLI
-    commands; one disk cache."""
+    commands.  ``blocks`` holds the one disk cache and the entry cap."""
 
     def __init__(self, cache: DiffCache | None = None, entry_cap: int | None = None):
-        self.cache = cache
-        self.entry_cap = entry_cap
-        self.blocks = BlockMemo()
+        self.blocks = BlockMemo(cache, entry_cap)
         self._algebras: dict = {}
         self._complexes: dict = {}
         self._tables: dict = {}
@@ -252,7 +253,12 @@ class VerificationContext:
     def _standard(self, n: int):
         key = ("standard", n)
         if key not in self._tables:
-            self._tables[key] = standard_modules(n, self.algebra("sp", n), self.g(n))
+            # sp_n first, so its size is checked before that of g_n, as in
+            # standard_modules(n)
+            sp_adjoint = self.module("adjoint", "sp", n)
+            self._tables[key] = standard_modules(
+                n, sp_adjoint, self.module("adjoint", "g", n), self.g(n)[1]
+            )
         return self._tables[key]
 
     # -- complexes ----------------------------------------------------------
@@ -266,28 +272,26 @@ class VerificationContext:
             return found
         algebra = self.algebra(family, n)
         name = f"{theory}({family}{n})"
-        shared = (cap, self.cache, self.entry_cap)
         # builders are looked up by their module names at each call, so a
         # wrapper installed on this module's globals sees every build
         if theory == "lie":
-            found = ce_complex(algebra, *shared, name=name, blocks=self.blocks)
+            found = ce_complex(algebra, cap, name, self.blocks)
         elif theory == "leibniz":
-            found = leibniz_complex(algebra, *shared, name=name, blocks=self.blocks)
+            found = leibniz_complex(algebra, cap, name, self.blocks)
         elif theory == "adjoint":
             module = self.module("adjoint", family, n)
-            found = coeff_complex(algebra, module, *shared, name=name, blocks=self.blocks)
+            found = coeff_complex(algebra, module, cap, name, self.blocks)
         elif theory.startswith("coeff:"):
             spec = theory[len("coeff:"):]
             found = coeff_complex(
-                algebra, self.module(spec, family, n), *shared,
-                name=f"coeff({family}{n},{spec})", blocks=self.blocks,
+                algebra, self.module(spec, family, n), cap, f"coeff({family}{n},{spec})",
+                self.blocks,
             )
         elif theory == "rel":
-            found = rel_complex(algebra, *shared, name=name, blocks=self.blocks)
+            found = rel_complex(algebra, cap, name, self.blocks)
         elif theory == "cr":
             found = cr_complex(
-                algebra, *shared, name=name, blocks=self.blocks,
-                module=self.module("adjoint", family, n),
+                algebra, cap, name, self.blocks, self.module("adjoint", family, n)
             )
         else:
             raise DomainError(f"unknown theory {theory!r}")
@@ -299,7 +303,7 @@ class VerificationContext:
         key = ("invariants", n, k_max)
         if key not in self._tables:
             self._tables[key] = invariant_dimension_report(
-                n, k_max, self._standard(n), self.entry_cap
+                n, k_max, self._standard(n), self.blocks.entry_cap
             )
         return self._tables[key]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affsymp.cache import DiffCache, descriptor_key
+from affsymp.chain_complexes import BlockMemo
 from affsymp.exact_linalg import QVector, Rational, SparseMatrix
 
 
@@ -47,7 +48,7 @@ def test_basis_convention_bump_misses(tmp_path, monkeypatch):
 
     sp = build_sp(1)
     cache = DiffCache(tmp_path)
-    leibniz_complex(sp, 3, cache=cache)
+    leibniz_complex(sp, 3, blocks=BlockMemo(cache))
     written = cache.stats()["diff"]["files"]
     assert written > 0
     lookups = []
@@ -59,11 +60,11 @@ def test_basis_convention_bump_misses(tmp_path, monkeypatch):
         return got
 
     monkeypatch.setattr(DiffCache, "get_matrix", counted)
-    leibniz_complex(sp, 3, cache=cache)
+    leibniz_complex(sp, 3, blocks=BlockMemo(cache))
     assert lookups and all(lookups)
     monkeypatch.setattr(cache_module, "BASIS_CONVENTION", cache_module.BASIS_CONVENTION + 1)
     lookups.clear()
-    leibniz_complex(sp, 3, cache=cache)
+    leibniz_complex(sp, 3, blocks=BlockMemo(cache))
     assert lookups and not any(lookups)
     assert cache.stats()["diff"]["files"] == 2 * written
 
@@ -86,7 +87,7 @@ def test_complex_reuses_cached_rank(tmp_path):
 
     sp = build_sp(1)
     cache = DiffCache(tmp_path)
-    first = leibniz_complex(sp, 3, cache=cache)
+    first = leibniz_complex(sp, 3, blocks=BlockMemo(cache))
     assert first.rank_d(3) == 6
     # rank_d(3) is the rank of the 2x3 block on orbit sums, 2, plus 4 off
     # the block.  Poison the block's cached rank with a wrong but possible
@@ -97,11 +98,11 @@ def test_complex_reuses_cached_rank(tmp_path):
     fp = block.fingerprint()
     assert cache.get_rank(fp) == 2
     cache.put_rank(fp, 1)
-    second = leibniz_complex(sp, 3, cache=cache)
+    second = leibniz_complex(sp, 3, blocks=BlockMemo(cache))
     assert second.rank_d(3) == 5
     # a value no 2x3 matrix can have is a miss: recomputed and rewritten
     cache.put_rank(fp, 99)
-    third = leibniz_complex(sp, 3, cache=cache)
+    third = leibniz_complex(sp, 3, blocks=BlockMemo(cache))
     assert third.rank_d(3) == 6
     assert cache.get_rank(fp) == 2
 
@@ -115,7 +116,7 @@ def test_tiny_blocks_bypass_the_cache(tmp_path):
 
     sp = build_sp(1)
     cache = DiffCache(tmp_path)
-    first = cr_complex(sp, 1, cache=cache)
+    first = cr_complex(sp, 1, blocks=BlockMemo(cache))
     assert first.rank_d(1) == 5
     block = first._ranked.block(1)
     assert (block.rows, block.cols) == (2, 1) and block.entries
@@ -123,7 +124,7 @@ def test_tiny_blocks_bypass_the_cache(tmp_path):
     records = [cache.get_matrix("diff", f.stem) for f in (tmp_path / "diff").glob("*.mtx")]
     assert records and all(min(m.rows, m.cols) > 1 for m in records)
     cache.put_rank(block.fingerprint(), 0)
-    assert cr_complex(sp, 1, cache=cache).rank_d(1) == 5
+    assert cr_complex(sp, 1, blocks=BlockMemo(cache)).rank_d(1) == 5
 
 
 def test_malformed_rank_records_miss(tmp_path):

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from affsymp.chain_complexes import (
+    BlockMemo,
     _estimate_coeff,
     ce_complex,
     ce_d,
@@ -236,15 +237,20 @@ class TestResourceGuard:
 
     def test_custom_cap(self, g1):
         with pytest.raises(ResourceLimitError):
-            leibniz_complex(g1[0], 4, entry_cap=100)
+            leibniz_complex(g1[0], 4, blocks=BlockMemo(entry_cap=100))
 
     def test_builders_keep_entry_cap_for_rank(self, g1):
         from affsymp.theorems import VerificationContext
 
         for builder in (ce_complex, leibniz_complex, rel_complex, cr_complex):
-            assert builder(g1[0], 2, entry_cap=10**5).entry_cap == 10**5
-        assert coeff_complex(g1[0], trivial_module(g1[0]), 2, entry_cap=99).entry_cap == 99
-        assert VerificationContext(entry_cap=10**5).complex("rel", "g", 1, 1).entry_cap == 10**5
+            memo = BlockMemo(entry_cap=10**5)
+            assert builder(g1[0], 2, blocks=memo).blocks is memo
+            assert builder(g1[0], 2).blocks.entry_cap is None
+        memo = BlockMemo(entry_cap=99)
+        assert coeff_complex(g1[0], trivial_module(g1[0]), 2, blocks=memo).blocks is memo
+        ctx = VerificationContext(entry_cap=10**5)
+        assert ctx.complex("rel", "g", 1, 1).blocks is ctx.blocks
+        assert ctx.blocks.entry_cap == 10**5
 
     def test_a_raised_cap_holds_for_assembled_and_cached_blocks(self, g1, tmp_path, monkeypatch):
         """With the built-in default lowered to 300 entries, a build under a
@@ -267,7 +273,8 @@ class TestResourceGuard:
         monkeypatch.setattr(exact_linalg, "DEFAULT_ENTRY_CAP", 300)
         monkeypatch.setattr(DiffCache, "get_matrix", recorded)
         for _ in ("cold", "warm"):
-            complex_ = leibniz_complex(g1[0], 5, cache=DiffCache(tmp_path), entry_cap=10**9)
+            memo = BlockMemo(DiffCache(tmp_path), 10**9)
+            complex_ = leibniz_complex(g1[0], 5, blocks=memo)
             assert [betti(complex_, k) for k in range(5)] == expected
         assert max(read) > 300
         with pytest.raises(ResourceLimitError):

@@ -298,6 +298,29 @@ class TestCacheLifecycle:
         code, _, err = run_cli(capsys, ["cache", "info"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["info", "clear"])
+    @pytest.mark.parametrize("through", ["flag", "env"])
+    def test_cache_commands_make_no_cache(self, capsys, tmp_path, monkeypatch, command, through):
+        """A path that does not exist is an error naming it, and is not
+        made; an empty directory reads as an empty cache and stays empty."""
+        missing = tmp_path / "missing"
+        argv = ["cache", command]
+        if through == "flag":
+            monkeypatch.delenv("AFFSYMP_CACHE_DIR", raising=False)
+            code, out, err = run_cli(capsys, argv + ["--cache-dir", str(missing)])
+        else:
+            monkeypatch.setenv("AFFSYMP_CACHE_DIR", str(missing))
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+        assert not missing.exists()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, _ = run_cli(capsys, argv + ["--cache-dir", str(empty)])
+        assert code == 0 and not any(empty.iterdir())
+        if command == "info":
+            assert json.loads(out)["total_bytes"] == 0
+
     @pytest.mark.parametrize("argv", [
         ["verify", "all", "--n", "1"],
         ["homology", "--family", "g", "--n", "1", "--theory", "lie", "--max-degree", "1"],

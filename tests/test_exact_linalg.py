@@ -321,13 +321,16 @@ class TestIntegerCore:
             assert rank(m, entry_cap=m.nnz, transposed=transposed) == 3
 
     def test_complex_passes_entry_cap_to_rank(self):
-        from affsymp.chain_complexes import ChainComplex
+        from affsymp.chain_complexes import BlockMemo, ChainComplex
 
         m = circulant(30, (0, 1, 4, 13, 20))
-        complex_ = ChainComplex("test", "circulant", [30, 30], {1: m}, {}, 1, entry_cap=m.nnz)
+        tight = BlockMemo(entry_cap=m.nnz)
+        complex_ = ChainComplex("test", "circulant", [30, 30], {1: m}, {}, 1, tight)
         with pytest.raises(ResourceLimitError):
             complex_.rank_d(1)
-        loose = ChainComplex("test", "circulant", [30, 30], {1: m}, {}, 1, entry_cap=4 * m.nnz)
+        loose = ChainComplex(
+            "test", "circulant", [30, 30], {1: m}, {}, 1, BlockMemo(entry_cap=4 * m.nnz)
+        )
         assert loose.rank_d(1) == 30
 
     def test_kernel_and_solver_fill_in_over_entry_cap_abort(self):
@@ -356,7 +359,7 @@ class TestIntegerCore:
         reps = homology_reps(complex_, 0)
         assert reps == [Chain(0, QVector.unit(31, 30))]
         # ranks are memoized; every elimination started after this meets the cap
-        complex_.entry_cap = m.nnz
+        complex_.blocks.entry_cap = m.nnz
         for call in (
             lambda: is_boundary(complex_, chain),
             lambda: homology_reps(complex_, 0),

@@ -175,10 +175,73 @@ def test_entry_guard_holds_for_a_block_shared_from_an_earlier_complex(spied):
     ctx = VerificationContext()
     ctx.complex("leibniz", "g", 1, 5)
     tensor = sum(v for key, v in assembled.items() if key[0] == key[2] == "tensor")
-    ctx.entry_cap = 2000
+    ctx.blocks.entry_cap = 2000
     with pytest.raises(ResourceLimitError):
         ctx.complex("rel", "g", 1, 3)
     assert sum(v for key, v in assembled.items() if key[0] == key[2] == "tensor") == tensor
+
+
+def _spy_on_the_cache(monkeypatch):
+    """The directory of every ``DiffCache`` read and write, in call order."""
+    used = []
+    for method in ("get_matrix", "get_rank", "put_matrix", "put_rank"):
+        def spy(self, *args, _original=getattr(DiffCache, method)):
+            used.append(self.path)
+            return _original(self, *args)
+
+        monkeypatch.setattr(DiffCache, method, spy)
+    return used
+
+
+def test_a_memo_reads_and_writes_only_its_own_cache(g1, tmp_path, monkeypatch):
+    """leibniz, rel and cr of g_1 built through one memo go to its cache
+    alone, cold and warm, and a second memo over a cache not given to any
+    builder leaves that cache empty; the Betti numbers are those of a build
+    without a cache."""
+    mine, other = DiffCache(tmp_path / "mine"), DiffCache(tmp_path / "other")
+    used = _spy_on_the_cache(monkeypatch)
+    builders = (chain_complexes.leibniz_complex, chain_complexes.rel_complex,
+                chain_complexes.cr_complex)
+    expected = [[betti(build(g1[0], 3), k) for k in range(3)] for build in builders]
+    assert used == []
+    for _ in ("cold", "warm"):
+        memo = chain_complexes.BlockMemo(mine, 10**6)
+        got = [[betti(build(g1[0], 3, blocks=memo), k) for k in range(3)] for build in builders]
+        assert got == expected
+    assert used and set(used) == {mine.path}
+    assert mine.stats()["rank"]["files"] > 0 and other.stats()["total_bytes"] == 0
+
+
+def test_a_lowered_memo_cap_aborts_a_shared_block_also_from_a_warm_cache(g1, tmp_path):
+    """rel(g_1) through degree 3 needs Leibniz d_5, which leibniz(g_1) put
+    in the memo and on disk.  Under a lowered cap the block's estimate still
+    aborts, whether the memo holds the block or a fresh memo would read it
+    back; at the default cap the warm build passes."""
+    memo = chain_complexes.BlockMemo(DiffCache(tmp_path))
+    chain_complexes.leibniz_complex(g1[0], 5, blocks=memo)
+    memo.entry_cap = 2000
+    with pytest.raises(ResourceLimitError):
+        chain_complexes.rel_complex(g1[0], 3, blocks=memo)
+    warm = chain_complexes.BlockMemo(DiffCache(tmp_path), 2000)
+    with pytest.raises(ResourceLimitError):
+        chain_complexes.rel_complex(g1[0], 3, blocks=warm)
+    warm.entry_cap = None
+    assert betti(chain_complexes.rel_complex(g1[0], 3, blocks=warm), 2) == 1
+
+
+def test_a_builder_without_a_memo_touches_no_cache(g1, monkeypatch):
+    used = _spy_on_the_cache(monkeypatch)
+    algebra = g1[0]
+    for complex_ in (
+        chain_complexes.ce_complex(algebra, 4),
+        chain_complexes.leibniz_complex(algebra, 4),
+        chain_complexes.coeff_complex(algebra, chain_complexes.adjoint_module(algebra), 3),
+        chain_complexes.rel_complex(algebra, 3),
+        chain_complexes.cr_complex(algebra, 3),
+    ):
+        assert complex_.blocks.cache is None and complex_.blocks.entry_cap is None
+        _numbers(complex_)
+    assert used == []
 
 
 def test_cartan_weights_run_once_per_algebra_and_module(monkeypatch):

@@ -220,6 +220,32 @@ class TestSharedBuilds:
         assert invariants.invariant_dimension_report(1, 2).passed
         assert built == [1, 1]
 
+    def test_run_all_builds_each_adjoint_module_once(self, monkeypatch):
+        """The invariant tables take the context's adjoint modules of sp_2
+        and g_2; ``standard_modules(n)`` alone still builds its own."""
+        import affsymp.invariants as invariants
+        import affsymp.lie_structures as lie_structures
+        import affsymp.theorems as theorems
+        from affsymp.theorems import VerificationContext
+
+        built = []
+        original = lie_structures.adjoint_module
+
+        def adjoint_module(algebra):
+            built.append(algebra.dim)
+            return original(algebra)
+
+        for module in (lie_structures, invariants, theorems):
+            monkeypatch.setattr(module, "adjoint_module", adjoint_module)
+        ctx = VerificationContext()
+        assert all(r.passed for r in run_all(ctx, 2))
+        assert sorted(built) == [10, 14]  # sp_2, then g_2
+        sp, _, sp_adjoint, _, _ = ctx._standard(2)
+        assert sp_adjoint is ctx.module("adjoint", "sp", 2) and sp is ctx.algebra("sp", 2)
+        built.clear()
+        invariants.standard_modules(1)
+        assert sorted(built) == [3, 5]
+
     def test_a_huge_g_is_refused_before_its_sp_is_built(self, monkeypatch):
         import affsymp.theorems as theorems
         from affsymp.errors import ResourceLimitError

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affsymp.chain_complexes import (
+    BlockMemo,
     ce_complex,
     coeff_complex,
     cr_complex,
@@ -53,17 +54,20 @@ def _pairs(algebra, modules, caps):
     """(complex on orbit sums, complex on weight-0 blocks) of each kind."""
     bare = _bare(algebra)
     out = []
-    # the guard estimates full matrices: Leibniz d_5 of g_2 is 10.8 million
-    guard = {"entry_cap": 10**8}
+    # the guard estimates full matrices: Leibniz d_5 of g_2 is 10.8 million;
+    # each complex gets a memo of its own
+    def guard():
+        return {"blocks": BlockMemo(entry_cap=10**8)}
+
     for a in (algebra, bare):
         built = [
-            ce_complex(a, caps["lie"], **guard),
-            leibniz_complex(a, caps["leibniz"], **guard),
-            coeff_complex(a, adjoint_module(a), caps["adjoint"], **guard),
-            rel_complex(a, caps["rel"], **guard),
-            cr_complex(a, caps["cr"], **guard),
+            ce_complex(a, caps["lie"], **guard()),
+            leibniz_complex(a, caps["leibniz"], **guard()),
+            coeff_complex(a, adjoint_module(a), caps["adjoint"], **guard()),
+            rel_complex(a, caps["rel"], **guard()),
+            cr_complex(a, caps["cr"], **guard()),
         ]
-        built += [coeff_complex(a, module, caps["coeff"], **guard) for module in modules]
+        built += [coeff_complex(a, module, caps["coeff"], **guard()) for module in modules]
         out.append(built)
     return list(zip(*out))
 

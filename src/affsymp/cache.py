@@ -34,11 +34,17 @@ digest holds, and so reads as a miss.
 
 A rank record is one line, the value and the SHA-256 digest of (key,
 value), filed under its key (``rank_key``).  The key of a matrix ranked as
-it is is its fingerprint.  A transposed matrix is never serialized: the
-key of a transpose is ``descriptor_key("transposed", key of the matrix)``.
-Records an older version filed under the fingerprint of a transpose, or
-under ``descriptor_key("stacked", fingerprints)`` for the stacked [d; pi]
-of a kernel complex, are orphans that nothing reads; ``clear`` removes them.
+it is is its fingerprint.  A block whose rank ``exact_linalg.certify_rank``
+has proved is recorded under ``descriptor_key("certified", key of the
+matrix)``; a warm run that reads it there checks nothing again.  A
+transposed matrix is never serialized: the key of a transpose is
+``descriptor_key("transposed", key of the matrix)``, written only for a
+rank that no certificate pins (``ChainComplex.proved_rank_d``) and by
+``ChainComplex.rank_d_transposed``.  Records an older version filed under
+the fingerprint of a transpose, or under ``descriptor_key("stacked",
+fingerprints)`` for the stacked [d; pi] of a kernel complex, are orphans
+that nothing reads, as are the transposed records it wrote for ranks now
+certified; ``clear`` removes them.
 
 A record that cannot be read, does not parse, or differs by a single byte
 from the record its payload and digest would be written as reads as a
@@ -57,6 +63,8 @@ MATRIX_TAG = "affsymp-matrix"
 MATRIX_FORMAT = 1
 # bump on any change of word order, indexing or block layout
 BASIS_CONVENTION = 1
+# the record folders of a cache directory
+CACHE_FOLDERS = ("diff", "kernel", "rank")
 
 
 def _sha256(text: str) -> str:
@@ -73,11 +81,12 @@ def worth_caching(rows: int, cols: int) -> bool:
     return min(rows, cols) > 1
 
 
-def rank_key(matrix: SparseMatrix, transposed: bool = False) -> str:
-    """The key of the rank record of ``matrix``, or of its transpose, from
-    its fingerprint."""
+def rank_key(matrix: SparseMatrix, record: str = "") -> str:
+    """The key of a rank record of ``matrix`` from its fingerprint: of its
+    rank, or of the rank of its transpose (``record`` "transposed"), or of
+    its certified rank (``record`` "certified")."""
     key = matrix.fingerprint()
-    return descriptor_key("transposed", key) if transposed else key
+    return descriptor_key(record, key) if record else key
 
 
 def _rank_record(key: str, value: int) -> str:
@@ -90,7 +99,7 @@ class DiffCache:
 
     def __init__(self, path: str | os.PathLike, create: bool = True):
         self.path = Path(path)
-        for sub in ("diff", "kernel", "rank") if create else ():
+        for sub in CACHE_FOLDERS if create else ():
             (self.path / sub).mkdir(parents=True, exist_ok=True)
 
     # -- low-level ------------------------------------------------------
@@ -172,7 +181,7 @@ class DiffCache:
     def stats(self) -> dict:
         out = {}
         total = 0
-        for sub in ("diff", "kernel", "rank"):
+        for sub in CACHE_FOLDERS:
             files = list((self.path / sub).glob("*"))
             size = sum(f.stat().st_size for f in files)
             out[sub] = {"files": len(files), "bytes": size}
@@ -183,7 +192,7 @@ class DiffCache:
 
     def clear(self) -> int:
         removed = 0
-        for sub in ("diff", "kernel", "rank"):
+        for sub in CACHE_FOLDERS:
             for f in (self.path / sub).glob("*"):
                 f.unlink()
                 removed += 1

@@ -72,11 +72,16 @@ by the memo alone, and a check of the same block objects runs once.  The
 ambient differentials of ``rel`` and ``cr`` are the blocks of ``leibniz``
 and ``adjoint``, and the targets of both are those of ``lie``.  A builder
 called without a memo gets ``BlockMemo()``: no cache, the default cap.
-The rank and the transposed rank each run from the bottom up, and each
-clears a block with the pivots of its own elimination one degree below
-(``_pivot_set``); each pivot set is computed once, also below a degree
-whose rank was read from the cache.  Only assembled blocks and ranks go to
-disk.
+The rank runs from the bottom up, and clears a block with the pivots of
+its own elimination one degree below (``_pivot_pairs``); each set of pivot
+pairs is computed once, also below a degree whose rank was read from the
+cache.  ``proved_rank_d`` proves the rank it computed: a certificate mod p
+on its pivot pairs bounds it below (``exact_linalg.certify_rank``), and
+the d o d bound above wherever a Betti number next to it is 0.  A rank
+that nothing pins is taken from the transposed block instead, cleared with
+the certified pivots below it; ``rank_d_transposed``, which clears each
+transposed block with the pivots of the one below, is the test oracle.
+Only assembled blocks and ranks go to disk.
 
 The two kernel complexes (``KernelComplex``) are complexes like the others
 in the free words of their projections pi_m (``_FreeWords``), which also
@@ -98,74 +103,38 @@ from .cache import DiffCache, descriptor_key, rank_key, worth_caching
 from .errors import ConsistencyError, DegreeRangeError, DomainError
 from .exact_linalg import (
     QVector,
-    QZERO,
     Rational,
     SparseMatrix,
+    certify_rank,
     check_entry_budget,
     normal_entry,
+    pinning_degrees,
     products_cancel,
     rank,
 )
 from .lie_structures import LieAlgebra, LieModule, adjoint_module, cartan_weights
 from .weyl import OrbitWords, orbit_words
-from .words import (
+from .words import (  # Chain, tensor_chain and wedge_chain are exported here too
+    Chain,
     ModuleWedgeBasis,
     TensorBasis,
     Weight,
     WedgeBasis,
     WordSet,
-    sort_with_sign,
     sorted_wedge_code,
+    tensor_chain,
     tensor_dim,
     tensor_index,
     wedge_code,
+    wedge_chain,
     wedge_contractions,
     wedge_dim,
-    wedge_index,
 )
 
 
 # ---------------------------------------------------------------------------
-# chains and graded families (the bases are in ``words``)
+# graded families (the bases and chains are in ``words``)
 # ---------------------------------------------------------------------------
-
-
-class Chain:
-    """An element of one degree of a complex, in that degree's basis.  An
-    immutable value: equal to a ``Chain`` of the same degree and vector,
-    and hashable."""
-
-    __slots__ = ("degree", "vector")
-
-    def __init__(self, degree: int, vector: QVector):
-        self.degree = degree
-        self.vector = vector
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.degree == other.degree and self.vector == other.vector
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.vector))
-
-    def __repr__(self) -> str:
-        return f"Chain(degree={self.degree!r}, vector={self.vector!r})"
-
-    def scale(self, c) -> "Chain":
-        return Chain(self.degree, self.vector.scale(c))
-
-    def add(self, other: "Chain") -> "Chain":
-        if self.degree != other.degree:
-            raise DomainError("cannot add chains of different degrees")
-        return Chain(self.degree, self.vector.add(other.vector))
-
-    def sub(self, other: "Chain") -> "Chain":
-        return self.add(other.scale(-1))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.vector.is_zero
 
 
 class _Graded:
@@ -297,17 +266,20 @@ class BlockMemo:
             self._blocks[digest] = got
         return got
 
-    def rank(self, block: SparseMatrix, transposed: bool, compute) -> int:
-        """The rank of ``block``, or of its transpose: ``compute()``, through
-        the cache when there is one and the block is worth caching
-        (``cache.worth_caching``), under the key ``cache.rank_key`` derives
-        from its fingerprint.  A recorded value that cannot be a rank of
-        this shape counts as a miss, and is recomputed and rewritten."""
+    def rank(self, block: SparseMatrix, record: str, compute, expected: int | None = None) -> int:
+        """``compute()``, the rank of ``block`` (``record`` ""), of its
+        transpose ("transposed"), or ``expected`` once a certificate proves
+        it ("certified"), through the cache when there is one and the block
+        is worth caching (``cache.worth_caching``), under the key
+        ``cache.rank_key`` derives from its fingerprint and ``record``.  A
+        recorded value that cannot be a rank of this shape, or is not the
+        ``expected`` one, counts as a miss, and is recomputed and
+        rewritten."""
         if self.cache is None or not worth_caching(block.rows, block.cols):
             return compute()
-        key = rank_key(block, transposed)
+        key = rank_key(block, record)
         hit = self.cache.get_rank(key)
-        if hit is not None and 0 <= hit <= min(block.rows, block.cols):
+        if hit is not None and 0 <= hit <= min(block.rows, block.cols) and expected in (None, hit):
             return hit
         value = compute()
         self.cache.put_rank(key, value)
@@ -363,8 +335,10 @@ class ChainComplex:
         self._ranked = self._diffs.ranked
         self._ranks: dict[int, int] = {}
         self._ranks_transposed: dict[int, int] = {}
-        # by orientation, degree below the cap -> ``_pivot_set``
-        self._pivots: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
+        self._ranks_proved: dict[int, int] = {}
+        self._certified = {0}  # degrees, with 0, which has no differential
+        # by orientation, degree -> ``_pivot_pairs``
+        self._pivots: tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]] = ({}, {})
         blocks = [self._ranked.block(k) for k in range(1, cap + 1)]
         if self._diffs.graded and blocks:
             self.block_dims = [blocks[0].rows] + [d.cols for d in blocks]
@@ -432,12 +406,50 @@ class ChainComplex:
     def rank_d_transposed(self, k: int) -> int:
         """rank of the transposed differential, its block eliminated
         independently and cleared only with the pivot sets of this
-        orientation's own eliminations (``_pivot_set``); equals rank_d over
-        a field and serves as its cross-check.  The rows of the transpose
+        orientation's own eliminations (``_pivot_pairs``); equals rank_d over
+        a field and serves as its test oracle.  The rows of the transpose
         are the columns of the block, mostly short, so the many with one
         live entry are retired first at no cost (``exact_linalg.rank``);
         the pivots it takes still differ from those of rank_d."""
         return self._memoized(self._ranks_transposed, k, lambda: self._rank(k, True))
+
+    def proved_rank_d(self, k: int) -> int:
+        """rank d_k, proved: ``rank_d`` where the d o d bound pins it
+        (``exact_linalg.pinning_degrees``) and the certificates it names
+        pass (``_certify``), or where the block has no entries; otherwise
+        the rank of the transposed block of degree k alone, cleared with the
+        certified pivot columns of degree k - 1, which are independent."""
+        def prove() -> int:
+            block = self._ranked.block(k)
+            degrees = pinning_degrees(k, self._block_rank_of, self.block_dims)
+            for j in degrees:
+                self._certify(j)
+            if degrees or not block.entries:
+                return self.rank_d(k)
+
+            def transposed() -> int:
+                self._certify(k - 1)
+                clear = self._pivot_pairs(k - 1, False) if k > 1 else ()
+                return rank(block, self.blocks.entry_cap, True, None, clear)
+
+            return self._off_block_rank(k) + self.blocks.rank(block, "transposed", transposed)
+
+        return self._memoized(self._ranks_proved, k, prove)
+
+    def _block_rank_of(self, k: int) -> int:
+        return self.rank_d(k) - self._off_block_rank(k)
+
+    def _certify(self, k: int) -> None:
+        """Prove, once, that the ranked block of degree k has rank at least
+        the computed one (``exact_linalg.certify_rank`` on its forward pivot
+        pairs), through its certified record (``BlockMemo.rank``)."""
+        if k not in self._certified:
+            block, value = self._ranked.block(k), self._block_rank_of(k)
+            if block.entries and value != self.blocks.rank(
+                block, "certified", lambda: certify_rank(block, self._pivot_pairs(k, False)), value
+            ):
+                raise ConsistencyError(f"{self.name}: no certificate for rank d_{k} = {value}")
+            self._certified.add(k)
 
     def _rank(self, k: int, transposed: bool) -> int:
         """rank of the ranked block, or of its transpose, plus the
@@ -449,41 +461,43 @@ class ChainComplex:
         Degree k - 1 is ranked first, so each orientation writes its rank
         records from the bottom up.  The rank goes through the rank records
         of the memo (``BlockMemo.rank``); on a miss it is the size of
-        ``_pivot_set(k)``."""
+        ``_pivot_pairs(k)``."""
         (self.rank_d_transposed if transposed else self.rank_d)(k - 1)
         block = self._ranked.block(k)
         if not block.entries:
             return 0
-        return self.blocks.rank(block, transposed, lambda: len(self._pivot_set(k, transposed)))
+        return self.blocks.rank(
+            block, "transposed" if transposed else "", lambda: len(self._pivot_pairs(k, transposed))
+        )
 
-    def _pivot_set(self, k: int, transposed: bool) -> set[int]:
-        """The columns of the ranked block of degree k with full column
-        rank that its elimination in this orientation hands back: the pivot
-        columns of the block, or the pivot rows of its transpose.  Fill-in is
-        held to the entry cap of the memo.
+    def _pivot_pairs(self, k: int, transposed: bool) -> dict[int, int]:
+        """The {pivot column: pivot row} pairs of the ranked block of degree
+        k that its elimination in this orientation hands back; the columns
+        have full column rank.  Fill-in is held to the entry cap of the
+        memo.
 
-        The elimination is cleared (Chen and Kerber 2011) with the set of
-        degree k - 1: as ``block(k - 1) @ block(k) = 0`` (checked at build
-        time), the rows of the block of degree k indexed by it are
+        The elimination is cleared (Chen and Kerber 2011) with the columns
+        of degree k - 1: as ``block(k - 1) @ block(k) = 0`` (checked at
+        build time), the rows of the block of degree k indexed by them are
         combinations of the others, so they are dropped and the rank is
         unchanged.  Each set is memoized, so no block is eliminated twice,
-        except the one at the cap, which no degree clears with: keeping it
-        alive through the other orientation's elimination raises the peak
-        memory.  A block with at
-        most one row or column, whose rank is never cached, is eliminated
-        whole: clearing it saves next to nothing, and on a warm run deriving
-        the set below it would eliminate a block whose rank was read."""
+        except the transposed one at the cap, which no degree clears with:
+        keeping it alive raises the peak memory.  The forward pairs at the
+        cap are kept for ``_certify``.  A block with at most one row or
+        column, whose rank is never cached, is eliminated whole: clearing it
+        saves next to nothing, and on a warm run deriving the pairs below it
+        would eliminate a block whose rank was read."""
         pivots = self._pivots[transposed]
         got = pivots.get(k)
         if got is None:
-            got = set()
+            got = {}
             block = self._ranked.block(k)
             if block.entries:
                 clear = ()
                 if k > 1 and worth_caching(block.rows, block.cols):
-                    clear = self._pivot_set(k - 1, transposed)
+                    clear = self._pivot_pairs(k - 1, transposed)
                 rank(block, self.blocks.entry_cap, transposed, got, clear)
-            if k < self.cap:
+            if k < self.cap or not transposed:
                 pivots[k] = got
         return got
 
@@ -1088,43 +1102,3 @@ def cr_complex(
         cap=cap,
         blocks=blocks,
     )
-
-
-# ---------------------------------------------------------------------------
-# chains against named bases
-# ---------------------------------------------------------------------------
-
-
-def _check_word(word: tuple[int, ...], algebra_dim: int, degree: int) -> None:
-    if len(word) != degree:
-        raise DomainError("word length must equal the degree")
-    if not all(0 <= a < algebra_dim for a in word):
-        raise DomainError(f"word {word} has a letter outside 0..{algebra_dim - 1}")
-
-
-def wedge_chain(
-    algebra_dim: int, degree: int, terms: dict[tuple[int, ...], Rational]
-) -> Chain:
-    """Chain in the exterior basis from {word: coefficient}; words may be
-    unsorted and pick up the permutation sign."""
-    acc: dict[int, Rational] = {}
-    for word, coeff in terms.items():
-        _check_word(word, algebra_dim, degree)
-        sorted_word, sign = sort_with_sign(tuple(word))
-        if sorted_word is None:
-            continue
-        idx = wedge_index(sorted_word, algebra_dim)
-        acc[idx] = acc.get(idx, QZERO) + sign * Rational(coeff)
-    return Chain(degree, QVector.from_dict(wedge_dim(algebra_dim, degree), acc))
-
-
-def tensor_chain(
-    algebra_dim: int, degree: int, terms: dict[tuple[int, ...], Rational]
-) -> Chain:
-    """Chain in the tensor basis from {word: coefficient}."""
-    acc: dict[int, Rational] = {}
-    for word, coeff in terms.items():
-        _check_word(word, algebra_dim, degree)
-        idx = tensor_index(tuple(word), algebra_dim)
-        acc[idx] = acc.get(idx, QZERO) + Rational(coeff)
-    return Chain(degree, QVector.from_dict(tensor_dim(algebra_dim, degree), acc))

@@ -11,7 +11,9 @@ The cache directory and memory cap come from ``--cache-dir`` /
 ``--memory-cap``, falling back to the environment variables
 ``AFFSYMP_CACHE_DIR`` / ``AFFSYMP_MEMORY_CAP``.  ``verify`` and
 ``homology`` make the cache directory; ``cache info`` and ``cache clear``
-need it to exist, so a mistyped path exits 2 and makes nothing.
+need it to exist and to hold one of its record folders (``diff/``,
+``kernel/``, ``rank/``), so a mistyped path, even one of another
+directory, exits 2 and touches nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import sys
 
 from . import __version__
-from .cache import DiffCache
+from .cache import CACHE_FOLDERS, DiffCache
 from .errors import AffsympError, DomainError, ResourceLimitError
 from .homology import homology_report
 from .theorems import CLAIM_IDS, VerificationContext, run_all, run_claim
@@ -92,11 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_cache(args, create: bool = True) -> DiffCache | None:
     """The cache the flag or the environment names; without ``create`` it
-    must be a directory already, and nothing is made."""
+    must be a directory already that holds a record folder, and nothing is
+    made."""
     path = args.cache_dir or os.environ.get("AFFSYMP_CACHE_DIR")
     if not path:
         return None
-    if not create and not os.path.isdir(path):
+    if not create and not any(os.path.isdir(os.path.join(path, sub)) for sub in CACHE_FOLDERS):
         raise DomainError(f"no cache directory at {path!r}")
     try:
         return DiffCache(path, create)

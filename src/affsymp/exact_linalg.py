@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream (differentials, invariant subspaces, Betti numbers,
-representative cycles) reduces to ``rank``, ``kernel_basis``,
-``independent_columns``, ``solve``, ``multiply``, ``stack_rows`` and
-``products_cancel``, the test that a sum of products is zero (d o d = 0,
-chain maps, module laws), all computed in exact rational arithmetic.
+representative cycles) reduces to ``rank``, ``certify_rank``,
+``kernel_basis``, ``independent_columns``, ``solve``, ``multiply``,
+``stack_rows`` and ``products_cancel``, the test that a sum of products is
+zero (d o d = 0, chain maps, module laws), all computed in exact rational
+arithmetic.
 
 A matrix entry is held in one normal form: a Python ``int`` when it is
 integral, a reduced ``fractions.Fraction`` with positive denominator
@@ -26,11 +27,14 @@ a row with one live entry, which costs no arithmetic, before any column
 with more than one; two lazy heaps, one of columns by count and one of
 such rows, keep that choice exact.  It ranks a transpose, and a matrix
 without the rows a caller clears, without forming either, and hands back
-the pivots with which ``ChainComplex`` clears the next differential.
-Every other reader runs it leftmost column first with Gauss-Jordan
-clearing, which yields the unique reduced echelon form (``_echelon``):
-kernels read it with the columns reversed, independent columns are its
-pivot columns, and a solve of a x = b reads it off [a | b].
+the pivots with which ``ChainComplex`` clears the next differential, and
+which ``certify_rank`` proves: their submatrix has full rank modulo a
+prime.  Such lower bounds become ranks where the d o d bound leaves no
+room (``pinning_degrees``).  Every other reader runs it leftmost column
+first with Gauss-Jordan clearing, which yields the unique reduced echelon
+form (``_echelon``): kernels read it with the columns reversed,
+independent columns are its pivot columns, and a solve of a x = b reads it
+off [a | b].
 
 Every matrix is held to a nonzero-entry budget (``check_entry_budget``):
 outside input to the ``SparseMatrix`` constructor, stacks and products
@@ -55,7 +59,7 @@ from collections.abc import Collection, Iterable, Iterator, Mapping
 from fractions import Fraction as Rational
 from math import gcd, lcm
 
-from .errors import ResourceLimitError, ShapeError
+from .errors import ConsistencyError, ResourceLimitError, ShapeError
 
 # SHA-256 from CPython's built-in module, as ``random`` does: ``hashlib``
 # loads OpenSSL's libcrypto, several MB resident, for the same digest.  The
@@ -721,14 +725,101 @@ def rank(
     linearly independent: the pivot columns of the elimination of m, or
     the pivot rows of that of its transpose, which are columns of m.
     Either way the pivot rows and columns meet in a nonsingular
-    submatrix."""
+    submatrix; given a dict, it adds the {pivot column: pivot row} pairs
+    of m in pivot order, which ``certify_rank`` checks."""
     if not m.entries:
         return 0
     side = 1 if transposed else 0
     pivots = _eliminate(_integer_lines(m, side, side, clear)[0], entry_cap)
     if independent is not None:
-        independent.update(pivots.values() if transposed else pivots)
+        independent.update({c: r for r, c in pivots.items()} if transposed else pivots)
     return len(pivots)
+
+
+# word-size primes for ``certify_rank``, tried in this order
+CERTIFICATE_PRIMES = (2**31 - 1, 2**31 - 19, 2**31 - 61)
+
+
+def certify_rank(
+    m: SparseMatrix, pivots: Mapping[int, int], primes: Iterable[int] = CERTIFICATE_PRIMES
+) -> int:
+    """Prove that m has rank at least ``len(pivots)``, and return it, given
+    {pivot column: pivot row} pairs in pivot order (from ``rank``).
+
+    The submatrix of m on those rows and columns is eliminated modulo a
+    prime p, each step on the next pair's entry.  When every such entry is
+    nonzero mod p, the determinant of the submatrix is nonzero mod p, so it
+    is not 0 over the rationals and the rank of m is at least its size.  A
+    prime that divides a denominator of the submatrix or a pivot entry
+    proves nothing, and the next one is tried; ``ConsistencyError`` when
+    none is left.  So the check can fail spuriously, never pass wrongly.
+    A submatrix of m without the rows ``rank`` cleared is one of m."""
+    columns = set(pivots)
+    minor: dict[int, dict[int, int | Rational]] = {r: {} for r in pivots.values()}
+    for (r, c), v in m.entries.items():
+        if c in columns and r in minor:
+            minor[r][c] = v
+    order = list(pivots.items())
+    if any(_full_rank_mod(minor, order, p) for p in primes):
+        return len(order)
+    raise ConsistencyError(f"no prime proves the {len(order)} pivots of a {m.rows}x{m.cols} matrix")
+
+
+def pinning_degrees(k: int, ranks, dims: list[int]) -> tuple[int, ...]:
+    """The degrees j whose certificates (R_j >= ranks(j), for R_j the true
+    rank of d_j) prove that rank d_k is ranks(k), for matrices
+    d_j : Q^dims[j] -> Q^dims[j-1] with d_j d_(j+1) = 0, which gives
+    R_j + R_(j+1) <= dims[j]; ranks(0) is 0.  They are (k,) when d_k has
+    full rank; else (j, j + 1) for the first j of k - 1 and k where the
+    Betti number dims[j] - ranks(j) - ranks(j + 1) is 0, so both bounds
+    meet; else none, ()."""
+    if ranks(k) == min(dims[k - 1], dims[k]):
+        return (k,)
+    return next((
+        (j, j + 1) for j in (k - 1, k)
+        if j + 1 < len(dims) and ranks(j) + ranks(j + 1) == dims[j]
+    ), ())
+
+
+def _full_rank_mod(minor: dict[int, dict[int, int | Rational]], order: list, p: int) -> bool:
+    """Whether eliminating ``minor`` mod p on the (column, row) entries of
+    ``order``, in turn, finds each of them nonzero."""
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for r, line in minor.items():
+        row = rows[r] = {}
+        for c, v in line.items():
+            if type(v) is not int:
+                if v.denominator % p == 0:
+                    return False
+                v = v.numerator * pow(v.denominator, -1, p)
+            v %= p
+            if v:
+                row[c] = v
+                col_rows.setdefault(c, set()).add(r)
+    for c, r in order:
+        prow = rows.pop(r)
+        pv = prow.pop(c, 0)
+        if not pv:
+            return False
+        targets = col_rows.pop(c)
+        targets.discard(r)
+        for cc in prow:
+            col_rows[cc].discard(r)
+        inverse = pow(pv, -1, p)
+        for t in targets:
+            row = rows[t]
+            f = row.pop(c) * inverse % p
+            for cc, v in prow.items():
+                nv = (row.get(cc, 0) - f * v) % p
+                if nv:
+                    if cc not in row:
+                        col_rows[cc].add(t)
+                    row[cc] = nv
+                elif cc in row:
+                    del row[cc]
+                    col_rows[cc].discard(t)
+    return True
 
 
 def kernel_basis(m: SparseMatrix, entry_cap: int | None = None) -> list[QVector]:

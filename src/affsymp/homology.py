@@ -1,5 +1,6 @@
 """Betti numbers, representative cycles and membership tests for any built
-chain complex; cohomology dimensions via independently eliminated transposes.
+chain complex; cohomology dimensions from ranks that are proved, not
+recomputed (``ChainComplex.proved_rank_d``).
 
 Over a field, b_k = dim C_k - rank d_k - rank d_(k+1).  At the cap degree
 d_(cap+1) is not available, so the reported value is only an upper bound and
@@ -50,16 +51,19 @@ def betti_is_exact(complex_: ChainComplex, k: int) -> bool:
 
 
 def cobetti(complex_: ChainComplex, k: int) -> int:
-    """Betti number of the transposed differentials.  The transposes are
-    eliminated independently, each cleared only with the pivots of the
-    transposed elimination one degree below and never with those of the
-    ranks ``betti`` uses, so over the rationals this re-derives betti
-    along a genuinely different pivot path."""
+    """Betti number of the transposed differentials, from proved ranks.  The
+    true rank of a block is at least its computed forward rank once the
+    pivot minor is certified nonsingular mod p, and at most that rank where
+    d o d = 0 (checked exactly) leaves no room: next to a computed Betti
+    number 0, or at full rank.  So where both ranks are pinned, cobetti
+    equals betti by proof; a rank that nothing pins is the rank of its
+    transposed block, eliminated on its own.  At the cap the value is an
+    upper bound only."""
     complex_.check_degree(k)
-    kernel_dim = complex_.dim(k) - complex_.rank_d_transposed(k)
+    kernel_dim = complex_.dim(k) - complex_.proved_rank_d(k)
     if k == complex_.cap:
         return kernel_dim
-    return kernel_dim - complex_.rank_d_transposed(k + 1)
+    return kernel_dim - complex_.proved_rank_d(k + 1)
 
 
 def _components(complex_: ChainComplex, chain: Chain) -> dict | None:

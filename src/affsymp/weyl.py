@@ -52,16 +52,14 @@ def orbit_words(
     return OrbitWords(words, algebra.weyl, slots)
 
 
-def _fixes_weight_zero(signs: list[int], weights: list[tuple]) -> bool:
-    """Whether letter signs are (-1)^(e . weight) for some 0/1 vector e, so
-    that their product over a weight-0 word is 1.  Such signs form a group."""
-    for e in product((0, 1), repeat=len(weights[0]) if weights else 0):
-        if all(
-            (sum(c for c, bit in zip(w, e) if bit) % 2 == 1) == (s < 0)
-            for w, s in zip(weights, signs)
-        ):
-            return True
-    return False
+def _weight_zero_signs(weights: list[tuple]) -> set[tuple[int, ...]]:
+    """The letter signs (-1)^(e . weight), one tuple for each 0/1 vector e:
+    the signs whose product over every weight-0 word is 1.  They form a
+    group."""
+    return {
+        tuple(-1 if sum(c for c, bit in zip(w, e) if bit) % 2 else 1 for w in weights)
+        for e in product((0, 1), repeat=len(weights[0]) if weights else 0)
+    }
 
 
 class OrbitWords:
@@ -94,6 +92,7 @@ class OrbitWords:
         # found, it differs from that element by signs alone, and these
         # elements (Schreier's) generate the subgroup that moves no letter
         identity = tuple((a, 1) for a in range(len(weights)))
+        fixing = _weight_zero_signs(weights)
         cosets = {tuple(range(len(weights))): identity}
         order = [identity]
         for g in order:
@@ -103,7 +102,7 @@ class OrbitWords:
                 found = cosets.setdefault(moved, gh)
                 if found is gh:
                     order.append(gh)
-                elif not _fixes_weight_zero([s * r for (_, s), (_, r) in zip(gh, found)], weights):
+                elif tuple(s * r for (_, s), (_, r) in zip(gh, found)) not in fixing:
                     raise ConsistencyError(
                         "an element of W~ that moves no letter moves a weight-0 word"
                     )

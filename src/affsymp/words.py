@@ -20,6 +20,9 @@ full list.  The search packs each weight vector into one int, a slot of
 bits per coordinate wide enough for every sum it compares, so adding and
 comparing weights is int arithmetic.  With weight vectors of length 0
 every word qualifies, and ``WordSet.all`` is the full basis.
+
+A ``Chain`` is an element of one degree of a complex, a vector in that
+degree's basis; ``wedge_chain`` and ``tensor_chain`` make one from words.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import combinations, product
 from math import comb
+
+from .errors import DomainError
+from .exact_linalg import QZERO, QVector, Rational
 
 
 def wedge_dim(dim: int, k: int) -> int:
@@ -478,3 +484,81 @@ class WordSet:
             packed = [_pack(w, width) for w in self.letter_weights]
             search = self._searches[(width, strict)] = _Search(packed, strict)
         return search.words(_pack(total, width), k)
+
+
+# ---------------------------------------------------------------------------
+# chains in these bases
+# ---------------------------------------------------------------------------
+
+
+class Chain:
+    """An element of one degree of a complex, in that degree's basis.  An
+    immutable value: equal to a ``Chain`` of the same degree and vector,
+    and hashable."""
+
+    __slots__ = ("degree", "vector")
+
+    def __init__(self, degree: int, vector: QVector):
+        self.degree = degree
+        self.vector = vector
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.degree == other.degree and self.vector == other.vector
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.vector))
+
+    def __repr__(self) -> str:
+        return f"Chain(degree={self.degree!r}, vector={self.vector!r})"
+
+    def scale(self, c) -> "Chain":
+        return Chain(self.degree, self.vector.scale(c))
+
+    def add(self, other: "Chain") -> "Chain":
+        if self.degree != other.degree:
+            raise DomainError("cannot add chains of different degrees")
+        return Chain(self.degree, self.vector.add(other.vector))
+
+    def sub(self, other: "Chain") -> "Chain":
+        return self.add(other.scale(-1))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.vector.is_zero
+
+
+def _check_word(word: tuple[int, ...], algebra_dim: int, degree: int) -> None:
+    if len(word) != degree:
+        raise DomainError("word length must equal the degree")
+    if not all(0 <= a < algebra_dim for a in word):
+        raise DomainError(f"word {word} has a letter outside 0..{algebra_dim - 1}")
+
+
+def wedge_chain(
+    algebra_dim: int, degree: int, terms: dict[tuple[int, ...], Rational]
+) -> Chain:
+    """Chain in the exterior basis from {word: coefficient}; words may be
+    unsorted and pick up the permutation sign."""
+    acc: dict[int, Rational] = {}
+    for word, coeff in terms.items():
+        _check_word(word, algebra_dim, degree)
+        sorted_word, sign = sort_with_sign(tuple(word))
+        if sorted_word is None:
+            continue
+        idx = wedge_index(sorted_word, algebra_dim)
+        acc[idx] = acc.get(idx, QZERO) + sign * Rational(coeff)
+    return Chain(degree, QVector.from_dict(wedge_dim(algebra_dim, degree), acc))
+
+
+def tensor_chain(
+    algebra_dim: int, degree: int, terms: dict[tuple[int, ...], Rational]
+) -> Chain:
+    """Chain in the tensor basis from {word: coefficient}."""
+    acc: dict[int, Rational] = {}
+    for word, coeff in terms.items():
+        _check_word(word, algebra_dim, degree)
+        idx = tensor_index(tuple(word), algebra_dim)
+        acc[idx] = acc.get(idx, QZERO) + Rational(coeff)
+    return Chain(degree, QVector.from_dict(tensor_dim(algebra_dim, degree), acc))

@@ -345,18 +345,21 @@ def test_a_reordered_record_is_rebuilt_and_rewritten_canonical(filled_cache, tmp
 
 def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, monkeypatch):
     """A cold n = 1 verify writes no record of a matrix with at most one row
-    or column; a warm rerun reads every record it looks up, writes none,
-    leaves the directory byte-identical and eliminates only the matrices
-    too small to cache."""
+    or column; a warm rerun reads every record it looks up, the certified
+    ranks of thm-4.3 among them, writes none, leaves the directory
+    byte-identical and eliminates only the matrices too small to cache."""
     import affsymp.chain_complexes as chain_complexes
     from affsymp.theorems import VerificationContext, run_all
 
     shapes = {}
+    certified = set()
     rank_key = chain_complexes.rank_key
 
-    def recorded(matrix, transposed=False):
-        key = rank_key(matrix, transposed)
+    def recorded(matrix, record=""):
+        key = rank_key(matrix, record)
         shapes[key] = (matrix.rows, matrix.cols)
+        if record == "certified":
+            certified.add(key)
         return key
 
     monkeypatch.setattr(chain_complexes, "rank_key", recorded)
@@ -371,11 +374,14 @@ def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, 
     for name in ranks:
         assert min(shapes[name[len("rank/"):-len(".txt")]]) > 1, name
 
+    assert certified and {f"rank/{key}.txt" for key in certified} <= set(ranks)
     calls = []
+    read = set()
     for method in ("get_matrix", "get_rank", "put_matrix", "put_rank"):
         def spy(self, *args, _method=method, _original=getattr(DiffCache, method)):
             got = _original(self, *args)
             calls.append((_method, got is None))
+            read.add(args[-1])
             return got
 
         monkeypatch.setattr(DiffCache, method, spy)
@@ -390,5 +396,6 @@ def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, 
     assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), 1))
     assert calls and {method for method, _ in calls} == {"get_matrix", "get_rank"}
     assert not any(missed for _, missed in calls)
+    assert certified <= read
     assert _records(tmp_path) == cold
     assert eliminated and all(min(shape) <= 1 for shape in eliminated)

@@ -1,0 +1,200 @@
+"""Certified ranks: ``exact_linalg.certify_rank`` proves a rank from below
+by a pivot minor that is nonsingular mod p, the d o d bound pins it from
+above where a Betti number next to it is 0, and ``cobetti`` reads only such
+ranks, or the transposed rank of the one block that nothing pins."""
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import affsymp.chain_complexes as chain_complexes
+from affsymp.cache import DiffCache
+from affsymp.errors import ConsistencyError
+from affsymp.exact_linalg import (
+    CERTIFICATE_PRIMES, SparseMatrix, certify_rank, pinning_degrees, rank,
+)
+from affsymp.homology import betti, cobetti
+from affsymp.theorems import CLAIM_RUNNERS, VerificationContext
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_rank_hands_back_pivot_pairs_of_a_nonsingular_minor():
+    m = SparseMatrix.from_dense([[0, 2, 0, 1], [3, 0, 0, 0], [3, 2, 0, 1], [0, 0, 5, 5]])
+    for transposed in (False, True):
+        found = {}
+        assert rank(m, None, transposed, found) == len(found) == 3
+        minor = [[m.entries.get((r, c), 0) for c in found] for r in found.values()]
+        assert rank(SparseMatrix.from_dense(minor)) == 3
+        assert certify_rank(m, found, CERTIFICATE_PRIMES[:1]) == 3
+
+
+def test_a_singular_faked_minor_raises():
+    m = SparseMatrix.from_dense([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    assert rank(m) == 2
+    with pytest.raises(ConsistencyError):
+        certify_rank(m, {0: 0, 1: 1})
+    # the pivot pairs of the elimination pass
+    found = {}
+    rank(m, None, False, found)
+    assert certify_rank(m, found, CERTIFICATE_PRIMES[:1]) == 2
+    with pytest.raises(ConsistencyError):
+        certify_rank(SparseMatrix.from_dense([[1, 0], [0, 0]]), {0: 0, 1: 1})
+
+
+@pytest.mark.parametrize("entries", [
+    [[CERTIFICATE_PRIMES[0]]],
+    [[Fraction(1, CERTIFICATE_PRIMES[0])]],
+    # the determinant is the first prime, so only the last pivot vanishes
+    [[1, 1], [1, 1 + CERTIFICATE_PRIMES[0]]],
+])
+def test_a_prime_that_divides_the_minor_or_a_denominator_moves_on(entries):
+    """The first prime proves nothing on these, the second proves the rank,
+    and so do the primes in order."""
+    first, second = CERTIFICATE_PRIMES[:2]
+    m = SparseMatrix.from_dense(entries)
+    pivots = {c: c for c in range(m.cols)}
+    with pytest.raises(ConsistencyError):
+        certify_rank(m, pivots, (first,))
+    assert certify_rank(m, pivots, (second,)) == certify_rank(m, pivots) == m.cols
+
+
+def test_no_prime_left_raises():
+    product = 1
+    for p in CERTIFICATE_PRIMES:
+        product *= p
+    with pytest.raises(ConsistencyError):
+        certify_rank(SparseMatrix.from_dense([[product]]), {0: 0})
+
+
+@pytest.mark.parametrize("k, ranks, dims, degrees", [
+    # d_1 of full rank 2 (2 x 3)
+    (1, [0, 2, 1], [2, 3, 1], (1,)),
+    # b_1 = 3 - 2 - 1 = 0 pins d_2 and d_1 both
+    (2, [0, 1, 2], [2, 3, 4], (1, 2)),
+    (1, [0, 1, 2, 1], [2, 3, 4, 2], (1, 2)),
+    # b_1 = 1 and b_2 = 0: d_2 is pinned from above only
+    (2, [0, 1, 1, 3], [2, 3, 4, 5], (2, 3)),
+    # b_1 = 1 and no d_3 built: nothing pins d_2
+    (2, [0, 1, 1], [2, 3, 4], ()),
+])
+def test_pinning_degrees(k, ranks, dims, degrees):
+    assert pinning_degrees(k, ranks.__getitem__, dims) == degrees
+
+
+def _transposed_shapes(monkeypatch):
+    """The shape of each matrix the complexes rank transposed."""
+    seen = []
+    original = chain_complexes.rank
+
+    def spy(m, entry_cap=None, transposed=False, independent=None, clear=()):
+        if transposed:
+            seen.append((m.rows, m.cols))
+        return original(m, entry_cap, transposed, independent, clear)
+
+    monkeypatch.setattr(chain_complexes, "rank", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n, cap", [(1, 2), (2, 4)])
+def test_an_unpinned_rank_is_the_transposed_rank_of_its_block_alone(tmp_path, monkeypatch, n, cap):
+    """At an even cap at most 2n, b_cap = 1 sits below the built degree
+    cap + 1, so no computed Betti number 0 pins d_(cap+1): cobetti ranks
+    that block transposed, and no other.  A warm rerun reads that rank and
+    eliminates no block worth caching."""
+    seen = _transposed_shapes(monkeypatch)
+    ctx = VerificationContext(cache=DiffCache(tmp_path), entry_cap=10**9)
+    assert CLAIM_RUNNERS["thm-4.3"](ctx, n, cap=cap).passed
+    complex_ = ctx.complex("leibniz", "g", n, cap + 1)
+    top = complex_._ranked.block(cap + 1)
+    assert seen == [(top.rows, top.cols)]
+    assert pinning_degrees(cap + 1, complex_._block_rank_of, complex_.block_dims) == ()
+    assert complex_._certified == set(range(cap + 1))
+    assert complex_.proved_rank_d(cap + 1) == complex_.rank_d(cap + 1)
+
+    eliminated = []
+    original = chain_complexes.rank
+
+    def counted(m, *args):
+        eliminated.append(min(m.rows, m.cols))
+        return original(m, *args)
+
+    monkeypatch.setattr(chain_complexes, "rank", counted)
+    warm = VerificationContext(cache=DiffCache(tmp_path), entry_cap=10**9)
+    assert CLAIM_RUNNERS["thm-4.3"](warm, n, cap=cap).passed
+    assert all(size <= 1 for size in eliminated)
+
+
+def _benchmark_claims():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CLAIMS
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_at_the_benchmark_caps_every_rank_cobetti_reads_is_certified_and_pinned(
+    monkeypatch, n
+):
+    seen = _transposed_shapes(monkeypatch)
+    ctx = VerificationContext()
+    for claim_id, params in _benchmark_claims()[n]:
+        assert CLAIM_RUNNERS[claim_id](ctx, n, **params).passed
+    assert seen == []
+    complex_ = ctx._complexes[("leibniz", "g", n)]
+    degrees = range(1, complex_.cap + 1)
+    assert all(pinning_degrees(k, complex_._block_rank_of, complex_.block_dims) for k in degrees)
+    assert complex_._certified == {0, *degrees}
+    assert [cobetti(complex_, k) for k in degrees] == [betti(complex_, k) for k in degrees]
+
+
+def test_a_warm_run_reads_the_certificate_and_checks_nothing(tmp_path, monkeypatch):
+    ctx = VerificationContext(cache=DiffCache(tmp_path))
+    assert CLAIM_RUNNERS["thm-4.3"](ctx, 1, cap=5).passed
+    certified = []
+
+    def refused(m, pivots, primes=()):
+        certified.append(m.fingerprint())
+        raise AssertionError("certificate checked again")
+
+    monkeypatch.setattr(chain_complexes, "certify_rank", refused)
+    warm = VerificationContext(cache=DiffCache(tmp_path))
+    assert CLAIM_RUNNERS["thm-4.3"](warm, 1, cap=5).passed
+    assert certified == []
+
+
+def test_a_certified_record_of_another_rank_is_checked_again(tmp_path, monkeypatch):
+    """The certified record holds the rank it proved; a record that holds
+    another value is a miss, so the block is certified again and the record
+    rewritten."""
+    cache = DiffCache(tmp_path)
+    complex_ = VerificationContext(cache=cache).complex("leibniz", "g", 1, 4)
+    complex_._certify(4)
+    block = complex_._ranked.block(4)
+    key = chain_complexes.rank_key(block, "certified")
+    value = cache.get_rank(key)
+    assert value == complex_.rank_d(4) - complex_._off_block_rank(4)
+    cache.put_rank(key, value - 1)
+    checked = []
+    original = chain_complexes.certify_rank
+
+    def spy(m, pivots, *rest):
+        checked.append(len(pivots))
+        return original(m, pivots, *rest)
+
+    monkeypatch.setattr(chain_complexes, "certify_rank", spy)
+    warm = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 4)
+    warm._certify(4)
+    assert checked == [value] and cache.get_rank(key) == value
+
+
+def test_a_wrong_rank_fails_its_certificate():
+    """A forward rank one too large, as a rank record of another matrix
+    would give, has no pivot pairs to match and raises."""
+    complex_ = VerificationContext().complex("leibniz", "g", 1, 4)
+    complex_.rank_d(4)
+    complex_._ranks[4] += 1
+    with pytest.raises(ConsistencyError):
+        complex_._certify(4)

@@ -6,7 +6,7 @@ degree k - 1 prove dependent.  The oracle is the uncleared
 rows of ``block(k - 1)`` instead of its pivot columns fails the oracle
 tests; one with the set of the other orientation, also columns of full
 rank, derives that set, which the tests of what is eliminated catch; a
-pivot set kept at the cap fails the checks of the kept sets."""
+transposed pivot set kept at the cap fails the checks of the kept sets."""
 
 import random
 import sys
@@ -75,10 +75,11 @@ def _requested(complex_, k, transposed):
 
 
 def _check_pivot_sets(complex_):
-    """No pivot set is kept at the cap, and each kept set of degree k is as
-    large as the rank of the ranked block, which its columns alone reach."""
+    """No transposed pivot set is kept at the cap (the forward one is, for
+    its certificate), and each kept set of degree k is as large as the rank
+    of the ranked block, which its columns alone reach."""
+    assert complex_.cap not in complex_._pivots[True]
     for pivots in complex_._pivots:
-        assert complex_.cap not in pivots
         for k, found in pivots.items():
             block = complex_._ranked.block(k)
             r = rank(block)

@@ -302,7 +302,8 @@ class TestCacheLifecycle:
     @pytest.mark.parametrize("through", ["flag", "env"])
     def test_cache_commands_make_no_cache(self, capsys, tmp_path, monkeypatch, command, through):
         """A path that does not exist is an error naming it, and is not
-        made; an empty directory reads as an empty cache and stays empty."""
+        made; so is a directory that holds no record folder, which stays
+        as it was."""
         missing = tmp_path / "missing"
         argv = ["cache", command]
         if through == "flag":
@@ -316,10 +317,12 @@ class TestCacheLifecycle:
         assert not missing.exists()
         empty = tmp_path / "empty"
         empty.mkdir()
-        code, out, _ = run_cli(capsys, argv + ["--cache-dir", str(empty)])
-        assert code == 0 and not any(empty.iterdir())
-        if command == "info":
-            assert json.loads(out)["total_bytes"] == 0
+        (empty / "notes.txt").write_text("kept")
+        code, out, err = run_cli(capsys, argv + ["--cache-dir", str(empty)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(empty) in err and err.count("\n") == 1
+        assert [p.name for p in empty.iterdir()] == ["notes.txt"]
+        assert (empty / "notes.txt").read_text() == "kept"
 
     @pytest.mark.parametrize("argv", [
         ["verify", "all", "--n", "1"],

@@ -13,14 +13,20 @@ from affsymp.errors import DomainError, ResourceLimitError
 from affsymp.homology import betti, cobetti
 from affsymp.theorems import VerificationContext, run_all
 
+from certificate_oracle import certified_rank
+
 THEORIES = ("leibniz", "adjoint", "lie", "rel", "cr")
 
 
 def _numbers(complex_):
+    """The ranks, the Betti numbers and the cobetti numbers of every
+    degree, with each certified rank checked against the transposed one."""
     degrees = range(complex_.cap + 1)
+    transposed = [complex_.rank_d_transposed(k) for k in degrees]
+    assert [certified_rank(complex_, k) for k in degrees] == transposed, complex_.name
     return (
         [complex_.rank_d(k) for k in degrees],
-        [complex_.rank_d_transposed(k) for k in degrees],
+        transposed,
         [betti(complex_, k) for k in degrees],
         [cobetti(complex_, k) for k in degrees],
     )

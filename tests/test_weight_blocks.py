@@ -39,6 +39,7 @@ from affsymp.lie_structures import (
 )
 
 import full_oracle
+from certificate_oracle import certified_rank
 from full_oracle import full_block, full_d, full_projection, restricted_d
 
 
@@ -93,6 +94,7 @@ def _assert_blocks_match(complexes, explicit_kernels):
                 assert got == _full_rank(complex_, k, transposed, explicit_kernels), (
                     complex_.name, k, transposed,
                 )
+            assert certified_rank(complex_, k) == complex_.rank_d_transposed(k), (complex_.name, k)
     # the gradings are real: every complex here has a proper weight-0 block
     assert graded == len(complexes)
 

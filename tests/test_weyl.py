@@ -38,9 +38,10 @@ from affsymp.lie_structures import (
     weyl_action,
     weyl_generators,
 )
-from affsymp.weyl import orbit_words
+from affsymp.weyl import OrbitWords, orbit_words
 from affsymp.words import WordSet
 
+from certificate_oracle import certified_rank
 from field_oracle import field_letters, ideal_fields, sp_fields
 from test_weight_blocks import _ideal_wedge
 
@@ -92,6 +93,8 @@ def test_orbit_sums_rank_as_the_weight_zero_blocks(request, family, n):
         for k in range(1, orbits.cap + 1):
             assert orbits.rank_d(k) == blocks.rank_d(k), (orbits.name, k)
             assert orbits.rank_d_transposed(k) == blocks.rank_d_transposed(k), (orbits.name, k)
+            for complex_ in (orbits, blocks):
+                assert certified_rank(complex_, k) == complex_.rank_d_transposed(k), (complex_.name, k)
             checked += 1
     # the action is real: most ranked families are smaller than the blocks
     assert checked >= 25 and smaller >= 5
@@ -180,6 +183,20 @@ def test_a_basis_the_group_does_not_permute_is_refused(g1):
     hamiltonians[-1] = hamiltonians[-1].add(hamiltonians[2])
     with pytest.raises(ConsistencyError, match="no signed basis field"):
         weyl_action(hamiltonians, algebra, weyl_generators(1))
+
+
+def test_a_sign_change_that_moves_a_weight_zero_word_is_refused(g1):
+    """An element that moves no letter must act on each letter by
+    (-1)^(e . weight) for a 0/1 vector e.  Negating a letter of weight 0
+    alone is no such sign, and it negates that one-letter word of weight
+    0."""
+    algebra = g1[0]
+    words = WordSet(*cartan_weights(algebra))
+    zero = words.letter_weights.index(words.zero)
+    negate = tuple((a, -1 if a == zero else 1) for a in range(algebra.dim))
+    with pytest.raises(ConsistencyError, match="moves no letter moves a weight-0 word"):
+        OrbitWords(words, (negate,), ((),))
+    OrbitWords(words, (tuple((a, 1) for a in range(algebra.dim)),), ((),))
 
 
 def test_i_n_gets_no_action(i1):

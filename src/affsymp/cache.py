@@ -37,14 +37,13 @@ value), filed under its key (``rank_key``).  The key of a matrix ranked as
 it is is its fingerprint.  A block whose rank ``exact_linalg.certify_rank``
 has proved is recorded under ``descriptor_key("certified", key of the
 matrix)``; a warm run that reads it there checks nothing again.  A
-transposed matrix is never serialized: the key of a transpose is
-``descriptor_key("transposed", key of the matrix)``, written only for a
-rank that no certificate pins (``ChainComplex.proved_rank_d``) and by
-``ChainComplex.rank_d_transposed``.  Records an older version filed under
-the fingerprint of a transpose, or under ``descriptor_key("stacked",
-fingerprints)`` for the stacked [d; pi] of a kernel complex, are orphans
-that nothing reads, as are the transposed records it wrote for ranks now
-certified; ``clear`` removes them.
+transposed matrix is never serialized: the key of the rank of a transpose
+is ``descriptor_key("transposed", key of the matrix)``, written only for a
+rank that no certificate pins (``ChainComplex.proved_rank_d``).  Records
+an older version filed under the fingerprint of a transpose, or under
+``descriptor_key("stacked", fingerprints)`` for the stacked [d; pi] of a
+kernel complex, are orphans that nothing reads, as are the transposed
+records it wrote for ranks now certified; ``clear`` removes them.
 
 A record that cannot be read, does not parse, or differs by a single byte
 from the record its payload and digest would be written as reads as a

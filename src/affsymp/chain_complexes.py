@@ -73,15 +73,14 @@ ambient differentials of ``rel`` and ``cr`` are the blocks of ``leibniz``
 and ``adjoint``, and the targets of both are those of ``lie``.  A builder
 called without a memo gets ``BlockMemo()``: no cache, the default cap.
 The rank runs from the bottom up, and clears a block with the pivots of
-its own elimination one degree below (``_pivot_pairs``); each set of pivot
+the elimination one degree below (``_pivot_pairs``); each set of pivot
 pairs is computed once, also below a degree whose rank was read from the
 cache.  ``proved_rank_d`` proves the rank it computed: a certificate mod p
 on its pivot pairs bounds it below (``exact_linalg.certify_rank``), and
 the d o d bound above wherever a Betti number next to it is 0.  A rank
-that nothing pins is taken from the transposed block instead, cleared with
-the certified pivots below it; ``rank_d_transposed``, which clears each
-transposed block with the pivots of the one below, is the test oracle.
-Only assembled blocks and ranks go to disk.
+that nothing pins is taken from the transpose of its block instead, formed
+without the rows that the certified pivots below it clear; that is the one
+transposed elimination.  Only assembled blocks and ranks go to disk.
 
 The two kernel complexes (``KernelComplex``) are complexes like the others
 in the free words of their projections pi_m (``_FreeWords``), which also
@@ -334,11 +333,9 @@ class ChainComplex:
         self._diffs = _Graded.of(diffs)
         self._ranked = self._diffs.ranked
         self._ranks: dict[int, int] = {}
-        self._ranks_transposed: dict[int, int] = {}
         self._ranks_proved: dict[int, int] = {}
         self._certified = {0}  # degrees, with 0, which has no differential
-        # by orientation, degree -> ``_pivot_pairs``
-        self._pivots: tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]] = ({}, {})
+        self._pivots: dict[int, dict[int, int]] = {}  # degree -> ``_pivot_pairs``
         blocks = [self._ranked.block(k) for k in range(1, cap + 1)]
         if self._diffs.graded and blocks:
             self.block_dims = [blocks[0].rows] + [d.cols for d in blocks]
@@ -401,24 +398,18 @@ class ChainComplex:
 
     def rank_d(self, k: int) -> int:
         """rank d_k, memoized; rank d_0 is 0 by convention."""
-        return self._memoized(self._ranks, k, lambda: self._rank(k, False))
-
-    def rank_d_transposed(self, k: int) -> int:
-        """rank of the transposed differential, its block eliminated
-        independently and cleared only with the pivot sets of this
-        orientation's own eliminations (``_pivot_pairs``); equals rank_d over
-        a field and serves as its test oracle.  The rows of the transpose
-        are the columns of the block, mostly short, so the many with one
-        live entry are retired first at no cost (``exact_linalg.rank``);
-        the pivots it takes still differ from those of rank_d."""
-        return self._memoized(self._ranks_transposed, k, lambda: self._rank(k, True))
+        return self._memoized(
+            self._ranks, k, lambda: self._block_rank(k) + self._off_block_rank(k)
+        )
 
     def proved_rank_d(self, k: int) -> int:
         """rank d_k, proved: ``rank_d`` where the d o d bound pins it
         (``exact_linalg.pinning_degrees``) and the certificates it names
         pass (``_certify``), or where the block has no entries; otherwise
-        the rank of the transposed block of degree k alone, cleared with the
-        certified pivot columns of degree k - 1, which are independent."""
+        the rank of the transpose of the block of degree k alone, formed
+        without the rows that the certified pivot columns of degree k - 1
+        prove dependent and eliminated on its own, under the "transposed"
+        rank record of the block."""
         def prove() -> int:
             block = self._ranked.block(k)
             degrees = pinning_degrees(k, self._block_rank_of, self.block_dims)
@@ -429,8 +420,11 @@ class ChainComplex:
 
             def transposed() -> int:
                 self._certify(k - 1)
-                clear = self._pivot_pairs(k - 1, False) if k > 1 else ()
-                return rank(block, self.blocks.entry_cap, True, None, clear)
+                clear = self._pivot_pairs(k - 1) if k > 1 else ()
+                cleared = SparseMatrix._of(block.cols, block.rows, {
+                    (c, r): v for (r, c), v in block.entries.items() if r not in clear
+                })
+                return rank(cleared, self.blocks.entry_cap)
 
             return self._off_block_rank(k) + self.blocks.rank(block, "transposed", transposed)
 
@@ -441,64 +435,52 @@ class ChainComplex:
 
     def _certify(self, k: int) -> None:
         """Prove, once, that the ranked block of degree k has rank at least
-        the computed one (``exact_linalg.certify_rank`` on its forward pivot
-        pairs), through its certified record (``BlockMemo.rank``)."""
+        the computed one (``exact_linalg.certify_rank`` on its pivot pairs),
+        through its certified record (``BlockMemo.rank``)."""
         if k not in self._certified:
             block, value = self._ranked.block(k), self._block_rank_of(k)
             if block.entries and value != self.blocks.rank(
-                block, "certified", lambda: certify_rank(block, self._pivot_pairs(k, False)), value
+                block, "certified", lambda: certify_rank(block, self._pivot_pairs(k)), value
             ):
                 raise ConsistencyError(f"{self.name}: no certificate for rank d_{k} = {value}")
             self._certified.add(k)
 
-    def _rank(self, k: int, transposed: bool) -> int:
-        """rank of the ranked block, or of its transpose, plus the
-        off-block part."""
-        return self._block_rank(k, transposed) + self._off_block_rank(k)
-
-    def _block_rank(self, k: int, transposed: bool) -> int:
-        """rank of the ranked block of degree k, or of its transpose.
-        Degree k - 1 is ranked first, so each orientation writes its rank
-        records from the bottom up.  The rank goes through the rank records
-        of the memo (``BlockMemo.rank``); on a miss it is the size of
+    def _block_rank(self, k: int) -> int:
+        """rank of the ranked block of degree k.  Degree k - 1 is ranked
+        first, so the rank records are written from the bottom up.  The
+        rank goes through the rank records of the memo
+        (``BlockMemo.rank``); on a miss it is the size of
         ``_pivot_pairs(k)``."""
-        (self.rank_d_transposed if transposed else self.rank_d)(k - 1)
+        self.rank_d(k - 1)
         block = self._ranked.block(k)
         if not block.entries:
             return 0
-        return self.blocks.rank(
-            block, "transposed" if transposed else "", lambda: len(self._pivot_pairs(k, transposed))
-        )
+        return self.blocks.rank(block, "", lambda: len(self._pivot_pairs(k)))
 
-    def _pivot_pairs(self, k: int, transposed: bool) -> dict[int, int]:
+    def _pivot_pairs(self, k: int) -> dict[int, int]:
         """The {pivot column: pivot row} pairs of the ranked block of degree
-        k that its elimination in this orientation hands back; the columns
-        have full column rank.  Fill-in is held to the entry cap of the
-        memo.
+        k that its elimination hands back; the columns have full column
+        rank.  Fill-in is held to the entry cap of the memo.
 
         The elimination is cleared (Chen and Kerber 2011) with the columns
         of degree k - 1: as ``block(k - 1) @ block(k) = 0`` (checked at
         build time), the rows of the block of degree k indexed by them are
         combinations of the others, so they are dropped and the rank is
-        unchanged.  Each set is memoized, so no block is eliminated twice,
-        except the transposed one at the cap, which no degree clears with:
-        keeping it alive raises the peak memory.  The forward pairs at the
-        cap are kept for ``_certify``.  A block with at most one row or
-        column, whose rank is never cached, is eliminated whole: clearing it
-        saves next to nothing, and on a warm run deriving the pairs below it
-        would eliminate a block whose rank was read."""
-        pivots = self._pivots[transposed]
-        got = pivots.get(k)
+        unchanged.  Each set is memoized, so no block is eliminated twice;
+        the pairs at the cap are kept for ``_certify``.  A block with at
+        most one row or column, whose rank is never cached, is eliminated
+        whole: clearing it saves next to nothing, and on a warm run deriving
+        the pairs below it would eliminate a block whose rank was read."""
+        got = self._pivots.get(k)
         if got is None:
             got = {}
             block = self._ranked.block(k)
             if block.entries:
                 clear = ()
                 if k > 1 and worth_caching(block.rows, block.cols):
-                    clear = self._pivot_pairs(k - 1, transposed)
-                rank(block, self.blocks.entry_cap, transposed, got, clear)
-            if k < self.cap or not transposed:
-                pivots[k] = got
+                    clear = self._pivot_pairs(k - 1)
+                rank(block, self.blocks.entry_cap, independent=got, clear=clear)
+            self._pivots[k] = got
         return got
 
     def _off_block_rank(self, k: int) -> int:

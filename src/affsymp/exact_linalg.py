@@ -19,18 +19,20 @@ the left factor of a product, columns for the right factor, the whole
 matrix for ``products_cancel``), and only ``Fraction`` entries add to those
 lcms, so rationals appear only where values enter and leave.
 
-There is one elimination loop, ``_eliminate``: fraction-free (Bareiss
-1968; Dumas, Saunders and Villard 2001 for the sparse integer case),
-removing a row's content gcd after a scaled update.  ``rank`` runs it with
-Markowitz pivots, the column with the fewest live entries first, but takes
-a row with one live entry, which costs no arithmetic, before any column
-with more than one; two lazy heaps, one of columns by count and one of
-such rows, keep that choice exact.  It ranks a transpose, and a matrix
-without the rows a caller clears, without forming either, and hands back
-the pivots with which ``ChainComplex`` clears the next differential, and
-which ``certify_rank`` proves: their submatrix has full rank modulo a
-prime.  Such lower bounds become ranks where the d o d bound leaves no
-room (``pinning_degrees``).  Every other reader runs it leftmost column
+There is one elimination loop over the rationals, ``_eliminate``:
+fraction-free (Bareiss 1968; Dumas, Saunders and Villard 2001 for the
+sparse integer case), removing a row's content gcd after a scaled update.
+The only other one, ``_full_rank_mod``, replays given pivots modulo a
+prime for ``certify_rank``.  ``rank`` runs ``_eliminate`` with Markowitz
+pivots, the column with the fewest live entries first, but takes a row
+with one live entry, which costs no arithmetic, before any column with
+more than one; two lazy heaps, one of columns by count and one of such
+rows, keep that choice exact.  It ranks a matrix without the rows a
+caller clears, without forming it, and hands back the pivots with which
+``ChainComplex`` clears the next differential, and which ``certify_rank``
+proves: their submatrix has full rank modulo a prime.  Such lower bounds
+become ranks where the d o d bound leaves no room
+(``pinning_degrees``).  Every other reader runs it leftmost column
 first with Gauss-Jordan clearing, which yields the unique reduced echelon
 form (``_echelon``): kernels read it with the columns reversed,
 independent columns are its pivot columns, and a solve of a x = b reads it
@@ -707,7 +709,7 @@ def _echelon(
 def rank(
     m: SparseMatrix,
     entry_cap: int | None = None,
-    transposed: bool = False,
+    *,
     independent: set[int] | None = None,
     clear: Collection[int] = (),
 ) -> int:
@@ -717,22 +719,17 @@ def rank(
     ``ResourceLimitError`` when the live entries of the elimination exceed
     ``entry_cap`` (default ``DEFAULT_ENTRY_CAP``).
 
-    With ``transposed`` it eliminates the columns of m as the rows of its
-    transpose, grouped by column with no transpose formed: the same
-    elimination as ``rank(m.transpose())``.  The rows ``clear`` are left
-    out as the entries are grouped, so no cleared matrix is formed either.
-    Given a set ``independent``, it adds ``rank`` columns of m that are
-    linearly independent: the pivot columns of the elimination of m, or
-    the pivot rows of that of its transpose, which are columns of m.
-    Either way the pivot rows and columns meet in a nonsingular
-    submatrix; given a dict, it adds the {pivot column: pivot row} pairs
+    The rows ``clear`` are left out as the entries are grouped, so no
+    cleared matrix is formed.  Given a set ``independent``, it adds
+    ``rank`` linearly independent columns of m, the pivot columns of the
+    elimination; the pivot rows and columns meet in a nonsingular
+    submatrix.  Given a dict, it adds the {pivot column: pivot row} pairs
     of m in pivot order, which ``certify_rank`` checks."""
     if not m.entries:
         return 0
-    side = 1 if transposed else 0
-    pivots = _eliminate(_integer_lines(m, side, side, clear)[0], entry_cap)
+    pivots = _eliminate(_integer_lines(m, 0, 0, clear)[0], entry_cap)
     if independent is not None:
-        independent.update({c: r for r, c in pivots.items()} if transposed else pivots)
+        independent.update(pivots)
     return len(pivots)
 
 

@@ -1,5 +1,8 @@
-"""The certified rank of a degree, for comparison with the transposed
-elimination, ``ChainComplex.rank_d_transposed``, the oracle."""
+"""The certified rank of a degree, and the transposed rank it is compared
+with, the oracle: the uncleared transpose of the ranked block, eliminated
+on its own, which shares neither pivots nor clearing with ``rank_d``."""
+
+from affsymp.exact_linalg import rank
 
 
 def certified_rank(complex_, k):
@@ -7,3 +10,11 @@ def certified_rank(complex_, k):
     failing certificate raises ``ConsistencyError``."""
     complex_._certify(k)
     return complex_.rank_d(k)
+
+
+def transposed_rank(complex_, k):
+    """rank d_k from the transpose of its ranked block, uncleared, plus the
+    off-block part; rank d_0 is 0."""
+    if k == 0:
+        return 0
+    return rank(complex_._ranked.block(k).transpose()) + complex_._off_block_rank(k)

@@ -388,9 +388,9 @@ def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, 
     eliminated = []
     rank = chain_complexes.rank
 
-    def counted(m, *args):
+    def counted(m, *args, **kwargs):
         eliminated.append((m.rows, m.cols))
-        return rank(m, *args)
+        return rank(m, *args, **kwargs)
 
     monkeypatch.setattr(chain_complexes, "rank", counted)
     assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), 1))

@@ -1,7 +1,7 @@
 """Certified ranks: ``exact_linalg.certify_rank`` proves a rank from below
 by a pivot minor that is nonsingular mod p, the d o d bound pins it from
 above where a Betti number next to it is 0, and ``cobetti`` reads only such
-ranks, or the transposed rank of the one block that nothing pins."""
+ranks, or the rank of the transpose of the one block that nothing pins."""
 
 import importlib.util
 from fractions import Fraction
@@ -11,6 +11,7 @@ import pytest
 
 import affsymp.chain_complexes as chain_complexes
 from affsymp.cache import DiffCache
+from affsymp.chain_complexes import BlockMemo
 from affsymp.errors import ConsistencyError
 from affsymp.exact_linalg import (
     CERTIFICATE_PRIMES, SparseMatrix, certify_rank, pinning_degrees, rank,
@@ -23,12 +24,12 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 def test_rank_hands_back_pivot_pairs_of_a_nonsingular_minor():
     m = SparseMatrix.from_dense([[0, 2, 0, 1], [3, 0, 0, 0], [3, 2, 0, 1], [0, 0, 5, 5]])
-    for transposed in (False, True):
+    for matrix in (m, m.transpose()):
         found = {}
-        assert rank(m, None, transposed, found) == len(found) == 3
-        minor = [[m.entries.get((r, c), 0) for c in found] for r in found.values()]
+        assert rank(matrix, independent=found) == len(found) == 3
+        minor = [[matrix.entries.get((r, c), 0) for c in found] for r in found.values()]
         assert rank(SparseMatrix.from_dense(minor)) == 3
-        assert certify_rank(m, found, CERTIFICATE_PRIMES[:1]) == 3
+        assert certify_rank(matrix, found, CERTIFICATE_PRIMES[:1]) == 3
 
 
 def test_a_singular_faked_minor_raises():
@@ -38,7 +39,7 @@ def test_a_singular_faked_minor_raises():
         certify_rank(m, {0: 0, 1: 1})
     # the pivot pairs of the elimination pass
     found = {}
-    rank(m, None, False, found)
+    rank(m, independent=found)
     assert certify_rank(m, found, CERTIFICATE_PRIMES[:1]) == 2
     with pytest.raises(ConsistencyError):
         certify_rank(SparseMatrix.from_dense([[1, 0], [0, 0]]), {0: 0, 1: 1})
@@ -85,16 +86,20 @@ def test_pinning_degrees(k, ranks, dims, degrees):
 
 
 def _transposed_shapes(monkeypatch):
-    """The shape of each matrix the complexes rank transposed."""
+    """The shape of each block whose transpose the complexes rank."""
     seen = []
-    original = chain_complexes.rank
+    original = BlockMemo.rank
 
-    def spy(m, entry_cap=None, transposed=False, independent=None, clear=()):
-        if transposed:
-            seen.append((m.rows, m.cols))
-        return original(m, entry_cap, transposed, independent, clear)
+    def spy(self, block, record, compute, expected=None):
+        if record == "transposed":
+            def counted():
+                seen.append((block.rows, block.cols))
+                return compute()
 
-    monkeypatch.setattr(chain_complexes, "rank", spy)
+            return original(self, block, record, counted, expected)
+        return original(self, block, record, compute, expected)
+
+    monkeypatch.setattr(BlockMemo, "rank", spy)
     return seen
 
 
@@ -117,14 +122,25 @@ def test_an_unpinned_rank_is_the_transposed_rank_of_its_block_alone(tmp_path, mo
     eliminated = []
     original = chain_complexes.rank
 
-    def counted(m, *args):
+    def counted(m, *args, **kwargs):
         eliminated.append(min(m.rows, m.cols))
-        return original(m, *args)
+        return original(m, *args, **kwargs)
 
     monkeypatch.setattr(chain_complexes, "rank", counted)
     warm = VerificationContext(cache=DiffCache(tmp_path), entry_cap=10**9)
     assert CLAIM_RUNNERS["thm-4.3"](warm, n, cap=cap).passed
     assert all(size <= 1 for size in eliminated)
+
+
+def test_the_fallback_is_independent_of_the_forward_rank():
+    """At n = 1, cap 2 nothing pins d_3, so cobetti ranks its transpose on
+    its own: a forward rank d_3 one too small raises betti(2) to 2, while
+    cobetti(2) still reads the true value, 1."""
+    complex_ = VerificationContext().complex("leibniz", "g", 1, 3)
+    complex_.rank_d(3)
+    complex_._ranks[3] -= 1
+    assert betti(complex_, 2) == 2
+    assert cobetti(complex_, 2) == 1
 
 
 def _benchmark_claims():

@@ -1,12 +1,10 @@
-"""Clearing: each orientation ranks the blocks of ``_ranked`` (on orbit
-sums, or the weight-0 blocks) from the bottom up and drops the rows of the
-block of degree k that the pivots of its own elimination of the block of
-degree k - 1 prove dependent.  The oracle is the uncleared
-``rank(block)`` and ``rank(block.transpose())``.  A clearing with the pivot
-rows of ``block(k - 1)`` instead of its pivot columns fails the oracle
-tests; one with the set of the other orientation, also columns of full
-rank, derives that set, which the tests of what is eliminated catch; a
-transposed pivot set kept at the cap fails the checks of the kept sets."""
+"""Clearing: ``rank_d`` ranks the blocks of ``_ranked`` (on orbit sums, or
+the weight-0 blocks) from the bottom up and drops the rows of the block of
+degree k that the pivots of the elimination of the block of degree k - 1
+prove dependent.  The oracle is the uncleared ``rank(block)``.  A clearing
+with the pivot rows of ``block(k - 1)`` instead of its pivot columns fails
+the oracle tests.  ``proved_rank_d`` equals the rank of the uncleared
+transpose, pinned or not."""
 
 import random
 import sys
@@ -14,14 +12,12 @@ import threading
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import affsymp.chain_complexes as chain_complexes
 from affsymp.cache import DiffCache, worth_caching
 from affsymp.chain_complexes import ChainComplex
-from affsymp.exact_linalg import (
-    QVector, SparseMatrix, _eliminate, _integer_lines, kernel_basis, rank,
-)
+from affsymp.exact_linalg import QVector, SparseMatrix, kernel_basis, rank
 from affsymp.theorems import VerificationContext
 
 ORDERS = ("ascending", "descending", "shuffled")
@@ -56,35 +52,29 @@ def complexes(draw):
 
 
 def _requests(cap, order, shuffle):
-    """(degree, transposed) pairs of both orientations in the given order;
-    ``shuffle`` returns a permutation of a list."""
-    pairs = [(k, transposed) for k in range(cap + 1) for transposed in (False, True)]
+    """The degrees 0..cap in the given order; ``shuffle`` returns a
+    permutation of a list."""
+    degrees = list(range(cap + 1))
     if order == "descending":
-        pairs.reverse()
+        degrees.reverse()
     elif order == "shuffled":
-        pairs = shuffle(pairs)
-    return pairs
+        degrees = shuffle(degrees)
+    return degrees
 
 
-def _oracle(block: SparseMatrix, transposed: bool) -> int:
-    return rank(block.transpose() if transposed else block)
-
-
-def _requested(complex_, k, transposed):
-    return (complex_.rank_d_transposed if transposed else complex_.rank_d)(k)
+def _oracle(complex_, k: int) -> int:
+    """The uncleared rank of the ranked block plus the off-block part."""
+    return rank(complex_._ranked.block(k)) + complex_._off_block_rank(k)
 
 
 def _check_pivot_sets(complex_):
-    """No transposed pivot set is kept at the cap (the forward one is, for
-    its certificate), and each kept set of degree k is as large as the rank
-    of the ranked block, which its columns alone reach."""
-    assert complex_.cap not in complex_._pivots[True]
-    for pivots in complex_._pivots:
-        for k, found in pivots.items():
-            block = complex_._ranked.block(k)
-            r = rank(block)
-            picked = {key: v for key, v in block.entries.items() if key[1] in found}
-            assert len(found) == r == rank(SparseMatrix(block.rows, block.cols, picked))
+    """Each kept set of degree k is as large as the rank of the ranked
+    block, which its columns alone reach."""
+    for k, found in complex_._pivots.items():
+        block = complex_._ranked.block(k)
+        r = rank(block)
+        picked = {key: v for key, v in block.entries.items() if key[1] in found}
+        assert len(found) == r == rank(SparseMatrix(block.rows, block.cols, picked))
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,32 +83,43 @@ def test_random_complexes_rank_as_the_uncleared_oracle(data, made, order):
     dims, diffs = made
     cap = len(diffs)
     complex_ = ChainComplex("test", "random", dims, diffs, {}, cap)
-    for k, transposed in _requests(cap, order, lambda p: data.draw(st.permutations(p))):
-        expected = 0 if k == 0 else _oracle(diffs[k], transposed)
-        assert _requested(complex_, k, transposed) == expected
+    for k in _requests(cap, order, lambda p: data.draw(st.permutations(p))):
+        assert complex_.rank_d(k) == (0 if k == 0 else rank(diffs[k]))
     _check_pivot_sets(complex_)
 
 
+# d_1 has the pivot (column 0, row 3), and d_2, of rank 2, leaves b_1 = 1,
+# so nothing pins d_2: its transpose is ranked without row 0 of d_2, which
+# only a clearing with the pivot columns of d_1 leaves at rank 2
+UNPINNED = ([4, 4, 3], {
+    1: SparseMatrix(4, 4, {(3, 0): 1, (3, 1): 1}),
+    2: SparseMatrix(4, 3, {(0, 0): 1, (1, 0): -1, (3, 1): 1, (0, 2): 1, (1, 2): -1, (3, 2): 1}),
+})
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), transposed=st.booleans())
-def test_rank_hands_back_independent_columns(data, transposed):
+@given(made=complexes())
+@example(made=UNPINNED)
+def test_random_complexes_prove_the_rank_of_the_uncleared_transpose(made):
+    """Whether the d o d bound pins a degree or it falls back to the
+    transposed block, cleared with the certified pivots below it."""
+    dims, diffs = made
+    cap = len(diffs)
+    complex_ = ChainComplex("test", "random", dims, diffs, {}, cap)
+    for k in range(1, cap + 1):
+        assert complex_.proved_rank_d(k) == rank(diffs[k].transpose()), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rank_hands_back_independent_columns(data):
     rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
     m = _matrix(data.draw, rows, cols)
     found: set[int] = set()
-    r = rank(m, None, transposed, found)
+    r = rank(m, independent=found)
     assert r == rank(m) and len(found) == r
     picked = SparseMatrix(rows, cols, {key: v for key, v in m.entries.items() if key[1] in found})
     assert rank(picked) == r
-
-
-def test_a_transposed_rank_forms_no_transpose(monkeypatch):
-    m = SparseMatrix.from_dense([[1, 2, 0], [0, 3, 4], [1, 5, 4]])
-
-    def refused(self):
-        raise AssertionError("transpose formed")
-
-    monkeypatch.setattr(SparseMatrix, "transpose", refused)
-    assert rank(m, None, True) == 2
 
 
 THEORIES = [
@@ -136,102 +137,84 @@ THEORIES = [
 def test_registry_theories_at_n1_rank_as_the_uncleared_oracle(theory, family, cap, order):
     complex_ = VerificationContext().complex(theory, family, 1, cap)
     shuffle = random.Random(f"{theory} {family}").sample
-    for k, transposed in _requests(cap, order, lambda p: shuffle(p, len(p))):
-        expected = 0
-        if k:
-            block = complex_._ranked.block(k)
-            expected = _oracle(block, transposed) + complex_._off_block_rank(k)
-        assert _requested(complex_, k, transposed) == expected, (k, transposed)
+    for k in _requests(cap, order, lambda p: shuffle(p, len(p))):
+        assert complex_.rank_d(k) == (0 if k == 0 else _oracle(complex_, k)), k
     _check_pivot_sets(complex_)
 
 
 @pytest.fixture
 def eliminated(monkeypatch):
     """The nnz of each matrix the complexes hand to ``rank``, without the
-    rows they clear, by orientation."""
+    rows they clear."""
     seen = []
     original = chain_complexes.rank
 
-    def spy(m, entry_cap=None, transposed=False, independent=None, clear=()):
-        seen.append((sum(r not in clear for r, _ in m.entries), transposed))
-        return original(m, entry_cap, transposed, independent, clear)
+    def spy(m, entry_cap=None, *, independent=None, clear=()):
+        seen.append(sum(r not in clear for r, _ in m.entries))
+        return original(m, entry_cap, independent=independent, clear=clear)
 
     monkeypatch.setattr(chain_complexes, "rank", spy)
     return seen
 
 
-@pytest.mark.parametrize("transposed", [False, True])
-def test_leibniz_d6_of_g1_is_cleared(eliminated, transposed):
+def _requested(complex_, k, proved):
+    """``proved_rank_d``, which certifies the degrees that pin it from the
+    pivot sets of ``rank_d``, or ``rank_d`` alone."""
+    return (complex_.proved_rank_d if proved else complex_.rank_d)(k)
+
+
+@pytest.mark.parametrize("proved", [False, True])
+def test_leibniz_d6_of_g1_is_cleared(eliminated, proved):
     complex_ = VerificationContext().complex("leibniz", "g", 1, 6)
-    _requested(complex_, 5, transposed)
+    _requested(complex_, 5, proved)
     eliminated.clear()
-    block = complex_._ranked.block(6)
-    assert _requested(complex_, 6, transposed) == (
-        _oracle(block, transposed) + complex_._off_block_rank(6)
-    )
-    [(nnz, orientation)] = eliminated
-    assert orientation == transposed and nnz < block.nnz
+    assert _requested(complex_, 6, proved) == _oracle(complex_, 6)
+    [nnz] = eliminated
+    assert nnz < complex_._ranked.block(6).nnz
 
 
-def test_the_cross_check_of_leibniz_d6_of_g1_takes_its_own_pivots():
-    """The transposed rank is eliminated on its own: on the cleared d_6 of
-    g_1, the (row, column) pivot pairs of the two orientations differ,
-    though each orientation retires its one-entry lines first."""
-    complex_ = VerificationContext().complex("leibniz", "g", 1, 6)
-    block = complex_._ranked.block(6)
-    pairs = []
-    for transposed in (False, True):
-        _requested(complex_, 5, transposed)
-        side = int(transposed)
-        lines = _integer_lines(block, side, side, complex_._pivots[transposed][5])[0]
-        pivots = _eliminate(lines)
-        pairs.append({(c, r) if transposed else (r, c) for c, r in pivots.items()})
-    forward, backward = pairs
-    assert len(forward) == len(backward) == complex_.rank_d(6) - complex_._off_block_rank(6)
-    assert forward != backward
-
-
-@pytest.mark.parametrize("transposed", [False, True])
-def test_a_degree_above_a_cache_hit_is_cleared(tmp_path, eliminated, transposed):
+@pytest.mark.parametrize("proved", [False, True])
+def test_a_degree_above_a_cache_hit_is_cleared(tmp_path, eliminated, proved):
     """Degree 4 of Leibniz of g_1 is read from a partly warm cache, so it
     leaves no pivots; the miss at degree 5 derives them by eliminating
     d_4, cleared with the set that the rank of d_3 kept, as a cold complex
     clears it, and then eliminates as few nonzeros as the cold complex."""
     k = 5
     first = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 6)
-    _requested(first, k - 1, transposed)
+    _requested(first, k - 1, proved)
     cold = VerificationContext().complex("leibniz", "g", 1, 6)
     eliminated.clear()
-    expected = _requested(cold, k, transposed)
+    expected = _requested(cold, k, proved)
     # on orbit sums d_1 (1 x 0) and d_2 (0 x 3) are empty; d_3, d_4 and d_5
     # are eliminated, d_4 and d_5 cleared
     cold_calls = list(eliminated)
-    assert len(cold_calls) == 3 and cold_calls[-1][0] < cold._ranked.block(k).nnz
+    assert len(cold_calls) == 3 and cold_calls[-1] < cold._ranked.block(k).nnz
 
     warm = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 6)
     eliminated.clear()
-    assert _requested(warm, k, transposed) == expected
+    assert _requested(warm, k, proved) == expected
     # d_3 (3 x 9) and d_4 (9 x 43) are hits, and the miss at d_5
     # eliminates both before itself
     assert eliminated == cold_calls
-    assert set(warm._pivots[transposed]) == {2, 3, 4, 5}
-    assert expected == _oracle(warm._ranked.block(k), transposed) + warm._off_block_rank(k)
+    assert set(warm._pivots) == {2, 3, 4, 5}
+    assert expected == _oracle(warm, k)
 
 
-@pytest.mark.parametrize("transposed", [False, True])
-def test_a_warm_rerun_eliminates_no_block_it_reads(tmp_path, eliminated, transposed):
-    """A rerun at the same cap reads every rank worth caching, so no pivot
-    set is derived: it eliminates only the blocks too small to cache, each
-    whole."""
+@pytest.mark.parametrize("proved", [False, True])
+def test_a_warm_rerun_eliminates_no_block_it_reads(tmp_path, eliminated, proved):
+    """A rerun at the same cap reads every rank worth caching, and every
+    certified rank, so no pivot set is derived: it eliminates only the
+    blocks too small to cache, each whole."""
     cap = 6
     first = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, cap)
-    _requested(first, cap, transposed)
+    _requested(first, cap, proved)
     warm = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, cap)
     eliminated.clear()
-    _requested(warm, cap, transposed)
+    _requested(warm, cap, proved)
     small = [k for k in range(1, cap + 1) if warm._ranked.block(k).entries
              and not worth_caching(warm._ranked.block(k).rows, warm._ranked.block(k).cols)]
-    assert eliminated == [(warm._ranked.block(k).nnz, transposed) for k in small]
+    assert eliminated == [warm._ranked.block(k).nnz for k in small]
+    assert not warm._pivots
 
 
 def test_threads_sharing_a_complex_get_the_oracle_ranks():
@@ -239,19 +222,15 @@ def test_threads_sharing_a_complex_get_the_oracle_ranks():
     race on its memos of ranks and pivot sets; a set two threads derive at
     once is only computed twice, so every rank is still exact."""
     complex_ = VerificationContext().complex("leibniz", "g", 1, 6)
-    expected = {
-        (k, transposed):
-            _oracle(complex_._ranked.block(k), transposed) + complex_._off_block_rank(k)
-        for k in range(1, 7) for transposed in (False, True)
-    }
+    expected = {k: _oracle(complex_, k) for k in range(1, 7)}
     got, errors = [], []
 
     def work(seed):
         try:
             shuffle = random.Random(seed).sample
-            for k, transposed in _requests(6, "shuffled", lambda p: shuffle(p, len(p))):
+            for k in _requests(6, "shuffled", lambda p: shuffle(p, len(p))):
                 if k:
-                    got.append(((k, transposed), _requested(complex_, k, transposed)))
+                    got.append((k, complex_.rank_d(k)))
         except Exception as error:  # reported below, with the thread's seed
             errors.append((seed, error))
 

@@ -38,9 +38,9 @@ def test_free_coordinates_match_the_stacked_blocks(request, family, n, theory):
         restricted = complex_.block(k)
         lifted = [complex_._free_words(k).lifts.apply(v) for v in kernel_basis(restricted)]
         assert lifted == kernel_basis(stacked), (complex_.name, k)
-        for transposed in (False, True):
-            expected = rank(stacked, transposed=transposed) - rank(pi, transposed=transposed)
-            assert rank(restricted, transposed=transposed) == expected, (complex_.name, k)
+        for orient in (lambda m: m, SparseMatrix.transpose):
+            expected = rank(orient(stacked)) - rank(orient(pi))
+            assert rank(orient(restricted)) == expected, (complex_.name, k)
 
 
 def test_the_lifts_of_the_free_words_span_the_kernel():

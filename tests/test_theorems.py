@@ -1,10 +1,14 @@
+import sys
+
 import pytest
 
 from affsymp.errors import DomainError
+from affsymp.homology import class_coordinates, homology_reps
 from affsymp.theorems import (
     CLAIM_DEFAULT_CAPS,
     CLAIM_IDS,
     CLAIM_MAX_N,
+    VerificationContext,
     bivector_exterior,
     bivector_exterior_reduced,
     claim_params,
@@ -66,6 +70,22 @@ class TestClaimsAtNOne:
             "lift-not-boundary": True,
             "lift-generates": True,
         }
+
+    def test_the_lift_generates_without_representatives(self, monkeypatch):
+        """The lift-generates row reads the Betti number and the two lift
+        rows above it; no representative is chosen, and no class solved."""
+
+        def refused(*args):
+            raise AssertionError("called by thm-4.3")
+
+        for original in (homology_reps, class_coordinates):
+            for module in [m for key, m in sys.modules.items() if key.startswith("affsymp")]:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, refused)
+        report = run_claim(VerificationContext(), "thm-4.3", 1, cap=2)
+        assert report.passed, report.to_text()
+        assert [r.computed for r in report.rows if r.part == "lift-generates"] == [1]
 
     def test_shifted_rel_rows(self, ctx):
         report = run_claim(ctx, "lemma-4.2", 1)

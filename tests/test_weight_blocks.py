@@ -1,8 +1,9 @@
 """Ranks from the Cartan weight-0 block against the full differentials.
 
 The full matrices, assembled over all words by ``full_oracle``, are the
-oracle: every block-derived ``rank_d`` and ``rank_d_transposed`` must equal
-the rank of the full d_k and of its transpose.  For the kernel complexes at
+oracle: every block-derived ``rank_d``, and the rank of the transpose of
+its block (``certificate_oracle.transposed_rank``), must equal the rank of
+the full d_k and of its transpose.  For the kernel complexes at
 n = 2 the oracle is the stacked full identity rank([d_k; pi_k]) - rank pi_k,
 which the n = 1 cases and ``test_chain_complexes`` tie to the explicit
 restriction.  The closed-form kernel dimensions, the membership tests and
@@ -39,7 +40,7 @@ from affsymp.lie_structures import (
 )
 
 import full_oracle
-from certificate_oracle import certified_rank
+from certificate_oracle import certified_rank, transposed_rank
 from full_oracle import full_block, full_d, full_projection, restricted_d
 
 
@@ -89,12 +90,12 @@ def _assert_blocks_match(complexes, explicit_kernels):
     for complex_ in complexes:
         graded += complex_.block_dims != complex_.dims
         for k in range(1, complex_.cap + 1):
-            for transposed in (False, True):
-                got = complex_.rank_d_transposed(k) if transposed else complex_.rank_d(k)
+            oracle = transposed_rank(complex_, k)
+            for transposed, got in ((False, complex_.rank_d(k)), (True, oracle)):
                 assert got == _full_rank(complex_, k, transposed, explicit_kernels), (
                     complex_.name, k, transposed,
                 )
-            assert certified_rank(complex_, k) == complex_.rank_d_transposed(k), (complex_.name, k)
+            assert certified_rank(complex_, k) == oracle, (complex_.name, k)
     # the gradings are real: every complex here has a proper weight-0 block
     assert graded == len(complexes)
 

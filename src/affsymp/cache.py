@@ -33,17 +33,18 @@ numbers.  A payload that is not canonical does not parse, even when its
 digest holds, and so reads as a miss.
 
 A rank record is one line, the value and the SHA-256 digest of (key,
-value), filed under its key (``rank_key``).  The key of a matrix ranked as
-it is is its fingerprint.  A block whose rank ``exact_linalg.certify_rank``
-has proved is recorded under ``descriptor_key("certified", key of the
-matrix)``; a warm run that reads it there checks nothing again.  A
-transposed matrix is never serialized: the key of the rank of a transpose
-is ``descriptor_key("transposed", key of the matrix)``, written only for a
-rank that no certificate pins (``ChainComplex.proved_rank_d``).  Records
-an older version filed under the fingerprint of a transpose, or under
-``descriptor_key("stacked", fingerprints)`` for the stacked [d; pi] of a
-kernel complex, are orphans that nothing reads, as are the transposed
-records it wrote for ranks now certified; ``clear`` removes them.
+value), filed under its key (``rank_key``).  A matrix has at most two: its
+rank under ``descriptor_key("certified", fingerprint)``, written only
+after ``exact_linalg.certify_rank`` has proved it, so a warm run never
+reads a rank that was not certified and checks nothing again; and the
+rank of its transpose under ``descriptor_key("transposed", fingerprint)``,
+written only for a rank that no certificate pins
+(``ChainComplex.proved_rank_d``), so no transpose is serialized.  Records
+an older version filed under the bare fingerprint of a matrix or of a
+transpose, or under ``descriptor_key("stacked", fingerprints)`` for the
+stacked [d; pi] of a kernel complex, are orphans that nothing reads, as
+are the transposed records it wrote for ranks now certified; ``clear``
+removes them.
 
 A record that cannot be read, does not parse, or differs by a single byte
 from the record its payload and digest would be written as reads as a
@@ -80,12 +81,11 @@ def worth_caching(rows: int, cols: int) -> bool:
     return min(rows, cols) > 1
 
 
-def rank_key(matrix: SparseMatrix, record: str = "") -> str:
+def rank_key(matrix: SparseMatrix, record: str) -> str:
     """The key of a rank record of ``matrix`` from its fingerprint: of its
-    rank, or of the rank of its transpose (``record`` "transposed"), or of
-    its certified rank (``record`` "certified")."""
-    key = matrix.fingerprint()
-    return descriptor_key(record, key) if record else key
+    certified rank (``record`` "certified") or of the rank of its transpose
+    ("transposed")."""
+    return descriptor_key(record, matrix.fingerprint())
 
 
 def _rank_record(key: str, value: int) -> str:

@@ -75,12 +75,13 @@ called without a memo gets ``BlockMemo()``: no cache, the default cap.
 The rank runs from the bottom up, and clears a block with the pivots of
 the elimination one degree below (``_pivot_pairs``); each set of pivot
 pairs is computed once, also below a degree whose rank was read from the
-cache.  ``proved_rank_d`` proves the rank it computed: a certificate mod p
-on its pivot pairs bounds it below (``exact_linalg.certify_rank``), and
-the d o d bound above wherever a Betti number next to it is 0.  A rank
-that nothing pins is taken from the transpose of its block instead, formed
-without the rows that the certified pivots below it clear; that is the one
-transposed elimination.  Only assembled blocks and ranks go to disk.
+cache.  Each rank is certified where it is computed: a certificate mod p
+on its pivot pairs bounds it below (``exact_linalg.certify_rank``) before
+it is returned or recorded.  ``proved_rank_d`` adds the d o d bound above,
+wherever a Betti number next to it is 0.  A rank that nothing pins is
+taken from the transpose of its block instead, formed without the rows
+that the certified pivots below it clear; that is the one transposed
+elimination.  Only assembled blocks and ranks go to disk.
 
 The two kernel complexes (``KernelComplex``) are complexes like the others
 in the free words of their projections pi_m (``_FreeWords``), which also
@@ -265,20 +266,20 @@ class BlockMemo:
             self._blocks[digest] = got
         return got
 
-    def rank(self, block: SparseMatrix, record: str, compute, expected: int | None = None) -> int:
-        """``compute()``, the rank of ``block`` (``record`` ""), of its
-        transpose ("transposed"), or ``expected`` once a certificate proves
-        it ("certified"), through the cache when there is one and the block
-        is worth caching (``cache.worth_caching``), under the key
-        ``cache.rank_key`` derives from its fingerprint and ``record``.  A
-        recorded value that cannot be a rank of this shape, or is not the
-        ``expected`` one, counts as a miss, and is recomputed and
+    def rank(self, block: SparseMatrix, record: str, compute) -> int:
+        """``compute()``, the rank of ``block`` once its certificate passed
+        (``record`` "certified") or that of its transpose ("transposed"),
+        through the cache when there is one and the block is worth caching
+        (``cache.worth_caching``), under the key ``cache.rank_key`` derives
+        from its fingerprint and ``record``.  A value is written only once
+        ``compute()`` has returned it.  A recorded value that cannot be a
+        rank of this shape counts as a miss, and is recomputed and
         rewritten."""
         if self.cache is None or not worth_caching(block.rows, block.cols):
             return compute()
         key = rank_key(block, record)
         hit = self.cache.get_rank(key)
-        if hit is not None and 0 <= hit <= min(block.rows, block.cols) and expected in (None, hit):
+        if hit is not None and 0 <= hit <= min(block.rows, block.cols):
             return hit
         value = compute()
         self.cache.put_rank(key, value)
@@ -334,7 +335,6 @@ class ChainComplex:
         self._ranked = self._diffs.ranked
         self._ranks: dict[int, int] = {}
         self._ranks_proved: dict[int, int] = {}
-        self._certified = {0}  # degrees, with 0, which has no differential
         self._pivots: dict[int, dict[int, int]] = {}  # degree -> ``_pivot_pairs``
         blocks = [self._ranked.block(k) for k in range(1, cap + 1)]
         if self._diffs.graded and blocks:
@@ -403,23 +403,19 @@ class ChainComplex:
         )
 
     def proved_rank_d(self, k: int) -> int:
-        """rank d_k, proved: ``rank_d`` where the d o d bound pins it
-        (``exact_linalg.pinning_degrees``) and the certificates it names
-        pass (``_certify``), or where the block has no entries; otherwise
-        the rank of the transpose of the block of degree k alone, formed
-        without the rows that the certified pivot columns of degree k - 1
-        prove dependent and eliminated on its own, under the "transposed"
-        rank record of the block."""
+        """rank d_k, proved: ``rank_d``, each of whose ranks is certified
+        from below, where the d o d bound pins it from above
+        (``exact_linalg.pinning_degrees``) or the block has no entries;
+        otherwise the rank of the transpose of the block of degree k alone,
+        formed without the rows that the certified pivot columns of degree
+        k - 1 prove dependent and eliminated on its own, under the
+        "transposed" rank record of the block."""
         def prove() -> int:
             block = self._ranked.block(k)
-            degrees = pinning_degrees(k, self._block_rank_of, self.block_dims)
-            for j in degrees:
-                self._certify(j)
-            if degrees or not block.entries:
+            if pinning_degrees(k, self._block_rank_of, self.block_dims) or not block.entries:
                 return self.rank_d(k)
 
             def transposed() -> int:
-                self._certify(k - 1)
                 clear = self._pivot_pairs(k - 1) if k > 1 else ()
                 cleared = SparseMatrix._of(block.cols, block.rows, {
                     (c, r): v for (r, c), v in block.entries.items() if r not in clear
@@ -433,29 +429,21 @@ class ChainComplex:
     def _block_rank_of(self, k: int) -> int:
         return self.rank_d(k) - self._off_block_rank(k)
 
-    def _certify(self, k: int) -> None:
-        """Prove, once, that the ranked block of degree k has rank at least
-        the computed one (``exact_linalg.certify_rank`` on its pivot pairs),
-        through its certified record (``BlockMemo.rank``)."""
-        if k not in self._certified:
-            block, value = self._ranked.block(k), self._block_rank_of(k)
-            if block.entries and value != self.blocks.rank(
-                block, "certified", lambda: certify_rank(block, self._pivot_pairs(k)), value
-            ):
-                raise ConsistencyError(f"{self.name}: no certificate for rank d_{k} = {value}")
-            self._certified.add(k)
-
     def _block_rank(self, k: int) -> int:
-        """rank of the ranked block of degree k.  Degree k - 1 is ranked
-        first, so the rank records are written from the bottom up.  The
-        rank goes through the rank records of the memo
+        """rank of the ranked block of degree k, certified.  Degree k - 1
+        is ranked first, so the rank records are written from the bottom
+        up.  The rank goes through the certified rank records of the memo
         (``BlockMemo.rank``); on a miss it is the size of
-        ``_pivot_pairs(k)``."""
+        ``_pivot_pairs(k)`` once ``exact_linalg.certify_rank`` has proved
+        them the pivots of a nonsingular minor, which raises
+        ``ConsistencyError`` when it cannot."""
         self.rank_d(k - 1)
         block = self._ranked.block(k)
         if not block.entries:
             return 0
-        return self.blocks.rank(block, "", lambda: len(self._pivot_pairs(k)))
+        return self.blocks.rank(
+            block, "certified", lambda: certify_rank(block, self._pivot_pairs(k))
+        )
 
     def _pivot_pairs(self, k: int) -> dict[int, int]:
         """The {pivot column: pivot row} pairs of the ranked block of degree
@@ -466,11 +454,11 @@ class ChainComplex:
         of degree k - 1: as ``block(k - 1) @ block(k) = 0`` (checked at
         build time), the rows of the block of degree k indexed by them are
         combinations of the others, so they are dropped and the rank is
-        unchanged.  Each set is memoized, so no block is eliminated twice;
-        the pairs at the cap are kept for ``_certify``.  A block with at
-        most one row or column, whose rank is never cached, is eliminated
-        whole: clearing it saves next to nothing, and on a warm run deriving
-        the pairs below it would eliminate a block whose rank was read."""
+        unchanged.  Each set is memoized, so no block is eliminated twice.
+        A block with at most one row or column, whose rank is never cached,
+        is eliminated whole: clearing it saves next to nothing, and on a
+        warm run deriving the pairs below it would eliminate a block whose
+        rank was read."""
         got = self._pivots.get(k)
         if got is None:
             got = {}

@@ -737,9 +737,7 @@ def rank(
 CERTIFICATE_PRIMES = (2**31 - 1, 2**31 - 19, 2**31 - 61)
 
 
-def certify_rank(
-    m: SparseMatrix, pivots: Mapping[int, int], primes: Iterable[int] = CERTIFICATE_PRIMES
-) -> int:
+def certify_rank(m: SparseMatrix, pivots: Mapping[int, int]) -> int:
     """Prove that m has rank at least ``len(pivots)``, and return it, given
     {pivot column: pivot row} pairs in pivot order (from ``rank``).
 
@@ -748,16 +746,17 @@ def certify_rank(
     nonzero mod p, the determinant of the submatrix is nonzero mod p, so it
     is not 0 over the rationals and the rank of m is at least its size.  A
     prime that divides a denominator of the submatrix or a pivot entry
-    proves nothing, and the next one is tried; ``ConsistencyError`` when
-    none is left.  So the check can fail spuriously, never pass wrongly.
-    A submatrix of m without the rows ``rank`` cleared is one of m."""
+    proves nothing, and the next of ``CERTIFICATE_PRIMES`` is tried;
+    ``ConsistencyError`` when none is left.  So the check can fail
+    spuriously, never pass wrongly.  A submatrix of m without the rows
+    ``rank`` cleared is one of m."""
     columns = set(pivots)
     minor: dict[int, dict[int, int | Rational]] = {r: {} for r in pivots.values()}
     for (r, c), v in m.entries.items():
         if c in columns and r in minor:
             minor[r][c] = v
     order = list(pivots.items())
-    if any(_full_rank_mod(minor, order, p) for p in primes):
+    if any(_full_rank_mod(minor, order, p) for p in CERTIFICATE_PRIMES):
         return len(order)
     raise ConsistencyError(f"no prime proves the {len(order)} pivots of a {m.rows}x{m.cols} matrix")
 

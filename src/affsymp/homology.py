@@ -53,12 +53,13 @@ def betti_is_exact(complex_: ChainComplex, k: int) -> bool:
 def cobetti(complex_: ChainComplex, k: int) -> int:
     """Betti number of the transposed differentials, from proved ranks
     (``ChainComplex.proved_rank_d``).  The true rank of a block is at least
-    its computed rank once the pivot minor is certified nonsingular mod p,
-    and at most that rank where d o d = 0 (checked exactly) leaves no room:
-    next to a computed Betti number 0, or at full rank.  So where both
-    ranks are pinned, cobetti equals betti by proof; a rank that nothing
-    pins is that of the transpose of its block, formed and eliminated on
-    its own.  At the cap the value is an upper bound only."""
+    its computed rank, whose pivot minor was certified nonsingular mod p
+    when it was computed, and at most that rank where d o d = 0 (checked
+    exactly) leaves no room: next to a computed Betti number 0, or at full
+    rank.  So where both ranks are pinned, cobetti equals betti by proof; a
+    rank that nothing pins is that of the transpose of its block, formed
+    and eliminated on its own.  At the cap the value is an upper bound
+    only."""
     complex_.check_degree(k)
     kernel_dim = complex_.dim(k) - complex_.proved_rank_d(k)
     if k == complex_.cap:

@@ -6,9 +6,8 @@ from affsymp.exact_linalg import rank
 
 
 def certified_rank(complex_, k):
-    """rank d_k once the certificate of its ranked block has passed; a
-    failing certificate raises ``ConsistencyError``."""
-    complex_._certify(k)
+    """rank d_k, which passes the certificate of its ranked block as it is
+    computed; a failing certificate raises ``ConsistencyError``."""
     return complex_.rank_d(k)
 
 

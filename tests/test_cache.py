@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affsymp.cache import DiffCache, descriptor_key
+from affsymp.cache import DiffCache, descriptor_key, rank_key
 from affsymp.chain_complexes import BlockMemo
 from affsymp.exact_linalg import QVector, Rational, SparseMatrix
 
@@ -95,16 +95,16 @@ def test_complex_reuses_cached_rank(tmp_path):
     # path is active
     block = first._ranked.block(3)
     assert (block.rows, block.cols) == (2, 3) and rank(block) == 2
-    fp = block.fingerprint()
-    assert cache.get_rank(fp) == 2
-    cache.put_rank(fp, 1)
+    key = rank_key(block, "certified")
+    assert cache.get_rank(key) == 2
+    cache.put_rank(key, 1)
     second = leibniz_complex(sp, 3, blocks=BlockMemo(cache))
     assert second.rank_d(3) == 5
     # a value no 2x3 matrix can have is a miss: recomputed and rewritten
-    cache.put_rank(fp, 99)
+    cache.put_rank(key, 99)
     third = leibniz_complex(sp, 3, blocks=BlockMemo(cache))
     assert third.rank_d(3) == 6
-    assert cache.get_rank(fp) == 2
+    assert cache.get_rank(key) == 2
 
 
 def test_tiny_blocks_bypass_the_cache(tmp_path):
@@ -123,7 +123,7 @@ def test_tiny_blocks_bypass_the_cache(tmp_path):
     assert cache.stats()["rank"]["files"] == 0
     records = [cache.get_matrix("diff", f.stem) for f in (tmp_path / "diff").glob("*.mtx")]
     assert records and all(min(m.rows, m.cols) > 1 for m in records)
-    cache.put_rank(block.fingerprint(), 0)
+    cache.put_rank(rank_key(block, "certified"), 0)
     assert cr_complex(sp, 1, blocks=BlockMemo(cache)).rank_d(1) == 5
 
 
@@ -345,18 +345,18 @@ def test_a_reordered_record_is_rebuilt_and_rewritten_canonical(filled_cache, tmp
 
 def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, monkeypatch):
     """A cold n = 1 verify writes no record of a matrix with at most one row
-    or column; a warm rerun reads every record it looks up, the certified
-    ranks of thm-4.3 among them, writes none, leaves the directory
+    or column, and each rank record it writes is a certified one; a warm
+    rerun reads every record it looks up, writes none, leaves the directory
     byte-identical and eliminates only the matrices too small to cache."""
     import affsymp.chain_complexes as chain_complexes
     from affsymp.theorems import VerificationContext, run_all
 
     shapes = {}
     certified = set()
-    rank_key = chain_complexes.rank_key
+    original_key = chain_complexes.rank_key
 
-    def recorded(matrix, record=""):
-        key = rank_key(matrix, record)
+    def recorded(matrix, record):
+        key = original_key(matrix, record)
         shapes[key] = (matrix.rows, matrix.cols)
         if record == "certified":
             certified.add(key)
@@ -374,7 +374,7 @@ def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, 
     for name in ranks:
         assert min(shapes[name[len("rank/"):-len(".txt")]]) > 1, name
 
-    assert certified and {f"rank/{key}.txt" for key in certified} <= set(ranks)
+    assert {f"rank/{key}.txt" for key in certified} == set(ranks)
     calls = []
     read = set()
     for method in ("get_matrix", "get_rank", "put_matrix", "put_rank"):

@@ -99,7 +99,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb
 
-from .cache import DiffCache, descriptor_key, rank_key, worth_caching
+from .cache import SMALL_BLOCK, DiffCache, descriptor_key, rank_key, worth_caching
 from .errors import ConsistencyError, DegreeRangeError, DomainError
 from .exact_linalg import (
     QVector,
@@ -271,7 +271,9 @@ class BlockMemo:
         (``record`` "certified") or that of its transpose ("transposed"),
         through the cache when there is one and the block is worth caching
         (``cache.worth_caching``), under the key ``cache.rank_key`` derives
-        from its fingerprint and ``record``.  A value is written only once
+        from its fingerprint and ``record``; a block with at most
+        ``cache.SMALL_BLOCK`` rows or columns is computed every time, as
+        its block has no record either.  A value is written only once
         ``compute()`` has returned it.  A recorded value that cannot be a
         rank of this shape counts as a miss, and is recomputed and
         rewritten."""
@@ -455,10 +457,11 @@ class ChainComplex:
         build time), the rows of the block of degree k indexed by them are
         combinations of the others, so they are dropped and the rank is
         unchanged.  Each set is memoized, so no block is eliminated twice.
-        A block with at most one row or column, whose rank is never cached,
-        is eliminated whole: clearing it saves next to nothing, and on a
-        warm run deriving the pairs below it would eliminate a block whose
-        rank was read."""
+        A block with at most ``cache.SMALL_BLOCK`` rows or columns, whose
+        rank is never cached (``cache.worth_caching``), is eliminated
+        whole: clearing it saves next to nothing, and on a warm run
+        deriving the pairs below it would eliminate a block whose rank was
+        read."""
         got = self._pivots.get(k)
         if got is None:
             got = {}
@@ -497,6 +500,8 @@ class ChainComplex:
 
 
 def _longest_bracket(algebra: LieAlgebra) -> int:
+    """The most terms of one bracket, read once per algebra through
+    ``LieAlgebra.derived`` by the estimates."""
     return max(map(len, algebra.brackets.values()), default=1)
 
 
@@ -560,7 +565,7 @@ def _wedge_table(algebra: LieAlgebra) -> list:
 
 
 def _estimate_ce(algebra: LieAlgebra, k: int) -> int:
-    return wedge_dim(algebra.dim, k) * comb(k, 2) * _longest_bracket(algebra)
+    return wedge_dim(algebra.dim, k) * comb(k, 2) * algebra.derived(_longest_bracket)
 
 
 def ce_d(
@@ -577,7 +582,7 @@ def ce_d(
 
 
 def _estimate_leibniz(algebra: LieAlgebra, k: int) -> int:
-    return tensor_dim(algebra.dim, k) * comb(k, 2) * _longest_bracket(algebra)
+    return tensor_dim(algebra.dim, k) * comb(k, 2) * algebra.derived(_longest_bracket)
 
 
 def leibniz_d(
@@ -624,14 +629,19 @@ def leibniz_d(
     )
 
 
-def _longest_column(m: SparseMatrix) -> int:
-    return max(Counter(c for _, c in m.entries).values(), default=0)
+def _longest_action(module: LieModule) -> int:
+    """The most entries of one column of an action matrix, at least 1,
+    read once per module through ``LieModule.derived`` by the estimates."""
+    return max((1, *(
+        max(Counter(c for _, c in action.entries).values(), default=0)
+        for action in module.actions
+    )))
 
 
 def _estimate_coeff(module: LieModule, k: int) -> int:
-    action_longest = max((1, *map(_longest_column, module.actions)))
     return module.dim * wedge_dim(module.algebra.dim, k) * (
-        k * action_longest + comb(k, 2) * _longest_bracket(module.algebra)
+        k * module.derived(_longest_action)
+        + comb(k, 2) * module.algebra.derived(_longest_bracket)
     )
 
 
@@ -760,10 +770,12 @@ def _family(
     of key + (degree, "weight", the total, the letter weights), or key +
     (degree, "weyl", the group, the letter weights) on orbit sums, so a
     change of grading or of group is a miss.  When the memo has a cache, a
-    block worth caching by its word (or orbit) counts also goes through the
-    disk under that digest.  The counts stop at 2, but they list the words
-    of both degrees first (and find the first two orbits of each), also for
-    a block that is then read back.  A family that does not ``persist``,
+    block worth caching by its word (or orbit) counts
+    (``cache.worth_caching``) also goes through the disk under that
+    digest, so a warm run looks up exactly the blocks a cold run wrote.
+    The counts stop at ``cache.SMALL_BLOCK`` + 1, but they list the words
+    of both degrees first (and find the first orbits of each), also for a
+    block that is then read back.  A family that does not ``persist``,
     such as a projection, never reads or writes the disk."""
     words, orbits = blocks.words(algebra, module), blocks.orbits(algebra, module)
     grading = (words.letter_weights, words.module_weights)
@@ -775,7 +787,8 @@ def _family(
             descriptor_key(*key, degree, *label, *grading),
             lambda: assemble(degree, chosen),
             persist and blocks.cache is not None and worth_caching(
-                chosen.count(kind, degree - 1, 2), chosen.count(kind, degree, 2)
+                chosen.count(kind, degree - 1, SMALL_BLOCK + 1),
+                chosen.count(kind, degree, SMALL_BLOCK + 1),
             ),
         )
 

@@ -4,8 +4,11 @@ tables that drive every graded prediction downstream.
 
 For a module M over an algebra g, the invariants are
 M^g = {m : [m, X] = 0 for all X in g}, computed as the kernel of the row
-stack of all action matrices; the tables take only its dimension, the
-dimension of M less the rank of that stack.  Over the symplectic algebra
+stack of all action matrices.  The tables take only its dimension: an
+invariant is killed by the grading elements, which act diagonally
+(``lie_structures.cartan_weights``), so it has weight 0, and the
+dimension is the number of weight-0 module letters less the rank of that
+stack on their columns alone.  Over the symplectic algebra
 the expected answers are exterior powers of
 
     omega_n = sum_i dx^i ^ dy^i     (constants-field indices (i, n+i)),
@@ -24,6 +27,7 @@ from .exact_linalg import (
     QVector,
     Rational,
     SparseMatrix,
+    check_entry_budget,
     kernel_basis,
     rank,
     solve,
@@ -36,6 +40,7 @@ from .lie_structures import (
     adjoint_module,
     build_g,
     build_sp,
+    cartan_weights,
     exterior_power_module,
     restriction_module,
     submodule,
@@ -60,11 +65,23 @@ class InvariantBasis:
         return solve(matrix, vec, entry_cap) is not None
 
 
-def _stacked_actions(module: LieModule) -> SparseMatrix:
-    """The action matrices stacked, whose kernel is the invariant space."""
+def _stacked_actions(module: LieModule, columns: dict[int, int] | None = None) -> SparseMatrix:
+    """The action matrices stacked, whose kernel is the invariant space;
+    given ``columns``, {module letter: column}, only the columns of those
+    letters, placed as it says."""
     if not module.actions:
         raise DomainError("module has no acting algebra elements")
-    return stack_rows(list(module.actions))
+    if columns is None:
+        return stack_rows(list(module.actions))
+    entries = {}
+    for offset, action in enumerate(module.actions):
+        offset *= module.dim
+        for (r, c), v in action.entries.items():
+            col = columns.get(c)
+            if col is not None:
+                entries[(offset + r, col)] = v
+    check_entry_budget(len(entries))
+    return SparseMatrix._of(len(module.actions) * module.dim, len(columns), entries)
 
 
 def invariant_subspace(module: LieModule, entry_cap: int | None = None) -> InvariantBasis:
@@ -77,12 +94,17 @@ def invariant_subspace(module: LieModule, entry_cap: int | None = None) -> Invar
 
 
 def invariant_dim(module: LieModule, entry_cap: int | None = None) -> int:
-    """dim of the invariant subspace, ``module.dim`` less the rank of the
-    stacked actions; no basis is formed.  Elimination fill-in is held to
-    ``entry_cap``."""
+    """dim of the invariant subspace, the number of weight-0 module letters
+    less the rank of the stacked actions on their columns; no basis is
+    formed.  A grading element h acts on each letter by its weight under
+    h, so an invariant has no letter of nonzero weight.  Elimination
+    fill-in is held to ``entry_cap``."""
     if module.dim == 0:
         return 0
-    return module.dim - rank(_stacked_actions(module), entry_cap)
+    _, weights = cartan_weights(module.algebra, module)
+    zero = [m for m, weight in enumerate(weights) if not any(weight)]
+    columns = dict(zip(zero, range(len(zero))))
+    return len(zero) - rank(_stacked_actions(module, columns), entry_cap)
 
 
 # ---------------------------------------------------------------------------

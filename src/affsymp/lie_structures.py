@@ -271,7 +271,7 @@ class LieModule:
     here; the module constructors below derive theirs through ``_of``.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "weyl", "_fingerprint")
+    __slots__ = ("algebra", "dim", "actions", "weyl", "_derived", "_fingerprint")
 
     def __init__(self, algebra: LieAlgebra, dim: int, actions: tuple[SparseMatrix, ...]):
         if len(actions) != algebra.dim:
@@ -309,7 +309,17 @@ class LieModule:
         # the module-letter actions of W~'s generators, for the modules
         # derived from an algebra with ``weyl``; see ``module_weyl``
         self.weyl: tuple[SignedPerm, ...] | None = weyl
+        self._derived: dict = {}
         self._fingerprint: str | None = None
+
+    def derived(self, make):
+        """``make(self)``, made on the first call with this ``make`` and
+        kept with the module, as ``LieAlgebra.derived`` keeps the tables
+        read off an algebra's constants."""
+        got = self._derived.get(make)
+        if got is None:
+            got = self._derived[make] = make(self)
+        return got
 
     def validate(self) -> ValidationReport:
         failures = []

@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affsymp.cache import DiffCache, descriptor_key, rank_key
+from affsymp.cache import SMALL_BLOCK, DiffCache, descriptor_key, rank_key, worth_caching
 from affsymp.chain_complexes import BlockMemo
 from affsymp.exact_linalg import QVector, Rational, SparseMatrix
 
@@ -46,9 +46,10 @@ def test_basis_convention_bump_misses(tmp_path, monkeypatch):
     from affsymp.chain_complexes import leibniz_complex
     from affsymp.lie_structures import build_sp
 
+    # on orbit sums d_5 (10 x 25) is the one block worth a record
     sp = build_sp(1)
     cache = DiffCache(tmp_path)
-    leibniz_complex(sp, 3, blocks=BlockMemo(cache))
+    leibniz_complex(sp, 5, blocks=BlockMemo(cache))
     written = cache.stats()["diff"]["files"]
     assert written > 0
     lookups = []
@@ -60,11 +61,11 @@ def test_basis_convention_bump_misses(tmp_path, monkeypatch):
         return got
 
     monkeypatch.setattr(DiffCache, "get_matrix", counted)
-    leibniz_complex(sp, 3, blocks=BlockMemo(cache))
+    leibniz_complex(sp, 5, blocks=BlockMemo(cache))
     assert lookups and all(lookups)
     monkeypatch.setattr(cache_module, "BASIS_CONVENTION", cache_module.BASIS_CONVENTION + 1)
     lookups.clear()
-    leibniz_complex(sp, 3, blocks=BlockMemo(cache))
+    leibniz_complex(sp, 5, blocks=BlockMemo(cache))
     assert lookups and not any(lookups)
     assert cache.stats()["diff"]["files"] == 2 * written
 
@@ -87,44 +88,70 @@ def test_complex_reuses_cached_rank(tmp_path):
 
     sp = build_sp(1)
     cache = DiffCache(tmp_path)
-    first = leibniz_complex(sp, 3, blocks=BlockMemo(cache))
-    assert first.rank_d(3) == 6
-    # rank_d(3) is the rank of the 2x3 block on orbit sums, 2, plus 4 off
-    # the block.  Poison the block's cached rank with a wrong but possible
-    # value; a fresh complex must read it back verbatim, proving the lookup
-    # path is active
-    block = first._ranked.block(3)
-    assert (block.rows, block.cols) == (2, 3) and rank(block) == 2
+    first = leibniz_complex(sp, 5, blocks=BlockMemo(cache))
+    assert first.rank_d(5) == 60
+    # rank_d(5) is the rank of the 10x25 block on orbit sums, 9, plus 51
+    # off the block.  Poison the block's cached rank with a wrong but
+    # possible value; a fresh complex must read it back verbatim, proving
+    # the lookup path is active
+    block = first._ranked.block(5)
+    assert (block.rows, block.cols) == (10, 25) and rank(block) == 9
     key = rank_key(block, "certified")
-    assert cache.get_rank(key) == 2
-    cache.put_rank(key, 1)
-    second = leibniz_complex(sp, 3, blocks=BlockMemo(cache))
-    assert second.rank_d(3) == 5
-    # a value no 2x3 matrix can have is a miss: recomputed and rewritten
+    assert cache.get_rank(key) == 9
+    cache.put_rank(key, 8)
+    second = leibniz_complex(sp, 5, blocks=BlockMemo(cache))
+    assert second.rank_d(5) == 59
+    # a value no 10x25 matrix can have is a miss: recomputed and rewritten
     cache.put_rank(key, 99)
-    third = leibniz_complex(sp, 3, blocks=BlockMemo(cache))
-    assert third.rank_d(3) == 6
-    assert cache.get_rank(key) == 2
+    third = leibniz_complex(sp, 5, blocks=BlockMemo(cache))
+    assert third.rank_d(5) == 60
+    assert cache.get_rank(key) == 9
 
 
 def test_tiny_blocks_bypass_the_cache(tmp_path):
-    """A block with at most one row or column is rebuilt and reranked, never
-    read or written: a poisoned record of one is not believed.  On orbit
-    sums, d_1 of cr(sp_1) is 2 x 1; its ambient block is worth a record."""
-    from affsymp.chain_complexes import cr_complex
-    from affsymp.lie_structures import build_sp
+    """A block with at most ``SMALL_BLOCK`` rows or columns is rebuilt and
+    reranked, never read or written: a poisoned record of one is not
+    believed.  On orbit sums, Leibniz d_3 of g_1 is 3 x 9; d_4 (9 x 43) is
+    worth a record."""
+    from affsymp.chain_complexes import leibniz_complex
+    from affsymp.lie_structures import build_g
 
-    sp = build_sp(1)
+    g, _ = build_g(1)
     cache = DiffCache(tmp_path)
-    first = cr_complex(sp, 1, blocks=BlockMemo(cache))
-    assert first.rank_d(1) == 5
-    block = first._ranked.block(1)
-    assert (block.rows, block.cols) == (2, 1) and block.entries
-    assert cache.stats()["rank"]["files"] == 0
+    first = leibniz_complex(g, 4, blocks=BlockMemo(cache))
+    assert first.rank_d(4) == 106 and first.rank_d(3) == 19
+    block = first._ranked.block(3)
+    assert (block.rows, block.cols) == (3, 9) and block.entries
+    top = first._ranked.block(4)
+    assert [f.stem for f in (tmp_path / "rank").glob("*.txt")] == [rank_key(top, "certified")]
     records = [cache.get_matrix("diff", f.stem) for f in (tmp_path / "diff").glob("*.mtx")]
-    assert records and all(min(m.rows, m.cols) > 1 for m in records)
+    assert records and all(worth_caching(m.rows, m.cols) for m in records)
     cache.put_rank(rank_key(block, "certified"), 0)
-    assert cr_complex(sp, 1, blocks=BlockMemo(cache)).rank_d(1) == 5
+    assert leibniz_complex(g, 4, blocks=BlockMemo(cache)).rank_d(3) == 19
+
+
+def test_records_start_one_above_small_block(tmp_path):
+    """Of g_2's blocks on orbit sums, Leibniz d_3 (4 x 18) has smaller side
+    ``SMALL_BLOCK`` and gets no record, while Lie d_5 (5 x 12) gets its
+    block and its certified rank recorded."""
+    from affsymp.chain_complexes import ce_complex, leibniz_complex
+    from affsymp.lie_structures import build_g
+
+    assert SMALL_BLOCK == 4
+    assert not worth_caching(SMALL_BLOCK, 100) and not worth_caching(100, SMALL_BLOCK)
+    assert worth_caching(SMALL_BLOCK + 1, SMALL_BLOCK + 1)
+    g, _ = build_g(2)
+    cache = DiffCache(tmp_path)
+    below = leibniz_complex(g, 3, blocks=BlockMemo(cache))
+    block = below._ranked.block(3)
+    assert (block.rows, block.cols) == (4, 18) and below.rank_d(3)
+    assert _records(tmp_path) == {}
+    above = ce_complex(g, 5, blocks=BlockMemo(cache))
+    block = above._ranked.block(5)
+    assert (block.rows, block.cols) == (5, 12) and above.rank_d(5)
+    [diff] = (tmp_path / "diff").glob("*.mtx")
+    assert cache.get_matrix("diff", diff.stem) == block
+    assert [f.stem for f in (tmp_path / "rank").glob("*.txt")] == [rank_key(block, "certified")]
 
 
 def test_malformed_rank_records_miss(tmp_path):
@@ -343,11 +370,13 @@ def test_a_reordered_record_is_rebuilt_and_rewritten_canonical(filled_cache, tmp
     assert _records(tmp_path) == records
 
 
-def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, monkeypatch):
-    """A cold n = 1 verify writes no record of a matrix with at most one row
-    or column, and each rank record it writes is a certified one; a warm
-    rerun reads every record it looks up, writes none, leaves the directory
-    byte-identical and eliminates only the matrices too small to cache."""
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, monkeypatch, n):
+    """A cold verify writes no record of a matrix with at most
+    ``SMALL_BLOCK`` rows or columns, and each rank record it writes is a
+    certified one; a warm rerun reads every record it looks up, writes
+    none, leaves the directory byte-identical and eliminates only the
+    matrices too small to cache."""
     import affsymp.chain_complexes as chain_complexes
     from affsymp.theorems import VerificationContext, run_all
 
@@ -363,16 +392,16 @@ def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, 
         return key
 
     monkeypatch.setattr(chain_complexes, "rank_key", recorded)
-    assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), 1))
+    assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), n))
     cold = _records(tmp_path)
     diffs = [name for name in cold if name.startswith("diff/")]
     ranks = [name for name in cold if name.startswith("rank/")]
     assert diffs and ranks
     for name in diffs:
         rows, cols, _ = cold[name].split(b"\n")[1].split()
-        assert min(int(rows), int(cols)) > 1, name
+        assert worth_caching(int(rows), int(cols)), name
     for name in ranks:
-        assert min(shapes[name[len("rank/"):-len(".txt")]]) > 1, name
+        assert worth_caching(*shapes[name[len("rank/"):-len(".txt")]]), name
 
     assert {f"rank/{key}.txt" for key in certified} == set(ranks)
     calls = []
@@ -393,9 +422,9 @@ def test_verify_caches_no_tiny_block_and_a_warm_rerun_changes_nothing(tmp_path, 
         return rank(m, *args, **kwargs)
 
     monkeypatch.setattr(chain_complexes, "rank", counted)
-    assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), 1))
+    assert all(r.passed for r in run_all(VerificationContext(cache=DiffCache(tmp_path)), n))
     assert calls and {method for method, _ in calls} == {"get_matrix", "get_rank"}
     assert not any(missed for _, missed in calls)
     assert certified <= read
     assert _records(tmp_path) == cold
-    assert eliminated and all(min(shape) <= 1 for shape in eliminated)
+    assert eliminated and not any(worth_caching(*shape) for shape in eliminated)

@@ -142,8 +142,10 @@ def test_an_unpinned_rank_is_the_transposed_rank_of_its_block_alone(tmp_path, mo
     """At an even cap at most 2n, b_cap = 1 sits below the built degree
     cap + 1, so no computed Betti number 0 pins d_(cap+1): cobetti ranks
     that block transposed, and no other; every forward rank through
-    d_(cap+1) is certified once.  A warm rerun reads that rank and
-    eliminates no block worth caching."""
+    d_(cap+1) is certified once.  A warm rerun eliminates no block worth
+    caching: it reads that rank where the block is worth caching
+    (196 x 2075 at n = 2), and ranks the transpose again where it is not
+    (3 x 9 at n = 1)."""
     seen = _transposed_shapes(monkeypatch)
     certified = _certificates(monkeypatch)
     ctx = VerificationContext(cache=DiffCache(tmp_path), entry_cap=10**9)
@@ -160,13 +162,15 @@ def test_an_unpinned_rank_is_the_transposed_rank_of_its_block_alone(tmp_path, mo
     original = chain_complexes.rank
 
     def counted(m, *args, **kwargs):
-        eliminated.append(min(m.rows, m.cols))
+        eliminated.append((m.rows, m.cols))
         return original(m, *args, **kwargs)
 
     monkeypatch.setattr(chain_complexes, "rank", counted)
+    seen.clear()
     warm = VerificationContext(cache=DiffCache(tmp_path), entry_cap=10**9)
     assert CLAIM_RUNNERS["thm-4.3"](warm, n, cap=cap).passed
-    assert all(size <= 1 for size in eliminated)
+    assert eliminated and not any(worth_caching(*shape) for shape in eliminated)
+    assert seen == ([] if worth_caching(top.rows, top.cols) else [(top.rows, top.cols)])
 
 
 def test_the_fallback_is_independent_of_the_forward_rank():
@@ -205,18 +209,24 @@ def test_at_the_benchmark_caps_every_rank_cobetti_reads_is_certified_and_pinned(
 
 
 def test_a_warm_run_reads_the_certificate_and_checks_nothing(tmp_path, monkeypatch):
+    """A warm rerun reads the certified rank of every block worth caching
+    and checks no certificate of one; it certifies only the blocks too
+    small to cache, which it ranks again."""
     ctx = VerificationContext(cache=DiffCache(tmp_path))
     assert CLAIM_RUNNERS["thm-4.3"](ctx, 1, cap=5).passed
     certified = []
+    original = chain_complexes.certify_rank
 
     def refused(m, pivots):
-        certified.append(m.fingerprint())
-        raise AssertionError("certificate checked again")
+        certified.append((m.rows, m.cols))
+        if worth_caching(m.rows, m.cols):
+            raise AssertionError("certificate checked again")
+        return original(m, pivots)
 
     monkeypatch.setattr(chain_complexes, "certify_rank", refused)
     warm = VerificationContext(cache=DiffCache(tmp_path))
     assert CLAIM_RUNNERS["thm-4.3"](warm, 1, cap=5).passed
-    assert certified == []
+    assert certified == [(3, 9)]
 
 
 @pytest.mark.parametrize("n", [1, 2])

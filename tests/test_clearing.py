@@ -201,36 +201,39 @@ def test_leibniz_d6_of_g1_is_cleared(eliminated, proved):
 
 @pytest.mark.parametrize("proved", [False, True])
 def test_a_degree_above_a_cache_hit_is_cleared(tmp_path, eliminated, proved):
-    """Degree 4 of Leibniz of g_1 is read from a partly warm cache, so it
-    leaves no pivots; the miss at degree 5 derives them by eliminating
-    d_4, cleared with the set that the rank of d_3 kept, as a cold complex
-    clears it, and then eliminates as few nonzeros as the cold complex."""
-    k = 5
+    """Degrees 4 and 5 of Leibniz of g_1 are read from a partly warm
+    cache, so they leave no pivots; the miss at degree 6 derives them by
+    eliminating d_4, cleared with the set that the rank of d_3 kept, and
+    d_5, cleared with that of d_4, as a cold complex clears them, and then
+    eliminates as few nonzeros as the cold complex."""
+    k = 6
     first = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 6)
     _requested(first, k - 1, proved)
     cold = VerificationContext().complex("leibniz", "g", 1, 6)
     eliminated.clear()
     expected = _requested(cold, k, proved)
-    # on orbit sums d_1 (1 x 0) and d_2 (0 x 3) are empty; d_3, d_4 and d_5
-    # are eliminated, d_4 and d_5 cleared
+    # on orbit sums d_1 (1 x 0) and d_2 (0 x 3) are empty; d_3 to d_6 are
+    # eliminated, d_3 (3 x 9) whole, as it is too small to cache, and d_4
+    # to d_6 cleared
     cold_calls = list(eliminated)
-    assert len(cold_calls) == 3 and cold_calls[-1] < cold._ranked.block(k).nnz
+    assert len(cold_calls) == 4 and cold_calls[-1] < cold._ranked.block(k).nnz
 
     warm = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, 6)
     eliminated.clear()
     assert _requested(warm, k, proved) == expected
-    # d_3 (3 x 9) and d_4 (9 x 43) are hits, and the miss at d_5
-    # eliminates both before itself
+    # d_3 is ranked again, d_4 (9 x 43) and d_5 (43 x 190) are hits, and
+    # the miss at d_6 eliminates both before itself
     assert eliminated == cold_calls
-    assert set(warm._pivots) == {2, 3, 4, 5}
+    assert set(warm._pivots) == {3, 4, 5, 6}
     assert expected == _oracle(warm, k)
 
 
 @pytest.mark.parametrize("proved", [False, True])
 def test_a_warm_rerun_eliminates_no_block_it_reads(tmp_path, eliminated, proved):
     """A rerun at the same cap reads every rank worth caching, and every
-    certified rank, so no pivot set is derived: it eliminates only the
-    blocks too small to cache, each whole."""
+    certified rank, so no pivot set of a block worth caching is derived:
+    it eliminates only the blocks too small to cache (d_3, 3 x 9), each
+    whole."""
     cap = 6
     first = VerificationContext(cache=DiffCache(tmp_path)).complex("leibniz", "g", 1, cap)
     _requested(first, cap, proved)
@@ -239,8 +242,8 @@ def test_a_warm_rerun_eliminates_no_block_it_reads(tmp_path, eliminated, proved)
     _requested(warm, cap, proved)
     small = [k for k in range(1, cap + 1) if warm._ranked.block(k).entries
              and not worth_caching(warm._ranked.block(k).rows, warm._ranked.block(k).cols)]
-    assert eliminated == [warm._ranked.block(k).nnz for k in small]
-    assert not warm._pivots
+    assert small and eliminated == [warm._ranked.block(k).nnz for k in small]
+    assert set(warm._pivots) == set(small)
 
 
 def test_threads_sharing_a_complex_get_the_oracle_ranks():

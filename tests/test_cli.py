@@ -280,7 +280,7 @@ class TestCacheLifecycle:
             capsys,
             [
                 "homology", "--family", "sp", "--n", "1", "--theory", "leibniz",
-                "--max-degree", "2", "--cache-dir", str(cache),
+                "--max-degree", "4", "--cache-dir", str(cache),
             ],
         )
         assert code == 0
@@ -349,7 +349,7 @@ class TestCacheLifecycle:
     def test_corrupt_rank_records_are_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         argv = [
-            "homology", "--family", "g", "--n", "1", "--theory", "cr",
+            "homology", "--family", "g", "--n", "2", "--theory", "cr",
             "--max-degree", "2", "--format", "json", "--cache-dir", str(cache),
         ]
         code, cold, _ = run_cli(capsys, argv)
@@ -396,7 +396,7 @@ class TestCacheLifecycle:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "all", "--n", "1"],
-        ["homology", "--family", "g", "--n", "1", "--theory", "cr", "--max-degree", "2"],
+        ["homology", "--family", "g", "--n", "2", "--theory", "cr", "--max-degree", "2"],
         ["cache", "clear"],
     ])
     @pytest.mark.parametrize("kind", ["rank", "diff"])
@@ -419,7 +419,7 @@ class TestCacheLifecycle:
         monkeypatch.setenv("AFFSYMP_CACHE_DIR", str(cache))
         code, _, _ = run_cli(
             capsys,
-            ["homology", "--family", "sp", "--n", "1", "--theory", "leibniz", "--max-degree", "2"],
+            ["homology", "--family", "sp", "--n", "1", "--theory", "leibniz", "--max-degree", "4"],
         )
         assert code == 0
         assert any((cache / "diff").iterdir())

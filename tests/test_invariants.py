@@ -240,11 +240,14 @@ class TestTable:
     def test_invariant_dim_edge_cases(self):
         from affsymp.lie_structures import LieAlgebra, LieModule
 
-        _, ideal_mod, _, _, _ = standard_modules(1)
+        _, ideal_mod, sp_adjoint, _, _ = standard_modules(1)
         assert invariant_dim(exterior_power_module(ideal_mod, 3)) == 0
         assert invariant_dim(exterior_power_module(ideal_mod, 0)) == 1
+        # the weight-0 letter of sp_1, H, is moved by X and Y; the ideal
+        # module has no weight-0 letter, so nothing of it is eliminated
+        assert invariant_dim(ideal_mod, entry_cap=1) == 0
         with pytest.raises(ResourceLimitError):
-            invariant_dim(ideal_mod, entry_cap=1)
+            invariant_dim(sp_adjoint, entry_cap=1)
         point = LieAlgebra(0, (), {})
         with pytest.raises(DomainError):
             invariant_dim(LieModule(point, 1, ()))

@@ -17,12 +17,12 @@ tests make) and ``rank/`` records, and none for a matrix with at most
 built, ranked and certified in less time than its two records take to
 write, and about the time they take to read, so its records would cost
 every cold run more than they save a warm one, and each is one more file
-to write and to copy.  Projections and the restricted differentials of the kernel
-complexes are made from blocks the run holds and never written; the
-ranks of the latter are.  ``diff/`` records an older version wrote for
-those restricted differentials are orphans that nothing reads; ``clear``
-removes them.  ``kernel/`` holds the vector records of ``put_vectors``,
-which nothing in the package writes any more.
+to write and to copy.  Projections and the restricted differentials of
+the kernel complexes are made from blocks the run holds and never
+written; the ranks of the latter are.  ``diff/`` records an older version
+wrote for those restricted differentials are orphans that nothing reads;
+``clear`` removes them.  ``kernel/`` holds the vector records of
+``put_vectors``, which nothing in the package writes any more.
 
 A matrix record (``diff/`` and ``kernel/``, ``.mtx``) is a header line
 ``affsymp-matrix <format version> <SHA-256 of the payload>`` followed by
@@ -69,6 +69,9 @@ BASIS_CONVENTION = 1
 CACHE_FOLDERS = ("diff", "kernel", "rank")
 # the largest smaller side of a matrix that gets no record (``worth_caching``)
 SMALL_BLOCK = 4
+# how far a caller must count rows and columns: ``worth_caching`` decides
+# alike on counts that stop here
+COUNT_LIMIT = SMALL_BLOCK + 1
 
 
 def _sha256(text: str) -> str:
@@ -81,11 +84,10 @@ def descriptor_key(*parts: object) -> str:
 
 def worth_caching(rows: int, cols: int) -> bool:
     """Whether a rows x cols matrix, or its rank, goes through the cache:
-    not when it has at most ``SMALL_BLOCK`` rows or columns.  Of
-    ``verify all --n 1|2`` such a block has at most 17 entries; it is
-    rebuilt, ranked and certified in 0.01-0.27 ms, while writing its
-    records takes 0.09-0.33 ms on every cold run and reading them
-    0.02-0.07 ms on a warm one (2-vCPU guest, Python 3.11)."""
+    not when it has at most ``SMALL_BLOCK`` rows or columns, as writing
+    its records would cost more than rebuilding it (the measured table is
+    in CHANGES.md).  Counts that stop at ``COUNT_LIMIT`` give the same
+    answer."""
     return min(rows, cols) > SMALL_BLOCK
 
 
@@ -131,10 +133,12 @@ class DiffCache:
     def get_matrix(self, kind: str, key: str) -> SparseMatrix | None:
         """The recorded matrix, or None when the record is missing,
         unreadable, of another format version, fails its payload digest or
-        does not parse."""
+        does not parse.  Records are read as bytes, so no line end is
+        translated: a carriage return in place of a line feed fails the
+        digest."""
         target = self.path / kind / f"{key}.mtx"
         try:
-            header, _, payload = target.read_text(encoding="ascii").partition("\n")
+            header, _, payload = target.read_bytes().decode("ascii").partition("\n")
             digest = _sha256(payload)
             if header != f"{MATRIX_TAG} {MATRIX_FORMAT} {digest}":
                 return None
@@ -172,7 +176,7 @@ class DiffCache:
         (key, value)."""
         target = self.path / "rank" / f"{key}.txt"
         try:
-            text = target.read_text(encoding="ascii")
+            text = target.read_bytes().decode("ascii")
             value = int(text.partition(" ")[0])
         except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
             return None

@@ -99,7 +99,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb
 
-from .cache import SMALL_BLOCK, DiffCache, descriptor_key, rank_key, worth_caching
+from .cache import COUNT_LIMIT, DiffCache, descriptor_key, rank_key, worth_caching
 from .errors import ConsistencyError, DegreeRangeError, DomainError
 from .exact_linalg import (
     QVector,
@@ -773,8 +773,8 @@ def _family(
     block worth caching by its word (or orbit) counts
     (``cache.worth_caching``) also goes through the disk under that
     digest, so a warm run looks up exactly the blocks a cold run wrote.
-    The counts stop at ``cache.SMALL_BLOCK`` + 1, but they list the words
-    of both degrees first (and find the first orbits of each), also for a
+    The counts stop at ``cache.COUNT_LIMIT``, but they list the words of
+    both degrees first (and find the first orbits of each), also for a
     block that is then read back.  A family that does not ``persist``,
     such as a projection, never reads or writes the disk."""
     words, orbits = blocks.words(algebra, module), blocks.orbits(algebra, module)
@@ -787,8 +787,8 @@ def _family(
             descriptor_key(*key, degree, *label, *grading),
             lambda: assemble(degree, chosen),
             persist and blocks.cache is not None and worth_caching(
-                chosen.count(kind, degree - 1, SMALL_BLOCK + 1),
-                chosen.count(kind, degree, SMALL_BLOCK + 1),
+                chosen.count(kind, degree - 1, COUNT_LIMIT),
+                chosen.count(kind, degree, COUNT_LIMIT),
             ),
         )
 

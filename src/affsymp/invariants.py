@@ -31,7 +31,6 @@ from .exact_linalg import (
     kernel_basis,
     rank,
     solve,
-    stack_rows,
 )
 from .lie_structures import (
     LieAlgebra,
@@ -65,14 +64,12 @@ class InvariantBasis:
         return solve(matrix, vec, entry_cap) is not None
 
 
-def _stacked_actions(module: LieModule, columns: dict[int, int] | None = None) -> SparseMatrix:
-    """The action matrices stacked, whose kernel is the invariant space;
-    given ``columns``, {module letter: column}, only the columns of those
-    letters, placed as it says."""
+def _stacked_actions(module: LieModule, columns: dict[int, int]) -> SparseMatrix:
+    """The action matrices stacked, on the columns of the module letters
+    ``columns`` names, {letter: column}; on all of them, in order, its
+    kernel is the invariant space."""
     if not module.actions:
         raise DomainError("module has no acting algebra elements")
-    if columns is None:
-        return stack_rows(list(module.actions))
     entries = {}
     for offset, action in enumerate(module.actions):
         offset *= module.dim
@@ -80,7 +77,7 @@ def _stacked_actions(module: LieModule, columns: dict[int, int] | None = None) -
             col = columns.get(c)
             if col is not None:
                 entries[(offset + r, col)] = v
-    check_entry_budget(len(entries))
+        check_entry_budget(len(entries))
     return SparseMatrix._of(len(module.actions) * module.dim, len(columns), entries)
 
 
@@ -90,7 +87,8 @@ def invariant_subspace(module: LieModule, entry_cap: int | None = None) -> Invar
     to ``entry_cap``."""
     if module.dim == 0:
         return InvariantBasis([])
-    return InvariantBasis(kernel_basis(_stacked_actions(module), entry_cap))
+    every = dict(zip(range(module.dim), range(module.dim)))
+    return InvariantBasis(kernel_basis(_stacked_actions(module, every), entry_cap))
 
 
 def invariant_dim(module: LieModule, entry_cap: int | None = None) -> int:

@@ -74,7 +74,23 @@ class ValidationReport:
         self.failures = [] if failures is None else failures
 
 
-class LieAlgebra:
+class _Derived:
+    """An algebra or module that keeps what other layers derive from it:
+    ``derived(make)`` is ``make(self)``, made on the first call with this
+    ``make`` and kept, so a table read off the structure constants or the
+    actions, such as the per-letter tables and guard estimates of
+    ``chain_complexes``, is built once per object, not once per use."""
+
+    __slots__ = ("_derived",)
+
+    def derived(self, make):
+        got = self._derived.get(make)
+        if got is None:
+            got = self._derived[make] = make(self)
+        return got
+
+
+class LieAlgebra(_Derived):
     """Basis labels plus sparse structure constants [e_i, e_j] = c_ij^k e_k.
 
     Constants are given for i < j only (``brackets``), so antisymmetry is
@@ -89,7 +105,7 @@ class LieAlgebra:
     """
 
     __slots__ = (
-        "dim", "labels", "brackets", "table", "weyl", "_derived", "_report", "_fingerprint",
+        "dim", "labels", "brackets", "table", "weyl", "_report", "_fingerprint",
     )
 
     def __init__(
@@ -141,16 +157,6 @@ class LieAlgebra:
         ``table``, shared with every caller, which must not mutate it, or a
         new empty dict for a zero bracket."""
         return self.table.get((i, j), {})
-
-    def derived(self, make):
-        """``make(self)``, made on the first call with this ``make`` and
-        kept with the algebra: a table another layer reads off the
-        constants, such as the per-letter tables of ``chain_complexes``,
-        is built once per algebra, not once per use."""
-        got = self._derived.get(make)
-        if got is None:
-            got = self._derived[make] = make(self)
-        return got
 
     @property
     def is_abelian(self) -> bool:
@@ -262,7 +268,7 @@ class SubalgebraDecomposition:
         )
 
 
-class LieModule:
+class LieModule(_Derived):
     """Right module: one dim x dim action matrix per algebra basis element.
 
     ``actions[i].apply(m)`` is the bracket [m, e_i] in coordinates.  The law
@@ -271,7 +277,7 @@ class LieModule:
     here; the module constructors below derive theirs through ``_of``.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "weyl", "_derived", "_fingerprint")
+    __slots__ = ("algebra", "dim", "actions", "weyl", "_fingerprint")
 
     def __init__(self, algebra: LieAlgebra, dim: int, actions: tuple[SparseMatrix, ...]):
         if len(actions) != algebra.dim:
@@ -311,15 +317,6 @@ class LieModule:
         self.weyl: tuple[SignedPerm, ...] | None = weyl
         self._derived: dict = {}
         self._fingerprint: str | None = None
-
-    def derived(self, make):
-        """``make(self)``, made on the first call with this ``make`` and
-        kept with the module, as ``LieAlgebra.derived`` keeps the tables
-        read off an algebra's constants."""
-        got = self._derived.get(make)
-        if got is None:
-            got = self._derived[make] = make(self)
-        return got
 
     def validate(self) -> ValidationReport:
         failures = []

@@ -5,7 +5,9 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affsymp.cache import SMALL_BLOCK, DiffCache, descriptor_key, rank_key, worth_caching
+from affsymp.cache import (
+    COUNT_LIMIT, SMALL_BLOCK, DiffCache, descriptor_key, rank_key, worth_caching,
+)
 from affsymp.chain_complexes import BlockMemo
 from affsymp.exact_linalg import QVector, Rational, SparseMatrix
 
@@ -152,6 +154,17 @@ def test_records_start_one_above_small_block(tmp_path):
     [diff] = (tmp_path / "diff").glob("*.mtx")
     assert cache.get_matrix("diff", diff.stem) == block
     assert [f.stem for f in (tmp_path / "rank").glob("*.txt")] == [rank_key(block, "certified")]
+
+
+def test_counts_cut_at_count_limit_decide_as_full_counts():
+    """The complexes count a block's rows and columns only to
+    ``COUNT_LIMIT`` before asking ``worth_caching``; cut counts must give
+    the answer the full ones give, or a warm run would look up records a
+    cold one did not write."""
+    for rows in range(3 * COUNT_LIMIT):
+        for cols in range(3 * COUNT_LIMIT):
+            cut = worth_caching(min(rows, COUNT_LIMIT), min(cols, COUNT_LIMIT))
+            assert cut == worth_caching(rows, cols), (rows, cols)
 
 
 def test_malformed_rank_records_miss(tmp_path):
@@ -366,6 +379,20 @@ def test_a_reordered_record_is_rebuilt_and_rewritten_canonical(filled_cache, tmp
     (tmp_path / name).write_text(
         f"{tag} {version} {hashlib.sha256(payload.encode()).hexdigest()}\n{payload}"
     )
+    assert _homology(tmp_path) == (0, cold, "")
+    assert _records(tmp_path) == records
+
+
+def test_a_carriage_return_for_a_line_end_is_a_miss(filled_cache, tmp_path):
+    """A record whose last ``\\n`` is turned into ``\\r`` reads the same
+    under newline translation; it must fail its check instead, and be
+    rebuilt and rewritten."""
+    cold, records = filled_cache
+    for name, content in records.items():
+        assert content.endswith(b"\n")
+        target = tmp_path / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(content[:-1] + b"\r")
     assert _homology(tmp_path) == (0, cold, "")
     assert _records(tmp_path) == records
 

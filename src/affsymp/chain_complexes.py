@@ -108,7 +108,7 @@ from .exact_linalg import (
     certify_rank,
     check_entry_budget,
     normal_entry,
-    pinning_degrees,
+    pinned,
     products_cancel,
     rank,
 )
@@ -407,14 +407,14 @@ class ChainComplex:
     def proved_rank_d(self, k: int) -> int:
         """rank d_k, proved: ``rank_d``, each of whose ranks is certified
         from below, where the d o d bound pins it from above
-        (``exact_linalg.pinning_degrees``) or the block has no entries;
+        (``exact_linalg.pinned``) or the block has no entries;
         otherwise the rank of the transpose of the block of degree k alone,
         formed without the rows that the certified pivot columns of degree
         k - 1 prove dependent and eliminated on its own, under the
         "transposed" rank record of the block."""
         def prove() -> int:
             block = self._ranked.block(k)
-            if pinning_degrees(k, self._block_rank_of, self.block_dims) or not block.entries:
+            if pinned(k, self._block_rank_of, self.block_dims) or not block.entries:
                 return self.rank_d(k)
 
             def transposed() -> int:
@@ -973,14 +973,15 @@ class KernelComplex(ChainComplex):
         for m in range(cap + 1):
             _check_projection(projection.ranked.block(m), f"{name}: projection at degree {m}")
 
-        diffs = _Graded(lambda m, weight: _restricted(
-            ambient.block(m, weight), *(self._free_words(j, weight) for j in (m - 1, m))
-        ), ambient.words)
-        if ambient.ranked is not ambient:
-            diffs.ranked = _Graded(lambda m, _: _restricted(ambient.ranked.block(m), *(
-                _FreeWords(projection.ranked.block(j), f"{name}: projection at degree {j}")
+        def restrict(ambient: _Graded, projection: _Graded) -> _Graded:
+            return _Graded(lambda m, weight: _restricted(ambient.block(m, weight), *(
+                _FreeWords(projection.block(j, weight), f"{name}: projection at degree {j}")
                 for j in (m - 1, m)
-            )))
+            )), ambient.words)
+
+        diffs = restrict(ambient, projection)
+        if ambient.ranked is not ambient:
+            diffs.ranked = restrict(ambient.ranked, projection.ranked)
         super().__init__(kind, name, dims, diffs, bases, cap, blocks)
 
     def verify_dd_zero(self) -> None:

@@ -13,11 +13,10 @@ otherwise, so equality is exact and serialization is canonical.  Every
 differential and projection here is integral, so its entries never become
 ``Fraction``s.  Vectors (``QVector``), kernel vectors, solutions and the
 scalars the API takes are ``Fraction``s.  Inside, everything computes on
-``int``s: a matrix is split as an integer matrix and diagonal denominators
-(rows scaled by the lcm of their denominators for an elimination and for
-the left factor of a product, columns for the right factor, the whole
-matrix for ``products_cancel``), and only ``Fraction`` entries add to those
-lcms, so rationals appear only where values enter and leave.
+``int``s: an elimination reads each row scaled by the lcm of its
+denominators (``_integer_lines``), and a product reads each factor scaled
+by the lcm of all of its denominators (``_integral``), so rationals appear
+only where values enter and leave.
 
 There is one elimination loop over the rationals, ``_eliminate``:
 fraction-free (Bareiss 1968; Dumas, Saunders and Villard 2001 for the
@@ -32,7 +31,7 @@ caller clears, without forming it, and hands back the pivots with which
 ``ChainComplex`` clears the next differential, and which ``certify_rank``
 proves: their submatrix has full rank modulo a prime.  Such lower bounds
 become ranks where the d o d bound leaves no room
-(``pinning_degrees``).  Every other reader runs it leftmost column
+(``pinned``).  Every other reader runs it leftmost column
 first with Gauss-Jordan clearing, which yields the unique reduced echelon
 form (``_echelon``): kernels read it with the columns reversed,
 independent columns are its pivot columns, and a solve of a x = b reads it
@@ -447,36 +446,27 @@ class SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _integer_lines(
-    m: SparseMatrix, by: int, scale: int, skip: Collection[int] = ()
-) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
-    """m with each row (scale=0) or column (scale=1) multiplied by the lcm
-    of its denominators, so every entry is an int, grouped by row (by=0) or
-    column (by=1) as {line: {index along the line: value}}, leaving out the
-    rows ``skip``.  Also returns the lcms that are not 1.  An ``int`` entry
-    is read as it is; only the ``Fraction`` entries enter the lcms.  Scaling
-    a row or column by a nonzero constant keeps the support and the rank."""
-    along = 1 - by
+def _integer_lines(m: SparseMatrix, skip: Collection[int] = ()) -> dict[int, dict[int, int]]:
+    """The rows of m but ``skip``, as {row: {column: int}}.  A row that
+    holds a ``Fraction`` is multiplied by the lcm of its denominators, which
+    keeps its support and the rank; an ``int`` row is read as it is."""
     lines: dict[int, dict[int, int]] = {}
-    dens: dict[int, int] = {}
-    for key, v in m.entries.items():
-        if key[0] in skip:
+    fractional: set[int] = set()
+    for (r, c), v in m.entries.items():
+        if r in skip:
             continue
         if type(v) is not int:
-            dens[key[scale]] = lcm(dens.get(key[scale], 1), v.denominator)
-        line = lines.get(key[by])
+            fractional.add(r)
+        line = lines.get(r)
         if line is None:
-            lines[key[by]] = {key[along]: v}
+            lines[r] = {c: v}
         else:
-            line[key[along]] = v
-    if dens:  # rebuild with the scaled values
-        lines = {}
-        for key, v in m.entries.items():
-            if key[0] in skip:
-                continue
-            value = v.numerator * (dens.get(key[scale], 1) // v.denominator)
-            lines.setdefault(key[by], {})[key[along]] = value
-    return lines, dens
+            line[c] = v
+    for r in fractional:
+        line = lines[r]
+        d = lcm(*(v.denominator for v in line.values()))
+        lines[r] = {c: v.numerator * (d // v.denominator) for c, v in line.items()}
+    return lines
 
 
 def _eliminate(
@@ -727,7 +717,7 @@ def rank(
     of m in pivot order, which ``certify_rank`` checks."""
     if not m.entries:
         return 0
-    pivots = _eliminate(_integer_lines(m, 0, 0, clear)[0], entry_cap)
+    pivots = _eliminate(_integer_lines(m, clear), entry_cap)
     if independent is not None:
         independent.update(pivots)
     return len(pivots)
@@ -761,20 +751,16 @@ def certify_rank(m: SparseMatrix, pivots: Mapping[int, int]) -> int:
     raise ConsistencyError(f"no prime proves the {len(order)} pivots of a {m.rows}x{m.cols} matrix")
 
 
-def pinning_degrees(k: int, ranks, dims: list[int]) -> tuple[int, ...]:
-    """The degrees j whose certificates (R_j >= ranks(j), for R_j the true
-    rank of d_j) prove that rank d_k is ranks(k), for matrices
+def pinned(k: int, ranks, dims: list[int]) -> bool:
+    """Whether the certificates R_j >= ranks(j), for R_j the true rank of
+    d_j, prove that rank d_k is ranks(k), for matrices
     d_j : Q^dims[j] -> Q^dims[j-1] with d_j d_(j+1) = 0, which gives
-    R_j + R_(j+1) <= dims[j]; ranks(0) is 0.  They are (k,) when d_k has
-    full rank; else (j, j + 1) for the first j of k - 1 and k where the
-    Betti number dims[j] - ranks(j) - ranks(j + 1) is 0, so both bounds
-    meet; else none, ()."""
-    if ranks(k) == min(dims[k - 1], dims[k]):
-        return (k,)
-    return next((
-        (j, j + 1) for j in (k - 1, k)
-        if j + 1 < len(dims) and ranks(j) + ranks(j + 1) == dims[j]
-    ), ())
+    R_j + R_(j+1) <= dims[j]; ranks(0) is 0.  They do when d_k has full
+    rank, or when for j = k - 1 or k the Betti number
+    dims[j] - ranks(j) - ranks(j + 1) is 0, so both bounds meet."""
+    return ranks(k) == min(dims[k - 1], dims[k]) or any(
+        j + 1 < len(dims) and ranks(j) + ranks(j + 1) == dims[j] for j in (k - 1, k)
+    )
 
 
 def _full_rank_mod(minor: dict[int, dict[int, int | Rational]], order: list, p: int) -> bool:
@@ -835,7 +821,7 @@ def kernel_basis(m: SparseMatrix, entry_cap: int | None = None) -> list[QVector]
     last = m.cols - 1
     lines = {
         r: {last - c: v for c, v in line.items()}
-        for r, line in _integer_lines(m, 0, 0)[0].items()
+        for r, line in _integer_lines(m).items()
     }
     pivots: set[int] = set()
     by_free: dict[int, list[tuple[int, Rational]]] = {}
@@ -853,23 +839,28 @@ def kernel_basis(m: SparseMatrix, entry_cap: int | None = None) -> list[QVector]
 
 
 def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Exact product a @ b.  With a = D_a^-1 A and b = B D_b^-1 for integral
-    A and B, entry (r, j) is (A B)[r, j] / (d_r d_j); A B is formed in ints
-    and divided only where a denominator is not 1."""
+    """Exact product a @ b.  With A = d_a a and B = d_b b integral
+    (``_integral``), a @ b is (A B) / (d_a d_b); A B is formed in ints,
+    column by column, and divided only when d_a d_b is not 1."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    a_cols, row_dens = _integer_lines(a, 1, 0)
-    b_cols, col_dens = _integer_lines(b, 1, 1)
+    d_a, a_ents = _integral(a)
+    d_b, b_ents = _integral(b)
+    den = d_a * d_b
+    a_cols: dict[int, dict[int, int]] = {}
+    for (r, k), v in a_ents.items():
+        a_cols.setdefault(k, {})[r] = v
+    b_cols: dict[int, dict[int, int]] = {}
+    for (k, j), v in b_ents.items():
+        b_cols.setdefault(j, {})[k] = v
     ents: dict[tuple[int, int], int | Rational] = {}
     for j in sorted(b_cols):
         acc: dict[int, int] = {}
         for k, bv in b_cols[j].items():
             for r, av in a_cols.get(k, {}).items():
                 acc[r] = acc.get(r, 0) + av * bv
-        d_j = col_dens.get(j, 1)
         for r, v in acc.items():
             if v:
-                den = row_dens.get(r, 1) * d_j
                 ents[(r, j)] = v if den == 1 else normal_entry(Rational(v, den))
         check_entry_budget(len(ents))
     return SparseMatrix._of(a.rows, b.cols, ents)
@@ -982,7 +973,7 @@ def independent_columns(m: SparseMatrix, entry_cap: int | None = None) -> list[i
     """The columns of m outside the span of the columns before them, in
     order: the pivot columns of its reduced echelon form.  They are what a
     greedy pass over the columns keeps."""
-    return [c for c, _, _ in _echelon(_integer_lines(m, 0, 0)[0], entry_cap)]
+    return [c for c, _, _ in _echelon(_integer_lines(m), entry_cap)]
 
 
 def solve(a: SparseMatrix, b: QVector, entry_cap: int | None = None) -> QVector | None:
@@ -996,7 +987,7 @@ def solve(a: SparseMatrix, b: QVector, entry_cap: int | None = None) -> QVector 
     if b.length != a.rows:
         raise ShapeError("right-hand side length mismatch")
     coords: dict[int, Rational] = {}
-    for p, lead, row in _echelon(_integer_lines(append_columns(a, [b]), 0, 0)[0], entry_cap):
+    for p, lead, row in _echelon(_integer_lines(append_columns(a, [b])), entry_cap):
         if p == a.cols:
             return None
         if a.cols in row:

@@ -64,10 +64,12 @@ class InvariantBasis:
         return solve(matrix, vec, entry_cap) is not None
 
 
-def _stacked_actions(module: LieModule, columns: dict[int, int]) -> SparseMatrix:
+def _stacked_actions(
+    module: LieModule, columns: dict[int, int], entry_cap: int | None
+) -> SparseMatrix:
     """The action matrices stacked, on the columns of the module letters
     ``columns`` names, {letter: column}; on all of them, in order, its
-    kernel is the invariant space."""
+    kernel is the invariant space.  Its entries are held to ``entry_cap``."""
     if not module.actions:
         raise DomainError("module has no acting algebra elements")
     entries = {}
@@ -77,32 +79,32 @@ def _stacked_actions(module: LieModule, columns: dict[int, int]) -> SparseMatrix
             col = columns.get(c)
             if col is not None:
                 entries[(offset + r, col)] = v
-        check_entry_budget(len(entries))
+        check_entry_budget(len(entries), entry_cap)
     return SparseMatrix._of(len(module.actions) * module.dim, len(columns), entries)
 
 
 def invariant_subspace(module: LieModule, entry_cap: int | None = None) -> InvariantBasis:
     """Kernel of the stacked action matrices: a deterministic basis of
-    {m : every algebra basis element kills m}.  Elimination fill-in is held
-    to ``entry_cap``."""
+    {m : every algebra basis element kills m}.  The stack and the fill-in
+    of its elimination are held to ``entry_cap``."""
     if module.dim == 0:
         return InvariantBasis([])
     every = dict(zip(range(module.dim), range(module.dim)))
-    return InvariantBasis(kernel_basis(_stacked_actions(module, every), entry_cap))
+    return InvariantBasis(kernel_basis(_stacked_actions(module, every, entry_cap), entry_cap))
 
 
 def invariant_dim(module: LieModule, entry_cap: int | None = None) -> int:
     """dim of the invariant subspace, the number of weight-0 module letters
     less the rank of the stacked actions on their columns; no basis is
     formed.  A grading element h acts on each letter by its weight under
-    h, so an invariant has no letter of nonzero weight.  Elimination
-    fill-in is held to ``entry_cap``."""
+    h, so an invariant has no letter of nonzero weight.  The stack and the
+    fill-in of its elimination are held to ``entry_cap``."""
     if module.dim == 0:
         return 0
     _, weights = cartan_weights(module.algebra, module)
     zero = [m for m, weight in enumerate(weights) if not any(weight)]
     columns = dict(zip(zero, range(len(zero))))
-    return len(zero) - rank(_stacked_actions(module, columns), entry_cap)
+    return len(zero) - rank(_stacked_actions(module, columns, entry_cap), entry_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,7 @@ def invariant_dimension_report(
     invariant spaces over sp, plus the module split consistency
     dim (affine (x) L)^sp = dim (constants (x) L)^sp + dim (sp (x) L)^sp.
     ``modules`` is ``standard_modules(n)``, built here when not given;
-    every elimination is held to ``entry_cap``."""
+    every stack and elimination is held to ``entry_cap``."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if k_max < 0:

@@ -79,7 +79,8 @@ class _Derived:
     ``derived(make)`` is ``make(self)``, made on the first call with this
     ``make`` and kept, so a table read off the structure constants or the
     actions, such as the per-letter tables and guard estimates of
-    ``chain_complexes``, is built once per object, not once per use."""
+    ``chain_complexes`` or the grading letters of ``cartan_weights``, is
+    built once per object, not once per use."""
 
     __slots__ = ("_derived",)
 
@@ -620,6 +621,14 @@ def validate_lie(algebra: LieAlgebra) -> ValidationReport:
     return algebra.validate()
 
 
+def _diagonal_letters(algebra: LieAlgebra) -> tuple[int, ...]:
+    """The letters i whose ad(e_i) is diagonal in the basis: no bracket
+    [e_j, e_i] has a term off e_j.  The candidate grading elements of
+    ``cartan_weights``, derived once per algebra."""
+    off_diagonal = {i for (j, i), coeffs in algebra.table.items() if coeffs.keys() - {j}}
+    return tuple(i for i in range(algebra.dim) if i not in off_diagonal)
+
+
 def cartan_weights(
     algebra: LieAlgebra, module: LieModule | None = None
 ) -> tuple[list[tuple], list[tuple]]:
@@ -637,11 +646,9 @@ def cartan_weights(
     """
     dim = algebra.dim
     table = algebra.table
-    off_diagonal = {i for (j, i), coeffs in table.items() if coeffs.keys() - {j}}
     grading = [
-        i for i in range(dim)
-        if i not in off_diagonal
-        and (module is None or all(r == c for r, c in module.actions[i].entries))
+        i for i in algebra.derived(_diagonal_letters)
+        if module is None or all(r == c for r, c in module.actions[i].entries)
     ]
     rows = [[table.get((j, i), {}).get(j, 0) for i in grading] for j in range(dim)]
     if module is not None:

@@ -143,20 +143,17 @@ class VerificationReport:
     def add(self, part: str, degree: int | None, expected: int, computed: int) -> None:
         self.rows.append(ClaimRow(part, degree, expected, computed))
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "report": "verification",
             "claim": self.claim_id,
             "params": self.params,
             "passed": self.passed,
             "rows": [r.to_json_dict() for r in self.rows],
         }
-        if include_timing:
-            out["wall_time_seconds"] = round(self.wall_time, 3)
-        return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timing), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         status = "PASS" if self.passed else "FAIL"

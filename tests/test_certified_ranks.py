@@ -17,7 +17,7 @@ from affsymp.cache import DiffCache, worth_caching
 from affsymp.chain_complexes import BlockMemo, ChainComplex
 from affsymp.errors import ConsistencyError
 from affsymp.exact_linalg import (
-    CERTIFICATE_PRIMES, SparseMatrix, certify_rank, pinning_degrees, rank,
+    CERTIFICATE_PRIMES, SparseMatrix, certify_rank, pinned, rank,
 )
 from affsymp.homology import betti, cobetti
 from affsymp.theorems import CLAIM_RUNNERS, VerificationContext, run_all
@@ -83,19 +83,19 @@ def test_no_prime_left_raises():
         certify_rank(SparseMatrix.from_dense([[product]]), {0: 0})
 
 
-@pytest.mark.parametrize("k, ranks, dims, degrees", [
+@pytest.mark.parametrize("k, ranks, dims, expected", [
     # d_1 of full rank 2 (2 x 3)
-    (1, [0, 2, 1], [2, 3, 1], (1,)),
+    (1, [0, 2, 1], [2, 3, 1], True),
     # b_1 = 3 - 2 - 1 = 0 pins d_2 and d_1 both
-    (2, [0, 1, 2], [2, 3, 4], (1, 2)),
-    (1, [0, 1, 2, 1], [2, 3, 4, 2], (1, 2)),
+    (2, [0, 1, 2], [2, 3, 4], True),
+    (1, [0, 1, 2, 1], [2, 3, 4, 2], True),
     # b_1 = 1 and b_2 = 0: d_2 is pinned from above only
-    (2, [0, 1, 1, 3], [2, 3, 4, 5], (2, 3)),
+    (2, [0, 1, 1, 3], [2, 3, 4, 5], True),
     # b_1 = 1 and no d_3 built: nothing pins d_2
-    (2, [0, 1, 1], [2, 3, 4], ()),
+    (2, [0, 1, 1], [2, 3, 4], False),
 ])
-def test_pinning_degrees(k, ranks, dims, degrees):
-    assert pinning_degrees(k, ranks.__getitem__, dims) == degrees
+def test_pinned(k, ranks, dims, expected):
+    assert pinned(k, ranks.__getitem__, dims) is expected
 
 
 def _transposed_shapes(monkeypatch):
@@ -153,7 +153,7 @@ def test_an_unpinned_rank_is_the_transposed_rank_of_its_block_alone(tmp_path, mo
     complex_ = ctx.complex("leibniz", "g", n, cap + 1)
     top = complex_._ranked.block(cap + 1)
     assert seen == [(top.rows, top.cols)]
-    assert pinning_degrees(cap + 1, complex_._block_rank_of, complex_.block_dims) == ()
+    assert not pinned(cap + 1, complex_._block_rank_of, complex_.block_dims)
     counts = Counter(certified)
     assert all(counts[b] == 1 for b in _ranked_blocks(complex_, range(1, cap + 2)))
     assert complex_.proved_rank_d(cap + 1) == complex_.rank_d(cap + 1)
@@ -203,7 +203,7 @@ def test_at_the_benchmark_caps_every_rank_cobetti_reads_is_certified_and_pinned(
     assert seen == []
     complex_ = ctx._complexes[("leibniz", "g", n)]
     degrees = range(1, complex_.cap + 1)
-    assert all(pinning_degrees(k, complex_._block_rank_of, complex_.block_dims) for k in degrees)
+    assert all(pinned(k, complex_._block_rank_of, complex_.block_dims) for k in degrees)
     assert set(_ranked_blocks(complex_, degrees)) <= set(certified)
     assert [cobetti(complex_, k) for k in degrees] == [betti(complex_, k) for k in degrees]
 

@@ -17,7 +17,7 @@ from hypothesis import example, find, given, settings, strategies as st
 import affsymp.chain_complexes as chain_complexes
 from affsymp.cache import DiffCache, worth_caching
 from affsymp.chain_complexes import ChainComplex
-from affsymp.exact_linalg import QVector, SparseMatrix, kernel_basis, pinning_degrees, rank
+from affsymp.exact_linalg import QVector, SparseMatrix, kernel_basis, pinned, rank
 from affsymp.theorems import VerificationContext
 
 ORDERS = ("ascending", "descending", "shuffled")
@@ -122,7 +122,7 @@ def _cleared_fallback(made) -> bool:
     dims, diffs = made
     complex_ = ChainComplex("test", "random", dims, diffs, {}, len(diffs))
     return any(
-        not pinning_degrees(k, complex_._block_rank_of, complex_.block_dims)
+        not pinned(k, complex_._block_rank_of, complex_.block_dims)
         and complex_._pivot_pairs(k - 1)
         for k in range(2, len(diffs) + 1)
     )

@@ -631,7 +631,7 @@ class TestEliminationLoop:
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices(max_rows=8, max_cols=8))
     def test_every_markowitz_pivot_has_the_fewest_live_entries(self, m):
-        pivots = _eliminate(_integer_lines(m, 0, 0)[0])
+        pivots = _eliminate(_integer_lines(m))
         assert list(pivots.items()) == markowitz_reference(m)
 
     @pytest.mark.parametrize("dense, expected", [
@@ -646,7 +646,7 @@ class TestEliminationLoop:
     ])
     def test_one_entry_columns_then_one_entry_rows_then_markowitz(self, dense, expected):
         m = SparseMatrix.from_dense(dense)
-        assert list(_eliminate(_integer_lines(m, 0, 0)[0]).items()) == expected
+        assert list(_eliminate(_integer_lines(m)).items()) == expected
         assert markowitz_reference(m) == expected
 
     def test_the_old_loop_lags_the_markowitz_minimum(self):
@@ -656,10 +656,10 @@ class TestEliminationLoop:
         # column 0 pivots on row 0; row 0 retiring leaves column 2 with one
         # entry, which the old heap still holds at two
         m = SparseMatrix.from_dense([[1, 0, 1, 0, 0], [-1, 2, 2, -1, -1], [0, 1, 0, 1, 1]])
-        assert list(_eliminate(_integer_lines(m, 0, 0)[0]).items()) == [(0, 0), (2, 1), (1, 2)]
+        assert list(_eliminate(_integer_lines(m)).items()) == [(0, 0), (2, 1), (1, 2)]
         assert markowitz_reference(m) == [(0, 0), (2, 1), (1, 2)]
         with old_loop():
-            old = exact_linalg._eliminate(_integer_lines(m, 0, 0)[0])
+            old = exact_linalg._eliminate(_integer_lines(m))
         assert list(old.items()) == [(0, 0), (1, 2), (2, 1)]
         assert len(old) == rank(m) == 3
 

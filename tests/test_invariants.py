@@ -252,6 +252,20 @@ class TestTable:
         with pytest.raises(DomainError):
             invariant_dim(LieModule(point, 1, ()))
 
+    def test_the_stack_is_held_to_the_given_cap(self, monkeypatch):
+        """A cap raised above the default reaches the stacked actions, as it
+        reaches their elimination; a cap below the stack still refuses it."""
+        import affsymp.exact_linalg as exact_linalg
+        from affsymp.lie_structures import adjoint_module, build_sp
+
+        module = adjoint_module(build_sp(1))
+        monkeypatch.setattr(exact_linalg, "DEFAULT_ENTRY_CAP", 1)
+        assert invariant_dim(module, entry_cap=10**6) == 0
+        assert invariant_subspace(module, entry_cap=10**6).vectors == []
+        for find in (invariant_dim, invariant_subspace):
+            with pytest.raises(ResourceLimitError):
+                find(module, entry_cap=1)
+
     def test_decomposition_identity(self):
         table = invariant_dimension_report(2, 3)
         assert all(r.decomposition_consistent for r in table.rows)
